@@ -69,7 +69,6 @@ from .approx import (
     select_covering_delta,
 )
 from .mero import inversion_certificate, singular_scan
-
-SCHEMA_VERSION = "freeholo/1"
+from .jsonio import SCHEMA_VERSION
 
 __version__ = "0.1.0"

@@ -8,13 +8,17 @@ the tensor layout convention string, the tolerance, and the seed.
 
 Exit status: 0 on success, 1 when the mathematics rejects the input
 (mismatched Gram data, no covering grid, a floor violation, a singular
-evaluation, a point outside the domain), and 2 on I/O or schema problems.
+evaluation, a point outside the domain), and 2 on I/O or schema problems,
+including numeric flags outside their domain. Reports are strict JSON:
+non-finite numbers, such as the infinite shrink factor of ``approx`` at a
+sample set on the grid's zero set, are written as ``null``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -45,8 +49,25 @@ def _base_report(args) -> dict:
     }
 
 
+def _nulled(obj):
+    """The report with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _nulled(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nulled(v) for v in obj]
+    return obj
+
+
 def _emit(report: dict, out_path) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        # a NaN or infinity somewhere; the walk is skipped on the common path
+        # because it costs a quarter of the encoding on large polynomials
+        text = json.dumps(_nulled(report), sort_keys=True, indent=2, allow_nan=False)
+    text += "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -239,6 +260,8 @@ def _cmd_corona(args) -> dict:
         us = [jsonio.decode("cmatrix", m).array for m in payload["u"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed corona input: {exc}") from exc
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise SchemaError(f"corona epsilon must be positive and finite, got {epsilon}")
     sol = realize.corona_solve(
         delta, points, psis, epsilon, us, mult, floor_slack=args.floor_slack
     )
@@ -479,10 +502,26 @@ def _error_report(args, exc: Exception) -> dict:
     return report
 
 
+def _check_flags(args) -> None:
+    """Reject numeric flags outside their domain before any library call."""
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise SchemaError(f"--tol must be positive and finite, got {args.tol}")
+    margin = getattr(args, "margin", 0.0)
+    if not (math.isfinite(margin) and margin >= 0):
+        raise SchemaError(f"--margin must be nonnegative and finite, got {margin}")
+    bound = getattr(args, "bound", None)
+    if bound is not None and not (math.isfinite(bound) and bound > 0):
+        raise SchemaError(f"--bound must be positive and finite, got {bound}")
+    n_vars = getattr(args, "vars", None)
+    if n_vars is not None and n_vars < 1:
+        raise SchemaError(f"--vars must be at least 1, got {n_vars}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         report = args.handler(args)
     except _INPUT_ERRORS as exc:
         _emit(_error_report(args, exc), None)

@@ -170,13 +170,13 @@ def model_from_realization(r, points, psi=None, delta=None) -> ModelSampleSet:
 
     For each point the model column is ``u(x) = v(x) psi(x)`` where ``v`` is
     the realization's resolvent leg, and ``phi(x)`` is the realization value
-    times ``psi(x)``. With ``psi=None`` the identity column data is used
-    (h_dim = k1_dim).
+    times ``psi(x)``; one resolvent solve per point yields both. With
+    ``psi=None`` the identity column data is used (h_dim = k1_dim).
 
     ``delta`` is accepted for interface symmetry and must equal the grid the
     realization was built on.
     """
-    from .realize import eval_direct, resolvent_leg
+    from .realize import _Kernel
 
     if delta is not None and delta != r.delta:
         raise ShapeMismatch("explicit delta disagrees with the realization's grid")
@@ -192,8 +192,7 @@ def model_from_realization(r, points, psi=None, delta=None) -> ModelSampleSet:
     phi = []
     u = []
     for x, p in zip(points, psi):
-        omega = eval_direct(r, x)
-        v = resolvent_leg(r, x)
+        omega, v = _Kernel(r, x, DEFAULT_MARGIN).solve()
         phi.append(omega @ p)
         u.append(v @ p)
     return ModelSampleSet(

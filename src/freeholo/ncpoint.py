@@ -43,6 +43,19 @@ class Membership:
     def inside(self) -> bool:
         return self.status == "inside"
 
+    @classmethod
+    def from_norm(cls, nrm: float, margin: float = DEFAULT_MARGIN) -> "Membership":
+        """Classify a known ``||delta(x)||`` with the margin band of :func:`in_gdelta`."""
+        if margin < 0:
+            raise ValueError("margin must be nonnegative")
+        if nrm < 1.0 - margin:
+            status = "inside"
+        elif nrm <= 1.0 + margin:
+            status = "boundary"
+        else:
+            status = "outside"
+        return cls(status=status, distance=1.0 - nrm, norm=nrm, margin=margin)
+
 
 def in_gdelta(delta: PolyMatrix, x: GradedPoint, margin: float = DEFAULT_MARGIN) -> Membership:
     """Classify ``x`` against ``{ ||delta|| < 1 }`` with a safety margin.
@@ -50,17 +63,7 @@ def in_gdelta(delta: PolyMatrix, x: GradedPoint, margin: float = DEFAULT_MARGIN)
     Points with ``||delta(x)|| < 1 - margin`` are inside, points within
     ``margin`` of the unit shell are boundary, the rest are outside.
     """
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
-    nrm = mat.op_norm(eval_poly_matrix(delta, x))
-    dist = 1.0 - nrm
-    if nrm < 1.0 - margin:
-        status = "inside"
-    elif nrm <= 1.0 + margin:
-        status = "boundary"
-    else:
-        status = "outside"
-    return Membership(status=status, distance=dist, norm=nrm, margin=margin)
+    return Membership.from_norm(mat.op_norm(eval_poly_matrix(delta, x)), margin)
 
 
 def point_direct_sum(x: GradedPoint, y: GradedPoint) -> GradedPoint:

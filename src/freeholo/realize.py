@@ -14,6 +14,13 @@ where Delta(x) is the multiplicity-promoted evaluation of delta in the fixed
 layout level (x) multiplicity (x) grid-index (see ``TENSOR_CONVENTION``).
 Isometry of J1 forces ``||Omega(x)|| <= 1`` strictly inside the domain.
 
+The Kronecker factors and the promoted Delta(x) are the meaning of the
+formula, not what is computed. One private kernel serves ``eval_direct``,
+``resolvent_leg``, ``eval_neumann`` and ``model_from_realization``: it
+applies the blocks through ``mat.kron_left_identity_apply`` and Delta(x)
+through one GEMM with the unpromoted grid-outer value delta(x), which the
+membership test evaluates and norms once per point.
+
 The fitting routine recovers such a J1 from finite model sample data by
 matching two families of structured vectors with equal Gram matrices and
 completing the resulting partial isometry deterministically. When the
@@ -46,7 +53,7 @@ from .freepoly import (
     eval_poly_matrix_promoted,
 )
 from .model import ModelSampleSet, model_residual
-from .ncpoint import DEFAULT_MARGIN, in_gdelta
+from .ncpoint import DEFAULT_MARGIN, Membership
 
 # Layout contract for every tensor product in this module: the level index
 # is the outermost factor, then the multiplicity, then the grid index, and
@@ -137,12 +144,108 @@ class Realization:
 
 
 def _require_inside(r: Realization, x: GradedPoint, margin: float):
-    verdict = in_gdelta(r.delta, x, margin)
+    """Return ``(delta(x), ||delta(x)||)`` or raise :class:`OutsideDomain`."""
+    dx = eval_poly_matrix(r.delta, x)
+    verdict = Membership.from_norm(mat.op_norm(dx), margin)
     if not verdict.inside:
         raise OutsideDomain(
             f"point is {verdict.status}: ||delta(x)|| = {verdict.norm:.9f}"
         )
-    return verdict
+    return dx, verdict.norm
+
+
+class _Kernel:
+    """The resolvent algebra of one realization at one point inside its domain.
+
+    ``kron(I_n, A|B|C|D)`` and the promoted Delta(x) give the realization
+    formula its meaning, but none of them is formed. Block products go
+    through :func:`mat.kron_left_identity_apply`, and each Delta(x) product
+    is one GEMM with the grid-outer value delta(x), which the membership
+    test has already evaluated and normed (``r0``).
+    """
+
+    def __init__(self, r: Realization, x: GradedPoint, margin: float):
+        self.r = r
+        self.n = x.n
+        self.dx, self.r0 = _require_inside(r, x, margin)
+
+    def block(self, m: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+        """``kron(I_n, m) @ y``."""
+        return mat.kron_left_identity_apply(self.n, m, y, out=out)
+
+    def buffers(self, q: int) -> tuple:
+        """Scratch for :meth:`delta` on q columns: (grid-ordered input, GEMM output, result)."""
+        n, mult = self.n, self.r.mult
+        rows, cols = self.r.delta.rows, self.r.delta.cols
+        return (
+            np.empty((cols, n, mult, q), dtype=np.complex128),
+            np.empty((rows * n, mult * q), dtype=np.complex128),
+            np.empty((n * mult * rows, q), dtype=np.complex128),
+        )
+
+    def delta(self, y: np.ndarray, bufs=None) -> np.ndarray:
+        """``Delta(x) @ y`` for y with rows in (level, mult, grid) order.
+
+        The rows of y are permuted to (grid, level) with (mult, column)
+        columns, multiplied by delta(x), and permuted back. The result is
+        written into the last of ``bufs`` (from :meth:`buffers`) when given:
+        a loop that reuses them allocates nothing per product, whereas
+        freeing and refaulting arrays of this size costs as much as the GEMM.
+        """
+        n, mult = self.n, self.r.mult
+        rows, cols = self.r.delta.rows, self.r.delta.cols
+        q = y.shape[1]
+        grid_in, grid_out, out = self.buffers(q) if bufs is None else bufs
+        np.copyto(grid_in, y.reshape(n, mult, cols, q).transpose(2, 0, 1, 3))
+        np.matmul(self.dx, grid_in.reshape(cols * n, mult * q), out=grid_out)
+        np.copyto(
+            out.reshape(n, mult, rows, q),
+            grid_out.reshape(rows, n, mult, q).transpose(1, 2, 0, 3),
+        )
+        return out
+
+    def c_tilde(self) -> np.ndarray:
+        return self.block(self.r.block_c, np.eye(self.n * self.r.dim_k1))
+
+    def value(self, w: np.ndarray) -> np.ndarray:
+        """``kron(I_n, A) + kron(I_n, B) @ w``, the value once ``w = Delta v``."""
+        eye = np.eye(self.n * self.r.dim_k1)
+        return self.block(self.r.block_a, eye) + self.block(self.r.block_b, w)
+
+    def solve(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(Omega(x), v(x))`` from one LU solve of the resolvent equation.
+
+        The matrix ``kron(I_n, D) Delta(x)`` is assembled entrywise as
+        ``sum_i D[p, (m, i)] delta_ij(x)[a, b]`` at row (a, p) and column
+        (b, m, j), never through the promoted factors.
+        """
+        n, mult = self.n, self.r.mult
+        rows, cols = self.r.delta.rows, self.r.delta.cols
+        d3 = self.r.block_d.reshape(mult * cols, mult, rows)
+        t = np.tensordot(d3, self.dx.reshape(rows, n, cols, n), axes=([2], [0]))
+        size = n * mult * cols
+        d_delta = t.transpose(2, 0, 4, 1, 3).reshape(size, size)
+        v = np.linalg.solve(np.eye(size) - d_delta, self.c_tilde())
+        return self.value(self.delta(v)), v
+
+    def series(self, k_plan: int) -> tuple[np.ndarray, int, bool]:
+        """Sum the terms ``Delta (D~ Delta)^k C~`` for k = 0, ..., k_plan.
+
+        Returns ``(sum, k_used, exact)``; ``exact`` means term ``k_used + 1``
+        vanished, so every later term does too. Each term costs one
+        blockwise product with D and one GEMM with delta(x), both into
+        buffers reused across terms.
+        """
+        bufs = self.buffers(self.n * self.r.dim_k1)
+        term = self.delta(self.c_tilde(), bufs)
+        total = term.copy()
+        fed = np.empty((self.r.block_d.shape[0] * self.n, term.shape[1]), dtype=np.complex128)
+        for k in range(1, k_plan + 1):
+            self.delta(self.block(self.r.block_d, term, out=fed), bufs)
+            if not np.any(term):
+                return total, k - 1, True
+            total += term
+        return total, k_plan, False
 
 
 def resolvent_leg(r: Realization, x: GradedPoint, margin: float = DEFAULT_MARGIN) -> np.ndarray:
@@ -151,13 +254,7 @@ def resolvent_leg(r: Realization, x: GradedPoint, margin: float = DEFAULT_MARGIN
     This is the model column generated by the realization: applying it to
     any input data produces model data with a machine-scale residual.
     """
-    _require_inside(r, x, margin)
-    n = x.n
-    big_delta = eval_poly_matrix_promoted(r.delta, x, r.mult)
-    d_tilde = np.kron(np.eye(n), r.block_d)
-    c_tilde = np.kron(np.eye(n), r.block_c)
-    lhs = np.eye(d_tilde.shape[0], dtype=np.complex128) - d_tilde @ big_delta
-    return np.linalg.solve(lhs, c_tilde)
+    return _Kernel(r, x, margin).solve()[1]
 
 
 def eval_direct(r: Realization, x: GradedPoint, margin: float = DEFAULT_MARGIN) -> np.ndarray:
@@ -167,16 +264,7 @@ def eval_direct(r: Realization, x: GradedPoint, margin: float = DEFAULT_MARGIN) 
     resolvent is uniformly invertible and the value is a strict contraction
     up to rounding.
     """
-    _require_inside(r, x, margin)
-    n = x.n
-    big_delta = eval_poly_matrix_promoted(r.delta, x, r.mult)
-    a_tilde = np.kron(np.eye(n), r.block_a)
-    b_tilde = np.kron(np.eye(n), r.block_b)
-    d_tilde = np.kron(np.eye(n), r.block_d)
-    c_tilde = np.kron(np.eye(n), r.block_c)
-    lhs = np.eye(d_tilde.shape[0], dtype=np.complex128) - d_tilde @ big_delta
-    v = np.linalg.solve(lhs, c_tilde)
-    return a_tilde + b_tilde @ (big_delta @ v)
+    return _Kernel(r, x, margin).solve()[0]
 
 
 @dataclass(frozen=True)
@@ -203,12 +291,17 @@ def eval_neumann(
     that bound at most ``tol``. If a power of the loop operator vanishes
     exactly (nilpotent feedback, e.g. D = 0) the sum stops early and the
     reported bound is zero.
+
+    The terms ``Delta (D~ Delta)^k C~`` are summed first and ``B~`` is
+    applied once. Each term costs one blockwise product with D and one GEMM
+    with the unpromoted delta(x); neither ``kron(I_n, D)`` nor the promoted
+    Delta(x) is formed, and delta(x) and its norm come from the membership
+    test.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    _require_inside(r, x, margin)
-    n = x.n
-    r0 = mat.op_norm(eval_poly_matrix(r.delta, x))
+    ker = _Kernel(r, x, margin)
+    r0 = ker.r0
     if r0 > 0.0:
         target = tol * (1.0 - r0)
         k_plan = max(0, math.ceil(math.log(target) / math.log(r0)) - 2)
@@ -228,25 +321,9 @@ def eval_neumann(
             f"certified truncation needs {k_plan} terms, over the cap {max_terms} "
             f"(||delta(x)|| = {r0:.6f})"
         )
-    big_delta = eval_poly_matrix_promoted(r.delta, x, r.mult)
-    a_tilde = np.kron(np.eye(n), r.block_a)
-    b_tilde = np.kron(np.eye(n), r.block_b)
-    c_tilde = np.kron(np.eye(n), r.block_c)
-    d_tilde = np.kron(np.eye(n), r.block_d)
-    value = a_tilde.copy()
-    x_cur = big_delta @ c_tilde  # Delta (D Delta)^k C, starting at k = 0
-    k_used = 0
-    exact = False
-    for k in range(k_plan + 1):
-        value = value + b_tilde @ x_cur
-        k_used = k
-        if k < k_plan:
-            x_cur = big_delta @ (d_tilde @ x_cur)
-            if not np.any(x_cur):
-                exact = True
-                break
+    total, k_used, exact = ker.series(k_plan)
     bound = 0.0 if exact or r0 == 0.0 else float(r0 ** (k_used + 2) / (1.0 - r0))
-    return NeumannResult(value=value, k=k_used, bound=bound)
+    return NeumannResult(value=ker.value(total), k=k_used, bound=bound)
 
 
 # -- fitting -----------------------------------------------------------------

@@ -6,10 +6,14 @@ the contract: 0 success, 1 mathematical rejection, 2 input problems.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import freeholo
 from freeholo import cli
 from freeholo.freepoly import (
     FreePoly,
@@ -375,3 +379,101 @@ def test_point_dimension_mismatch_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert rep["error"]["type"] == "SchemaError"
+
+
+def strict_loads(text):
+    """``json.loads`` that rejects the non-standard NaN and Infinity tokens."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_approx_infinite_shrink_is_null(tmp_path, capsys):
+    # a sample at the zero set of the grid makes the shrink factor infinite
+    r = write(tmp_path, "r.json", mobius(0.5).to_json())
+    cover = write(tmp_path, "cover.json", [UNIT_DISK.to_json()])
+    samples = write(tmp_path, "pts.json", [GradedPoint.scalars([0.0]).to_json()])
+    code, _, raw = run(
+        ["approx", "--realization", r, "--cover", cover, "--samples", samples],
+        capsys,
+    )
+    assert code == 0
+    rep = strict_loads(raw)
+    assert rep["t"] is None
+    assert rep["radius"] == 0.0
+    assert rep["k"] == 0 and rep["bound"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--margin", "-1"],
+        ["--margin", "nan"],
+        ["--tol", "0"],
+        ["--tol=-1e-8"],
+        ["--tol", "inf"],
+        ["--tol", "nan"],
+    ],
+)
+def test_bad_numeric_flags_exit_2(tmp_path, capsys, flags):
+    delta = write(tmp_path, "delta.json", UNIT_DISK.to_json())
+    point = write(tmp_path, "p.json", GradedPoint.scalars([0.5]).to_json())
+    code = cli.main(["member", "--delta", delta, "--point", point] + flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    rep = strict_loads(captured.out)
+    assert rep["error"]["type"] == "SchemaError"
+    assert flags[0].split("=")[0] in rep["error"]["message"]
+    assert captured.err == ""
+
+
+def test_bad_bound_exits_2(tmp_path, capsys):
+    delta = write(tmp_path, "delta.json", UNIT_DISK.to_json())
+    point = write(tmp_path, "m.json", GradedPoint.scalars([0.5]).to_json())
+    code, _, raw = run(
+        ["mero", "certify", "--expr", "2 + x1", "--vars", "1", "--delta", delta,
+         "--point", point, "--bound", "-1"],
+        capsys,
+    )
+    assert code == 2
+    assert strict_loads(raw)["error"]["type"] == "SchemaError"
+
+
+def test_zero_vars_exits_2(tmp_path, capsys):
+    point = write(tmp_path, "p.json", GradedPoint.scalars([0.5]).to_json())
+    code, _, raw = run(["eval", "--expr", "x1", "--vars", "0", "--point", point], capsys)
+    assert code == 2
+    assert strict_loads(raw)["error"]["type"] == "SchemaError"
+
+
+def test_negative_margin_subprocess_has_no_traceback(tmp_path):
+    delta = write(tmp_path, "delta.json", UNIT_DISK.to_json())
+    point = write(tmp_path, "p.json", GradedPoint.scalars([0.5]).to_json())
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freeholo.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "freeholo.cli", "member", "--delta", delta,
+         "--point", point, "--margin", "-1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert strict_loads(proc.stdout)["error"]["type"] == "SchemaError"
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.5])
+def test_corona_nonpositive_epsilon_exits_2(tmp_path, capsys, eps):
+    payload = {
+        "delta": UNIT_DISK.to_json(),
+        "epsilon": eps,
+        "mult": 1,
+        "points": [GradedPoint.scalars([0.3]).to_json()],
+        "psis": [matrices_json([[[0.3]]])],
+        "u": matrices_json([[[0.0]]]),
+    }
+    inp = write(tmp_path, "corona.json", payload)
+    code, _, raw = run(["corona", "--input", inp], capsys)
+    assert code == 2
+    assert strict_loads(raw)["error"]["type"] == "SchemaError"

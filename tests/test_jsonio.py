@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import freeholo
 from freeholo.errors import SchemaError
 from freeholo.freepoly import FreePoly, GradedPoint, PolyMatrix
 from freeholo.jsonio import SCHEMA_VERSION, decode, dump, load, load_json, load_list
@@ -9,6 +10,10 @@ from freeholo.mat import CMatrix
 
 def test_schema_version_string():
     assert SCHEMA_VERSION == "freeholo/1"
+
+
+def test_schema_version_defined_once():
+    assert freeholo.SCHEMA_VERSION is SCHEMA_VERSION
 
 
 def test_dump_load_roundtrip(tmp_path):

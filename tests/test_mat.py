@@ -13,6 +13,7 @@ from freeholo.mat import (
     inv_with_cond,
     isometry_defect,
     kron_left_identity,
+    kron_left_identity_apply,
     op_norm,
 )
 
@@ -94,6 +95,26 @@ def test_kron_left_identity():
     k = kron_left_identity(2, m).array
     np.testing.assert_allclose(k, np.kron(np.eye(2), m))
     assert op_norm(k) == pytest.approx(op_norm(m), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, rows, cols, q", [(1, 2, 3, 4), (3, 2, 5, 1), (4, 3, 2, 6), (2, 1, 1, 3)])
+def test_kron_left_identity_apply_matches_dense(n, rows, cols, q):
+    m = rand_matrix(n + rows, rows, cols)
+    x = rand_matrix(q + cols, n * cols, q)
+    want = kron_left_identity(n, m).array @ x
+    np.testing.assert_allclose(kron_left_identity_apply(n, m, x), want, rtol=0, atol=1e-12)
+    out = np.empty((n * rows, q), dtype=complex)
+    got = kron_left_identity_apply(n, m, x, out=out)
+    assert got is out
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+
+
+def test_kron_left_identity_apply_rejects_bad_shapes():
+    m = rand_matrix(0, 2, 3)
+    with pytest.raises(ShapeMismatch):
+        kron_left_identity_apply(2, m, rand_matrix(1, 5, 1))
+    with pytest.raises(ShapeMismatch):
+        kron_left_identity_apply(2, m, rand_matrix(1, 6, 1), out=np.empty((6, 1), dtype=complex))
 
 
 def test_isometry_defect_zero_for_unitary():

@@ -13,6 +13,7 @@ from freeholo.freepoly import (
     GradedPoint,
     PolyMatrix,
     eval_poly_matrix,
+    eval_poly_matrix_promoted,
 )
 from freeholo.mat import isometry_defect, op_norm
 from freeholo.model import ModelSampleSet, model_from_realization, model_residual
@@ -26,6 +27,7 @@ from freeholo.realize import (
     stack_column,
 )
 from freeholo.sampling import (
+    haar_isometry,
     point_inside_gdelta,
     random_free_poly,
     random_realization,
@@ -308,3 +310,67 @@ def test_eval_direct_matches_neumann_random(seed):
     x = point_inside_gdelta(rng, UNIT_DISK, n)
     res = eval_neumann(r, x, tol=1e-10)
     assert op_norm(res.value - eval_direct(r, x)) <= res.bound + 1e-12
+
+
+def dense_reference(r, x):
+    """``(Omega(x), v(x))`` with every Kronecker factor and Delta(x) formed."""
+    n = x.n
+    big = eval_poly_matrix_promoted(r.delta, x, r.mult)
+    a, b, c, d = (
+        np.kron(np.eye(n), blk) for blk in (r.block_a, r.block_b, r.block_c, r.block_d)
+    )
+    v = np.linalg.solve(np.eye(d.shape[0]) - d @ big, c)
+    return a + b @ big @ v, v
+
+
+def a_priori_order(r0, tol):
+    k = 0
+    while r0 ** (k + 2) > tol * (1.0 - r0):
+        k += 1
+    return k
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]),
+    st.integers(1, 3),
+    st.sampled_from([-2, -1, 1, 2]),
+    st.integers(1, 3),
+    st.integers(1, 4),
+)
+@settings(max_examples=25, deadline=None)
+def test_kernel_matches_dense_kron_reference(seed, grid, k1, offset, mult, n):
+    # rectangular grids and k1 != k2 catch reshape-order slips that a square
+    # grid with k1 == k2 hides
+    i_rows, j_cols = grid
+    k2 = max(k1 + offset, k1 + mult * (i_rows - j_cols), 1)
+    if k2 == k1:
+        k2 += 1
+    rng = rng_from_seed(seed)
+    words = [(1,), (2,), (1, 2), (2, 1), (1, 1)]
+    delta = PolyMatrix(
+        [
+            [
+                FreePoly(2, {words[int(w)]: complex(*(0.4 * rng.standard_normal(2)))
+                             for w in rng.choice(len(words), size=2, replace=False)})
+                for _ in range(j_cols)
+            ]
+            for _ in range(i_rows)
+        ],
+        d=2,
+    )
+    j1 = haar_isometry(rng, k2 + mult * j_cols, k1 + mult * i_rows)
+    r = Realization(delta, k1, k2, mult, j1)
+    x = point_inside_gdelta(rng, delta, n)
+
+    omega_ref, v_ref = dense_reference(r, x)
+    omega = eval_direct(r, x)
+    v = resolvent_leg(r, x)
+    assert omega.shape == (n * k2, n * k1) and v.shape == (n * mult * j_cols, n * k1)
+    np.testing.assert_allclose(omega, omega_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-12)
+
+    tol = 1e-8
+    res = eval_neumann(r, x, tol=tol)
+    assert op_norm(res.value - omega) <= res.bound + 1e-12
+    assert res.k == a_priori_order(op_norm(eval_poly_matrix(delta, x)), tol)
