@@ -447,7 +447,8 @@ def eval_poly_matrix_promoted(
     ``(n*mult*rows, n*mult*cols)``. This is the form that composes with
     ``kron(I_n, block)`` factors in realization formulas; it is a
     permutation conjugate of :func:`eval_poly_matrix` tensored with the
-    multiplicity identity, so operator norms agree.
+    multiplicity identity, so operator norms agree. Products with it are
+    computed by :func:`promoted_apply`; this dense form is the reference.
     """
     if mult < 1:
         raise ShapeMismatch("multiplicity must be at least 1")
@@ -464,6 +465,52 @@ def eval_poly_matrix_promoted(
             e = np.zeros((pm.rows, pm.cols))
             e[i, j] = 1.0
             out += np.kron(eval_poly(p, x, cache), np.kron(eye_m, e))
+    return out
+
+
+def promoted_apply_buffers(dx: np.ndarray, n: int, mult: int, q: int) -> tuple:
+    """Scratch for :func:`promoted_apply` on q columns.
+
+    ``(grid-ordered input, GEMM output, result)`` for the grid-outer value
+    ``dx`` of an I-by-J grid at level n.
+    """
+    rows, cols = dx.shape[0] // n, dx.shape[1] // n
+    return (
+        np.empty((cols, n, mult, q), dtype=np.complex128),
+        np.empty((rows * n, mult * q), dtype=np.complex128),
+        np.empty((n * mult * rows, q), dtype=np.complex128),
+    )
+
+
+def promoted_apply(
+    dx: np.ndarray, n: int, mult: int, y: np.ndarray, bufs: tuple | None = None
+) -> np.ndarray:
+    """``eval_poly_matrix_promoted(pm, x, mult) @ y`` from ``dx = eval_poly_matrix(pm, x)``.
+
+    The rows of y, in (level, mult, grid) order, are permuted to (grid,
+    level) rows with (mult, column) columns, multiplied by the grid-outer dx
+    in one GEMM, and permuted back; the promoted matrix is never formed and
+    the point need not lie in any domain. The result is written into the
+    last of ``bufs`` (from :func:`promoted_apply_buffers`) when given: a
+    loop that reuses them allocates nothing per product, whereas freeing and
+    refaulting arrays of this size costs as much as the GEMM.
+    """
+    rows, cols = dx.shape[0] // n, dx.shape[1] // n
+    q = y.shape[1]
+    if y.shape[0] != n * mult * cols:
+        raise ShapeMismatch(
+            f"cannot apply a level-{n} {rows}x{cols} grid at multiplicity {mult} "
+            f"to {y.shape[0]} rows"
+        )
+    if bufs is None:
+        bufs = promoted_apply_buffers(dx, n, mult, q)
+    grid_in, grid_out, out = bufs
+    np.copyto(grid_in, y.reshape(n, mult, cols, q).transpose(2, 0, 1, 3))
+    np.matmul(dx, grid_in.reshape(cols * n, mult * q), out=grid_out)
+    np.copyto(
+        out.reshape(n, mult, rows, q),
+        grid_out.reshape(rows, n, mult, q).transpose(1, 2, 0, 3),
+    )
     return out
 
 

@@ -13,17 +13,30 @@ The defining identity, checked pairwise at equal levels, is
 
 with Delta the multiplicity-promoted evaluation of delta. Points at unequal
 levels are never compared; the identity only constrains same-level pairs.
+
+The promoted Delta is the meaning of the identity, not what is computed:
+``model_residual`` applies it once per sample through
+``freepoly.promoted_apply`` and checks all pairs of a level with a few
+batched products and SVDs (see its docstring). ``eval_poly_matrix_promoted``
+remains the dense reference, exposed as ``ModelSampleSet.promoted_delta_at``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mat
 from .errors import OutsideDomain, ShapeMismatch
-from .freepoly import GradedPoint, PolyMatrix, eval_poly_matrix_promoted
+from .freepoly import (
+    GradedPoint,
+    PolyMatrix,
+    eval_poly_matrix,
+    eval_poly_matrix_promoted,
+    promoted_apply,
+)
 from .ncpoint import DEFAULT_MARGIN, in_gdelta
 
 
@@ -137,19 +150,34 @@ def model_residual(s: ModelSampleSet) -> float:
 
     Returns ``max ||psi(y)*psi(x) - phi(y)*phi(x) - u(y)*(I - D(y)*D(x))u(x)||``
     including the diagonal pairs y = x. Machine-scale for data generated by
-    an isometric realization.
+    an isometric realization; ``inf`` when any pair block is not finite.
+
+    Delta u is computed once per sample, from the grid-outer delta(x)
+    through :func:`freepoly.promoted_apply`. Per level, with the columns
+    ``L_s = [psi_s; (Delta u)_s]`` and ``R_s = [phi_s; u_s]`` of width w, the
+    pair block is ``E_st = L_s* L_t - R_s* R_t``. Since ``||E_ts|| = ||E_st||``
+    only the blocks with t >= s are formed, one row block s at a time, and
+    their norms come from one batched SVD, so memory stays O(m w^2) for m
+    samples at the level and the level's (m w)^2 Gram is never held.
     """
-    deltas = [s.promoted_delta_at(i) for i in range(len(s))]
+    by_level = {}
+    for i, x in enumerate(s.points):
+        du = promoted_apply(eval_poly_matrix(s.delta, x), x.n, s.mult, s.u[i])
+        left, right = by_level.setdefault(x.n, ([], []))
+        left.append(np.concatenate([s.psi[i], du]))
+        right.append(np.concatenate([s.phi[i], s.u[i]]))
     worst = 0.0
-    for i in range(len(s)):
-        for j in range(len(s)):
-            if s.points[i].n != s.points[j].n:
-                continue
-            lhs = s.psi[i].conj().T @ s.psi[j] - s.phi[i].conj().T @ s.phi[j]
-            du_i = deltas[i] @ s.u[i]
-            du_j = deltas[j] @ s.u[j]
-            rhs = s.u[i].conj().T @ s.u[j] - du_i.conj().T @ du_j
-            worst = max(worst, mat.op_norm(lhs - rhs))
+    for left, right in by_level.values():
+        m, w = len(left), left[0].shape[1]
+        lmat = np.concatenate(left, axis=1)
+        rmat = np.concatenate(right, axis=1)
+        for i in range(m):
+            row, rest = slice(i * w, (i + 1) * w), slice(i * w, None)
+            e = lmat[:, row].conj().T @ lmat[:, rest] - rmat[:, row].conj().T @ rmat[:, rest]
+            blocks = e.reshape(w, m - i, w).transpose(1, 0, 2)
+            if not np.isfinite(blocks).all():
+                return math.inf
+            worst = max(worst, float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max()))
     return worst
 
 
@@ -171,7 +199,9 @@ def model_from_realization(r, points, psi=None, delta=None) -> ModelSampleSet:
     For each point the model column is ``u(x) = v(x) psi(x)`` where ``v`` is
     the realization's resolvent leg, and ``phi(x)`` is the realization value
     times ``psi(x)``; one resolvent solve per point yields both. With
-    ``psi=None`` the identity column data is used (h_dim = k1_dim).
+    ``psi=None`` the identity column data is used (h_dim = k1_dim). The
+    solve certifies membership with ``DEFAULT_MARGIN``, so the sample set
+    does not test it again.
 
     ``delta`` is accepted for interface symmetry and must equal the grid the
     realization was built on.
@@ -205,4 +235,5 @@ def model_from_realization(r, points, psi=None, delta=None) -> ModelSampleSet:
         k1_dim=r.dim_k1,
         k2_dim=r.dim_k2,
         mult=r.mult,
+        verify_membership=False,
     )

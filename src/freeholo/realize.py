@@ -18,12 +18,13 @@ The Kronecker factors and the promoted Delta(x) are the meaning of the
 formula, not what is computed. One private kernel serves ``eval_direct``,
 ``resolvent_leg``, ``eval_neumann`` and ``model_from_realization``: it
 applies the blocks through ``mat.kron_left_identity_apply`` and Delta(x)
-through one GEMM with the unpromoted grid-outer value delta(x), which the
-membership test evaluates and norms once per point.
+through ``freepoly.promoted_apply``, one GEMM with the unpromoted grid-outer
+value delta(x), which the membership test evaluates and norms once per point.
 
 The fitting routine recovers such a J1 from finite model sample data by
 matching two families of structured vectors with equal Gram matrices and
-completing the resulting partial isometry deterministically. When the
+completing the resulting partial isometry deterministically. It applies
+Delta(x) through ``freepoly.promoted_apply`` as well. When the
 codomain is too small for any isometry (for instance row-valued functions,
 where k1 exceeds k2), the grid is padded with zero columns first; padding
 never moves the domain and only widens the codomain side of J1.
@@ -50,7 +51,8 @@ from .freepoly import (
     PolyMatrix,
     delta_pad_columns,
     eval_poly_matrix,
-    eval_poly_matrix_promoted,
+    promoted_apply,
+    promoted_apply_buffers,
 )
 from .model import ModelSampleSet, model_residual
 from .ncpoint import DEFAULT_MARGIN, Membership
@@ -173,36 +175,9 @@ class _Kernel:
         """``kron(I_n, m) @ y``."""
         return mat.kron_left_identity_apply(self.n, m, y, out=out)
 
-    def buffers(self, q: int) -> tuple:
-        """Scratch for :meth:`delta` on q columns: (grid-ordered input, GEMM output, result)."""
-        n, mult = self.n, self.r.mult
-        rows, cols = self.r.delta.rows, self.r.delta.cols
-        return (
-            np.empty((cols, n, mult, q), dtype=np.complex128),
-            np.empty((rows * n, mult * q), dtype=np.complex128),
-            np.empty((n * mult * rows, q), dtype=np.complex128),
-        )
-
     def delta(self, y: np.ndarray, bufs=None) -> np.ndarray:
-        """``Delta(x) @ y`` for y with rows in (level, mult, grid) order.
-
-        The rows of y are permuted to (grid, level) with (mult, column)
-        columns, multiplied by delta(x), and permuted back. The result is
-        written into the last of ``bufs`` (from :meth:`buffers`) when given:
-        a loop that reuses them allocates nothing per product, whereas
-        freeing and refaulting arrays of this size costs as much as the GEMM.
-        """
-        n, mult = self.n, self.r.mult
-        rows, cols = self.r.delta.rows, self.r.delta.cols
-        q = y.shape[1]
-        grid_in, grid_out, out = self.buffers(q) if bufs is None else bufs
-        np.copyto(grid_in, y.reshape(n, mult, cols, q).transpose(2, 0, 1, 3))
-        np.matmul(self.dx, grid_in.reshape(cols * n, mult * q), out=grid_out)
-        np.copyto(
-            out.reshape(n, mult, rows, q),
-            grid_out.reshape(rows, n, mult, q).transpose(1, 2, 0, 3),
-        )
-        return out
+        """``Delta(x) @ y`` through :func:`freepoly.promoted_apply`."""
+        return promoted_apply(self.dx, self.n, self.r.mult, y, bufs)
 
     def c_tilde(self) -> np.ndarray:
         return self.block(self.r.block_c, np.eye(self.n * self.r.dim_k1))
@@ -236,7 +211,7 @@ class _Kernel:
         blockwise product with D and one GEMM with delta(x), both into
         buffers reused across terms.
         """
-        bufs = self.buffers(self.n * self.r.dim_k1)
+        bufs = promoted_apply_buffers(self.dx, self.n, self.r.mult, self.n * self.r.dim_k1)
         term = self.delta(self.c_tilde(), bufs)
         total = term.copy()
         fed = np.empty((self.r.block_d.shape[0] * self.n, term.shape[1]), dtype=np.complex128)
@@ -346,13 +321,15 @@ def _pad_u_rows(u_val: np.ndarray, n: int, mult: int, j_old: int, pad: int) -> n
     """Insert zero rows for the padded grid columns in every (level, mult) slot."""
     if pad == 0:
         return u_val
-    j_new = j_old + pad
-    out = np.zeros((n * mult * j_new, u_val.shape[1]), dtype=np.complex128)
-    for slot in range(n * mult):
-        out[slot * j_new : slot * j_new + j_old, :] = u_val[
-            slot * j_old : (slot + 1) * j_old, :
-        ]
-    return out
+    q = u_val.shape[1]
+    out = np.zeros((n * mult, j_old + pad, q), dtype=np.complex128)
+    out[:, :j_old, :] = u_val.reshape(n * mult, j_old, q)
+    return out.reshape(n * mult * (j_old + pad), q)
+
+
+# Column width of the panels in which the fit's Gram gate is formed, so the
+# gate never holds more than this many rows of the Gram difference.
+_GRAM_PANEL = 256
 
 
 def fit_lurking_isometry(
@@ -379,9 +356,16 @@ def fit_lurking_isometry(
     function untouched); more than ``pad_cap`` padded columns raises
     :class:`RankOverflow`.
 
-    A deviation between the Gram matrices above ``gram_rtol`` (relative to
-    the largest Gram entry) raises :class:`GramMismatch`: the data cannot
-    come from any isometric realization.
+    The p and q vectors of one point are the columns of two panels, built by
+    one reshape of ``[psi; Delta u]`` and ``[phi; u]``, with Delta u from
+    :func:`freepoly.promoted_apply`. A deviation ``max |P*P - Q*Q|`` between
+    the Gram matrices above ``gram_rtol`` times ``max(1, max_j ||p_j||^2)``
+    (the largest entry of the positive semidefinite P*P sits on its
+    diagonal) raises :class:`GramMismatch`: the data cannot come from any
+    isometric realization. So does a deviation that is not finite. The
+    deviation is formed as one product of ``[P; -Q]*`` with ``[P; Q]`` per
+    panel of 256 columns, over the upper block triangle of the Hermitian
+    difference only, so neither N-by-N Gram matrix of the N columns is held.
 
     Unless ``holdout=False``, every fifth point (indices 4, 9, ...) is
     reserved, excluded from the fit, and used to report the reproduction
@@ -411,31 +395,41 @@ def fit_lurking_isometry(
 
     dom_dim = k1 + mult * i_rows
     cod_dim = k2 + mult * j_new
-    p_cols = []
-    q_cols = []
+    panels = []
     for idx in train:
         x = s.points[idx]
         n = x.n
+        w = s.psi[idx].shape[1]
+        # the padded grid columns are zero, so Delta u needs neither padding
+        du = promoted_apply(eval_poly_matrix(s.delta, x), n, mult, s.u[idx])
         u_val = _pad_u_rows(s.u[idx], n, mult, j_cols, pad)
-        big_delta = eval_poly_matrix_promoted(delta, x, mult)
-        du = big_delta @ u_val
-        n_cols = s.psi[idx].shape[1]
-        for k in range(n):
-            psi_rows = s.psi[idx][k * k1 : (k + 1) * k1, :]
-            phi_rows = s.phi[idx][k * k2 : (k + 1) * k2, :]
-            du_rows = du[k * mult * i_rows : (k + 1) * mult * i_rows, :]
-            u_rows = u_val[k * mult * j_new : (k + 1) * mult * j_new, :]
-            for col in range(n_cols):
-                p_cols.append(np.concatenate([psi_rows[:, col], du_rows[:, col]]))
-                q_cols.append(np.concatenate([phi_rows[:, col], u_rows[:, col]]))
-    p_mat = np.column_stack(p_cols)
-    q_mat = np.column_stack(q_cols)
+        rows = np.concatenate(
+            [
+                s.psi[idx].reshape(n, k1, w),
+                du.reshape(n, mult * i_rows, w),
+                s.phi[idx].reshape(n, k2, w),
+                u_val.reshape(n, mult * j_new, w),
+            ],
+            axis=1,
+        )
+        # one column per (level-block row, basis column), level block outer
+        panels.append(rows.transpose(1, 0, 2).reshape(dom_dim + cod_dim, n * w))
+    pq = np.concatenate(panels, axis=1)
+    p_mat, q_mat = pq[:dom_dim], pq[dom_dim:]
 
-    gram_p = p_mat.conj().T @ p_mat
-    gram_q = q_mat.conj().T @ q_mat
-    deviation = float(np.max(np.abs(gram_p - gram_q))) if gram_p.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(gram_p)))) if gram_p.size else 1.0
-    if deviation > gram_rtol * scale:
+    # max |P*P - Q*Q| over the upper block triangle of the Hermitian
+    # difference, one panel of rows at a time; np.maximum keeps a NaN
+    signed = pq.copy()
+    signed[dom_dim:] *= -1.0
+    deviation = 0.0
+    for c in range(0, pq.shape[1], _GRAM_PANEL):
+        block = signed[:, c : c + _GRAM_PANEL].conj().T @ pq[:, c:]
+        deviation = np.maximum(deviation, np.max(np.abs(block)))
+    deviation = float(deviation)
+    # the largest entry of the PSD Gram P*P is on its diagonal
+    scale = max(1.0, float(np.max(np.sum(np.abs(p_mat) ** 2, axis=0))))
+    # an overflowing Gram gives an infinite deviation and scale, or a NaN
+    if not (math.isfinite(deviation) and deviation <= gram_rtol * scale):
         raise GramMismatch(deviation)
 
     u_l, sing, v_h = np.linalg.svd(p_mat, full_matrices=False)
@@ -455,9 +449,7 @@ def fit_lurking_isometry(
     codomain_frame = mat.complete_to_isometry(y_on, dom_dim).array
     j1 = codomain_frame @ domain_frame.conj().T
 
-    train_residual = (
-        float(np.max(np.linalg.norm(j1 @ p_mat - q_mat, axis=0))) if p_cols else 0.0
-    )
+    train_residual = float(np.max(np.linalg.norm(j1 @ p_mat - q_mat, axis=0)))
 
     fitted = Realization(delta=delta, dim_k1=k1, dim_k2=k2, mult=mult, j1=j1)
 

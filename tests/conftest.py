@@ -44,3 +44,46 @@ def random_graded(seed, d, n, scale=0.4):
             for _ in range(d)
         ]
     )
+
+
+def random_grid(rng, i_rows, j_cols):
+    """An I-by-J grid in two variables, each entry two random short words."""
+    from freeholo.freepoly import FreePoly, PolyMatrix
+
+    words = [(1,), (2,), (1, 2), (2, 1), (1, 1)]
+    return PolyMatrix(
+        [
+            [
+                FreePoly(2, {words[int(w)]: complex(*(0.4 * rng.standard_normal(2)))
+                             for w in rng.choice(len(words), size=2, replace=False)})
+                for _ in range(j_cols)
+            ]
+            for _ in range(i_rows)
+        ],
+        d=2,
+    )
+
+
+def random_rect_realization(rng, i_rows, j_cols, k1, offset, mult):
+    """A Haar-random realization on a random I-by-J grid with k1 != k2.
+
+    ``k2`` is ``k1 + offset``, raised where needed so that an isometry
+    ``K1 (+) mult*I -> K2 (+) mult*J`` exists, and moved off ``k1``.
+    Rectangular grids and k1 != k2 catch reshape-order slips that a square
+    grid with k1 == k2 hides.
+    """
+    from freeholo.realize import Realization
+    from freeholo.sampling import haar_isometry
+
+    k2 = max(k1 + offset, k1 + mult * (i_rows - j_cols), 1)
+    if k2 == k1:
+        k2 += 1
+    delta = random_grid(rng, i_rows, j_cols)
+    j1 = haar_isometry(rng, k2 + mult * j_cols, k1 + mult * i_rows)
+    return Realization(delta, k1, k2, mult, j1)
+
+
+def random_column_data(rng, n, k1, h):
+    """An explicit psi value of shape (n*k1, n*h) with entries of size ~1."""
+    shape = (n * k1, n * h)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2 * n * k1)

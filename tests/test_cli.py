@@ -477,3 +477,37 @@ def test_corona_nonpositive_epsilon_exits_2(tmp_path, capsys, eps):
     code, _, raw = run(["corona", "--input", inp], capsys)
     assert code == 2
     assert strict_loads(raw)["error"]["type"] == "SchemaError"
+
+
+def run_subprocess(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freeholo.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "freeholo.cli"] + argv,
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def huge_psi_samples(tmp_path):
+    # finite input whose Gram products overflow to inf and NaN
+    payload = json.loads(open(fit_samples(tmp_path, n_points=6)).read())
+    payload["psi"][0]["data"][0][0] = 1e200
+    return write(tmp_path, "huge.json", payload)
+
+
+def test_fit_non_finite_gram_exits_1(tmp_path):
+    proc = run_subprocess(["fit", "--samples", huge_psi_samples(tmp_path)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    rep = strict_loads(proc.stdout)
+    assert rep["error"]["type"] == "GramMismatch"
+    assert "realization" not in rep
+
+
+def test_model_residual_non_finite_is_null(tmp_path):
+    proc = run_subprocess(["model-residual", "--samples", huge_psi_samples(tmp_path)])
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    rep = strict_loads(proc.stdout)
+    assert rep["residual"] is None
+    assert rep["points"] == 6

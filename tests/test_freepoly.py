@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_grid
 from freeholo.freepoly import (
     FreePoly,
     GradedPoint,
@@ -17,8 +18,12 @@ from freeholo.freepoly import (
     eval_poly_matrix_promoted,
     eval_word,
     graded_lex_key,
+    promoted_apply,
+    promoted_apply_buffers,
 )
+from freeholo.errors import ShapeMismatch
 from freeholo.mat import op_norm
+from freeholo.sampling import random_graded_point, rng_from_seed
 
 
 def x(i, d=2):
@@ -271,3 +276,30 @@ def test_graded_point_json_roundtrip():
     assert again.d == pt.d and again.n == pt.n
     for a, b in zip(again.mats, pt.mats):
         np.testing.assert_array_equal(a, b)
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2), (2, 2)]),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 4),
+)
+@settings(max_examples=25, deadline=None)
+def test_promoted_apply_matches_dense(seed, grid, mult, n, q):
+    rng = rng_from_seed(seed)
+    delta = random_grid(rng, *grid)
+    # any point: the product needs no membership
+    x = random_graded_point(rng, 2, n, scale=3.0)
+    y = rng.standard_normal((n * mult * grid[1], q)) + 1j * rng.standard_normal(
+        (n * mult * grid[1], q)
+    )
+    want = eval_poly_matrix_promoted(delta, x, mult) @ y
+    dx = eval_poly_matrix(delta, x)
+    np.testing.assert_allclose(promoted_apply(dx, n, mult, y), want, rtol=0, atol=1e-12)
+    bufs = promoted_apply_buffers(dx, n, mult, q)
+    out = promoted_apply(dx, n, mult, y, bufs)
+    assert out is bufs[-1]
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+    with pytest.raises(ShapeMismatch):
+        promoted_apply(dx, n, mult, y[1:])

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_graded
+from conftest import random_column_data, random_graded, random_rect_realization
+from freeholo import model
 from freeholo.errors import OutsideDomain, ShapeMismatch
 from freeholo.freepoly import FreePoly, GradedPoint, PolyMatrix
 from freeholo.jsonio import decode
+from freeholo.mat import op_norm
 from freeholo.model import (
     ModelSampleSet,
     diagonal_floor,
@@ -12,6 +16,7 @@ from freeholo.model import (
     model_residual,
 )
 from freeholo.realize import Realization
+from freeholo.sampling import point_inside_gdelta, rng_from_seed
 
 UNIT_DISK = PolyMatrix.from_poly(FreePoly.letter(1, 1))
 
@@ -132,3 +137,83 @@ def test_json_roundtrip():
     assert len(again) == len(s)
     for a, b in zip(again.u, s.u):
         np.testing.assert_allclose(a, b, atol=1e-15)
+
+
+def test_model_from_realization_skips_second_membership_test(monkeypatch):
+    # the resolvent solve has certified every point with DEFAULT_MARGIN
+    def refuse(*args, **kwargs):
+        raise AssertionError("membership tested twice")
+
+    monkeypatch.setattr(model, "in_gdelta", refuse)
+    r = mobius(0.3 - 0.1j)
+    s = model_from_realization(r, disk_points(range(80, 84), [1, 2, 3, 1]))
+    assert len(s) == 4 and model_residual(s) < 1e-12
+    with pytest.raises(AssertionError):
+        ModelSampleSet(
+            s.delta, s.points, s.psi, s.phi, s.u, s.h_dim, s.k1_dim, s.k2_dim, s.mult
+        )
+
+
+def dense_model_residual(s):
+    """The same-level pair loop with the dense promoted Delta of every sample."""
+    deltas = [s.promoted_delta_at(i) for i in range(len(s))]
+    worst = 0.0
+    for i in range(len(s)):
+        for j in range(len(s)):
+            if s.points[i].n != s.points[j].n:
+                continue
+            lhs = s.psi[i].conj().T @ s.psi[j] - s.phi[i].conj().T @ s.phi[j]
+            du_i = deltas[i] @ s.u[i]
+            du_j = deltas[j] @ s.u[j]
+            rhs = s.u[i].conj().T @ s.u[j] - du_i.conj().T @ du_j
+            worst = max(worst, op_norm(lhs - rhs))
+    return worst
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]),
+    st.integers(1, 3),
+    st.sampled_from([-2, -1, 1, 2]),
+    st.integers(1, 3),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=20, deadline=None)
+def test_model_residual_matches_dense_pair_loop(seed, grid, k1, offset, mult, explicit, corrupt):
+    rng = rng_from_seed(seed)
+    r = random_rect_realization(rng, *grid, k1, offset, mult)
+    levels = [1, 2, 3] + [int(n) for n in rng.integers(1, 4, size=4)]
+    pts = [point_inside_gdelta(rng, r.delta, n) for n in levels]
+    psi = None
+    if explicit:
+        h = int(rng.choice([v for v in (1, 2, 3) if v != k1]))
+        psi = [random_column_data(rng, n, k1, h) for n in levels]
+    s = model_from_realization(r, pts, psi=psi)
+    if corrupt:
+        u = list(s.u)
+        k = int(rng.integers(len(u)))
+        u[k] = u[k] + rng.standard_normal(u[k].shape)
+        s = ModelSampleSet(
+            s.delta, s.points, s.psi, s.phi, u, s.h_dim, s.k1_dim, s.k2_dim, s.mult,
+            verify_membership=False,
+        )
+    want = dense_model_residual(s)
+    got = model_residual(s)
+    assert abs(got - want) <= 1e-12 * max(1.0, want)
+    if corrupt:
+        assert want > 1e-3
+    else:
+        assert got < 1e-12
+
+
+def test_model_residual_non_finite_is_inf():
+    r = mobius(0.4)
+    s = model_from_realization(r, disk_points(range(90, 94), [1, 2, 1, 2]))
+    psi = list(s.psi)
+    psi[0] = psi[0] * 1e200
+    huge = ModelSampleSet(
+        s.delta, s.points, psi, s.phi, s.u, s.h_dim, s.k1_dim, s.k2_dim, s.mult
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert model_residual(huge) == np.inf

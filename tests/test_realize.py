@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_column_data, random_rect_realization
 from freeholo.errors import (
     GramMismatch,
     OutsideDomain,
@@ -374,3 +375,53 @@ def test_kernel_matches_dense_kron_reference(seed, grid, k1, offset, mult, n):
     res = eval_neumann(r, x, tol=tol)
     assert op_norm(res.value - omega) <= res.bound + 1e-12
     assert res.k == a_priori_order(op_norm(eval_poly_matrix(delta, x)), tol)
+
+
+def pad_psi_rows(psi, n, k1, extra):
+    """Append ``extra`` zero rows to every level block of a psi value."""
+    w = psi.shape[1]
+    out = np.zeros((n, k1 + extra, w), dtype=np.complex128)
+    out[:, :k1] = psi.reshape(n, k1, w)
+    return out.reshape(n * (k1 + extra), w)
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]),
+    st.integers(1, 3),
+    st.sampled_from([-2, -1, 1, 2]),
+    st.integers(1, 3),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=15, deadline=None)
+def test_fit_recovers_structured_realization(seed, grid, k1, offset, mult, explicit, padded):
+    rng = rng_from_seed(seed)
+    truth = random_rect_realization(rng, *grid, k1, offset, mult)
+    k2 = truth.dim_k2
+    h = int(rng.choice([v for v in (1, 2, 3) if v != k1])) if explicit else k1
+
+    def column(n):
+        return random_column_data(rng, n, k1, h) if explicit else np.eye(n * k1)
+
+    levels = [1, 2, 3] * 4
+    pts = [point_inside_gdelta(rng, truth.delta, n) for n in levels]
+    s = model_from_realization(truth, pts, psi=[column(n) for n in levels])
+    # zero rows in psi widen the fit's domain past the codomain (k1 > k2),
+    # which only a padded grid can host
+    extra = max(k2 - k1, k2 + mult * (grid[1] - grid[0]) - k1) + 1 if padded else 0
+    if padded:
+        s = ModelSampleSet(
+            s.delta, s.points,
+            [pad_psi_rows(v, x.n, k1, extra) for v, x in zip(s.psi, s.points)],
+            s.phi, s.u, s.h_dim, k1 + extra, k2, mult, verify_membership=False,
+        )
+    fit = fit_lurking_isometry(s, holdout=False)
+    assert fit.gram_deviation <= 1e-9
+    assert fit.train_residual <= 1e-9
+    assert (fit.padded_cols > 0) == padded
+    for n in (1, 2, 3):
+        x = point_inside_gdelta(rng, truth.delta, n)
+        psi = column(n)
+        got = eval_direct(fit.realization, x) @ pad_psi_rows(psi, n, k1, extra)
+        np.testing.assert_allclose(got, eval_direct(truth, x) @ psi, rtol=0, atol=1e-6)
