@@ -25,7 +25,7 @@ from .errors import (
     TermBlowup,
     UnknownVariable,
 )
-from .mat import CMatrix, complete_to_isometry, direct_sum, inv, isometry_defect, op_norm
+from .mat import complete_to_isometry, direct_sum, inv, isometry_defect, op_norm
 from .freepoly import (
     EvalCache,
     FreePoly,
@@ -63,7 +63,6 @@ from .realize import (
 from .approx import (
     certify_error,
     choose_truncation,
-    close_under_direct_sums,
     expand_polynomial,
     in_dictionary_hull,
     select_covering_delta,

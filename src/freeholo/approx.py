@@ -4,10 +4,10 @@ Given a realization bounded on a grid domain and a finite point set E, a
 covering grid is selected whose values stay strictly under 1 on E; shrinking
 the domain by a factor t > 1 turns the realization's series into a geometric
 one, so truncating it yields a free polynomial with an explicit sup-norm
-error bound on the shrunk closed domain. The point set must already contain
-the direct sums the caller cares about: a set can sit inside some candidate
-pointwise at each level while a direct sum of its members escapes every
-candidate, and then no cover exists.
+error bound on the shrunk closed domain. Direct sums of the points need no
+separate check: delta(x (+) y) is a permutation conjugate of
+delta(x) (+) delta(y), so its norm is the larger of the two, and a grid that
+covers E covers every direct sum of its members with the same radius.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .freepoly import (
     PolyMatrix,
     eval_poly_matrix,
 )
-from .ncpoint import point_direct_sum
 from .realize import Realization
 
 
@@ -35,6 +34,11 @@ class CoverSelection:
     index: int
     radius: float
     t: float
+
+
+def _worst_norm(delta: PolyMatrix, points) -> float:
+    """``max ||delta(x)||`` over the points, 0 for none."""
+    return max((mat.op_norm(eval_poly_matrix(delta, x)) for x in points), default=0.0)
 
 
 def select_covering_delta(points, candidates) -> CoverSelection:
@@ -54,9 +58,7 @@ def select_covering_delta(points, candidates) -> CoverSelection:
     best_idx = None
     best_r = np.inf
     for idx, delta in enumerate(candidates):
-        worst = 0.0
-        for x in points:
-            worst = max(worst, mat.op_norm(eval_poly_matrix(delta, x)))
+        worst = _worst_norm(delta, points)
         if worst < best_r:
             best_r = worst
             best_idx = idx
@@ -66,38 +68,6 @@ def select_covering_delta(points, candidates) -> CoverSelection:
         )
     t = float("inf") if best_r == 0.0 else (1.0 + 1.0 / best_r) / 2.0
     return CoverSelection(index=best_idx, radius=float(best_r), t=t)
-
-
-def close_under_direct_sums(points, level_cap: int = 8) -> list:
-    """Add pairwise direct sums until the level cap stops growth.
-
-    The closure is what makes a pointwise cover meaningful; it is taken
-    relative to an explicit cap because the full closure is infinite.
-    """
-    pool = list(points)
-
-    def present(z):
-        return any(
-            z.n == q.n
-            and all(np.array_equal(m1, m2) for m1, m2 in zip(z.mats, q.mats))
-            for q in pool
-        )
-
-    grew = True
-    while grew:
-        grew = False
-        snapshot = list(pool)
-        for a in snapshot:
-            for b in snapshot:
-                if a.n + b.n > level_cap:
-                    continue
-                z = point_direct_sum(a, b)
-                if not present(z):
-                    pool.append(z)
-                    grew = True
-        if len(pool) > 4096:
-            raise TermBlowup("direct-sum closure exceeded 4096 points")
-    return pool
 
 
 def certify_error(r: Realization, k: int, t: float) -> float:
@@ -193,10 +163,7 @@ def in_dictionary_hull(x: GradedPoint, sample, dictionary, slack: float = 0.0) -
     """
     sample = list(sample)
     for delta in dictionary:
-        worst = 0.0
-        for p in sample:
-            worst = max(worst, mat.op_norm(eval_poly_matrix(delta, p)))
-        if worst <= 1.0:
+        if _worst_norm(delta, sample) <= 1.0:
             if mat.op_norm(eval_poly_matrix(delta, x)) > 1.0 + slack:
                 return False
     return True

@@ -34,7 +34,7 @@ from .errors import (
 from .exprlang import eval_expr, parse, print_expr
 from .freepoly import GradedPoint
 from .jsonio import SCHEMA_VERSION
-from .mat import CMatrix, op_norm
+from .mat import matrix_to_json, op_norm
 from .realize import TENSOR_CONVENTION
 
 _INPUT_ERRORS = (SchemaError, ExprSyntaxError, UnknownVariable)
@@ -73,10 +73,6 @@ def _emit(report: dict, out_path) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _matrix_json(arr) -> dict:
-    return CMatrix(np.asarray(arr, dtype=complex)).to_json()
 
 
 def _pairs(values) -> list:
@@ -144,7 +140,7 @@ def _cmd_eval(args) -> dict:
             "expr": print_expr(ast),
             "vars": args.vars,
             "level": x.n,
-            "value": _matrix_json(value),
+            "value": matrix_to_json(value),
         }
     )
     return report
@@ -254,10 +250,10 @@ def _cmd_corona(args) -> dict:
         mult = int(payload["mult"])
         points = [jsonio.decode("gradedpoint", p) for p in payload["points"]]
         psis = [
-            [jsonio.decode("cmatrix", m).array for m in row]
+            [jsonio.decode("cmatrix", m) for m in row]
             for row in payload["psis"]
         ]
-        us = [jsonio.decode("cmatrix", m).array for m in payload["u"]]
+        us = [jsonio.decode("cmatrix", m) for m in payload["u"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed corona input: {exc}") from exc
     if not (math.isfinite(epsilon) and epsilon > 0):
@@ -284,8 +280,7 @@ def _cmd_approx(args) -> dict:
     r = jsonio.load("realization", args.realization)
     candidates = jsonio.load_list("polymatrix", args.cover)
     samples = jsonio.load_list("gradedpoint", args.samples)
-    closed = approx_mod.close_under_direct_sums(samples, level_cap=args.level_cap)
-    sel = approx_mod.select_covering_delta(closed, candidates)
+    sel = approx_mod.select_covering_delta(samples, candidates)
     k = approx_mod.choose_truncation(args.tol, sel.t)
     bound = approx_mod.certify_error(r, k, sel.t)
     poly = approx_mod.expand_polynomial(r, k)
@@ -298,7 +293,6 @@ def _cmd_approx(args) -> dict:
             "t": sel.t,
             "k": k,
             "bound": bound,
-            "closure_size": len(closed),
             "term_count": poly.term_count(),
             "polynomial": poly.to_json(),
         }
@@ -317,7 +311,7 @@ def _cmd_derive(args) -> dict:
             "command": "derive",
             "evaluator": kind,
             "level": m.n,
-            "derivative": _matrix_json(val),
+            "derivative": matrix_to_json(val),
         }
     )
     return report
@@ -397,7 +391,6 @@ def _cmd_mero_scan(args) -> dict:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-8, help="tolerance recorded in the report and used where the command needs one")
     p.add_argument("--seed", type=int, default=0, help="seed for any randomized sampling")
-    p.add_argument("--level-cap", type=int, default=8, dest="level_cap", help="cap for direct sum closures")
     p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
 

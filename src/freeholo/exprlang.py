@@ -327,7 +327,7 @@ def _eval(node, x: GradedPoint, path):
     if isinstance(node, Inv):
         inner = _eval(node.operand, x, path + (0,))
         try:
-            return mat.inv(inner).array.copy()
+            return mat.inv(inner)
         except SingularMatrix as exc:
             raise SingularityHit(path) from exc
     raise TypeError(f"not an expression node: {node!r}")

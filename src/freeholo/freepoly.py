@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeMismatch
+from .mat import matrix_from_json, matrix_to_json, op_norm
 
 Word = tuple  # tuple[int, ...], letters are 1-based
 
@@ -90,27 +91,21 @@ class GradedPoint:
 
     def nc_norm(self) -> float:
         """max over coordinates of the operator norm."""
-        from .mat import op_norm
-
         return max(op_norm(m) for m in self._mats)
 
     def __repr__(self):
         return f"GradedPoint(d={self._d}, n={self._n})"
 
     def to_json(self) -> dict:
-        from .mat import CMatrix
-
         return {
             "d": self._d,
             "n": self._n,
-            "mats": [CMatrix(m).to_json() for m in self._mats],
+            "mats": [matrix_to_json(m) for m in self._mats],
         }
 
     @classmethod
     def from_json(cls, obj) -> "GradedPoint":
-        from .mat import CMatrix
-
-        mats = [CMatrix.from_json(m).array for m in obj["mats"]]
+        mats = [matrix_from_json(m) for m in obj["mats"]]
         pt = cls(mats)
         if pt.d != int(obj["d"]) or pt.n != int(obj["n"]):
             raise ShapeMismatch("graded point header disagrees with matrix data")
@@ -709,24 +704,20 @@ class MatrixPoly:
         return cls(pm.d, pm.rows, pm.cols, terms)
 
     def to_json(self) -> dict:
-        from .mat import CMatrix
-
         return {
             "d": self._d,
             "out_dim": self._out_dim,
             "in_dim": self._in_dim,
             "terms": [
-                {"word": list(w), "coeff": CMatrix(self._terms[w]).to_json()}
+                {"word": list(w), "coeff": matrix_to_json(self._terms[w])}
                 for w in self.words()
             ],
         }
 
     @classmethod
     def from_json(cls, obj) -> "MatrixPoly":
-        from .mat import CMatrix
-
         terms = {
-            tuple(int(i) for i in t["word"]): CMatrix.from_json(t["coeff"]).array
+            tuple(int(i) for i in t["word"]): matrix_from_json(t["coeff"])
             for t in obj["terms"]
         }
         return cls(int(obj["d"]), int(obj["out_dim"]), int(obj["in_dim"]), terms)

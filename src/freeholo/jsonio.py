@@ -12,14 +12,14 @@ import json
 
 from .errors import FreeholoError, SchemaError
 from .freepoly import FreePoly, GradedPoint, MatrixPoly, PolyMatrix
-from .mat import CMatrix
+from .mat import matrix_from_json
 from .model import ModelSampleSet
 from .realize import Realization
 
 SCHEMA_VERSION = "freeholo/1"
 
 _DECODERS = {
-    "cmatrix": CMatrix.from_json,
+    "cmatrix": matrix_from_json,
     "freepoly": FreePoly.from_json,
     "polymatrix": PolyMatrix.from_json,
     "gradedpoint": GradedPoint.from_json,

@@ -1,13 +1,16 @@
 """Dense complex matrices with certified numeric kernels.
 
-``CMatrix`` is an immutable value: every operation returns a fresh matrix and
-the backing numpy array is marked read-only. Operator norms come from a full
-SVD so downstream certificates can rely on them to near machine precision,
-and inversion refuses matrices whose smallest singular value sits under a
-relative floor instead of returning garbage.
+Matrices are plain complex ndarrays. Every function accepts anything
+``numpy.asarray`` understands as a 2-d array and returns a fresh ndarray
+unless noted. Operator norms come from a full SVD so downstream
+certificates can rely on them to near machine precision, and inversion
+refuses matrices whose smallest singular value sits under a relative floor
+instead of returning garbage.
 
-Most functions accept either a ``CMatrix`` or anything ``numpy.asarray``
-understands; they return ``CMatrix`` unless noted.
+``matrix_to_json`` and ``matrix_from_json`` are the JSON codec of every
+matrix in the ``freeholo/1`` schema. Decoding validates outside input and
+returns a read-only array; the value types (``GradedPoint``,
+``Realization``, ...) hold read-only arrays as well.
 """
 
 from __future__ import annotations
@@ -22,128 +25,46 @@ SINGULAR_RTOL = 1e-12
 ORTHONORMAL_TOL = 1e-8
 
 
-def _validated(a) -> np.ndarray:
-    arr = np.array(a, dtype=np.complex128, order="C")
-    if arr.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-d array, got ndim={arr.ndim}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError("matrix entries must be finite")
-    arr.setflags(write=False)
-    return arr
-
-
-class CMatrix:
-    """Immutable dense matrix over the complex numbers.
-
-    Parameters
-    ----------
-    data : array_like
-        Anything numpy can coerce to a 2-d complex array. Entries must be
-        finite; NaN or infinity raise ``ValueError``.
-    """
-
-    __slots__ = ("_a",)
-
-    def __init__(self, data):
-        object.__setattr__(self, "_a", _validated(data))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CMatrix is immutable")
-
-    # -- construction helpers -------------------------------------------
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "CMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.complex128))
-
-    @classmethod
-    def identity(cls, n: int) -> "CMatrix":
-        return cls(np.eye(n, dtype=np.complex128))
-
-    # -- basic queries ---------------------------------------------------
-
-    @property
-    def array(self) -> np.ndarray:
-        """The read-only backing array."""
-        return self._a
-
-    @property
-    def rows(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._a.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._a.shape
-
-    @property
-    def h(self) -> "CMatrix":
-        """Conjugate transpose."""
-        return CMatrix(self._a.conj().T)
-
-    def allclose(self, other, tol: float = 1e-12) -> bool:
-        other = as_array(other)
-        return self._a.shape == other.shape and bool(
-            np.allclose(self._a, other, rtol=0.0, atol=tol)
-        )
-
-    def __repr__(self):
-        return f"CMatrix({self._a!r})"
-
-    # -- arithmetic ------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __matmul__(self, other):
-        return mul(self, other)
-
-    def __mul__(self, scalar):
-        return scalar_mul(scalar, self)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return CMatrix(-self._a)
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> dict:
-        """Row-major ``{"rows", "cols", "data": [[re, im], ...]}``."""
-        flat = self._a.reshape(-1)
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "data": [[float(z.real), float(z.imag)] for z in flat],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CMatrix":
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        data = obj["data"]
-        if len(data) != rows * cols:
-            raise ShapeMismatch(
-                f"data length {len(data)} does not match {rows}x{cols}"
-            )
-        flat = np.array(
-            [complex(re, im) for re, im in data], dtype=np.complex128
-        )
-        return cls(flat.reshape(rows, cols))
-
-
 def as_array(m) -> np.ndarray:
-    """Coerce a CMatrix or array_like to a complex 2-d ndarray (no copy if possible)."""
-    if isinstance(m, CMatrix):
-        return m.array
+    """Coerce an array_like to a complex 2-d ndarray (no copy if possible)."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise ShapeMismatch(f"expected a 2-d array, got ndim={a.ndim}")
+    return a
+
+
+def matrix_to_json(a) -> dict:
+    """Row-major ``{"rows", "cols", "data": [[re, im], ...]}``.
+
+    No validation: the value types validate their matrices when built, and
+    a non-finite entry is left for the report writer to render.
+    """
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    return {
+        "rows": a.shape[0],
+        "cols": a.shape[1],
+        "data": a.view(np.float64).reshape(-1, 2).tolist(),
+    }
+
+
+def matrix_from_json(obj: dict) -> np.ndarray:
+    """Decode :func:`matrix_to_json` output into a read-only complex array.
+
+    Raises
+    ------
+    ShapeMismatch
+        If ``data`` does not hold ``rows * cols`` entries.
+    ValueError
+        If an entry is NaN or infinite.
+    """
+    rows, cols = int(obj["rows"]), int(obj["cols"])
+    data = obj["data"]
+    if len(data) != rows * cols:
+        raise ShapeMismatch(f"data length {len(data)} does not match {rows}x{cols}")
+    a = np.array([complex(re, im) for re, im in data], dtype=np.complex128).reshape(rows, cols)
+    if a.size and not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    a.setflags(write=False)
     return a
 
 
@@ -173,7 +94,7 @@ def cond(m) -> float:
     return float(s[0] / s[-1])
 
 
-def inv_with_cond(m) -> tuple[CMatrix, float]:
+def inv_with_cond(m) -> tuple[np.ndarray, float]:
     """Inverse together with the 2-norm condition number.
 
     Raises
@@ -186,16 +107,16 @@ def inv_with_cond(m) -> tuple[CMatrix, float]:
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"cannot invert a {a.shape[0]}x{a.shape[1]} matrix")
     if a.shape[0] == 0:
-        return CMatrix.zeros(0, 0), 1.0
+        return np.zeros((0, 0), dtype=np.complex128), 1.0
     u, s, vh = np.linalg.svd(a)
     if s[-1] <= SINGULAR_RTOL * s[0]:
         kappa = float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
         raise SingularMatrix(condition=kappa)
     inverse = (vh.conj().T * (1.0 / s)) @ u.conj().T
-    return CMatrix(inverse), float(s[0] / s[-1])
+    return inverse, float(s[0] / s[-1])
 
 
-def inv(m) -> CMatrix:
+def inv(m) -> np.ndarray:
     """Inverse with the same singularity floor as :func:`inv_with_cond`."""
     return inv_with_cond(m)[0]
 
@@ -203,49 +124,20 @@ def inv(m) -> CMatrix:
 # -- structural operations --------------------------------------------------
 
 
-def adjoint(m) -> CMatrix:
-    return CMatrix(as_array(m).conj().T)
-
-
-def add(a, b) -> CMatrix:
-    x, y = as_array(a), as_array(b)
-    if x.shape != y.shape:
-        raise ShapeMismatch(f"cannot add {x.shape} and {y.shape}")
-    return CMatrix(x + y)
-
-
-def sub(a, b) -> CMatrix:
-    x, y = as_array(a), as_array(b)
-    if x.shape != y.shape:
-        raise ShapeMismatch(f"cannot subtract {y.shape} from {x.shape}")
-    return CMatrix(x - y)
-
-
-def mul(a, b) -> CMatrix:
-    x, y = as_array(a), as_array(b)
-    if x.shape[1] != y.shape[0]:
-        raise ShapeMismatch(f"cannot multiply {x.shape} by {y.shape}")
-    return CMatrix(x @ y)
-
-
-def scalar_mul(c, m) -> CMatrix:
-    return CMatrix(complex(c) * as_array(m))
-
-
-def direct_sum(a, b) -> CMatrix:
+def direct_sum(a, b) -> np.ndarray:
     """Block diagonal sum; either operand may be empty (0x0 acts as neutral)."""
     x, y = as_array(a), as_array(b)
     out = np.zeros((x.shape[0] + y.shape[0], x.shape[1] + y.shape[1]), dtype=np.complex128)
     out[: x.shape[0], : x.shape[1]] = x
     out[x.shape[0] :, x.shape[1] :] = y
-    return CMatrix(out)
+    return out
 
 
-def kron_left_identity(n: int, m) -> CMatrix:
+def kron_left_identity(n: int, m) -> np.ndarray:
     """``I_n (x) m`` with the identity factor on the left (outer index)."""
     if n < 0:
         raise ShapeMismatch("identity size must be nonnegative")
-    return CMatrix(np.kron(np.eye(n), as_array(m)))
+    return np.kron(np.eye(n), as_array(m))
 
 
 def kron_left_identity_apply(n: int, m, x, out=None) -> np.ndarray:
@@ -253,8 +145,8 @@ def kron_left_identity_apply(n: int, m, x, out=None) -> np.ndarray:
 
     Each of the n row blocks of ``x`` is multiplied by ``m`` through one
     reshape (Van Loan, "The ubiquitous Kronecker product", 2000), costing
-    ``n`` times fewer operations than the dense product. Returns a plain
-    ndarray of shape ``(n * m.rows, x.cols)``, written into ``out`` when a
+    ``n`` times fewer operations than the dense product. Returns an array
+    of shape ``(n * m.shape[0], x.shape[1])``, written into ``out`` when a
     C-contiguous complex array of that shape is given.
     """
     a = as_array(m)
@@ -282,7 +174,7 @@ def isometry_defect(m) -> float:
     return op_norm(g - np.eye(a.shape[1]))
 
 
-def complete_to_isometry(partial, target_dim: int) -> CMatrix:
+def complete_to_isometry(partial, target_dim: int) -> np.ndarray:
     """Extend an orthonormal column family to an isometry with ``target_dim`` columns.
 
     The completion is deterministic: standard basis vectors of the codomain
@@ -292,7 +184,7 @@ def complete_to_isometry(partial, target_dim: int) -> CMatrix:
 
     Parameters
     ----------
-    partial : CMatrix or array_like
+    partial : array_like
         Shape ``(rows, k)`` with orthonormal columns (within 1e-8). ``k`` may
         be zero; then the result is the leading ``target_dim`` columns of the
         orthonormalized standard basis (the identity when square).
@@ -334,5 +226,4 @@ def complete_to_isometry(partial, target_dim: int) -> CMatrix:
         raise DimensionTooSmall(
             "standard basis did not yield enough independent directions"
         )
-    out = np.column_stack(cols) if cols else np.zeros((rows, 0), dtype=np.complex128)
-    return CMatrix(out)
+    return np.column_stack(cols) if cols else np.zeros((rows, 0), dtype=np.complex128)

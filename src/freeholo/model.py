@@ -113,14 +113,12 @@ class ModelSampleSet:
         return eval_poly_matrix_promoted(self.delta, self.points[idx], self.mult)
 
     def to_json(self) -> dict:
-        from .mat import CMatrix
-
         return {
             "delta": self.delta.to_json(),
             "points": [p.to_json() for p in self.points],
-            "psi": [CMatrix(v).to_json() for v in self.psi],
-            "phi": [CMatrix(v).to_json() for v in self.phi],
-            "u": [CMatrix(v).to_json() for v in self.u],
+            "psi": [mat.matrix_to_json(v) for v in self.psi],
+            "phi": [mat.matrix_to_json(v) for v in self.phi],
+            "u": [mat.matrix_to_json(v) for v in self.u],
             "h_dim": self.h_dim,
             "k1_dim": self.k1_dim,
             "k2_dim": self.k2_dim,
@@ -129,14 +127,12 @@ class ModelSampleSet:
 
     @classmethod
     def from_json(cls, obj, verify_membership=True) -> "ModelSampleSet":
-        from .mat import CMatrix
-
         return cls(
             delta=PolyMatrix.from_json(obj["delta"]),
             points=[GradedPoint.from_json(p) for p in obj["points"]],
-            psi=[CMatrix.from_json(v).array for v in obj["psi"]],
-            phi=[CMatrix.from_json(v).array for v in obj["phi"]],
-            u=[CMatrix.from_json(v).array for v in obj["u"]],
+            psi=[mat.matrix_from_json(v) for v in obj["psi"]],
+            phi=[mat.matrix_from_json(v) for v in obj["phi"]],
+            u=[mat.matrix_from_json(v) for v in obj["u"]],
             h_dim=int(obj["h_dim"]),
             k1_dim=int(obj["k1_dim"]),
             k2_dim=int(obj["k2_dim"]),
@@ -184,11 +180,14 @@ def model_residual(s: ModelSampleSet) -> float:
 def diagonal_floor(s: ModelSampleSet) -> float:
     """Smallest eigenvalue of ``psi*psi - phi*phi`` over the sample points.
 
-    Nonnegative (to rounding) whenever the data admits any model at all.
+    Nonnegative (to rounding) whenever the data admits any model at all;
+    NaN when any point's ``psi*psi - phi*phi`` is not finite.
     """
     floor = np.inf
     for i in range(len(s)):
         g = s.psi[i].conj().T @ s.psi[i] - s.phi[i].conj().T @ s.phi[i]
+        if not np.isfinite(g).all():
+            return math.nan
         floor = min(floor, float(np.linalg.eigvalsh((g + g.conj().T) / 2.0)[0]))
     return float(floor)
 

@@ -70,9 +70,7 @@ def point_direct_sum(x: GradedPoint, y: GradedPoint) -> GradedPoint:
     """Coordinatewise block diagonal sum, a point at level ``x.n + y.n``."""
     if x.d != y.d:
         raise ShapeMismatch("points disagree on variable count")
-    return GradedPoint(
-        [mat.direct_sum(a, b).array for a, b in zip(x.mats, y.mats)]
-    )
+    return GradedPoint([mat.direct_sum(a, b) for a, b in zip(x.mats, y.mats)])
 
 
 def conjugate(x: GradedPoint, s) -> GradedPoint:
@@ -80,7 +78,7 @@ def conjugate(x: GradedPoint, s) -> GradedPoint:
     s = mat.as_array(s)
     if s.shape != (x.n, x.n):
         raise ShapeMismatch("similarity size must match the point level")
-    s_inv = mat.inv(s).array
+    s_inv = mat.inv(s)
     return GradedPoint([s_inv @ m @ s for m in x.mats])
 
 
@@ -165,9 +163,9 @@ def extend_function(f_on_blocks, w: SimilarityWitness, dims: tuple[int, int] = (
             )
     stacked = values[0]
     for v in values[1:]:
-        stacked = mat.direct_sum(stacked, v).array
+        stacked = mat.direct_sum(stacked, v)
     s_in = np.kron(w.s, np.eye(h_dim))
-    s_out_inv = np.kron(mat.inv(w.s).array, np.eye(k_dim))
+    s_out_inv = np.kron(mat.inv(w.s), np.eye(k_dim))
     return s_out_inv @ stacked @ s_in
 
 
@@ -192,11 +190,14 @@ def upper_triangular_pair(n_point: GradedPoint, m_point: GradedPoint, c) -> Grad
 def triangular_identity_deviation(f, n_point, m_point, c, dims=(1, 1)) -> float:
     """Operator norm gap between ``f`` at the triangular point and the
     predicted block form. Zero (to rounding) for free functions."""
-    h_dim, k_dim = dims
     c = mat.as_array(c)
     val = mat.as_array(f(upper_triangular_pair(n_point, m_point, c)))
-    fn = mat.as_array(f(n_point))
-    fm = mat.as_array(f(m_point))
+    return _triangular_gap(val, mat.as_array(f(n_point)), mat.as_array(f(m_point)), c, dims)
+
+
+def _triangular_gap(val, fn, fm, c, dims) -> float:
+    """``||val - [[fn, fn C - C fm], [0, fm]]||`` with C widened by ``dims``."""
+    h_dim, k_dim = dims
     c_in = np.kron(c, np.eye(h_dim))
     c_out = np.kron(c, np.eye(k_dim))
     corner = fn @ c_in - c_out @ fm
@@ -268,7 +269,9 @@ def check_nc_axioms(
         Maps ``GradedPoint`` to a value matrix with the level index outer.
     samples : sequence of GradedPoint
         Points to combine. Direct sums are tested over all ordered pairs,
-        the triangular identity over same-level pairs.
+        the triangular identity over same-level pairs. ``f`` is evaluated
+        at most once per sample, and not at all at a sample whose checks
+        are all skipped.
     sims : sequence of array_like
         Invertible matrices; each is applied to every sample of matching
         level for the similarity check.
@@ -289,20 +292,27 @@ def check_nc_axioms(
     inside = (lambda p: True) if domain is None else domain
     checks = skipped = 0
     ds_dev = sim_dev = tri_dev = 0.0
+    values = {}
 
-    for x in samples:
-        for y in samples:
+    def value(i):
+        # f at samples[i], evaluated once and only when a check needs it
+        if i not in values:
+            values[i] = mat.as_array(f(samples[i]))
+        return values[i]
+
+    for i, x in enumerate(samples):
+        for j, y in enumerate(samples):
             z = point_direct_sum(x, y)
             if not inside(z):
                 skipped += 1
                 continue
-            fx, fy, fz = mat.as_array(f(x)), mat.as_array(f(y)), mat.as_array(f(z))
-            predicted = mat.direct_sum(fx, fy).array
+            fx, fy, fz = value(i), value(j), mat.as_array(f(z))
+            predicted = mat.direct_sum(fx, fy)
             scale = max(1.0, mat.op_norm(predicted))
             ds_dev = max(ds_dev, mat.op_norm(fz - predicted) / scale)
             checks += 1
 
-    for x in samples:
+    for i, x in enumerate(samples):
         for s in sims:
             s = mat.as_array(s)
             if s.shape != (x.n, x.n):
@@ -315,18 +325,18 @@ def check_nc_axioms(
             if not inside(y):
                 skipped += 1
                 continue
-            fx = mat.as_array(f(x))
+            fx = value(i)
             fy = mat.as_array(f(y))
             s_in = np.kron(s, np.eye(h_dim))
-            s_out_inv = np.kron(mat.inv(s).array, np.eye(k_dim))
+            s_out_inv = np.kron(mat.inv(s), np.eye(k_dim))
             predicted = s_out_inv @ fx @ s_in
             scale = max(1.0, mat.op_norm(fx)) * kappa
             sim_dev = max(sim_dev, mat.op_norm(fy - predicted) / scale)
             checks += 1
 
     pool = list(couplings) if len(couplings) else [None]
-    for x in samples:
-        for y in samples:
+    for i, x in enumerate(samples):
+        for j, y in enumerate(samples):
             if x.n != y.n:
                 continue
             for c in pool:
@@ -337,7 +347,8 @@ def check_nc_axioms(
                 if not inside(z):
                     skipped += 1
                     continue
-                dev = triangular_identity_deviation(f, x, y, c_arr, dims=dims)
+                fz = mat.as_array(f(z))
+                dev = _triangular_gap(fz, value(i), value(j), c_arr, dims)
                 scale = max(1.0, (1.0 + mat.op_norm(c_arr)) ** 2)
                 tri_dev = max(tri_dev, dev / scale)
                 checks += 1

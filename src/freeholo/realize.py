@@ -122,26 +122,22 @@ class Realization:
         return mat.isometry_defect(self.j1)
 
     def to_json(self) -> dict:
-        from .mat import CMatrix
-
         return {
             "delta": self.delta.to_json(),
             "dimK1": self.dim_k1,
             "dimK2": self.dim_k2,
             "mult": self.mult,
-            "J1": CMatrix(self.j1).to_json(),
+            "J1": mat.matrix_to_json(self.j1),
         }
 
     @classmethod
     def from_json(cls, obj) -> "Realization":
-        from .mat import CMatrix
-
         return cls(
             delta=PolyMatrix.from_json(obj["delta"]),
             dim_k1=int(obj["dimK1"]),
             dim_k2=int(obj["dimK2"]),
             mult=int(obj["mult"]),
-            j1=CMatrix.from_json(obj["J1"]).array,
+            j1=mat.matrix_from_json(obj["J1"]),
         )
 
 
@@ -445,8 +441,8 @@ def fit_lurking_isometry(
     else:
         y_on = np.zeros((cod_dim, 0), dtype=np.complex128)
 
-    domain_frame = mat.complete_to_isometry(u_r, dom_dim).array
-    codomain_frame = mat.complete_to_isometry(y_on, dom_dim).array
+    domain_frame = mat.complete_to_isometry(u_r, dom_dim)
+    codomain_frame = mat.complete_to_isometry(y_on, dom_dim)
     j1 = codomain_frame @ domain_frame.conj().T
 
     train_residual = float(np.max(np.linalg.norm(j1 @ p_mat - q_mat, axis=0)))

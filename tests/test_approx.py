@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import random_graded, random_grid
 from freeholo.approx import (
     certify_error,
     choose_truncation,
-    close_under_direct_sums,
     expand_polynomial,
     in_dictionary_hull,
     select_covering_delta,
@@ -64,31 +66,56 @@ def test_cover_failure():
         select_covering_delta(scalars(0.5), [])
 
 
-def test_closure_defeats_partial_covers():
-    # each candidate houses one point, neither houses the direct sum
-    d = 2
-    da = PolyMatrix.from_poly(FreePoly.letter(d, 1))
-    db = PolyMatrix.from_poly(FreePoly.letter(d, 2))
-    pa = GradedPoint.scalars([0.5, 3.0])  # inside da only
-    pb = GradedPoint.scalars([3.0, 0.5])  # inside db only
-    assert select_covering_delta([pa], [da, db]).index == 0
-    assert select_covering_delta([pb], [da, db]).index == 1
-    closed = close_under_direct_sums([pa, pb], level_cap=2)
+# each letter grid houses one of PA, PB, and neither houses both
+DA = PolyMatrix.from_poly(FreePoly.letter(2, 1))
+DB = PolyMatrix.from_poly(FreePoly.letter(2, 2))
+PA = GradedPoint.scalars([0.5, 3.0])
+PB = GradedPoint.scalars([3.0, 0.5])
+
+
+def test_split_samples_have_no_cover():
+    assert select_covering_delta([PA], [DA, DB]).index == 0
+    assert select_covering_delta([PB], [DA, DB]).index == 1
     with pytest.raises(NoCover):
-        select_covering_delta(closed, [da, db])
+        select_covering_delta([PA, PB], [DA, DB])
 
 
-def test_closure_contains_pairwise_sums():
-    pts = scalars(0.1, 0.2)
-    closed = close_under_direct_sums(pts, level_cap=2)
-    assert all(p.n <= 2 for p in closed)
-    want = point_direct_sum(pts[0], pts[1])
-    assert any(
-        p.n == 2 and np.allclose(p.mats[0], want.mats[0]) for p in closed
-    )
-    # closure at the cap is stable
-    again = close_under_direct_sums(closed, level_cap=2)
-    assert len(again) == len(closed)
+@st.composite
+def cover_cases(draw):
+    """Random two-variable samples at levels 1-3 and one to three random grids."""
+    seed = draw(st.integers(0, 10_000))
+    rng = rng_from_seed(seed)
+    scale = draw(st.sampled_from([0.05, 0.2, 0.5]))
+    levels = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    samples = [random_graded(seed + i, 2, n, scale) for i, n in enumerate(levels)]
+    shapes = draw(st.lists(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]), min_size=1, max_size=3))
+    return samples, [random_grid(rng, *shape) for shape in shapes]
+
+
+def cover(points, candidates):
+    try:
+        return select_covering_delta(points, candidates)
+    except NoCover:
+        return None
+
+
+@given(cover_cases())
+@example(([PA, PB], [DA, DB]))
+@settings(max_examples=40, deadline=None)
+def test_direct_sums_leave_the_cover_unchanged(case):
+    # ||delta(x (+) y)|| = max(||delta(x)||, ||delta(y)||), so adding direct
+    # sums of the samples changes neither the verdict nor the radius
+    samples, candidates = case
+    sums = [point_direct_sum(x, y) for x in samples for y in samples]
+    sums.append(point_direct_sum(sums[0], samples[-1]))
+    want = cover(samples, candidates)
+    got = cover(samples + sums, candidates)
+    if want is None:
+        assert got is None
+        return
+    assert got.index == want.index
+    assert got.radius == pytest.approx(want.radius, rel=1e-12)
+    assert got.t == pytest.approx(want.t, rel=1e-12)
 
 
 def test_certify_error_hand_value():

@@ -22,7 +22,7 @@ from freeholo.freepoly import (
     commutator_delta,
 )
 from freeholo.jsonio import SCHEMA_VERSION, dump
-from freeholo.mat import CMatrix
+from freeholo.mat import matrix_to_json
 from freeholo.model import model_from_realization
 from freeholo.realize import Realization, TENSOR_CONVENTION, stack_column
 
@@ -50,7 +50,7 @@ def write(tmp_path, name, payload):
 
 
 def matrices_json(mats):
-    return [CMatrix(np.asarray(m, dtype=complex)).to_json() for m in mats]
+    return [matrix_to_json(m) for m in mats]
 
 
 def test_eval_flagship_value(tmp_path, capsys):
@@ -240,7 +240,6 @@ def test_approx_cmd(tmp_path, capsys):
     assert rep["cover_index"] == 0
     assert rep["radius"] == pytest.approx(0.5)
     assert rep["t"] == pytest.approx(1.5)
-    assert rep["closure_size"] == 8
     assert rep["k"] == 47
     assert rep["bound"] <= rep["tol"]
     assert rep["term_count"] == 49
@@ -510,4 +509,20 @@ def test_model_residual_non_finite_is_null(tmp_path):
     assert "Traceback" not in proc.stderr
     rep = strict_loads(proc.stdout)
     assert rep["residual"] is None
+    assert rep["diagonal_floor"] is None
     assert rep["points"] == 6
+
+
+@pytest.mark.parametrize("command, key", [("eval", "value"), ("derive", "derivative")])
+def test_overflowing_value_is_null(tmp_path, command, key):
+    # finite input whose square overflows: the entry is written as null
+    big = write(tmp_path, "big.json", GradedPoint.scalars([1e200]).to_json())
+    argv = [command, "--expr", "x1*x1", "--vars", "1", "--point", big]
+    if command == "derive":
+        argv += ["--direction", big]
+    proc = run_subprocess(argv)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    value = strict_loads(proc.stdout)[key]
+    assert value["rows"] == value["cols"] == 1
+    assert value["data"][0][0] is None

@@ -5,7 +5,7 @@ import freeholo
 from freeholo.errors import SchemaError
 from freeholo.freepoly import FreePoly, GradedPoint, PolyMatrix
 from freeholo.jsonio import SCHEMA_VERSION, decode, dump, load, load_json, load_list
-from freeholo.mat import CMatrix
+from freeholo.mat import matrix_to_json
 
 
 def test_schema_version_string():
@@ -66,8 +66,8 @@ def test_malformed_payloads():
 
 
 def test_all_registered_kinds_roundtrip():
-    cm = CMatrix([[1.0, 2.0j]])
-    assert decode("cmatrix", cm.to_json()).allclose(cm)
+    cm = np.array([[1.0, 2.0j]])
+    np.testing.assert_array_equal(decode("cmatrix", matrix_to_json(cm)), cm)
     fp = 2 * FreePoly.letter(2, 1) - 0.5j
     assert decode("freepoly", fp.to_json()) == fp
     pm = PolyMatrix.from_poly(fp)

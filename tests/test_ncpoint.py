@@ -3,6 +3,7 @@ import pytest
 
 from freeholo.errors import ShapeMismatch
 from freeholo.freepoly import FreePoly, GradedPoint, PolyMatrix, eval_poly
+from freeholo.mat import cond, direct_sum, inv, op_norm
 from freeholo.ncpoint import (
     SimilarityWitness,
     check_nc_axioms,
@@ -254,3 +255,61 @@ def test_check_nc_axioms_skips_outside_domain():
     # every direct sum keeps the same norm, so only the base points count
     assert rep.skipped == 0
     assert rep.passed
+
+
+def uncached_deviations(f, samples, sims, couplings, inside):
+    """The checker's three deviations with f evaluated afresh every time."""
+    ds = sim = tri = 0.0
+    for x in samples:
+        for y in samples:
+            z = point_direct_sum(x, y)
+            if inside(z):
+                pred = direct_sum(f(x), f(y))
+                ds = max(ds, op_norm(f(z) - pred) / max(1.0, op_norm(pred)))
+    for x in samples:
+        for s in sims:
+            if s.shape == (x.n, x.n) and inside(conjugate(x, s)):
+                fx = f(x)
+                pred = inv(s) @ fx @ s
+                dev = op_norm(f(conjugate(x, s)) - pred)
+                sim = max(sim, dev / (max(1.0, op_norm(fx)) * cond(s)))
+    for x in samples:
+        for y in samples:
+            for c in couplings:
+                if x.n == y.n == c.shape[0] and inside(upper_triangular_pair(x, y, c)):
+                    dev = triangular_identity_deviation(f, x, y, c)
+                    tri = max(tri, dev / max(1.0, (1.0 + op_norm(c)) ** 2))
+    return ds, sim, tri
+
+
+def test_check_nc_axioms_evaluates_each_sample_once():
+    # a function that breaks all three axioms, so every deviation is nonzero
+    def g(pt):
+        a, b = pt.mats
+        return a @ b + a.T + 0.1 * np.trace(b) * np.eye(pt.n)
+
+    calls = []
+
+    def f(pt):
+        calls.append(pt)
+        return g(pt)
+
+    rng = np.random.default_rng(60)
+    small = [random_point(61 + i, 2, 1 + i % 2, scale=0.2) for i in range(4)]
+    # every combination with this point leaves the domain
+    big = GradedPoint([5.0 * np.eye(3), np.zeros((3, 3))])
+    samples = small[:2] + [big] + small[2:]
+    sims = [np.eye(n) + 0.2 * rng.standard_normal((n, n)) for n in (1, 2, 3, 2)]
+    couplings = [rng.standard_normal((n, n)) for n in (1, 2, 3)]
+
+    def inside(pt):
+        return pt.nc_norm() < 1.0
+
+    rep = check_nc_axioms(f, samples, sims=sims, couplings=couplings, domain=inside)
+    assert not any(p is big for p in calls)
+    assert all(sum(p is x for p in calls) == 1 for x in small)
+    assert len(calls) == len(small) + rep.checks
+    assert rep.skipped > 0
+    want = uncached_deviations(g, samples, sims, couplings, inside)
+    assert (rep.direct_sum_dev, rep.similarity_dev, rep.triangular_dev) == want
+    assert min(want) > 1e-3
