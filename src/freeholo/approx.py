@@ -19,9 +19,11 @@ import numpy as np
 from . import mat
 from .errors import NoCover, TermBlowup
 from .freepoly import (
+    EPS_COEFF,
     GradedPoint,
     MatrixPoly,
     PolyMatrix,
+    _promoted_grid,
     eval_poly_matrix,
 )
 from .realize import Realization
@@ -103,53 +105,66 @@ def choose_truncation(tol: float, t: float, k_cap: int = 100_000) -> int:
     return k
 
 
+def _purged(terms: dict) -> dict:
+    """The terms with a coefficient entry of modulus at least ``EPS_COEFF``."""
+    return {w: c for w, c in terms.items() if np.max(np.abs(c)) >= EPS_COEFF}
+
+
 def expand_polynomial(r: Realization, k: int, term_cap: int = 10**6) -> MatrixPoly:
     """Symbolic truncation ``A + sum_{j<=k} B Delta (D Delta)^j C``.
 
     Returns a free polynomial with k2-by-k1 matrix coefficients whose
     evaluation (level index outer) reproduces the numeric partial sum of the
-    realization series exactly, at every level. The grid enters symbolically
-    as the multiplicity-promoted block matrix of its entries, so the result
-    has degree at most ``(k + 1) * deg(delta)``. Exceeding ``term_cap``
-    distinct words raises :class:`TermBlowup`.
+    realization series exactly, at every level. The grid enters as its
+    multiplicity-promoted coefficients ``Delta_u`` (``freepoly._promoted_grid``),
+    so the result has degree at most ``(k + 1) * deg(delta)``.
+
+    The series is recognizable with linear representation
+    ``(B, Delta_u, D, C)``, and the expansion is the direct recursion over
+    word-to-coefficient dicts
+
+        leg_0[u] = Delta_u C,
+        acc[w] += B leg_j[w],
+        leg_{j+1}[u + w] += Delta_u (D leg_j[w]),
+
+    starting from ``acc[()] = A``. A word whose coefficient entries all stay
+    under ``EPS_COEFF`` in modulus is dropped from ``leg_0``, from each
+    ``B leg_j`` and then the merged ``acc``, from each ``D leg_j`` and from
+    the merged ``leg_{j+1}``; a block A, B, C or D with no larger entry
+    counts as zero. The expansion stops early once a leg is empty. When
+    ``acc`` holds more than ``term_cap`` words after order j,
+    :class:`TermBlowup` names j and that word count.
     """
     if k < 0:
         raise ValueError("truncation order must be nonnegative")
-    d = r.delta.d
-    mult, i_rows, j_cols = r.mult, r.delta.rows, r.delta.cols
-
-    # symbolic promoted grid: entry blocks delta_ij (x) I_mult, level implicit
-    delta_terms = {}
-    for i in range(i_rows):
-        for j in range(j_cols):
-            for w, c in r.delta.entries[i][j].terms.items():
-                block = delta_terms.setdefault(
-                    w, np.zeros((mult * i_rows, mult * j_cols), dtype=np.complex128)
-                )
-                for mu in range(mult):
-                    block[mu * i_rows + i, mu * j_cols + j] += c
-    delta_sym = MatrixPoly(d, mult * i_rows, mult * j_cols, delta_terms)
-
-    a_sym = MatrixPoly.constant(d, r.block_a)
-    b_sym = MatrixPoly.constant(d, r.block_b)
-    c_sym = MatrixPoly.constant(d, r.block_c)
-    d_sym = MatrixPoly.constant(d, r.block_d)
-
-    acc = a_sym
-    leg = delta_sym * c_sym  # Delta (D Delta)^j C, starting at j = 0
+    delta = _promoted_grid(r.delta, r.mult).terms
+    # a block with no entry of modulus EPS_COEFF is zero, as a constant MatrixPoly
+    a, b, c, dd = (
+        np.array(m, dtype=np.complex128) if np.max(np.abs(m)) >= EPS_COEFF
+        else np.zeros(m.shape, dtype=np.complex128)
+        for m in (r.block_a, r.block_b, r.block_c, r.block_d)
+    )
+    acc = _purged({(): a})
+    leg = _purged({u: du @ c for u, du in delta.items()})
     for j in range(k + 1):
-        acc = acc + b_sym * leg
-        if acc.term_count() > term_cap:
+        for w, bw in _purged({w: b @ lw for w, lw in leg.items()}).items():
+            acc[w] = acc.get(w, 0) + bw
+        acc = _purged(acc)
+        if len(acc) > term_cap:
             raise TermBlowup(
-                f"expansion reached {acc.term_count()} terms at order {j}, cap {term_cap}"
+                f"expansion reached {len(acc)} terms at order {j}, cap {term_cap}"
             )
-        if j < k:
-            if not leg.term_count():
-                break
-            leg = delta_sym * (d_sym * leg)
-            if not leg.term_count():
-                break
-    return acc
+        if j == k or not leg:
+            break
+        dleg = _purged({w: dd @ lw for w, lw in leg.items()})
+        nxt = {}
+        for u, du in delta.items():
+            for w, dw in dleg.items():
+                prod = du @ dw
+                uw = u + w
+                nxt[uw] = nxt[uw] + prod if uw in nxt else prod
+        leg = _purged(nxt)
+    return MatrixPoly(r.delta.d, a.shape[0], a.shape[1], acc)
 
 
 def in_dictionary_hull(x: GradedPoint, sample, dictionary, slack: float = 0.0) -> bool:

@@ -5,7 +5,10 @@ A word is a tuple of 1-based letters, e.g. ``(1, 2, 1)`` stands for
 ``d`` variables; evaluation substitutes a tuple of n-by-n matrices for the
 variables, at every matrix size n ("level"). ``PolyMatrix`` is a rectangular
 grid of free polynomials evaluated blockwise, and ``MatrixPoly`` attaches a
-matrix coefficient to each word (the natural output of series truncation).
+matrix coefficient to each word. ``MatrixPoly`` is a value type without ring
+arithmetic: the truncated realization series that produces one is expanded
+over plain word-to-coefficient dicts in :mod:`freeholo.approx`, and the
+promoted grid it multiplies by has one definition, :func:`_promoted_grid`.
 
 Evaluation layout conventions, fixed once and for all:
 
@@ -439,28 +442,30 @@ def eval_poly_matrix_promoted(
     """Evaluation in the layout level (x) multiplicity (x) grid-index.
 
     Returns ``sum_{i,j} kron(entry_ij(x), kron(I_mult, E_ij))`` of shape
-    ``(n*mult*rows, n*mult*cols)``. This is the form that composes with
-    ``kron(I_n, block)`` factors in realization formulas; it is a
-    permutation conjugate of :func:`eval_poly_matrix` tensored with the
-    multiplicity identity, so operator norms agree. Products with it are
-    computed by :func:`promoted_apply`; this dense form is the reference.
+    ``(n*mult*rows, n*mult*cols)``, the value of :func:`_promoted_grid`.
+    This is the form that composes with ``kron(I_n, block)`` factors in
+    realization formulas; it is a permutation conjugate of
+    :func:`eval_poly_matrix` tensored with the multiplicity identity, so
+    operator norms agree. Products with it are computed by
+    :func:`promoted_apply`; this dense form is the reference.
     """
     if mult < 1:
         raise ShapeMismatch("multiplicity must be at least 1")
-    n = x.n
-    if cache is None:
-        cache = EvalCache(x)
-    out = np.zeros((n * mult * pm.rows, n * mult * pm.cols), dtype=np.complex128)
-    eye_m = np.eye(mult)
-    for i in range(pm.rows):
-        for j in range(pm.cols):
-            p = pm.entries[i][j]
-            if p.is_zero():
-                continue
-            e = np.zeros((pm.rows, pm.cols))
-            e[i, j] = 1.0
-            out += np.kron(eval_poly(p, x, cache), np.kron(eye_m, e))
-    return out
+    return _promoted_grid(pm, mult).eval(x, cache)
+
+
+def _promoted_grid(pm: PolyMatrix, mult: int) -> "MatrixPoly":
+    """The multiplicity-promoted grid ``{w: kron(I_mult, C_w)}``.
+
+    ``C_w`` is the rows-by-cols coefficient of word w in
+    :meth:`MatrixPoly.from_poly_matrix`. This is the one definition of the
+    promoted Delta: its value at x is :func:`eval_poly_matrix_promoted`, and
+    :func:`freeholo.approx.expand_polynomial` expands the series over its
+    terms.
+    """
+    eye = np.eye(mult)
+    terms = {w: np.kron(eye, c) for w, c in MatrixPoly.from_poly_matrix(pm).terms.items()}
+    return MatrixPoly(pm.d, mult * pm.rows, mult * pm.cols, terms)
 
 
 def promoted_apply_buffers(dx: np.ndarray, n: int, mult: int, q: int) -> tuple:
@@ -563,7 +568,10 @@ class MatrixPoly:
     """Free polynomial whose coefficients are complex matrices.
 
     The value at a graded point is ``sum_w kron(w(x), C_w)`` with the level
-    index outer, matching operator-valued evaluation elsewhere.
+    index outer, matching operator-valued evaluation elsewhere. A value
+    type: the constructor validates words and shapes and drops each word
+    whose coefficient entries all stay under ``EPS_COEFF`` in modulus; the
+    rest is queries, evaluation and the JSON and grid codecs.
     """
 
     __slots__ = ("_d", "_out_dim", "_in_dim", "_terms")
@@ -592,11 +600,6 @@ class MatrixPoly:
     def __setattr__(self, name, value):
         raise AttributeError("MatrixPoly is immutable")
 
-    @classmethod
-    def constant(cls, d: int, mat) -> "MatrixPoly":
-        m = np.asarray(mat, dtype=np.complex128)
-        return cls(d, m.shape[0], m.shape[1], {(): m})
-
     @property
     def d(self):
         return self._d
@@ -621,49 +624,6 @@ class MatrixPoly:
 
     def words(self):
         return sorted(self._terms, key=graded_lex_key)
-
-    def __add__(self, other):
-        if (
-            self._d != other._d
-            or self._out_dim != other._out_dim
-            or self._in_dim != other._in_dim
-        ):
-            raise ShapeMismatch("matrix polynomials do not share a shape")
-        merged = {w: c.copy() for w, c in self._terms.items()}
-        for w, c in other._terms.items():
-            merged[w] = merged.get(w, 0) + c
-        return MatrixPoly(self._d, self._out_dim, self._in_dim, merged)
-
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
-
-    def __mul__(self, other):
-        if self._d != other._d:
-            raise ShapeMismatch("variable counts differ")
-        if self._in_dim != other._out_dim:
-            raise ShapeMismatch(
-                f"cannot chain shapes ({self._out_dim},{self._in_dim}) and "
-                f"({other._out_dim},{other._in_dim})"
-            )
-        out = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                prod = c1 @ c2
-                w = w1 + w2
-                if w in out:
-                    out[w] = out[w] + prod
-                else:
-                    out[w] = prod
-        return MatrixPoly(self._d, self._out_dim, other._in_dim, out)
-
-    def scale(self, c) -> "MatrixPoly":
-        c = complex(c)
-        return MatrixPoly(
-            self._d,
-            self._out_dim,
-            self._in_dim,
-            {w: c * m for w, m in self._terms.items()},
-        )
 
     def eval(self, x: GradedPoint, cache: EvalCache | None = None) -> np.ndarray:
         if x.d != self._d:

@@ -192,18 +192,35 @@ def triangular_identity_deviation(f, n_point, m_point, c, dims=(1, 1)) -> float:
     predicted block form. Zero (to rounding) for free functions."""
     c = mat.as_array(c)
     val = mat.as_array(f(upper_triangular_pair(n_point, m_point, c)))
-    return _triangular_gap(val, mat.as_array(f(n_point)), mat.as_array(f(m_point)), c, dims)
+    predicted = _triangular_form(mat.as_array(f(n_point)), mat.as_array(f(m_point)), c, dims)
+    return _deviation(val, predicted)
 
 
-def _triangular_gap(val, fn, fm, c, dims) -> float:
-    """``||val - [[fn, fn C - C fm], [0, fm]]||`` with C widened by ``dims``."""
+def _triangular_form(fn, fm, c, dims) -> np.ndarray:
+    """``[[fn, fn C - C fm], [0, fm]]`` with C widened by ``dims``."""
     h_dim, k_dim = dims
     c_in = np.kron(c, np.eye(h_dim))
     c_out = np.kron(c, np.eye(k_dim))
     corner = fn @ c_in - c_out @ fm
     zeros = np.zeros((fm.shape[0], fn.shape[1]), dtype=np.complex128)
-    predicted = np.block([[fn, corner], [zeros, fm]])
-    return mat.op_norm(val - predicted)
+    return np.block([[fn, corner], [zeros, fm]])
+
+
+def _deviation(val, predicted, ref=None, weight: float = 1.0) -> float:
+    """``||val - predicted|| / (max(1, ||ref||) * weight)``, or inf.
+
+    ``ref`` defaults to no value scale. The deviation is inf when the gap
+    is not finite, which covers a non-finite value on either side (the SVD
+    behind the norm would not converge on it), and when the quotient is a
+    NaN from an overflowing ``inf / inf``, which ``max`` would drop.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = val - predicted
+    if not np.isfinite(gap).all():
+        return float("inf")
+    scale = weight if ref is None else max(1.0, mat.op_norm(ref)) * weight
+    dev = mat.op_norm(gap) / scale
+    return float("inf") if np.isnan(dev) else dev
 
 
 def nc_derivative(f, m_point: GradedPoint, direction: GradedPoint, dims=(1, 1)) -> np.ndarray:
@@ -308,8 +325,7 @@ def check_nc_axioms(
                 continue
             fx, fy, fz = value(i), value(j), mat.as_array(f(z))
             predicted = mat.direct_sum(fx, fy)
-            scale = max(1.0, mat.op_norm(predicted))
-            ds_dev = max(ds_dev, mat.op_norm(fz - predicted) / scale)
+            ds_dev = max(ds_dev, _deviation(fz, predicted, predicted))
             checks += 1
 
     for i, x in enumerate(samples):
@@ -330,8 +346,7 @@ def check_nc_axioms(
             s_in = np.kron(s, np.eye(h_dim))
             s_out_inv = np.kron(mat.inv(s), np.eye(k_dim))
             predicted = s_out_inv @ fx @ s_in
-            scale = max(1.0, mat.op_norm(fx)) * kappa
-            sim_dev = max(sim_dev, mat.op_norm(fy - predicted) / scale)
+            sim_dev = max(sim_dev, _deviation(fy, predicted, fx, kappa))
             checks += 1
 
     pool = list(couplings) if len(couplings) else [None]
@@ -348,9 +363,9 @@ def check_nc_axioms(
                     skipped += 1
                     continue
                 fz = mat.as_array(f(z))
-                dev = _triangular_gap(fz, value(i), value(j), c_arr, dims)
+                predicted = _triangular_form(value(i), value(j), c_arr, dims)
                 scale = max(1.0, (1.0 + mat.op_norm(c_arr)) ** 2)
-                tri_dev = max(tri_dev, dev / scale)
+                tri_dev = max(tri_dev, _deviation(fz, predicted, weight=scale))
                 checks += 1
 
     return NcAxiomReport(

@@ -11,7 +11,7 @@ import numpy as np
 from . import mat
 from .errors import OutsideDomain, ShapeMismatch
 from .freepoly import FreePoly, GradedPoint, PolyMatrix, eval_poly_matrix
-from .ncpoint import DEFAULT_MARGIN, in_gdelta, point_direct_sum
+from .ncpoint import DEFAULT_MARGIN, Membership, point_direct_sum
 from .realize import Realization
 
 
@@ -74,6 +74,8 @@ def point_inside_gdelta(
     Needs the constant part of the grid to sit inside already (norm of the
     value at the zero tuple under ``target``); otherwise rejection would be
     the only option and this helper refuses instead of looping forever.
+    Each candidate costs one evaluation of the grid and one norm, which
+    serves both the target and the membership verdict.
     """
     zero = GradedPoint([np.zeros((1, 1))] * delta.d)
     base = mat.op_norm(eval_poly_matrix(delta, zero))
@@ -85,7 +87,7 @@ def point_inside_gdelta(
         x = random_graded_point(rng, delta.d, n, scale)
         for _ in range(60):
             nrm = mat.op_norm(eval_poly_matrix(delta, x))
-            if nrm < target and in_gdelta(delta, x, margin).inside:
+            if nrm < target and Membership.from_norm(nrm, margin).inside:
                 return x
             x = GradedPoint([0.7 * m for m in x.mats])
     raise OutsideDomain("failed to sample a point inside the domain")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graded, random_grid
+from conftest import random_graded, random_grid, random_rect_realization
 from freeholo.approx import (
     certify_error,
     choose_truncation,
@@ -11,12 +11,14 @@ from freeholo.approx import (
     in_dictionary_hull,
     select_covering_delta,
 )
-from freeholo.errors import NoCover
+from freeholo.errors import NoCover, TermBlowup
 from freeholo.freepoly import (
     FreePoly,
     GradedPoint,
+    MatrixPoly,
     PolyMatrix,
     eval_poly_matrix,
+    eval_poly_matrix_promoted,
 )
 from freeholo.mat import op_norm
 from freeholo.ncpoint import point_direct_sum
@@ -184,11 +186,62 @@ def test_expansion_band_homogeneity():
     r = mobius(0.4)
     rng = rng_from_seed(21)
     for k in (0, 1, 3):
-        band = expand_polynomial(r, k + 1) - expand_polynomial(r, k)
+        hi = expand_polynomial(r, k + 1).terms
+        lo = expand_polynomial(r, k).terms
+        band = MatrixPoly(
+            1, 1, 1, {w: hi.get(w, 0) - lo.get(w, 0) for w in hi.keys() | lo.keys()}
+        )
         for n in (1, 2):
             x = point_in_shrunk_domain(rng, UNIT_DISK, n, 1.4)
             r0 = op_norm(eval_poly_matrix(UNIT_DISK, x))
             assert op_norm(band.eval(x)) <= r0 ** (k + 2) + 1e-10
+
+
+def dense_partial_sum(r, x, k):
+    """``A~ + B~ sum_{j<=k} Delta (D~ Delta)^j C~`` with every factor formed."""
+    n = x.n
+    big = eval_poly_matrix_promoted(r.delta, x, r.mult)
+    a, b, c, d = (
+        np.kron(np.eye(n), blk) for blk in (r.block_a, r.block_b, r.block_c, r.block_d)
+    )
+    leg = big @ c
+    total = a + b @ leg
+    for _ in range(k):
+        leg = big @ (d @ leg)
+        total = total + b @ leg
+    return total
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]),
+    st.integers(1, 3),
+    st.sampled_from([-2, -1, 1, 2]),
+    st.integers(1, 3),
+    st.integers(0, 3),
+    st.integers(1, 3),
+)
+@settings(max_examples=25, deadline=None)
+def test_expansion_matches_dense_partial_sum(seed, grid, k1, offset, mult, k, n):
+    # rectangular grids, k1 != k2 and mult > 1 exercise the promoted layout
+    # that a 1x1 grid at multiplicity 1 cannot tell apart
+    rng = rng_from_seed(seed)
+    r = random_rect_realization(rng, *grid, k1, offset, mult)
+    x = random_graded(seed + 1, 2, n, 0.3)
+    poly = expand_polynomial(r, k)
+    assert (poly.out_dim, poly.in_dim) == (r.dim_k2, r.dim_k1)
+    np.testing.assert_allclose(poly.eval(x), dense_partial_sum(r, x, k), rtol=0, atol=1e-12)
+
+
+def test_term_cap_raises_term_blowup():
+    # word counts 4, 13, 40, 121, 364 at orders 0-4; the cap bounds acc
+    # after each order and equality is allowed
+    r = random_rect_realization(np.random.default_rng(5), 2, 1, 1, 1, 2)
+    assert expand_polynomial(r, 4, term_cap=364).term_count() == 364
+    with pytest.raises(TermBlowup, match=r"^expansion reached 4 terms at order 0, cap 3$"):
+        expand_polynomial(r, 4, term_cap=3)
+    with pytest.raises(TermBlowup, match=r"^expansion reached 121 terms at order 3, cap 40$"):
+        expand_polynomial(r, 4, term_cap=40)
 
 
 def test_dictionary_hull():

@@ -526,3 +526,16 @@ def test_overflowing_value_is_null(tmp_path, command, key):
     value = strict_loads(proc.stdout)[key]
     assert value["rows"] == value["cols"] == 1
     assert value["data"][0][0] is None
+
+
+def test_check_nc_overflowing_value_fails_without_traceback(tmp_path):
+    # x1*x1 overflows at 1e200: every deviation is inf, written as null
+    big = write(tmp_path, "s.json", [GradedPoint.scalars([1e200]).to_json()])
+    proc = run_subprocess(["check-nc", "--expr", "x1*x1", "--vars", "1", "--samples", big])
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    rep = strict_loads(proc.stdout)
+    assert rep["passed"] is False
+    assert rep["checks"] > 0
+    for key in ("direct_sum_dev", "similarity_dev", "triangular_dev"):
+        assert rep[key] is None

@@ -226,19 +226,6 @@ def test_matrix_poly_eval_matches_kron_sum():
     np.testing.assert_allclose(mp.eval(pt), expected, atol=1e-13)
 
 
-def test_matrix_poly_product_words():
-    c = np.array([[2.0]], dtype=complex)
-    mp1 = MatrixPoly(2, 1, 1, {(1,): c})
-    mp2 = MatrixPoly(2, 1, 1, {(2,): c})
-    prod = mp1 * mp2
-    assert prod.words() == [(1, 2)]
-    np.testing.assert_allclose(prod.terms[(1, 2)], [[4.0]])
-    pt = random_point(11, 2, 2)
-    np.testing.assert_allclose(
-        prod.eval(pt), 4.0 * (pt.mats[0] @ pt.mats[1]), atol=1e-13
-    )
-
-
 def test_matrix_poly_poly_matrix_roundtrip():
     pm = PolyMatrix([[x(1), FreePoly.const(2, 1.5)], [x(2), x(1) * x(2)]])
     mp = MatrixPoly.from_poly_matrix(pm)

@@ -242,6 +242,18 @@ def test_check_nc_axioms_flags_trace():
     assert rep.direct_sum_dev > 1e-3
 
 
+def test_check_nc_axioms_overflowing_gap_is_inf():
+    # the level-3 direct sum has a finite gap whose norm, like the value
+    # scale, overflows: inf / inf must read as inf, not a NaN that max drops
+    def f(pt):
+        return 1.5e308 * np.ones((pt.n, pt.n), dtype=np.complex128)
+
+    samples = [GradedPoint.scalars([0.5]), GradedPoint([0.5 * np.eye(2)])]
+    rep = check_nc_axioms(f, samples)
+    assert rep.direct_sum_dev == np.inf
+    assert not rep.passed
+
+
 def test_check_nc_axioms_skips_outside_domain():
     def f(pt):
         return eval_poly(X1, pt)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from freeholo import ncpoint, sampling
 from freeholo.errors import OutsideDomain, ShapeMismatch
-from freeholo.freepoly import FreePoly, PolyMatrix, eval_poly_matrix
+from freeholo.freepoly import FreePoly, GradedPoint, PolyMatrix, eval_poly_matrix
 from freeholo.mat import isometry_defect, op_norm
 from freeholo.ncpoint import in_gdelta
 from freeholo.sampling import (
@@ -56,6 +57,45 @@ def test_point_inside_gdelta():
         x = point_inside_gdelta(rng, UNIT_DISK, n)
         assert x.n == n
         assert in_gdelta(UNIT_DISK, x).inside
+
+
+def shrink_until_inside(rng, delta, n, margin, target=0.9):
+    """The sampler's draw-and-shrink loop with a separate in_gdelta verdict.
+
+    Returns the point and the number of grid norms taken to get it.
+    """
+    norms = 1  # the constant-term check
+    for _ in range(200):
+        x = sampling.random_graded_point(rng, delta.d, n)
+        for _ in range(60):
+            norms += 1
+            nrm = op_norm(eval_poly_matrix(delta, x))
+            if nrm < target and in_gdelta(delta, x, margin).inside:
+                return x, norms
+            x = GradedPoint([0.7 * m for m in x.mats])
+    raise AssertionError("no point found")
+
+
+def test_point_inside_gdelta_evaluates_each_candidate_once(monkeypatch):
+    # margin 0.2 makes the membership verdict, not the 0.9 target, decide
+    grid = PolyMatrix([[FreePoly.letter(2, 1), FreePoly.letter(2, 2)],
+                       [FreePoly.letter(2, 2), FreePoly.letter(2, 1) * FreePoly.letter(2, 2)]])
+    calls = []
+
+    def counting(pm, x, cache=None):
+        calls.append(x.n)
+        return eval_poly_matrix(pm, x, cache)
+
+    for seed, n in ((30, 1), (31, 3), (32, 6)):
+        want, norms = shrink_until_inside(rng_from_seed(seed), grid, n, 0.2)
+        calls.clear()
+        with monkeypatch.context() as m:
+            for module in (sampling, ncpoint):
+                m.setattr(module, "eval_poly_matrix", counting)
+            got = point_inside_gdelta(rng_from_seed(seed), grid, n, margin=0.2)
+        assert len(calls) == norms > 2
+        for a, b in zip(got.mats, want.mats):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_point_inside_rejects_bad_constant():
