@@ -105,9 +105,64 @@ def choose_truncation(tol: float, t: float, k_cap: int = 100_000) -> int:
     return k
 
 
-def _purged(terms: dict) -> dict:
-    """The terms with a coefficient entry of modulus at least ``EPS_COEFF``."""
-    return {w: c for w, c in terms.items() if np.max(np.abs(c)) >= EPS_COEFF}
+def _kept(stack: np.ndarray, order: int) -> np.ndarray:
+    """Mask of the coefficients with an entry of modulus at least ``EPS_COEFF``.
+
+    A NaN or infinite entry raises :class:`TermBlowup` naming the order: the
+    purge would drop a NaN and keep an infinity, and either way the
+    truncation bound would no longer describe the polynomial.
+    """
+    peak = np.abs(stack).max(axis=(1, 2), initial=0.0)
+    if not np.isfinite(peak).all():
+        raise TermBlowup(f"expansion produced a non-finite coefficient at order {order}")
+    return peak >= EPS_COEFF
+
+
+def _graded_unique(rows: np.ndarray) -> tuple:
+    """Distinct words among word rows ``[length, letters..., 0...]``.
+
+    Returns the index of each distinct word's first row, in graded
+    lexicographic order of the words, and the group of every row. Rows are
+    compared letter by letter, so no word code can overflow.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    start = np.ones(len(rows), dtype=bool)
+    start[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    group = np.empty(len(rows), dtype=np.int64)
+    group[order] = np.cumsum(start) - 1
+    return order[start], group
+
+
+def _padded(rows: np.ndarray, width: int) -> np.ndarray:
+    return np.pad(rows, ((0, 0), (0, width - rows.shape[1])))
+
+
+def _concat(u_rows: np.ndarray, w_rows: np.ndarray) -> np.ndarray:
+    """Word rows of ``u + w`` for every pair, u-major."""
+    n_u, n_w = len(u_rows), len(w_rows)
+    w_width = w_rows.shape[1] - 1
+    out = np.zeros((n_u, n_w, u_rows.shape[1] + w_width), dtype=np.int64)
+    out[:, :, 0] = u_rows[:, None, 0] + w_rows[None, :, 0]
+    for i, (length, *letters) in enumerate(u_rows.tolist()):
+        out[i, :, 1 : 1 + length] = letters[:length]
+        out[i, :, 1 + length : 1 + length + w_width] = w_rows[:, 1:]
+    return out.reshape(n_u * n_w, out.shape[2])
+
+
+def _merge(rows_a, stack_a, rows_b, stack_b) -> tuple:
+    """Union of two word sets with summed coefficients, in graded order.
+
+    A word in both gets ``a + b``; a word only in b gets ``0 + b``, which
+    turns a ``-0.0`` entry into ``0.0`` as accumulating into a dict did.
+    """
+    width = max(rows_a.shape[1], rows_b.shape[1])
+    rows = np.concatenate((_padded(rows_a, width), _padded(rows_b, width)))
+    first, group = _graded_unique(rows)
+    out = np.zeros((len(first),) + stack_a.shape[1:], dtype=np.complex128)
+    out[group[: len(rows_a)]] = stack_a
+    out[group[len(rows_a) :]] += stack_b
+    return rows[first], out
 
 
 def expand_polynomial(r: Realization, k: int, term_cap: int = 10**6) -> MatrixPoly:
@@ -120,51 +175,77 @@ def expand_polynomial(r: Realization, k: int, term_cap: int = 10**6) -> MatrixPo
     so the result has degree at most ``(k + 1) * deg(delta)``.
 
     The series is recognizable with linear representation
-    ``(B, Delta_u, D, C)``, and the expansion is the direct recursion over
-    word-to-coefficient dicts
+    ``(B, Delta_u, D, C)``, and the expansion is the recursion
 
         leg_0[u] = Delta_u C,
         acc[w] += B leg_j[w],
         leg_{j+1}[u + w] += Delta_u (D leg_j[w]),
 
-    starting from ``acc[()] = A``. A word whose coefficient entries all stay
-    under ``EPS_COEFF`` in modulus is dropped from ``leg_0``, from each
-    ``B leg_j`` and then the merged ``acc``, from each ``D leg_j`` and from
-    the merged ``leg_{j+1}``; a block A, B, C or D with no larger entry
-    counts as zero. The expansion stops early once a leg is empty. When
-    ``acc`` holds more than ``term_cap`` words after order j,
-    :class:`TermBlowup` names j and that word count.
+    starting from ``acc[()] = A``, over graded arrays. ``acc`` and each
+    ``leg_j`` are a set of word rows ``[length, letters..., 0...]`` and one
+    ``(m, rows, cols)`` coefficient stack, in graded lexicographic order.
+    ``B leg_j`` and ``D leg_j`` are one batched product each, and
+    ``Delta_u (D leg_j)`` is one broadcast product over all (u, w) pairs.
+    Equal words ``u + w`` merge in u-major order (u in graded order), each
+    starting from its first contribution; a word new to ``acc`` is added to
+    zero.
+
+    The purge points are those of the word-by-word recursion: a word whose
+    coefficient entries all stay under ``EPS_COEFF`` in modulus is dropped
+    from ``leg_0``, from each ``B leg_j`` and then the merged ``acc``, from
+    each ``D leg_j`` and from the merged ``leg_{j+1}``; a block A, B, C or D
+    with no larger entry counts as zero. A NaN or infinite coefficient at
+    any of these points raises :class:`TermBlowup` naming the order. The
+    expansion stops early once a leg is empty. When ``acc`` holds more than
+    ``term_cap`` words after order j, :class:`TermBlowup` names j and that
+    word count.
     """
     if k < 0:
         raise ValueError("truncation order must be nonnegative")
-    delta = _promoted_grid(r.delta, r.mult).terms
+    grid = _promoted_grid(r.delta, r.mult)
     # a block with no entry of modulus EPS_COEFF is zero, as a constant MatrixPoly
     a, b, c, dd = (
         np.array(m, dtype=np.complex128) if np.max(np.abs(m)) >= EPS_COEFF
         else np.zeros(m.shape, dtype=np.complex128)
         for m in (r.block_a, r.block_b, r.block_c, r.block_d)
     )
-    acc = _purged({(): a})
-    leg = _purged({u: du @ c for u, du in delta.items()})
+    u_words = grid.words()
+    u_rows = np.zeros((len(u_words), 1 + max(map(len, u_words), default=0)), dtype=np.int64)
+    for i, u in enumerate(u_words):
+        u_rows[i, : 1 + len(u)] = (len(u), *u)
+    delta = grid.stack
+
+    acc = a[None]
+    keep = _kept(acc, 0)
+    acc_rows, acc = np.zeros((1, 1), dtype=np.int64)[keep], acc[keep]
+    leg = delta @ c
+    keep = _kept(leg, 0)
+    leg_rows, leg = u_rows[keep], leg[keep]
     for j in range(k + 1):
-        for w, bw in _purged({w: b @ lw for w, lw in leg.items()}).items():
-            acc[w] = acc.get(w, 0) + bw
-        acc = _purged(acc)
+        b_leg = b @ leg
+        keep = _kept(b_leg, j)
+        acc_rows, acc = _merge(acc_rows, acc, leg_rows[keep], b_leg[keep])
+        keep = _kept(acc, j)
+        acc_rows, acc = acc_rows[keep], acc[keep]
         if len(acc) > term_cap:
             raise TermBlowup(
                 f"expansion reached {len(acc)} terms at order {j}, cap {term_cap}"
             )
-        if j == k or not leg:
+        if j == k or not len(leg):
             break
-        dleg = _purged({w: dd @ lw for w, lw in leg.items()})
-        nxt = {}
-        for u, du in delta.items():
-            for w, dw in dleg.items():
-                prod = du @ dw
-                uw = u + w
-                nxt[uw] = nxt[uw] + prod if uw in nxt else prod
-        leg = _purged(nxt)
-    return MatrixPoly(r.delta.d, a.shape[0], a.shape[1], acc)
+        d_leg = dd @ leg
+        keep = _kept(d_leg, j + 1)
+        rows = _concat(u_rows, leg_rows[keep])
+        prods = (delta[:, None] @ d_leg[keep][None]).reshape((len(rows),) + leg.shape[1:])
+        first, group = _graded_unique(rows)
+        leg = prods[first]
+        rest = np.ones(len(rows), dtype=bool)
+        rest[first] = False
+        np.add.at(leg, group[rest], prods[rest])
+        keep = _kept(leg, j + 1)
+        leg_rows, leg = rows[first][keep], leg[keep]
+    words = [tuple(row[1 : 1 + row[0]]) for row in acc_rows.tolist()]
+    return MatrixPoly(r.delta.d, a.shape[0], a.shape[1], dict(zip(words, acc)))
 
 
 def in_dictionary_hull(x: GradedPoint, sample, dictionary, slack: float = 0.0) -> bool:

@@ -32,7 +32,7 @@ from .errors import (
     UnknownVariable,
 )
 from .exprlang import eval_expr, parse, print_expr
-from .freepoly import GradedPoint
+from .freepoly import GradedPoint, MatrixPoly
 from .jsonio import SCHEMA_VERSION
 from .mat import matrix_to_json, op_norm
 from .realize import TENSOR_CONVENTION
@@ -60,14 +60,30 @@ def _nulled(obj):
     return obj
 
 
-def _emit(report: dict, out_path) -> None:
+def _render(report: dict) -> str:
+    """The report as indented strict JSON with sorted keys.
+
+    A ``MatrixPoly`` under ``"polynomial"`` is written by
+    :meth:`MatrixPoly.json_text` and spliced in: the same bytes as
+    ``json.dumps`` of its ``to_json()``, whose indented encoding runs in
+    pure Python.
+    """
+    poly = report.get("polynomial")
+    if isinstance(poly, MatrixPoly):
+        report = {**report, "polynomial": None}
     try:
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     except ValueError:
         # a NaN or infinity somewhere; the walk is skipped on the common path
-        # because it costs a quarter of the encoding on large polynomials
         text = json.dumps(_nulled(report), sort_keys=True, indent=2, allow_nan=False)
-    text += "\n"
+    if isinstance(poly, MatrixPoly):
+        key = '\n  "polynomial": '
+        text = text.replace(key + "null", key + poly.json_text(1), 1)
+    return text + "\n"
+
+
+def _emit(report: dict, out_path) -> None:
+    text = _render(report)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -294,7 +310,7 @@ def _cmd_approx(args) -> dict:
             "k": k,
             "bound": bound,
             "term_count": poly.term_count(),
-            "polynomial": poly.to_json(),
+            "polynomial": poly,
         }
     )
     return report

@@ -6,9 +6,12 @@ A word is a tuple of 1-based letters, e.g. ``(1, 2, 1)`` stands for
 variables, at every matrix size n ("level"). ``PolyMatrix`` is a rectangular
 grid of free polynomials evaluated blockwise, and ``MatrixPoly`` attaches a
 matrix coefficient to each word. ``MatrixPoly`` is a value type without ring
-arithmetic: the truncated realization series that produces one is expanded
-over plain word-to-coefficient dicts in :mod:`freeholo.approx`, and the
-promoted grid it multiplies by has one definition, :func:`_promoted_grid`.
+arithmetic, held as its words in graded lexicographic order and one stack of
+their coefficients: the truncated realization series that produces one is
+expanded over such graded arrays in :mod:`freeholo.approx`, the promoted
+grid it multiplies by has one definition, :func:`_promoted_grid`, and
+:meth:`MatrixPoly.json_text` writes the indented JSON report text straight
+from the stack.
 
 Evaluation layout conventions, fixed once and for all:
 
@@ -569,33 +572,54 @@ class MatrixPoly:
 
     The value at a graded point is ``sum_w kron(w(x), C_w)`` with the level
     index outer, matching operator-valued evaluation elsewhere. A value
-    type: the constructor validates words and shapes and drops each word
-    whose coefficient entries all stay under ``EPS_COEFF`` in modulus; the
-    rest is queries, evaluation and the JSON and grid codecs.
+    type without arithmetic, kept in graded layout: the words in graded
+    lexicographic order (:func:`graded_lex_key`) and their coefficients as
+    one read-only ``(m, out_dim, in_dim)`` stack in the same order, which
+    :attr:`terms` hands out as views.
+
+    The constructor validates in one vectorised pass: words and shapes are
+    checked, duplicate words are summed, a NaN or infinite coefficient entry
+    raises ``ValueError`` (as :func:`freeholo.mat.matrix_from_json` does),
+    and a word whose coefficient entries all stay under ``EPS_COEFF`` in
+    modulus is dropped. The rest is queries, evaluation, and the JSON and
+    grid codecs.
     """
 
-    __slots__ = ("_d", "_out_dim", "_in_dim", "_terms")
+    __slots__ = ("_d", "_out_dim", "_in_dim", "_words", "_stack", "_terms")
 
     def __init__(self, d: int, out_dim: int, in_dim: int, terms=None):
-        clean = {}
-        for word, coeff in (terms or {}).items():
-            w = _check_word(word, d)
-            c = np.array(coeff, dtype=np.complex128)
-            if c.shape != (out_dim, in_dim):
-                raise ShapeMismatch(
-                    f"coefficient for {w} has shape {c.shape}, want ({out_dim}, {in_dim})"
-                )
-            if w in clean:
-                c = clean[w] + c
-            if np.max(np.abs(c)) >= EPS_COEFF:
-                c.setflags(write=False)
-                clean[w] = c
-            else:
-                clean.pop(w, None)
+        terms = terms or {}
+        words = [tuple(map(int, w)) for w in terms]
+        letters = set().union(*words)
+        if letters and (min(letters) < 1 or max(letters) > d):
+            bad = next(i for w in words for i in w if not 1 <= i <= d)
+            raise ValueError(f"letter {bad} outside 1..{d}")
+        shape = (out_dim, in_dim)
+        coeffs = [np.asarray(c, dtype=np.complex128) for c in terms.values()]
+        for w, c in zip(words, coeffs):
+            if c.shape != shape:
+                raise ShapeMismatch(f"coefficient for {w} has shape {c.shape}, want {shape}")
+        stack = np.stack(coeffs) if coeffs else np.empty((0,) + shape, dtype=np.complex128)
+        if not np.isfinite(stack).all():
+            raise ValueError("matrix polynomial coefficients must be finite")
+        keys = [graded_lex_key(w) for w in words]
+        order = sorted(range(len(words)), key=keys.__getitem__)
+        words = [words[i] for i in order]
+        stack = stack[order]
+        starts = [i for i in range(len(words)) if i == 0 or words[i] != words[i - 1]]
+        if len(starts) < len(words):
+            stack = np.add.reduceat(stack, starts, axis=0)
+            words = [words[i] for i in starts]
+        keep = np.abs(stack).max(axis=(1, 2), initial=0.0) >= EPS_COEFF
+        stack = stack[keep]
+        stack.setflags(write=False)
+        words = tuple(w for w, kept in zip(words, keep.tolist()) if kept)
         object.__setattr__(self, "_d", int(d))
         object.__setattr__(self, "_out_dim", int(out_dim))
         object.__setattr__(self, "_in_dim", int(in_dim))
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_words", words)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "_terms", dict(zip(words, stack)))
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixPoly is immutable")
@@ -616,14 +640,20 @@ class MatrixPoly:
     def terms(self):
         return dict(self._terms)
 
+    @property
+    def stack(self) -> np.ndarray:
+        """The read-only coefficient stack, one slice per word of :meth:`words`."""
+        return self._stack
+
     def term_count(self) -> int:
-        return len(self._terms)
+        return len(self._words)
 
     def degree(self) -> int:
-        return max((len(w) for w in self._terms), default=-1)
+        return len(self._words[-1]) if self._words else -1
 
     def words(self):
-        return sorted(self._terms, key=graded_lex_key)
+        """The words in graded lexicographic order."""
+        return list(self._words)
 
     def eval(self, x: GradedPoint, cache: EvalCache | None = None) -> np.ndarray:
         if x.d != self._d:
@@ -633,7 +663,7 @@ class MatrixPoly:
         out = np.zeros(
             (x.n * self._out_dim, x.n * self._in_dim), dtype=np.complex128
         )
-        for w, c in self._terms.items():
+        for w, c in zip(self._words, self._stack):
             out += np.kron(eval_word(w, x, cache), c)
         return out
 
@@ -669,10 +699,49 @@ class MatrixPoly:
             "out_dim": self._out_dim,
             "in_dim": self._in_dim,
             "terms": [
-                {"word": list(w), "coeff": matrix_to_json(self._terms[w])}
-                for w in self.words()
+                {"word": list(w), "coeff": matrix_to_json(c)}
+                for w, c in zip(self._words, self._stack)
             ],
         }
+
+    def json_text(self, depth: int = 0) -> str:
+        """``json.dumps(self.to_json(), indent=2, sort_keys=True)`` from the stack.
+
+        Byte for byte the text of that value nested ``depth`` levels deep in
+        such a document, whose first line carries no indent: sorted keys,
+        integers, and ``float.__repr__`` for the coefficient entries, which
+        the constructor keeps finite. Each term is one ``%`` format of a
+        template per word length, so no per-term dicts are built.
+        """
+
+        def nl(level):
+            return "\n" + "  " * (depth + level)
+
+        def listing(items, level):
+            if not items:
+                return "[]"
+            return "[" + nl(level + 1) + ("," + nl(level + 1)).join(items) + nl(level) + "]"
+
+        entry = "[" + nl(6) + "%r," + nl(6) + "%r" + nl(5) + "]"
+        coeff = (
+            "{" + nl(4) + f'"cols": {self._in_dim},'
+            + nl(4) + '"data": ' + listing([entry] * (self._out_dim * self._in_dim), 4) + ","
+            + nl(4) + f'"rows": {self._out_dim}' + nl(3) + "}"
+        )
+        templates = {
+            length: "{" + nl(3) + '"coeff": ' + coeff + ","
+            + nl(3) + '"word": ' + listing(["%d"] * length, 3) + nl(2) + "}"
+            for length in {len(w) for w in self._words}
+        }
+        m = len(self._words)
+        values = self._stack.view(np.float64).reshape(m, 2 * self._out_dim * self._in_dim)
+        terms = [templates[len(w)] % (*v, *w) for w, v in zip(self._words, values.tolist())]
+        return (
+            "{" + nl(1) + f'"d": {self._d},'
+            + nl(1) + f'"in_dim": {self._in_dim},'
+            + nl(1) + f'"out_dim": {self._out_dim},'
+            + nl(1) + '"terms": ' + listing(terms, 1) + nl(0) + "}"
+        )
 
     @classmethod
     def from_json(cls, obj) -> "MatrixPoly":

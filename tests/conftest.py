@@ -87,3 +87,51 @@ def random_column_data(rng, n, k1, h):
     """An explicit psi value of shape (n*k1, n*h) with entries of size ~1."""
     shape = (n * k1, n * h)
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2 * n * k1)
+
+
+def _purged(terms: dict) -> dict:
+    """The terms with a coefficient entry of modulus at least ``EPS_COEFF``."""
+    from freeholo.freepoly import EPS_COEFF
+
+    return {w: c for w, c in terms.items() if np.max(np.abs(c)) >= EPS_COEFF}
+
+
+def expand_by_word_dicts(r, k, term_cap=10**6):
+    """Reference for ``approx.expand_polynomial``: the word-by-word recursion.
+
+    ``leg_0[u] = Delta_u C``, ``acc[w] += B leg_j[w]`` and
+    ``leg_{j+1}[u + w] += Delta_u (D leg_j[w])`` over word-to-coefficient
+    dicts, purging at the same points and raising the same
+    :class:`TermBlowup` for the term cap. It checks no coefficient for
+    finiteness.
+    """
+    from freeholo.errors import TermBlowup
+    from freeholo.freepoly import EPS_COEFF, MatrixPoly, _promoted_grid
+
+    delta = _promoted_grid(r.delta, r.mult).terms
+    a, b, c, dd = (
+        np.array(m, dtype=np.complex128) if np.max(np.abs(m)) >= EPS_COEFF
+        else np.zeros(m.shape, dtype=np.complex128)
+        for m in (r.block_a, r.block_b, r.block_c, r.block_d)
+    )
+    acc = _purged({(): a})
+    leg = _purged({u: du @ c for u, du in delta.items()})
+    for j in range(k + 1):
+        for w, bw in _purged({w: b @ lw for w, lw in leg.items()}).items():
+            acc[w] = acc.get(w, 0) + bw
+        acc = _purged(acc)
+        if len(acc) > term_cap:
+            raise TermBlowup(
+                f"expansion reached {len(acc)} terms at order {j}, cap {term_cap}"
+            )
+        if j == k or not leg:
+            break
+        dleg = _purged({w: dd @ lw for w, lw in leg.items()})
+        nxt = {}
+        for u, du in delta.items():
+            for w, dw in dleg.items():
+                prod = du @ dw
+                uw = u + w
+                nxt[uw] = nxt[uw] + prod if uw in nxt else prod
+        leg = _purged(nxt)
+    return MatrixPoly(r.delta.d, a.shape[0], a.shape[1], acc)

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graded, random_grid, random_rect_realization
+from conftest import (
+    expand_by_word_dicts,
+    random_graded,
+    random_grid,
+    random_rect_realization,
+)
 from freeholo.approx import (
     certify_error,
     choose_truncation,
@@ -242,6 +247,47 @@ def test_term_cap_raises_term_blowup():
         expand_polynomial(r, 4, term_cap=3)
     with pytest.raises(TermBlowup, match=r"^expansion reached 121 terms at order 3, cap 40$"):
         expand_polynomial(r, 4, term_cap=40)
+
+
+def assert_same_expansion(new, old):
+    """Same words, coefficients within 1e-14 relative; True when bitwise equal."""
+    assert new.words() == old.words()
+    bitwise = True
+    for w, want in old.terms.items():
+        got = new.terms[w]
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        bitwise = bitwise and np.array_equal(got.view(np.int64), want.view(np.int64))
+    return bitwise
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]),
+    st.integers(1, 2),
+    st.sampled_from([-1, 1, 2]),
+    st.integers(1, 3),
+    st.integers(0, 5),
+)
+@settings(max_examples=30, deadline=None)
+def test_expansion_matches_word_recursion(seed, grid, k1, offset, mult, k):
+    # the graded-array expansion against the word-by-word dict recursion;
+    # the statistics (--hypothesis-show-statistics) say how often the
+    # coefficients agree bit for bit, signs of zero included
+    r = random_rect_realization(rng_from_seed(seed), *grid, k1, offset, mult)
+    same_bits = assert_same_expansion(expand_polynomial(r, k), expand_by_word_dicts(r, k))
+    event("bitwise equal" if same_bits else "equal to 1e-14 relative")
+
+
+def test_expansion_of_long_words():
+    # words up to x2^71: a base-(d+1) integer code of x2^40 would already
+    # pass 3**39 > 2**63, and the expansion compares words letter by letter
+    a = 0.99
+    s = np.sqrt(1.0 - a * a)
+    grid = PolyMatrix.from_poly(FreePoly(2, {(2,): 0.9}))
+    r = Realization(grid, 1, 1, 1, np.array([[a, s], [s, -a]]))
+    poly = expand_polynomial(r, 70)
+    assert poly.words() == [(2,) * n for n in range(72)]
+    assert assert_same_expansion(poly, expand_by_word_dicts(r, 70))
 
 
 def test_dictionary_hull():

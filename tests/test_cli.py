@@ -12,12 +12,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import freeholo
 from freeholo import cli
 from freeholo.freepoly import (
     FreePoly,
     GradedPoint,
+    MatrixPoly,
     PolyMatrix,
     commutator_delta,
 )
@@ -25,6 +28,7 @@ from freeholo.jsonio import SCHEMA_VERSION, dump
 from freeholo.mat import matrix_to_json
 from freeholo.model import model_from_realization
 from freeholo.realize import Realization, TENSOR_CONVENTION, stack_column
+from freeholo.sampling import random_realization, rng_from_seed
 
 UNIT_DISK = PolyMatrix.from_poly(FreePoly.letter(1, 1))
 FLAGSHIP = "2 + x1 - x1*x2*x1 + 3*x1*x1*x2"
@@ -539,3 +543,61 @@ def test_check_nc_overflowing_value_fails_without_traceback(tmp_path):
     assert rep["checks"] > 0
     for key in ("direct_sum_dev", "similarity_dev", "triangular_dev"):
         assert rep[key] is None
+
+
+def test_approx_overflowing_expansion_exits_1(tmp_path):
+    # coefficients of (1e200 x1)^j overflow at order 1; the bound must not
+    # be reported as certified for a polynomial with null or purged NaN words
+    grid = PolyMatrix.from_poly(FreePoly(1, {(1,): 1e200}))
+    r = write(tmp_path, "r.json", random_realization(rng_from_seed(0), grid, 1, 1, 1).to_json())
+    cover = write(tmp_path, "cover.json", [grid.to_json()])
+    samples = write(tmp_path, "pts.json", [GradedPoint.scalars([1e-201]).to_json()])
+    proc = run_subprocess(
+        ["approx", "--realization", r, "--cover", cover, "--samples", samples, "--tol", "1e-3"]
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    error = strict_loads(proc.stdout)["error"]
+    assert error["type"] == "TermBlowup"
+    assert error["message"] == "expansion produced a non-finite coefficient at order 1"
+
+
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.0, 3.0e16, 0.1, 1e300, -1.5e-300, 5e-324, 1.7e308]),
+    st.floats(min_value=1e290, max_value=1e305),
+    st.floats(min_value=1e-305, max_value=1e-290),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def matrix_polys(draw):
+    d, out_dim, in_dim = (draw(st.integers(1, 3)) for _ in range(3))
+    words = draw(
+        st.lists(st.lists(st.integers(1, d), max_size=4).map(tuple), max_size=6, unique=True)
+    )
+    terms = {}
+    for w in words:
+        parts = draw(st.lists(ENTRIES, min_size=2 * out_dim * in_dim, max_size=2 * out_dim * in_dim))
+        terms[w] = np.array(parts).view(np.complex128).reshape(out_dim, in_dim)
+    return MatrixPoly(d, out_dim, in_dim, terms)
+
+
+@given(matrix_polys())
+@example(MatrixPoly(2, 2, 3, {}))
+@example(
+    MatrixPoly(
+        3, 1, 2,
+        {
+            (): [[complex(1.0, -0.0), complex(1e300, 2e-300)]],
+            (3, 1, 2): [[complex(-0.0, 4.0), complex(-1e-300, -1e300)]],
+        },
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_polynomial_text_matches_json_dumps(poly):
+    # the spliced report is byte for byte the stdlib encoding of to_json()
+    report = {"command": "approx", "k": 2, "t": 1.5, "term_count": poly.term_count()}
+    want = json.dumps({**report, "polynomial": poly.to_json()}, sort_keys=True, indent=2)
+    assert cli._render({**report, "polynomial": poly}) == want + "\n"
+    assert poly.json_text() == json.dumps(poly.to_json(), sort_keys=True, indent=2)

@@ -238,6 +238,28 @@ def test_matrix_poly_poly_matrix_roundtrip():
     )
 
 
+def test_matrix_poly_rejects_non_finite_coefficients():
+    # a NaN coefficient used to be purged and an infinite one kept
+    with pytest.raises(ValueError, match="finite"):
+        MatrixPoly(1, 1, 1, {(1,): [[np.nan]], (): [[np.inf]]}).term_count()
+
+
+def test_matrix_poly_graded_stack():
+    mp = MatrixPoly(
+        2, 1, 1, {(2, 1): [[1.0]], (1,): [[2.0]], (): [[3.0]], (2,): [[1e-16]], (1, 2): [[4.0]]}
+    )
+    assert mp.words() == [(), (1,), (1, 2), (2, 1)]
+    np.testing.assert_array_equal(mp.stack[:, 0, 0], [3.0, 2.0, 4.0, 1.0])
+    assert not mp.stack.flags.writeable
+    for w, c in zip(mp.words(), mp.stack):
+        assert np.shares_memory(mp.terms[w], mp.stack)
+        np.testing.assert_array_equal(mp.terms[w], c)
+    with pytest.raises(ShapeMismatch):
+        MatrixPoly(1, 1, 2, {(1,): [[1.0]]})
+    with pytest.raises(ValueError, match="letter 3 outside 1..2"):
+        MatrixPoly(2, 1, 1, {(1, 3): [[1.0]]})
+
+
 def test_matrix_poly_json_roundtrip():
     mp = MatrixPoly(
         2, 1, 2, {(1,): np.array([[1.0, 2.0j]]), (2, 2): np.array([[0.5, 0.0]])}
