@@ -17,6 +17,7 @@ sample set on the grid's zero set, are written as ``null``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -127,19 +128,19 @@ def _realized_evaluator(path: str):
 
 
 def _load_function(args):
-    """Return (kind, evaluator, dims, domain predicate or None)."""
+    """Return (kind, evaluator, dims).
+
+    A realization's evaluator raises :class:`OutsideDomain` at points
+    outside its domain, after the one membership test it makes anyway.
+    """
     if getattr(args, "realization", None) is not None:
         r, f = _realized_evaluator(args.realization)
-
-        def inside(p):
-            return ncpoint.in_gdelta(r.delta, p).inside
-
-        return "realization", f, (r.dim_k1, r.dim_k2), inside
+        return "realization", f, (r.dim_k1, r.dim_k2)
     src = _read_expr(args)
     if getattr(args, "vars", None) is None:
         raise SchemaError("--vars is required with --expr/--expr-file")
     _, f = _expr_evaluator(src, args.vars)
-    return "expr", f, (1, 1), None
+    return "expr", f, (1, 1)
 
 
 def _cmd_eval(args) -> dict:
@@ -181,7 +182,7 @@ def _cmd_member(args) -> dict:
 
 
 def _cmd_check_nc(args) -> dict:
-    kind, f, dims, domain = _load_function(args)
+    kind, f, dims = _load_function(args)
     samples = jsonio.load_list("gradedpoint", args.samples)
     if not samples:
         raise SchemaError("empty sample list")
@@ -194,8 +195,7 @@ def _cmd_check_nc(args) -> dict:
             sims.append(sampling.random_invertible(rng, n))
             couplings.append(sampling.random_matrix(rng, n))
     rep = ncpoint.check_nc_axioms(
-        f, samples, sims=sims, couplings=couplings, domain=domain,
-        dims=dims, tol=args.tol,
+        f, samples, sims=sims, couplings=couplings, dims=dims, tol=args.tol
     )
     report = _base_report(args)
     report.update(
@@ -317,7 +317,7 @@ def _cmd_approx(args) -> dict:
 
 
 def _cmd_derive(args) -> dict:
-    kind, f, dims, _ = _load_function(args)
+    kind, f, dims = _load_function(args)
     m = jsonio.load("gradedpoint", args.point)
     e = jsonio.load("gradedpoint", args.direction)
     val = ncpoint.nc_derivative(f, m, e, dims=dims)
@@ -335,10 +335,9 @@ def _cmd_derive(args) -> dict:
 
 def _sampled_bound(f, delta, seed: int, trials: int = 200) -> float:
     rng = sampling.rng_from_seed(seed)
+    levels = [1 + (i % 3) for i in range(trials)]
     worst = 0.0
-    for i in range(trials):
-        n = 1 + (i % 3)
-        x = sampling.point_inside_gdelta(rng, delta, n)
+    for x in sampling.points_inside_gdelta(rng, delta, levels):
         worst = max(worst, op_norm(f(x)))
     return worst
 
@@ -416,7 +415,13 @@ def _add_expr_flags(p: argparse.ArgumentParser, require_vars: bool = True) -> No
     p.add_argument("--vars", type=int, required=require_vars, help="number of free variables d")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``freeholo`` parser, built on the first call and shared after it.
+
+    Parsing leaves the parser unchanged and every default is immutable, so
+    each ``parse_args`` still returns a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="freeholo",
         description="Evaluate, check, fit, approximate, and certify free holomorphic functions.",
@@ -515,15 +520,20 @@ def _check_flags(args) -> None:
     """Reject numeric flags outside their domain before any library call."""
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise SchemaError(f"--tol must be positive and finite, got {args.tol}")
-    margin = getattr(args, "margin", 0.0)
-    if not (math.isfinite(margin) and margin >= 0):
-        raise SchemaError(f"--margin must be nonnegative and finite, got {margin}")
     bound = getattr(args, "bound", None)
     if bound is not None and not (math.isfinite(bound) and bound > 0):
         raise SchemaError(f"--bound must be positive and finite, got {bound}")
     n_vars = getattr(args, "vars", None)
     if n_vars is not None and n_vars < 1:
         raise SchemaError(f"--vars must be at least 1, got {n_vars}")
+    for flag in ("margin", "gram_rtol", "rank_rtol", "floor_slack"):
+        value = getattr(args, flag, 0.0)
+        if not (math.isfinite(value) and value >= 0):
+            name = "--" + flag.replace("_", "-")
+            raise SchemaError(f"{name} must be nonnegative and finite, got {value}")
+    sims = getattr(args, "sims", 0)
+    if sims < 0:
+        raise SchemaError(f"--sims must be nonnegative, got {sims}")
 
 
 def main(argv=None) -> int:

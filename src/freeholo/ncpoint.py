@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mat
-from .errors import ShapeMismatch
+from .errors import OutsideDomain, ShapeMismatch
 from .freepoly import GradedPoint, PolyMatrix, eval_poly_matrix
 
 DEFAULT_MARGIN = 1e-9
@@ -296,8 +296,12 @@ def check_nc_axioms(
         Coupling blocks for the triangular identity; square ones of matching
         level are used (defaults to the identity coupling when empty).
     domain : callable, optional
-        Predicate on GradedPoint. Combined or conjugated points that leave
-        the domain are skipped, not failed.
+        Predicate on GradedPoint. Combined, conjugated or triangular points
+        that fail it are skipped, not failed, and ``f`` is not evaluated
+        there. Without it, a point counts as skipped when ``f`` raises
+        :class:`OutsideDomain` there, so an evaluator that tests membership
+        itself (``realize.eval_direct``) needs no second test. An
+        ``OutsideDomain`` at a sample itself propagates.
     dims : pair of int
         (input, output) dimensions of operator-valued values; (1, 1) for
         scalar-valued functions.
@@ -317,13 +321,22 @@ def check_nc_axioms(
             values[i] = mat.as_array(f(samples[i]))
         return values[i]
 
+    def combined_value(p):
+        # f at a combined point, or None when p is outside the domain
+        if not inside(p):
+            return None
+        try:
+            return mat.as_array(f(p))
+        except OutsideDomain:
+            return None
+
     for i, x in enumerate(samples):
         for j, y in enumerate(samples):
-            z = point_direct_sum(x, y)
-            if not inside(z):
+            fz = combined_value(point_direct_sum(x, y))
+            if fz is None:
                 skipped += 1
                 continue
-            fx, fy, fz = value(i), value(j), mat.as_array(f(z))
+            fx, fy = value(i), value(j)
             predicted = mat.direct_sum(fx, fy)
             ds_dev = max(ds_dev, _deviation(fz, predicted, predicted))
             checks += 1
@@ -337,12 +350,11 @@ def check_nc_axioms(
             if not np.isfinite(kappa):
                 skipped += 1
                 continue
-            y = conjugate(x, s)
-            if not inside(y):
+            fy = combined_value(conjugate(x, s))
+            if fy is None:
                 skipped += 1
                 continue
             fx = value(i)
-            fy = mat.as_array(f(y))
             s_in = np.kron(s, np.eye(h_dim))
             s_out_inv = np.kron(mat.inv(s), np.eye(k_dim))
             predicted = s_out_inv @ fx @ s_in
@@ -358,11 +370,10 @@ def check_nc_axioms(
                 c_arr = np.eye(x.n, dtype=np.complex128) if c is None else mat.as_array(c)
                 if c_arr.shape != (x.n, y.n):
                     continue
-                z = upper_triangular_pair(x, y, c_arr)
-                if not inside(z):
+                fz = combined_value(upper_triangular_pair(x, y, c_arr))
+                if fz is None:
                     skipped += 1
                     continue
-                fz = mat.as_array(f(z))
                 predicted = _triangular_form(value(i), value(j), c_arr, dims)
                 scale = max(1.0, (1.0 + mat.op_norm(c_arr)) ** 2)
                 tri_dev = max(tri_dev, _deviation(fz, predicted, weight=scale))

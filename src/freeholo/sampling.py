@@ -71,11 +71,32 @@ def point_inside_gdelta(
 ) -> GradedPoint:
     """Draw a random point and shrink it toward zero until strictly inside.
 
-    Needs the constant part of the grid to sit inside already (norm of the
-    value at the zero tuple under ``target``); otherwise rejection would be
-    the only option and this helper refuses instead of looping forever.
-    Each candidate costs one evaluation of the grid and one norm, which
-    serves both the target and the membership verdict.
+    The one-level case of :func:`points_inside_gdelta`, which holds the
+    sampler: the same seed gives the same point and the same RNG state.
+    """
+    return points_inside_gdelta(rng, delta, (n,), scale, margin, target, max_tries)[0]
+
+
+def points_inside_gdelta(
+    rng,
+    delta: PolyMatrix,
+    levels,
+    scale: float = 1.0,
+    margin: float = DEFAULT_MARGIN,
+    target: float = 0.9,
+    max_tries: int = 200,
+) -> list:
+    """One point strictly inside per entry of ``levels``, drawn in order.
+
+    Each point is a random draw shrunk by 0.7 until ``||delta(x)||`` is
+    under ``target`` and inside by ``margin``. That needs the constant part
+    of the grid inside already (norm of the value at the zero tuple under
+    ``target``); otherwise rejection would be the only option and this
+    helper refuses instead of looping forever. The constant term is tested
+    once for all levels, and each candidate costs one evaluation of the
+    grid and one norm, which serves both the target and the membership
+    verdict. The RNG stream is the one that one call of
+    :func:`point_inside_gdelta` per level draws.
     """
     zero = GradedPoint([np.zeros((1, 1))] * delta.d)
     base = mat.op_norm(eval_poly_matrix(delta, zero))
@@ -83,14 +104,18 @@ def point_inside_gdelta(
         raise OutsideDomain(
             f"grid constant term has norm {base:.6f}, cannot shrink into the domain"
         )
-    for _ in range(max_tries):
-        x = random_graded_point(rng, delta.d, n, scale)
-        for _ in range(60):
-            nrm = mat.op_norm(eval_poly_matrix(delta, x))
-            if nrm < target and Membership.from_norm(nrm, margin).inside:
-                return x
-            x = GradedPoint([0.7 * m for m in x.mats])
-    raise OutsideDomain("failed to sample a point inside the domain")
+
+    def draw(n):
+        for _ in range(max_tries):
+            x = random_graded_point(rng, delta.d, n, scale)
+            for _ in range(60):
+                nrm = mat.op_norm(eval_poly_matrix(delta, x))
+                if nrm < target and Membership.from_norm(nrm, margin).inside:
+                    return x
+                x = GradedPoint([0.7 * m for m in x.mats])
+        raise OutsideDomain("failed to sample a point inside the domain")
+
+    return [draw(n) for n in levels]
 
 
 def point_in_shrunk_domain(

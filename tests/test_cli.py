@@ -601,3 +601,143 @@ def test_polynomial_text_matches_json_dumps(poly):
     want = json.dumps({**report, "polynomial": poly.to_json()}, sort_keys=True, indent=2)
     assert cli._render({**report, "polynomial": poly}) == want + "\n"
     assert poly.json_text() == json.dumps(poly.to_json(), sort_keys=True, indent=2)
+
+
+def small_corona_input(tmp_path):
+    payload = {
+        "delta": UNIT_DISK.to_json(),
+        "epsilon": 0.5,
+        "mult": 1,
+        "points": [GradedPoint.scalars([0.3]).to_json()],
+        "psis": [matrices_json([[[0.3]]])],
+        "u": matrices_json([[[0.0]]]),
+    }
+    return write(tmp_path, "corona.json", payload)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["fit", "--rank-rtol", "nan"],
+        ["fit", "--gram-rtol", "inf"],
+        ["fit", "--gram-rtol", "-1"],
+        ["corona", "--floor-slack", "nan"],
+        ["check-nc", "--sims", "-3"],
+    ],
+)
+def test_flags_outside_their_domain_exit_2(tmp_path, flags):
+    # before the check: rank 0 with exit 0, the Gram gate or the floor check
+    # switched off, GramMismatch with exit 1, or no similarities at all
+    command, flag, value = flags
+    if command == "fit":
+        argv = ["fit", "--samples", fit_samples(tmp_path)]
+    elif command == "corona":
+        argv = ["corona", "--input", small_corona_input(tmp_path)]
+    else:
+        pts = write(tmp_path, "s.json", [GradedPoint.scalars([0.3]).to_json()])
+        argv = ["check-nc", "--expr", "x1*x1", "--vars", "1", "--samples", pts]
+    proc = run_subprocess(argv + [flag, value])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    error = strict_loads(proc.stdout)["error"]
+    assert error["type"] == "SchemaError"
+    assert flag in error["message"]
+
+
+def test_cached_parser_leaks_no_state(tmp_path, capsys):
+    # each in-process report, made after another command on the shared
+    # parser, equals the same command's report from a fresh process
+    assert cli.build_parser() is cli.build_parser()
+    samples = fit_samples(tmp_path)
+    half = write(
+        tmp_path, "half.json",
+        PolyMatrix.from_poly(FreePoly.letter(1, 1).scale(0.5)).to_json(),
+    )
+    point = write(tmp_path, "p.json", GradedPoint.scalars([0.5]).to_json())
+    fit = ["fit", "--samples", samples]
+    certify = ["mero", "certify", "--expr", "x1*x1 + 1", "--vars", "1",
+               "--delta", half, "--point", point]
+    usage_error = ["eval", "--expr", "x1", "--vars", "two", "--point", point]
+    evaluate = ["eval", "--expr", "x1*x1 + 1", "--vars", "1", "--point", point]
+    member = ["member", "--delta", half, "--point", point]
+    sequences = [
+        [fit + ["--no-holdout"], fit],
+        [certify + ["--bound", "5"], certify],
+        [usage_error, evaluate],
+        [evaluate, member],
+    ]
+    fresh = {}
+    for seq in sequences:
+        for argv in seq:
+            if argv is usage_error:
+                with pytest.raises(SystemExit) as exc:
+                    cli.main(argv)
+                assert exc.value.code == 2
+                assert capsys.readouterr().out == ""
+                continue
+            code = cli.main(argv)
+            out = capsys.readouterr().out
+            if tuple(argv) not in fresh:
+                fresh[tuple(argv)] = run_subprocess(argv)
+            proc = fresh[tuple(argv)]
+            assert (code, out) == (proc.returncode, proc.stdout)
+    assert json.loads(out)["status"] == "inside"
+
+
+def count_grid_evaluations(monkeypatch, modules):
+    """Record the points of every eval_poly_matrix call made by ``modules``."""
+    from freeholo.freepoly import eval_poly_matrix
+
+    points = []
+
+    def counting(pm, x, cache=None):
+        points.append(x)
+        return eval_poly_matrix(pm, x, cache)
+
+    for module in modules:
+        monkeypatch.setattr(module, "eval_poly_matrix", counting)
+    return points
+
+
+def test_check_nc_realization_tests_membership_once_per_point(tmp_path, capsys, monkeypatch):
+    # three samples at levels 1, 2, 2 and three similarities per level make
+    # 9 direct sums, 9 conjugations and 15 triangular points, all inside;
+    # each of the 36 points costs one grid evaluation (and one SVD), in the
+    # evaluator, where a separate domain predicate made it 69
+    from freeholo import ncpoint, realize
+
+    r = write(tmp_path, "r.json", mobius(0.5).to_json())
+    rng = np.random.default_rng(8)
+    pts = [GradedPoint.scalars([0.004])] + [
+        GradedPoint([0.002 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))])
+        for _ in range(2)
+    ]
+    samples = write(tmp_path, "samples.json", [p.to_json() for p in pts])
+    points = count_grid_evaluations(monkeypatch, (realize, ncpoint))
+    code, rep, _ = run(["check-nc", "--realization", r, "--samples", samples], capsys)
+    assert code == 0 and rep["passed"] is True
+    assert (rep["checks"], rep["skipped"]) == (33, 0)
+    assert len(points) == 36
+
+
+def test_mero_certify_sampled_bound_is_pinned(tmp_path, capsys, monkeypatch):
+    # 200 sampled points share one constant-term test; bound_sup is the
+    # value the one-test-per-point sampler gave
+    from freeholo import ncpoint, sampling
+
+    half = write(
+        tmp_path, "half.json",
+        PolyMatrix.from_poly(FreePoly.letter(1, 1).scale(0.5)).to_json(),
+    )
+    point = write(tmp_path, "m.json", GradedPoint.scalars([0.5]).to_json())
+    points = count_grid_evaluations(monkeypatch, (sampling, ncpoint))
+    code, rep, _ = run(
+        ["mero", "certify", "--expr", "x1*x1 + 1", "--vars", "1", "--delta", half,
+         "--point", point, "--seed", "3"],
+        capsys,
+    )
+    assert code == 0
+    assert rep["bound_source"] == "sampled"
+    assert rep["bound_sup"] == 3.6656888771218936
+    zero_tests = [x for x in points if x.n == 1 and not np.any(x.mats[0])]
+    assert len(zero_tests) == 1

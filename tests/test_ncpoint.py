@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from conftest import random_rect_realization
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from freeholo.errors import ShapeMismatch
-from freeholo.freepoly import FreePoly, GradedPoint, PolyMatrix, eval_poly
+from freeholo import realize, sampling
+from freeholo.errors import OutsideDomain, ShapeMismatch
+from freeholo.freepoly import FreePoly, GradedPoint, PolyMatrix, eval_poly, eval_poly_matrix
 from freeholo.mat import cond, direct_sum, inv, op_norm
 from freeholo.ncpoint import (
     SimilarityWitness,
@@ -325,3 +329,66 @@ def test_check_nc_axioms_evaluates_each_sample_once():
     want = uncached_deviations(g, samples, sims, couplings, inside)
     assert (rep.direct_sum_dev, rep.similarity_dev, rep.triangular_dev) == want
     assert min(want) > 1e-3
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+    st.integers(1, 2),
+    st.integers(1, 2),
+)
+@settings(max_examples=25, deadline=None)
+def test_check_nc_axioms_skips_where_the_evaluator_finds_the_point_outside(
+    seed, grid, k1, mult
+):
+    # samples near the unit shell: conjugations and the triangular points of
+    # the large coupling leave the domain, and eval_direct raises there
+    rng = sampling.rng_from_seed(seed)
+    r = random_rect_realization(rng, *grid, k1, 1, mult)
+    samples = [sampling.point_inside_gdelta(rng, r.delta, n, scale=2.0) for n in (1, 1, 2)]
+    sims = [sampling.random_invertible(rng, n) for n in (1, 2, 1, 2)]
+    couplings = [scale * sampling.random_matrix(rng, n) for scale in (1.0, 1e3) for n in (1, 2)]
+    dims = (r.dim_k1, r.dim_k2)
+
+    def inside(p):
+        return in_gdelta(r.delta, p).inside
+
+    def plain(p):
+        return realize.eval_direct(r, p)
+
+    want = check_nc_axioms(plain, samples, sims, couplings, domain=inside, dims=dims)
+
+    evaluated, grid_points = [], []
+
+    def f(p):
+        evaluated.append(p)
+        return realize.eval_direct(r, p)
+
+    def counting(pm, x, cache=None):
+        grid_points.append(x)
+        return eval_poly_matrix(pm, x, cache)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(realize, "eval_poly_matrix", counting)
+        got = check_nc_axioms(f, samples, sims, couplings, dims=dims)
+    assert got == want
+    assert got.skipped > 0 and got.checks > 0
+    # one grid evaluation per evaluator call, each sample at most once, and
+    # every combined point evaluated exactly once, checked or skipped
+    assert [id(p) for p in grid_points] == [id(p) for p in evaluated]
+    assert all(sum(p is x for p in evaluated) <= 1 for x in samples)
+    combined = [p for p in evaluated if not any(p is x for x in samples)]
+    assert len(combined) == got.checks + got.skipped
+
+
+def test_check_nc_axioms_outside_sample_propagates():
+    # f accepts every combined point but rejects the sample itself
+    sample = GradedPoint([0.3 * np.eye(2)])
+
+    def f(pt):
+        if pt is sample:
+            raise OutsideDomain("sample outside")
+        return pt.mats[0]
+
+    with pytest.raises(OutsideDomain):
+        check_nc_axioms(f, [sample])

@@ -11,6 +11,7 @@ from freeholo.sampling import (
     perturbations_near,
     point_in_shrunk_domain,
     point_inside_gdelta,
+    points_inside_gdelta,
     random_free_poly,
     random_invertible,
     random_realization,
@@ -96,6 +97,36 @@ def test_point_inside_gdelta_evaluates_each_candidate_once(monkeypatch):
         assert len(calls) == norms > 2
         for a, b in zip(got.mats, want.mats):
             np.testing.assert_array_equal(a, b)
+
+
+def test_points_inside_gdelta_matches_single_draws(monkeypatch):
+    # the stream of one point_inside_gdelta call per level, and of the
+    # sampler loop above, with the constant term evaluated once
+    grid = PolyMatrix([[FreePoly.letter(2, 1), FreePoly.letter(2, 2)],
+                       [FreePoly.letter(2, 2), FreePoly.letter(2, 1) * FreePoly.letter(2, 2)]])
+    levels = [1 + i % 3 for i in range(12)] + [5]
+    rng_singles = rng_from_seed(33)
+    singles = [point_inside_gdelta(rng_singles, grid, n) for n in levels]
+    rng = rng_from_seed(33)
+    loop = [shrink_until_inside(rng, grid, n, sampling.DEFAULT_MARGIN)[0] for n in levels]
+    zero_tests = []
+
+    def counting(pm, x, cache=None):
+        if not any(np.any(m) for m in x.mats):
+            zero_tests.append(x)
+        return eval_poly_matrix(pm, x, cache)
+
+    monkeypatch.setattr(sampling, "eval_poly_matrix", counting)
+    rng = rng_from_seed(33)
+    got = points_inside_gdelta(rng, grid, levels)
+    assert len(zero_tests) == 1
+    assert [p.n for p in got] == levels
+    for a, b, c in zip(got, singles, loop):
+        for ma, mb, mc in zip(a.mats, b.mats, c.mats):
+            np.testing.assert_array_equal(ma, mb)
+            np.testing.assert_array_equal(ma, mc)
+    # the generator is left where the single draws leave it
+    assert rng.standard_normal() == rng_singles.standard_normal()
 
 
 def test_point_inside_rejects_bad_constant():
