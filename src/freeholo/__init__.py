@@ -27,7 +27,6 @@ from .errors import (
 )
 from .mat import complete_to_isometry, direct_sum, inv, isometry_defect, op_norm
 from .freepoly import (
-    EvalCache,
     FreePoly,
     GradedPoint,
     MatrixPoly,

@@ -26,7 +26,7 @@ from .freepoly import (
     _promoted_grid,
     eval_poly_matrix,
 )
-from .realize import Realization
+from .realize import Realization, geometric_tail, tail_order
 
 
 @dataclass(frozen=True)
@@ -72,37 +72,38 @@ def select_covering_delta(points, candidates) -> CoverSelection:
     return CoverSelection(index=best_idx, radius=float(best_r), t=t)
 
 
+# Most homogeneous orders choose_truncation accepts before TermBlowup.
+ORDER_CAP = 100_000
+
+
 def certify_error(r: Realization, k: int, t: float) -> float:
     """Sup-norm tail bound for truncation after homogeneous order k.
 
     On the closed shrunk domain ``{ ||t delta|| <= 1 }`` the series term of
     order j is bounded by ``(1/t)**(j+1)``, so the tail after k is at most
-    ``(1/t)**(k+2) / (1 - 1/t)``. The realization argument fixes the series
-    being truncated; the bound itself only uses contractivity of its blocks.
+    ``geometric_tail(1/t, k) = (1/t)**(k+2) / (1 - 1/t)``. The bound is a
+    proof under exact arithmetic; rounding in the expanded coefficients is
+    not included. With k from :func:`choose_truncation`, ``bound <= tol``
+    holds by construction. The realization argument fixes the series being
+    truncated; the bound itself only uses contractivity of its blocks.
     """
-    if t <= 1.0:
+    if not t > 1.0:
         raise ValueError("shrink factor t must exceed 1")
     if k < 0:
         raise ValueError("truncation order must be nonnegative")
-    q = 1.0 / t
-    return float(q ** (k + 2) / (1.0 - q))
+    return geometric_tail(1.0 / t, k)
 
 
-def choose_truncation(tol: float, t: float, k_cap: int = 100_000) -> int:
-    """Smallest nonnegative k with :func:`certify_error` at most ``tol``."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if t <= 1.0:
+def choose_truncation(tol: float, t: float) -> int:
+    """Smallest nonnegative k with :func:`certify_error` at most ``tol``.
+
+    This is ``tail_order(1/t, tol, ORDER_CAP)``: a ``tol`` that is not
+    positive and finite raises ``ValueError``, and an order above
+    ``ORDER_CAP`` raises :class:`TermBlowup`.
+    """
+    if not t > 1.0:
         raise ValueError("shrink factor t must exceed 1")
-    if t == float("inf"):
-        return 0
-    q = 1.0 / t
-    k = 0
-    while q ** (k + 2) / (1.0 - q) > tol:
-        k += 1
-        if k > k_cap:
-            raise TermBlowup(f"no truncation under tol={tol} within {k_cap} terms")
-    return k
+    return tail_order(1.0 / t, tol, ORDER_CAP)
 
 
 def _kept(stack: np.ndarray, order: int) -> np.ndarray:
@@ -248,18 +249,17 @@ def expand_polynomial(r: Realization, k: int, term_cap: int = 10**6) -> MatrixPo
     return MatrixPoly(r.delta.d, a.shape[0], a.shape[1], dict(zip(words, acc)))
 
 
-def in_dictionary_hull(x: GradedPoint, sample, dictionary, slack: float = 0.0) -> bool:
+def in_dictionary_hull(x: GradedPoint, sample, dictionary) -> bool:
     """Hull membership relative to a dictionary of grids.
 
     ``x`` belongs to the hull of the sample when every dictionary grid that
     keeps the whole sample inside its closed unit sublevel set also keeps
-    ``x`` inside it (with optional slack). Only the supplied dictionary is
-    consulted; the hull against all conceivable grids is not computable from
-    finite data.
+    ``x`` inside it. Only the supplied dictionary is consulted; the hull
+    against all conceivable grids is not computable from finite data.
     """
     sample = list(sample)
     for delta in dictionary:
         if _worst_norm(delta, sample) <= 1.0:
-            if mat.op_norm(eval_poly_matrix(delta, x)) > 1.0 + slack:
+            if mat.op_norm(eval_poly_matrix(delta, x)) > 1.0:
                 return False
     return True

@@ -42,6 +42,7 @@ _INPUT_ERRORS = (SchemaError, ExprSyntaxError, UnknownVariable)
 
 
 def _base_report(args) -> dict:
+    """The keys every report carries; ``main`` merges a handler's keys over them."""
     return {
         "schema": SCHEMA_VERSION,
         "convention": TENSOR_CONVENTION,
@@ -150,35 +151,27 @@ def _cmd_eval(args) -> dict:
     if x.d != args.vars:
         raise SchemaError(f"point has d={x.d} but --vars is {args.vars}")
     value = f(x)
-    report = _base_report(args)
-    report.update(
-        {
-            "command": "eval",
-            "expr": print_expr(ast),
-            "vars": args.vars,
-            "level": x.n,
-            "value": matrix_to_json(value),
-        }
-    )
-    return report
+    return {
+        "command": "eval",
+        "expr": print_expr(ast),
+        "vars": args.vars,
+        "level": x.n,
+        "value": matrix_to_json(value),
+    }
 
 
 def _cmd_member(args) -> dict:
     delta = jsonio.load("polymatrix", args.delta)
     x = jsonio.load("gradedpoint", args.point)
     m = ncpoint.in_gdelta(delta, x, margin=args.margin)
-    report = _base_report(args)
-    report.update(
-        {
-            "command": "member",
-            "status": m.status,
-            "distance": m.distance,
-            "norm": m.norm,
-            "margin": m.margin,
-            "level": x.n,
-        }
-    )
-    return report
+    return {
+        "command": "member",
+        "status": m.status,
+        "distance": m.distance,
+        "norm": m.norm,
+        "margin": m.margin,
+        "level": x.n,
+    }
 
 
 def _cmd_check_nc(args) -> dict:
@@ -197,35 +190,27 @@ def _cmd_check_nc(args) -> dict:
     rep = ncpoint.check_nc_axioms(
         f, samples, sims=sims, couplings=couplings, dims=dims, tol=args.tol
     )
-    report = _base_report(args)
-    report.update(
-        {
-            "command": "check-nc",
-            "evaluator": kind,
-            "passed": rep.passed,
-            "checks": rep.checks,
-            "skipped": rep.skipped,
-            "direct_sum_dev": rep.direct_sum_dev,
-            "similarity_dev": rep.similarity_dev,
-            "triangular_dev": rep.triangular_dev,
-        }
-    )
-    return report
+    return {
+        "command": "check-nc",
+        "evaluator": kind,
+        "passed": rep.passed,
+        "checks": rep.checks,
+        "skipped": rep.skipped,
+        "direct_sum_dev": rep.direct_sum_dev,
+        "similarity_dev": rep.similarity_dev,
+        "triangular_dev": rep.triangular_dev,
+    }
 
 
 def _cmd_model_residual(args) -> dict:
     s = jsonio.load("modelsamples", args.samples)
-    report = _base_report(args)
-    report.update(
-        {
-            "command": "model-residual",
-            "residual": model.model_residual(s),
-            "diagonal_floor": model.diagonal_floor(s),
-            "points": len(s.points),
-            "mult": s.mult,
-        }
-    )
-    return report
+    return {
+        "command": "model-residual",
+        "residual": model.model_residual(s),
+        "diagonal_floor": model.diagonal_floor(s),
+        "points": len(s.points),
+        "mult": s.mult,
+    }
 
 
 def _fit_summary(fit: realize.FitResult) -> dict:
@@ -247,15 +232,11 @@ def _cmd_fit(args) -> dict:
         rank_rtol=args.rank_rtol,
         holdout=not args.no_holdout,
     )
-    report = _base_report(args)
-    report.update(
-        {
-            "command": "fit",
-            "realization": fit.realization.to_json(),
-            **_fit_summary(fit),
-        }
-    )
-    return report
+    return {
+        "command": "fit",
+        "realization": fit.realization.to_json(),
+        **_fit_summary(fit),
+    }
 
 
 def _cmd_corona(args) -> dict:
@@ -277,19 +258,15 @@ def _cmd_corona(args) -> dict:
     sol = realize.corona_solve(
         delta, points, psis, epsilon, us, mult, floor_slack=args.floor_slack
     )
-    report = _base_report(args)
-    report.update(
-        {
-            "command": "corona",
-            "epsilon": sol.epsilon,
-            "norm_bound": sol.norm_bound,
-            "identity_residual": sol.identity_residual,
-            "functions": len(psis),
-            "realization": sol.fit.realization.to_json(),
-            **_fit_summary(sol.fit),
-        }
-    )
-    return report
+    return {
+        "command": "corona",
+        "epsilon": sol.epsilon,
+        "norm_bound": sol.norm_bound,
+        "identity_residual": sol.identity_residual,
+        "functions": len(psis),
+        "realization": sol.fit.realization.to_json(),
+        **_fit_summary(sol.fit),
+    }
 
 
 def _cmd_approx(args) -> dict:
@@ -300,20 +277,16 @@ def _cmd_approx(args) -> dict:
     k = approx_mod.choose_truncation(args.tol, sel.t)
     bound = approx_mod.certify_error(r, k, sel.t)
     poly = approx_mod.expand_polynomial(r, k)
-    report = _base_report(args)
-    report.update(
-        {
-            "command": "approx",
-            "cover_index": sel.index,
-            "radius": sel.radius,
-            "t": sel.t,
-            "k": k,
-            "bound": bound,
-            "term_count": poly.term_count(),
-            "polynomial": poly,
-        }
-    )
-    return report
+    return {
+        "command": "approx",
+        "cover_index": sel.index,
+        "radius": sel.radius,
+        "t": sel.t,
+        "k": k,
+        "bound": bound,
+        "term_count": poly.term_count(),
+        "polynomial": poly,
+    }
 
 
 def _cmd_derive(args) -> dict:
@@ -321,16 +294,12 @@ def _cmd_derive(args) -> dict:
     m = jsonio.load("gradedpoint", args.point)
     e = jsonio.load("gradedpoint", args.direction)
     val = ncpoint.nc_derivative(f, m, e, dims=dims)
-    report = _base_report(args)
-    report.update(
-        {
-            "command": "derive",
-            "evaluator": kind,
-            "level": m.n,
-            "derivative": matrix_to_json(val),
-        }
-    )
-    return report
+    return {
+        "command": "derive",
+        "evaluator": kind,
+        "level": m.n,
+        "derivative": matrix_to_json(val),
+    }
 
 
 def _sampled_bound(f, delta, seed: int, trials: int = 200) -> float:
@@ -358,21 +327,17 @@ def _cmd_mero_certify(args) -> dict:
     cert = mero.inversion_certificate(
         f, delta, m, bound_sup, bound_source=bound_source
     )
-    report = _base_report(args)
-    report.update(
-        {
-            "command": "mero-certify",
-            "expr": print_expr(ast),
-            "bound_inv": cert.bound_inv,
-            "bound_sup": cert.bound_sup,
-            "bound_source": cert.bound_source,
-            "c": [float(cert.c.real), float(cert.c.imag)],
-            "p_coeffs": _pairs(cert.p_coeffs),
-            "roots": _pairs(cert.roots),
-            "p_residual": cert.p_residual,
-        }
-    )
-    return report
+    return {
+        "command": "mero-certify",
+        "expr": print_expr(ast),
+        "bound_inv": cert.bound_inv,
+        "bound_sup": cert.bound_sup,
+        "bound_source": cert.bound_source,
+        "c": [float(cert.c.real), float(cert.c.imag)],
+        "p_coeffs": _pairs(cert.p_coeffs),
+        "roots": _pairs(cert.roots),
+        "p_residual": cert.p_residual,
+    }
 
 
 def _cmd_mero_scan(args) -> dict:
@@ -380,27 +345,23 @@ def _cmd_mero_scan(args) -> dict:
     ast, _ = _expr_evaluator(src, args.vars)
     samples = jsonio.load_list("gradedpoint", args.samples)
     rep = mero.singular_scan(ast, samples)
-    report = _base_report(args)
-    report.update(
-        {
-            "command": "mero-scan",
-            "expr": print_expr(ast),
-            "checked": rep.total,
-            "singular_count": rep.n_singular,
-            "singular_paths": [list(p) for p in rep.paths()],
-            "entries": [
-                {
-                    "index": e.index,
-                    "level": e.level,
-                    "singular": e.singular,
-                    "path": None if e.path is None else list(e.path),
-                    "value_norm": e.value_norm,
-                }
-                for e in rep.entries
-            ],
-        }
-    )
-    return report
+    return {
+        "command": "mero-scan",
+        "expr": print_expr(ast),
+        "checked": rep.total,
+        "singular_count": rep.n_singular,
+        "singular_paths": [list(p) for p in rep.paths()],
+        "entries": [
+            {
+                "index": e.index,
+                "level": e.level,
+                "singular": e.singular,
+                "path": None if e.path is None else list(e.path),
+                "value_norm": e.value_norm,
+            }
+            for e in rep.entries
+        ],
+    }
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -541,7 +502,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_flags(args)
-        report = args.handler(args)
+        report = {**_base_report(args), **args.handler(args)}
     except _INPUT_ERRORS as exc:
         _emit(_error_report(args, exc), None)
         return 2

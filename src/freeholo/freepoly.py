@@ -25,6 +25,8 @@ Evaluation layout conventions, fixed once and for all:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ShapeMismatch
@@ -118,26 +120,27 @@ class GradedPoint:
         return pt
 
 
-class EvalCache:
-    """Memo of word values at one fixed point, keyed by word prefix."""
+def _word_values(x: GradedPoint):
+    """Memo of word values at one point, keyed by word prefix.
 
-    def __init__(self, x: GradedPoint):
-        self.x = x
-        self._table = {(): np.eye(x.n, dtype=np.complex128)}
-
-    def word(self, w) -> np.ndarray:
-        val = self._table.get(w)
-        if val is None:
-            val = self.word(w[:-1]) @ self.x.mats[w[-1] - 1]
-            self._table[w] = val
-        return val
+    Returns ``value(w)`` for a checked word tuple ``w``; each value is the
+    same product, in the same order, that :func:`eval_word` forms. The memo
+    holds no reference cycle, so its matrices are freed with the call that
+    made it.
+    """
+    return functools.partial(_word_value, {(): np.eye(x.n, dtype=np.complex128)}, x.mats)
 
 
-def eval_word(word, x: GradedPoint, cache: EvalCache | None = None) -> np.ndarray:
+def _word_value(table: dict, mats, w) -> np.ndarray:
+    val = table.get(w)
+    if val is None:
+        val = table[w] = _word_value(table, mats, w[:-1]) @ mats[w[-1] - 1]
+    return val
+
+
+def eval_word(word, x: GradedPoint) -> np.ndarray:
     """Product of point matrices along the word; the empty word gives I_n."""
     w = _check_word(word, x.d)
-    if cache is not None:
-        return cache.word(w)
     out = np.eye(x.n, dtype=np.complex128)
     for letter in w:
         out = out @ x.mats[letter - 1]
@@ -318,13 +321,18 @@ class FreePoly:
         return cls(d, terms)
 
 
-def eval_poly(p: FreePoly, x: GradedPoint, cache: EvalCache | None = None) -> np.ndarray:
+def eval_poly(p: FreePoly, x: GradedPoint) -> np.ndarray:
     """Evaluate ``p`` at the point, an n-by-n matrix."""
     if x.d != p.d:
         raise ShapeMismatch(f"point has {x.d} coordinates, polynomial wants {p.d}")
-    out = np.zeros((x.n, x.n), dtype=np.complex128)
+    return _poly_at(p, x.n, _word_values(x))
+
+
+def _poly_at(p: FreePoly, n: int, word) -> np.ndarray:
+    """``sum_w c_w word(w)`` with word values from a :func:`_word_values` memo."""
+    out = np.zeros((n, n), dtype=np.complex128)
     for w, c in p._terms.items():
-        out = out + c * eval_word(w, x, cache)
+        out = out + c * word(w)
     return out
 
 
@@ -419,7 +427,7 @@ class PolyMatrix:
         return pm
 
 
-def eval_poly_matrix(pm: PolyMatrix, x: GradedPoint, cache: EvalCache | None = None) -> np.ndarray:
+def eval_poly_matrix(pm: PolyMatrix, x: GradedPoint) -> np.ndarray:
     """Blockwise evaluation: an (rows*n)-by-(cols*n) matrix, grid index outer.
 
     Block (i, j) equals entry (i, j) evaluated at the point, so the direct
@@ -428,20 +436,17 @@ def eval_poly_matrix(pm: PolyMatrix, x: GradedPoint, cache: EvalCache | None = N
     if x.d != pm.d:
         raise ShapeMismatch(f"point has {x.d} coordinates, grid wants {pm.d}")
     n = x.n
-    if cache is None:
-        cache = EvalCache(x)
+    word = _word_values(x)
     out = np.zeros((pm.rows * n, pm.cols * n), dtype=np.complex128)
     for i in range(pm.rows):
         for j in range(pm.cols):
-            out[i * n : (i + 1) * n, j * n : (j + 1) * n] = eval_poly(
-                pm.entries[i][j], x, cache
+            out[i * n : (i + 1) * n, j * n : (j + 1) * n] = _poly_at(
+                pm.entries[i][j], n, word
             )
     return out
 
 
-def eval_poly_matrix_promoted(
-    pm: PolyMatrix, x: GradedPoint, mult: int, cache: EvalCache | None = None
-) -> np.ndarray:
+def eval_poly_matrix_promoted(pm: PolyMatrix, x: GradedPoint, mult: int) -> np.ndarray:
     """Evaluation in the layout level (x) multiplicity (x) grid-index.
 
     Returns ``sum_{i,j} kron(entry_ij(x), kron(I_mult, E_ij))`` of shape
@@ -454,7 +459,7 @@ def eval_poly_matrix_promoted(
     """
     if mult < 1:
         raise ShapeMismatch("multiplicity must be at least 1")
-    return _promoted_grid(pm, mult).eval(x, cache)
+    return _promoted_grid(pm, mult).eval(x)
 
 
 def _promoted_grid(pm: PolyMatrix, mult: int) -> "MatrixPoly":
@@ -655,16 +660,15 @@ class MatrixPoly:
         """The words in graded lexicographic order."""
         return list(self._words)
 
-    def eval(self, x: GradedPoint, cache: EvalCache | None = None) -> np.ndarray:
+    def eval(self, x: GradedPoint) -> np.ndarray:
         if x.d != self._d:
             raise ShapeMismatch("variable counts differ")
-        if cache is None:
-            cache = EvalCache(x)
+        word = _word_values(x)
         out = np.zeros(
             (x.n * self._out_dim, x.n * self._in_dim), dtype=np.complex128
         )
         for w, c in zip(self._words, self._stack):
-            out += np.kron(eval_word(w, x, cache), c)
+            out += np.kron(word(w), c)
         return out
 
     def to_poly_matrix(self) -> PolyMatrix:

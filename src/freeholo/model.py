@@ -37,7 +37,7 @@ from .freepoly import (
     eval_poly_matrix_promoted,
     promoted_apply,
 )
-from .ncpoint import DEFAULT_MARGIN, in_gdelta
+from .ncpoint import in_gdelta
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,6 @@ class ModelSampleSet:
         k2_dim,
         mult,
         verify_membership=True,
-        margin=DEFAULT_MARGIN,
     ):
         points = tuple(points)
         psi = tuple(np.array(mat.as_array(v), dtype=np.complex128) for v in psi)
@@ -87,7 +86,7 @@ class ModelSampleSet:
             if c.shape != (n * mult * delta.cols, n * h_dim):
                 raise ShapeMismatch(f"u shape {c.shape} wrong at level {n}")
             if verify_membership:
-                verdict = in_gdelta(delta, x, margin)
+                verdict = in_gdelta(delta, x)
                 if not verdict.inside:
                     raise OutsideDomain(
                         f"sample point at level {n} is {verdict.status} "
@@ -221,7 +220,7 @@ def model_from_realization(r, points, psi=None, delta=None) -> ModelSampleSet:
     phi = []
     u = []
     for x, p in zip(points, psi):
-        omega, v = _Kernel(r, x, DEFAULT_MARGIN).solve()
+        omega, v = _Kernel(r, x).solve()
         phi.append(omega @ p)
         u.append(v @ p)
     return ModelSampleSet(

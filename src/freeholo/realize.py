@@ -64,6 +64,12 @@ TENSOR_CONVENTION = "level-outer/mult-mid/grid-inner v1"
 
 ISOMETRY_TOL = 1e-8
 
+# Most series terms eval_neumann sums before it gives up with TermBlowup.
+NEUMANN_TERM_CAP = 200_000
+
+# Most zero grid columns fit_lurking_isometry pads before RankOverflow.
+PAD_CAP = 64
+
 
 @dataclass(frozen=True)
 class Realization:
@@ -141,10 +147,13 @@ class Realization:
         )
 
 
-def _require_inside(r: Realization, x: GradedPoint, margin: float):
-    """Return ``(delta(x), ||delta(x)||)`` or raise :class:`OutsideDomain`."""
+def _require_inside(r: Realization, x: GradedPoint):
+    """Return ``(delta(x), ||delta(x)||)`` or raise :class:`OutsideDomain`.
+
+    Inside means ``||delta(x)|| < 1 - DEFAULT_MARGIN``.
+    """
     dx = eval_poly_matrix(r.delta, x)
-    verdict = Membership.from_norm(mat.op_norm(dx), margin)
+    verdict = Membership.from_norm(mat.op_norm(dx), DEFAULT_MARGIN)
     if not verdict.inside:
         raise OutsideDomain(
             f"point is {verdict.status}: ||delta(x)|| = {verdict.norm:.9f}"
@@ -162,10 +171,10 @@ class _Kernel:
     test has already evaluated and normed (``r0``).
     """
 
-    def __init__(self, r: Realization, x: GradedPoint, margin: float):
+    def __init__(self, r: Realization, x: GradedPoint):
         self.r = r
         self.n = x.n
-        self.dx, self.r0 = _require_inside(r, x, margin)
+        self.dx, self.r0 = _require_inside(r, x)
 
     def block(self, m: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
         """``kron(I_n, m) @ y``."""
@@ -219,49 +228,95 @@ class _Kernel:
         return total, k_plan, False
 
 
-def resolvent_leg(r: Realization, x: GradedPoint, margin: float = DEFAULT_MARGIN) -> np.ndarray:
+def resolvent_leg(r: Realization, x: GradedPoint) -> np.ndarray:
     """``v(x) = (I - (I_n (x) D) Delta(x))^{-1} (I_n (x) C)``.
 
     This is the model column generated by the realization: applying it to
     any input data produces model data with a machine-scale residual.
     """
-    return _Kernel(r, x, margin).solve()[1]
+    return _Kernel(r, x).solve()[1]
 
 
-def eval_direct(r: Realization, x: GradedPoint, margin: float = DEFAULT_MARGIN) -> np.ndarray:
+def eval_direct(r: Realization, x: GradedPoint) -> np.ndarray:
     """Evaluate the realization by solving the resolvent equation directly.
 
-    Requires the point strictly inside the domain (by ``margin``); there the
-    resolvent is uniformly invertible and the value is a strict contraction
-    up to rounding.
+    Requires the point strictly inside the domain (by ``DEFAULT_MARGIN``);
+    there the resolvent is uniformly invertible and the value is a strict
+    contraction up to rounding.
     """
-    return _Kernel(r, x, margin).solve()[0]
+    return _Kernel(r, x).solve()[0]
+
+
+# -- certified truncation -----------------------------------------------------
+
+
+def geometric_tail(q: float, k: int) -> float:
+    """``q**(k+2) / (1 - q)``, for ``0 <= q < 1``.
+
+    When term j of a series has norm at most ``q**(j+1)``, this bounds the
+    sum of the terms after term k. :func:`eval_neumann` and the Oka-Weil
+    truncation in :mod:`freeholo.approx` both report it as their bound.
+    """
+    return float(q ** (k + 2) / (1.0 - q))
+
+
+def tail_order(q: float, tol: float, cap: int) -> int:
+    """Smallest ``k >= 0`` with ``geometric_tail(q, k) <= tol``.
+
+    The order is seeded from logarithms and then stepped against
+    :func:`geometric_tail` itself, so the returned k satisfies
+    ``geometric_tail(q, k) <= tol`` in floating point and, for k > 0,
+    ``geometric_tail(q, k - 1) > tol``. ``q = 0`` gives 0. A ``tol`` that is
+    not positive and finite, or a q outside [0, 1), raises ``ValueError``;
+    an order above ``cap`` raises :class:`TermBlowup`.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not 0.0 <= q < 1.0:
+        raise ValueError(f"ratio must lie in [0, 1), got {q}")
+    if q == 0.0:
+        return 0
+    seed = math.ceil((math.log(tol) + math.log1p(-q)) / math.log(q)) - 2
+    k = min(max(0, seed), cap + 1)
+    while k > 0 and geometric_tail(q, k - 1) <= tol:
+        k -= 1
+    while k <= cap and geometric_tail(q, k) > tol:
+        k += 1
+    if k > cap:
+        raise TermBlowup(
+            f"a geometric tail of ratio {q:.6f} needs more than {cap} terms "
+            f"to fall under tol={tol}"
+        )
+    return k
 
 
 @dataclass(frozen=True)
 class NeumannResult:
-    """Certified truncation: ``||value - exact|| <= bound`` is guaranteed."""
+    """Certified truncation: ``||value - exact|| <= bound <= tol``.
+
+    ``bound`` is a proof under exact arithmetic (see :func:`eval_neumann`);
+    the computed ``value`` carries rounding error on top of it.
+    """
 
     value: np.ndarray
     k: int
     bound: float
 
 
-def eval_neumann(
-    r: Realization,
-    x: GradedPoint,
-    tol: float = 1e-8,
-    margin: float = DEFAULT_MARGIN,
-    max_terms: int = 200_000,
-) -> NeumannResult:
+def eval_neumann(r: Realization, x: GradedPoint, tol: float = 1e-8) -> NeumannResult:
     """Evaluate by geometric series with an a priori certified tail bound.
 
     With ``r0 = ||delta(x)|| < 1`` the k-th series term is bounded by
     ``r0**(k+1)``, so truncating after term K leaves a tail of at most
-    ``r0**(K+2) / (1 - r0)``. K is chosen minimal (and nonnegative) with
-    that bound at most ``tol``. If a power of the loop operator vanishes
-    exactly (nilpotent feedback, e.g. D = 0) the sum stops early and the
-    reported bound is zero.
+    ``geometric_tail(r0, K) = r0**(K+2) / (1 - r0)``. K is
+    ``tail_order(r0, tol, NEUMANN_TERM_CAP)``, the smallest nonnegative
+    order whose reported bound is at most ``tol``, so ``bound <= tol``
+    holds by construction. The bound is a proof under exact arithmetic;
+    rounding in the summed terms is not included. If a power of the loop
+    operator vanishes exactly (nilpotent feedback, e.g. D = 0) the sum
+    stops early and the reported bound is zero. A ``tol`` that is not
+    positive and finite raises ``ValueError``; more than
+    ``NEUMANN_TERM_CAP`` terms raise :class:`TermBlowup`.
 
     The terms ``Delta (D~ Delta)^k C~`` are summed first and ``B~`` is
     applied once. Each term costs one blockwise product with D and one GEMM
@@ -269,31 +324,10 @@ def eval_neumann(
     Delta(x) is formed, and delta(x) and its norm come from the membership
     test.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    ker = _Kernel(r, x, margin)
-    r0 = ker.r0
-    if r0 > 0.0:
-        target = tol * (1.0 - r0)
-        k_plan = max(0, math.ceil(math.log(target) / math.log(r0)) - 2)
-        while k_plan > 0 and r0 ** (k_plan + 1) <= target:
-            k_plan -= 1
-        while r0 ** (k_plan + 2) > target:
-            k_plan += 1
-            if k_plan > max_terms:
-                raise TermBlowup(
-                    f"certified truncation needs more than {max_terms} terms "
-                    f"(||delta(x)|| = {r0:.6f})"
-                )
-    else:
-        k_plan = 0
-    if k_plan > max_terms:
-        raise TermBlowup(
-            f"certified truncation needs {k_plan} terms, over the cap {max_terms} "
-            f"(||delta(x)|| = {r0:.6f})"
-        )
+    ker = _Kernel(r, x)
+    k_plan = tail_order(ker.r0, tol, NEUMANN_TERM_CAP)
     total, k_used, exact = ker.series(k_plan)
-    bound = 0.0 if exact or r0 == 0.0 else float(r0 ** (k_used + 2) / (1.0 - r0))
+    bound = 0.0 if exact else geometric_tail(ker.r0, k_used)
     return NeumannResult(value=ker.value(total), k=k_used, bound=bound)
 
 
@@ -333,7 +367,6 @@ def fit_lurking_isometry(
     gram_rtol: float = 1e-6,
     rank_rtol: float = 1e-8,
     holdout: bool = True,
-    pad_cap: int = 64,
 ) -> FitResult:
     """Fit an isometric realization to model sample data.
 
@@ -349,7 +382,7 @@ def fit_lurking_isometry(
     largest are cut) and completed to a full isometry deterministically.
     If the codomain lacks room, the grid is first padded with zero columns
     (each adds ``mult`` codomain dimensions and leaves the domain of the
-    function untouched); more than ``pad_cap`` padded columns raises
+    function untouched); more than ``PAD_CAP`` padded columns raises
     :class:`RankOverflow`.
 
     The p and q vectors of one point are the columns of two panels, built by
@@ -375,9 +408,9 @@ def fit_lurking_isometry(
 
     deficit = (k1 + mult * i_rows) - (k2 + mult * j_cols)
     pad = -(-deficit // mult) if deficit > 0 else 0
-    if pad > pad_cap:
+    if pad > PAD_CAP:
         raise RankOverflow(
-            f"isometric completion needs {pad} padded grid columns, cap is {pad_cap}"
+            f"isometric completion needs {pad} padded grid columns, cap is {PAD_CAP}"
         )
     delta = delta_pad_columns(s.delta, pad)
     j_new = j_cols + pad
@@ -526,7 +559,6 @@ def corona_solve(
     mult: int,
     floor_slack: float = 1e-9,
     gram_rtol: float = 1e-6,
-    pad_cap: int = 64,
 ) -> CoronaSolution:
     """Solve the finite-data corona problem at coercivity level ``epsilon``.
 
@@ -581,9 +613,7 @@ def corona_solve(
         k2_dim=1,
         mult=mult,
     )
-    fit = fit_lurking_isometry(
-        sample, gram_rtol=gram_rtol, holdout=False, pad_cap=pad_cap
-    )
+    fit = fit_lurking_isometry(sample, gram_rtol=gram_rtol, holdout=False)
     worst = 0.0
     for x, col in zip(points, columns):
         lhs = eval_direct(fit.realization, x) @ col

@@ -40,10 +40,11 @@ def haar_isometry(rng, rows: int, cols: int) -> np.ndarray:
     return random_unitary(rng, rows)[:, :cols]
 
 
-def random_invertible(rng, n: int, max_cond: float = 50.0, tries: int = 64) -> np.ndarray:
-    for _ in range(tries):
+def random_invertible(rng, n: int) -> np.ndarray:
+    """A random ``I + 0.6 E`` with condition number at most 50, in 64 draws."""
+    for _ in range(64):
         s = np.eye(n) + 0.6 * random_matrix(rng, n)
-        if mat.cond(s) <= max_cond:
+        if mat.cond(s) <= 50.0:
             return s
     raise RuntimeError("could not draw a well-conditioned similarity")
 
@@ -66,15 +67,13 @@ def point_inside_gdelta(
     n: int,
     scale: float = 1.0,
     margin: float = DEFAULT_MARGIN,
-    target: float = 0.9,
-    max_tries: int = 200,
 ) -> GradedPoint:
     """Draw a random point and shrink it toward zero until strictly inside.
 
     The one-level case of :func:`points_inside_gdelta`, which holds the
     sampler: the same seed gives the same point and the same RNG state.
     """
-    return points_inside_gdelta(rng, delta, (n,), scale, margin, target, max_tries)[0]
+    return points_inside_gdelta(rng, delta, (n,), scale, margin)[0]
 
 
 def points_inside_gdelta(
@@ -84,12 +83,12 @@ def points_inside_gdelta(
     scale: float = 1.0,
     margin: float = DEFAULT_MARGIN,
     target: float = 0.9,
-    max_tries: int = 200,
 ) -> list:
     """One point strictly inside per entry of ``levels``, drawn in order.
 
-    Each point is a random draw shrunk by 0.7 until ``||delta(x)||`` is
-    under ``target`` and inside by ``margin``. That needs the constant part
+    Each point is a random draw shrunk by 0.7, at most 60 times, until
+    ``||delta(x)||`` is under ``target`` and inside by ``margin``; after
+    200 draws :class:`OutsideDomain` is raised. That needs the constant part
     of the grid inside already (norm of the value at the zero tuple under
     ``target``); otherwise rejection would be the only option and this
     helper refuses instead of looping forever. The constant term is tested
@@ -106,7 +105,7 @@ def points_inside_gdelta(
         )
 
     def draw(n):
-        for _ in range(max_tries):
+        for _ in range(200):
             x = random_graded_point(rng, delta.d, n, scale)
             for _ in range(60):
                 nrm = mat.op_norm(eval_poly_matrix(delta, x))
@@ -119,20 +118,13 @@ def points_inside_gdelta(
 
 
 def point_in_shrunk_domain(
-    rng, delta: PolyMatrix, n: int, t: float, scale: float = 1.0, max_tries: int = 200
+    rng, delta: PolyMatrix, n: int, t: float, scale: float = 1.0
 ) -> GradedPoint:
-    """Sample with ``||delta(x)|| <= 1/t`` strictly (for shrunk closed sets)."""
-    target = (1.0 / t) * 0.999 if np.isfinite(t) else 0.0
-    zero = GradedPoint([np.zeros((1, 1))] * delta.d)
-    if mat.op_norm(eval_poly_matrix(delta, zero)) > max(target, 1e-12):
-        raise OutsideDomain("grid constant term already exceeds the shrunk radius")
-    for _ in range(max_tries):
-        x = random_graded_point(rng, delta.d, n, scale)
-        for _ in range(80):
-            if mat.op_norm(eval_poly_matrix(delta, x)) <= target:
-                return x
-            x = GradedPoint([0.7 * m for m in x.mats])
-    raise OutsideDomain("failed to sample inside the shrunk domain")
+    """Sample with ``||delta(x)|| < 0.999 / t`` (for shrunk closed sets).
+
+    The one-level case of :func:`points_inside_gdelta` with that target.
+    """
+    return points_inside_gdelta(rng, delta, (n,), scale, target=0.999 / t)[0]
 
 
 def random_realization(rng, delta: PolyMatrix, dim_k1: int, dim_k2: int, mult: int) -> Realization:
@@ -156,21 +148,19 @@ def perturbations_near(
     domain_contains,
     count: int,
     spread: float = 0.5,
-    include_sums: bool = True,
-    max_tries: int = 400,
 ) -> list:
     """Points inside a membership predicate, clustered around a base point.
 
-    Draws ``base + t E`` with random directions (and, when requested, the
-    analogous perturbations of ``base (+) base``), shrinking t until the
-    predicate accepts. Useful for exploring certified neighborhoods.
+    Draws ``base + t E`` with random directions (every third draw perturbs
+    ``base (+) base`` instead), shrinking t until the predicate accepts,
+    over at most 400 draws. Useful for exploring certified neighborhoods.
     """
     out = []
     tries = 0
-    while len(out) < count and tries < max_tries:
+    while len(out) < count and tries < 400:
         tries += 1
         seed_pt = base
-        if include_sums and tries % 3 == 0:
+        if tries % 3 == 0:
             seed_pt = point_direct_sum(base, base)
         n = seed_pt.n
         step = spread

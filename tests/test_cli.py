@@ -690,9 +690,9 @@ def count_grid_evaluations(monkeypatch, modules):
 
     points = []
 
-    def counting(pm, x, cache=None):
+    def counting(pm, x):
         points.append(x)
-        return eval_poly_matrix(pm, x, cache)
+        return eval_poly_matrix(pm, x)
 
     for module in modules:
         monkeypatch.setattr(module, "eval_poly_matrix", counting)

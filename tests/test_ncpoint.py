@@ -364,9 +364,9 @@ def test_check_nc_axioms_skips_where_the_evaluator_finds_the_point_outside(
         evaluated.append(p)
         return realize.eval_direct(r, p)
 
-    def counting(pm, x, cache=None):
+    def counting(pm, x):
         grid_points.append(x)
-        return eval_poly_matrix(pm, x, cache)
+        return eval_poly_matrix(pm, x)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(realize, "eval_poly_matrix", counting)

@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_column_data, random_rect_realization
+from freeholo.approx import ORDER_CAP, choose_truncation
 from freeholo.errors import (
     GramMismatch,
     OutsideDomain,
+    RankOverflow,
     ShapeMismatch,
+    TermBlowup,
 )
 from freeholo.freepoly import (
     FreePoly,
@@ -19,13 +24,17 @@ from freeholo.freepoly import (
 from freeholo.mat import isometry_defect, op_norm
 from freeholo.model import ModelSampleSet, model_from_realization, model_residual
 from freeholo.realize import (
+    NEUMANN_TERM_CAP,
+    PAD_CAP,
     Realization,
     corona_solve,
     eval_direct,
     eval_neumann,
     fit_lurking_isometry,
+    geometric_tail,
     resolvent_leg,
     stack_column,
+    tail_order,
 )
 from freeholo.sampling import (
     haar_isometry,
@@ -148,6 +157,80 @@ def test_neumann_zero_point():
     assert res.value[0, 0] == pytest.approx(0.3)
 
 
+# (r0, tol, k) where comparing r0**(k+2) with tol*(1-r0) stops one order
+# early: the bound r0**(k+2)/(1-r0) it would report rounds above tol
+ROUNDING_BOUNDARY = [
+    (0.6170811798068087, 0.003031694978827545, 13),
+    (0.3823576754849779, 0.013231589374084685, 4),
+    (0.43756521837275997, 3.4094344512214066e-15, 40),
+]
+
+
+@pytest.mark.parametrize("r0, tol, k", ROUNDING_BOUNDARY)
+def test_neumann_bound_within_tol_at_rounding_boundary(r0, tol, k):
+    res = eval_neumann(mobius(0.5), GradedPoint.scalars([r0]), tol=tol)
+    assert res.bound <= tol
+    assert res.k == tail_order(r0, tol, NEUMANN_TERM_CAP) == k
+    assert res.bound == geometric_tail(r0, k)
+    assert choose_truncation(tol, 1.0 / r0) == k
+
+
+@st.composite
+def shrinks_and_tols(draw):
+    """A shrink t = 1/q with q in (0, 0.99], and a tol in [1e-15, 1).
+
+    Half the tols sit on a rounding boundary: ``geometric_tail(q, k)`` for
+    some k or one of its two float neighbours.
+    """
+    t = 1.0 / draw(st.floats(1e-12, 0.99))
+    q = 1.0 / t
+    if draw(st.booleans()):
+        return t, draw(st.floats(1e-15, 1.0, exclude_max=True))
+    k = draw(st.integers(0, math.ceil(math.log(1e-15) / math.log(q))))
+    tol = geometric_tail(q, k)
+    tol = draw(st.sampled_from([np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0)]))
+    assume(1e-15 <= tol < 1.0)
+    return t, float(tol)
+
+
+@given(shrinks_and_tols())
+@settings(max_examples=80, deadline=None)
+def test_tail_order_is_minimal_and_shared(case):
+    t, tol = case
+    q = 1.0 / t
+    k = tail_order(q, tol, NEUMANN_TERM_CAP)
+    assert geometric_tail(q, k) <= tol
+    assert k == 0 or geometric_tail(q, k - 1) > tol
+    # |D| = 0.999 keeps every term clear of underflow, so no sum stops early
+    res = eval_neumann(mobius(0.999), GradedPoint.scalars([q]), tol=tol)
+    assert (res.k, res.bound) == (k, geometric_tail(q, k))
+    assert choose_truncation(tol, t) == k
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
+def test_tail_rule_rejects_bad_tol(tol):
+    with pytest.raises(ValueError):
+        eval_neumann(mobius(0.5), GradedPoint.scalars([0.3]), tol=tol)
+    with pytest.raises(ValueError):
+        choose_truncation(tol, 2.0)
+    with pytest.raises(ValueError):
+        choose_truncation(tol, float("inf"))
+
+
+def test_tail_order_caps():
+    q = 1.0 - 1e-4
+    k = tail_order(q, 1e-2, NEUMANN_TERM_CAP)
+    assert ORDER_CAP < k <= NEUMANN_TERM_CAP
+    with pytest.raises(TermBlowup):
+        tail_order(q, 1e-2, k - 1)
+    assert tail_order(q, 1e-2, k) == k
+    with pytest.raises(TermBlowup):
+        choose_truncation(1e-2, 1.0 / q)
+    with pytest.raises(TermBlowup):
+        eval_neumann(mobius(0.5), GradedPoint.scalars([q]), tol=1e-300)
+    assert tail_order(0.0, 1e-2, 0) == 0
+
+
 def disk_points(seed, levels, radius=0.85):
     rng = rng_from_seed(seed)
     pts = []
@@ -195,6 +278,21 @@ def test_fit_no_holdout_uses_all_points():
     fit = fit_lurking_isometry(model_from_realization(r, pts), holdout=False)
     assert fit.holdout_indices == ()
     assert fit.holdout_deviation is None
+
+
+@pytest.mark.parametrize("k1, passes", [(PAD_CAP + 1, True), (PAD_CAP + 2, False)])
+def test_fit_pad_cap(k1, passes):
+    # mult 1 over a 1x1 grid needs k1 - k2 padded columns
+    x = GradedPoint.scalars([0.5])
+    s = ModelSampleSet(
+        UNIT_DISK, [x], [np.zeros((k1, 1))], [np.zeros((1, 1))], [np.zeros((1, 1))],
+        h_dim=1, k1_dim=k1, k2_dim=1, mult=1,
+    )
+    if passes:
+        assert fit_lurking_isometry(s).padded_cols == PAD_CAP
+    else:
+        with pytest.raises(RankOverflow, match=f"needs {PAD_CAP + 1} padded"):
+            fit_lurking_isometry(s)
 
 
 def test_fit_multi_variable():
@@ -326,7 +424,7 @@ def dense_reference(r, x):
 
 def a_priori_order(r0, tol):
     k = 0
-    while r0 ** (k + 2) > tol * (1.0 - r0):
+    while r0 ** (k + 2) / (1.0 - r0) > tol:
         k += 1
     return k
 

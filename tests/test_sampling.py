@@ -83,9 +83,9 @@ def test_point_inside_gdelta_evaluates_each_candidate_once(monkeypatch):
                        [FreePoly.letter(2, 2), FreePoly.letter(2, 1) * FreePoly.letter(2, 2)]])
     calls = []
 
-    def counting(pm, x, cache=None):
+    def counting(pm, x):
         calls.append(x.n)
-        return eval_poly_matrix(pm, x, cache)
+        return eval_poly_matrix(pm, x)
 
     for seed, n in ((30, 1), (31, 3), (32, 6)):
         want, norms = shrink_until_inside(rng_from_seed(seed), grid, n, 0.2)
@@ -111,10 +111,10 @@ def test_points_inside_gdelta_matches_single_draws(monkeypatch):
     loop = [shrink_until_inside(rng, grid, n, sampling.DEFAULT_MARGIN)[0] for n in levels]
     zero_tests = []
 
-    def counting(pm, x, cache=None):
+    def counting(pm, x):
         if not any(np.any(m) for m in x.mats):
             zero_tests.append(x)
-        return eval_poly_matrix(pm, x, cache)
+        return eval_poly_matrix(pm, x)
 
     monkeypatch.setattr(sampling, "eval_poly_matrix", counting)
     rng = rng_from_seed(33)
@@ -141,6 +141,36 @@ def test_point_in_shrunk_domain():
     for n in (1, 3):
         x = point_in_shrunk_domain(rng, UNIT_DISK, n, t)
         assert op_norm(eval_poly_matrix(UNIT_DISK, x)) <= 1.0 / t
+
+
+def own_shrink_loop(rng, delta, n, t):
+    """The loop point_in_shrunk_domain ran on its own: 80 shrinks, ``<=``."""
+    target = (1.0 / t) * 0.999
+    zero = GradedPoint([np.zeros((1, 1))] * delta.d)
+    if op_norm(eval_poly_matrix(delta, zero)) > max(target, 1e-12):
+        raise AssertionError("constant term outside")
+    for _ in range(200):
+        x = sampling.random_graded_point(rng, delta.d, n)
+        for _ in range(80):
+            if op_norm(eval_poly_matrix(delta, x)) <= target:
+                return x
+            x = GradedPoint([0.7 * m for m in x.mats])
+    raise AssertionError("no point found")
+
+
+def test_point_in_shrunk_domain_matches_own_loop():
+    x1, x2 = FreePoly.letter(2, 1), FreePoly.letter(2, 2)
+    grid = PolyMatrix([[0.5 * x1, 0.5 * x2], [0.3 * x2, 0.3 * (x1 * x2)]])
+    for delta in (UNIT_DISK, grid):
+        for seed in range(6):
+            for t in (1.05, 2.0, 30.0, 1e4):
+                rng_old, rng_new = rng_from_seed(seed), rng_from_seed(seed)
+                for n in (1, 2, 3):
+                    want = own_shrink_loop(rng_old, delta, n, t)
+                    got = point_in_shrunk_domain(rng_new, delta, n, t)
+                    for a, b in zip(got.mats, want.mats):
+                        np.testing.assert_array_equal(a, b)
+                assert rng_new.standard_normal() == rng_old.standard_normal()
 
 
 def test_random_realization_isometric():
