@@ -35,7 +35,7 @@ from .errors import (
 from .exprlang import eval_expr, parse, print_expr
 from .freepoly import GradedPoint, MatrixPoly
 from .jsonio import SCHEMA_VERSION
-from .mat import matrix_to_json, op_norm
+from .mat import json_int, matrix_to_json, op_norm
 from .realize import TENSOR_CONVENTION
 
 _INPUT_ERRORS = (SchemaError, ExprSyntaxError, UnknownVariable)
@@ -244,7 +244,7 @@ def _cmd_corona(args) -> dict:
     try:
         delta = jsonio.decode("polymatrix", payload["delta"])
         epsilon = float(payload["epsilon"])
-        mult = int(payload["mult"])
+        mult = json_int(payload["mult"], "mult")
         points = [jsonio.decode("gradedpoint", p) for p in payload["points"]]
         psis = [
             [jsonio.decode("cmatrix", m) for m in row]
@@ -302,9 +302,9 @@ def _cmd_derive(args) -> dict:
     }
 
 
-def _sampled_bound(f, delta, seed: int, trials: int = 200) -> float:
+def _sampled_bound(f, delta, seed: int) -> float:
     rng = sampling.rng_from_seed(seed)
-    levels = [1 + (i % 3) for i in range(trials)]
+    levels = [1 + (i % 3) for i in range(200)]
     worst = 0.0
     for x in sampling.points_inside_gdelta(rng, delta, levels):
         worst = max(worst, op_norm(f(x)))

@@ -9,6 +9,8 @@ Grammar (whitespace insignificant)::
 Numbers are decimal literals with an optional exponent part and an optional
 trailing ``i`` marking a pure imaginary value, e.g. ``2``, ``0.5``, ``2.5i``,
 ``1e-3``. Variables are ``x1 .. xd`` for a declared variable count d.
+Digits are ASCII ``0-9`` only, and a literal must be finite: one that
+overflows a float (``1e999``) is a syntax error.
 
 The printer emits a canonical form: "+" and "*" chains left associated,
 parentheses only where the grammar forces them, constants rendered as
@@ -20,6 +22,8 @@ structurally for every tree the parser itself can produce.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,63 +91,33 @@ class Inv:
 
 # -- tokenizer ----------------------------------------------------------------
 
-_PUNCT = {"+", "-", "*", "(", ")"}
+# One alternative per token kind; whitespace matches no group and is
+# skipped, and any other character is "bad". Digits are ASCII only.
+_TOKEN = re.compile(
+    r"(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?i?)"
+    r"|x(?P<var>[0-9]+)|(?P<inv>inv)|(?P<punct>[-+*()])|\s+|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 def _tokenize(src: str):
     """Yield (kind, value, offset) triples; kinds: num, var, inv, punct."""
     tokens = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(("punct", ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            if j < n and src[j] == ".":
-                j += 1
-                while j < n and src[j].isdigit():
-                    j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            text = src[i:j]
-            imaginary = j < n and src[j] == "i"
-            if imaginary:
-                j += 1
-            try:
-                value = float(text)
-            except ValueError:
-                raise ExprSyntaxError(f"bad number literal {text!r}", i) from None
+    for m in _TOKEN.finditer(src):
+        kind, text, i = m.lastgroup, m[0], m.start()
+        if kind == "num":
+            imaginary = text.endswith("i")
+            value = float(text[:-1] if imaginary else text)
+            if math.isinf(value):
+                raise ExprSyntaxError(f"number literal {text!r} out of range", i)
             tokens.append(("num", value * 1j if imaginary else complex(value), i))
-            i = j
-            continue
-        if ch == "x" and i + 1 < n and src[i + 1].isdigit():
-            j = i + 1
-            while j < n and src[j].isdigit():
-                j += 1
-            tokens.append(("var", int(src[i + 1 : j]), i))
-            i = j
-            continue
-        if src.startswith("inv", i):
-            tokens.append(("inv", "inv", i))
-            i += 3
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, n))
+        elif kind == "var":
+            tokens.append(("var", int(m["var"]), i))
+        elif kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {text!r}", i)
+        elif kind is not None:
+            tokens.append((kind, text, i))
+    tokens.append(("end", None, len(src)))
     return tokens
 
 
@@ -241,13 +215,13 @@ def _fmt_float(v: float) -> str:
 
 
 def _fmt_const(c: complex) -> str:
-    re, im = c.real, c.imag
+    real, im = c.real, c.imag
     if im == 0.0:
-        return _fmt_float(re)
-    if re == 0.0:
+        return _fmt_float(real)
+    if real == 0.0:
         return _fmt_float(im) + "i"
     # mixed constants have no literal form; render as a parenthesized sum
-    lhs = _fmt_float(re)
+    lhs = _fmt_float(real)
     rhs = _fmt_float(abs(im)) + "i"
     op = "+" if im > 0 else "-"
     return f"({lhs} {op} {rhs})"

@@ -30,7 +30,7 @@ import functools
 import numpy as np
 
 from .errors import ShapeMismatch
-from .mat import matrix_from_json, matrix_to_json, op_norm
+from .mat import json_int, matrix_from_json, matrix_to_json, op_norm
 
 Word = tuple  # tuple[int, ...], letters are 1-based
 
@@ -115,7 +115,7 @@ class GradedPoint:
     def from_json(cls, obj) -> "GradedPoint":
         mats = [matrix_from_json(m) for m in obj["mats"]]
         pt = cls(mats)
-        if pt.d != int(obj["d"]) or pt.n != int(obj["n"]):
+        if pt.d != json_int(obj["d"], "d") or pt.n != json_int(obj["n"], "n"):
             raise ShapeMismatch("graded point header disagrees with matrix data")
         return pt
 
@@ -123,8 +123,8 @@ class GradedPoint:
 def _word_values(x: GradedPoint):
     """Memo of word values at one point, keyed by word prefix.
 
-    Returns ``value(w)`` for a checked word tuple ``w``; each value is the
-    same product, in the same order, that :func:`eval_word` forms. The memo
+    Returns ``value(w)`` for a checked word tuple ``w``, the product of the
+    point matrices along ``w`` taken left to right from ``I_n``. The memo
     holds no reference cycle, so its matrices are freed with the call that
     made it.
     """
@@ -132,19 +132,17 @@ def _word_values(x: GradedPoint):
 
 
 def _word_value(table: dict, mats, w) -> np.ndarray:
-    val = table.get(w)
-    if val is None:
-        val = table[w] = _word_value(table, mats, w[:-1]) @ mats[w[-1] - 1]
-    return val
+    k = len(w)
+    while w[:k] not in table:  # longest memoized prefix, without recursion
+        k -= 1
+    for j in range(k, len(w)):
+        table[w[: j + 1]] = table[w[:j]] @ mats[w[j] - 1]
+    return table[w]
 
 
 def eval_word(word, x: GradedPoint) -> np.ndarray:
     """Product of point matrices along the word; the empty word gives I_n."""
-    w = _check_word(word, x.d)
-    out = np.eye(x.n, dtype=np.complex128)
-    for letter in w:
-        out = out @ x.mats[letter - 1]
-    return out
+    return _word_values(x)(_check_word(word, x.d))
 
 
 class FreePoly:
@@ -312,11 +310,11 @@ class FreePoly:
 
     @classmethod
     def from_json(cls, obj) -> "FreePoly":
-        d = int(obj["d"])
+        d = json_int(obj["d"], "d")
         terms = {}
         for t in obj["terms"]:
             re, im = t["coeff"]
-            w = tuple(int(i) for i in t["word"])
+            w = tuple(json_int(i, "word letter") for i in t["word"])
             terms[w] = terms.get(w, 0j) + complex(re, im)
         return cls(d, terms)
 
@@ -421,8 +419,8 @@ class PolyMatrix:
     @classmethod
     def from_json(cls, obj) -> "PolyMatrix":
         entries = [[FreePoly.from_json(p) for p in row] for row in obj["entries"]]
-        pm = cls(entries, d=int(obj.get("d", 1)))
-        if pm.rows != int(obj["rows"]) or pm.cols != int(obj["cols"]):
+        pm = cls(entries, d=json_int(obj.get("d", 1), "d"))
+        if pm.rows != json_int(obj["rows"], "rows") or pm.cols != json_int(obj["cols"], "cols"):
             raise ShapeMismatch("polynomial grid header disagrees with entries")
         return pm
 
@@ -750,7 +748,8 @@ class MatrixPoly:
     @classmethod
     def from_json(cls, obj) -> "MatrixPoly":
         terms = {
-            tuple(int(i) for i in t["word"]): matrix_from_json(t["coeff"])
+            tuple(json_int(i, "word letter") for i in t["word"]): matrix_from_json(t["coeff"])
             for t in obj["terms"]
         }
-        return cls(int(obj["d"]), int(obj["out_dim"]), int(obj["in_dim"]), terms)
+        dims = [json_int(obj[key], key) for key in ("d", "out_dim", "in_dim")]
+        return cls(*dims, terms)

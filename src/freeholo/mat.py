@@ -33,6 +33,14 @@ def as_array(m) -> np.ndarray:
     return a
 
 
+def json_int(value, name: str) -> int:
+    """An integer field of decoded JSON; ``ValueError`` unless ``value`` is
+    an ``int`` other than a ``bool`` (so ``1.9``, ``true`` and ``"2"`` fail)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def matrix_to_json(a) -> dict:
     """Row-major ``{"rows", "cols", "data": [[re, im], ...]}``.
 
@@ -57,7 +65,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     ValueError
         If an entry is NaN or infinite.
     """
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = json_int(obj["rows"], "rows"), json_int(obj["cols"], "cols")
     data = obj["data"]
     if len(data) != rows * cols:
         raise ShapeMismatch(f"data length {len(data)} does not match {rows}x{cols}")

@@ -125,18 +125,17 @@ class ModelSampleSet:
         }
 
     @classmethod
-    def from_json(cls, obj, verify_membership=True) -> "ModelSampleSet":
+    def from_json(cls, obj) -> "ModelSampleSet":
         return cls(
             delta=PolyMatrix.from_json(obj["delta"]),
             points=[GradedPoint.from_json(p) for p in obj["points"]],
             psi=[mat.matrix_from_json(v) for v in obj["psi"]],
             phi=[mat.matrix_from_json(v) for v in obj["phi"]],
             u=[mat.matrix_from_json(v) for v in obj["u"]],
-            h_dim=int(obj["h_dim"]),
-            k1_dim=int(obj["k1_dim"]),
-            k2_dim=int(obj["k2_dim"]),
-            mult=int(obj["mult"]),
-            verify_membership=verify_membership,
+            h_dim=mat.json_int(obj["h_dim"], "h_dim"),
+            k1_dim=mat.json_int(obj["k1_dim"], "k1_dim"),
+            k2_dim=mat.json_int(obj["k2_dim"], "k2_dim"),
+            mult=mat.json_int(obj["mult"], "mult"),
         )
 
 

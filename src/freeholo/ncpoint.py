@@ -15,6 +15,7 @@ sampling-based checker for the direct-sum and similarity axioms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +79,18 @@ def conjugate(x: GradedPoint, s) -> GradedPoint:
     s = mat.as_array(s)
     if s.shape != (x.n, x.n):
         raise ShapeMismatch("similarity size must match the point level")
-    s_inv = mat.inv(s)
+    return _conjugate(x, s, mat.inv(s))
+
+
+def _conjugate(x: GradedPoint, s: np.ndarray, s_inv: np.ndarray) -> GradedPoint:
     return GradedPoint([s_inv @ m @ s for m in x.mats])
+
+
+def _widened(left: np.ndarray, right: np.ndarray, dims) -> tuple:
+    """``(left (x) I_out, right (x) I_in)``, level matrices widened to act
+    on values of ``dims = (input_dim, output_dim)``."""
+    h_dim, k_dim = dims
+    return np.kron(left, np.eye(k_dim)), np.kron(right, np.eye(h_dim))
 
 
 def is_scalar_tuple(x: GradedPoint, tol: float = 1e-12) -> bool:
@@ -164,8 +175,7 @@ def extend_function(f_on_blocks, w: SimilarityWitness, dims: tuple[int, int] = (
     stacked = values[0]
     for v in values[1:]:
         stacked = mat.direct_sum(stacked, v)
-    s_in = np.kron(w.s, np.eye(h_dim))
-    s_out_inv = np.kron(mat.inv(w.s), np.eye(k_dim))
+    s_out_inv, s_in = _widened(mat.inv(w.s), w.s, dims)
     return s_out_inv @ stacked @ s_in
 
 
@@ -192,15 +202,12 @@ def triangular_identity_deviation(f, n_point, m_point, c, dims=(1, 1)) -> float:
     predicted block form. Zero (to rounding) for free functions."""
     c = mat.as_array(c)
     val = mat.as_array(f(upper_triangular_pair(n_point, m_point, c)))
-    predicted = _triangular_form(mat.as_array(f(n_point)), mat.as_array(f(m_point)), c, dims)
-    return _deviation(val, predicted)
+    fn, fm = mat.as_array(f(n_point)), mat.as_array(f(m_point))
+    return _deviation(val, _triangular_form(fn, fm, *_widened(c, c, dims)))
 
 
-def _triangular_form(fn, fm, c, dims) -> np.ndarray:
-    """``[[fn, fn C - C fm], [0, fm]]`` with C widened by ``dims``."""
-    h_dim, k_dim = dims
-    c_in = np.kron(c, np.eye(h_dim))
-    c_out = np.kron(c, np.eye(k_dim))
+def _triangular_form(fn, fm, c_out, c_in) -> np.ndarray:
+    """``[[fn, fn C - C fm], [0, fm]]`` with C widened to ``c_out``, ``c_in``."""
     corner = fn @ c_in - c_out @ fm
     zeros = np.zeros((fm.shape[0], fn.shape[1]), dtype=np.complex128)
     return np.block([[fn, corner], [zeros, fm]])
@@ -291,10 +298,13 @@ def check_nc_axioms(
         are all skipped.
     sims : sequence of array_like
         Invertible matrices; each is applied to every sample of matching
-        level for the similarity check.
+        level for the similarity check. Its condition number and inverse
+        are taken once, at its first such sample; an exactly singular one
+        is skipped there and at every later match.
     couplings : sequence of array_like
         Coupling blocks for the triangular identity; square ones of matching
-        level are used (defaults to the identity coupling when empty).
+        level are used (defaults to the identity coupling when empty). Each
+        is normed and widened once.
     domain : callable, optional
         Predicate on GradedPoint. Combined, conjugated or triangular points
         that fail it are skipped, not failed, and ``f`` is not evaluated
@@ -309,17 +319,34 @@ def check_nc_axioms(
         Normalized deviation threshold for ``passed``.
     """
     samples = list(samples)
-    h_dim, k_dim = dims
+    sims = [mat.as_array(s) for s in sims]
+    # without couplings, the identity coupling at each sample level
+    pool = [mat.as_array(c) for c in couplings] or [
+        np.eye(n, dtype=np.complex128) for n in sorted({x.n for x in samples})
+    ]
     inside = (lambda p: True) if domain is None else domain
     checks = skipped = 0
     ds_dev = sim_dev = tri_dev = 0.0
-    values = {}
 
-    def value(i):
-        # f at samples[i], evaluated once and only when a check needs it
-        if i not in values:
-            values[i] = mat.as_array(f(samples[i]))
-        return values[i]
+    # f at samples[i], evaluated once and only when a check needs it
+    value = functools.cache(lambda i: mat.as_array(f(samples[i])))
+
+    @functools.cache
+    def similarity(k):
+        # (kappa, s^-1 and the widened factors) of sims[k], or None when it
+        # is exactly singular; built at its first sample of matching level
+        s = sims[k]
+        kappa = mat.cond(s)
+        if not np.isfinite(kappa):
+            return None
+        s_inv = mat.inv(s)
+        return (kappa, s_inv) + _widened(s_inv, s, dims)
+
+    @functools.cache
+    def coupling(k):
+        # the widened pool[k] and its weight, at its first checked pair
+        c = pool[k]
+        return _widened(c, c, dims) + (max(1.0, (1.0 + mat.op_norm(c)) ** 2),)
 
     def combined_value(p):
         # f at a combined point, or None when p is outside the domain
@@ -336,47 +363,41 @@ def check_nc_axioms(
             if fz is None:
                 skipped += 1
                 continue
-            fx, fy = value(i), value(j)
-            predicted = mat.direct_sum(fx, fy)
+            predicted = mat.direct_sum(value(i), value(j))
             ds_dev = max(ds_dev, _deviation(fz, predicted, predicted))
             checks += 1
 
     for i, x in enumerate(samples):
-        for s in sims:
-            s = mat.as_array(s)
+        for k, s in enumerate(sims):
             if s.shape != (x.n, x.n):
                 continue
-            kappa = mat.cond(s)
-            if not np.isfinite(kappa):
+            form = similarity(k)
+            if form is None:
                 skipped += 1
                 continue
-            fy = combined_value(conjugate(x, s))
+            kappa, s_inv, s_out_inv, s_in = form
+            fy = combined_value(_conjugate(x, s, s_inv))
             if fy is None:
                 skipped += 1
                 continue
             fx = value(i)
-            s_in = np.kron(s, np.eye(h_dim))
-            s_out_inv = np.kron(mat.inv(s), np.eye(k_dim))
-            predicted = s_out_inv @ fx @ s_in
-            sim_dev = max(sim_dev, _deviation(fy, predicted, fx, kappa))
+            sim_dev = max(sim_dev, _deviation(fy, s_out_inv @ fx @ s_in, fx, kappa))
             checks += 1
 
-    pool = list(couplings) if len(couplings) else [None]
     for i, x in enumerate(samples):
         for j, y in enumerate(samples):
             if x.n != y.n:
                 continue
-            for c in pool:
-                c_arr = np.eye(x.n, dtype=np.complex128) if c is None else mat.as_array(c)
-                if c_arr.shape != (x.n, y.n):
+            for k, c in enumerate(pool):
+                if c.shape != (x.n, y.n):
                     continue
-                fz = combined_value(upper_triangular_pair(x, y, c_arr))
+                fz = combined_value(upper_triangular_pair(x, y, c))
                 if fz is None:
                     skipped += 1
                     continue
-                predicted = _triangular_form(value(i), value(j), c_arr, dims)
-                scale = max(1.0, (1.0 + mat.op_norm(c_arr)) ** 2)
-                tri_dev = max(tri_dev, _deviation(fz, predicted, weight=scale))
+                c_out, c_in, weight = coupling(k)
+                predicted = _triangular_form(value(i), value(j), c_out, c_in)
+                tri_dev = max(tri_dev, _deviation(fz, predicted, weight=weight))
                 checks += 1
 
     return NcAxiomReport(

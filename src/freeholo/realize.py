@@ -140,9 +140,9 @@ class Realization:
     def from_json(cls, obj) -> "Realization":
         return cls(
             delta=PolyMatrix.from_json(obj["delta"]),
-            dim_k1=int(obj["dimK1"]),
-            dim_k2=int(obj["dimK2"]),
-            mult=int(obj["mult"]),
+            dim_k1=mat.json_int(obj["dimK1"], "dimK1"),
+            dim_k2=mat.json_int(obj["dimK2"], "dimK2"),
+            mult=mat.json_int(obj["mult"], "mult"),
             j1=mat.matrix_from_json(obj["J1"]),
         )
 
@@ -208,24 +208,23 @@ class _Kernel:
         v = np.linalg.solve(np.eye(size) - d_delta, self.c_tilde())
         return self.value(self.delta(v)), v
 
-    def series(self, k_plan: int) -> tuple[np.ndarray, int, bool]:
-        """Sum the terms ``Delta (D~ Delta)^k C~`` for k = 0, ..., k_plan.
+    def series(self, k: int) -> np.ndarray:
+        """Sum the terms ``Delta (D~ Delta)^j C~`` for j = 0, ..., k.
 
-        Returns ``(sum, k_used, exact)``; ``exact`` means term ``k_used + 1``
-        vanished, so every later term does too. Each term costs one
-        blockwise product with D and one GEMM with delta(x), both into
-        buffers reused across terms.
+        Adding stops at an all-zero term, since every later term is then
+        exactly zero as well. Each term costs one blockwise product with D
+        and one GEMM with delta(x), both into buffers reused across terms.
         """
         bufs = promoted_apply_buffers(self.dx, self.n, self.r.mult, self.n * self.r.dim_k1)
         term = self.delta(self.c_tilde(), bufs)
         total = term.copy()
         fed = np.empty((self.r.block_d.shape[0] * self.n, term.shape[1]), dtype=np.complex128)
-        for k in range(1, k_plan + 1):
+        for _ in range(k):
             self.delta(self.block(self.r.block_d, term, out=fed), bufs)
             if not np.any(term):
-                return total, k - 1, True
+                break
             total += term
-        return total, k_plan, False
+        return total
 
 
 def resolvent_leg(r: Realization, x: GradedPoint) -> np.ndarray:
@@ -312,11 +311,12 @@ def eval_neumann(r: Realization, x: GradedPoint, tol: float = 1e-8) -> NeumannRe
     ``tail_order(r0, tol, NEUMANN_TERM_CAP)``, the smallest nonnegative
     order whose reported bound is at most ``tol``, so ``bound <= tol``
     holds by construction. The bound is a proof under exact arithmetic;
-    rounding in the summed terms is not included. If a power of the loop
-    operator vanishes exactly (nilpotent feedback, e.g. D = 0) the sum
-    stops early and the reported bound is zero. A ``tol`` that is not
-    positive and finite raises ``ValueError``; more than
-    ``NEUMANN_TERM_CAP`` terms raise :class:`TermBlowup`.
+    rounding in the summed terms is not included. When D = 0 every term
+    after the first vanishes, so the tail has ratio 0: K = 0 and the bound
+    is zero. A computed term can also vanish by underflow, which proves
+    nothing, so K and the bound never depend on the computed terms. A
+    ``tol`` that is not positive and finite raises ``ValueError``; more
+    than ``NEUMANN_TERM_CAP`` terms raise :class:`TermBlowup`.
 
     The terms ``Delta (D~ Delta)^k C~`` are summed first and ``B~`` is
     applied once. Each term costs one blockwise product with D and one GEMM
@@ -325,10 +325,9 @@ def eval_neumann(r: Realization, x: GradedPoint, tol: float = 1e-8) -> NeumannRe
     test.
     """
     ker = _Kernel(r, x)
-    k_plan = tail_order(ker.r0, tol, NEUMANN_TERM_CAP)
-    total, k_used, exact = ker.series(k_plan)
-    bound = 0.0 if exact else geometric_tail(ker.r0, k_used)
-    return NeumannResult(value=ker.value(total), k=k_used, bound=bound)
+    q = ker.r0 if np.any(r.block_d) else 0.0
+    k = tail_order(q, tol, NEUMANN_TERM_CAP)
+    return NeumannResult(value=ker.value(ker.series(k)), k=k, bound=geometric_tail(q, k))
 
 
 # -- fitting -----------------------------------------------------------------
@@ -558,7 +557,6 @@ def corona_solve(
     u,
     mult: int,
     floor_slack: float = 1e-9,
-    gram_rtol: float = 1e-6,
 ) -> CoronaSolution:
     """Solve the finite-data corona problem at coercivity level ``epsilon``.
 
@@ -613,7 +611,7 @@ def corona_solve(
         k2_dim=1,
         mult=mult,
     )
-    fit = fit_lurking_isometry(sample, gram_rtol=gram_rtol, holdout=False)
+    fit = fit_lurking_isometry(sample, holdout=False)
     worst = 0.0
     for x, col in zip(points, columns):
         lhs = eval_direct(fit.realization, x) @ col

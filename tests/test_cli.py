@@ -186,7 +186,7 @@ def test_fit_gram_mismatch_exits_1(tmp_path, capsys):
     assert rep["error"]["deviation"] > 1e-3
 
 
-def test_corona_cmd(tmp_path, capsys):
+def corona_payload():
     lam = 1.0
     c = lam * lam / (1.0 + lam * lam)
     eps = lam / np.sqrt(1.0 + lam * lam)
@@ -212,7 +212,7 @@ def test_corona_cmd(tmp_path, capsys):
             for i in range(mult)
         ]
         us.append(stack_column(blocks))
-    payload = {
+    return {
         "delta": UNIT_DISK.to_json(),
         "epsilon": eps,
         "mult": mult,
@@ -220,12 +220,67 @@ def test_corona_cmd(tmp_path, capsys):
         "psis": [matrices_json(row) for row in psis],
         "u": matrices_json(us),
     }
+
+
+def test_corona_cmd(tmp_path, capsys):
+    payload = corona_payload()
     inp = write(tmp_path, "corona.json", payload)
     code, rep, _ = run(["corona", "--input", inp], capsys)
     assert code == 0
-    assert rep["norm_bound"] == pytest.approx(1.0 / eps, rel=1e-12)
+    assert rep["norm_bound"] == pytest.approx(1.0 / payload["epsilon"], rel=1e-12)
     assert rep["identity_residual"] < 1e-6
     assert rep["functions"] == 2
+
+
+# (input file, path to an integer field in it, a non-integer value)
+INTEGER_FIELDS = [
+    ("delta", ("entries", 0, 0, "terms", 0, "word", 0), 1.9),
+    ("delta", ("entries", 0, 0, "d"), 1.0),
+    ("delta", ("rows",), True),
+    ("delta", ("d",), "1"),
+    ("point", ("n",), 1.0),
+    ("point", ("d",), True),
+    ("point", ("mats", 0, "cols"), "1"),
+    ("realization", ("dimK1",), 1.0),
+    ("realization", ("dimK2",), True),
+    ("realization", ("mult",), 1.0),
+    ("samples", ("h_dim",), 1.0),
+    ("samples", ("k1_dim",), True),
+    ("samples", ("k2_dim",), "1"),
+    ("samples", ("mult",), 1.0),
+    ("corona", ("mult",), 16.0),
+]
+
+
+@pytest.mark.parametrize("name, path, bad", INTEGER_FIELDS)
+def test_integer_fields_must_be_json_integers(tmp_path, capsys, name, path, bad):
+    # int() would read each of these as an integer and exit 0
+    payloads = {
+        "delta": UNIT_DISK.to_json(),
+        "point": GradedPoint.scalars([0.5]).to_json(),
+        "realization": mobius(0.5).to_json(),
+        "samples": json.loads(open(fit_samples(tmp_path)).read()),
+        "corona": corona_payload(),
+    }
+    node = payloads[name]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bad
+    f = {key: write(tmp_path, key + ".json", payload) for key, payload in payloads.items()}
+    member = ["member", "--delta", f["delta"], "--point", f["point"]]
+    argv = {
+        "delta": member,
+        "point": member,
+        "realization": ["derive", "--realization", f["realization"],
+                        "--point", f["point"], "--direction", f["point"]],
+        "samples": ["model-residual", "--samples", f["samples"]],
+        "corona": ["corona", "--input", f["corona"]],
+    }[name]
+    code = cli.main(argv)
+    error = strict_loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    assert error["type"] == "SchemaError"
+    assert f"must be an integer, got {bad!r}" in error["message"]
 
 
 def test_approx_cmd(tmp_path, capsys):
@@ -352,6 +407,17 @@ def test_syntax_error_exits_2(tmp_path, capsys):
     assert code == 2
     assert rep["error"]["type"] == "ExprSyntaxError"
     assert rep["error"]["offset"] == 5
+
+
+@pytest.mark.parametrize("expr", ["x²", "1e999"])
+def test_unlexable_literal_exits_2(tmp_path, capsys, expr):
+    # a non-ASCII digit and an overflowing literal are syntax errors
+    point = write(tmp_path, "p.json", GradedPoint.scalars([1.0]).to_json())
+    code = cli.main(["eval", "--expr", expr, "--vars", "1", "--point", point])
+    error = strict_loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    assert error["type"] == "ExprSyntaxError"
+    assert error["offset"] == 0
 
 
 def test_unknown_variable_exits_2(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graded, random_parser_ast
 from freeholo.errors import (
@@ -61,6 +63,11 @@ def test_number_forms():
     assert parse("2.5i", 1) == Const(2.5j)
     assert parse("1e-3", 1) == Const(1e-3 + 0.0j)
     assert parse("1.5E+2", 1) == Const(150.0 + 0.0j)
+    assert parse("1.", 1) == Const(1.0 + 0.0j)
+    assert parse(".5", 1) == Const(0.5 + 0.0j)
+    assert parse("x12", 12) == Var(12)
+    # any Unicode whitespace separates tokens, here a tab and an NBSP
+    assert parse("x1\t*\xa0x1", 1) == Mul(Var(1), Var(1))
 
 
 def test_unary_minus():
@@ -80,6 +87,52 @@ def test_syntax_error_offsets():
         parse("", 2)
     with pytest.raises(ExprSyntaxError):
         parse("x1 $ x2", 2)
+    # "invx1" lexes as inv then x1; "1e" as 1 then a stray e
+    for src, offset in [("invx1", 3), ("1e", 1), ("x", 0)]:
+        with pytest.raises(ExprSyntaxError) as ei:
+            parse(src, 1)
+        assert ei.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "src, offset, message",
+    [
+        ("x²", 0, "unexpected character 'x'"),
+        ("8i7٣", 3, "unexpected character '٣'"),
+        ("²", 0, "unexpected character '²'"),
+        ("1e999", 0, "number literal '1e999' out of range"),
+        ("x1 + 1e999i", 5, "number literal '1e999i' out of range"),
+    ],
+)
+def test_non_ascii_digits_and_overflowing_literals(src, offset, message):
+    # digits are ASCII only and a literal must be a finite float
+    with pytest.raises(ExprSyntaxError) as ei:
+        parse(src, 1)
+    assert ei.value.offset == offset
+    assert message in str(ei.value)
+
+
+# pieces of the token grammar plus characters that look like its digits
+GRAMMAR_TEXT = st.lists(
+    st.sampled_from(
+        ["x", "1", "2", "07", ".", "e", "E", "+", "-", "*", "(", ")", "i", "inv",
+         " ", "\t", "\xa0", "²", "٣", "e308", "e-400", "e999"]
+    ),
+    max_size=24,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(src=st.one_of(st.text(), GRAMMAR_TEXT))
+@example(src="x²")
+@example(src="8i7٣")
+@example(src="1e999i")
+def test_parse_raises_syntax_error_or_round_trips(src):
+    try:
+        t = parse(src, 2)
+    except ExprSyntaxError:
+        return
+    assert parse(print_expr(t), 2) == t
 
 
 def test_unknown_variable():

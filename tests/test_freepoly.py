@@ -69,6 +69,20 @@ def test_empty_word_is_identity():
     np.testing.assert_array_equal(eval_word((), p), np.eye(3))
 
 
+def test_long_words_evaluate_without_recursion():
+    # words longer than the interpreter's recursion limit, each value the
+    # left-to-right product of its letters; unitary letters keep it O(1)
+    c, s = np.cos(0.3), np.sin(0.3)
+    p = GradedPoint([np.array([[c, -s], [s, c]]), np.diag([1j, -1.0])])
+    word = (1, 2) * 1500
+    want = np.eye(2, dtype=complex)
+    for letter in word:
+        want = want @ p.mats[letter - 1]
+    np.testing.assert_array_equal(eval_word(word, p), want)
+    poly = FreePoly(2, {word: 1.0, word[:2]: 2.0})
+    np.testing.assert_array_equal(eval_poly(poly, p), want + 2.0 * p.mats[0] @ p.mats[1])
+
+
 def test_product_expansion():
     p = (x(1) + x(2)) * (x(1) - x(2))
     assert p.terms == {

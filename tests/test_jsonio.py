@@ -63,6 +63,14 @@ def test_malformed_payloads():
         decode("nosuchkind", {})
     with pytest.raises(SchemaError):
         decode("freepoly", {"d": 1, "terms": "oops"})
+    term = {"coeff": matrix_to_json(np.eye(1)), "word": [1]}
+    mp = {"d": 1, "out_dim": 1, "in_dim": 1, "terms": [term]}
+    decode("matrixpoly", mp)
+    for key, bad in [("d", 1.0), ("out_dim", True), ("in_dim", "1")]:
+        with pytest.raises(SchemaError, match="must be an integer"):
+            decode("matrixpoly", {**mp, key: bad})
+    with pytest.raises(SchemaError, match="word letter must be an integer"):
+        decode("matrixpoly", {**mp, "terms": [{**term, "word": [1.0]}]})
 
 
 def test_all_registered_kinds_roundtrip():

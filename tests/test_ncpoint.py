@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freeholo import realize, sampling
-from freeholo.errors import OutsideDomain, ShapeMismatch
+from freeholo.errors import OutsideDomain, ShapeMismatch, SingularMatrix
 from freeholo.freepoly import FreePoly, GradedPoint, PolyMatrix, eval_poly, eval_poly_matrix
 from freeholo.mat import cond, direct_sum, inv, op_norm
 from freeholo.ncpoint import (
@@ -392,3 +392,40 @@ def test_check_nc_axioms_outside_sample_propagates():
 
     with pytest.raises(OutsideDomain):
         check_nc_axioms(f, [sample])
+
+
+def test_check_nc_axioms_prepares_each_similarity_and_coupling_once(monkeypatch):
+    from freeholo import mat
+
+    calls = {"cond": [], "inv": [], "op_norm": []}
+    for name in calls:
+        def counting(m, _real=getattr(mat, name), _seen=calls[name]):
+            _seen.append(m)
+            return _real(m)
+
+        monkeypatch.setattr(mat, name, counting)
+
+    def f(pt):
+        return eval_poly(X1 * X2 + X2, pt)
+
+    rng = np.random.default_rng(70)
+    samples = [random_point(71, 2, 1), random_point(72, 2, 2), random_point(73, 2, 2)]
+    s1, s2, s3 = (np.eye(n) + 0.2 * rng.standard_normal((n, n)) + 0j for n in (1, 2, 3))
+    singular = np.zeros((2, 2), dtype=complex)
+    couplings = [rng.standard_normal((n, n)) + 0j for n in (1, 2)]
+    rep = check_nc_axioms(f, samples, sims=[s1, s2, s3, singular], couplings=couplings)
+    assert rep.passed
+
+    def count(name, m):
+        return sum(a is m for a in calls[name])
+
+    # s3 matches no sample and is never touched; the singular one is
+    # skipped at both level-2 samples without an inversion
+    assert [count("cond", s) for s in (s1, s2, s3, singular)] == [1, 1, 0, 1]
+    assert [count("inv", s) for s in (s1, s2, s3, singular)] == [1, 1, 0, 0]
+    assert [count("op_norm", c) for c in couplings] == [1, 1]
+    assert rep.skipped == 2
+
+    near_singular = np.diag([1.0, 1e-14]) + 0j
+    with pytest.raises(SingularMatrix):
+        check_nc_axioms(f, samples, sims=[near_singular])

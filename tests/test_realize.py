@@ -175,6 +175,18 @@ def test_neumann_bound_within_tol_at_rounding_boundary(r0, tol, k):
     assert choose_truncation(tol, 1.0 / r0) == k
 
 
+def test_neumann_bound_ignores_underflowed_terms():
+    # the series terms underflow to exact zeros before term 1028, but the
+    # exact tail after term 1027 is still above tol
+    x = GradedPoint.scalars([1.0 / 1.032258064516129])
+    r0, tol = 0.96875, 2.074938565007775e-13
+    assert op_norm(x.mats[0]) == r0
+    res = eval_neumann(mobius(0.5), x, tol=tol)
+    assert res.k == 1028
+    assert res.bound == geometric_tail(r0, 1028) == 2.0100967348512822e-13
+    assert res.bound <= tol
+
+
 @st.composite
 def shrinks_and_tols(draw):
     """A shrink t = 1/q with q in (0, 0.99], and a tol in [1e-15, 1).
