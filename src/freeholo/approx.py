@@ -25,6 +25,7 @@ from .freepoly import (
     PolyMatrix,
     _promoted_grid,
     eval_poly_matrix,
+    graded_sum,
 )
 from .realize import Realization, geometric_tail, tail_order
 
@@ -119,26 +120,6 @@ def _kept(stack: np.ndarray, order: int) -> np.ndarray:
     return peak >= EPS_COEFF
 
 
-def _graded_unique(rows: np.ndarray) -> tuple:
-    """Distinct words among word rows ``[length, letters..., 0...]``.
-
-    Returns the index of each distinct word's first row, in graded
-    lexicographic order of the words, and the group of every row. Rows are
-    compared letter by letter, so no word code can overflow.
-    """
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    start = np.ones(len(rows), dtype=bool)
-    start[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    group = np.empty(len(rows), dtype=np.int64)
-    group[order] = np.cumsum(start) - 1
-    return order[start], group
-
-
-def _padded(rows: np.ndarray, width: int) -> np.ndarray:
-    return np.pad(rows, ((0, 0), (0, width - rows.shape[1])))
-
-
 def _concat(u_rows: np.ndarray, w_rows: np.ndarray) -> np.ndarray:
     """Word rows of ``u + w`` for every pair, u-major."""
     n_u, n_w = len(u_rows), len(w_rows)
@@ -149,21 +130,6 @@ def _concat(u_rows: np.ndarray, w_rows: np.ndarray) -> np.ndarray:
         out[i, :, 1 : 1 + length] = letters[:length]
         out[i, :, 1 + length : 1 + length + w_width] = w_rows[:, 1:]
     return out.reshape(n_u * n_w, out.shape[2])
-
-
-def _merge(rows_a, stack_a, rows_b, stack_b) -> tuple:
-    """Union of two word sets with summed coefficients, in graded order.
-
-    A word in both gets ``a + b``; a word only in b gets ``0 + b``, which
-    turns a ``-0.0`` entry into ``0.0`` as accumulating into a dict did.
-    """
-    width = max(rows_a.shape[1], rows_b.shape[1])
-    rows = np.concatenate((_padded(rows_a, width), _padded(rows_b, width)))
-    first, group = _graded_unique(rows)
-    out = np.zeros((len(first),) + stack_a.shape[1:], dtype=np.complex128)
-    out[group[: len(rows_a)]] = stack_a
-    out[group[len(rows_a) :]] += stack_b
-    return rows[first], out
 
 
 def expand_polynomial(r: Realization, k: int, term_cap: int = 10**6) -> MatrixPoly:
@@ -187,9 +153,11 @@ def expand_polynomial(r: Realization, k: int, term_cap: int = 10**6) -> MatrixPo
     ``(m, rows, cols)`` coefficient stack, in graded lexicographic order.
     ``B leg_j`` and ``D leg_j`` are one batched product each, and
     ``Delta_u (D leg_j)`` is one broadcast product over all (u, w) pairs.
-    Equal words ``u + w`` merge in u-major order (u in graded order), each
-    starting from its first contribution; a word new to ``acc`` is added to
-    zero.
+    :func:`freeholo.freepoly.graded_sum` merges equal words, each from its
+    first contribution: ``u + w`` in u-major order (u in graded order), and
+    ``acc`` before ``B leg_j``. A word new to ``acc`` thus starts from its
+    ``B leg_j`` coefficient, not from ``0 + B leg_j``; the two differ at
+    most in the sign of an exact zero.
 
     The purge points are those of the word-by-word recursion: a word whose
     coefficient entries all stay under ``EPS_COEFF`` in modulus is dropped
@@ -210,11 +178,7 @@ def expand_polynomial(r: Realization, k: int, term_cap: int = 10**6) -> MatrixPo
         else np.zeros(m.shape, dtype=np.complex128)
         for m in (r.block_a, r.block_b, r.block_c, r.block_d)
     )
-    u_words = grid.words()
-    u_rows = np.zeros((len(u_words), 1 + max(map(len, u_words), default=0)), dtype=np.int64)
-    for i, u in enumerate(u_words):
-        u_rows[i, : 1 + len(u)] = (len(u), *u)
-    delta = grid.stack
+    u_rows, delta = grid.rows, grid.stack
 
     acc = a[None]
     keep = _kept(acc, 0)
@@ -225,7 +189,9 @@ def expand_polynomial(r: Realization, k: int, term_cap: int = 10**6) -> MatrixPo
     for j in range(k + 1):
         b_leg = b @ leg
         keep = _kept(b_leg, j)
-        acc_rows, acc = _merge(acc_rows, acc, leg_rows[keep], b_leg[keep])
+        pad = ((0, 0), (0, leg_rows.shape[1] - acc_rows.shape[1]))  # acc rows are never wider
+        rows = np.concatenate((np.pad(acc_rows, pad), leg_rows[keep]))
+        acc_rows, acc = graded_sum(rows, np.concatenate((acc, b_leg[keep])))
         keep = _kept(acc, j)
         acc_rows, acc = acc_rows[keep], acc[keep]
         if len(acc) > term_cap:
@@ -238,15 +204,10 @@ def expand_polynomial(r: Realization, k: int, term_cap: int = 10**6) -> MatrixPo
         keep = _kept(d_leg, j + 1)
         rows = _concat(u_rows, leg_rows[keep])
         prods = (delta[:, None] @ d_leg[keep][None]).reshape((len(rows),) + leg.shape[1:])
-        first, group = _graded_unique(rows)
-        leg = prods[first]
-        rest = np.ones(len(rows), dtype=bool)
-        rest[first] = False
-        np.add.at(leg, group[rest], prods[rest])
+        leg_rows, leg = graded_sum(rows, prods)
         keep = _kept(leg, j + 1)
-        leg_rows, leg = rows[first][keep], leg[keep]
-    words = [tuple(row[1 : 1 + row[0]]) for row in acc_rows.tolist()]
-    return MatrixPoly(r.delta.d, a.shape[0], a.shape[1], dict(zip(words, acc)))
+        leg_rows, leg = leg_rows[keep], leg[keep]
+    return MatrixPoly.from_rows(r.delta.d, acc_rows, acc)
 
 
 def in_dictionary_hull(x: GradedPoint, sample, dictionary) -> bool:

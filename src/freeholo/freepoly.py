@@ -3,15 +3,14 @@
 A word is a tuple of 1-based letters, e.g. ``(1, 2, 1)`` stands for
 ``x1 x2 x1``. A ``FreePoly`` is a finite complex combination of words in
 ``d`` variables; evaluation substitutes a tuple of n-by-n matrices for the
-variables, at every matrix size n ("level"). ``PolyMatrix`` is a rectangular
-grid of free polynomials evaluated blockwise, and ``MatrixPoly`` attaches a
-matrix coefficient to each word. ``MatrixPoly`` is a value type without ring
-arithmetic, held as its words in graded lexicographic order and one stack of
-their coefficients: the truncated realization series that produces one is
-expanded over such graded arrays in :mod:`freeholo.approx`, the promoted
+variables, at every matrix size n >= 1 ("level"). ``PolyMatrix`` is a
+rectangular grid of free polynomials evaluated blockwise, and ``MatrixPoly``
+attaches a matrix coefficient to each word. ``MatrixPoly`` is a value type
+without ring arithmetic, held as word rows ``[length, letters..., 0...]``
+and one coefficient stack put in graded normal form by :func:`graded_sum`,
+which the series expansion in :mod:`freeholo.approx` uses too. The promoted
 grid it multiplies by has one definition, :func:`_promoted_grid`, and
-:meth:`MatrixPoly.json_text` writes the indented JSON report text straight
-from the stack.
+:meth:`MatrixPoly.json_text` writes the JSON report text from the stack.
 
 Evaluation layout conventions, fixed once and for all:
 
@@ -43,6 +42,28 @@ def graded_lex_key(word):
     return (len(word), word)
 
 
+def graded_sum(rows: np.ndarray, stack: np.ndarray) -> tuple:
+    """Distinct words among word rows ``[length, letters..., 0...]``, summed.
+
+    Returns the distinct rows in graded lexicographic order (the order of
+    :func:`graded_lex_key`) and a new coefficient stack: each word's
+    coefficient is its first row's plus its later rows' in row order. Rows
+    are compared letter by letter, so no word code can overflow.
+    """
+    order = np.lexsort(rows.T[::-1])  # stable: a group lists its rows in row order
+    ordered = rows[order]
+    start = np.ones(len(rows), dtype=bool)
+    start[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = order[start]
+    group = np.empty(len(rows), dtype=np.int64)
+    group[order] = np.cumsum(start) - 1
+    rest = np.ones(len(rows), dtype=bool)
+    rest[first] = False
+    out = stack[first]
+    np.add.at(out, group[rest], stack[rest])
+    return rows[first], out
+
+
 def _check_word(word, d):
     w = tuple(int(i) for i in word)
     for letter in w:
@@ -67,7 +88,9 @@ class GradedPoint:
                 n = a.shape[0]
             elif a.shape[0] != n:
                 raise ShapeMismatch("graded point entries must share one size")
-            if a.size and not np.all(np.isfinite(a)):
+            if not a.size:
+                raise ValueError("graded point level must be at least 1")
+            if not np.all(np.isfinite(a)):
                 raise ValueError("graded point entries must be finite")
             a.setflags(write=False)
             arrays.append(a)
@@ -469,9 +492,8 @@ def _promoted_grid(pm: PolyMatrix, mult: int) -> "MatrixPoly":
     :func:`freeholo.approx.expand_polynomial` expands the series over its
     terms.
     """
-    eye = np.eye(mult)
-    terms = {w: np.kron(eye, c) for w, c in MatrixPoly.from_poly_matrix(pm).terms.items()}
-    return MatrixPoly(pm.d, mult * pm.rows, mult * pm.cols, terms)
+    grid = MatrixPoly.from_poly_matrix(pm)
+    return MatrixPoly.from_rows(pm.d, grid.rows, np.kron(np.eye(mult)[None], grid.stack))
 
 
 def promoted_apply_buffers(dx: np.ndarray, n: int, mult: int, q: int) -> tuple:
@@ -575,54 +597,69 @@ class MatrixPoly:
 
     The value at a graded point is ``sum_w kron(w(x), C_w)`` with the level
     index outer, matching operator-valued evaluation elsewhere. A value
-    type without arithmetic, kept in graded layout: the words in graded
-    lexicographic order (:func:`graded_lex_key`) and their coefficients as
-    one read-only ``(m, out_dim, in_dim)`` stack in the same order, which
-    :attr:`terms` hands out as views.
+    type without arithmetic, held as read-only word rows :attr:`rows` in
+    graded lexicographic order and their read-only ``(m, out_dim, in_dim)``
+    coefficient :attr:`stack`; :meth:`words` and :attr:`terms` (views of
+    the stack) are built from them when read.
 
-    The constructor validates in one vectorised pass: words and shapes are
-    checked, duplicate words are summed, a NaN or infinite coefficient entry
-    raises ``ValueError`` (as :func:`freeholo.mat.matrix_from_json` does),
-    and a word whose coefficient entries all stay under ``EPS_COEFF`` in
-    modulus is dropped. The rest is queries, evaluation, and the JSON and
-    grid codecs.
+    The constructor (a word-to-coefficient dict) and :meth:`from_rows`
+    validate and normalise alike: a letter outside 1..d or a NaN or
+    infinite coefficient entry raises ``ValueError`` (as
+    :func:`freeholo.mat.matrix_from_json` does), :func:`graded_sum` merges
+    duplicate words, and a word whose coefficient entries all stay under
+    ``EPS_COEFF`` in modulus is dropped.
     """
 
-    __slots__ = ("_d", "_out_dim", "_in_dim", "_words", "_stack", "_terms")
+    __slots__ = ("_d", "_rows", "_stack")
 
     def __init__(self, d: int, out_dim: int, in_dim: int, terms=None):
         terms = terms or {}
-        words = [tuple(map(int, w)) for w in terms]
-        letters = set().union(*words)
-        if letters and (min(letters) < 1 or max(letters) > d):
-            bad = next(i for w in words for i in w if not 1 <= i <= d)
-            raise ValueError(f"letter {bad} outside 1..{d}")
+        # checked in Python first: a letter past int64 cannot enter a row
+        words = [_check_word(w, d) for w in terms]
         shape = (out_dim, in_dim)
         coeffs = [np.asarray(c, dtype=np.complex128) for c in terms.values()]
         for w, c in zip(words, coeffs):
             if c.shape != shape:
                 raise ShapeMismatch(f"coefficient for {w} has shape {c.shape}, want {shape}")
+        rows = np.zeros((len(words), 1 + max(map(len, words), default=0)), dtype=np.int64)
+        for i, w in enumerate(words):
+            rows[i, : 1 + len(w)] = (len(w), *w)
         stack = np.stack(coeffs) if coeffs else np.empty((0,) + shape, dtype=np.complex128)
+        self._normalise(d, rows, stack)
+
+    @classmethod
+    def from_rows(cls, d: int, rows, stack) -> "MatrixPoly":
+        """The polynomial with word rows ``rows`` and coefficient ``stack``.
+
+        Rows ``[length, letters..., 0...]`` and a ``(len(rows), out_dim,
+        in_dim)`` stack are validated and normalised as by the constructor.
+        """
+        self = object.__new__(cls)
+        self._normalise(d, rows, stack)
+        return self
+
+    def _normalise(self, d, rows, stack):
+        rows = np.asarray(rows, dtype=np.int64)
+        stack = np.asarray(stack, dtype=np.complex128)
+        if rows.ndim != 2 or rows.shape[1] < 1 or stack.ndim != 3 or len(rows) != len(stack):
+            raise ShapeMismatch("need 2-d word rows and a 3-d stack of one coefficient each")
+        length, letters = rows[:, 0], rows[:, 1:]
+        used = np.arange(letters.shape[1]) < length[:, None]
+        bad = letters[used & ((letters < 1) | (letters > d))]
+        if bad.size:
+            raise ValueError(f"letter {bad[0]} outside 1..{d}")
+        if (length < 0).any() or (length > letters.shape[1]).any() or letters[~used].any():
+            raise ValueError("word rows must read [length, letters..., 0...]")
         if not np.isfinite(stack).all():
             raise ValueError("matrix polynomial coefficients must be finite")
-        keys = [graded_lex_key(w) for w in words]
-        order = sorted(range(len(words)), key=keys.__getitem__)
-        words = [words[i] for i in order]
-        stack = stack[order]
-        starts = [i for i in range(len(words)) if i == 0 or words[i] != words[i - 1]]
-        if len(starts) < len(words):
-            stack = np.add.reduceat(stack, starts, axis=0)
-            words = [words[i] for i in starts]
+        rows, stack = graded_sum(rows, stack)
         keep = np.abs(stack).max(axis=(1, 2), initial=0.0) >= EPS_COEFF
-        stack = stack[keep]
+        rows, stack = rows[keep], stack[keep]
+        rows.setflags(write=False)
         stack.setflags(write=False)
-        words = tuple(w for w, kept in zip(words, keep.tolist()) if kept)
         object.__setattr__(self, "_d", int(d))
-        object.__setattr__(self, "_out_dim", int(out_dim))
-        object.__setattr__(self, "_in_dim", int(in_dim))
-        object.__setattr__(self, "_words", words)
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "_terms", dict(zip(words, stack)))
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixPoly is immutable")
@@ -633,76 +670,77 @@ class MatrixPoly:
 
     @property
     def out_dim(self):
-        return self._out_dim
+        return self._stack.shape[1]
 
     @property
     def in_dim(self):
-        return self._in_dim
+        return self._stack.shape[2]
 
     @property
     def terms(self):
-        return dict(self._terms)
+        return dict(zip(self.words(), self._stack))
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The read-only word rows ``[length, letters..., 0...]``, graded."""
+        return self._rows
 
     @property
     def stack(self) -> np.ndarray:
-        """The read-only coefficient stack, one slice per word of :meth:`words`."""
+        """The read-only coefficient stack, one slice per row of :attr:`rows`."""
         return self._stack
 
     def term_count(self) -> int:
-        return len(self._words)
+        return len(self._rows)
 
     def degree(self) -> int:
-        return len(self._words[-1]) if self._words else -1
+        return int(self._rows[-1, 0]) if len(self._rows) else -1
 
     def words(self):
         """The words in graded lexicographic order."""
-        return list(self._words)
+        return [tuple(r[1 : 1 + r[0]]) for r in self._rows.tolist()]
 
     def eval(self, x: GradedPoint) -> np.ndarray:
         if x.d != self._d:
             raise ShapeMismatch("variable counts differ")
         word = _word_values(x)
-        out = np.zeros(
-            (x.n * self._out_dim, x.n * self._in_dim), dtype=np.complex128
-        )
-        for w, c in zip(self._words, self._stack):
+        out = np.zeros((x.n * self.out_dim, x.n * self.in_dim), dtype=np.complex128)
+        for w, c in zip(self.words(), self._stack):
             out += np.kron(word(w), c)
         return out
 
     def to_poly_matrix(self) -> PolyMatrix:
         """Entrywise view: grid entry (i, j) collects coefficient (i, j) per word."""
+        terms = self.terms
         grids = [
             [
                 FreePoly(
                     self._d,
-                    {w: c[i, j] for w, c in self._terms.items() if abs(c[i, j]) >= EPS_COEFF},
+                    {w: c[i, j] for w, c in terms.items() if abs(c[i, j]) >= EPS_COEFF},
                 )
-                for j in range(self._in_dim)
+                for j in range(self.in_dim)
             ]
-            for i in range(self._out_dim)
+            for i in range(self.out_dim)
         ]
         return PolyMatrix(grids, d=self._d)
 
     @classmethod
     def from_poly_matrix(cls, pm: PolyMatrix) -> "MatrixPoly":
         terms = {}
-        for i in range(pm.rows):
-            for j in range(pm.cols):
-                for w, c in pm.entries[i][j].terms.items():
-                    mat = terms.setdefault(
-                        w, np.zeros((pm.rows, pm.cols), dtype=np.complex128)
-                    )
-                    mat[i, j] += c
+        for i, row in enumerate(pm.entries):
+            for j, p in enumerate(row):
+                for w, c in p.terms.items():
+                    terms.setdefault(w, np.zeros((pm.rows, pm.cols), np.complex128))[i, j] += c
         return cls(pm.d, pm.rows, pm.cols, terms)
 
     def to_json(self) -> dict:
         return {
             "d": self._d,
-            "out_dim": self._out_dim,
-            "in_dim": self._in_dim,
+            "out_dim": self.out_dim,
+            "in_dim": self.in_dim,
             "terms": [
                 {"word": list(w), "coeff": matrix_to_json(c)}
-                for w, c in zip(self._words, self._stack)
+                for w, c in zip(self.words(), self._stack)
             ],
         }
 
@@ -726,22 +764,22 @@ class MatrixPoly:
 
         entry = "[" + nl(6) + "%r," + nl(6) + "%r" + nl(5) + "]"
         coeff = (
-            "{" + nl(4) + f'"cols": {self._in_dim},'
-            + nl(4) + '"data": ' + listing([entry] * (self._out_dim * self._in_dim), 4) + ","
-            + nl(4) + f'"rows": {self._out_dim}' + nl(3) + "}"
+            "{" + nl(4) + f'"cols": {self.in_dim},'
+            + nl(4) + '"data": ' + listing([entry] * (self.out_dim * self.in_dim), 4) + ","
+            + nl(4) + f'"rows": {self.out_dim}' + nl(3) + "}"
         )
+        words = self.words()
         templates = {
             length: "{" + nl(3) + '"coeff": ' + coeff + ","
             + nl(3) + '"word": ' + listing(["%d"] * length, 3) + nl(2) + "}"
-            for length in {len(w) for w in self._words}
+            for length in {len(w) for w in words}
         }
-        m = len(self._words)
-        values = self._stack.view(np.float64).reshape(m, 2 * self._out_dim * self._in_dim)
-        terms = [templates[len(w)] % (*v, *w) for w, v in zip(self._words, values.tolist())]
+        values = self._stack.view(np.float64).reshape(len(words), 2 * self.out_dim * self.in_dim)
+        terms = [templates[len(w)] % (*v, *w) for w, v in zip(words, values.tolist())]
         return (
             "{" + nl(1) + f'"d": {self._d},'
-            + nl(1) + f'"in_dim": {self._in_dim},'
-            + nl(1) + f'"out_dim": {self._out_dim},'
+            + nl(1) + f'"in_dim": {self.in_dim},'
+            + nl(1) + f'"out_dim": {self.out_dim},'
             + nl(1) + '"terms": ' + listing(terms, 1) + nl(0) + "}"
         )
 

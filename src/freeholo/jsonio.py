@@ -58,9 +58,3 @@ def load_list(kind: str, path: str):
     if not isinstance(payload, list):
         raise SchemaError(f"{path} must hold a JSON array of {kind} objects")
     return [decode(kind, item) for item in payload]
-
-
-def dump(obj, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")

@@ -17,8 +17,9 @@ levels are never compared; the identity only constrains same-level pairs.
 The promoted Delta is the meaning of the identity, not what is computed:
 ``model_residual`` applies it once per sample through
 ``freepoly.promoted_apply`` and checks all pairs of a level with a few
-batched products and SVDs (see its docstring). ``eval_poly_matrix_promoted``
-remains the dense reference, exposed as ``ModelSampleSet.promoted_delta_at``.
+batched products and SVDs (see its docstring).
+``freepoly.eval_poly_matrix_promoted`` remains the dense reference that
+tests compare against.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .freepoly import (
     GradedPoint,
     PolyMatrix,
     eval_poly_matrix,
-    eval_poly_matrix_promoted,
     promoted_apply,
 )
 from .ncpoint import in_gdelta
@@ -107,9 +107,6 @@ class ModelSampleSet:
 
     def __len__(self):
         return len(self.points)
-
-    def promoted_delta_at(self, idx: int) -> np.ndarray:
-        return eval_poly_matrix_promoted(self.delta, self.points[idx], self.mult)
 
     def to_json(self) -> dict:
         return {
@@ -190,7 +187,7 @@ def diagonal_floor(s: ModelSampleSet) -> float:
     return float(floor)
 
 
-def model_from_realization(r, points, psi=None, delta=None) -> ModelSampleSet:
+def model_from_realization(r, points, psi=None) -> ModelSampleSet:
     """Sample a realization into model data with a machine-scale residual.
 
     For each point the model column is ``u(x) = v(x) psi(x)`` where ``v`` is
@@ -199,14 +196,9 @@ def model_from_realization(r, points, psi=None, delta=None) -> ModelSampleSet:
     ``psi=None`` the identity column data is used (h_dim = k1_dim). The
     solve certifies membership with ``DEFAULT_MARGIN``, so the sample set
     does not test it again.
-
-    ``delta`` is accepted for interface symmetry and must equal the grid the
-    realization was built on.
     """
     from .realize import _Kernel
 
-    if delta is not None and delta != r.delta:
-        raise ShapeMismatch("explicit delta disagrees with the realization's grid")
     points = list(points)
     if psi is None:
         psi = [np.eye(x.n * r.dim_k1, dtype=np.complex128) for x in points]

@@ -54,7 +54,7 @@ from .freepoly import (
     promoted_apply,
     promoted_apply_buffers,
 )
-from .model import ModelSampleSet, model_residual
+from .model import ModelSampleSet
 from .ncpoint import DEFAULT_MARGIN, Membership
 
 # Layout contract for every tensor product in this module: the level index

@@ -249,6 +249,22 @@ def test_term_cap_raises_term_blowup():
         expand_polynomial(r, 4, term_cap=40)
 
 
+def test_expansion_constructs_one_matrix_poly(monkeypatch):
+    # only the grid's from_poly_matrix goes through the dict constructor; the
+    # promoted grid and the result are built from graded rows
+    calls = []
+    init = MatrixPoly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MatrixPoly, "__init__", counting_init)
+    r = random_rect_realization(np.random.default_rng(5), 2, 1, 1, 1, 2)
+    assert expand_polynomial(r, 4).term_count() == 364
+    assert len(calls) <= 1
+
+
 def assert_same_expansion(new, old):
     """Same words, coefficients within 1e-14 relative; True when bitwise equal."""
     assert new.words() == old.words()

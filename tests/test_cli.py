@@ -24,7 +24,7 @@ from freeholo.freepoly import (
     PolyMatrix,
     commutator_delta,
 )
-from freeholo.jsonio import SCHEMA_VERSION, dump
+from freeholo.jsonio import SCHEMA_VERSION
 from freeholo.mat import matrix_to_json
 from freeholo.model import model_from_realization
 from freeholo.realize import Realization, TENSOR_CONVENTION, stack_column
@@ -49,7 +49,7 @@ def run(argv, capsys):
 
 def write(tmp_path, name, payload):
     path = tmp_path / name
-    dump(payload, str(path))
+    path.write_text(json.dumps(payload))
     return str(path)
 
 
@@ -546,6 +546,30 @@ def test_corona_nonpositive_epsilon_exits_2(tmp_path, capsys, eps):
     code, _, raw = run(["corona", "--input", inp], capsys)
     assert code == 2
     assert strict_loads(raw)["error"]["type"] == "SchemaError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mero", "certify", "--expr", "1+x1", "--vars", "1", "--delta", "D", "--point", "P",
+         "--bound", "2"],
+        ["derive", "--realization", "R", "--point", "P", "--direction", "P"],
+        ["check-nc", "--realization", "R", "--samples", "S"],
+        ["eval", "--expr", "1+x1", "--vars", "1", "--point", "P"],
+    ],
+)
+def test_level_zero_point_exits_2(tmp_path, capsys, argv):
+    # a 0x0 point used to end in IndexError or ZeroDivisionError tracebacks
+    level0 = {"d": 1, "n": 0, "mats": [{"rows": 0, "cols": 0, "data": []}]}
+    paths = {
+        "D": write(tmp_path, "delta.json", UNIT_DISK.to_json()),
+        "P": write(tmp_path, "p.json", level0),
+        "R": write(tmp_path, "r.json", mobius(0.3).to_json()),
+        "S": write(tmp_path, "s.json", [level0]),
+    }
+    code, _, raw = run([paths.get(a, a) for a in argv], capsys)
+    assert code == 2
+    assert "level must be at least 1" in strict_loads(raw)["error"]["message"]
 
 
 def run_subprocess(argv):

@@ -284,6 +284,50 @@ def test_matrix_poly_json_roundtrip():
         np.testing.assert_array_equal(again.terms[w], mp.terms[w])
 
 
+def test_matrix_poly_from_rows_matches_dict_constructor():
+    # duplicate rows merge in row order: (1e16 - 1e16) + 1 is 1, not 0
+    rows = np.array([[2, 2, 1], [1, 1, 0], [2, 2, 1], [0, 0, 0], [2, 2, 1], [1, 2, 0]])
+    coeffs = [1e16, 2.0, -1e16, 3.0 - 0.5j, 1.0, 1e-16]
+    mp = MatrixPoly.from_rows(2, rows, np.array(coeffs).reshape(-1, 1, 1))
+    want = MatrixPoly(
+        2, 1, 1, {(2, 1): [[(1e16 - 1e16) + 1.0]], (1,): [[2.0]], (): [[3.0 - 0.5j]], (2,): [[1e-16]]}
+    )
+    assert mp.words() == want.words() == [(), (1,), (2, 1)]
+    assert mp.rows.tolist() == want.rows.tolist() == [[0, 0, 0], [1, 1, 0], [2, 2, 1]]
+    assert np.array_equal(mp.stack.view(np.int64), want.stack.view(np.int64))
+    assert mp.stack[2, 0, 0] == 1.0
+    for array in (mp.rows, mp.stack, want.rows, want.stack):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+@pytest.mark.parametrize(
+    "word, coeff, message",
+    [
+        ((1, 3), 1.0, "letter 3 outside 1..2"),
+        ((0, 1), 1.0, "letter 0 outside 1..2"),
+        ((2,), np.nan, "matrix polynomial coefficients must be finite"),
+        ((), np.inf, "matrix polynomial coefficients must be finite"),
+    ],
+)
+def test_matrix_poly_entry_points_reject_alike(word, coeff, message):
+    rows = np.array([[len(word), *word]])
+    with pytest.raises(ValueError) as by_dict:
+        MatrixPoly(2, 1, 1, {word: [[coeff]]})
+    with pytest.raises(ValueError) as by_rows:
+        MatrixPoly.from_rows(2, rows, [[[coeff]]])
+    assert str(by_dict.value) == str(by_rows.value) == message
+
+
+def test_matrix_poly_from_rows_rejects_malformed_rows():
+    for rows in ([[1, 1, 2]], [[3, 1, 1]], [[-1, 0, 0]]):
+        with pytest.raises(ValueError, match="word rows"):
+            MatrixPoly.from_rows(2, rows, [[[1.0]]])
+    with pytest.raises(ShapeMismatch):
+        MatrixPoly.from_rows(2, [[1, 1], [1, 2]], [[[1.0]]])
+
+
 def test_graded_point_validation():
     from freeholo.errors import ShapeMismatch
 
@@ -291,6 +335,8 @@ def test_graded_point_validation():
         GradedPoint([np.eye(2), np.eye(3)])
     with pytest.raises(ValueError):
         GradedPoint([])
+    with pytest.raises(ValueError, match="level must be at least 1"):
+        GradedPoint([np.zeros((0, 0))])
 
 
 def test_graded_point_json_roundtrip():

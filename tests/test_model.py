@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_column_data, random_graded, random_rect_realization
 from freeholo import model
 from freeholo.errors import OutsideDomain, ShapeMismatch
-from freeholo.freepoly import FreePoly, GradedPoint, PolyMatrix
+from freeholo.freepoly import FreePoly, GradedPoint, PolyMatrix, eval_poly_matrix_promoted
 from freeholo.jsonio import decode
 from freeholo.mat import op_norm
 from freeholo.model import (
@@ -112,18 +112,11 @@ def test_shape_validation():
         )
 
 
-def test_explicit_delta_must_match():
-    r = mobius(0.1)
-    other = PolyMatrix.from_poly(FreePoly.letter(1, 1).scale(0.5))
-    with pytest.raises(ShapeMismatch):
-        model_from_realization(r, disk_points([50], [1]), delta=other)
-
-
 def test_promoted_delta_shape():
     r = mobius(0.3)
     pts = disk_points([60], [3])
     s = model_from_realization(r, pts)
-    promoted = s.promoted_delta_at(0)
+    promoted = eval_poly_matrix_promoted(s.delta, s.points[0], s.mult)
     assert promoted.shape == (3, 3)
     np.testing.assert_allclose(promoted, pts[0].mats[0], atol=1e-14)
 
@@ -156,7 +149,7 @@ def test_model_from_realization_skips_second_membership_test(monkeypatch):
 
 def dense_model_residual(s):
     """The same-level pair loop with the dense promoted Delta of every sample."""
-    deltas = [s.promoted_delta_at(i) for i in range(len(s))]
+    deltas = [eval_poly_matrix_promoted(s.delta, x, s.mult) for x in s.points]
     worst = 0.0
     for i in range(len(s)):
         for j in range(len(s)):
