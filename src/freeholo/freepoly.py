@@ -3,14 +3,19 @@
 A word is a tuple of 1-based letters, e.g. ``(1, 2, 1)`` stands for
 ``x1 x2 x1``. A ``FreePoly`` is a finite complex combination of words in
 ``d`` variables; evaluation substitutes a tuple of n-by-n matrices for the
-variables, at every matrix size n >= 1 ("level"). ``PolyMatrix`` is a
-rectangular grid of free polynomials evaluated blockwise, and ``MatrixPoly``
-attaches a matrix coefficient to each word. ``MatrixPoly`` is a value type
-without ring arithmetic, held as word rows ``[length, letters..., 0...]``
-and one coefficient stack put in graded normal form by :func:`graded_sum`,
-which the series expansion in :mod:`freeholo.approx` uses too. The promoted
-grid it multiplies by has one definition, :func:`_promoted_grid`, and
+variables, at every matrix size n >= 1 ("level"). ``MatrixPoly``
+attaches a matrix coefficient to each word: a value type without ring
+arithmetic, held as word rows ``[length, letters..., 0...]`` and one
+coefficient stack put in graded normal form by :func:`graded_sum`, which
+the series expansion in :mod:`freeholo.approx` uses too.
 :meth:`MatrixPoly.json_text` writes the JSON report text from the stack.
+
+A ``PolyMatrix`` is a rectangular grid of free polynomials, the same object
+as ``delta = sum_w C_w w``, and it is held as exactly that: one
+``MatrixPoly`` (:attr:`PolyMatrix.coeffs`) with a rows-by-cols coefficient
+per word. Its ``FreePoly`` entries are a view built when read. Blockwise
+evaluation, direct sums, column padding and the promoted grid
+:func:`_promoted_grid` all read or place blocks on the coefficient stack.
 
 Evaluation layout conventions, fixed once and for all:
 
@@ -54,6 +59,8 @@ def graded_sum(rows: np.ndarray, stack: np.ndarray) -> tuple:
     ordered = rows[order]
     start = np.ones(len(rows), dtype=bool)
     start[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    if start.all():  # distinct words: only a reordering
+        return ordered, stack[order]
     first = order[start]
     group = np.empty(len(rows), dtype=np.int64)
     group[order] = np.cumsum(start) - 1
@@ -147,11 +154,14 @@ def _word_values(x: GradedPoint):
     """Memo of word values at one point, keyed by word prefix.
 
     Returns ``value(w)`` for a checked word tuple ``w``, the product of the
-    point matrices along ``w`` taken left to right from ``I_n``. The memo
-    holds no reference cycle, so its matrices are freed with the call that
-    made it.
+    point matrices along ``w`` taken left to right: ``I_n`` for the empty
+    word and the point's own read-only matrix for a letter. The memo holds
+    no reference cycle, so its matrices are freed with the call that made
+    it.
     """
-    return functools.partial(_word_value, {(): np.eye(x.n, dtype=np.complex128)}, x.mats)
+    table = {(i,): m for i, m in enumerate(x.mats, 1)}
+    table[()] = np.eye(x.n, dtype=np.complex128)
+    return functools.partial(_word_value, table, x.mats)
 
 
 def _word_value(table: dict, mats, w) -> np.ndarray:
@@ -290,36 +300,6 @@ class FreePoly:
         c = complex(c)
         return FreePoly(self._d, {w: c * v for w, v in self._terms.items()})
 
-    def compose_linear(self, coeffs, consts=None) -> "FreePoly":
-        """Substitute ``x_r -> sum_s coeffs[r][s] x_s + consts[r]``.
-
-        ``coeffs`` is a d-by-d array of complex numbers; ``consts`` an
-        optional length-d vector (defaults to zero). Handy for recentering
-        and rescaling domains.
-        """
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if coeffs.shape != (self._d, self._d):
-            raise ShapeMismatch("substitution matrix must be d-by-d")
-        if consts is None:
-            consts = np.zeros(self._d, dtype=np.complex128)
-        else:
-            consts = np.asarray(consts, dtype=np.complex128)
-        images = [
-            FreePoly(
-                self._d,
-                {(s + 1,): coeffs[r, s] for s in range(self._d)}
-                | ({(): consts[r]} if consts[r] else {}),
-            )
-            for r in range(self._d)
-        ]
-        out = FreePoly.zero(self._d)
-        for w, c in self._terms.items():
-            term = FreePoly.const(self._d, c)
-            for letter in w:
-                term = term * images[letter - 1]
-            out = out + term
-        return out
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -346,44 +326,52 @@ def eval_poly(p: FreePoly, x: GradedPoint) -> np.ndarray:
     """Evaluate ``p`` at the point, an n-by-n matrix."""
     if x.d != p.d:
         raise ShapeMismatch(f"point has {x.d} coordinates, polynomial wants {p.d}")
-    return _poly_at(p, x.n, _word_values(x))
-
-
-def _poly_at(p: FreePoly, n: int, word) -> np.ndarray:
-    """``sum_w c_w word(w)`` with word values from a :func:`_word_values` memo."""
-    out = np.zeros((n, n), dtype=np.complex128)
+    word = _word_values(x)
+    out = np.zeros((x.n, x.n), dtype=np.complex128)
     for w, c in p._terms.items():
         out = out + c * word(w)
     return out
 
 
 class PolyMatrix:
-    """Rectangular grid of free polynomials sharing one variable count."""
+    """Rectangular grid of free polynomials sharing one variable count.
 
-    __slots__ = ("_d", "_rows", "_cols", "_entries")
+    Held as one :class:`MatrixPoly`, the read-only :attr:`coeffs`: word w
+    carries the rows-by-cols matrix ``C_w`` whose entry (i, j) is the
+    coefficient of w in grid entry (i, j), so the grid is
+    ``delta = sum_w C_w w``. :attr:`entries`, a grid of ``FreePoly``, is
+    built from it when read. Equality compares word rows and stacks
+    exactly, and the hash maps ``-0.0`` to ``0.0`` as ``==`` does.
+    """
+
+    __slots__ = ("_coeffs",)
 
     def __init__(self, entries, d: int | None = None):
         grid = [list(row) for row in entries]
-        rows = len(grid)
-        cols = len(grid[0]) if rows else 0
-        for row in grid:
-            if len(row) != cols:
-                raise ShapeMismatch("ragged polynomial grid")
-            for p in row:
-                if not isinstance(p, FreePoly):
-                    raise TypeError("entries must be FreePoly")
+        rows, cols = len(grid), len(grid[0]) if grid else 0
+        if any(len(row) != cols for row in grid):
+            raise ShapeMismatch("ragged polynomial grid")
+        if not all(isinstance(p, FreePoly) for row in grid for p in row):
+            raise TypeError("entries must be FreePoly")
         if rows and cols:
             d = grid[0][0].d
-            for row in grid:
-                for p in row:
-                    if p.d != d:
-                        raise ShapeMismatch("entries disagree on variable count")
         elif d is None:
             raise ValueError("empty grid needs an explicit variable count")
-        object.__setattr__(self, "_d", int(d))
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_cols", cols)
-        object.__setattr__(self, "_entries", tuple(tuple(row) for row in grid))
+        terms = {}
+        for i, row in enumerate(grid):
+            for j, p in enumerate(row):
+                if p.d != d:
+                    raise ShapeMismatch("entries disagree on variable count")
+                for w, c in p._terms.items():
+                    terms.setdefault(w, np.zeros((rows, cols), dtype=np.complex128))[i, j] = c
+        object.__setattr__(self, "_coeffs", MatrixPoly(d, rows, cols, terms))
+
+    @classmethod
+    def _of(cls, coeffs: "MatrixPoly") -> "PolyMatrix":
+        """The grid whose coefficient form is ``coeffs``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_coeffs", coeffs)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
@@ -397,53 +385,60 @@ class PolyMatrix:
         return cls([[p] for p in polys])
 
     @property
+    def coeffs(self) -> "MatrixPoly":
+        """The grid as ``sum_w C_w w``: one rows-by-cols coefficient per word."""
+        return self._coeffs
+
+    @property
     def d(self):
-        return self._d
+        return self._coeffs.d
 
     @property
     def rows(self):
-        return self._rows
+        return self._coeffs.out_dim
 
     @property
     def cols(self):
-        return self._cols
+        return self._coeffs.in_dim
 
     @property
     def entries(self):
-        return self._entries
+        words, grid = self._coeffs.words(), self._coeffs.stack.transpose(1, 2, 0).tolist()
+        return tuple(
+            tuple(FreePoly(self.d, {w: c for w, c in zip(words, cs) if c}) for cs in row)
+            for row in grid
+        )
 
     def degree(self) -> int:
-        return max((p.degree() for row in self._entries for p in row), default=-1)
+        return self._coeffs.degree()
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return (
-            self._d == other._d
-            and self._rows == other._rows
-            and self._cols == other._cols
-            and self._entries == other._entries
-        )
+        a, b = self._coeffs, other._coeffs
+        return a.d == b.d and np.array_equal(a.rows, b.rows) and np.array_equal(a.stack, b.stack)
 
     def __hash__(self):
-        return hash((self._d, self._rows, self._cols, self._entries))
+        c = self._coeffs
+        return hash((c.d, c.stack.shape, c.rows.tobytes(), (c.stack + 0).tobytes()))
 
     def __repr__(self):
-        return f"PolyMatrix({self._rows}x{self._cols}, d={self._d})"
+        return f"PolyMatrix({self.rows}x{self.cols}, d={self.d})"
 
     def to_json(self) -> dict:
         return {
-            "rows": self._rows,
-            "cols": self._cols,
-            "d": self._d,
-            "entries": [[p.to_json() for p in row] for row in self._entries],
+            "rows": self.rows,
+            "cols": self.cols,
+            "d": self.d,
+            "entries": [[p.to_json() for p in row] for row in self.entries],
         }
 
     @classmethod
     def from_json(cls, obj) -> "PolyMatrix":
         entries = [[FreePoly.from_json(p) for p in row] for row in obj["entries"]]
-        pm = cls(entries, d=json_int(obj.get("d", 1), "d"))
-        if pm.rows != json_int(obj["rows"], "rows") or pm.cols != json_int(obj["cols"], "cols"):
+        header = (json_int(obj.get("d", 1), "d"), *(json_int(obj[k], k) for k in ("rows", "cols")))
+        pm = cls(entries, d=header[0])
+        if (pm.d, pm.rows, pm.cols) != header:
             raise ShapeMismatch("polynomial grid header disagrees with entries")
         return pm
 
@@ -451,20 +446,24 @@ class PolyMatrix:
 def eval_poly_matrix(pm: PolyMatrix, x: GradedPoint) -> np.ndarray:
     """Blockwise evaluation: an (rows*n)-by-(cols*n) matrix, grid index outer.
 
-    Block (i, j) equals entry (i, j) evaluated at the point, so the direct
-    sum of two grids evaluates to the exact block diagonal of the two values.
+    Block (i, j) equals entry (i, j) evaluated at the point: each nonzero
+    entry ``(C_w)_ij`` of the coefficient stack adds ``(C_w)_ij w(x)`` to
+    its block, in graded word order, and a zero entry adds nothing (not
+    even ``0 * inf`` where a word value has overflowed). The direct sum of
+    two grids therefore evaluates to the exact block diagonal of the two
+    values.
     """
     if x.d != pm.d:
         raise ShapeMismatch(f"point has {x.d} coordinates, grid wants {pm.d}")
-    n = x.n
-    word = _word_values(x)
-    out = np.zeros((pm.rows * n, pm.cols * n), dtype=np.complex128)
-    for i in range(pm.rows):
-        for j in range(pm.cols):
-            out[i * n : (i + 1) * n, j * n : (j + 1) * n] = _poly_at(
-                pm.entries[i][j], n, word
-            )
-    return out
+    n, word, words = x.n, _word_values(x), pm.coeffs.words()
+    out = np.zeros((pm.rows, n, pm.cols, n), dtype=np.complex128)
+    for i, row in enumerate(pm.coeffs.stack.transpose(1, 2, 0).tolist()):
+        for j, coeffs in enumerate(row):
+            block = out[i, :, j]
+            for w, c in zip(words, coeffs):
+                if c:
+                    block += c * word(w)
+    return out.reshape(pm.rows * n, pm.cols * n)
 
 
 def eval_poly_matrix_promoted(pm: PolyMatrix, x: GradedPoint, mult: int) -> np.ndarray:
@@ -486,13 +485,13 @@ def eval_poly_matrix_promoted(pm: PolyMatrix, x: GradedPoint, mult: int) -> np.n
 def _promoted_grid(pm: PolyMatrix, mult: int) -> "MatrixPoly":
     """The multiplicity-promoted grid ``{w: kron(I_mult, C_w)}``.
 
-    ``C_w`` is the rows-by-cols coefficient of word w in
-    :meth:`MatrixPoly.from_poly_matrix`. This is the one definition of the
-    promoted Delta: its value at x is :func:`eval_poly_matrix_promoted`, and
+    ``C_w`` is the rows-by-cols coefficient of word w in ``pm.coeffs``.
+    This is the one definition of the promoted Delta: its value at x is
+    :func:`eval_poly_matrix_promoted`, and
     :func:`freeholo.approx.expand_polynomial` expands the series over its
     terms.
     """
-    grid = MatrixPoly.from_poly_matrix(pm)
+    grid = pm.coeffs
     return MatrixPoly.from_rows(pm.d, grid.rows, np.kron(np.eye(mult)[None], grid.stack))
 
 
@@ -543,17 +542,24 @@ def promoted_apply(
 
 
 def delta_direct_sum(d1: PolyMatrix, d2: PolyMatrix) -> PolyMatrix:
-    """Block diagonal stack of two grids (membership becomes the conjunction)."""
+    """Block diagonal stack of two grids (membership becomes the conjunction).
+
+    The two coefficient stacks sit block-diagonally over the concatenated
+    word rows, and :func:`graded_sum` merges a word the grids share.
+    """
     if d1.d != d2.d:
         raise ShapeMismatch("grids disagree on variable count")
-    zero = FreePoly.zero(d1.d)
-    top = [list(row) + [zero] * d2.cols for row in d1.entries]
-    bottom = [[zero] * d1.cols + list(row) for row in d2.entries]
-    return PolyMatrix(top + bottom, d=d1.d)
+    a, b = d1.coeffs, d2.coeffs
+    k = len(a.rows)
+    rows = np.zeros((k + len(b.rows), max(a.rows.shape[1], b.rows.shape[1])), dtype=np.int64)
+    rows[:k, : a.rows.shape[1]], rows[k:, : b.rows.shape[1]] = a.rows, b.rows
+    stack = np.zeros((len(rows), d1.rows + d2.rows, d1.cols + d2.cols), dtype=np.complex128)
+    stack[:k, : d1.rows, : d1.cols], stack[k:, d1.rows :, d1.cols :] = a.stack, b.stack
+    return PolyMatrix._of(MatrixPoly.from_rows(d1.d, rows, stack))
 
 
 def delta_pad_columns(pm: PolyMatrix, extra: int) -> PolyMatrix:
-    """Append ``extra`` zero columns on the right.
+    """Append ``extra`` zero columns on the right (none to a grid without rows).
 
     Padding with zero columns never changes the value's operator norm, so
     the strict sublevel set is untouched; it only widens the codomain side
@@ -561,12 +567,12 @@ def delta_pad_columns(pm: PolyMatrix, extra: int) -> PolyMatrix:
     """
     if extra < 0:
         raise ShapeMismatch("cannot pad a negative number of columns")
-    if extra == 0:
+    if extra == 0 or pm.rows == 0:
         return pm
-    zero = FreePoly.zero(pm.d)
-    if pm.rows == 0:
-        return PolyMatrix([], d=pm.d)
-    return PolyMatrix([list(row) + [zero] * extra for row in pm.entries], d=pm.d)
+    grid = pm.coeffs
+    zeros = np.zeros(grid.stack.shape[:2] + (extra,), dtype=np.complex128)
+    stack = np.concatenate((grid.stack, zeros), axis=2)
+    return PolyMatrix._of(MatrixPoly.from_rows(pm.d, grid.rows, stack))
 
 
 def ball_delta(center, radius: float) -> PolyMatrix:
@@ -607,25 +613,14 @@ class MatrixPoly:
     infinite coefficient entry raises ``ValueError`` (as
     :func:`freeholo.mat.matrix_from_json` does), :func:`graded_sum` merges
     duplicate words, and a word whose coefficient entries all stay under
-    ``EPS_COEFF`` in modulus is dropped.
+    ``EPS_COEFF`` in modulus is dropped. The rows are then cut to the width
+    of the longest word, so equal polynomials have equal rows and stacks.
     """
 
     __slots__ = ("_d", "_rows", "_stack")
 
     def __init__(self, d: int, out_dim: int, in_dim: int, terms=None):
-        terms = terms or {}
-        # checked in Python first: a letter past int64 cannot enter a row
-        words = [_check_word(w, d) for w in terms]
-        shape = (out_dim, in_dim)
-        coeffs = [np.asarray(c, dtype=np.complex128) for c in terms.values()]
-        for w, c in zip(words, coeffs):
-            if c.shape != shape:
-                raise ShapeMismatch(f"coefficient for {w} has shape {c.shape}, want {shape}")
-        rows = np.zeros((len(words), 1 + max(map(len, words), default=0)), dtype=np.int64)
-        for i, w in enumerate(words):
-            rows[i, : 1 + len(w)] = (len(w), *w)
-        stack = np.stack(coeffs) if coeffs else np.empty((0,) + shape, dtype=np.complex128)
-        self._normalise(d, rows, stack)
+        self._normalise(d, *_term_arrays(d, (out_dim, in_dim), (terms or {}).items()))
 
     @classmethod
     def from_rows(cls, d: int, rows, stack) -> "MatrixPoly":
@@ -655,6 +650,7 @@ class MatrixPoly:
         rows, stack = graded_sum(rows, stack)
         keep = np.abs(stack).max(axis=(1, 2), initial=0.0) >= EPS_COEFF
         rows, stack = rows[keep], stack[keep]
+        rows = rows[:, : 1 + rows[-1, 0]] if len(rows) else rows[:, :1]  # longest word last
         rows.setflags(write=False)
         stack.setflags(write=False)
         object.__setattr__(self, "_d", int(d))
@@ -709,30 +705,6 @@ class MatrixPoly:
             out += np.kron(word(w), c)
         return out
 
-    def to_poly_matrix(self) -> PolyMatrix:
-        """Entrywise view: grid entry (i, j) collects coefficient (i, j) per word."""
-        terms = self.terms
-        grids = [
-            [
-                FreePoly(
-                    self._d,
-                    {w: c[i, j] for w, c in terms.items() if abs(c[i, j]) >= EPS_COEFF},
-                )
-                for j in range(self.in_dim)
-            ]
-            for i in range(self.out_dim)
-        ]
-        return PolyMatrix(grids, d=self._d)
-
-    @classmethod
-    def from_poly_matrix(cls, pm: PolyMatrix) -> "MatrixPoly":
-        terms = {}
-        for i, row in enumerate(pm.entries):
-            for j, p in enumerate(row):
-                for w, c in p.terms.items():
-                    terms.setdefault(w, np.zeros((pm.rows, pm.cols), np.complex128))[i, j] += c
-        return cls(pm.d, pm.rows, pm.cols, terms)
-
     def to_json(self) -> dict:
         return {
             "d": self._d,
@@ -785,9 +757,30 @@ class MatrixPoly:
 
     @classmethod
     def from_json(cls, obj) -> "MatrixPoly":
-        terms = {
-            tuple(json_int(i, "word letter") for i in t["word"]): matrix_from_json(t["coeff"])
+        """Decode :meth:`to_json` output; a word listed twice gets the sum."""
+        pairs = [
+            (tuple(json_int(i, "word letter") for i in t["word"]), matrix_from_json(t["coeff"]))
             for t in obj["terms"]
-        }
-        dims = [json_int(obj[key], key) for key in ("d", "out_dim", "in_dim")]
-        return cls(*dims, terms)
+        ]
+        d, out_dim, in_dim = (json_int(obj[key], key) for key in ("d", "out_dim", "in_dim"))
+        return cls.from_rows(d, *_term_arrays(d, (out_dim, in_dim), pairs))
+
+
+def _term_arrays(d: int, shape: tuple, pairs) -> tuple:
+    """Word rows and coefficient stack of ``(word, coefficient)`` pairs, in order.
+
+    Words are checked in Python first, so a letter past int64 cannot enter
+    a row; each coefficient must have ``shape``.
+    """
+    words, coeffs = [], []
+    for word, c in pairs:
+        words.append(_check_word(word, d))
+        coeffs.append(np.asarray(c, dtype=np.complex128))
+        if coeffs[-1].shape != shape:
+            got = coeffs[-1].shape
+            raise ShapeMismatch(f"coefficient for {words[-1]} has shape {got}, want {shape}")
+    rows = np.zeros((len(words), 1 + max(map(len, words), default=0)), dtype=np.int64)
+    for i, w in enumerate(words):
+        rows[i, : 1 + len(w)] = (len(w), *w)
+    stack = np.stack(coeffs) if coeffs else np.empty((0,) + shape, dtype=np.complex128)
+    return rows, stack

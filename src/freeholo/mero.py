@@ -142,6 +142,8 @@ def inversion_certificate(
     t_val = mat.as_array(f(m_point))
     if t_val.shape[0] != t_val.shape[1]:
         raise ShapeMismatch("certificate requires a scalar-valued function")
+    if not np.isfinite(t_val).all():
+        raise NotInvertible("f(M) has a non-finite entry")
     sing = np.linalg.svd(t_val, compute_uv=False)
     if sing[-1] <= INVERTIBILITY_RTOL * sing[0]:
         rel = sing[-1] / sing[0] if sing[0] > 0 else 0.0

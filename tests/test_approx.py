@@ -250,8 +250,8 @@ def test_term_cap_raises_term_blowup():
 
 
 def test_expansion_constructs_one_matrix_poly(monkeypatch):
-    # only the grid's from_poly_matrix goes through the dict constructor; the
-    # promoted grid and the result are built from graded rows
+    # the one dict-constructor call builds the grid's coefficient form with
+    # the realization; the promoted grid and the result come from graded rows
     calls = []
     init = MatrixPoly.__init__
 

@@ -635,6 +635,28 @@ def test_check_nc_overflowing_value_fails_without_traceback(tmp_path):
         assert rep[key] is None
 
 
+def test_mero_certify_overflowing_value_exits_1(tmp_path, capsys):
+    # f(M) = x1*x1 + 1 overflows at x1 = 1e200: a mathematical rejection,
+    # not an eigenvalue traceback; membership there is outside with no norm
+    grid = PolyMatrix([[FreePoly(2, {(1, 1): 1.0}), FreePoly.letter(2, 2)]])
+    delta = write(tmp_path, "g.json", grid.to_json())
+    point = write(tmp_path, "p.json", GradedPoint.scalars([1e200, 0.1]).to_json())
+    code, _, raw = run(
+        ["mero", "certify", "--expr", "x1*x1+1", "--vars", "2", "--delta", delta,
+         "--point", point, "--bound", "2"],
+        capsys,
+    )
+    assert code == 1
+    assert strict_loads(raw)["error"] == {
+        "type": "NotInvertible", "message": "f(M) has a non-finite entry"
+    }
+    code, _, raw = run(["member", "--delta", delta, "--point", point], capsys)
+    rep = strict_loads(raw)
+    assert code == 0
+    assert rep["status"] == "outside"
+    assert rep["norm"] is None
+
+
 def test_approx_overflowing_expansion_exits_1(tmp_path):
     # coefficients of (1e200 x1)^j overflow at order 1; the bound must not
     # be reported as certified for a polynomial with null or purged NaN words

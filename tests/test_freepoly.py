@@ -22,7 +22,7 @@ from freeholo.freepoly import (
     promoted_apply_buffers,
 )
 from freeholo.errors import ShapeMismatch
-from freeholo.mat import op_norm
+from freeholo.mat import direct_sum, op_norm
 from freeholo.sampling import random_graded_point, rng_from_seed
 
 
@@ -103,20 +103,6 @@ def test_cancellation_drops_terms():
 def test_graded_lex_order():
     words = [(2,), (1, 1), (), (1,), (2, 1)]
     assert sorted(words, key=graded_lex_key) == [(), (1,), (2,), (1, 1), (2, 1)]
-
-
-def test_compose_linear_against_expansion():
-    # substitute x1 -> 2 x1 + 1 into x1^2: (2x1+1)^2 = 4 x1x1 + 4 x1 + 1
-    p = x(1, d=1) * x(1, d=1)
-    q = p.compose_linear([[2.0]], consts=[1.0])
-    assert q.terms == {(): 1.0 + 0j, (1,): 4.0 + 0j, (1, 1): 4.0 + 0j}
-
-
-def test_compose_linear_mixing_letters():
-    # x1 -> x2, x2 -> x1 swaps word letters
-    p = x(1) * x(2)
-    swapped = p.compose_linear([[0.0, 1.0], [1.0, 0.0]])
-    assert swapped.terms == {(2, 1): 1.0 + 0j}
 
 
 @given(st.integers(0, 10_000))
@@ -231,6 +217,59 @@ def test_poly_matrix_json_roundtrip():
     assert again == pm
 
 
+def test_poly_matrix_json_header_must_match_entries():
+    obj = PolyMatrix([[x(1), x(2) * x(1)]]).to_json()
+    for key, bad in [("d", 5), ("rows", 2), ("cols", 1)]:
+        with pytest.raises(ShapeMismatch, match="header disagrees with entries"):
+            PolyMatrix.from_json({**obj, key: bad})
+
+
+def test_poly_matrix_hash_ignores_zero_sign():
+    pm = PolyMatrix([[x(1), x(2)]])
+    signed = np.where(pm.coeffs.stack == 0, -0.0, pm.coeffs.stack)
+    flipped = PolyMatrix._of(MatrixPoly.from_rows(2, pm.coeffs.rows, signed))
+    assert np.signbit(flipped.coeffs.stack.real).any()
+    assert flipped == pm and hash(flipped) == hash(pm)
+
+
+WORDS = st.lists(st.integers(1, 3), max_size=3).map(tuple)
+COEFFS = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+def grids(d):
+    """Grids up to 3x3 in d variables, words up to length 3."""
+    entry = st.dictionaries(WORDS.map(lambda w: tuple(min(i, d) for i in w)), COEFFS, max_size=4)
+    shape = st.tuples(st.integers(1, 3), st.integers(1, 3))
+    return shape.flatmap(
+        lambda s: st.lists(st.lists(entry.map(lambda t: FreePoly(d, t)), min_size=s[1],
+                                    max_size=s[1]), min_size=s[0], max_size=s[0])
+    ).map(lambda rows: PolyMatrix(rows, d=d))
+
+
+@given(
+    st.integers(1, 3).flatmap(lambda d: st.tuples(grids(d), grids(d))),
+    st.integers(1, 4), st.integers(0, 10_000), st.integers(0, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_grid_coefficient_form_properties(pair, n, seed, extra):
+    pm, other = pair
+    pt = random_point(seed, pm.d, n)
+    val = eval_poly_matrix(pm, pt)
+    for i, row in enumerate(pm.entries):
+        for j, p in enumerate(row):
+            block = val[i * n : (i + 1) * n, j * n : (j + 1) * n]
+            # a sum of k terms in another order moves by under k eps sum |term|
+            scale = sum(abs(c) * np.abs(eval_word(w, pt)).max() for w, c in p.terms.items())
+            assert np.abs(block - eval_poly(p, pt)).max() <= 1e-14 * scale
+    assert PolyMatrix(pm.entries, d=pm.d) == pm
+    again = PolyMatrix.from_json(pm.to_json())
+    assert again == pm and hash(again) == hash(pm)
+    both = eval_poly_matrix(delta_direct_sum(pm, other), pt)
+    np.testing.assert_array_equal(both, direct_sum(val, eval_poly_matrix(other, pt)))
+    padded = eval_poly_matrix(delta_pad_columns(pm, extra), pt)
+    np.testing.assert_array_equal(padded, np.pad(val, ((0, 0), (0, n * extra))))
+
+
 def test_matrix_poly_eval_matches_kron_sum():
     c0 = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex)
     c1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -242,9 +281,11 @@ def test_matrix_poly_eval_matches_kron_sum():
 
 def test_matrix_poly_poly_matrix_roundtrip():
     pm = PolyMatrix([[x(1), FreePoly.const(2, 1.5)], [x(2), x(1) * x(2)]])
-    mp = MatrixPoly.from_poly_matrix(pm)
-    back = mp.to_poly_matrix()
-    assert back == pm
+    mp = pm.coeffs
+    assert mp.words() == [(), (1,), (2,), (1, 2)]
+    np.testing.assert_array_equal(mp.terms[(1,)], [[1, 0], [0, 0]])
+    assert PolyMatrix(pm.entries, d=pm.d) == pm
+    assert pm.entries[1][1] == x(1) * x(2)
     pt = random_point(12, 2, 2)
     # the two layouts differ by a fixed permutation, so norms agree
     assert op_norm(mp.eval(pt)) == pytest.approx(

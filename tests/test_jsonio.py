@@ -62,6 +62,11 @@ def test_malformed_payloads():
             decode("matrixpoly", {**mp, key: bad})
     with pytest.raises(SchemaError, match="word letter must be an integer"):
         decode("matrixpoly", {**mp, "terms": [{**term, "word": [1.0]}]})
+    # a word listed twice gets the sum of its coefficients, as in a freepoly
+    twice = [term, {**term, "coeff": matrix_to_json(2 * np.eye(1))}]
+    assert decode("matrixpoly", {**mp, "terms": twice}).terms[(1,)] == 3.0
+    fp = {"d": 1, "terms": [{"word": [1], "coeff": [1.0, 0.0]}, {"word": [1], "coeff": [2.0, 0.0]}]}
+    assert decode("freepoly", fp).terms == {(1,): 3.0}
 
 
 def test_all_registered_kinds_roundtrip():
