@@ -32,7 +32,7 @@ from .errors import (
     SchemaError,
     UnknownVariable,
 )
-from .exprlang import eval_expr, parse, print_expr
+from .exprlang import Schedule, eval_expr, parse, print_expr
 from .freepoly import GradedPoint, MatrixPoly
 from .jsonio import SCHEMA_VERSION
 from .mat import json_int, matrix_to_json, op_norm
@@ -112,9 +112,10 @@ def _read_expr(args):
 
 def _expr_evaluator(src: str, d: int):
     ast = parse(src, d)
+    steps = Schedule(ast)
 
     def f(x: GradedPoint):
-        return eval_expr(ast, x)
+        return eval_expr(steps, x)
 
     return ast, f
 
@@ -342,7 +343,7 @@ def _cmd_mero_certify(args) -> dict:
 
 def _cmd_mero_scan(args) -> dict:
     src = _read_expr(args)
-    ast, _ = _expr_evaluator(src, args.vars)
+    ast = parse(src, args.vars)
     samples = jsonio.load_list("gradedpoint", args.samples)
     rep = mero.singular_scan(ast, samples)
     return {

@@ -18,11 +18,15 @@ nonnegative literals (a negative or mixed-complex constant prints through
 unary minus or as a sum, so reparsing such a tree yields that normalized
 shape instead of the original node). ``parse(print_expr(t)) == t`` holds
 structurally for every tree the parser itself can produce.
+
+No function here recurses: parsing, printing, evaluation and expansion
+each keep an explicit stack, so any nesting depth is accepted.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -77,14 +81,6 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class ScalarMul:
-    # programmatic convenience node; the parser never produces it and the
-    # printer renders it as Mul(Const, operand)
-    scalar: complex
-    operand: object
-
-
-@dataclass(frozen=True)
 class Inv:
     operand: object
 
@@ -123,75 +119,8 @@ def _tokenize(src: str):
 
 # -- parser ----------------------------------------------------------------
 
-
-class _Parser:
-    def __init__(self, src: str, d: int):
-        self.src = src
-        self.d = d
-        self.tokens = _tokenize(src)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_punct(self, ch):
-        kind, value, offset = self.take()
-        if kind != "punct" or value != ch:
-            raise ExprSyntaxError(f"expected {ch!r}", offset)
-
-    def parse(self):
-        node = self.expr()
-        kind, _, offset = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError("trailing input", offset)
-        return node
-
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "punct" and value in "+-":
-                self.take()
-                rhs = self.term()
-                node = Add(node, rhs) if value == "+" else Sub(node, rhs)
-            else:
-                return node
-
-    def term(self):
-        node = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "punct" and value == "*":
-                self.take()
-                node = Mul(node, self.factor())
-            else:
-                return node
-
-    def factor(self):
-        kind, value, offset = self.take()
-        if kind == "num":
-            return Const(value)
-        if kind == "var":
-            if not 1 <= value <= self.d:
-                raise UnknownVariable(value, self.d, offset)
-            return Var(value)
-        if kind == "inv":
-            self.expect_punct("(")
-            inner = self.expr()
-            self.expect_punct(")")
-            return Inv(inner)
-        if kind == "punct" and value == "(":
-            inner = self.expr()
-            self.expect_punct(")")
-            return inner
-        if kind == "punct" and value == "-":
-            return Neg(self.factor())
-        raise ExprSyntaxError("expected a number, variable, '(' or 'inv'", offset)
+_BINARY = {"+": Add, "-": Sub, "*": Mul}
+_PRECEDENCE = {Add: 1, Sub: 1, Mul: 2}
 
 
 def parse(src: str, d: int):
@@ -202,7 +131,55 @@ def parse(src: str, d: int):
     """
     if d < 1:
         raise ValueError("need at least one variable")
-    return _Parser(src, d).parse()
+    # shunting-yard: ops holds pending binary operators, prefix minuses
+    # (Neg) and open groups ("(" or "inv("), out the operands built so far
+    tokens = iter(_tokenize(src))
+    out, ops = [], []
+    operand = True  # a factor comes next, not an operator
+    for kind, value, offset in tokens:
+        punct = value if kind == "punct" else None
+        if operand:
+            if kind == "num":
+                out.append(Const(value))
+            elif kind == "var":
+                if not 1 <= value <= d:
+                    raise UnknownVariable(value, d, offset)
+                out.append(Var(value))
+            elif punct in ("-", "("):
+                ops.append(Neg if punct == "-" else "(")
+                continue
+            elif kind == "inv":
+                kind, value, offset = next(tokens)
+                if kind != "punct" or value != "(":
+                    raise ExprSyntaxError("expected '('", offset)
+                ops.append("inv(")
+                continue
+            else:
+                raise ExprSyntaxError("expected a number, variable, '(' or 'inv'", offset)
+            operand = False
+        else:
+            op = _BINARY.get(punct)
+            # left association: pending operators binding at least as
+            # tightly are applied first; a closer applies all in its group
+            level = _PRECEDENCE.get(op, 0)
+            while ops and _PRECEDENCE.get(ops[-1], -1) >= level:
+                rhs = out.pop()
+                out[-1] = ops.pop()(out[-1], rhs)
+            if op is not None:
+                ops.append(op)
+                operand = True
+                continue
+            if punct == ")" and ops:
+                if ops.pop() == "inv(":
+                    out[-1] = Inv(out[-1])
+            elif kind == "end" and not ops:
+                return out[0]
+            else:
+                raise ExprSyntaxError("expected ')'" if ops else "trailing input", offset)
+        # a finished factor takes the prefix minuses written before it
+        while ops and ops[-1] is Neg:
+            ops.pop()
+            out[-1] = Neg(out[-1])
 
 
 # -- printer ----------------------------------------------------------------
@@ -227,122 +204,140 @@ def _fmt_const(c: complex) -> str:
     return f"({lhs} {op} {rhs})"
 
 
+def _grouped(node, kinds):
+    """Pieces of a child, in stack order, parenthesized if its type is in ``kinds``."""
+    return (")", node, "(") if type(node) in kinds else (node,)
+
+
 def print_expr(node) -> str:
     """Canonical text form; the parser maps it back to the same tree for
     every tree the parser itself can produce (see module docstring for the
-    normalized cases: ScalarMul and negative or mixed-complex constants)."""
-    if isinstance(node, Const):
-        return _fmt_const(node.value)
-    if isinstance(node, Var):
-        return f"x{node.index}"
-    if isinstance(node, Add):
-        rhs = print_expr(node.right)
-        if isinstance(node.right, (Add, Sub)):
-            rhs = f"({rhs})"
-        return f"{print_expr(node.left)} + {rhs}"
-    if isinstance(node, Sub):
-        rhs = print_expr(node.right)
-        if isinstance(node.right, (Add, Sub)):
-            rhs = f"({rhs})"
-        return f"{print_expr(node.left)} - {rhs}"
-    if isinstance(node, Mul):
-        lhs = print_expr(node.left)
-        rhs = print_expr(node.right)
-        if isinstance(node.left, (Add, Sub)):
-            lhs = f"({lhs})"
-        # a right-nested product or a negation must keep its own grouping,
-        # otherwise reparsing would left-associate it onto this node
-        if isinstance(node.right, (Add, Sub, Mul, ScalarMul, Neg)):
-            rhs = f"({rhs})"
-        return f"{lhs}*{rhs}"
-    if isinstance(node, Neg):
-        inner = print_expr(node.operand)
-        if isinstance(node.operand, (Add, Sub, Mul, ScalarMul)):
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, ScalarMul):
-        return print_expr(Mul(Const(node.scalar), node.operand))
-    if isinstance(node, Inv):
-        return f"inv({print_expr(node.operand)})"
-    raise TypeError(f"not an expression node: {node!r}")
+    normalized cases: negative or mixed-complex constants).
+    """
+    # pieces and pending subtrees share one stack, each node's pushed
+    # right to left; the pieces are joined once at the end
+    out, todo = [], [node]
+    while todo:
+        item = todo.pop()
+        kind = type(item)
+        if kind is str:
+            out.append(item)
+        elif kind is Const:
+            out.append(_fmt_const(item.value))
+        elif kind is Var:
+            out.append(f"x{item.index}")
+        elif kind is Inv:
+            todo += (")", item.operand, "inv(")
+        elif kind is Neg:
+            todo += _grouped(item.operand, (Add, Sub, Mul)) + ("-",)
+        elif kind is Mul:
+            # a right-nested product or a negation must keep its own grouping,
+            # otherwise reparsing would left-associate it onto this node
+            right = _grouped(item.right, (Add, Sub, Mul, Neg))
+            todo += right + ("*",) + _grouped(item.left, (Add, Sub))
+        elif kind is Add or kind is Sub:
+            todo += _grouped(item.right, (Add, Sub)) + (" + " if kind is Add else " - ", item.left)
+        else:
+            raise TypeError(f"not an expression node: {item!r}")
+    return "".join(out)
 
 
 # -- evaluation ----------------------------------------------------------------
 
+_ARITY = {Const: 0, Var: 0, Neg: 1, Inv: 1, Add: 2, Sub: 2, Mul: 2}
+_POLY_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Neg: operator.neg}
+_MATRIX_OPS = {**_POLY_OPS, Mul: operator.matmul, Inv: mat.inv}
+
+
+class Schedule:
+    """A tree's ``nodes`` in postorder (children first, left before right)
+    with their ``arity``, built once; :func:`eval_expr` and
+    :func:`to_free_poly` take it in place of the tree, so an expression
+    evaluated many times is scheduled once."""
+
+    def __init__(self, root):
+        # a root-right-left preorder, which reversed is the postorder
+        nodes, arity, links = [], [], []
+        todo = [(root, -1, 0)]
+        while todo:
+            node, up, slot = todo.pop()
+            k = _ARITY.get(type(node))
+            if k is None:
+                raise TypeError(f"not an expression node: {node!r}")
+            here = len(nodes)
+            nodes.append(node)
+            arity.append(k)
+            links.append((up, slot))
+            if k == 2:
+                todo += ((node.left, here, 0), (node.right, here, 1))
+            elif k:
+                todo.append((node.operand, here, 0))
+        self.nodes, self.arity = nodes[::-1], arity[::-1]
+        self._links = links  # (parent, child index), by preorder position
+
+    def path(self, i):
+        """Child indices from the root down to ``nodes[i]``."""
+        slots = []
+        up, slot = self._links[len(self._links) - 1 - i]
+        while up >= 0:
+            slots.append(slot)
+            up, slot = self._links[up]
+        return tuple(reversed(slots))
+
+    def fold(self, leaf, ops):
+        """``leaf(node)`` at a leaf, ``ops[type(node)]`` of the children's
+        values at an inner node; a :class:`SingularMatrix` at node i is
+        raised as :class:`SingularityHit` at ``path(i)``."""
+        values = []
+        try:
+            for i, (node, k) in enumerate(zip(self.nodes, self.arity)):
+                if k == 2:
+                    rhs = values.pop()
+                    values[-1] = ops[type(node)](values[-1], rhs)
+                elif k:
+                    values[-1] = ops[type(node)](values[-1])
+                else:
+                    values.append(leaf(node))
+        except SingularMatrix as exc:
+            raise SingularityHit(self.path(i)) from exc
+        return values[0]
+
 
 def eval_expr(node, x: GradedPoint) -> np.ndarray:
-    """Evaluate at a graded point; n-by-n complex matrix.
+    """Evaluate a tree, or its :class:`Schedule`, at a graded point;
+    n-by-n complex matrix.
 
     Inversion nodes use the SVD-floored inverse, and a singular operand
     raises :class:`SingularityHit` carrying the path of child indices from
     the root to the failing node.
     """
-    return _eval(node, x, ())
 
-
-def _eval(node, x: GradedPoint, path):
-    n = x.n
-    if isinstance(node, Const):
-        return node.value * np.eye(n, dtype=np.complex128)
-    if isinstance(node, Var):
+    def leaf(node):
+        if type(node) is Const:
+            return node.value * np.eye(x.n, dtype=np.complex128)
         if not 1 <= node.index <= x.d:
             raise ShapeMismatch(f"x{node.index} undefined for a {x.d}-variable point")
         return x.mats[node.index - 1].copy()
-    if isinstance(node, Add):
-        return _eval(node.left, x, path + (0,)) + _eval(node.right, x, path + (1,))
-    if isinstance(node, Sub):
-        return _eval(node.left, x, path + (0,)) - _eval(node.right, x, path + (1,))
-    if isinstance(node, Mul):
-        return _eval(node.left, x, path + (0,)) @ _eval(node.right, x, path + (1,))
-    if isinstance(node, Neg):
-        return -_eval(node.operand, x, path + (0,))
-    if isinstance(node, ScalarMul):
-        return node.scalar * _eval(node.operand, x, path + (0,))
-    if isinstance(node, Inv):
-        inner = _eval(node.operand, x, path + (0,))
-        try:
-            return mat.inv(inner)
-        except SingularMatrix as exc:
-            raise SingularityHit(path) from exc
-    raise TypeError(f"not an expression node: {node!r}")
+
+    steps = node if isinstance(node, Schedule) else Schedule(node)
+    return steps.fold(leaf, _MATRIX_OPS)
 
 
 def to_free_poly(node, d: int) -> FreePoly:
-    """Expand an inversion-free tree into a free polynomial.
+    """Expand an inversion-free tree, or its :class:`Schedule`, into a free
+    polynomial.
 
     Raises :class:`NotPolynomial` on any ``inv`` node.
     """
-    if isinstance(node, Const):
-        return FreePoly.const(d, node.value)
-    if isinstance(node, Var):
+    steps = node if isinstance(node, Schedule) else Schedule(node)
+    if Inv in map(type, steps.nodes):
+        raise NotPolynomial("expression contains inv(...)")
+
+    def leaf(node):
+        if type(node) is Const:
+            return FreePoly.const(d, node.value)
         if not 1 <= node.index <= d:
             raise ShapeMismatch(f"x{node.index} undefined with d={d}")
         return FreePoly.letter(d, node.index)
-    if isinstance(node, Add):
-        return to_free_poly(node.left, d) + to_free_poly(node.right, d)
-    if isinstance(node, Sub):
-        return to_free_poly(node.left, d) - to_free_poly(node.right, d)
-    if isinstance(node, Mul):
-        return to_free_poly(node.left, d) * to_free_poly(node.right, d)
-    if isinstance(node, Neg):
-        return -to_free_poly(node.operand, d)
-    if isinstance(node, ScalarMul):
-        return to_free_poly(node.operand, d).scale(node.scalar)
-    if isinstance(node, Inv):
-        raise NotPolynomial("expression contains inv(...)")
-    raise TypeError(f"not an expression node: {node!r}")
 
-
-def expr_nodes(node):
-    """Iterate over (path, node) pairs in preorder."""
-    stack = [((), node)]
-    while stack:
-        path, cur = stack.pop()
-        yield path, cur
-        children = ()
-        if isinstance(cur, (Add, Sub, Mul)):
-            children = (cur.left, cur.right)
-        elif isinstance(cur, (Neg, ScalarMul, Inv)):
-            children = (cur.operand,)
-        for idx in range(len(children) - 1, -1, -1):
-            stack.append((path + (idx,), children[idx]))
+    return steps.fold(leaf, _POLY_OPS)

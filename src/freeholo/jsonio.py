@@ -1,16 +1,16 @@
 """File-level JSON loading with schema validation for the CLI.
 
 All value types know how to serialize themselves; this module adds the file
-plumbing and converts malformed payloads into :class:`SchemaError` so the
-command line can distinguish bad input (exit 2) from mathematical failure
-(exit 1).
+plumbing and converts malformed payloads (a decoder's :class:`ShapeMismatch`
+included) into :class:`SchemaError` so the command line can distinguish bad
+input (exit 2) from mathematical failure (exit 1).
 """
 
 from __future__ import annotations
 
 import json
 
-from .errors import FreeholoError, SchemaError
+from .errors import FreeholoError, SchemaError, ShapeMismatch
 from .freepoly import FreePoly, GradedPoint, MatrixPoly, PolyMatrix
 from .mat import matrix_from_json
 from .model import ModelSampleSet
@@ -43,6 +43,8 @@ def decode(kind: str, obj):
         raise SchemaError(f"unknown payload kind {kind!r}")
     try:
         return decoder(obj)
+    except ShapeMismatch as exc:
+        raise SchemaError(str(exc)) from exc
     except FreeholoError:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:

@@ -22,7 +22,7 @@ from .errors import (
     ShapeMismatch,
     SingularityHit,
 )
-from .exprlang import eval_expr
+from .exprlang import Schedule, eval_expr
 from .freepoly import GradedPoint, PolyMatrix, eval_poly_matrix
 from .ncpoint import DEFAULT_MARGIN
 
@@ -238,11 +238,12 @@ def singular_scan(ast, samples) -> ScanReport:
     so they are tied to this presentation of the function; an algebraically
     equal expression written differently may scan clean at the same points.
     """
+    steps = Schedule(ast)
     entries = []
     n_singular = 0
     for idx, x in enumerate(samples):
         try:
-            value = eval_expr(ast, x)
+            value = eval_expr(steps, x)
             entries.append(
                 ScanEntry(
                     index=idx,

@@ -10,8 +10,7 @@ def random_parser_ast(rng, d, depth=4, allow_inv=True):
 
     Constants are nonnegative reals or nonnegative pure imaginaries (single
     number tokens); negative values only appear through Neg nodes, products
-    through Mul. Scalar-times-expression sugar is excluded because the
-    printer canonicalizes it away.
+    through Mul.
     """
     leaf_kinds = ("const", "var")
     node_kinds = ("add", "sub", "mul", "neg") + (("inv",) if allow_inv else ())

@@ -450,6 +450,26 @@ def test_point_dimension_mismatch_exits_2(tmp_path, capsys):
     assert rep["error"]["type"] == "SchemaError"
 
 
+def test_mismatched_input_headers_exit_2(tmp_path, capsys):
+    # a header or data size that disagrees with the entries is bad input
+    grid = PolyMatrix([[FreePoly.letter(2, 1), FreePoly.letter(2, 2)]]).to_json()
+    delta = write(tmp_path, "g.json", {**grid, "d": 5})
+    point = write(tmp_path, "p.json", GradedPoint.scalars([0.1, 0.1]).to_json())
+    code, _, raw = run(["member", "--delta", delta, "--point", point], capsys)
+    assert code == 2
+    assert strict_loads(raw)["error"] == {
+        "type": "SchemaError", "message": "polynomial grid header disagrees with entries"
+    }
+    payload = GradedPoint.scalars([1.0]).to_json()
+    payload["mats"][0]["data"].append([0.0, 0.0])
+    point = write(tmp_path, "long.json", payload)
+    code, _, raw = run(["eval", "--expr", "x1", "--vars", "1", "--point", point], capsys)
+    assert code == 2
+    assert strict_loads(raw)["error"] == {
+        "type": "SchemaError", "message": "data length 2 does not match 1x1"
+    }
+
+
 def strict_loads(text):
     """``json.loads`` that rejects the non-standard NaN and Infinity tokens."""
 
@@ -672,6 +692,49 @@ def test_approx_overflowing_expansion_exits_1(tmp_path):
     error = strict_loads(proc.stdout)["error"]
     assert error["type"] == "TermBlowup"
     assert error["message"] == "expansion produced a non-finite coefficient at order 1"
+
+
+DEEP = 1_200
+
+
+@pytest.mark.parametrize(
+    "expr, text, value",
+    [
+        ("*".join(["x1"] * DEEP), "*".join(["x1"] * DEEP), 1.0),
+        ("(" * DEEP + "x1" + ")" * DEEP, "x1", -1.0),
+        ("-" * DEEP + "x1", "-" * DEEP + "x1", -1.0),
+        ("inv(" * DEEP + "x1" + ")" * DEEP, "inv(" * DEEP + "x1" + ")" * DEEP, -1.0),
+    ],
+    ids=["product", "parentheses", "minus", "inv"],
+)
+def test_deep_expression_file_evaluates(tmp_path, expr, text, value):
+    expr_file = tmp_path / "deep.txt"
+    expr_file.write_text(expr)
+    point = write(tmp_path, "p.json", GradedPoint.scalars([-1.0]).to_json())
+    proc = run_subprocess(
+        ["eval", "--expr-file", str(expr_file), "--vars", "1", "--point", point]
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    rep = strict_loads(proc.stdout)
+    assert rep["expr"] == text
+    assert rep["value"]["data"] == [[value, 0.0]]
+
+
+def test_deep_inv_scan_reports_path(tmp_path):
+    expr_file = tmp_path / "deep.txt"
+    expr_file.write_text("inv(" * DEEP + "x1" + ")" * DEEP)
+    samples = write(tmp_path, "pts.json", [
+        GradedPoint.scalars([2.0]).to_json(), GradedPoint.scalars([0.0]).to_json()
+    ])
+    proc = run_subprocess(
+        ["mero", "scan", "--expr-file", str(expr_file), "--vars", "1", "--samples", samples]
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    rep = strict_loads(proc.stdout)
+    assert rep["singular_paths"] == [[0] * (DEEP - 1)]
+    assert [e["singular"] for e in rep["entries"]] == [False, True]
 
 
 ENTRIES = st.one_of(

@@ -16,11 +16,10 @@ from freeholo.exprlang import (
     Inv,
     Mul,
     Neg,
-    ScalarMul,
+    Schedule,
     Sub,
     Var,
     eval_expr,
-    expr_nodes,
     parse,
     print_expr,
     to_free_poly,
@@ -159,7 +158,8 @@ def test_singularity_reports_path():
     ast = parse("x1 + inv(x1 - 1)*inv(x1)", 1)
     with pytest.raises(SingularityHit) as ei:
         eval_expr(ast, GradedPoint.scalars([1.0]))
-    paths = {tuple(n_path) for n_path, node in expr_nodes(ast) if isinstance(node, Inv)}
+    steps = Schedule(ast)
+    paths = {steps.path(i) for i, node in enumerate(steps.nodes) if isinstance(node, Inv)}
     assert tuple(ei.value.path) in paths
     # at 0 only the second inversion dies, at a different path
     with pytest.raises(SingularityHit) as ei2:
@@ -207,15 +207,6 @@ def test_print_parse_roundtrip_random():
         assert parse(s, 2) == t, s
 
 
-def test_scalar_mul_normalizes_on_print():
-    t = ScalarMul(2.0 + 0.0j, Var(1))
-    printed = print_expr(t)
-    reparsed = parse(printed, 1)
-    assert reparsed == Mul(Const(2.0 + 0.0j), Var(1))
-    x = random_graded(70, 1, 2)
-    np.testing.assert_allclose(eval_expr(t, x), eval_expr(reparsed, x), atol=1e-13)
-
-
 def test_negative_constant_normalizes_on_print():
     t = Const(-3.0 + 0.0j)
     assert parse(print_expr(t), 1) == Neg(Const(3.0 + 0.0j))
@@ -237,3 +228,48 @@ def test_eval_matches_numpy_on_random_trees():
         )
         hits += 1
     assert hits == 200
+
+
+# Trees this deep overflow any recursive walk. They are compared through
+# their printed text and their values: the dataclass ``==`` and ``hash``
+# recurse themselves.
+DEEP = 100_000
+DEEP_X = GradedPoint([np.array([[0.5, 1j], [-0.25, 2.0]])])
+
+
+@pytest.mark.parametrize(
+    "src, text, scale",
+    [
+        ("x1" + "*1" * DEEP, "x1" + "*1" * DEEP, 1.0),
+        ("x1" + " + x1" * DEEP, "x1" + " + x1" * DEEP, DEEP + 1.0),
+        ("-" * DEEP + "x1", "-" * DEEP + "x1", 1.0),
+        ("(" * DEEP + "x1" + ")" * DEEP, "x1", 1.0),
+    ],
+    ids=["product", "sum", "minus", "parentheses"],
+)
+def test_deep_trees_parse_print_and_evaluate(src, text, scale):
+    t = parse(src, 1)
+    assert print_expr(t) == text
+    assert print_expr(parse(text, 1)) == text
+    expected = scale * DEEP_X.mats[0]
+    np.testing.assert_allclose(eval_expr(t, DEEP_X), expected, rtol=1e-12)
+    poly = to_free_poly(t, 1)
+    np.testing.assert_allclose(eval_poly(poly, DEEP_X), expected, rtol=1e-12)
+
+
+def test_deep_inv_nesting():
+    depth = 10_000
+    src = "inv(" * depth + "x1" + ")" * depth
+    t = parse(src, 1)
+    assert print_expr(t) == src
+    np.testing.assert_allclose(eval_expr(t, DEEP_X), DEEP_X.mats[0], rtol=1e-9)
+    with pytest.raises(NotPolynomial):
+        to_free_poly(t, 1)
+
+
+def test_deep_singularity_path():
+    depth = 2_000
+    t = parse("inv(" * depth + "x1" + ")" * depth, 1)
+    with pytest.raises(SingularityHit) as ei:
+        eval_expr(t, GradedPoint.scalars([0.0]))
+    assert ei.value.path == (0,) * (depth - 1)
