@@ -24,8 +24,11 @@ from .freepoly import (
     MatrixPoly,
     PolyMatrix,
     _promoted_grid,
+    _purged,
     eval_poly_matrix,
     graded_sum,
+    stack_rows,
+    word_products,
 )
 from .realize import Realization, geometric_tail, tail_order
 
@@ -107,29 +110,14 @@ def choose_truncation(tol: float, t: float) -> int:
     return tail_order(1.0 / t, tol, ORDER_CAP)
 
 
-def _kept(stack: np.ndarray, order: int) -> np.ndarray:
-    """Mask of the coefficients with an entry of modulus at least ``EPS_COEFF``.
-
-    A NaN or infinite entry raises :class:`TermBlowup` naming the order: the
-    purge would drop a NaN and keep an infinity, and either way the
-    truncation bound would no longer describe the polynomial.
-    """
-    peak = np.abs(stack).max(axis=(1, 2), initial=0.0)
-    if not np.isfinite(peak).all():
-        raise TermBlowup(f"expansion produced a non-finite coefficient at order {order}")
-    return peak >= EPS_COEFF
-
-
-def _concat(u_rows: np.ndarray, w_rows: np.ndarray) -> np.ndarray:
-    """Word rows of ``u + w`` for every pair, u-major."""
-    n_u, n_w = len(u_rows), len(w_rows)
-    w_width = w_rows.shape[1] - 1
-    out = np.zeros((n_u, n_w, u_rows.shape[1] + w_width), dtype=np.int64)
-    out[:, :, 0] = u_rows[:, None, 0] + w_rows[None, :, 0]
-    for i, (length, *letters) in enumerate(u_rows.tolist()):
-        out[i, :, 1 : 1 + length] = letters[:length]
-        out[i, :, 1 + length : 1 + length + w_width] = w_rows[:, 1:]
-    return out.reshape(n_u * n_w, out.shape[2])
+def _purge(rows: np.ndarray, stack: np.ndarray, order: int) -> tuple:
+    """:func:`freeholo.freepoly._purged`, with a NaN or infinite entry raised
+    as :class:`TermBlowup` naming the order: the truncation bound would no
+    longer describe the polynomial."""
+    try:
+        return _purged(rows, stack)
+    except ValueError:
+        raise TermBlowup(f"expansion produced a non-finite coefficient at order {order}") from None
 
 
 def expand_polynomial(r: Realization, k: int, term_cap: int = 10**6) -> MatrixPoly:
@@ -180,34 +168,23 @@ def expand_polynomial(r: Realization, k: int, term_cap: int = 10**6) -> MatrixPo
     )
     u_rows, delta = grid.rows, grid.stack
 
-    acc = a[None]
-    keep = _kept(acc, 0)
-    acc_rows, acc = np.zeros((1, 1), dtype=np.int64)[keep], acc[keep]
-    leg = delta @ c
-    keep = _kept(leg, 0)
-    leg_rows, leg = u_rows[keep], leg[keep]
+    acc_rows, acc = _purge(np.zeros((1, 1), dtype=np.int64), a[None], 0)
+    leg_rows, leg = _purge(u_rows, delta @ c, 0)
     for j in range(k + 1):
-        b_leg = b @ leg
-        keep = _kept(b_leg, j)
-        pad = ((0, 0), (0, leg_rows.shape[1] - acc_rows.shape[1]))  # acc rows are never wider
-        rows = np.concatenate((np.pad(acc_rows, pad), leg_rows[keep]))
-        acc_rows, acc = graded_sum(rows, np.concatenate((acc, b_leg[keep])))
-        keep = _kept(acc, j)
-        acc_rows, acc = acc_rows[keep], acc[keep]
+        b_rows, b_leg = _purge(leg_rows, b @ leg, j)
+        rows, merged = graded_sum(stack_rows((acc_rows, b_rows)), np.concatenate((acc, b_leg)))
+        acc_rows, acc = _purge(rows, merged, j)
         if len(acc) > term_cap:
             raise TermBlowup(
                 f"expansion reached {len(acc)} terms at order {j}, cap {term_cap}"
             )
         if j == k or not len(leg):
             break
-        d_leg = dd @ leg
-        keep = _kept(d_leg, j + 1)
-        rows = _concat(u_rows, leg_rows[keep])
-        prods = (delta[:, None] @ d_leg[keep][None]).reshape((len(rows),) + leg.shape[1:])
-        leg_rows, leg = graded_sum(rows, prods)
-        keep = _kept(leg, j + 1)
-        leg_rows, leg = leg_rows[keep], leg[keep]
-    return MatrixPoly.from_rows(r.delta.d, acc_rows, acc)
+        d_rows, d_leg = _purge(leg_rows, dd @ leg, j + 1)
+        rows = word_products(u_rows, d_rows)
+        prods = (delta[:, None] @ d_leg[None]).reshape((len(rows),) + leg.shape[1:])
+        leg_rows, leg = _purge(*graded_sum(rows, prods), j + 1)
+    return MatrixPoly._of(r.delta.d, acc_rows, acc)
 
 
 def in_dictionary_hull(x: GradedPoint, sample, dictionary) -> bool:

@@ -19,8 +19,9 @@ unary minus or as a sum, so reparsing such a tree yields that normalized
 shape instead of the original node). ``parse(print_expr(t)) == t`` holds
 structurally for every tree the parser itself can produce.
 
-No function here recurses: parsing, printing, evaluation and expansion
-each keep an explicit stack, so any nesting depth is accepted.
+No function here recurses: parsing, printing, evaluation and expansion,
+and the nodes' ``==``, ``hash`` and ``repr``, each keep an explicit stack,
+so any nesting depth is accepted.
 """
 
 from __future__ import annotations
@@ -47,41 +48,73 @@ from . import mat
 # -- AST -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Const:
+class _Node:
+    """Structural ``==`` and ``hash`` over the :class:`Schedule` postorder
+    (types, and leaf fields), which fixes the tree, and the dataclass
+    ``repr`` built from one stack of pieces: none of them recurses."""
+
+    def _postorder(self):
+        s = Schedule(self)
+        return [(type(n), *(() if k else vars(n).values())) for n, k in zip(s.nodes, s.arity)]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._postorder() == other._postorder()
+
+    def __hash__(self):
+        return hash(tuple(self._postorder()))
+
+    def __repr__(self):
+        out, todo = [], [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            pieces = [type(item).__qualname__ + "("]
+            for k, (name, value) in enumerate(vars(item).items()):
+                value = value if isinstance(value, _Node) else repr(value)
+                pieces += [", " * bool(k) + name + "=", value]
+            todo += reversed(pieces + [")"])
+        return "".join(out)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Const(_Node):
     value: complex
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False, repr=False)
+class Var(_Node):
     index: int  # 1-based
 
 
-@dataclass(frozen=True)
-class Add:
+@dataclass(frozen=True, eq=False, repr=False)
+class Add(_Node):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Sub:
+@dataclass(frozen=True, eq=False, repr=False)
+class Sub(_Node):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Mul:
+@dataclass(frozen=True, eq=False, repr=False)
+class Mul(_Node):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False, repr=False)
+class Neg(_Node):
     operand: object
 
 
-@dataclass(frozen=True)
-class Inv:
+@dataclass(frozen=True, eq=False, repr=False)
+class Inv(_Node):
     operand: object
 
 

@@ -1,21 +1,15 @@
 """Free polynomials in noncommuting variables and their matrix evaluation.
 
 A word is a tuple of 1-based letters, e.g. ``(1, 2, 1)`` stands for
-``x1 x2 x1``. A ``FreePoly`` is a finite complex combination of words in
-``d`` variables; evaluation substitutes a tuple of n-by-n matrices for the
-variables, at every matrix size n >= 1 ("level"). ``MatrixPoly``
-attaches a matrix coefficient to each word: a value type without ring
-arithmetic, held as word rows ``[length, letters..., 0...]`` and one
-coefficient stack put in graded normal form by :func:`graded_sum`, which
-the series expansion in :mod:`freeholo.approx` uses too.
-:meth:`MatrixPoly.json_text` writes the JSON report text from the stack.
-
-A ``PolyMatrix`` is a rectangular grid of free polynomials, the same object
-as ``delta = sum_w C_w w``, and it is held as exactly that: one
-``MatrixPoly`` (:attr:`PolyMatrix.coeffs`) with a rows-by-cols coefficient
-per word. Its ``FreePoly`` entries are a view built when read. Blockwise
-evaluation, direct sums, column padding and the promoted grid
-:func:`_promoted_grid` all read or place blocks on the coefficient stack.
+``x1 x2 x1``. Every polynomial here has one normal form, a ``MatrixPoly``:
+read-only word rows ``[length, letters..., 0...]`` in graded
+lexicographic order and one stack with a coefficient matrix per row.
+:func:`graded_sum` is the only routine that orders and merges word rows;
+the series expansion in :mod:`freeholo.approx` uses it and
+:func:`word_products` too. A ``FreePoly`` (a combination of words in
+``d`` variables, evaluated at tuples of n-by-n matrices for every level
+n >= 1) is the 1x1 ring case, and a ``PolyMatrix`` is a grid of them held
+as ``delta = sum_w C_w w`` with a rows-by-cols ``C_w`` per word.
 
 Evaluation layout conventions, fixed once and for all:
 
@@ -36,8 +30,6 @@ import numpy as np
 from .errors import ShapeMismatch
 from .mat import json_int, matrix_from_json, matrix_to_json, op_norm
 
-Word = tuple  # tuple[int, ...], letters are 1-based
-
 # coefficients with modulus under this are purged during normalization
 EPS_COEFF = 1e-15
 
@@ -53,22 +45,58 @@ def graded_sum(rows: np.ndarray, stack: np.ndarray) -> tuple:
     Returns the distinct rows in graded lexicographic order (the order of
     :func:`graded_lex_key`) and a new coefficient stack: each word's
     coefficient is its first row's plus its later rows' in row order. Rows
-    are compared letter by letter, so no word code can overflow.
+    are compared letter by letter, so no word code can overflow. Fewer than
+    two rows come back as given, not copied.
     """
+    if len(rows) < 2:
+        return rows, stack
     order = np.lexsort(rows.T[::-1])  # stable: a group lists its rows in row order
     ordered = rows[order]
-    start = np.ones(len(rows), dtype=bool)
-    start[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    if start.all():  # distinct words: only a reordering
+    later = (ordered[1:] == ordered[:-1]).all(axis=1)  # sorted row k + 1 repeats row k
+    if not np.count_nonzero(later):  # distinct words: only a reordering
         return ordered, stack[order]
-    first = order[start]
-    group = np.empty(len(rows), dtype=np.int64)
-    group[order] = np.cumsum(start) - 1
-    rest = np.ones(len(rows), dtype=bool)
-    rest[first] = False
-    out = stack[first]
-    np.add.at(out, group[rest], stack[rest])
-    return rows[first], out
+    start = np.concatenate(([True], ~later))
+    out = stack[order[start]]
+    # unbuffered, in sorted order: each group adds its later rows in row order
+    np.add.at(out, np.cumsum(start)[1:][later] - 1, stack[order[1:][later]])
+    return ordered[start], out
+
+
+def _purged(rows: np.ndarray, stack: np.ndarray) -> tuple:
+    """The rows and stack without the words whose coefficient entries all
+    stay under ``EPS_COEFF`` in modulus, the arrays given if none is dropped.
+
+    A NaN or infinite entry raises ``ValueError``. After :func:`graded_sum`
+    this gives every polynomial its normal form.
+    """
+    if np.count_nonzero(~np.isfinite(stack)):
+        raise ValueError("matrix polynomial coefficients must be finite")
+    keep = np.abs(stack).max(axis=(1, 2), initial=0.0) >= EPS_COEFF
+    if np.count_nonzero(keep) == len(keep):
+        return rows, stack
+    return rows[keep], stack[keep]
+
+
+def word_products(u_rows: np.ndarray, w_rows: np.ndarray) -> np.ndarray:
+    """Word rows of the product ``u + w`` for every pair, u-major."""
+    n_u, n_w = len(u_rows), len(w_rows)
+    w_width = w_rows.shape[1] - 1
+    out = np.zeros((n_u, n_w, u_rows.shape[1] + w_width), dtype=np.int64)
+    out[:, :, 0] = u_rows[:, None, 0] + w_rows[None, :, 0]
+    for i, (length, *letters) in enumerate(u_rows.tolist()):
+        out[i, :, 1 : 1 + length] = letters[:length]
+        out[i, :, 1 + length : 1 + length + w_width] = w_rows[:, 1:]
+    return out.reshape(n_u * n_w, out.shape[2])
+
+
+def stack_rows(parts) -> np.ndarray:
+    """Sets of word rows one after another, zero-padded to the widest."""
+    out = np.zeros((sum(map(len, parts)), max((p.shape[1] for p in parts), default=1)), np.int64)
+    k = 0
+    for p in parts:
+        out[k : k + len(p), : p.shape[1]] = p
+        k += len(p)
+    return out
 
 
 def _check_word(word, d):
@@ -178,32 +206,66 @@ def eval_word(word, x: GradedPoint) -> np.ndarray:
     return _word_values(x)(_check_word(word, x.d))
 
 
-class FreePoly:
-    """Finite complex combination of words in d noncommuting variables.
+class _Held:
+    """An immutable polynomial held as one :class:`MatrixPoly`, :attr:`coeffs`.
 
-    Terms are kept in a normalized dict: coefficients with modulus below
-    ``EPS_COEFF`` are dropped, and printing / serialization walks words in
-    graded lexicographic order so equal polynomials look identical.
+    ``==`` with one of the same type compares word rows and stacks exactly;
+    the hash maps ``-0.0`` to ``0.0`` as ``==`` does.
     """
 
-    __slots__ = ("_d", "_terms")
+    __slots__ = ("_coeffs",)
 
-    def __init__(self, d: int, terms=None):
-        if d < 1:
-            raise ValueError("need at least one variable")
-        clean = {}
-        for word, coeff in (terms or {}).items():
-            w = _check_word(word, d)
-            c = clean.get(w, 0j) + complex(coeff)
-            if abs(c) < EPS_COEFF:
-                clean.pop(w, None)
-            else:
-                clean[w] = c
-        object.__setattr__(self, "_d", int(d))
-        object.__setattr__(self, "_terms", clean)
+    @classmethod
+    def _of(cls, coeffs: "MatrixPoly"):
+        """The polynomial whose coefficient form is ``coeffs``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_coeffs", coeffs)
+        return self
 
     def __setattr__(self, name, value):
-        raise AttributeError("FreePoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def coeffs(self) -> "MatrixPoly":
+        return self._coeffs
+
+    @property
+    def d(self) -> int:
+        return self._coeffs.d
+
+    def degree(self) -> int:
+        """Length of the longest word; -1 for the zero polynomial."""
+        return self._coeffs.degree()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self._coeffs, other._coeffs
+        return a.d == b.d and np.array_equal(a.rows, b.rows) and np.array_equal(a.stack, b.stack)
+
+    def __hash__(self):
+        c = self._coeffs
+        return hash((c.d, c.stack.shape, c.rows.tobytes(), (c.stack + 0).tobytes()))
+
+
+class FreePoly(_Held):
+    """Finite complex combination of words in d noncommuting variables.
+
+    The 1x1 ring case of the normal form: :attr:`coeffs` holds one 1x1
+    coefficient per word. ``+`` stacks the word rows and ``*`` forms the
+    pairwise :func:`word_products`, each merged by :func:`graded_sum` and
+    purged by :func:`_purged`; negation and :meth:`scale` act on the
+    stack. So a coefficient under ``EPS_COEFF`` in modulus is dropped, a
+    NaN or infinite one (given, or reached by overflow) raises
+    ``ValueError``, and words are in graded order. Every coefficient is
+    summed from ``0j``, so no real or imaginary part is ``-0.0``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, d: int, terms=None):
+        coeffs = _ring_form(d, *_scalar_arrays(d, (terms or {}).items()))
+        object.__setattr__(self, "_coeffs", coeffs)
 
     # -- constructors ------------------------------------------------------
 
@@ -223,60 +285,35 @@ class FreePoly:
     # -- queries -----------------------------------------------------------
 
     @property
-    def d(self) -> int:
-        return self._d
-
-    @property
     def terms(self) -> dict:
-        return dict(self._terms)
-
-    def sorted_terms(self):
-        return [(w, self._terms[w]) for w in sorted(self._terms, key=graded_lex_key)]
-
-    def degree(self) -> int:
-        """Length of the longest word; -1 for the zero polynomial."""
-        return max((len(w) for w in self._terms), default=-1)
+        return dict(zip(self._coeffs.words(), self._coeffs.stack[:, 0, 0].tolist()))
 
     def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other):
-        if not isinstance(other, FreePoly):
-            return NotImplemented
-        return self._d == other._d and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self._d, frozenset(self._terms.items())))
+        return not self._coeffs.term_count()
 
     def __repr__(self):
-        if not self._terms:
-            return "FreePoly(0)"
-        bits = []
-        for w, c in self.sorted_terms():
-            mono = "*".join(f"x{i}" for i in w) or "1"
-            bits.append(f"({c:g})*{mono}")
-        return "FreePoly(" + " + ".join(bits) + ")"
+        bits = [f"({c:g})*" + ("*".join(f"x{i}" for i in w) or "1") for w, c in self.terms.items()]
+        return "FreePoly(" + (" + ".join(bits) or "0") + ")"
 
     # -- ring operations -----------------------------------------------------
 
     def _like(self, other) -> "FreePoly":
         if isinstance(other, FreePoly):
-            if other._d != self._d:
+            if other.d != self.d:
                 raise ShapeMismatch("variable counts differ")
             return other
-        return FreePoly.const(self._d, other)
+        return FreePoly.const(self.d, other)
 
     def __add__(self, other):
-        other = self._like(other)
-        merged = dict(self._terms)
-        for w, c in other._terms.items():
-            merged[w] = merged.get(w, 0j) + c
-        return FreePoly(self._d, merged)
+        a, b = self._coeffs, self._like(other)._coeffs
+        rows = stack_rows((a.rows, b.rows))
+        return FreePoly._of(_ring_form(self.d, rows, np.concatenate((a.stack, b.stack))))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FreePoly(self._d, {w: -c for w, c in self._terms.items()})
+        c = self._coeffs
+        return FreePoly._of(MatrixPoly._of(self.d, c.rows, -c.stack + 0.0))
 
     def __sub__(self, other):
         return self + (-self._like(other))
@@ -285,113 +322,116 @@ class FreePoly:
         return self._like(other) - self
 
     def __mul__(self, other):
-        other = self._like(other)
-        out = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, 0j) + c1 * c2
-        return FreePoly(self._d, out)
+        a, b = self._coeffs, self._like(other)._coeffs
+        u, w = a.stack.ravel().tolist(), b.stack.ravel().tolist()
+        rows = word_products(a.rows, b.rows)
+        return FreePoly._of(_ring_form(self.d, rows, [x * y for x in u for y in w]))
 
     def __rmul__(self, other):
         return self._like(other) * self
 
     def scale(self, c) -> "FreePoly":
-        c = complex(c)
-        return FreePoly(self._d, {w: c * v for w, v in self._terms.items()})
+        c, a = complex(c), self._coeffs
+        return FreePoly._of(_ring_form(self.d, a.rows, [c * v for v in a.stack.ravel().tolist()]))
 
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "d": self._d,
-            "terms": [
-                {"coeff": [float(c.real), float(c.imag)], "word": list(w)}
-                for w, c in self.sorted_terms()
-            ],
-        }
+        values = self._coeffs.stack.view(np.float64).reshape(-1, 2).tolist()
+        terms = [{"coeff": v, "word": list(w)} for w, v in zip(self._coeffs.words(), values)]
+        return {"d": self.d, "terms": terms}
 
     @classmethod
     def from_json(cls, obj) -> "FreePoly":
-        d = json_int(obj["d"], "d")
-        terms = {}
-        for t in obj["terms"]:
-            re, im = t["coeff"]
-            w = tuple(json_int(i, "word letter") for i in t["word"])
-            terms[w] = terms.get(w, 0j) + complex(re, im)
-        return cls(d, terms)
+        """Decode :meth:`to_json` output; a word listed twice gets the sum."""
+        return cls._of(_ring_form(*_json_arrays(obj)))
+
+
+def _scalar_arrays(d: int, pairs) -> tuple:
+    """Word rows and numbers of ``(word, number)`` pairs, validated, in order."""
+    if d < 1:
+        raise ValueError("need at least one variable")
+    return _term_arrays(d, (), pairs)
+
+
+def _json_arrays(obj) -> tuple:
+    """``(d, word rows, numbers)`` of a :meth:`FreePoly.to_json` object."""
+    d = json_int(obj["d"], "d")
+    pairs = []
+    for t in obj["terms"]:
+        re, im = t["coeff"]
+        pairs.append((tuple(json_int(i, "word letter") for i in t["word"]), complex(re, im)))
+    return (d, *_scalar_arrays(d, pairs))
+
+
+def _ring_form(d: int, rows, coeffs) -> "MatrixPoly":
+    """The 1x1 normal form of word rows and their numbers, summed from ``0j``.
+
+    Products are Python's: numpy's complex product may fuse a multiply and
+    an add, which moves the last bit.
+    """
+    stack = np.asarray(coeffs, dtype=np.complex128).reshape(-1, 1, 1) + 0.0
+    return MatrixPoly._of(d, *_purged(*graded_sum(rows, stack)))
 
 
 def eval_poly(p: FreePoly, x: GradedPoint) -> np.ndarray:
-    """Evaluate ``p`` at the point, an n-by-n matrix."""
-    if x.d != p.d:
-        raise ShapeMismatch(f"point has {x.d} coordinates, polynomial wants {p.d}")
-    word = _word_values(x)
-    out = np.zeros((x.n, x.n), dtype=np.complex128)
-    for w, c in p._terms.items():
-        out = out + c * word(w)
-    return out
+    """Evaluate ``p`` at the point, an n-by-n matrix: the 1x1 grid case of
+    :func:`eval_poly_matrix`, summed in graded word order."""
+    return eval_poly_matrix(PolyMatrix.from_poly(p), x)
 
 
-class PolyMatrix:
+def _grid_form(grid, d) -> "MatrixPoly":
+    """Coefficient form of a grid of ``(d, word rows, numbers)`` entries.
+
+    The numbers sit at their entries of one stack, summed from ``0j`` and
+    normalised once; an entry under ``EPS_COEFF`` is then zero, as in a
+    ``FreePoly``. A grid without entries takes the variable count ``d``.
+    """
+    rows, cols = len(grid), len(grid[0]) if grid else 0
+    if any(len(row) != cols for row in grid):
+        raise ShapeMismatch("ragged polynomial grid")
+    if rows and cols:
+        d = grid[0][0][0]
+    elif d is None:
+        raise ValueError("empty grid needs an explicit variable count")
+    cells = [cell for row in grid for cell in row]
+    if any(cell[0] != d for cell in cells):
+        raise ShapeMismatch("entries disagree on variable count")
+    words = stack_rows([cell[1] for cell in cells])
+    at = np.repeat(np.arange(len(cells)), [len(cell[1]) for cell in cells])
+    stack = np.zeros((len(words), rows * cols), dtype=np.complex128)
+    stack[np.arange(len(words)), at] = np.concatenate([cell[2] for cell in cells] + [[]])
+    words, stack = _purged(*graded_sum(words, stack.reshape(len(words), rows, cols) + 0.0))
+    stack[np.abs(stack) < EPS_COEFF] = 0.0
+    return MatrixPoly._of(d, words, stack)
+
+
+class PolyMatrix(_Held):
     """Rectangular grid of free polynomials sharing one variable count.
 
-    Held as one :class:`MatrixPoly`, the read-only :attr:`coeffs`: word w
-    carries the rows-by-cols matrix ``C_w`` whose entry (i, j) is the
-    coefficient of w in grid entry (i, j), so the grid is
-    ``delta = sum_w C_w w``. :attr:`entries`, a grid of ``FreePoly``, is
-    built from it when read. Equality compares word rows and stacks
-    exactly, and the hash maps ``-0.0`` to ``0.0`` as ``==`` does.
+    In :attr:`coeffs`, word w carries the rows-by-cols matrix ``C_w`` whose
+    entry (i, j) is the coefficient of w in grid entry (i, j), so the grid
+    is ``delta = sum_w C_w w``. The constructor and :meth:`from_json` place
+    each entry's coefficients at (i, j) of one stack; :attr:`entries`, a
+    grid of ``FreePoly``, slices the stack when read.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __init__(self, entries, d: int | None = None):
         grid = [list(row) for row in entries]
-        rows, cols = len(grid), len(grid[0]) if grid else 0
-        if any(len(row) != cols for row in grid):
-            raise ShapeMismatch("ragged polynomial grid")
         if not all(isinstance(p, FreePoly) for row in grid for p in row):
             raise TypeError("entries must be FreePoly")
-        if rows and cols:
-            d = grid[0][0].d
-        elif d is None:
-            raise ValueError("empty grid needs an explicit variable count")
-        terms = {}
-        for i, row in enumerate(grid):
-            for j, p in enumerate(row):
-                if p.d != d:
-                    raise ShapeMismatch("entries disagree on variable count")
-                for w, c in p._terms.items():
-                    terms.setdefault(w, np.zeros((rows, cols), dtype=np.complex128))[i, j] = c
-        object.__setattr__(self, "_coeffs", MatrixPoly(d, rows, cols, terms))
-
-    @classmethod
-    def _of(cls, coeffs: "MatrixPoly") -> "PolyMatrix":
-        """The grid whose coefficient form is ``coeffs``."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "_coeffs", coeffs)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyMatrix is immutable")
+        cells = [[(p.d, p.coeffs.rows, p.coeffs.stack[:, 0, 0]) for p in row] for row in grid]
+        object.__setattr__(self, "_coeffs", _grid_form(cells, d))
 
     @classmethod
     def from_poly(cls, p: FreePoly) -> "PolyMatrix":
-        return cls([[p]])
+        return cls._of(p.coeffs)
 
     @classmethod
     def column(cls, polys) -> "PolyMatrix":
         return cls([[p] for p in polys])
-
-    @property
-    def coeffs(self) -> "MatrixPoly":
-        """The grid as ``sum_w C_w w``: one rows-by-cols coefficient per word."""
-        return self._coeffs
-
-    @property
-    def d(self):
-        return self._coeffs.d
 
     @property
     def rows(self):
@@ -403,24 +443,15 @@ class PolyMatrix:
 
     @property
     def entries(self):
-        words, grid = self._coeffs.words(), self._coeffs.stack.transpose(1, 2, 0).tolist()
+        rows, stack = self._coeffs.rows, self._coeffs.stack
+        keep = np.abs(stack) >= EPS_COEFF
         return tuple(
-            tuple(FreePoly(self.d, {w: c for w, c in zip(words, cs) if c}) for cs in row)
-            for row in grid
+            tuple(
+                FreePoly._of(MatrixPoly._of(self.d, rows[k], stack[k, i, j, None, None] + 0.0))
+                for j, k in enumerate(keep[:, i].T)
+            )
+            for i in range(self.rows)
         )
-
-    def degree(self) -> int:
-        return self._coeffs.degree()
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        return a.d == b.d and np.array_equal(a.rows, b.rows) and np.array_equal(a.stack, b.stack)
-
-    def __hash__(self):
-        c = self._coeffs
-        return hash((c.d, c.stack.shape, c.rows.tobytes(), (c.stack + 0).tobytes()))
 
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols}, d={self.d})"
@@ -435,9 +466,9 @@ class PolyMatrix:
 
     @classmethod
     def from_json(cls, obj) -> "PolyMatrix":
-        entries = [[FreePoly.from_json(p) for p in row] for row in obj["entries"]]
+        grid = [[_json_arrays(p) for p in row] for row in obj["entries"]]
         header = (json_int(obj.get("d", 1), "d"), *(json_int(obj[k], k) for k in ("rows", "cols")))
-        pm = cls(entries, d=header[0])
+        pm = cls._of(_grid_form(grid, header[0]))
         if (pm.d, pm.rows, pm.cols) != header:
             raise ShapeMismatch("polynomial grid header disagrees with entries")
         return pm
@@ -492,7 +523,7 @@ def _promoted_grid(pm: PolyMatrix, mult: int) -> "MatrixPoly":
     terms.
     """
     grid = pm.coeffs
-    return MatrixPoly.from_rows(pm.d, grid.rows, np.kron(np.eye(mult)[None], grid.stack))
+    return MatrixPoly._of(pm.d, grid.rows, np.kron(np.eye(mult)[None], grid.stack))
 
 
 def promoted_apply_buffers(dx: np.ndarray, n: int, mult: int, q: int) -> tuple:
@@ -551,11 +582,10 @@ def delta_direct_sum(d1: PolyMatrix, d2: PolyMatrix) -> PolyMatrix:
         raise ShapeMismatch("grids disagree on variable count")
     a, b = d1.coeffs, d2.coeffs
     k = len(a.rows)
-    rows = np.zeros((k + len(b.rows), max(a.rows.shape[1], b.rows.shape[1])), dtype=np.int64)
-    rows[:k, : a.rows.shape[1]], rows[k:, : b.rows.shape[1]] = a.rows, b.rows
+    rows = stack_rows((a.rows, b.rows))
     stack = np.zeros((len(rows), d1.rows + d2.rows, d1.cols + d2.cols), dtype=np.complex128)
     stack[:k, : d1.rows, : d1.cols], stack[k:, d1.rows :, d1.cols :] = a.stack, b.stack
-    return PolyMatrix._of(MatrixPoly.from_rows(d1.d, rows, stack))
+    return PolyMatrix._of(MatrixPoly._of(d1.d, *_purged(*graded_sum(rows, stack))))
 
 
 def delta_pad_columns(pm: PolyMatrix, extra: int) -> PolyMatrix:
@@ -572,7 +602,7 @@ def delta_pad_columns(pm: PolyMatrix, extra: int) -> PolyMatrix:
     grid = pm.coeffs
     zeros = np.zeros(grid.stack.shape[:2] + (extra,), dtype=np.complex128)
     stack = np.concatenate((grid.stack, zeros), axis=2)
-    return PolyMatrix._of(MatrixPoly.from_rows(pm.d, grid.rows, stack))
+    return PolyMatrix._of(MatrixPoly._of(pm.d, grid.rows, stack))
 
 
 def ball_delta(center, radius: float) -> PolyMatrix:
@@ -608,19 +638,19 @@ class MatrixPoly:
     coefficient :attr:`stack`; :meth:`words` and :attr:`terms` (views of
     the stack) are built from them when read.
 
-    The constructor (a word-to-coefficient dict) and :meth:`from_rows`
-    validate and normalise alike: a letter outside 1..d or a NaN or
-    infinite coefficient entry raises ``ValueError`` (as
-    :func:`freeholo.mat.matrix_from_json` does), :func:`graded_sum` merges
-    duplicate words, and a word whose coefficient entries all stay under
-    ``EPS_COEFF`` in modulus is dropped. The rows are then cut to the width
-    of the longest word, so equal polynomials have equal rows and stacks.
+    Words from outside (the dict constructor, :meth:`from_rows` and
+    :meth:`from_json`) are validated: a letter outside 1..d or a malformed
+    row raises ``ValueError``. Every polynomial, these and the ones library
+    code builds, then goes through :func:`graded_sum` and :func:`_purged`,
+    and its rows are cut to the width of the longest word, so equal
+    polynomials have equal rows and stacks.
     """
 
     __slots__ = ("_d", "_rows", "_stack")
 
     def __init__(self, d: int, out_dim: int, in_dim: int, terms=None):
-        self._normalise(d, *_term_arrays(d, (out_dim, in_dim), (terms or {}).items()))
+        rows, stack = _term_arrays(d, (out_dim, in_dim), (terms or {}).items())
+        self._hold(d, *_purged(*graded_sum(rows, stack)))
 
     @classmethod
     def from_rows(cls, d: int, rows, stack) -> "MatrixPoly":
@@ -629,13 +659,8 @@ class MatrixPoly:
         Rows ``[length, letters..., 0...]`` and a ``(len(rows), out_dim,
         in_dim)`` stack are validated and normalised as by the constructor.
         """
-        self = object.__new__(cls)
-        self._normalise(d, rows, stack)
-        return self
-
-    def _normalise(self, d, rows, stack):
-        rows = np.asarray(rows, dtype=np.int64)
-        stack = np.asarray(stack, dtype=np.complex128)
+        rows = np.array(rows, dtype=np.int64)  # copies: the polynomial freezes its arrays
+        stack = np.array(stack, dtype=np.complex128)
         if rows.ndim != 2 or rows.shape[1] < 1 or stack.ndim != 3 or len(rows) != len(stack):
             raise ShapeMismatch("need 2-d word rows and a 3-d stack of one coefficient each")
         length, letters = rows[:, 0], rows[:, 1:]
@@ -645,11 +670,16 @@ class MatrixPoly:
             raise ValueError(f"letter {bad[0]} outside 1..{d}")
         if (length < 0).any() or (length > letters.shape[1]).any() or letters[~used].any():
             raise ValueError("word rows must read [length, letters..., 0...]")
-        if not np.isfinite(stack).all():
-            raise ValueError("matrix polynomial coefficients must be finite")
-        rows, stack = graded_sum(rows, stack)
-        keep = np.abs(stack).max(axis=(1, 2), initial=0.0) >= EPS_COEFF
-        rows, stack = rows[keep], stack[keep]
+        return cls._of(d, *_purged(*graded_sum(rows, stack)))
+
+    @classmethod
+    def _of(cls, d: int, rows: np.ndarray, stack: np.ndarray) -> "MatrixPoly":
+        """The polynomial of rows and a stack already in normal form."""
+        self = object.__new__(cls)
+        self._hold(d, rows, stack)
+        return self
+
+    def _hold(self, d, rows, stack):
         rows = rows[:, : 1 + rows[-1, 0]] if len(rows) else rows[:, :1]  # longest word last
         rows.setflags(write=False)
         stack.setflags(write=False)
@@ -697,13 +727,10 @@ class MatrixPoly:
         return [tuple(r[1 : 1 + r[0]]) for r in self._rows.tolist()]
 
     def eval(self, x: GradedPoint) -> np.ndarray:
-        if x.d != self._d:
-            raise ShapeMismatch("variable counts differ")
-        word = _word_values(x)
-        out = np.zeros((x.n * self.out_dim, x.n * self.in_dim), dtype=np.complex128)
-        for w, c in zip(self.words(), self._stack):
-            out += np.kron(word(w), c)
-        return out
+        """:func:`eval_poly_matrix` of these coefficients, level index moved outside."""
+        n, rows, cols = x.n, self.out_dim, self.in_dim
+        value = eval_poly_matrix(PolyMatrix._of(self), x).reshape(rows, n, cols, n)
+        return value.transpose(1, 0, 3, 2).reshape(n * rows, n * cols)
 
     def to_json(self) -> dict:
         return {
@@ -763,14 +790,14 @@ class MatrixPoly:
             for t in obj["terms"]
         ]
         d, out_dim, in_dim = (json_int(obj[key], key) for key in ("d", "out_dim", "in_dim"))
-        return cls.from_rows(d, *_term_arrays(d, (out_dim, in_dim), pairs))
+        return cls._of(d, *_purged(*graded_sum(*_term_arrays(d, (out_dim, in_dim), pairs))))
 
 
 def _term_arrays(d: int, shape: tuple, pairs) -> tuple:
     """Word rows and coefficient stack of ``(word, coefficient)`` pairs, in order.
 
     Words are checked in Python first, so a letter past int64 cannot enter
-    a row; each coefficient must have ``shape``.
+    a row; each coefficient must have ``shape`` (``()`` for a number).
     """
     words, coeffs = [], []
     for word, c in pairs:
@@ -779,8 +806,7 @@ def _term_arrays(d: int, shape: tuple, pairs) -> tuple:
         if coeffs[-1].shape != shape:
             got = coeffs[-1].shape
             raise ShapeMismatch(f"coefficient for {words[-1]} has shape {got}, want {shape}")
-    rows = np.zeros((len(words), 1 + max(map(len, words), default=0)), dtype=np.int64)
-    for i, w in enumerate(words):
-        rows[i, : 1 + len(w)] = (len(w), *w)
-    stack = np.stack(coeffs) if coeffs else np.empty((0,) + shape, dtype=np.complex128)
-    return rows, stack
+    width = max(map(len, words), default=0)
+    rows = np.array([(len(w), *w) + (0,) * (width - len(w)) for w in words], dtype=np.int64)
+    stack = np.array(coeffs) if coeffs else np.empty((0,) + shape, dtype=np.complex128)
+    return rows.reshape(-1, 1 + width), stack

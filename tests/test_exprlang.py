@@ -74,6 +74,7 @@ def test_unary_minus():
     assert t == Mul(Neg(Var(1)), Var(2))
     t = parse("-(x1*x2)", 2)
     assert t == Neg(Mul(Var(1), Var(2)))
+    assert repr(t) == "Neg(operand=Mul(left=Var(index=1), right=Var(index=2)))"
 
 
 def test_syntax_error_offsets():
@@ -230,9 +231,8 @@ def test_eval_matches_numpy_on_random_trees():
     assert hits == 200
 
 
-# Trees this deep overflow any recursive walk. They are compared through
-# their printed text and their values: the dataclass ``==`` and ``hash``
-# recurse themselves.
+# Trees this deep overflow any recursive walk, printing, evaluation and
+# the nodes' ``==``, ``hash`` and ``repr`` included.
 DEEP = 100_000
 DEEP_X = GradedPoint([np.array([[0.5, 1j], [-0.25, 2.0]])])
 
@@ -244,11 +244,14 @@ DEEP_X = GradedPoint([np.array([[0.5, 1j], [-0.25, 2.0]])])
         ("x1" + " + x1" * DEEP, "x1" + " + x1" * DEEP, DEEP + 1.0),
         ("-" * DEEP + "x1", "-" * DEEP + "x1", 1.0),
         ("(" * DEEP + "x1" + ")" * DEEP, "x1", 1.0),
+        ("-" * 1_200 + "x1", "-" * 1_200 + "x1", 1.0),
     ],
-    ids=["product", "sum", "minus", "parentheses"],
+    ids=["product", "sum", "minus", "parentheses", "minus-1200"],
 )
 def test_deep_trees_parse_print_and_evaluate(src, text, scale):
     t = parse(src, 1)
+    assert t == parse(text, 1) and hash(t) == hash(parse(text, 1))
+    assert repr(t).count("Var(index=1)") == text.count("x1")
     assert print_expr(t) == text
     assert print_expr(parse(text, 1)) == text
     expected = scale * DEEP_X.mats[0]

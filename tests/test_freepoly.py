@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_grid
 from freeholo.freepoly import (
+    EPS_COEFF,
     FreePoly,
     GradedPoint,
     MatrixPoly,
@@ -129,6 +130,29 @@ def test_eval_is_ring_morphism(seed):
     np.testing.assert_allclose(
         eval_poly(p + q, pt), eval_poly(p, pt) + eval_poly(q, pt), atol=1e-12
     )
+    # the graded form against a dict of running sums: same words, and each
+    # coefficient within k eps sum |contribution| for its k contributions
+    c = complex(rng.standard_normal(), rng.standard_normal())
+    pt_, qt_ = p.terms.items(), q.terms.items()
+    for got, contributions in [
+        (p + q, [*pt_, *qt_]),
+        (p - q, [*pt_, *((w, -v) for w, v in qt_)]),
+        (p * q, [(u + w, a * b) for u, a in pt_ for w, b in qt_]),
+        (-p, [(w, -v) for w, v in pt_]),
+        (p.scale(c), [(w, c * v) for w, v in pt_]),
+    ]:
+        want, bound = {}, {}
+        for w, v in contributions:
+            want[w] = want.get(w, 0j) + v
+            bound[w] = bound.get(w, 0.0) + 2.3e-16 * abs(v)
+        want = {w: v for w, v in want.items() if abs(v) >= EPS_COEFF}
+        terms = got.terms
+        assert set(terms) == set(want)
+        for w, v in want.items():
+            k = sum(u == w for u, _ in contributions)
+            assert abs(terms[w] - v) <= k * bound[w]
+        parts = got.coeffs.stack.view(np.float64)
+        assert not np.signbit(parts[parts == 0]).any()
 
 
 def test_eval_respects_direct_sums():
@@ -264,6 +288,7 @@ def test_grid_coefficient_form_properties(pair, n, seed, extra):
     assert PolyMatrix(pm.entries, d=pm.d) == pm
     again = PolyMatrix.from_json(pm.to_json())
     assert again == pm and hash(again) == hash(pm)
+    assert again.coeffs.stack.tobytes() == pm.coeffs.stack.tobytes()
     both = eval_poly_matrix(delta_direct_sum(pm, other), pt)
     np.testing.assert_array_equal(both, direct_sum(val, eval_poly_matrix(other, pt)))
     padded = eval_poly_matrix(delta_pad_columns(pm, extra), pt)
@@ -291,6 +316,20 @@ def test_matrix_poly_poly_matrix_roundtrip():
     assert op_norm(mp.eval(pt)) == pytest.approx(
         op_norm(eval_poly_matrix(pm, pt)), rel=1e-12
     )
+
+
+def test_free_poly_rejects_non_finite_coefficients():
+    # given, or reached by overflow in +, * or scale
+    for coeff in (float("inf"), float("nan"), complex(0.0, float("-inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            FreePoly(1, {(1,): coeff})
+        with pytest.raises(ValueError, match="finite"):
+            FreePoly.const(1, coeff)
+    big = FreePoly.const(1, 1e300) + FreePoly.letter(1, 1)
+    huge = big.scale(1e8)
+    for overflow in (lambda: big * big, lambda: huge + huge, lambda: big.scale(1e10)):
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            overflow()
 
 
 def test_matrix_poly_rejects_non_finite_coefficients():

@@ -1,7 +1,12 @@
-"""Every module-level import in the library is referenced by its module.
+"""Checks on the library's syntax trees.
 
-No linter ships with the project, so this walks the syntax tree of each
-module in ``src/freeholo`` (``__init__.py`` re-exports and is skipped).
+No linter ships with the project, so these walk the syntax tree of each
+module in ``src/freeholo``:
+
+* every module-level import is referenced by its module (``__init__.py``
+  re-exports and is skipped);
+* ``freepoly.graded_sum`` is the only function that orders or merges
+  words, the only caller of ``np.lexsort`` and ``np.add.at``.
 """
 
 import ast
@@ -37,3 +42,26 @@ def test_unused_imports_finds_what_is_never_read():
 )
 def test_library_modules_use_their_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def merge_calls(source: str, module: str) -> set:
+    """``module.function`` names of the functions that call ``np.lexsort`` or ``np.add.at``."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            calls = [ast.unparse(n.func) for n in ast.walk(fn) if isinstance(n, ast.Call)]
+            if {"np.lexsort", "np.add.at"} & set(calls):
+                found.add(f"{module}.{fn.name}")
+    return found
+
+
+def test_merge_calls_finds_nested_calls():
+    source = "def f(a):\n    def g():\n        np.add.at(a, [0], 1)\n    return np.lexsort(a)\n"
+    assert merge_calls(source, "m") == {"m.f", "m.g"}
+
+
+def test_graded_sum_is_the_only_word_merge():
+    found = set()
+    for path in SRC.glob("*.py"):
+        found |= merge_calls(path.read_text(encoding="utf-8"), path.stem)
+    assert found == {"freepoly.graded_sum"}

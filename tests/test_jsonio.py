@@ -69,6 +69,17 @@ def test_malformed_payloads():
     assert decode("freepoly", fp).terms == {(1,): 3.0}
 
 
+def test_non_finite_polynomial_coefficients_are_schema_errors():
+    # as a freepoly and as an entry of a polymatrix
+    for bad in (float("nan"), float("inf")):
+        fp = {"d": 1, "terms": [{"word": [1], "coeff": [bad, 0.0]}]}
+        with pytest.raises(SchemaError, match="finite"):
+            decode("freepoly", json.loads(json.dumps(fp)))
+        pm = {"rows": 1, "cols": 2, "d": 1, "entries": [[FreePoly.letter(1, 1).to_json(), fp]]}
+        with pytest.raises(SchemaError, match="finite"):
+            decode("polymatrix", pm)
+
+
 def test_all_registered_kinds_roundtrip():
     cm = np.array([[1.0, 2.0j]])
     np.testing.assert_array_equal(decode("cmatrix", matrix_to_json(cm)), cm)
