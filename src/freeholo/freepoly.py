@@ -337,9 +337,7 @@ class FreePoly(_Held):
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        values = self._coeffs.stack.view(np.float64).reshape(-1, 2).tolist()
-        terms = [{"coeff": v, "word": list(w)} for w, v in zip(self._coeffs.words(), values)]
-        return {"d": self.d, "terms": terms}
+        return _entries_json(self._coeffs)[0][0]
 
     @classmethod
     def from_json(cls, obj) -> "FreePoly":
@@ -372,6 +370,19 @@ def _ring_form(d: int, rows, coeffs) -> "MatrixPoly":
     """
     stack = np.asarray(coeffs, dtype=np.complex128).reshape(-1, 1, 1) + 0.0
     return MatrixPoly._of(d, *_purged(*graded_sum(rows, stack)))
+
+
+def _entries_json(c: "MatrixPoly") -> list:
+    """The grid of :meth:`FreePoly.to_json` objects, written from the stack:
+    entry (i, j) lists the words whose coefficient there is at least ``EPS_COEFF``."""
+    words = c.words()
+
+    def entry(coeffs):
+        terms = [{"coeff": [v.real + 0.0, v.imag + 0.0], "word": list(w)}
+                 for w, v in zip(words, coeffs) if abs(v) >= EPS_COEFF]
+        return {"d": c.d, "terms": terms}
+
+    return [[entry(vs) for vs in row] for row in c.stack.transpose(1, 2, 0).tolist()]
 
 
 def eval_poly(p: FreePoly, x: GradedPoint) -> np.ndarray:
@@ -412,8 +423,9 @@ class PolyMatrix(_Held):
     In :attr:`coeffs`, word w carries the rows-by-cols matrix ``C_w`` whose
     entry (i, j) is the coefficient of w in grid entry (i, j), so the grid
     is ``delta = sum_w C_w w``. The constructor and :meth:`from_json` place
-    each entry's coefficients at (i, j) of one stack; :attr:`entries`, a
-    grid of ``FreePoly``, slices the stack when read.
+    each entry's coefficients at (i, j) of one stack; :meth:`to_json` writes
+    the entries straight from it, and :attr:`entries` reads them back as a
+    grid of ``FreePoly``.
     """
 
     __slots__ = ()
@@ -443,26 +455,14 @@ class PolyMatrix(_Held):
 
     @property
     def entries(self):
-        rows, stack = self._coeffs.rows, self._coeffs.stack
-        keep = np.abs(stack) >= EPS_COEFF
-        return tuple(
-            tuple(
-                FreePoly._of(MatrixPoly._of(self.d, rows[k], stack[k, i, j, None, None] + 0.0))
-                for j, k in enumerate(keep[:, i].T)
-            )
-            for i in range(self.rows)
-        )
+        return tuple(tuple(map(FreePoly.from_json, row)) for row in _entries_json(self._coeffs))
 
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols}, d={self.d})"
 
     def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "d": self.d,
-            "entries": [[p.to_json() for p in row] for row in self.entries],
-        }
+        c = self._coeffs
+        return {"rows": c.out_dim, "cols": c.in_dim, "d": c.d, "entries": _entries_json(c)}
 
     @classmethod
     def from_json(cls, obj) -> "PolyMatrix":

@@ -83,12 +83,16 @@ def op_norm(m) -> float:
     """Largest singular value, via full SVD.
 
     Accurate to a small multiple of machine epsilon relative to the norm,
-    which is what the truncation and membership certificates assume.
+    which the truncation and membership certificates assume; NaN when the
+    SVD fails, as on a matrix with a non-finite entry.
     """
     a = as_array(m)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    try:
+        return float(np.linalg.svd(a, compute_uv=False)[0])
+    except np.linalg.LinAlgError:
+        return float("nan")
 
 
 def cond(m) -> float:

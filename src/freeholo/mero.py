@@ -24,7 +24,7 @@ from .errors import (
 )
 from .exprlang import Schedule, eval_expr
 from .freepoly import GradedPoint, PolyMatrix, eval_poly_matrix
-from .ncpoint import DEFAULT_MARGIN
+from .ncpoint import DEFAULT_MARGIN, Membership
 
 INVERTIBILITY_RTOL = 1e-10
 
@@ -60,7 +60,7 @@ class AugmentedDomain:
         return worst
 
     def contains(self, x: GradedPoint, margin: float = DEFAULT_MARGIN) -> bool:
-        return self.norm_at(x) < 1.0 - margin
+        return Membership.from_norm(self.norm_at(x), margin).inside
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,12 @@ The defining identity, checked pairwise at equal levels, is
 with Delta the multiplicity-promoted evaluation of delta. Points at unequal
 levels are never compared; the identity only constrains same-level pairs.
 
-The promoted Delta is the meaning of the identity, not what is computed:
-``model_residual`` applies it once per sample through
-``freepoly.promoted_apply`` and checks all pairs of a level with a few
-batched products and SVDs (see its docstring).
+The promoted Delta is the meaning of the identity, not what is computed.
+The constructor is the one place where delta is evaluated at a sample
+point: it evaluates delta(x) once, decides membership from that value,
+and forms Delta(x) u(x) from it through ``freepoly.promoted_apply``.
+``model_residual`` and ``realize.fit_lurking_isometry`` read the held
+``delta_u`` and evaluate delta nowhere.
 ``freepoly.eval_poly_matrix_promoted`` remains the dense reference that
 tests compare against.
 """
@@ -31,42 +33,35 @@ import numpy as np
 
 from . import mat
 from .errors import OutsideDomain, ShapeMismatch
-from .freepoly import (
-    GradedPoint,
-    PolyMatrix,
-    eval_poly_matrix,
-    promoted_apply,
-)
-from .ncpoint import in_gdelta
+from .freepoly import GradedPoint, PolyMatrix, eval_poly_matrix, promoted_apply
+from .ncpoint import Membership
 
 
 @dataclass(frozen=True)
 class ModelSampleSet:
-    """Immutable bundle of sample data for fitting and residual checks."""
+    """Immutable bundle of sample data for fitting and residual checks.
+
+    Every point lies inside ``{ ||delta|| < 1 - DEFAULT_MARGIN }``; one that
+    does not raises :class:`OutsideDomain` before its Delta u is formed.
+    ``delta_u[s]``, of shape (n*mult*I, n*h) with I = delta.rows, is the
+    read-only Delta(x) u(x). It follows from the other fields, so
+    ``to_json`` leaves it out and ``from_json`` forms it again. A fit that
+    pads the grid with zero columns reads it unpadded: those columns of
+    Delta(x) are zero and meet only the zero rows padded into u.
+    """
 
     delta: PolyMatrix
     points: tuple
     psi: tuple
     phi: tuple
     u: tuple
+    delta_u: tuple
     h_dim: int
     k1_dim: int
     k2_dim: int
     mult: int
 
-    def __init__(
-        self,
-        delta,
-        points,
-        psi,
-        phi,
-        u,
-        h_dim,
-        k1_dim,
-        k2_dim,
-        mult,
-        verify_membership=True,
-    ):
+    def __init__(self, delta, points, psi, phi, u, h_dim, k1_dim, k2_dim, mult):
         points = tuple(points)
         psi = tuple(np.array(mat.as_array(v), dtype=np.complex128) for v in psi)
         phi = tuple(np.array(mat.as_array(v), dtype=np.complex128) for v in phi)
@@ -75,6 +70,7 @@ class ModelSampleSet:
             raise ShapeMismatch("points, psi, phi, u must have equal lengths")
         if min(h_dim, k1_dim, k2_dim, mult) < 1:
             raise ShapeMismatch("dimensions must be positive")
+        delta_u = []
         for x, a, b, c in zip(points, psi, phi, u):
             if x.d != delta.d:
                 raise ShapeMismatch("point and delta disagree on variable count")
@@ -85,14 +81,15 @@ class ModelSampleSet:
                 raise ShapeMismatch(f"phi shape {b.shape} wrong at level {n}")
             if c.shape != (n * mult * delta.cols, n * h_dim):
                 raise ShapeMismatch(f"u shape {c.shape} wrong at level {n}")
-            if verify_membership:
-                verdict = in_gdelta(delta, x)
-                if not verdict.inside:
-                    raise OutsideDomain(
-                        f"sample point at level {n} is {verdict.status} "
-                        f"(||delta|| = {verdict.norm:.6f})"
-                    )
-        for arrays in (psi, phi, u):
+            dx = eval_poly_matrix(delta, x)
+            verdict = Membership.from_norm(mat.op_norm(dx))
+            if not verdict.inside:
+                raise OutsideDomain(
+                    f"sample point at level {n} is {verdict.status} "
+                    f"(||delta|| = {verdict.norm:.6f})"
+                )
+            delta_u.append(promoted_apply(dx, n, mult, c))
+        for arrays in (psi, phi, u, delta_u):
             for v in arrays:
                 v.setflags(write=False)
         object.__setattr__(self, "delta", delta)
@@ -100,6 +97,7 @@ class ModelSampleSet:
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "u", u)
+        object.__setattr__(self, "delta_u", tuple(delta_u))
         object.__setattr__(self, "h_dim", int(h_dim))
         object.__setattr__(self, "k1_dim", int(k1_dim))
         object.__setattr__(self, "k2_dim", int(k2_dim))
@@ -143,19 +141,18 @@ def model_residual(s: ModelSampleSet) -> float:
     including the diagonal pairs y = x. Machine-scale for data generated by
     an isometric realization; ``inf`` when any pair block is not finite.
 
-    Delta u is computed once per sample, from the grid-outer delta(x)
-    through :func:`freepoly.promoted_apply`. Per level, with the columns
-    ``L_s = [psi_s; (Delta u)_s]`` and ``R_s = [phi_s; u_s]`` of width w, the
-    pair block is ``E_st = L_s* L_t - R_s* R_t``. Since ``||E_ts|| = ||E_st||``
-    only the blocks with t >= s are formed, one row block s at a time, and
-    their norms come from one batched SVD, so memory stays O(m w^2) for m
-    samples at the level and the level's (m w)^2 Gram is never held.
+    Delta u is the sample set's ``delta_u``; no delta is evaluated here.
+    Per level, with the columns ``L_s = [psi_s; (Delta u)_s]`` and
+    ``R_s = [phi_s; u_s]`` of width w, the pair block is
+    ``E_st = L_s* L_t - R_s* R_t``. Since ``||E_ts|| = ||E_st||`` only the
+    blocks with t >= s are formed, one row block s at a time, and their
+    norms come from one batched SVD, so memory stays O(m w^2) for m samples
+    at the level and the level's (m w)^2 Gram is never held.
     """
     by_level = {}
     for i, x in enumerate(s.points):
-        du = promoted_apply(eval_poly_matrix(s.delta, x), x.n, s.mult, s.u[i])
         left, right = by_level.setdefault(x.n, ([], []))
-        left.append(np.concatenate([s.psi[i], du]))
+        left.append(np.concatenate([s.psi[i], s.delta_u[i]]))
         right.append(np.concatenate([s.phi[i], s.u[i]]))
     worst = 0.0
     for left, right in by_level.values():
@@ -194,8 +191,7 @@ def model_from_realization(r, points, psi=None) -> ModelSampleSet:
     the realization's resolvent leg, and ``phi(x)`` is the realization value
     times ``psi(x)``; one resolvent solve per point yields both. With
     ``psi=None`` the identity column data is used (h_dim = k1_dim). The
-    solve certifies membership with ``DEFAULT_MARGIN``, so the sample set
-    does not test it again.
+    solve and the sample set each test membership with ``DEFAULT_MARGIN``.
     """
     from .realize import _Kernel
 
@@ -224,5 +220,4 @@ def model_from_realization(r, points, psi=None) -> ModelSampleSet:
         k1_dim=r.dim_k1,
         k2_dim=r.dim_k2,
         mult=r.mult,
-        verify_membership=False,
     )

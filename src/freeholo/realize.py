@@ -23,8 +23,8 @@ value delta(x), which the membership test evaluates and norms once per point.
 
 The fitting routine recovers such a J1 from finite model sample data by
 matching two families of structured vectors with equal Gram matrices and
-completing the resulting partial isometry deterministically. It applies
-Delta(x) through ``freepoly.promoted_apply`` as well. When the
+completing the resulting partial isometry deterministically. It reads
+Delta(x) u(x) from the sample set, which formed it once per point. When the
 codomain is too small for any isometry (for instance row-valued functions,
 where k1 exceeds k2), the grid is padded with zero columns first; padding
 never moves the domain and only widens the codomain side of J1.
@@ -385,15 +385,15 @@ def fit_lurking_isometry(
     :class:`RankOverflow`.
 
     The p and q vectors of one point are the columns of two panels, built by
-    one reshape of ``[psi; Delta u]`` and ``[phi; u]``, with Delta u from
-    :func:`freepoly.promoted_apply`. A deviation ``max |P*P - Q*Q|`` between
-    the Gram matrices above ``gram_rtol`` times ``max(1, max_j ||p_j||^2)``
-    (the largest entry of the positive semidefinite P*P sits on its
-    diagonal) raises :class:`GramMismatch`: the data cannot come from any
-    isometric realization. So does a deviation that is not finite. The
-    deviation is formed as one product of ``[P; -Q]*`` with ``[P; Q]`` per
-    panel of 256 columns, over the upper block triangle of the Hermitian
-    difference only, so neither N-by-N Gram matrix of the N columns is held.
+    one reshape of ``[psi; Delta u]`` and ``[phi; u]``, Delta u read from the
+    sample set. A deviation ``max |P*P - Q*Q|`` between the Gram matrices
+    above ``gram_rtol`` times ``max(1, max_j ||p_j||^2)`` (the largest entry
+    of the positive semidefinite P*P sits on its diagonal) raises
+    :class:`GramMismatch`: the data cannot come from any isometric
+    realization. So does a deviation that is not finite. The deviation is
+    formed as one product of ``[P; -Q]*`` with ``[P; Q]`` per panel of 256
+    columns, over the upper block triangle of the Hermitian difference
+    only, so neither N-by-N Gram matrix of the N columns is held.
 
     Unless ``holdout=False``, every fifth point (indices 4, 9, ...) is
     reserved, excluded from the fit, and used to report the reproduction
@@ -425,16 +425,13 @@ def fit_lurking_isometry(
     cod_dim = k2 + mult * j_new
     panels = []
     for idx in train:
-        x = s.points[idx]
-        n = x.n
-        w = s.psi[idx].shape[1]
-        # the padded grid columns are zero, so Delta u needs neither padding
-        du = promoted_apply(eval_poly_matrix(s.delta, x), n, mult, s.u[idx])
+        n, w = s.points[idx].n, s.psi[idx].shape[1]
+        # the padded grid columns are zero, so the held Delta u needs no padding
         u_val = _pad_u_rows(s.u[idx], n, mult, j_cols, pad)
         rows = np.concatenate(
             [
                 s.psi[idx].reshape(n, k1, w),
-                du.reshape(n, mult * i_rows, w),
+                s.delta_u[idx].reshape(n, mult * i_rows, w),
                 s.phi[idx].reshape(n, k2, w),
                 u_val.reshape(n, mult * j_new, w),
             ],
@@ -569,8 +566,8 @@ def corona_solve(
         ``psis[i][s]`` is the value of the i-th column function at point s.
     epsilon : float
         Coercivity floor; the stacked column must satisfy
-        ``psi(x)* psi(x) >= epsilon^2`` at every point (within
-        ``floor_slack``), otherwise :class:`BelowFloor` is raised.
+        ``psi(x)* psi(x) >= epsilon^2`` at every point (within ``floor_slack``),
+        otherwise, or where that difference overflows, :class:`BelowFloor`.
     u : sequence
         Model data for ``psi(y)* psi(x) - epsilon^2`` with multiplicity
         ``mult``, e.g. sampled from a realization via
@@ -589,13 +586,17 @@ def corona_solve(
     n_funcs = len(psis)
     if n_funcs == 0:
         raise ShapeMismatch("need at least one column function")
+    if any(len(row) != len(points) for row in psis):
+        raise ShapeMismatch("each column function needs one value per point")
     columns = []
     for s_idx in range(len(points)):
         col = stack_column([psis[i][s_idx] for i in range(n_funcs)])
         columns.append(col)
-        g = col.conj().T @ col - epsilon**2 * np.eye(col.shape[1])
-        low = float(np.linalg.eigvalsh((g + g.conj().T) / 2.0)[0])
-        if low < -floor_slack:
+        g = col.conj().T @ col - epsilon * epsilon * np.eye(col.shape[1])
+        low = math.nan  # an overflowed Gram confirms no floor
+        if np.isfinite(g).all():
+            low = float(np.linalg.eigvalsh((g + g.conj().T) / 2.0)[0])
+        if not low >= -floor_slack:
             raise BelowFloor(
                 f"psi*psi drops {-low:.3e} under epsilon^2 at point {s_idx}"
             )

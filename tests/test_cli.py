@@ -5,6 +5,9 @@ Each test builds its JSON inputs with the library's own serializers, invokes
 the contract: 0 success, 1 mathematical rejection, 2 input problems.
 """
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -16,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import freeholo
-from freeholo import cli
+from freeholo import cli, sampling
 from freeholo.freepoly import (
     FreePoly,
     GradedPoint,
@@ -916,3 +919,112 @@ def test_mero_certify_sampled_bound_is_pinned(tmp_path, capsys, monkeypatch):
     assert rep["bound_sup"] == 3.6656888771218936
     zero_tests = [x for x in points if x.n == 1 and not np.any(x.mats[0])]
     assert len(zero_tests) == 1
+
+
+# -- contract fuzz -------------------------------------------------------------
+#
+# Valid small inputs for model-residual, fit, corona and member, broken by a
+# few random edits: wrong shapes, non-finite entries, empty lists, headers
+# that disagree, dimensions of 0, points outside the domain or overflowing
+# it. Whatever the edit, the CLI exits 0, 1 or 2 with a strict-JSON report
+# and raises nothing.
+
+SQUARE = PolyMatrix.from_poly(FreePoly.letter(1, 1) * FreePoly.letter(1, 1))
+
+ODD_VALUES = [
+    0, -1, 2, 1.5, 1e200, float("inf"), float("nan"), True, None, "x",
+    [], {}, [[0.0, 0.0]], [[1e200, 0.0]], SQUARE.to_json(),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_bundles():
+    """Per command: the argv and the valid payload of each input file."""
+    from conftest import random_grid, random_rect_realization
+
+    rng = rng_from_seed(17)
+    r = random_rect_realization(rng, 1, 2, 1, 1, 1)
+    levels = (1, 2, 3, 2)
+    s = model_from_realization(r, [sampling.point_inside_gdelta(rng, r.delta, n) for n in levels])
+    corona = corona_payload()
+    keep = (0, 3, 7, 5)  # levels 1, 2, 3, 1
+    corona.update(
+        points=[corona["points"][i] for i in keep],
+        psis=[[row[i] for i in keep] for row in corona["psis"]],
+        u=[corona["u"][i] for i in keep],
+    )
+    member = {
+        "delta": random_grid(rng, 2, 2).to_json(),
+        "point": sampling.point_inside_gdelta(rng, random_grid(rng, 1, 1), 2).to_json(),
+    }
+    return {
+        "model-residual": (["model-residual", "--samples", "{samples}"], {"samples": s.to_json()}),
+        "fit": (["fit", "--samples", "{samples}"], {"samples": s.to_json()}),
+        "corona": (["corona", "--input", "{input}"], {"input": corona}),
+        "member": (["member", "--delta", "{delta}", "--point", "{point}"], member),
+    }
+
+
+def json_paths(obj, path=()):
+    """Every path into a JSON value, parents before children."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        items = ()
+    return [path] + [p for k, v in items for p in json_paths(v, path + (k,))]
+
+
+def scaled(obj, factor):
+    """The value with every float in it multiplied by ``factor``."""
+    if isinstance(obj, float):
+        return obj * factor
+    if isinstance(obj, dict):
+        return {k: scaled(v, factor) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [scaled(v, factor) for v in obj]
+    return obj
+
+
+def broken(bundle, data):
+    """A deep copy of the bundle after one to three random edits."""
+    bundle = copy.deepcopy(bundle)
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        paths = json_paths(bundle)[1:]
+        near_top = [p for p in paths if len(p) <= 3]
+        path = data.draw(st.sampled_from(near_top) | st.sampled_from(paths), label="path")
+        *head, key = path
+        parent = bundle
+        for k in head:
+            parent = parent[k]
+        action = data.draw(st.sampled_from(["replace", "delete", "repeat", "scale"]))
+        if action == "replace" or (action == "delete" and len(head) == 0):
+            parent[key] = copy.deepcopy(data.draw(st.sampled_from(ODD_VALUES), label="value"))
+        elif action == "delete":
+            del parent[key]
+        elif action == "repeat" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = scaled(parent[key], data.draw(st.sampled_from([1.5, -3.0, 0.0, 1e200])))
+    return bundle
+
+
+@pytest.mark.parametrize("command", ["model-residual", "fit", "corona", "member"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_cli_contract_holds_on_broken_inputs(tmp_path_factory, fuzz_bundles, command, data):
+    argv, bundle = fuzz_bundles[command]
+    bundle = broken(bundle, data)
+    folder = tmp_path_factory.mktemp("fuzz")
+    files = {}
+    for name, payload in bundle.items():
+        files[name] = str(folder / f"{name}.json")
+        with open(files[name], "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), np.errstate(all="ignore"):
+        code = cli.main([a.format(**files) for a in argv])
+    assert code in (0, 1, 2)
+    report = strict_loads(out.getvalue())
+    assert (code == 0) == ("error" not in report)

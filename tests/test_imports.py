@@ -6,7 +6,10 @@ module in ``src/freeholo``:
 * every module-level import is referenced by its module (``__init__.py``
   re-exports and is skipped);
 * ``freepoly.graded_sum`` is the only function that orders or merges
-  words, the only caller of ``np.lexsort`` and ``np.add.at``.
+  words, the only caller of ``np.lexsort`` and ``np.add.at``;
+* in ``model`` and ``realize``, delta is evaluated at a point only where
+  membership is decided, and Delta u is formed only by the sample set's
+  constructor and the resolvent kernel.
 """
 
 import ast
@@ -65,3 +68,47 @@ def test_graded_sum_is_the_only_word_merge():
     for path in SRC.glob("*.py"):
         found |= merge_calls(path.read_text(encoding="utf-8"), path.stem)
     assert found == {"freepoly.graded_sum"}
+
+
+def name_users(source: str, module: str, name: str) -> set:
+    """Qualified names of the scopes that read ``name`` (bare or as an attribute).
+
+    The scope of a read is its innermost enclosing function or class, or the
+    module; imports bind the name but do not read it.
+    """
+    found = set()
+    pending = [(node, module) for node in ast.parse(source).body]
+    while pending:
+        node, scope = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        elif isinstance(node, ast.Name) and node.id == name:
+            found.add(scope)
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            found.add(scope)
+        pending.extend((child, scope) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def test_name_users_finds_methods_and_attributes():
+    source = (
+        "from .f import g\n"
+        "class A:\n    def m(self):\n        return g(1)\n"
+        "def h():\n    def inner():\n        return f.g\n    return inner\n"
+        "X = g\n"
+    )
+    assert name_users(source, "mod", "g") == {"mod.A.m", "mod.h.inner", "mod"}
+
+
+@pytest.mark.parametrize(
+    "name, users",
+    [
+        ("eval_poly_matrix", {"model.ModelSampleSet.__init__", "realize._require_inside"}),
+        ("promoted_apply", {"model.ModelSampleSet.__init__", "realize._Kernel.delta"}),
+    ],
+)
+def test_sample_points_evaluate_delta_once(name, users):
+    found = set()
+    for stem in ("model", "realize"):
+        found |= name_users((SRC / f"{stem}.py").read_text(encoding="utf-8"), stem, name)
+    assert found == users

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_column_data, random_graded, random_rect_realization
+from conftest import random_column_data, random_graded, random_grid, random_rect_realization
 from freeholo import model
 from freeholo.errors import OutsideDomain, ShapeMismatch
 from freeholo.freepoly import FreePoly, GradedPoint, PolyMatrix, eval_poly_matrix_promoted
@@ -75,25 +75,6 @@ def test_membership_enforced_on_construction():
         model_from_realization(r, [outside])
 
 
-def test_membership_check_can_be_disabled():
-    r = mobius(0.2)
-    pts = disk_points([30], [2])
-    s = model_from_realization(r, pts)
-    relaxed = ModelSampleSet(
-        s.delta,
-        s.points,
-        s.psi,
-        s.phi,
-        s.u,
-        s.h_dim,
-        s.k1_dim,
-        s.k2_dim,
-        s.mult,
-        verify_membership=False,
-    )
-    assert model_residual(relaxed) < 1e-12
-
-
 def test_shape_validation():
     r = mobius(0.1)
     pts = disk_points([40, 41], [1, 1])
@@ -130,21 +111,6 @@ def test_json_roundtrip():
     assert len(again) == len(s)
     for a, b in zip(again.u, s.u):
         np.testing.assert_allclose(a, b, atol=1e-15)
-
-
-def test_model_from_realization_skips_second_membership_test(monkeypatch):
-    # the resolvent solve has certified every point with DEFAULT_MARGIN
-    def refuse(*args, **kwargs):
-        raise AssertionError("membership tested twice")
-
-    monkeypatch.setattr(model, "in_gdelta", refuse)
-    r = mobius(0.3 - 0.1j)
-    s = model_from_realization(r, disk_points(range(80, 84), [1, 2, 3, 1]))
-    assert len(s) == 4 and model_residual(s) < 1e-12
-    with pytest.raises(AssertionError):
-        ModelSampleSet(
-            s.delta, s.points, s.psi, s.phi, s.u, s.h_dim, s.k1_dim, s.k2_dim, s.mult
-        )
 
 
 def dense_model_residual(s):
@@ -188,8 +154,7 @@ def test_model_residual_matches_dense_pair_loop(seed, grid, k1, offset, mult, ex
         k = int(rng.integers(len(u)))
         u[k] = u[k] + rng.standard_normal(u[k].shape)
         s = ModelSampleSet(
-            s.delta, s.points, s.psi, s.phi, u, s.h_dim, s.k1_dim, s.k2_dim, s.mult,
-            verify_membership=False,
+            s.delta, s.points, s.psi, s.phi, u, s.h_dim, s.k1_dim, s.k2_dim, s.mult
         )
     want = dense_model_residual(s)
     got = model_residual(s)
@@ -210,3 +175,83 @@ def test_model_residual_non_finite_is_inf():
     )
     with np.errstate(over="ignore", invalid="ignore"):
         assert model_residual(huge) == np.inf
+
+
+def random_samples(rng, grid, levels, k1, k2, h, mult):
+    """A sample set on a random I-by-J grid with unrelated random data."""
+    delta = random_grid(rng, *grid)
+    pts = [point_inside_gdelta(rng, delta, n) for n in levels]
+
+    def data(n, rows):
+        return random_column_data(rng, n, rows, h)
+
+    return ModelSampleSet(
+        delta, pts, [data(x.n, k1) for x in pts], [data(x.n, k2) for x in pts],
+        [data(x.n, mult * grid[1]) for x in pts], h, k1, k2, mult,
+    )
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2), (2, 2)]),
+    st.integers(1, 3),
+    st.lists(st.integers(1, 4), min_size=1, max_size=4),
+)
+@settings(max_examples=25, deadline=None)
+def test_held_delta_u_matches_dense_promoted_product(seed, grid, mult, levels):
+    rng = rng_from_seed(seed)
+    s = random_samples(rng, grid, levels, 2, 1, 2, mult)
+    assert len(s.delta_u) == len(s)
+    for x, u, du in zip(s.points, s.u, s.delta_u):
+        dense = eval_poly_matrix_promoted(s.delta, x, s.mult)
+        assert du.shape == (x.n * mult * grid[0], u.shape[1])
+        scale = np.linalg.norm(dense) * np.linalg.norm(u)
+        assert np.linalg.norm(du - dense @ u) <= 1e-14 * scale
+        assert not du.flags.writeable
+        with pytest.raises(ValueError):
+            du[0, 0] = 1.0
+
+
+def test_held_delta_u_is_bitwise_stable():
+    r = random_rect_realization(rng_from_seed(3), 2, 3, 2, 1, 2)
+    pts = [point_inside_gdelta(rng_from_seed(n), r.delta, n) for n in (1, 2, 3, 4)]
+    s = model_from_realization(r, pts)
+    again = ModelSampleSet(
+        s.delta, s.points, s.psi, s.phi, s.u, s.h_dim, s.k1_dim, s.k2_dim, s.mult
+    )
+    decoded = decode("modelsamples", s.to_json())
+    assert "delta_u" not in s.to_json()
+    for other in (again, decoded):
+        assert [a.tobytes() for a in other.delta_u] == [a.tobytes() for a in s.delta_u]
+
+
+def test_residual_and_fit_evaluate_no_delta(monkeypatch):
+    from freeholo import realize
+
+    r = random_rect_realization(rng_from_seed(5), 3, 2, 1, 1, 2)
+    rng = rng_from_seed(6)
+    s = model_from_realization(r, [point_inside_gdelta(rng, r.delta, n) for n in (1, 2, 3, 1, 2)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("delta evaluated after the sample set was built")
+
+    for module in (model, realize):
+        monkeypatch.setattr(module, "eval_poly_matrix", refuse)
+    assert model_residual(s) < 1e-12
+    fit = realize.fit_lurking_isometry(s, holdout=False)
+    assert fit.train_residual < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_overflowing_point_is_outside_before_delta_u(monkeypatch, n):
+    # x1*x1 overflows at 1e200; at level 2 the SVD of delta(x) fails
+    def refuse(*args, **kwargs):
+        raise AssertionError("Delta u formed at a point outside")
+
+    monkeypatch.setattr(model, "promoted_apply", refuse)
+    x1 = FreePoly.letter(1, 1)
+    point = GradedPoint([np.diag([1e200] + [0.5] * (n - 1)).astype(complex)])
+    one = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OutsideDomain, match=rf"level {n} is outside \(\|\|delta\|\| = nan\)"):
+            ModelSampleSet(PolyMatrix.from_poly(x1 * x1), [point], [one], [one], [one], 1, 1, 1, 1)

@@ -524,7 +524,7 @@ def test_fit_recovers_structured_realization(seed, grid, k1, offset, mult, expli
         s = ModelSampleSet(
             s.delta, s.points,
             [pad_psi_rows(v, x.n, k1, extra) for v, x in zip(s.psi, s.points)],
-            s.phi, s.u, s.h_dim, k1 + extra, k2, mult, verify_membership=False,
+            s.phi, s.u, s.h_dim, k1 + extra, k2, mult,
         )
     fit = fit_lurking_isometry(s, holdout=False)
     assert fit.gram_deviation <= 1e-9
