@@ -25,8 +25,9 @@ from .freepoly import (
     PolyMatrix,
     _promoted_grid,
     _purged,
-    eval_poly_matrix,
+    eval_poly_matrix_stack,
     graded_sum,
+    level_stacks,
     stack_rows,
     word_products,
 )
@@ -43,8 +44,11 @@ class CoverSelection:
 
 
 def _worst_norm(delta: PolyMatrix, points) -> float:
-    """``max ||delta(x)||`` over the points, 0 for none."""
-    return max((mat.op_norm(eval_poly_matrix(delta, x)) for x in points), default=0.0)
+    """``max ||delta(x)||`` over the points, 0 for none, folded in point order."""
+    norms = np.empty(len(points))
+    for idx, mats in level_stacks(points, delta.d):
+        norms[idx] = mat.op_norms(eval_poly_matrix_stack(delta, mats))
+    return max(norms.tolist(), default=0.0)
 
 
 def select_covering_delta(points, candidates) -> CoverSelection:
@@ -197,7 +201,6 @@ def in_dictionary_hull(x: GradedPoint, sample, dictionary) -> bool:
     """
     sample = list(sample)
     for delta in dictionary:
-        if _worst_norm(delta, sample) <= 1.0:
-            if mat.op_norm(eval_poly_matrix(delta, x)) > 1.0:
-                return False
+        if _worst_norm(delta, sample) <= 1.0 < _worst_norm(delta, [x]):
+            return False
     return True

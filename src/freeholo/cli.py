@@ -29,13 +29,14 @@ from . import jsonio, mero, model, ncpoint, realize, sampling
 from .errors import (
     ExprSyntaxError,
     FreeholoError,
+    NonFiniteValue,
     SchemaError,
     UnknownVariable,
 )
 from .exprlang import Schedule, eval_expr, parse, print_expr
 from .freepoly import GradedPoint, MatrixPoly
 from .jsonio import SCHEMA_VERSION
-from .mat import json_int, matrix_to_json, op_norm
+from .mat import json_int, matrix_to_json, op_norms
 from .realize import TENSOR_CONVENTION
 
 _INPUT_ERRORS = (SchemaError, ExprSyntaxError, UnknownVariable)
@@ -252,6 +253,8 @@ def _cmd_corona(args) -> dict:
             for row in payload["psis"]
         ]
         us = [jsonio.decode("cmatrix", m) for m in payload["u"]]
+        if any(len(values) != len(points) for values in (us, *psis)):
+            raise ValueError("u and every column function need one value per point")
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed corona input: {exc}") from exc
     if not (math.isfinite(epsilon) and epsilon > 0):
@@ -304,12 +307,22 @@ def _cmd_derive(args) -> dict:
 
 
 def _sampled_bound(f, delta, seed: int) -> float:
+    """The largest ``||f(x)||`` over 200 points sampled inside the domain;
+    :class:`NonFiniteValue` where a value or its norm is not finite."""
     rng = sampling.rng_from_seed(seed)
-    levels = [1 + (i % 3) for i in range(200)]
-    worst = 0.0
-    for x in sampling.points_inside_gdelta(rng, delta, levels):
-        worst = max(worst, op_norm(f(x)))
-    return worst
+    points = sampling.points_inside_gdelta(rng, delta, [1 + (i % 3) for i in range(200)])
+    norms, by_level = np.empty(len(points)), {}
+    for i, x in enumerate(points):
+        value = f(x)
+        if not np.isfinite(value).all():
+            raise NonFiniteValue(f"f is not finite at sampled point {i} (level {x.n})")
+        by_level.setdefault(x.n, {})[i] = value
+    for values in by_level.values():
+        norms[list(values)] = op_norms(list(values.values()))
+    if np.isnan(norms).any():
+        i = int(np.isnan(norms).argmax())
+        raise NonFiniteValue(f"the norm of f failed at sampled point {i} (level {points[i].n})")
+    return float(norms.max(initial=0.0))
 
 
 def _cmd_mero_certify(args) -> dict:

@@ -86,6 +86,10 @@ class NotInvertible(FreeholoError, ArithmeticError):
     """The function value at the base point is not invertible."""
 
 
+class NonFiniteValue(FreeholoError, ArithmeticError):
+    """A function value is not finite where a bound is taken from it."""
+
+
 class RootFindingFailure(FreeholoError, ArithmeticError):
     """Polynomial root extraction produced non-finite values."""
 

@@ -178,18 +178,19 @@ class GradedPoint:
         return pt
 
 
-def _word_values(x: GradedPoint):
-    """Memo of word values at one point, keyed by word prefix.
+def _word_values(mats):
+    """Memo of word values keyed by word prefix, at the d point matrices
+    ``mats``, each n-by-n or a ``(p, n, n)`` stack of same-level points.
 
     Returns ``value(w)`` for a checked word tuple ``w``, the product of the
-    point matrices along ``w`` taken left to right: ``I_n`` for the empty
-    word and the point's own read-only matrix for a letter. The memo holds
+    matrices along ``w`` taken left to right (batched on stacks): ``I_n``
+    for the empty word and the given matrix for a letter. The memo holds
     no reference cycle, so its matrices are freed with the call that made
     it.
     """
-    table = {(i,): m for i, m in enumerate(x.mats, 1)}
-    table[()] = np.eye(x.n, dtype=np.complex128)
-    return functools.partial(_word_value, table, x.mats)
+    table = {(i,): m for i, m in enumerate(mats, 1)}
+    table[()] = np.eye(mats[0].shape[-1], dtype=np.complex128)
+    return functools.partial(_word_value, table, mats)
 
 
 def _word_value(table: dict, mats, w) -> np.ndarray:
@@ -203,7 +204,7 @@ def _word_value(table: dict, mats, w) -> np.ndarray:
 
 def eval_word(word, x: GradedPoint) -> np.ndarray:
     """Product of point matrices along the word; the empty word gives I_n."""
-    return _word_values(x)(_check_word(word, x.d))
+    return _word_values(x.mats)(_check_word(word, x.d))
 
 
 class _Held:
@@ -477,24 +478,47 @@ class PolyMatrix(_Held):
 def eval_poly_matrix(pm: PolyMatrix, x: GradedPoint) -> np.ndarray:
     """Blockwise evaluation: an (rows*n)-by-(cols*n) matrix, grid index outer.
 
-    Block (i, j) equals entry (i, j) evaluated at the point: each nonzero
-    entry ``(C_w)_ij`` of the coefficient stack adds ``(C_w)_ij w(x)`` to
-    its block, in graded word order, and a zero entry adds nothing (not
-    even ``0 * inf`` where a word value has overflowed). The direct sum of
-    two grids therefore evaluates to the exact block diagonal of the two
-    values.
+    Block (i, j) equals entry (i, j) evaluated at the point, summed as in
+    :func:`eval_poly_matrix_stack`, of which this is the one-point case.
     """
     if x.d != pm.d:
         raise ShapeMismatch(f"point has {x.d} coordinates, grid wants {pm.d}")
-    n, word, words = x.n, _word_values(x), pm.coeffs.words()
-    out = np.zeros((pm.rows, n, pm.cols, n), dtype=np.complex128)
+    return eval_poly_matrix_stack(pm, [m[None] for m in x.mats])[0]
+
+
+def eval_poly_matrix_stack(pm: PolyMatrix, mats) -> np.ndarray:
+    """The values at p points of one level n: ``(p, rows*n, cols*n)``.
+
+    ``mats`` are d ``(p, n, n)`` arrays, the k-th coordinates of the points.
+    Each nonzero entry ``(C_w)_ij`` of the coefficient stack adds
+    ``(C_w)_ij w(x)`` to block (i, j) in graded word order; a zero entry
+    adds nothing (not even ``0 * inf``), so a direct sum of grids evaluates
+    to the exact block diagonal, and each point's value is bitwise its own.
+    """
+    (p, n, _), word, words = mats[0].shape, _word_values(mats), pm.coeffs.words()
+    out = np.zeros((p, pm.rows, n, pm.cols, n), dtype=np.complex128)
     for i, row in enumerate(pm.coeffs.stack.transpose(1, 2, 0).tolist()):
         for j, coeffs in enumerate(row):
-            block = out[i, :, j]
+            block = out[:, i, :, j]
             for w, c in zip(words, coeffs):
                 if c:
                     block += c * word(w)
-    return out.reshape(pm.rows * n, pm.cols * n)
+    return out.reshape(p, pm.rows * n, pm.cols * n)
+
+
+def level_stacks(points, d: int) -> list:
+    """Per level, in order of first appearance: the positions of its points
+    and their coordinates as the d stacks that :func:`eval_poly_matrix_stack`
+    takes. A point without d coordinates raises ``ShapeMismatch``."""
+    groups = {}
+    for i, x in enumerate(points):
+        if x.d != d:
+            raise ShapeMismatch(f"point has {x.d} coordinates, grid wants {d}")
+        groups.setdefault(x.n, []).append(i)
+    return [
+        (idx, [np.stack(ms) for ms in zip(*(points[i].mats for i in idx))])
+        for idx in groups.values()
+    ]
 
 
 def eval_poly_matrix_promoted(pm: PolyMatrix, x: GradedPoint, mult: int) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 Matrices are plain complex ndarrays. Every function accepts anything
 ``numpy.asarray`` understands as a 2-d array and returns a fresh ndarray
-unless noted. Operator norms come from a full SVD so downstream
-certificates can rely on them to near machine precision, and inversion
-refuses matrices whose smallest singular value sits under a relative floor
-instead of returning garbage.
+unless noted. Operator norms come from one SVD call per stack of matrices
+(``op_norms``) so certificates can rely on them to near machine precision,
+and inversion refuses matrices whose smallest singular value sits under a
+relative floor instead of returning garbage.
 
 ``matrix_to_json`` and ``matrix_from_json`` are the JSON codec of every
 matrix in the ``freeholo/1`` schema. Decoding validates outside input and
@@ -79,20 +79,33 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 # -- norms and factorizations ---------------------------------------------
 
 
+def op_norms(stack) -> np.ndarray:
+    """Largest singular value of each matrix of a ``(p, rows, cols)`` stack.
+
+    One SVD call runs the LAPACK routine of a single matrix on each, so
+    each norm is bitwise the matrix's own. A failed SVD gives NaN (after a
+    failed call the matrices are retried one at a time); a 0-size matrix
+    has norm 0.0.
+    """
+    a = np.asarray(stack, dtype=np.complex128)
+    if 0 in a.shape:
+        return np.zeros(len(a))
+    try:
+        return np.linalg.svd(a, compute_uv=False)[:, 0]
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.array([np.nan])
+        return np.concatenate([op_norms(m[None]) for m in a])
+
+
 def op_norm(m) -> float:
-    """Largest singular value, via full SVD.
+    """Largest singular value, via full SVD: :func:`op_norms` of one matrix.
 
     Accurate to a small multiple of machine epsilon relative to the norm,
     which the truncation and membership certificates assume; NaN when the
     SVD fails, as on a matrix with a non-finite entry.
     """
-    a = as_array(m)
-    if a.size == 0:
-        return 0.0
-    try:
-        return float(np.linalg.svd(a, compute_uv=False)[0])
-    except np.linalg.LinAlgError:
-        return float("nan")
+    return float(op_norms(as_array(m)[None])[0])
 
 
 def cond(m) -> float:

@@ -16,8 +16,9 @@ levels are never compared; the identity only constrains same-level pairs.
 
 The promoted Delta is the meaning of the identity, not what is computed.
 The constructor is the one place where delta is evaluated at a sample
-point: it evaluates delta(x) once, decides membership from that value,
-and forms Delta(x) u(x) from it through ``freepoly.promoted_apply``.
+point: it evaluates delta(x) once, with one stacked evaluation and one
+``mat.op_norms`` call per level, decides membership from that value, and
+forms Delta(x) u(x) from it through ``freepoly.promoted_apply``.
 ``model_residual`` and ``realize.fit_lurking_isometry`` read the held
 ``delta_u`` and evaluate delta nowhere.
 ``freepoly.eval_poly_matrix_promoted`` remains the dense reference that
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import mat
 from .errors import OutsideDomain, ShapeMismatch
-from .freepoly import GradedPoint, PolyMatrix, eval_poly_matrix, promoted_apply
+from .freepoly import GradedPoint, PolyMatrix, eval_poly_matrix_stack, level_stacks, promoted_apply
 from .ncpoint import Membership
 
 
@@ -70,8 +71,15 @@ class ModelSampleSet:
             raise ShapeMismatch("points, psi, phi, u must have equal lengths")
         if min(h_dim, k1_dim, k2_dim, mult) < 1:
             raise ShapeMismatch("dimensions must be positive")
+        # delta at every point before the first with another variable count
+        good = next((i for i, x in enumerate(points) if x.d != delta.d), len(points))
+        dxs, norms = [None] * good, [None] * good
+        for idx, mats in level_stacks(points[:good], delta.d):
+            values = eval_poly_matrix_stack(delta, mats)
+            for i, dx, nrm in zip(idx, values, mat.op_norms(values).tolist()):
+                dxs[i], norms[i] = dx, nrm
         delta_u = []
-        for x, a, b, c in zip(points, psi, phi, u):
+        for i, (x, a, b, c) in enumerate(zip(points, psi, phi, u)):
             if x.d != delta.d:
                 raise ShapeMismatch("point and delta disagree on variable count")
             n = x.n
@@ -81,14 +89,13 @@ class ModelSampleSet:
                 raise ShapeMismatch(f"phi shape {b.shape} wrong at level {n}")
             if c.shape != (n * mult * delta.cols, n * h_dim):
                 raise ShapeMismatch(f"u shape {c.shape} wrong at level {n}")
-            dx = eval_poly_matrix(delta, x)
-            verdict = Membership.from_norm(mat.op_norm(dx))
+            verdict = Membership.from_norm(norms[i])
             if not verdict.inside:
                 raise OutsideDomain(
                     f"sample point at level {n} is {verdict.status} "
                     f"(||delta|| = {verdict.norm:.6f})"
                 )
-            delta_u.append(promoted_apply(dx, n, mult, c))
+            delta_u.append(promoted_apply(dxs[i], n, mult, c))
         for arrays in (psi, phi, u, delta_u):
             for v in arrays:
                 v.setflags(write=False)
@@ -139,15 +146,16 @@ def model_residual(s: ModelSampleSet) -> float:
 
     Returns ``max ||psi(y)*psi(x) - phi(y)*phi(x) - u(y)*(I - D(y)*D(x))u(x)||``
     including the diagonal pairs y = x. Machine-scale for data generated by
-    an isometric realization; ``inf`` when any pair block is not finite.
+    an isometric realization; ``inf`` when any pair block or its norm is
+    not finite.
 
     Delta u is the sample set's ``delta_u``; no delta is evaluated here.
     Per level, with the columns ``L_s = [psi_s; (Delta u)_s]`` and
     ``R_s = [phi_s; u_s]`` of width w, the pair block is
     ``E_st = L_s* L_t - R_s* R_t``. Since ``||E_ts|| = ||E_st||`` only the
     blocks with t >= s are formed, one row block s at a time, and their
-    norms come from one batched SVD, so memory stays O(m w^2) for m samples
-    at the level and the level's (m w)^2 Gram is never held.
+    norms come from one ``mat.op_norms`` call, so memory stays O(m w^2) for
+    m samples at the level and the level's (m w)^2 Gram is never held.
     """
     by_level = {}
     for i, x in enumerate(s.points):
@@ -163,9 +171,10 @@ def model_residual(s: ModelSampleSet) -> float:
             row, rest = slice(i * w, (i + 1) * w), slice(i * w, None)
             e = lmat[:, row].conj().T @ lmat[:, rest] - rmat[:, row].conj().T @ rmat[:, rest]
             blocks = e.reshape(w, m - i, w).transpose(1, 0, 2)
-            if not np.isfinite(blocks).all():
+            nrm = float(mat.op_norms(blocks).max()) if np.isfinite(blocks).all() else math.nan
+            if math.isnan(nrm):  # a block that is not finite, or an SVD that failed
                 return math.inf
-            worst = max(worst, float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max()))
+            worst = max(worst, nrm)
     return worst
 
 

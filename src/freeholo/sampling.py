@@ -10,7 +10,7 @@ import numpy as np
 
 from . import mat
 from .errors import OutsideDomain, ShapeMismatch
-from .freepoly import FreePoly, GradedPoint, PolyMatrix, eval_poly_matrix
+from .freepoly import FreePoly, GradedPoint, PolyMatrix, eval_poly_matrix, eval_poly_matrix_stack
 from .ncpoint import DEFAULT_MARGIN, Membership, point_direct_sum
 from .realize import Realization
 
@@ -92,10 +92,15 @@ def points_inside_gdelta(
     of the grid inside already (norm of the value at the zero tuple under
     ``target``); otherwise rejection would be the only option and this
     helper refuses instead of looping forever. The constant term is tested
-    once for all levels, and each candidate costs one evaluation of the
-    grid and one norm, which serves both the target and the membership
-    verdict. The RNG stream is the one that one call of
-    :func:`point_inside_gdelta` per level draws.
+    once for all levels.
+
+    Points, final RNG state and exceptions are those of one draw at a time.
+    One batch draws a candidate per point with one ``standard_normal`` call
+    and shrinks each level's stack with one grid evaluation and one
+    ``op_norms`` call per step. The points before the first candidate not
+    accepted are kept; from there (from the start if the batch raises) the
+    generator is replayed and points are drawn one at a time, so that
+    candidate and the later ones are drawn and evaluated again.
     """
     zero = GradedPoint([np.zeros((1, 1))] * delta.d)
     base = mat.op_norm(eval_poly_matrix(delta, zero))
@@ -103,18 +108,57 @@ def points_inside_gdelta(
         raise OutsideDomain(
             f"grid constant term has norm {base:.6f}, cannot shrink into the domain"
         )
-
-    def draw(n):
+    levels, state = list(levels), rng.bit_generator.state
+    try:
+        out = _draw_batch(rng, delta, levels, scale, margin, target)
+    except (ArithmeticError, TypeError, ValueError):
+        out = []
+    if len(out) < len(levels):
+        rng.bit_generator.state = state
+        rng.standard_normal(sum(2 * delta.d * x.n**2 for x in out))
+    for n in levels[len(out) :]:
         for _ in range(200):
-            x = random_graded_point(rng, delta.d, n, scale)
-            for _ in range(60):
-                nrm = mat.op_norm(eval_poly_matrix(delta, x))
-                if nrm < target and Membership.from_norm(nrm, margin).inside:
-                    return x
-                x = GradedPoint([0.7 * m for m in x.mats])
-        raise OutsideDomain("failed to sample a point inside the domain")
+            mats = np.stack(random_graded_point(rng, delta.d, n, scale).mats)[:, None]
+            if (x := _shrunk(delta, mats, margin, target)[0]) is not None:
+                break
+        else:
+            raise OutsideDomain("failed to sample a point inside the domain")
+        out.append(x)
+    return out
 
-    return [draw(n) for n in levels]
+
+def _shrunk(delta, x, margin, target) -> list:
+    """Per candidate of the d ``(p, n, n)`` stacks ``x``, its point after
+    shrinking by 0.7 until accepted, or None after 60 evaluations."""
+    points, pos = [None] * x.shape[1], np.arange(x.shape[1])
+    for _ in range(60):
+        nrms = mat.op_norms(eval_poly_matrix_stack(delta, x)).tolist()
+        ok = np.array([n < target and Membership.from_norm(n, margin).inside for n in nrms], bool)
+        for k in np.flatnonzero(ok).tolist():
+            points[pos[k]] = GradedPoint(x[:, k])
+        if ok.all():
+            break
+        pos, x = pos[~ok], 0.7 * x[:, ~ok]
+    return points
+
+
+def _draw_batch(rng, delta, levels, scale, margin, target) -> list:
+    """The accepted points before the first candidate that is not, from one
+    candidate per level shrunk level-stacked; a candidate that is not
+    finite is not shrunk, as its single draw raises."""
+    d, sizes = delta.d, [2 * delta.d * n * n for n in levels]
+    flat = rng.standard_normal(sum(sizes))
+    starts = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+    points = [None] * len(levels)
+    for n in dict.fromkeys(levels):
+        pos = np.array([i for i, m in enumerate(levels) if m == n])
+        g = flat[starts[pos, None] + np.arange(2 * d * n * n)].reshape(len(pos), d, 2, n, n)
+        x = scale * (g[:, :, 0] + 1j * g[:, :, 1]) / np.sqrt(2 * n)
+        finite = np.isfinite(x).all(axis=(1, 2, 3))
+        x = np.ascontiguousarray(x[finite].transpose(1, 0, 2, 3))
+        for i, point in zip(pos[finite], _shrunk(delta, x, margin, target)):
+            points[i] = point
+    return points[: next((i for i, p in enumerate(points) if p is None), len(points))]
 
 
 def point_in_shrunk_domain(

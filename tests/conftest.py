@@ -134,3 +134,25 @@ def expand_by_word_dicts(r, k, term_cap=10**6):
                 nxt[uw] = nxt[uw] + prod if uw in nxt else prod
         leg = _purged(nxt)
     return MatrixPoly(r.delta.d, a.shape[0], a.shape[1], acc)
+
+
+def count_grid_evaluations(monkeypatch, modules) -> list:
+    """Record the points at which ``modules`` evaluate a grid, one by one
+    (``eval_poly_matrix``) or level-stacked (``eval_poly_matrix_stack``)."""
+    from freeholo.freepoly import GradedPoint, eval_poly_matrix, eval_poly_matrix_stack
+
+    points = []
+
+    def counting(pm, x):
+        points.append(x)
+        return eval_poly_matrix(pm, x)
+
+    def counting_stack(pm, mats):
+        points.extend(GradedPoint(list(ms)) for ms in zip(*mats))
+        return eval_poly_matrix_stack(pm, mats)
+
+    for module in modules:
+        monkeypatch.setattr(module, "eval_poly_matrix", counting)
+        if hasattr(module, "eval_poly_matrix_stack"):
+            monkeypatch.setattr(module, "eval_poly_matrix_stack", counting_stack)
+    return points

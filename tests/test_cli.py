@@ -10,6 +10,7 @@ import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import freeholo
+from conftest import count_grid_evaluations
 from freeholo import cli, sampling
 from freeholo.freepoly import (
     FreePoly,
@@ -233,6 +235,19 @@ def test_corona_cmd(tmp_path, capsys):
     assert rep["norm_bound"] == pytest.approx(1.0 / payload["epsilon"], rel=1e-12)
     assert rep["identity_residual"] < 1e-6
     assert rep["functions"] == 2
+
+
+@pytest.mark.parametrize("cut", ["u", "psi"])
+def test_corona_length_mismatch_exits_2(tmp_path, capsys, cut):
+    payload = corona_payload()
+    if cut == "u":
+        payload["u"] = payload["u"][:-1]
+    else:
+        payload["psis"][1] = payload["psis"][1][:-1]
+    inp = write(tmp_path, "corona.json", payload)
+    code, _, raw = run(["corona", "--input", inp], capsys)
+    assert code == 2
+    assert strict_loads(raw)["error"]["type"] == "SchemaError"
 
 
 # (input file, path to an integer field in it, a non-integer value)
@@ -658,6 +673,55 @@ def test_check_nc_overflowing_value_fails_without_traceback(tmp_path):
         assert rep[key] is None
 
 
+@pytest.mark.parametrize(
+    "expr, index",
+    [("1e300*1e300*x1 + 1", "0"), ("1e308*x1*x1*x1 + 1", "[1-9][0-9]*")],
+)
+def test_mero_certify_non_finite_sampled_value_exits_1(tmp_path, capsys, expr, index):
+    # the value overflows at every sampled point, or only at some: either
+    # way there is no sampled bound, and the first such point is named
+    half = write(
+        tmp_path, "half.json",
+        PolyMatrix.from_poly(FreePoly.letter(1, 1).scale(0.5)).to_json(),
+    )
+    point = write(tmp_path, "p.json", GradedPoint.scalars([0.5]).to_json())
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, raw = run(
+            ["mero", "certify", "--expr", expr, "--vars", "1", "--delta", half,
+             "--point", point],
+            capsys,
+        )
+    assert code == 1
+    error = strict_loads(raw)["error"]
+    assert error["type"] == "NonFiniteValue"
+    assert re.fullmatch(
+        rf"f is not finite at sampled point {index} \(level [123]\)", error["message"]
+    )
+
+
+def test_mero_certify_failed_sampled_norm_exits_1(tmp_path, capsys, monkeypatch):
+    # a norm whose SVD fails is NaN: no sampled bound, not a smaller one
+    half = write(
+        tmp_path, "half.json",
+        PolyMatrix.from_poly(FreePoly.letter(1, 1).scale(0.5)).to_json(),
+    )
+    point = write(tmp_path, "p.json", GradedPoint.scalars([0.5]).to_json())
+    op_norms = cli.op_norms
+    monkeypatch.setattr(
+        cli, "op_norms", lambda stack: np.concatenate([op_norms(stack)[:-1], [np.nan]])
+    )
+    code, _, raw = run(
+        ["mero", "certify", "--expr", "x1 + 1", "--vars", "1", "--delta", half,
+         "--point", point],
+        capsys,
+    )
+    assert code == 1
+    error = strict_loads(raw)["error"]
+    assert error["type"] == "NonFiniteValue"
+    # the last point of each level is NaN; level 3's, 197, comes first
+    assert error["message"] == "the norm of f failed at sampled point 197 (level 3)"
+
+
 def test_mero_certify_overflowing_value_exits_1(tmp_path, capsys):
     # f(M) = x1*x1 + 1 overflows at x1 = 1e200: a mathematical rejection,
     # not an eigenvalue traceback; membership there is outside with no norm
@@ -860,21 +924,6 @@ def test_cached_parser_leaks_no_state(tmp_path, capsys):
             proc = fresh[tuple(argv)]
             assert (code, out) == (proc.returncode, proc.stdout)
     assert json.loads(out)["status"] == "inside"
-
-
-def count_grid_evaluations(monkeypatch, modules):
-    """Record the points of every eval_poly_matrix call made by ``modules``."""
-    from freeholo.freepoly import eval_poly_matrix
-
-    points = []
-
-    def counting(pm, x):
-        points.append(x)
-        return eval_poly_matrix(pm, x)
-
-    for module in modules:
-        monkeypatch.setattr(module, "eval_poly_matrix", counting)
-    return points
 
 
 def test_check_nc_realization_tests_membership_once_per_point(tmp_path, capsys, monkeypatch):

@@ -17,14 +17,15 @@ from freeholo.freepoly import (
     eval_poly,
     eval_poly_matrix,
     eval_poly_matrix_promoted,
+    eval_poly_matrix_stack,
     eval_word,
     graded_lex_key,
     promoted_apply,
     promoted_apply_buffers,
 )
 from freeholo.errors import ShapeMismatch
-from freeholo.mat import direct_sum, op_norm
-from freeholo.sampling import random_graded_point, rng_from_seed
+from freeholo.mat import direct_sum, op_norm, op_norms
+from freeholo.sampling import random_free_poly, random_graded_point, rng_from_seed
 
 
 def x(i, d=2):
@@ -452,3 +453,42 @@ def test_promoted_apply_matches_dense(seed, grid, mult, n, q):
     np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
     with pytest.raises(ShapeMismatch):
         promoted_apply(dx, n, mult, y[1:])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 2),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    n=st.integers(1, 4),
+    p=st.integers(1, 6),
+)
+@settings(max_examples=60, deadline=None)
+def test_stacked_kernels_equal_their_one_point_cases(seed, d, shape, n, p):
+    rng = np.random.default_rng(seed)
+    grid = PolyMatrix(
+        [[random_free_poly(rng, d, max_degree=3) for _ in range(shape[1])] for _ in range(shape[0])]
+    )
+    mats = [
+        rng.standard_normal((p, n, n)) + 1j * rng.standard_normal((p, n, n)) for _ in range(d)
+    ]
+    values = eval_poly_matrix_stack(grid, mats)
+    assert values.shape == (p, shape[0] * n, shape[1] * n)
+    for k in range(p):
+        one = eval_poly_matrix(grid, GradedPoint([m[k] for m in mats]))
+        assert values[k].tobytes() == one.tobytes()
+    norms = op_norms(values)
+    assert [v.tobytes() for v in norms] == [np.float64(op_norm(v)).tobytes() for v in values]
+    # a NaN norm exactly where a matrix holds a NaN or an infinite entry
+    bad = rng.random(p) < 0.5
+    for k in np.flatnonzero(bad):
+        values[k].flat[rng.integers(values[k].size)] = rng.choice([np.nan, np.inf, -np.inf])
+    assert (np.isnan(op_norms(values)) == bad).all()
+
+
+def test_stacked_kernels_on_empty_stacks():
+    grid = PolyMatrix([[x(1), x(2) * x(1)]])
+    empty = eval_poly_matrix_stack(grid, [np.zeros((0, 3, 3))] * 2)
+    assert empty.shape == (0, 3, 6)
+    assert op_norms(empty).shape == (0,)
+    assert op_norms(np.zeros((4, 0, 3))).tolist() == [0.0] * 4
+    assert op_norm(np.zeros((2, 0))) == 0.0

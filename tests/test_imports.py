@@ -7,6 +7,9 @@ module in ``src/freeholo``:
   re-exports and is skipped);
 * ``freepoly.graded_sum`` is the only function that orders or merges
   words, the only caller of ``np.lexsort`` and ``np.add.at``;
+* operator norms come from ``mat.op_norms``, the only caller of
+  ``np.linalg.svd`` that does not also use the singular vectors or the
+  smallest singular value;
 * in ``model`` and ``realize``, delta is evaluated at a point only where
   membership is decided, and Delta u is formed only by the sample set's
   constructor and the resolvent kernel.
@@ -47,27 +50,42 @@ def test_library_modules_use_their_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def merge_calls(source: str, module: str) -> set:
-    """``module.function`` names of the functions that call ``np.lexsort`` or ``np.add.at``."""
+def callers(source: str, module: str, names: set) -> set:
+    """``module.function`` names of the functions that call one of ``names``."""
     found = set()
     for fn in ast.walk(ast.parse(source)):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             calls = [ast.unparse(n.func) for n in ast.walk(fn) if isinstance(n, ast.Call)]
-            if {"np.lexsort", "np.add.at"} & set(calls):
+            if names & set(calls):
                 found.add(f"{module}.{fn.name}")
+    return found
+
+
+def library_callers(names: set) -> set:
+    found = set()
+    for path in SRC.glob("*.py"):
+        found |= callers(path.read_text(encoding="utf-8"), path.stem, names)
     return found
 
 
 def test_merge_calls_finds_nested_calls():
     source = "def f(a):\n    def g():\n        np.add.at(a, [0], 1)\n    return np.lexsort(a)\n"
-    assert merge_calls(source, "m") == {"m.f", "m.g"}
+    assert callers(source, "m", {"np.lexsort", "np.add.at"}) == {"m.f", "m.g"}
 
 
 def test_graded_sum_is_the_only_word_merge():
-    found = set()
-    for path in SRC.glob("*.py"):
-        found |= merge_calls(path.read_text(encoding="utf-8"), path.stem)
-    assert found == {"freepoly.graded_sum"}
+    assert library_callers({"np.lexsort", "np.add.at"}) == {"freepoly.graded_sum"}
+
+
+def test_operator_norms_go_through_the_stacked_kernel():
+    # every other SVD in the library serves a factorization, not a norm
+    assert library_callers({"np.linalg.svd"}) == {
+        "mat.op_norms",
+        "mat.cond",
+        "mat.inv_with_cond",
+        "realize.fit_lurking_isometry",
+        "mero.inversion_certificate",
+    }
 
 
 def name_users(source: str, module: str, name: str) -> set:
@@ -103,8 +121,9 @@ def test_name_users_finds_methods_and_attributes():
 @pytest.mark.parametrize(
     "name, users",
     [
-        ("eval_poly_matrix", {"model.ModelSampleSet.__init__", "realize._require_inside"}),
+        ("eval_poly_matrix", {"realize._require_inside"}),
         ("promoted_apply", {"model.ModelSampleSet.__init__", "realize._Kernel.delta"}),
+        ("eval_poly_matrix_stack", {"model.ModelSampleSet.__init__"}),
     ],
 )
 def test_sample_points_evaluate_delta_once(name, users):

@@ -177,6 +177,16 @@ def test_model_residual_non_finite_is_inf():
         assert model_residual(huge) == np.inf
 
 
+def test_model_residual_failed_norm_is_inf(monkeypatch):
+    # an SVD that fails gives a NaN norm, which must not be folded away
+    s = model_from_realization(mobius(0.4), disk_points(range(90, 94), [1, 2, 1, 2]))
+    op_norms = model.mat.op_norms
+    monkeypatch.setattr(
+        model.mat, "op_norms", lambda stack: np.concatenate([[np.nan], op_norms(stack)[1:]])
+    )
+    assert model_residual(s) == np.inf
+
+
 def random_samples(rng, grid, levels, k1, k2, h, mult):
     """A sample set on a random I-by-J grid with unrelated random data."""
     delta = random_grid(rng, *grid)
@@ -236,7 +246,8 @@ def test_residual_and_fit_evaluate_no_delta(monkeypatch):
         raise AssertionError("delta evaluated after the sample set was built")
 
     for module in (model, realize):
-        monkeypatch.setattr(module, "eval_poly_matrix", refuse)
+        for name in ("eval_poly_matrix", "eval_poly_matrix_stack"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
     assert model_residual(s) < 1e-12
     fit = realize.fit_lurking_isometry(s, holdout=False)
     assert fit.train_residual < 1e-9

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from conftest import count_grid_evaluations
 from freeholo import ncpoint, sampling
 from freeholo.errors import OutsideDomain, ShapeMismatch
 from freeholo.freepoly import FreePoly, GradedPoint, PolyMatrix, eval_poly_matrix
@@ -60,19 +63,20 @@ def test_point_inside_gdelta():
         assert in_gdelta(UNIT_DISK, x).inside
 
 
-def shrink_until_inside(rng, delta, n, margin, target=0.9):
+def shrink_until_inside(rng, delta, n, margin, target=0.9, scale=1.0):
     """The sampler's draw-and-shrink loop with a separate in_gdelta verdict.
 
-    Returns the point and the number of grid norms taken to get it.
+    Returns the point, the number of grid norms taken to get it and the
+    number of draws.
     """
     norms = 1  # the constant-term check
-    for _ in range(200):
-        x = sampling.random_graded_point(rng, delta.d, n)
+    for draws in range(1, 201):
+        x = sampling.random_graded_point(rng, delta.d, n, scale)
         for _ in range(60):
             norms += 1
             nrm = op_norm(eval_poly_matrix(delta, x))
             if nrm < target and in_gdelta(delta, x, margin).inside:
-                return x, norms
+                return x, norms, draws
             x = GradedPoint([0.7 * m for m in x.mats])
     raise AssertionError("no point found")
 
@@ -81,18 +85,10 @@ def test_point_inside_gdelta_evaluates_each_candidate_once(monkeypatch):
     # margin 0.2 makes the membership verdict, not the 0.9 target, decide
     grid = PolyMatrix([[FreePoly.letter(2, 1), FreePoly.letter(2, 2)],
                        [FreePoly.letter(2, 2), FreePoly.letter(2, 1) * FreePoly.letter(2, 2)]])
-    calls = []
-
-    def counting(pm, x):
-        calls.append(x.n)
-        return eval_poly_matrix(pm, x)
-
     for seed, n in ((30, 1), (31, 3), (32, 6)):
-        want, norms = shrink_until_inside(rng_from_seed(seed), grid, n, 0.2)
-        calls.clear()
+        want, norms, _ = shrink_until_inside(rng_from_seed(seed), grid, n, 0.2)
         with monkeypatch.context() as m:
-            for module in (sampling, ncpoint):
-                m.setattr(module, "eval_poly_matrix", counting)
+            calls = count_grid_evaluations(m, (sampling, ncpoint))
             got = point_inside_gdelta(rng_from_seed(seed), grid, n, margin=0.2)
         assert len(calls) == norms > 2
         for a, b in zip(got.mats, want.mats):
@@ -109,17 +105,10 @@ def test_points_inside_gdelta_matches_single_draws(monkeypatch):
     singles = [point_inside_gdelta(rng_singles, grid, n) for n in levels]
     rng = rng_from_seed(33)
     loop = [shrink_until_inside(rng, grid, n, sampling.DEFAULT_MARGIN)[0] for n in levels]
-    zero_tests = []
-
-    def counting(pm, x):
-        if not any(np.any(m) for m in x.mats):
-            zero_tests.append(x)
-        return eval_poly_matrix(pm, x)
-
-    monkeypatch.setattr(sampling, "eval_poly_matrix", counting)
+    points = count_grid_evaluations(monkeypatch, (sampling,))
     rng = rng_from_seed(33)
     got = points_inside_gdelta(rng, grid, levels)
-    assert len(zero_tests) == 1
+    assert len([x for x in points if not any(np.any(m) for m in x.mats)]) == 1
     assert [p.n for p in got] == levels
     for a, b, c in zip(got, singles, loop):
         for ma, mb, mc in zip(a.mats, b.mats, c.mats):
@@ -127,6 +116,60 @@ def test_points_inside_gdelta_matches_single_draws(monkeypatch):
             np.testing.assert_array_equal(ma, mc)
     # the generator is left where the single draws leave it
     assert rng.standard_normal() == rng_singles.standard_normal()
+
+
+# constant term 0.899 just under the 0.9 target: at scale 1e8 about half
+# the draws shrink 60 times without getting inside and are drawn again
+NEAR_TARGET = PolyMatrix.from_poly(FreePoly.letter(1, 1) * FreePoly.letter(1, 1) + 0.899)
+
+
+def test_points_inside_gdelta_replays_redraws_exactly():
+    levels = [1, 2, 1, 3, 1, 2, 1, 1, 2]
+    redraws = 0
+    for seed in range(4):
+        rng_loop = rng_from_seed(seed)
+        loop = [
+            shrink_until_inside(rng_loop, NEAR_TARGET, n, sampling.DEFAULT_MARGIN, scale=1e8)
+            for n in levels
+        ]
+        redraws += sum(draws for _, _, draws in loop) - len(levels)
+        rng = rng_from_seed(seed)
+        got = points_inside_gdelta(rng, NEAR_TARGET, levels, scale=1e8)
+        assert [p.n for p in got] == levels
+        for a, (b, _, _) in zip(got, loop):
+            for ma, mb in zip(a.mats, b.mats):
+                np.testing.assert_array_equal(ma, mb)
+        assert rng.standard_normal() == rng_loop.standard_normal()
+    assert redraws > 0
+
+
+def test_points_inside_gdelta_gives_up_after_200_draws():
+    # at scale 1e30 no draw gets inside in 60 shrinks
+    rng, rng_draws = rng_from_seed(9), rng_from_seed(9)
+    with pytest.raises(OutsideDomain, match="failed to sample a point inside the domain"):
+        points_inside_gdelta(rng, NEAR_TARGET, [1, 1, 2], scale=1e30)
+    for _ in range(200):
+        sampling.random_graded_point(rng_draws, 1, 1, 1e30)
+    assert rng.standard_normal() == rng_draws.standard_normal()
+
+
+@pytest.mark.parametrize(
+    "levels, scale, margin",
+    [
+        ([1, 2, 3] * 4, 1e308, sampling.DEFAULT_MARGIN),  # some draws are infinite
+        ([1, 2, 0, 1], 1.0, sampling.DEFAULT_MARGIN),  # a level below 1
+        ([2, 1.0], 1.0, sampling.DEFAULT_MARGIN),  # a level that is not an integer
+        ([1, 2], 1.0, -1.0),  # a margin the verdict refuses
+    ],
+)
+def test_points_inside_gdelta_raises_where_the_draw_does(levels, scale, margin):
+    rng_loop, rng = rng_from_seed(5), rng_from_seed(5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises((ValueError, TypeError)) as want:
+            for n in levels:
+                shrink_until_inside(rng_loop, UNIT_DISK, n, margin, scale=scale)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            points_inside_gdelta(rng, UNIT_DISK, levels, scale=scale, margin=margin)
 
 
 def test_point_inside_rejects_bad_constant():
