@@ -63,7 +63,6 @@ from .approx import (
     certify_error,
     choose_truncation,
     expand_polynomial,
-    in_dictionary_hull,
     select_covering_delta,
 )
 from .mero import inversion_certificate, singular_scan

@@ -17,12 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mat
-from .errors import NoCover, TermBlowup
+from .errors import NoCover, NonFiniteValue, TermBlowup
 from .freepoly import (
     EPS_COEFF,
-    GradedPoint,
     MatrixPoly,
-    PolyMatrix,
     _promoted_grid,
     _purged,
     eval_poly_matrix_stack,
@@ -43,19 +41,12 @@ class CoverSelection:
     t: float
 
 
-def _worst_norm(delta: PolyMatrix, points) -> float:
-    """``max ||delta(x)||`` over the points, 0 for none, folded in point order."""
-    norms = np.empty(len(points))
-    for idx, mats in level_stacks(points, delta.d):
-        norms[idx] = mat.op_norms(eval_poly_matrix_stack(delta, mats))
-    return max(norms.tolist(), default=0.0)
-
-
 def select_covering_delta(points, candidates) -> CoverSelection:
     """Pick the candidate grid whose worst norm over the points is smallest.
 
     Requires that worst norm to be strictly under 1 (otherwise
-    :class:`NoCover`); ties break to the first index. The shrink factor is
+    :class:`NoCover`); ties break to the first index, and a candidate not
+    finite on the points raises :class:`NonFiniteValue`. The shrink factor is
     the midpoint ``t = (1 + 1/r) / 2``, which keeps every point strictly
     inside the shrunk domain ``{ ||t delta|| <= 1 }``.
     """
@@ -68,7 +59,10 @@ def select_covering_delta(points, candidates) -> CoverSelection:
     best_idx = None
     best_r = np.inf
     for idx, delta in enumerate(candidates):
-        worst = _worst_norm(delta, points)
+        stacks = level_stacks(points, delta.d)
+        worst = mat.max_op_norm(eval_poly_matrix_stack(delta, mats) for _, mats in stacks)
+        if np.isnan(worst):
+            raise NonFiniteValue(f"candidate grid {idx} is not finite on the samples")
         if worst < best_r:
             best_r = worst
             best_idx = idx
@@ -189,18 +183,3 @@ def expand_polynomial(r: Realization, k: int, term_cap: int = 10**6) -> MatrixPo
         prods = (delta[:, None] @ d_leg[None]).reshape((len(rows),) + leg.shape[1:])
         leg_rows, leg = _purge(*graded_sum(rows, prods), j + 1)
     return MatrixPoly._of(r.delta.d, acc_rows, acc)
-
-
-def in_dictionary_hull(x: GradedPoint, sample, dictionary) -> bool:
-    """Hull membership relative to a dictionary of grids.
-
-    ``x`` belongs to the hull of the sample when every dictionary grid that
-    keeps the whole sample inside its closed unit sublevel set also keeps
-    ``x`` inside it. Only the supplied dictionary is consulted; the hull
-    against all conceivable grids is not computable from finite data.
-    """
-    sample = list(sample)
-    for delta in dictionary:
-        if _worst_norm(delta, sample) <= 1.0 < _worst_norm(delta, [x]):
-            return False
-    return True

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import approx as approx_mod
-from . import jsonio, mero, model, ncpoint, realize, sampling
+from . import jsonio, mat, mero, model, ncpoint, realize, sampling
 from .errors import (
     ExprSyntaxError,
     FreeholoError,
@@ -36,7 +36,7 @@ from .errors import (
 from .exprlang import Schedule, eval_expr, parse, print_expr
 from .freepoly import GradedPoint, MatrixPoly
 from .jsonio import SCHEMA_VERSION
-from .mat import json_int, matrix_to_json, op_norms
+from .mat import json_int, matrix_to_json
 from .realize import TENSOR_CONVENTION
 
 _INPUT_ERRORS = (SchemaError, ExprSyntaxError, UnknownVariable)
@@ -311,18 +311,18 @@ def _sampled_bound(f, delta, seed: int) -> float:
     :class:`NonFiniteValue` where a value or its norm is not finite."""
     rng = sampling.rng_from_seed(seed)
     points = sampling.points_inside_gdelta(rng, delta, [1 + (i % 3) for i in range(200)])
-    norms, by_level = np.empty(len(points)), {}
+    by_level = {}
     for i, x in enumerate(points):
         value = f(x)
         if not np.isfinite(value).all():
             raise NonFiniteValue(f"f is not finite at sampled point {i} (level {x.n})")
         by_level.setdefault(x.n, {})[i] = value
-    for values in by_level.values():
-        norms[list(values)] = op_norms(list(values.values()))
-    if np.isnan(norms).any():
-        i = int(np.isnan(norms).argmax())
+    worst = mat.max_op_norm(np.array(list(v.values())) for v in by_level.values())
+    if math.isnan(worst):  # the values are finite, so an SVD failed: name where
+        norms = (zip(v, mat.op_norms(list(v.values()))) for v in by_level.values())
+        i = min(i for level in norms for i, nrm in level if math.isnan(nrm))
         raise NonFiniteValue(f"the norm of f failed at sampled point {i} (level {points[i].n})")
-    return float(norms.max(initial=0.0))
+    return worst
 
 
 def _cmd_mero_certify(args) -> dict:

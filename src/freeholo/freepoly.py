@@ -28,7 +28,7 @@ import functools
 import numpy as np
 
 from .errors import ShapeMismatch
-from .mat import json_int, matrix_from_json, matrix_to_json, op_norm
+from .mat import json_int, matrix_from_json, matrix_to_json
 
 # coefficients with modulus under this are purged during normalization
 EPS_COEFF = 1e-15
@@ -154,10 +154,6 @@ class GradedPoint:
     @property
     def mats(self):
         return self._mats
-
-    def nc_norm(self) -> float:
-        """max over coordinates of the operator norm."""
-        return max(op_norm(m) for m in self._mats)
 
     def __repr__(self):
         return f"GradedPoint(d={self._d}, n={self._n})"

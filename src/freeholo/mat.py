@@ -83,13 +83,16 @@ def op_norms(stack) -> np.ndarray:
     """Largest singular value of each matrix of a ``(p, rows, cols)`` stack.
 
     One SVD call runs the LAPACK routine of a single matrix on each, so
-    each norm is bitwise the matrix's own. A failed SVD gives NaN (after a
-    failed call the matrices are retried one at a time); a 0-size matrix
-    has norm 0.0.
+    each norm is bitwise the matrix's own. A matrix that is not finite (LAPACK
+    would print to stdout) or whose SVD fails, even when retried alone after
+    a failed call, has norm NaN; a 0-size matrix has norm 0.0.
     """
     a = np.asarray(stack, dtype=np.complex128)
     if 0 in a.shape:
         return np.zeros(len(a))
+    if not np.isfinite(a).all():  # zeros stand in for the matrices that are not finite
+        finite = np.isfinite(a).all(axis=(1, 2))
+        return np.where(finite, op_norms(np.where(finite[:, None, None], a, 0.0)), np.nan)
     try:
         return np.linalg.svd(a, compute_uv=False)[:, 0]
     except np.linalg.LinAlgError:
@@ -98,12 +101,61 @@ def op_norms(stack) -> np.ndarray:
         return np.concatenate([op_norms(m[None]) for m in a])
 
 
+# bytes max_op_norm holds before it screens them, and candidates per op_norms call
+_SCREEN_BYTES, _SCREEN_CHUNK = 1 << 23, 8
+
+
+def max_op_norm(stacks) -> float:
+    """Largest ``||A||_2`` over an iterable of ``(p, rows, cols)`` stacks of any shapes.
+
+    NaN if a matrix is not finite or an SVD fails, 0.0 for no matrices, else
+    bitwise the ``max`` of their :func:`op_norms`. As ``||A||_2`` is at most
+    ``min(||A||_F, sqrt(||A||_1 ||A||_inf))``, matrices are SVD'd in descending
+    order of that cap until it, times ``1 + 1e-10`` (sigma_1 may pass it by
+    ulps) plus the smallest normal number, is under the running maximum.
+    Stacks are read lazily and screened whenever ``_SCREEN_BYTES`` are held.
+    """
+    worst, held, size = 0.0, [], 0
+    for stack in stacks:
+        held.append(np.asarray(stack, dtype=np.complex128))
+        size += held[-1].nbytes
+        if size > _SCREEN_BYTES:
+            worst, held, size = _screened_max(held, worst), [], 0
+    return _screened_max(held, worst)
+
+
+def _screened_max(held, worst: float) -> float:
+    shapes = dict.fromkeys(a.shape[1:] for a in held if a.size)
+    groups = [np.concatenate([a for a in held if a.shape[1:] == s]) for s in shapes]
+    if sum(map(len, groups)) <= _SCREEN_CHUNK:  # one chunk would SVD them all
+        return float(np.maximum.reduce([worst, *(op_norms(a).max() for a in groups)]))
+    mags = [np.abs(a) for a in groups]
+    tops = [m.max(axis=(1, 2)) for m in mags]
+    if not all(np.isfinite(t).all() for t in tops):
+        return np.nan
+    caps = []  # taken of |A| / max|A|, so no square or product under- or overflows
+    for m, t in zip(mags, tops):
+        m /= np.where(t > 0.0, t, 1.0)[:, None, None]
+        one_inf = np.sqrt(m.sum(axis=1).max(axis=1) * m.sum(axis=2).max(axis=1))
+        caps.append(t * np.minimum(np.linalg.norm(m, axis=(1, 2)), one_inf))
+    bound = np.concatenate([np.zeros(0), *caps]) * (1.0 + 1e-10) + np.finfo(float).tiny
+    flat = [m for a in groups for m in a]
+    order = np.argsort(-bound, kind="stable")
+    for start in range(0, len(order), _SCREEN_CHUNK):
+        if bound[order[start]] < worst:
+            break
+        chunk = [flat[j] for j in order[start : start + _SCREEN_CHUNK]]
+        for shape in dict.fromkeys(m.shape for m in chunk):
+            worst = np.maximum(worst, op_norms([m for m in chunk if m.shape == shape]).max())
+    return float(worst)
+
+
 def op_norm(m) -> float:
     """Largest singular value, via full SVD: :func:`op_norms` of one matrix.
 
     Accurate to a small multiple of machine epsilon relative to the norm,
     which the truncation and membership certificates assume; NaN when the
-    SVD fails, as on a matrix with a non-finite entry.
+    matrix is not finite or the SVD fails.
     """
     return float(op_norms(as_array(m)[None])[0])
 

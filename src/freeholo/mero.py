@@ -54,10 +54,8 @@ class AugmentedDomain:
         self.extras = tuple(extras)
 
     def norm_at(self, x: GradedPoint) -> float:
-        worst = mat.op_norm(eval_poly_matrix(self.delta, x))
-        for leg in self.extras:
-            worst = max(worst, mat.op_norm(mat.as_array(leg(x))))
-        return worst
+        values = [eval_poly_matrix(self.delta, x), *(mat.as_array(leg(x)) for leg in self.extras)]
+        return mat.max_op_norm(v[None] for v in values)
 
     def contains(self, x: GradedPoint, margin: float = DEFAULT_MARGIN) -> bool:
         return Membership.from_norm(self.norm_at(x), margin).inside

@@ -146,36 +146,34 @@ def model_residual(s: ModelSampleSet) -> float:
 
     Returns ``max ||psi(y)*psi(x) - phi(y)*phi(x) - u(y)*(I - D(y)*D(x))u(x)||``
     including the diagonal pairs y = x. Machine-scale for data generated by
-    an isometric realization; ``inf`` when any pair block or its norm is
-    not finite.
+    an isometric realization; ``inf`` when any pair block is not finite or
+    any SVD fails.
 
     Delta u is the sample set's ``delta_u``; no delta is evaluated here.
     Per level, with the columns ``L_s = [psi_s; (Delta u)_s]`` and
     ``R_s = [phi_s; u_s]`` of width w, the pair block is
     ``E_st = L_s* L_t - R_s* R_t``. Since ``||E_ts|| = ||E_st||`` only the
-    blocks with t >= s are formed, one row block s at a time, and their
-    norms come from one ``mat.op_norms`` call, so memory stays O(m w^2) for
-    m samples at the level and the level's (m w)^2 Gram is never held.
+    blocks with t >= s are formed, one row block s at a time, and handed lazily
+    to ``mat.max_op_norm``, which SVDs only blocks that may attain the maximum
+    in bounded memory; the level's (m w)^2 Gram is never held.
     """
     by_level = {}
     for i, x in enumerate(s.points):
         left, right = by_level.setdefault(x.n, ([], []))
         left.append(np.concatenate([s.psi[i], s.delta_u[i]]))
         right.append(np.concatenate([s.phi[i], s.u[i]]))
-    worst = 0.0
-    for left, right in by_level.values():
-        m, w = len(left), left[0].shape[1]
-        lmat = np.concatenate(left, axis=1)
-        rmat = np.concatenate(right, axis=1)
-        for i in range(m):
-            row, rest = slice(i * w, (i + 1) * w), slice(i * w, None)
-            e = lmat[:, row].conj().T @ lmat[:, rest] - rmat[:, row].conj().T @ rmat[:, rest]
-            blocks = e.reshape(w, m - i, w).transpose(1, 0, 2)
-            nrm = float(mat.op_norms(blocks).max()) if np.isfinite(blocks).all() else math.nan
-            if math.isnan(nrm):  # a block that is not finite, or an SVD that failed
-                return math.inf
-            worst = max(worst, nrm)
-    return worst
+
+    def row_blocks():
+        for left, right in by_level.values():
+            m, w = len(left), left[0].shape[1]
+            lmat, rmat = (np.concatenate(side, axis=1) for side in (left, right))
+            for i in range(m):
+                row, rest = slice(i * w, (i + 1) * w), slice(i * w, None)
+                e = lmat[:, row].conj().T @ lmat[:, rest] - rmat[:, row].conj().T @ rmat[:, rest]
+                yield e.reshape(w, m - i, w).transpose(1, 0, 2)
+
+    worst = mat.max_op_norm(row_blocks())
+    return math.inf if math.isnan(worst) else worst
 
 
 def diagonal_floor(s: ModelSampleSet) -> float:

@@ -147,8 +147,8 @@ def envelope_member(x: GradedPoint, w: SimilarityWitness, tol: float = 1e-8) -> 
         return False
     target = w.assembled()
     kappa = mat.cond(w.s)
-    scale = max(1.0, max(mat.op_norm(m) for m in target.mats))
-    dev = max(mat.op_norm(a - b) for a, b in zip(x.mats, target.mats))
+    scale = max(1.0, mat.max_op_norm(m[None] for m in target.mats))
+    dev = mat.max_op_norm((a - b)[None] for a, b in zip(x.mats, target.mats))
     return dev <= tol * kappa * scale
 
 

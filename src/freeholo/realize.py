@@ -397,7 +397,7 @@ def fit_lurking_isometry(
 
     Unless ``holdout=False``, every fifth point (indices 4, 9, ...) is
     reserved, excluded from the fit, and used to report the reproduction
-    deviation ``max || Omega(x) psi(x) - phi(x) ||``.
+    deviation ``max || Omega(x) psi(x) - phi(x) ||``, or ``inf`` if that fails.
     """
     s = samples
     if len(s) == 0:
@@ -480,12 +480,9 @@ def fit_lurking_isometry(
 
     holdout_dev = None
     if reserved:
-        worst = 0.0
-        for idx in reserved:
-            x = s.points[idx]
-            omega = eval_direct(fitted, x)
-            worst = max(worst, mat.op_norm(omega @ s.psi[idx] - s.phi[idx]))
-        holdout_dev = worst
+        gaps = ((eval_direct(fitted, s.points[i]) @ s.psi[i] - s.phi[i])[None] for i in reserved)
+        worst = mat.max_op_norm(gaps)
+        holdout_dev = math.inf if math.isnan(worst) else worst
 
     return FitResult(
         realization=fitted,
@@ -508,6 +505,7 @@ class CoronaSolution:
     The solution functions are ``phi_i = Omega_i / epsilon``; they satisfy
     ``sum_i phi_i psi_i = I`` on the data and their row norm is certified by
     ``norm_bound = 1 / epsilon`` (plus rounding) everywhere in the domain.
+    ``identity_residual``: ``max ||Omega(x) psi(x) - epsilon I|| / epsilon`` on the data, or inf.
     """
 
     omega: Realization
@@ -613,14 +611,14 @@ def corona_solve(
         mult=mult,
     )
     fit = fit_lurking_isometry(sample, holdout=False)
-    worst = 0.0
-    for x, col in zip(points, columns):
-        lhs = eval_direct(fit.realization, x) @ col
-        worst = max(worst, mat.op_norm(lhs - epsilon * np.eye(x.n)) / epsilon)
+    worst = mat.max_op_norm(  # max(a) / epsilon is max(a / epsilon): rounding is monotone
+        (eval_direct(fit.realization, x) @ col - epsilon * np.eye(x.n))[None]
+        for x, col in zip(points, columns)
+    ) / epsilon
     return CoronaSolution(
         omega=fit.realization,
         epsilon=float(epsilon),
         norm_bound=1.0 / float(epsilon),
-        identity_residual=worst,
+        identity_residual=math.inf if math.isnan(worst) else worst,
         fit=fit,
     )

@@ -13,7 +13,6 @@ from freeholo.approx import (
     certify_error,
     choose_truncation,
     expand_polynomial,
-    in_dictionary_hull,
     select_covering_delta,
 )
 from freeholo.errors import NoCover, TermBlowup
@@ -304,14 +303,3 @@ def test_expansion_of_long_words():
     poly = expand_polynomial(r, 70)
     assert poly.words() == [(2,) * n for n in range(72)]
     assert assert_same_expansion(poly, expand_by_word_dicts(r, 70))
-
-
-def test_dictionary_hull():
-    half = PolyMatrix.from_poly(FreePoly.letter(1, 1).scale(0.5))
-    sample = scalars(0.4, 0.7)
-    dictionary = [half, UNIT_DISK]
-    assert in_dictionary_hull(GradedPoint.scalars([0.3]), sample, dictionary)
-    assert not in_dictionary_hull(GradedPoint.scalars([1.5]), sample, dictionary)
-    # nothing in the dictionary contains the sample: hull is everything
-    tight = PolyMatrix.from_poly(FreePoly.letter(1, 1).scale(10.0))
-    assert in_dictionary_hull(GradedPoint.scalars([5.0]), sample, [tight])

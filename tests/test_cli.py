@@ -334,6 +334,40 @@ def test_approx_no_cover_exits_1(tmp_path, capsys):
     assert rep["error"]["type"] == "NoCover"
 
 
+GRID = PolyMatrix([
+    [FreePoly.letter(2, 1).scale(0.5), FreePoly.letter(2, 2).scale(0.5)],
+    [FreePoly.letter(2, 2).scale(0.3), (FreePoly.letter(2, 1) * FreePoly.letter(2, 2)).scale(0.3)],
+])
+
+
+def test_approx_non_finite_cover_fails_in_either_order(tmp_path, capsys):
+    # GRID overflows at (1e200, 1e200); a NaN radius must not be folded
+    # away in one order (a certificate that misses a sample point) and
+    # read as NoCover in the other
+    real = random_realization(rng_from_seed(0), GRID, 1, 1, 1).to_json()
+    r = write(tmp_path, "r.json", real)
+    cover = write(tmp_path, "cover.json", [GRID.to_json()])
+    good, huge = (GradedPoint.scalars([v, v]).to_json() for v in (0.1, 1e200))
+    reports = []
+    for name, pts in (("gh.json", [good, huge]), ("hg.json", [huge, good])):
+        samples = write(tmp_path, name, pts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, raw = run(
+                ["approx", "--realization", r, "--cover", cover, "--samples", samples,
+                 "--tol", "1e-3"],
+                capsys,
+            )
+        reports.append((code, raw))
+    assert reports[0] == reports[1]
+    code, raw = reports[0]
+    assert code == 1
+    error = strict_loads(raw)["error"]
+    assert error == {
+        "type": "NonFiniteValue",
+        "message": "candidate grid 0 is not finite on the samples",
+    }
+
+
 def test_derive_cmd(tmp_path, capsys):
     point = write(
         tmp_path, "m.json", GradedPoint([np.diag([1.0, 2.0]).astype(complex)]).to_json()
@@ -706,10 +740,17 @@ def test_mero_certify_failed_sampled_norm_exits_1(tmp_path, capsys, monkeypatch)
         PolyMatrix.from_poly(FreePoly.letter(1, 1).scale(0.5)).to_json(),
     )
     point = write(tmp_path, "p.json", GradedPoint.scalars([0.5]).to_json())
-    op_norms = cli.op_norms
-    monkeypatch.setattr(
-        cli, "op_norms", lambda stack: np.concatenate([op_norms(stack)[:-1], [np.nan]])
-    )
+    op_norms, sample = cli.mat.op_norms, cli.sampling.points_inside_gdelta
+
+    def sample_then_fail(*args):
+        # SVDs fail only once the points are drawn, where f's norms are taken
+        points = sample(*args)
+        monkeypatch.setattr(
+            cli.mat, "op_norms", lambda stack: np.concatenate([op_norms(stack)[:-1], [np.nan]])
+        )
+        return points
+
+    monkeypatch.setattr(cli.sampling, "points_inside_gdelta", sample_then_fail)
     code, _, raw = run(
         ["mero", "certify", "--expr", "x1 + 1", "--vars", "1", "--delta", half,
          "--point", point],

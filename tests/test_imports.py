@@ -9,7 +9,8 @@ module in ``src/freeholo``:
   words, the only caller of ``np.lexsort`` and ``np.add.at``;
 * operator norms come from ``mat.op_norms``, the only caller of
   ``np.linalg.svd`` that does not also use the singular vectors or the
-  smallest singular value;
+  smallest singular value, and the largest of several norms comes from
+  ``mat.max_op_norm``, never from a bare ``max`` that drops a NaN;
 * in ``model`` and ``realize``, delta is evaluated at a point only where
   membership is decided, and Delta u is formed only by the sample set's
   constructor and the resolvent kernel.
@@ -86,6 +87,76 @@ def test_operator_norms_go_through_the_stacked_kernel():
         "realize.fit_lurking_isometry",
         "mero.inversion_certificate",
     }
+
+
+def test_largest_norms_go_through_the_screened_kernel():
+    assert library_callers({"mat.max_op_norm", "max_op_norm"}) == {
+        "model.model_residual",
+        "approx.select_covering_delta",
+        "realize.fit_lurking_isometry",
+        "realize.corona_solve",
+        "cli._sampled_bound",
+        "mero.norm_at",
+        "ncpoint.envelope_member",
+    }
+
+
+NORM_CALLS = {"op_norm", "op_norms", "mat.op_norm", "mat.op_norms"}
+
+
+def norm_folds(source: str, module: str) -> set:
+    """``module.function`` names of the functions that take a builtin ``max``
+    of norms.
+
+    A norm is a call in ``NORM_CALLS`` or a name assigned from an expression
+    holding one. ``max(1.0, norm)``, a clamp against a constant, is no fold.
+    """
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(fn))
+
+        def holds_norm(tree, names=frozenset()):
+            return any(
+                isinstance(n, ast.Call) and ast.unparse(n.func) in NORM_CALLS
+                or isinstance(n, ast.Name) and n.id in names
+                for n in ast.walk(tree)
+            )
+
+        norm_names = set()
+        for n in nodes:
+            if isinstance(n, (ast.Assign, ast.AugAssign)) and holds_norm(n.value):
+                targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+                names = (t for tgt in targets for t in ast.walk(tgt))
+                norm_names |= {t.id for t in names if isinstance(t, ast.Name)}
+        for n in nodes:
+            if not (isinstance(n, ast.Call) and ast.unparse(n.func) == "max"):
+                continue
+            args = n.args
+            if len(args) == 2 and isinstance(args[0], ast.Constant):
+                args = []
+            if any(holds_norm(a, norm_names) for a in args):
+                found.add(f"{module}.{fn.name}")
+    return found
+
+
+def test_norm_folds_finds_bare_max_of_norms():
+    source = (
+        "def f(ms):\n    return max(op_norm(m) for m in ms)\n"
+        "def g(ms):\n    worst = 0.0\n    for m in ms:\n"
+        "        nrm = float(mat.op_norms(m).max())\n        worst = max(worst, nrm)\n"
+        "def h(m):\n    return max(1.0, mat.op_norm(m))\n"
+        "def k(ms):\n    return max(ms)\n"
+    )
+    assert norm_folds(source, "m") == {"m.f", "m.g"}
+
+
+def test_no_bare_max_folds_norms():
+    found = set()
+    for path in SRC.glob("*.py"):
+        found |= norm_folds(path.read_text(encoding="utf-8"), path.stem)
+    assert found == set()
 
 
 def name_users(source: str, module: str, name: str) -> set:

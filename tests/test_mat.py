@@ -1,8 +1,14 @@
+import ctypes
+import os
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freeholo import mat
 from freeholo.errors import DimensionTooSmall, ShapeMismatch, SingularMatrix
 from freeholo.mat import (
     as_array,
@@ -16,7 +22,9 @@ from freeholo.mat import (
     kron_left_identity_apply,
     matrix_from_json,
     matrix_to_json,
+    max_op_norm,
     op_norm,
+    op_norms,
 )
 
 
@@ -183,3 +191,159 @@ def test_cmatrix_rejects_nonfinite():
         matrix_from_json({"rows": 2, "cols": 1, "data": [[1.0, 0.0]]})
     with pytest.raises(ShapeMismatch):
         as_array([1.0, 2.0])  # not 2-d
+
+
+def test_op_norm_of_non_finite_matrix_prints_nothing(tmp_path):
+    # LAPACK's scaling routine reports an infinite norm estimate on stdout;
+    # a non-finite matrix must get NaN without reaching it
+    a = np.ones((11, 8), dtype=complex)
+    a[2, 3], a[7, 1] = np.inf, -np.inf
+    sys.stdout.flush()
+    saved = os.dup(1)
+    with open(tmp_path / "fd1", "w+b") as sink:
+        os.dup2(sink.fileno(), 1)
+        try:
+            nrm = op_norm(a)
+            ctypes.CDLL(None).fflush(None)
+        finally:
+            os.dup2(saved, 1)
+            os.close(saved)
+        sink.seek(0)
+        printed = sink.read()
+    assert np.isnan(nrm)
+    assert printed == b""
+
+
+def test_op_norms_is_one_svd_call(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.shape) or svd(a, **kw))
+    stack = np.stack([rand_matrix(k, 4, 3) for k in range(5)])
+    op_norms(stack)
+    assert calls == [(5, 4, 3)]
+    stack[1, 0, 0] = np.nan
+    calls.clear()
+    assert np.isnan(op_norms(stack)).tolist() == [False, True, False, False, False]
+    assert calls == [(5, 4, 3)]
+
+
+def mixed_stacks(rng, specs):
+    """Stacks after ``specs``: (kind, p, rows, cols, scale) with kind one of
+    "random", "rank1" (u v*), "tied" (row permutations and phases of one
+    rank-1 matrix, so the largest norms agree to rounding) and "flat" (the
+    same with entries of one modulus, where both caps equal the norm)."""
+    stacks = []
+    tied = None
+    for kind, p, rows, cols, scale in specs:
+        def gauss(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        if kind == "random":
+            a = gauss(p, rows, cols)
+        elif kind == "rank1":
+            a = gauss(p, rows, 1) @ gauss(p, 1, cols)
+        else:
+            if tied is None or tied.shape != (rows, cols):
+                tied = gauss(rows, 1) @ gauss(1, cols)
+                tied = np.exp(1j * np.angle(tied)) if kind == "flat" else tied
+            a = np.array([
+                np.exp(1j * rng.uniform(0, 2 * np.pi)) * tied[rng.permutation(rows)]
+                for _ in range(p)
+            ], dtype=complex).reshape(p, rows, cols)
+        stacks.append(a * scale)
+    return stacks
+
+
+SPECS = st.lists(
+    st.tuples(
+        st.sampled_from(["random", "rank1", "tied", "flat"]),
+        st.integers(0, 12),
+        st.integers(0, 6),
+        st.integers(0, 6),
+        st.sampled_from([1.0, 1e-160, 1e150, 1e-310]),
+    ),
+    max_size=6,
+)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    specs=SPECS,
+    poison=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    budget=st.sampled_from([1 << 23, 64, 1024]),
+    chunk=st.sampled_from([8, 1]),
+)
+@settings(max_examples=300, deadline=None)
+def test_max_op_norm_is_the_full_fold(seed, specs, poison, budget, chunk):
+    # a chunk of 1 tests the screen's stopping rule at every candidate
+    rng = np.random.default_rng(seed)
+    stacks = mixed_stacks(rng, specs)
+    nonempty = [a for a in stacks if a.size]
+    if poison is not None and nonempty:
+        a = nonempty[rng.integers(len(nonempty))]
+        a[rng.integers(len(a)), rng.integers(a.shape[1]), rng.integers(a.shape[2])] = poison
+    # the screen itself neither overflows nor divides 0 by 0, even at subnormal scales
+    with mock.patch.object(mat, "_SCREEN_BYTES", budget), \
+            mock.patch.object(mat, "_SCREEN_CHUNK", chunk), \
+            np.errstate(over="raise", invalid="raise"):
+        got = max_op_norm(iter(stacks))
+    if not all(np.isfinite(a).all() for a in stacks):
+        assert np.isnan(got)
+        return
+    want = np.concatenate([np.zeros(0), *(op_norms(a) for a in stacks)]).max(initial=0.0)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["tied", "flat"]),
+    scale=st.sampled_from([1.0, 1e-160, 1e150, 1e-310]),
+)
+@settings(max_examples=150, deadline=None)
+def test_max_op_norm_keeps_near_tied_maxima(seed, kind, scale):
+    # copies of one rank-1 matrix, some transposed: a computed sigma_1
+    # passes the computed cap by a few ulps about a quarter of the time,
+    # so the screen must not stop at a cap equal to the maximum
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(1, 7, 2)
+    stacks = mixed_stacks(rng, [(kind, 12, rows, cols, scale)] * 2)
+    stacks.append(stacks[0].transpose(0, 2, 1))
+    with mock.patch.object(mat, "_SCREEN_CHUNK", 1):
+        got = max_op_norm(stacks)
+    want = max(op_norms(a).max() for a in stacks)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_max_op_norm_of_nothing_is_zero():
+    assert max_op_norm([]) == 0.0
+    assert max_op_norm([np.zeros((0, 3, 3)), np.zeros((4, 0, 2))]) == 0.0
+    # an empty stack does not hide a full one of the same shape
+    a = rand_matrix(5, 3)
+    assert max_op_norm([np.zeros((0, 3, 3)), a[None]]) == op_norm(a)
+
+
+def test_max_op_norm_screens_out_small_matrices(monkeypatch):
+    # one matrix dominates the Frobenius order, so one chunk is SVD'd
+    stacks = [np.stack([rand_matrix(k, 5) / (k + 1) for k in range(50)]), rand_matrix(99, 3)[None]]
+    want = op_norm(rand_matrix(0, 5))
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: svds.append(len(a)) or svd(a, **kw))
+    assert max_op_norm(stacks) == want
+    assert sum(svds) == mat._SCREEN_CHUNK
+
+
+def test_max_op_norm_reads_stacks_lazily(monkeypatch):
+    # with a budget of one byte, each stack is screened before the next is read
+    monkeypatch.setattr(mat, "_SCREEN_BYTES", 1)
+    want = op_norm(np.full((2, 2), 3.0))
+    events, norms = [], mat.op_norms
+    monkeypatch.setattr(mat, "op_norms", lambda a: events.append("svd") or norms(a))
+
+    def stacks():
+        for k in range(3):
+            events.append("read")
+            yield np.full((1, 2, 2), k + 1.0)
+
+    assert max_op_norm(stacks()) == want
+    assert events == ["read", "svd"] * 3

@@ -319,7 +319,7 @@ def test_check_nc_axioms_evaluates_each_sample_once():
     couplings = [rng.standard_normal((n, n)) for n in (1, 2, 3)]
 
     def inside(pt):
-        return pt.nc_norm() < 1.0
+        return max(op_norm(m) for m in pt.mats) < 1.0
 
     rep = check_nc_axioms(f, samples, sims=sims, couplings=couplings, domain=inside)
     assert not any(p is big for p in calls)
