@@ -31,22 +31,16 @@ from .freepoly import (
     GradedPoint,
     MatrixPoly,
     PolyMatrix,
-    ball_delta,
     commutator_delta,
-    delta_direct_sum,
     delta_pad_columns,
     eval_poly,
     eval_poly_matrix,
-    eval_word,
 )
 from .exprlang import eval_expr, parse, print_expr, to_free_poly
 from .ncpoint import (
     Membership,
-    SimilarityWitness,
     check_nc_axioms,
     conjugate,
-    envelope_member,
-    extend_function,
     in_gdelta,
     nc_derivative,
     point_direct_sum,

@@ -516,7 +516,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_flags(args)
-        report = {**_base_report(args), **args.handler(args)}
+        # every reported value is checked or written as null, so numpy's
+        # overflow warnings would only add text to stderr
+        with np.errstate(all="ignore"):
+            report = {**_base_report(args), **args.handler(args)}
     except _INPUT_ERRORS as exc:
         _emit(_error_report(args, exc), None)
         return 2

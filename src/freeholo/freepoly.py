@@ -34,16 +34,11 @@ from .mat import json_int, matrix_from_json, matrix_to_json
 EPS_COEFF = 1e-15
 
 
-def graded_lex_key(word):
-    """Sort key: by length first, then lexicographically."""
-    return (len(word), word)
-
-
 def graded_sum(rows: np.ndarray, stack: np.ndarray) -> tuple:
     """Distinct words among word rows ``[length, letters..., 0...]``, summed.
 
-    Returns the distinct rows in graded lexicographic order (the order of
-    :func:`graded_lex_key`) and a new coefficient stack: each word's
+    Returns the distinct rows in graded lexicographic order (by length,
+    then letter by letter) and a new coefficient stack: each word's
     coefficient is its first row's plus its later rows' in row order. Rows
     are compared letter by letter, so no word code can overflow. Fewer than
     two rows come back as given, not copied.
@@ -198,11 +193,6 @@ def _word_value(table: dict, mats, w) -> np.ndarray:
     return table[w]
 
 
-def eval_word(word, x: GradedPoint) -> np.ndarray:
-    """Product of point matrices along the word; the empty word gives I_n."""
-    return _word_values(x.mats)(_check_word(word, x.d))
-
-
 class _Held:
     """An immutable polynomial held as one :class:`MatrixPoly`, :attr:`coeffs`.
 
@@ -229,10 +219,6 @@ class _Held:
     @property
     def d(self) -> int:
         return self._coeffs.d
-
-    def degree(self) -> int:
-        """Length of the longest word; -1 for the zero polynomial."""
-        return self._coeffs.degree()
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -284,9 +270,6 @@ class FreePoly(_Held):
     @property
     def terms(self) -> dict:
         return dict(zip(self._coeffs.words(), self._coeffs.stack[:, 0, 0].tolist()))
-
-    def is_zero(self) -> bool:
-        return not self._coeffs.term_count()
 
     def __repr__(self):
         bits = [f"({c:g})*" + ("*".join(f"x{i}" for i in w) or "1") for w, c in self.terms.items()]
@@ -438,10 +421,6 @@ class PolyMatrix(_Held):
     def from_poly(cls, p: FreePoly) -> "PolyMatrix":
         return cls._of(p.coeffs)
 
-    @classmethod
-    def column(cls, polys) -> "PolyMatrix":
-        return cls([[p] for p in polys])
-
     @property
     def rows(self):
         return self._coeffs.out_dim
@@ -592,22 +571,6 @@ def promoted_apply(
     return out
 
 
-def delta_direct_sum(d1: PolyMatrix, d2: PolyMatrix) -> PolyMatrix:
-    """Block diagonal stack of two grids (membership becomes the conjunction).
-
-    The two coefficient stacks sit block-diagonally over the concatenated
-    word rows, and :func:`graded_sum` merges a word the grids share.
-    """
-    if d1.d != d2.d:
-        raise ShapeMismatch("grids disagree on variable count")
-    a, b = d1.coeffs, d2.coeffs
-    k = len(a.rows)
-    rows = stack_rows((a.rows, b.rows))
-    stack = np.zeros((len(rows), d1.rows + d2.rows, d1.cols + d2.cols), dtype=np.complex128)
-    stack[:k, : d1.rows, : d1.cols], stack[k:, d1.rows :, d1.cols :] = a.stack, b.stack
-    return PolyMatrix._of(MatrixPoly._of(d1.d, *_purged(*graded_sum(rows, stack))))
-
-
 def delta_pad_columns(pm: PolyMatrix, extra: int) -> PolyMatrix:
     """Append ``extra`` zero columns on the right (none to a grid without rows).
 
@@ -623,19 +586,6 @@ def delta_pad_columns(pm: PolyMatrix, extra: int) -> PolyMatrix:
     zeros = np.zeros(grid.stack.shape[:2] + (extra,), dtype=np.complex128)
     stack = np.concatenate((grid.stack, zeros), axis=2)
     return PolyMatrix._of(MatrixPoly._of(pm.d, grid.rows, stack))
-
-
-def ball_delta(center, radius: float) -> PolyMatrix:
-    """Column grid ``((x_r - center_r) / radius)``, the matrix ball domain."""
-    center = [complex(c) for c in center]
-    d = len(center)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    polys = []
-    for r, c in enumerate(center, start=1):
-        p = FreePoly(d, {(r,): 1.0 / radius, (): -c / radius})
-        polys.append(p)
-    return PolyMatrix.column(polys)
 
 
 def commutator_delta() -> PolyMatrix:
@@ -658,12 +608,12 @@ class MatrixPoly:
     coefficient :attr:`stack`; :meth:`words` and :attr:`terms` (views of
     the stack) are built from them when read.
 
-    Words from outside (the dict constructor, :meth:`from_rows` and
-    :meth:`from_json`) are validated: a letter outside 1..d or a malformed
-    row raises ``ValueError``. Every polynomial, these and the ones library
-    code builds, then goes through :func:`graded_sum` and :func:`_purged`,
-    and its rows are cut to the width of the longest word, so equal
-    polynomials have equal rows and stacks.
+    Words from outside (the dict constructor and :meth:`from_json`) are
+    validated: a letter outside 1..d raises ``ValueError``. Every
+    polynomial, these and the ones library code builds, then goes through
+    :func:`graded_sum` and :func:`_purged`, and its rows are cut to the
+    width of the longest word, so equal polynomials have equal rows and
+    stacks.
     """
 
     __slots__ = ("_d", "_rows", "_stack")
@@ -671,26 +621,6 @@ class MatrixPoly:
     def __init__(self, d: int, out_dim: int, in_dim: int, terms=None):
         rows, stack = _term_arrays(d, (out_dim, in_dim), (terms or {}).items())
         self._hold(d, *_purged(*graded_sum(rows, stack)))
-
-    @classmethod
-    def from_rows(cls, d: int, rows, stack) -> "MatrixPoly":
-        """The polynomial with word rows ``rows`` and coefficient ``stack``.
-
-        Rows ``[length, letters..., 0...]`` and a ``(len(rows), out_dim,
-        in_dim)`` stack are validated and normalised as by the constructor.
-        """
-        rows = np.array(rows, dtype=np.int64)  # copies: the polynomial freezes its arrays
-        stack = np.array(stack, dtype=np.complex128)
-        if rows.ndim != 2 or rows.shape[1] < 1 or stack.ndim != 3 or len(rows) != len(stack):
-            raise ShapeMismatch("need 2-d word rows and a 3-d stack of one coefficient each")
-        length, letters = rows[:, 0], rows[:, 1:]
-        used = np.arange(letters.shape[1]) < length[:, None]
-        bad = letters[used & ((letters < 1) | (letters > d))]
-        if bad.size:
-            raise ValueError(f"letter {bad[0]} outside 1..{d}")
-        if (length < 0).any() or (length > letters.shape[1]).any() or letters[~used].any():
-            raise ValueError("word rows must read [length, letters..., 0...]")
-        return cls._of(d, *_purged(*graded_sum(rows, stack)))
 
     @classmethod
     def _of(cls, d: int, rows: np.ndarray, stack: np.ndarray) -> "MatrixPoly":
@@ -738,9 +668,6 @@ class MatrixPoly:
 
     def term_count(self) -> int:
         return len(self._rows)
-
-    def degree(self) -> int:
-        return int(self._rows[-1, 0]) if len(self._rows) else -1
 
     def words(self):
         """The words in graded lexicographic order."""

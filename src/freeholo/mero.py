@@ -154,6 +154,8 @@ def inversion_certificate(
     if abs(q_at_zero) == 0.0:
         raise NotInvertible("characteristic polynomial vanishes at zero")
     p_coeffs = q_coeffs / q_at_zero  # p(0) = 1, degree = level of M
+    if not np.isfinite(p_coeffs).all():  # np.poly or the division overflowed
+        raise RootFindingFailure("characteristic polynomial coefficients are not finite")
     # 1 - p(z) = z * g(z) with g read off the nonconstant coefficients of p
     g_coeffs = -p_coeffs[:-1]  # highest first, degree n-1, leading -1/q(0)
     c = complex(g_coeffs[0])

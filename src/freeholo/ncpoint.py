@@ -6,9 +6,7 @@ here is three-valued with an explicit margin, because every downstream
 certificate needs to know how far inside the point sits.
 
 The module also hosts the structural operations that make a graded function
-a *free* function: direct sums, similarity conjugation, envelope membership
-(a point presented as a conjugated direct sum of known points), the canonical
-extension of function values along such a presentation, the upper triangular
+a *free* function: direct sums, similarity conjugation, the upper triangular
 block trick (which contains the difference quotient as its corner), and a
 sampling-based checker for the direct-sum and similarity axioms.
 """
@@ -91,92 +89,6 @@ def _widened(left: np.ndarray, right: np.ndarray, dims) -> tuple:
     on values of ``dims = (input_dim, output_dim)``."""
     h_dim, k_dim = dims
     return np.kron(left, np.eye(k_dim)), np.kron(right, np.eye(h_dim))
-
-
-def is_scalar_tuple(x: GradedPoint, tol: float = 1e-12) -> bool:
-    """True when every coordinate is a scalar multiple of the identity."""
-    for m in x.mats:
-        alpha = np.trace(m) / x.n
-        if mat.op_norm(m - alpha * np.eye(x.n)) > tol:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class SimilarityWitness:
-    """A presentation ``x = s^{-1} (blocks[0] + ... + blocks[k]) s``."""
-
-    blocks: tuple
-    s: np.ndarray
-
-    def __init__(self, blocks, s):
-        blocks = tuple(blocks)
-        if not blocks:
-            raise ValueError("witness needs at least one block")
-        d = blocks[0].d
-        for b in blocks:
-            if b.d != d:
-                raise ShapeMismatch("blocks disagree on variable count")
-        s = np.array(mat.as_array(s), dtype=np.complex128)
-        total = sum(b.n for b in blocks)
-        if s.shape != (total, total):
-            raise ShapeMismatch("similarity size must match the summed block level")
-        s.setflags(write=False)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "s", s)
-
-    @property
-    def total_level(self) -> int:
-        return int(self.s.shape[0])
-
-    def assembled(self) -> GradedPoint:
-        """The conjugated direct sum the witness asserts the point equals."""
-        acc = self.blocks[0]
-        for b in self.blocks[1:]:
-            acc = point_direct_sum(acc, b)
-        return conjugate(acc, self.s)
-
-
-def envelope_member(x: GradedPoint, w: SimilarityWitness, tol: float = 1e-8) -> bool:
-    """Does the witness actually present ``x``?
-
-    The comparison tolerance scales with the condition number of the
-    similarity, since the presentation itself amplifies errors that way.
-    """
-    if x.d != w.blocks[0].d or x.n != w.total_level:
-        return False
-    target = w.assembled()
-    kappa = mat.cond(w.s)
-    scale = max(1.0, mat.max_op_norm(m[None] for m in target.mats))
-    dev = mat.max_op_norm((a - b)[None] for a, b in zip(x.mats, target.mats))
-    return dev <= tol * kappa * scale
-
-
-def extend_function(f_on_blocks, w: SimilarityWitness, dims: tuple[int, int] = (1, 1)) -> np.ndarray:
-    """Extend function values on the blocks to the presented point.
-
-    ``f_on_blocks[k]`` must be the value at ``w.blocks[k]``, a matrix of
-    shape ``(n_k * dims[1], n_k * dims[0])`` with the level index outer
-    (``dims = (input_dim, output_dim)`` of the operator-valued function,
-    both 1 for scalar-valued). The result is the only value at the
-    presented point consistent with the direct-sum and similarity axioms:
-
-        (s^{-1} (x) I_out) (f(block_1) + ... + f(block_k)) (s (x) I_in)
-    """
-    h_dim, k_dim = dims
-    values = [mat.as_array(v) for v in f_on_blocks]
-    if len(values) != len(w.blocks):
-        raise ShapeMismatch("one value per block required")
-    for v, b in zip(values, w.blocks):
-        if v.shape != (b.n * k_dim, b.n * h_dim):
-            raise ShapeMismatch(
-                f"value shape {v.shape} does not match level {b.n} with dims {dims}"
-            )
-    stacked = values[0]
-    for v in values[1:]:
-        stacked = mat.direct_sum(stacked, v)
-    s_out_inv, s_in = _widened(mat.inv(w.s), w.s, dims)
-    return s_out_inv @ stacked @ s_in
 
 
 def upper_triangular_pair(n_point: GradedPoint, m_point: GradedPoint, c) -> GradedPoint:

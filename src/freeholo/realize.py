@@ -95,7 +95,7 @@ class Realization:
                 f"from k1={dim_k1}, k2={dim_k2}, mult={mult}, grid {delta.rows}x{delta.cols}"
             )
         defect = mat.isometry_defect(j1)
-        if defect > ISOMETRY_TOL:
+        if not defect <= ISOMETRY_TOL:  # a NaN defect (overflow in J1* J1) fails too
             raise ShapeMismatch(
                 f"J1 is not an isometry: defect {defect:.3e} exceeds {ISOMETRY_TOL:.0e}"
             )

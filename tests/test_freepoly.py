@@ -10,21 +10,17 @@ from freeholo.freepoly import (
     GradedPoint,
     MatrixPoly,
     PolyMatrix,
-    ball_delta,
     commutator_delta,
-    delta_direct_sum,
     delta_pad_columns,
     eval_poly,
     eval_poly_matrix,
     eval_poly_matrix_promoted,
     eval_poly_matrix_stack,
-    eval_word,
-    graded_lex_key,
     promoted_apply,
     promoted_apply_buffers,
 )
 from freeholo.errors import ShapeMismatch
-from freeholo.mat import direct_sum, op_norm, op_norms
+from freeholo.mat import direct_sum, matrix_to_json, op_norm, op_norms
 from freeholo.sampling import random_free_poly, random_graded_point, rng_from_seed
 
 
@@ -39,6 +35,19 @@ def random_point(seed, d, n, scale=0.5):
         for _ in range(d)
     ]
     return GradedPoint(mats)
+
+
+def word_value(word, pt):
+    """The product of the point's matrices along the word."""
+    return eval_poly(FreePoly(pt.d, {word: 1.0}), pt)
+
+
+def block_diagonal(a, b):
+    """The grid ``[[a, 0], [0, b]]``, built entry by entry."""
+    zero = FreePoly.zero(a.d)
+    rows = [list(row) + [zero] * b.cols for row in a.entries]
+    rows += [[zero] * a.cols + list(row) for row in b.entries]
+    return PolyMatrix(rows, d=a.d)
 
 
 NILPOTENT_PAIR = GradedPoint(
@@ -59,16 +68,16 @@ def test_hand_polynomial_at_scalar_pair():
 def test_word_order_matters():
     # x1 x2 at (E12, E21) is E12 E21 = diag(1, 0); reversed gives diag(0, 1)
     np.testing.assert_allclose(
-        eval_word((1, 2), NILPOTENT_PAIR), np.diag([1.0, 0.0]), atol=1e-15
+        word_value((1, 2), NILPOTENT_PAIR), np.diag([1.0, 0.0]), atol=1e-15
     )
     np.testing.assert_allclose(
-        eval_word((2, 1), NILPOTENT_PAIR), np.diag([0.0, 1.0]), atol=1e-15
+        word_value((2, 1), NILPOTENT_PAIR), np.diag([0.0, 1.0]), atol=1e-15
     )
 
 
 def test_empty_word_is_identity():
     p = random_point(0, 2, 3)
-    np.testing.assert_array_equal(eval_word((), p), np.eye(3))
+    np.testing.assert_array_equal(word_value((), p), np.eye(3))
 
 
 def test_long_words_evaluate_without_recursion():
@@ -80,7 +89,7 @@ def test_long_words_evaluate_without_recursion():
     want = np.eye(2, dtype=complex)
     for letter in word:
         want = want @ p.mats[letter - 1]
-    np.testing.assert_array_equal(eval_word(word, p), want)
+    np.testing.assert_array_equal(word_value(word, p), want)
     poly = FreePoly(2, {word: 1.0, word[:2]: 2.0})
     np.testing.assert_array_equal(eval_poly(poly, p), want + 2.0 * p.mats[0] @ p.mats[1])
 
@@ -93,18 +102,17 @@ def test_product_expansion():
         (2, 1): 1.0 + 0.0j,
         (2, 2): -1.0 + 0.0j,
     }
-    assert p.degree() == 2
 
 
 def test_cancellation_drops_terms():
     p = x(1) * x(2) - x(1) * x(2)
-    assert p.is_zero()
+    assert p.coeffs.term_count() == 0
     assert p.terms == {}
 
 
 def test_graded_lex_order():
-    words = [(2,), (1, 1), (), (1,), (2, 1)]
-    assert sorted(words, key=graded_lex_key) == [(), (1,), (2,), (1, 1), (2, 1)]
+    p = FreePoly(2, {w: 1.0 for w in [(2,), (1, 1), (), (1,), (2, 1)]})
+    assert p.coeffs.words() == [(), (1,), (2,), (1, 1), (2, 1)]
 
 
 @given(st.integers(0, 10_000))
@@ -204,14 +212,6 @@ def test_promoted_eval_norm_matches():
         assert op_norm(promoted) == pytest.approx(plain, rel=1e-12)
 
 
-def test_ball_delta_scalar_distance():
-    # at a scalar point the ball grid norm is euclidean distance over radius
-    delta = ball_delta([0.1, 0.2], 0.5)
-    val = eval_poly_matrix(delta, GradedPoint.scalars([0.3, 0.6]))
-    expected = np.sqrt(0.2**2 + 0.4**2) / 0.5
-    assert op_norm(val) == pytest.approx(expected, rel=1e-12)
-
-
 def test_commutator_delta_values():
     delta = commutator_delta()
     scalars = GradedPoint.scalars([0.7, -1.3])
@@ -227,7 +227,7 @@ def test_delta_direct_sum_and_padding_preserve_norm():
     pt = random_point(9, 2, 2)
     n1 = op_norm(eval_poly_matrix(d1, pt))
     n2 = op_norm(eval_poly_matrix(d2, pt))
-    both = delta_direct_sum(d1, d2)
+    both = block_diagonal(d1, d2)
     assert op_norm(eval_poly_matrix(both, pt)) == pytest.approx(
         max(n1, n2), rel=1e-12
     )
@@ -252,7 +252,7 @@ def test_poly_matrix_json_header_must_match_entries():
 def test_poly_matrix_hash_ignores_zero_sign():
     pm = PolyMatrix([[x(1), x(2)]])
     signed = np.where(pm.coeffs.stack == 0, -0.0, pm.coeffs.stack)
-    flipped = PolyMatrix._of(MatrixPoly.from_rows(2, pm.coeffs.rows, signed))
+    flipped = PolyMatrix._of(MatrixPoly._of(2, pm.coeffs.rows, signed))
     assert np.signbit(flipped.coeffs.stack.real).any()
     assert flipped == pm and hash(flipped) == hash(pm)
 
@@ -284,13 +284,13 @@ def test_grid_coefficient_form_properties(pair, n, seed, extra):
         for j, p in enumerate(row):
             block = val[i * n : (i + 1) * n, j * n : (j + 1) * n]
             # a sum of k terms in another order moves by under k eps sum |term|
-            scale = sum(abs(c) * np.abs(eval_word(w, pt)).max() for w, c in p.terms.items())
+            scale = sum(abs(c) * np.abs(word_value(w, pt)).max() for w, c in p.terms.items())
             assert np.abs(block - eval_poly(p, pt)).max() <= 1e-14 * scale
     assert PolyMatrix(pm.entries, d=pm.d) == pm
     again = PolyMatrix.from_json(pm.to_json())
     assert again == pm and hash(again) == hash(pm)
     assert again.coeffs.stack.tobytes() == pm.coeffs.stack.tobytes()
-    both = eval_poly_matrix(delta_direct_sum(pm, other), pt)
+    both = eval_poly_matrix(block_diagonal(pm, other), pt)
     np.testing.assert_array_equal(both, direct_sum(val, eval_poly_matrix(other, pt)))
     padded = eval_poly_matrix(delta_pad_columns(pm, extra), pt)
     np.testing.assert_array_equal(padded, np.pad(val, ((0, 0), (0, n * extra))))
@@ -353,6 +353,13 @@ def test_matrix_poly_graded_stack():
         MatrixPoly(1, 1, 2, {(1,): [[1.0]]})
     with pytest.raises(ValueError, match="letter 3 outside 1..2"):
         MatrixPoly(2, 1, 1, {(1, 3): [[1.0]]})
+    # a word listed twice merges in row order: (1e16 - 1e16) + 1 is 1, not 0
+    terms = [((2, 1), 1e16), ((1,), 2.0), ((2, 1), -1e16), ((2, 1), 1.0)]
+    obj = {"d": 2, "out_dim": 1, "in_dim": 1,
+           "terms": [{"word": list(w), "coeff": matrix_to_json([[c]])} for w, c in terms]}
+    merged = MatrixPoly.from_json(obj)
+    assert merged.words() == [(1,), (2, 1)] and merged.stack[1, 0, 0] == 1.0
+    assert not merged.rows.flags.writeable
 
 
 def test_matrix_poly_json_roundtrip():
@@ -365,24 +372,6 @@ def test_matrix_poly_json_roundtrip():
         np.testing.assert_array_equal(again.terms[w], mp.terms[w])
 
 
-def test_matrix_poly_from_rows_matches_dict_constructor():
-    # duplicate rows merge in row order: (1e16 - 1e16) + 1 is 1, not 0
-    rows = np.array([[2, 2, 1], [1, 1, 0], [2, 2, 1], [0, 0, 0], [2, 2, 1], [1, 2, 0]])
-    coeffs = [1e16, 2.0, -1e16, 3.0 - 0.5j, 1.0, 1e-16]
-    mp = MatrixPoly.from_rows(2, rows, np.array(coeffs).reshape(-1, 1, 1))
-    want = MatrixPoly(
-        2, 1, 1, {(2, 1): [[(1e16 - 1e16) + 1.0]], (1,): [[2.0]], (): [[3.0 - 0.5j]], (2,): [[1e-16]]}
-    )
-    assert mp.words() == want.words() == [(), (1,), (2, 1)]
-    assert mp.rows.tolist() == want.rows.tolist() == [[0, 0, 0], [1, 1, 0], [2, 2, 1]]
-    assert np.array_equal(mp.stack.view(np.int64), want.stack.view(np.int64))
-    assert mp.stack[2, 0, 0] == 1.0
-    for array in (mp.rows, mp.stack, want.rows, want.stack):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0
-
-
 @pytest.mark.parametrize(
     "word, coeff, message",
     [
@@ -393,20 +382,11 @@ def test_matrix_poly_from_rows_matches_dict_constructor():
     ],
 )
 def test_matrix_poly_entry_points_reject_alike(word, coeff, message):
-    rows = np.array([[len(word), *word]])
     with pytest.raises(ValueError) as by_dict:
         MatrixPoly(2, 1, 1, {word: [[coeff]]})
-    with pytest.raises(ValueError) as by_rows:
-        MatrixPoly.from_rows(2, rows, [[[coeff]]])
-    assert str(by_dict.value) == str(by_rows.value) == message
-
-
-def test_matrix_poly_from_rows_rejects_malformed_rows():
-    for rows in ([[1, 1, 2]], [[3, 1, 1]], [[-1, 0, 0]]):
-        with pytest.raises(ValueError, match="word rows"):
-            MatrixPoly.from_rows(2, rows, [[[1.0]]])
-    with pytest.raises(ShapeMismatch):
-        MatrixPoly.from_rows(2, [[1, 1], [1, 2]], [[[1.0]]])
+    with pytest.raises(ValueError) as by_ring:
+        FreePoly(2, {word: coeff})
+    assert str(by_dict.value) == str(by_ring.value) == message
 
 
 def test_graded_point_validation():

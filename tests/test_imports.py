@@ -13,15 +13,21 @@ module in ``src/freeholo``:
   ``mat.max_op_norm``, never from a bare ``max`` that drops a NaN;
 * in ``model`` and ``realize``, delta is evaluated at a point only where
   membership is decided, and Delta u is formed only by the sample set's
-  constructor and the resolvent kernel.
+  constructor and the resolvent kernel;
+* every module-level function and class, and every public method, is
+  reached from the command line or from an entry of ``PUBLIC_API``, whose
+  reasons are checked against the acceptance criteria, perfbench and the
+  tests.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "freeholo"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "freeholo"
 
 
 def unused_imports(source: str) -> list:
@@ -97,7 +103,6 @@ def test_largest_norms_go_through_the_screened_kernel():
         "realize.corona_solve",
         "cli._sampled_bound",
         "mero.norm_at",
-        "ncpoint.envelope_member",
     }
 
 
@@ -202,3 +207,141 @@ def test_sample_points_evaluate_delta_once(name, users):
     for stem in ("model", "realize"):
         found |= name_users((SRC / f"{stem}.py").read_text(encoding="utf-8"), stem, name)
     assert found == users
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def reads(nodes) -> set:
+    """Names the nodes read, bare or as an attribute, annotations skipped."""
+    found, pending = set(), list(nodes)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        for field, value in ast.iter_fields(node):
+            if field not in ("annotation", "returns"):
+                values = value if isinstance(value, list) else [value]
+                pending.extend(v for v in values if isinstance(v, ast.AST))
+    return found
+
+
+def census(sources: dict) -> tuple:
+    """``(definitions, roots)`` of the modules ``{module: source}``.
+
+    The definitions, by qualified name, are the module-level functions and
+    classes and the public methods, each with the nodes it reads from; a
+    class's other methods, bases and decorators count as the class. The
+    roots are the other module-level statements.
+    """
+    defs, roots = {}, []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, FUNCTIONS):
+                defs[f"{module}.{node.name}"] = [node]
+            elif isinstance(node, ast.ClassDef):
+                public_methods = [
+                    m for m in node.body if isinstance(m, FUNCTIONS) and not m.name.startswith("_")
+                ]
+                for m in public_methods:
+                    defs[f"{module}.{node.name}.{m.name}"] = [m]
+                rest = [m for m in node.body if m not in public_methods]
+                defs[f"{module}.{node.name}"] = rest + node.bases + node.decorator_list
+            else:
+                roots.append(node)
+    return defs, roots
+
+
+def unreached(sources: dict, public) -> set:
+    """The definitions of :func:`census` that no root and no entry of
+    ``public`` reaches.
+
+    A definition is reached when a reached scope reads its name, bare or as
+    an attribute of anything: the census goes by name, not by type.
+    """
+    defs, roots = census(sources)
+    live = set(public) & set(defs)
+    seen = reads(roots + [n for q in live for n in defs[q]])
+    while True:
+        new = {q for q in defs if q not in live and q.rsplit(".", 1)[1] in seen}
+        if not new:
+            return set(defs) - live
+        live |= new
+        seen |= reads(n for q in new for n in defs[q])
+
+
+def test_unreached_follows_chains_and_skips_annotations():
+    source = (
+        "def main():\n    return Used().go()\n"
+        "class Used:\n    def go(self):\n        return 1\n    def spare(self):\n        return 2\n"
+        "class Note:\n    pass\n"
+        "def helper(n: Note) -> Note:\n    return Only.make()\n"
+        "class Only:\n    def make(self):\n        return 3\n"
+        "if __name__ == '__main__':\n    main()\n"
+    )
+    found = unreached({"m": source}, set())
+    assert found == {"m.Used.spare", "m.Note", "m.helper", "m.Only", "m.Only.make"}
+    assert unreached({"m": source}, {"m.helper"}) == {"m.Used.spare", "m.Note"}
+
+
+# Definitions the command line does not reach that stay in src, each with its
+# users: acceptance criteria cNN (tests/test_acceptance.py), perfbench, or the
+# tests that compare against it as a dense reference.
+PUBLIC_API = {
+    "exprlang.to_free_poly": "c10",
+    "freepoly.GradedPoint.scalars": "c04, c08, c09, perfbench",
+    "freepoly.PolyMatrix.from_poly": "perfbench",
+    "freepoly.commutator_delta": "c08",
+    "freepoly.eval_poly": "c01, c02, c09, c10",
+    "freepoly.eval_poly_matrix_promoted": "dense reference, perfbench",
+    "freepoly.MatrixPoly.eval": "c06, perfbench",
+    "mat.kron_left_identity": "dense reference",
+    "mero.verify_certificate": "c09",
+    "model.model_from_realization": "c01, c03, c05, perfbench",
+    "ncpoint.conjugate": "dense reference",
+    "ncpoint.triangular_identity_deviation": "c02",
+    "realize.CoronaSolution.phi_values": "c07, perfbench",
+    "realize.CoronaSolution.row_norm_at": "c07, perfbench",
+    "realize.eval_neumann": "c04, perfbench",
+    "realize.resolvent_leg": "perfbench",
+    "sampling.perturbations_near": "c09",
+    "sampling.point_in_shrunk_domain": "c06, perfbench",
+    "sampling.point_inside_gdelta": "c01, c03, c04, c05, perfbench",
+    "sampling.random_free_poly": "c01, c02",
+    "sampling.random_realization": "c01, c02, c03, c04, perfbench",
+}
+
+
+def library_sources() -> dict:
+    return {
+        p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py") if p.name != "__init__.py"
+    }
+
+
+def test_every_definition_is_reached():
+    assert sorted(unreached(library_sources(), PUBLIC_API)) == []
+
+
+def test_public_api_entries_exist_and_their_reasons_hold():
+    assert sorted(set(PUBLIC_API) - set(census(library_sources())[0])) == []
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    criteria = {
+        fn.name[5:8]: ast.get_source_segment(acceptance, fn)
+        for fn in ast.parse(acceptance).body
+        if isinstance(fn, FUNCTIONS) and re.fullmatch(r"test_c\d\d_\w+", fn.name)
+    }
+    users = {
+        "perfbench": "".join(p.read_text(encoding="utf-8") for p in (ROOT / "perfbench").glob("*.py")),
+        "dense reference": "".join(
+            p.read_text(encoding="utf-8")
+            for p in (ROOT / "tests").glob("test_*.py")
+            if p.name not in ("test_acceptance.py", "test_imports.py")
+        ),
+        **criteria,
+    }
+    for name, reasons in PUBLIC_API.items():
+        word = re.compile(rf"\b{name.rsplit('.', 1)[1]}\b")
+        for reason in reasons.split(", "):
+            assert word.search(users[reason]), f"{name} is not used by {reason}"

@@ -9,13 +9,9 @@ from freeholo.errors import OutsideDomain, ShapeMismatch, SingularMatrix
 from freeholo.freepoly import FreePoly, GradedPoint, PolyMatrix, eval_poly, eval_poly_matrix
 from freeholo.mat import cond, direct_sum, inv, op_norm
 from freeholo.ncpoint import (
-    SimilarityWitness,
     check_nc_axioms,
     conjugate,
-    envelope_member,
-    extend_function,
     in_gdelta,
-    is_scalar_tuple,
     nc_derivative,
     point_direct_sum,
     triangular_identity_deviation,
@@ -75,41 +71,6 @@ def test_conjugate_roundtrip():
     back = conjugate(y, np.linalg.inv(s))
     for a, b in zip(back.mats, x.mats):
         np.testing.assert_allclose(a, b, atol=1e-12)
-
-
-def test_is_scalar_tuple():
-    assert is_scalar_tuple(GradedPoint.scalars([2.0, -1.0j]))
-    assert is_scalar_tuple(
-        GradedPoint([2.0 * np.eye(3), -0.5j * np.eye(3)])
-    )
-    assert not is_scalar_tuple(random_point(5, 2, 2))
-
-
-def test_envelope_member_accepts_own_presentation():
-    b1 = random_point(6, 2, 1)
-    b2 = random_point(7, 2, 2)
-    s = np.eye(3) + 0.2 * np.tril(np.ones((3, 3)), -1)
-    w = SimilarityWitness([b1, b2], s)
-    assert envelope_member(w.assembled(), w)
-    # a perturbed point is no longer presented by the witness
-    off = GradedPoint([m + 0.5 for m in w.assembled().mats])
-    assert not envelope_member(off, w)
-
-
-def test_extend_function_matches_direct_evaluation():
-    # for a polynomial the extension formula must reproduce a direct eval
-    p = 1 + X1 * X2 - 2 * (X2 * X1 * X1)
-
-    def f(pt):
-        return eval_poly(p, pt)
-
-    b1 = random_point(8, 2, 2)
-    b2 = random_point(9, 2, 2)
-    rng = np.random.default_rng(10)
-    s = np.eye(4) + 0.25 * rng.standard_normal((4, 4))
-    w = SimilarityWitness([b1, b2], s)
-    extended = extend_function([f(b1), f(b2)], w)
-    np.testing.assert_allclose(extended, f(w.assembled()), atol=1e-10)
 
 
 def test_upper_triangular_pair_shape():
