@@ -253,10 +253,6 @@ class FreePoly(_Held):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, d: int) -> "FreePoly":
-        return cls(d)
-
-    @classmethod
     def const(cls, d: int, c) -> "FreePoly":
         return cls(d, {(): complex(c)})
 

@@ -171,8 +171,8 @@ def cond(m) -> float:
     return float(s[0] / s[-1])
 
 
-def inv_with_cond(m) -> tuple[np.ndarray, float]:
-    """Inverse together with the 2-norm condition number.
+def inv(m) -> np.ndarray:
+    """Inverse of a square matrix, by SVD.
 
     Raises
     ------
@@ -180,27 +180,21 @@ def inv_with_cond(m) -> tuple[np.ndarray, float]:
         If ``sigma_min <= SINGULAR_RTOL * sigma_max`` (carries the condition
         estimate), or if the matrix is not square.
 
-    A matrix that is not finite gets an all-NaN inverse and condition,
-    without a call to LAPACK, which may fail or print on such input.
+    A matrix that is not finite gets an all-NaN inverse, without a call to
+    LAPACK, which may fail or print on such input.
     """
     a = as_array(m)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"cannot invert a {a.shape[0]}x{a.shape[1]} matrix")
     if a.shape[0] == 0:
-        return np.zeros((0, 0), dtype=np.complex128), 1.0
+        return np.zeros((0, 0), dtype=np.complex128)
     if not np.isfinite(a).all():
-        return np.full(a.shape, np.nan, dtype=np.complex128), float("nan")
+        return np.full(a.shape, np.nan, dtype=np.complex128)
     u, s, vh = np.linalg.svd(a)
     if s[-1] <= SINGULAR_RTOL * s[0]:
         kappa = float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
         raise SingularMatrix(condition=kappa)
-    inverse = (vh.conj().T * (1.0 / s)) @ u.conj().T
-    return inverse, float(s[0] / s[-1])
-
-
-def inv(m) -> np.ndarray:
-    """Inverse with the same singularity floor as :func:`inv_with_cond`."""
-    return inv_with_cond(m)[0]
+    return (vh.conj().T * (1.0 / s)) @ u.conj().T
 
 
 # -- structural operations --------------------------------------------------

@@ -11,12 +11,14 @@ rather than sampled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mat
 from .errors import (
+    NonFiniteValue,
     NotInvertible,
     RootFindingFailure,
     ShapeMismatch,
@@ -237,6 +239,8 @@ def singular_scan(ast, samples) -> ScanReport:
     The reported locations are paths of inversion nodes in the given tree,
     so they are tied to this presentation of the function; an algebraically
     equal expression written differently may scan clean at the same points.
+    A value or value norm that is not finite decides nothing (an overflowed
+    operand gets a NaN inverse) and raises :class:`NonFiniteValue`.
     """
     steps = Schedule(ast)
     entries = []
@@ -244,20 +248,12 @@ def singular_scan(ast, samples) -> ScanReport:
     for idx, x in enumerate(samples):
         try:
             value = eval_expr(steps, x)
-            entries.append(
-                ScanEntry(
-                    index=idx,
-                    level=x.n,
-                    singular=False,
-                    path=None,
-                    value_norm=mat.op_norm(value),
-                )
-            )
         except SingularityHit as hit:
             n_singular += 1
-            entries.append(
-                ScanEntry(
-                    index=idx, level=x.n, singular=True, path=hit.path, value_norm=None
-                )
-            )
+            entries.append(ScanEntry(idx, x.n, singular=True, path=hit.path, value_norm=None))
+            continue
+        value_norm = mat.op_norm(value)
+        if not math.isfinite(value_norm):
+            raise NonFiniteValue(f"the value is not finite at sample {idx} (level {x.n})")
+        entries.append(ScanEntry(idx, x.n, singular=False, path=None, value_norm=value_norm))
     return ScanReport(entries=tuple(entries), total=len(entries), n_singular=n_singular)

@@ -17,10 +17,12 @@ levels are never compared; the identity only constrains same-level pairs.
 The promoted Delta is the meaning of the identity, not what is computed.
 The constructor is the one place where delta is evaluated at a sample
 point: it evaluates delta(x) once, with one stacked evaluation and one
-``mat.op_norms`` call per level, decides membership from that value, and
-forms Delta(x) u(x) from it through ``freepoly.promoted_apply``.
-``model_residual`` and ``realize.fit_lurking_isometry`` read the held
-``delta_u`` and evaluate delta nowhere.
+``mat.op_norms`` call per level, decides membership from that value, holds
+it as ``delta_x``, and forms Delta(x) u(x) from it through
+``freepoly.promoted_apply``. ``model_residual`` and
+``realize.fit_lurking_isometry`` read the held ``delta_u``, the fit's
+holdout and ``realize.corona_solve``'s residual solve from ``delta_x``, and
+none of them evaluates delta.
 ``freepoly.eval_poly_matrix_promoted`` remains the dense reference that
 tests compare against.
 """
@@ -44,11 +46,13 @@ class ModelSampleSet:
 
     Every point lies inside ``{ ||delta|| < 1 - DEFAULT_MARGIN }``; one that
     does not raises :class:`OutsideDomain` before its Delta u is formed.
-    ``delta_u[s]``, of shape (n*mult*I, n*h) with I = delta.rows, is the
-    read-only Delta(x) u(x). It follows from the other fields, so
-    ``to_json`` leaves it out and ``from_json`` forms it again. A fit that
-    pads the grid with zero columns reads it unpadded: those columns of
-    Delta(x) are zero and meet only the zero rows padded into u.
+    ``delta_x[s]``, of shape (n*I, n*J) with I, J = delta.rows, delta.cols,
+    is the read-only grid-outer value delta(x) that decided membership, and
+    ``delta_u[s]``, of shape (n*mult*I, n*h), is the read-only Delta(x) u(x).
+    Both follow from the other fields, so ``to_json`` leaves them out and
+    ``from_json`` forms them again. A fit that pads the grid with zero
+    columns reads ``delta_u`` unpadded: those columns of Delta(x) are zero
+    and meet only the zero rows padded into u.
     """
 
     delta: PolyMatrix
@@ -57,6 +61,7 @@ class ModelSampleSet:
     phi: tuple
     u: tuple
     delta_u: tuple
+    delta_x: tuple
     h_dim: int
     k1_dim: int
     k2_dim: int
@@ -96,7 +101,7 @@ class ModelSampleSet:
                     f"(||delta|| = {verdict.norm:.6f})"
                 )
             delta_u.append(promoted_apply(dxs[i], n, mult, c))
-        for arrays in (psi, phi, u, delta_u):
+        for arrays in (psi, phi, u, delta_u, dxs):
             for v in arrays:
                 v.setflags(write=False)
         object.__setattr__(self, "delta", delta)
@@ -105,6 +110,7 @@ class ModelSampleSet:
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "delta_u", tuple(delta_u))
+        object.__setattr__(self, "delta_x", tuple(dxs))
         object.__setattr__(self, "h_dim", int(h_dim))
         object.__setattr__(self, "k1_dim", int(k1_dim))
         object.__setattr__(self, "k2_dim", int(k2_dim))
@@ -198,9 +204,10 @@ def model_from_realization(r, points, psi=None) -> ModelSampleSet:
     the realization's resolvent leg, and ``phi(x)`` is the realization value
     times ``psi(x)``; one resolvent solve per point yields both. With
     ``psi=None`` the identity column data is used (h_dim = k1_dim). The
-    solve and the sample set each test membership with ``DEFAULT_MARGIN``.
+    solve and the sample set each evaluate delta and test membership with
+    ``DEFAULT_MARGIN``, so delta is evaluated twice per point here.
     """
-    from .realize import _Kernel
+    from .realize import _require_inside, _solve
 
     points = list(points)
     if psi is None:
@@ -214,7 +221,7 @@ def model_from_realization(r, points, psi=None) -> ModelSampleSet:
     phi = []
     u = []
     for x, p in zip(points, psi):
-        omega, v = _Kernel(r, x).solve()
+        omega, v = _solve(r, x.n, _require_inside(r, x)[0])
         phi.append(omega @ p)
         u.append(v @ p)
     return ModelSampleSet(

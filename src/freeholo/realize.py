@@ -15,11 +15,14 @@ layout level (x) multiplicity (x) grid-index (see ``TENSOR_CONVENTION``).
 Isometry of J1 forces ``||Omega(x)|| <= 1`` strictly inside the domain.
 
 The Kronecker factors and the promoted Delta(x) are the meaning of the
-formula, not what is computed. One private kernel serves ``eval_direct``,
-``resolvent_leg``, ``eval_neumann`` and ``model_from_realization``: it
-applies the blocks through ``mat.kron_left_identity_apply`` and Delta(x)
-through ``freepoly.promoted_apply``, one GEMM with the unpromoted grid-outer
-value delta(x), which the membership test evaluates and norms once per point.
+formula, not what is computed. The private kernels ``_solve`` (the resolvent
+solve) and ``_series`` (the Neumann terms) take the realization, the level n
+and the unpromoted grid-outer value delta(x). They apply the blocks through
+``mat.kron_left_identity_apply`` and Delta(x) through
+``freepoly.promoted_apply``, one GEMM with delta(x). ``eval_direct``,
+``resolvent_leg``, ``eval_neumann`` and ``model_from_realization`` take
+delta(x) from the membership test ``_require_inside``; the fit's holdout and
+the corona residual take it from the sample set, which decided membership.
 
 The fitting routine recovers such a J1 from finite model sample data by
 matching two families of structured vectors with equal Gram matrices and
@@ -124,9 +127,6 @@ class Realization:
     def block_d(self) -> np.ndarray:
         return self.j1[self.dim_k2 :, self.dim_k1 :]
 
-    def isometry_defect(self) -> float:
-        return mat.isometry_defect(self.j1)
-
     def to_json(self) -> dict:
         return {
             "delta": self.delta.to_json(),
@@ -161,70 +161,49 @@ def _require_inside(r: Realization, x: GradedPoint):
     return dx, verdict.norm
 
 
-class _Kernel:
-    """The resolvent algebra of one realization at one point inside its domain.
+def _value(r: Realization, n: int, w: np.ndarray) -> np.ndarray:
+    """``kron(I_n, A) + kron(I_n, B) @ w``, the value once ``w = Delta v``."""
+    a_tilde = mat.kron_left_identity_apply(n, r.block_a, np.eye(n * r.dim_k1))
+    return a_tilde + mat.kron_left_identity_apply(n, r.block_b, w)
 
-    ``kron(I_n, A|B|C|D)`` and the promoted Delta(x) give the realization
-    formula its meaning, but none of them is formed. Block products go
-    through :func:`mat.kron_left_identity_apply`, and each Delta(x) product
-    is one GEMM with the grid-outer value delta(x), which the membership
-    test has already evaluated and normed (``r0``).
+
+def _solve(r: Realization, n: int, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Omega(x), v(x))`` at a level-n point from ``dx``, its grid-outer delta(x).
+
+    One LU solve of the resolvent equation. The matrix ``kron(I_n, D) Delta(x)``
+    is assembled entrywise as ``sum_i D[p, (m, i)] delta_ij(x)[a, b]`` at row
+    (a, p) and column (b, m, j), never through the promoted factors, and
+    Delta(x) v is one GEMM with dx through :func:`freepoly.promoted_apply`.
     """
+    mult, rows, cols = r.mult, r.delta.rows, r.delta.cols
+    d3 = r.block_d.reshape(mult * cols, mult, rows)
+    t = np.tensordot(d3, dx.reshape(rows, n, cols, n), axes=([2], [0]))
+    size = n * mult * cols
+    d_delta = t.transpose(2, 0, 4, 1, 3).reshape(size, size)
+    c_tilde = mat.kron_left_identity_apply(n, r.block_c, np.eye(n * r.dim_k1))
+    v = np.linalg.solve(np.eye(size) - d_delta, c_tilde)
+    return _value(r, n, promoted_apply(dx, n, mult, v)), v
 
-    def __init__(self, r: Realization, x: GradedPoint):
-        self.r = r
-        self.n = x.n
-        self.dx, self.r0 = _require_inside(r, x)
 
-    def block(self, m: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
-        """``kron(I_n, m) @ y``."""
-        return mat.kron_left_identity_apply(self.n, m, y, out=out)
+def _series(r: Realization, n: int, dx: np.ndarray, k: int) -> np.ndarray:
+    """Sum the terms ``Delta (D~ Delta)^j C~`` for j = 0, ..., k at ``dx = delta(x)``.
 
-    def delta(self, y: np.ndarray, bufs=None) -> np.ndarray:
-        """``Delta(x) @ y`` through :func:`freepoly.promoted_apply`."""
-        return promoted_apply(self.dx, self.n, self.r.mult, y, bufs)
-
-    def c_tilde(self) -> np.ndarray:
-        return self.block(self.r.block_c, np.eye(self.n * self.r.dim_k1))
-
-    def value(self, w: np.ndarray) -> np.ndarray:
-        """``kron(I_n, A) + kron(I_n, B) @ w``, the value once ``w = Delta v``."""
-        eye = np.eye(self.n * self.r.dim_k1)
-        return self.block(self.r.block_a, eye) + self.block(self.r.block_b, w)
-
-    def solve(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(Omega(x), v(x))`` from one LU solve of the resolvent equation.
-
-        The matrix ``kron(I_n, D) Delta(x)`` is assembled entrywise as
-        ``sum_i D[p, (m, i)] delta_ij(x)[a, b]`` at row (a, p) and column
-        (b, m, j), never through the promoted factors.
-        """
-        n, mult = self.n, self.r.mult
-        rows, cols = self.r.delta.rows, self.r.delta.cols
-        d3 = self.r.block_d.reshape(mult * cols, mult, rows)
-        t = np.tensordot(d3, self.dx.reshape(rows, n, cols, n), axes=([2], [0]))
-        size = n * mult * cols
-        d_delta = t.transpose(2, 0, 4, 1, 3).reshape(size, size)
-        v = np.linalg.solve(np.eye(size) - d_delta, self.c_tilde())
-        return self.value(self.delta(v)), v
-
-    def series(self, k: int) -> np.ndarray:
-        """Sum the terms ``Delta (D~ Delta)^j C~`` for j = 0, ..., k.
-
-        Adding stops at an all-zero term, since every later term is then
-        exactly zero as well. Each term costs one blockwise product with D
-        and one GEMM with delta(x), both into buffers reused across terms.
-        """
-        bufs = promoted_apply_buffers(self.dx, self.n, self.r.mult, self.n * self.r.dim_k1)
-        term = self.delta(self.c_tilde(), bufs)
-        total = term.copy()
-        fed = np.empty((self.r.block_d.shape[0] * self.n, term.shape[1]), dtype=np.complex128)
-        for _ in range(k):
-            self.delta(self.block(self.r.block_d, term, out=fed), bufs)
-            if not np.any(term):
-                break
-            total += term
-        return total
+    Adding stops at an all-zero term, since every later term is then
+    exactly zero as well. Each term costs one blockwise product with D
+    and one GEMM with dx, both into buffers reused across terms.
+    """
+    c_tilde = mat.kron_left_identity_apply(n, r.block_c, np.eye(n * r.dim_k1))
+    bufs = promoted_apply_buffers(dx, n, r.mult, n * r.dim_k1)
+    term = promoted_apply(dx, n, r.mult, c_tilde, bufs)
+    total = term.copy()
+    fed = np.empty((r.block_d.shape[0] * n, term.shape[1]), dtype=np.complex128)
+    for _ in range(k):
+        mat.kron_left_identity_apply(n, r.block_d, term, out=fed)
+        promoted_apply(dx, n, r.mult, fed, bufs)  # into term, the last of bufs
+        if not np.any(term):
+            break
+        total += term
+    return total
 
 
 def resolvent_leg(r: Realization, x: GradedPoint) -> np.ndarray:
@@ -233,7 +212,7 @@ def resolvent_leg(r: Realization, x: GradedPoint) -> np.ndarray:
     This is the model column generated by the realization: applying it to
     any input data produces model data with a machine-scale residual.
     """
-    return _Kernel(r, x).solve()[1]
+    return _solve(r, x.n, _require_inside(r, x)[0])[1]
 
 
 def eval_direct(r: Realization, x: GradedPoint) -> np.ndarray:
@@ -243,7 +222,7 @@ def eval_direct(r: Realization, x: GradedPoint) -> np.ndarray:
     there the resolvent is uniformly invertible and the value is a strict
     contraction up to rounding.
     """
-    return _Kernel(r, x).solve()[0]
+    return _solve(r, x.n, _require_inside(r, x)[0])[0]
 
 
 # -- certified truncation -----------------------------------------------------
@@ -324,10 +303,11 @@ def eval_neumann(r: Realization, x: GradedPoint, tol: float = 1e-8) -> NeumannRe
     Delta(x) is formed, and delta(x) and its norm come from the membership
     test.
     """
-    ker = _Kernel(r, x)
-    q = ker.r0 if np.any(r.block_d) else 0.0
+    dx, r0 = _require_inside(r, x)
+    q = r0 if np.any(r.block_d) else 0.0
     k = tail_order(q, tol, NEUMANN_TERM_CAP)
-    return NeumannResult(value=ker.value(ker.series(k)), k=k, bound=geometric_tail(q, k))
+    value = _value(r, x.n, _series(r, x.n, dx, k))
+    return NeumannResult(value=value, k=k, bound=geometric_tail(q, k))
 
 
 # -- fitting -----------------------------------------------------------------
@@ -478,12 +458,6 @@ def fit_lurking_isometry(
 
     fitted = Realization(delta=delta, dim_k1=k1, dim_k2=k2, mult=mult, j1=j1)
 
-    holdout_dev = None
-    if reserved:
-        gaps = ((eval_direct(fitted, s.points[i]) @ s.psi[i] - s.phi[i])[None] for i in reserved)
-        worst = mat.max_op_norm(gaps)
-        holdout_dev = math.inf if math.isnan(worst) else worst
-
     return FitResult(
         realization=fitted,
         gram_deviation=deviation,
@@ -491,8 +465,28 @@ def fit_lurking_isometry(
         train_residual=train_residual,
         padded_cols=pad,
         holdout_indices=tuple(reserved),
-        holdout_deviation=holdout_dev,
+        holdout_deviation=_max_gap(fitted, s, reserved) if reserved else None,
     )
+
+
+def _max_gap(r: Realization, s: ModelSampleSet, indices) -> float:
+    """``max || Omega(x) psi(x) - phi(x) ||`` over the sample points ``indices``, or inf.
+
+    Omega(x) is solved from the sample set's delta(x), widened by zero
+    columns to the grid of ``r`` where a fit padded it. No delta is
+    evaluated and no membership decided here: the sample set decided it.
+    A gap that is not finite, or whose SVD fails, gives ``inf``.
+    """
+
+    def gaps():
+        for i in indices:
+            n, dx = s.points[i].n, s.delta_x[i]
+            pad = np.zeros((dx.shape[0], r.delta.cols * n - dx.shape[1]), dtype=np.complex128)
+            omega = _solve(r, n, np.concatenate([dx, pad], axis=1))[0]
+            yield (omega @ s.psi[i] - s.phi[i])[None]
+
+    worst = mat.max_op_norm(gaps())
+    return math.inf if math.isnan(worst) else worst
 
 
 # -- corona ------------------------------------------------------------------
@@ -611,14 +605,13 @@ def corona_solve(
         mult=mult,
     )
     fit = fit_lurking_isometry(sample, holdout=False)
-    worst = mat.max_op_norm(  # max(a) / epsilon is max(a / epsilon): rounding is monotone
-        (eval_direct(fit.realization, x) @ col - epsilon * np.eye(x.n))[None]
-        for x, col in zip(points, columns)
-    ) / epsilon
+    # phi = epsilon I, so the residual is the fit's gap over every point;
+    # max(a) / epsilon is max(a / epsilon), since rounding is monotone
+    residual = _max_gap(fit.realization, sample, range(len(sample))) / epsilon
     return CoronaSolution(
         omega=fit.realization,
         epsilon=float(epsilon),
         norm_bound=1.0 / float(epsilon),
-        identity_residual=math.inf if math.isnan(worst) else worst,
+        identity_residual=residual,
         fit=fit,
     )

@@ -156,3 +156,41 @@ def count_grid_evaluations(monkeypatch, modules) -> list:
         if hasattr(module, "eval_poly_matrix_stack"):
             monkeypatch.setattr(module, "eval_poly_matrix_stack", counting_stack)
     return points
+
+
+def corona_inputs(seed, levels, lam=1.0, mult=16):
+    """``(points, psis, epsilon, u, mult)`` of a two-function corona problem
+    on the unit disk, one point per entry of ``levels``."""
+    from freeholo.freepoly import GradedPoint
+    from freeholo.realize import stack_column
+    from freeholo.sampling import rng_from_seed
+
+    # psi1 = x, psi2 = lam(1 - x) never vanish together on the closed disk;
+    # the telescoping column u_i = sqrt(1+lam^2) x^(i-1) (c - x) models
+    # psi*psi - eps^2 with c = lam^2/(1+lam^2), eps = lam/sqrt(1+lam^2)
+    c = lam * lam / (1.0 + lam * lam)
+    eps = lam / np.sqrt(1.0 + lam * lam)
+    rng = rng_from_seed(seed)
+    pts = []
+    for n in levels:
+        m = 0.4 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        nrm = np.linalg.norm(m, 2)
+        if nrm > 0.45:
+            m *= 0.95 * 0.45 / nrm
+        pts.append(GradedPoint([m]))
+    psis = [
+        [p.mats[0] for p in pts],
+        [lam * (np.eye(p.n) - p.mats[0]) for p in pts],
+    ]
+    scale = np.sqrt(1.0 + lam * lam)
+    us = []
+    for p in pts:
+        m = p.mats[0]
+        blocks = [
+            scale
+            * np.linalg.matrix_power(m, i)
+            @ (c * np.eye(p.n) - m)
+            for i in range(mult)
+        ]
+        us.append(stack_column(blocks))
+    return pts, psis, eps, us, mult

@@ -445,6 +445,21 @@ def test_mero_scan_cmd(tmp_path, capsys):
     assert rep["entries"][0]["value_norm"] == pytest.approx(2.0)
 
 
+def test_mero_scan_overflowing_value_exits_1(tmp_path, capsys):
+    # x1*x1 - 0.25 overflows at x1 = 1e200 and its inverse is NaN: the scan
+    # decided nothing there, so it must not report the sample as regular
+    pts = [GradedPoint.scalars([0.5]).to_json(), GradedPoint.scalars([1e200]).to_json()]
+    samples = write(tmp_path, "pts.json", pts)
+    code, _, raw = run(
+        ["mero", "scan", "--expr", "inv(x1*x1 - 0.25)", "--vars", "1", "--samples", samples],
+        capsys,
+    )
+    assert code == 1
+    assert strict_loads(raw)["error"] == {
+        "type": "NonFiniteValue", "message": "the value is not finite at sample 1 (level 1)"
+    }
+
+
 def test_singularity_exits_1(tmp_path, capsys):
     point = write(tmp_path, "zero.json", GradedPoint.scalars([0.0]).to_json())
     code, rep, _ = run(

@@ -44,7 +44,7 @@ def word_value(word, pt):
 
 def block_diagonal(a, b):
     """The grid ``[[a, 0], [0, b]]``, built entry by entry."""
-    zero = FreePoly.zero(a.d)
+    zero = FreePoly(a.d)
     rows = [list(row) + [zero] * b.cols for row in a.entries]
     rows += [[zero] * a.cols + list(row) for row in b.entries]
     return PolyMatrix(rows, d=a.d)
@@ -125,7 +125,7 @@ def test_eval_is_ring_morphism(seed):
 
     def rand_poly(r):
         g = np.random.default_rng(r)
-        p = FreePoly.zero(d)
+        p = FreePoly(d)
         for _ in range(4):
             w = tuple(int(v) for v in g.integers(1, d + 1, size=g.integers(0, 4)))
             c = complex(g.standard_normal(), g.standard_normal())
@@ -192,7 +192,7 @@ def test_freepoly_json_roundtrip():
 
 
 def test_poly_matrix_block_layout():
-    pm = PolyMatrix([[x(1), FreePoly.const(2, 1.0)], [FreePoly.zero(2), x(2)]])
+    pm = PolyMatrix([[x(1), FreePoly.const(2, 1.0)], [FreePoly(2), x(2)]])
     pt = random_point(7, 2, 2)
     val = eval_poly_matrix(pm, pt)
     assert val.shape == (4, 4)

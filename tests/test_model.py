@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_column_data, random_graded, random_grid, random_rect_realization
+from conftest import (
+    corona_inputs,
+    count_grid_evaluations,
+    random_column_data,
+    random_graded,
+    random_grid,
+    random_rect_realization,
+)
 from freeholo import model
 from freeholo.errors import OutsideDomain, ShapeMismatch
 from freeholo.freepoly import FreePoly, GradedPoint, PolyMatrix, eval_poly_matrix_promoted
@@ -230,9 +237,14 @@ def test_held_delta_u_is_bitwise_stable():
         s.delta, s.points, s.psi, s.phi, s.u, s.h_dim, s.k1_dim, s.k2_dim, s.mult
     )
     decoded = decode("modelsamples", s.to_json())
-    assert "delta_u" not in s.to_json()
+    assert "delta_u" not in s.to_json() and "delta_x" not in s.to_json()
     for other in (again, decoded):
         assert [a.tobytes() for a in other.delta_u] == [a.tobytes() for a in s.delta_u]
+        assert [a.tobytes() for a in other.delta_x] == [a.tobytes() for a in s.delta_x]
+    for x, dx in zip(s.points, s.delta_x):
+        assert dx.shape == (x.n * s.delta.rows, x.n * s.delta.cols)
+        with pytest.raises(ValueError):
+            dx[0, 0] = 1.0
 
 
 def test_residual_and_fit_evaluate_no_delta(monkeypatch):
@@ -241,6 +253,7 @@ def test_residual_and_fit_evaluate_no_delta(monkeypatch):
     r = random_rect_realization(rng_from_seed(5), 3, 2, 1, 1, 2)
     rng = rng_from_seed(6)
     s = model_from_realization(r, [point_inside_gdelta(rng, r.delta, n) for n in (1, 2, 3, 1, 2)])
+    pts, psis, eps, us, mult = corona_inputs(12, [1, 1, 2, 3, 2])
 
     def refuse(*args, **kwargs):
         raise AssertionError("delta evaluated after the sample set was built")
@@ -249,8 +262,16 @@ def test_residual_and_fit_evaluate_no_delta(monkeypatch):
         for name in ("eval_poly_matrix", "eval_poly_matrix_stack"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     assert model_residual(s) < 1e-12
-    fit = realize.fit_lurking_isometry(s, holdout=False)
-    assert fit.train_residual < 1e-9
+    fit = realize.fit_lurking_isometry(s, holdout=True)
+    assert fit.holdout_indices == (4,)
+    assert fit.train_residual < 1e-9 and fit.holdout_deviation < 1e-9
+    # corona builds its own sample set, whose constructor evaluates delta
+    # once per point; its padded fit and its identity residual evaluate none
+    points = count_grid_evaluations(monkeypatch, (model,))
+    sol = realize.corona_solve(UNIT_DISK, pts, psis, eps, us, mult)
+    assert sol.fit.padded_cols == 1
+    assert sol.identity_residual < 1e-6
+    assert len(points) == len(pts)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_column_data, random_rect_realization
+from conftest import corona_inputs, random_column_data, random_rect_realization
 from freeholo.approx import ORDER_CAP, choose_truncation
 from freeholo.errors import (
     GramMismatch,
@@ -340,38 +340,6 @@ def test_stack_column_interleaves_levels():
     np.testing.assert_array_equal(stacked[1], b[0])
     np.testing.assert_array_equal(stacked[2], a[1])
     np.testing.assert_array_equal(stacked[3], b[1])
-
-
-def corona_inputs(seed, levels, lam=1.0, mult=16):
-    # psi1 = x, psi2 = lam(1 - x) never vanish together on the closed disk;
-    # the telescoping column u_i = sqrt(1+lam^2) x^(i-1) (c - x) models
-    # psi*psi - eps^2 with c = lam^2/(1+lam^2), eps = lam/sqrt(1+lam^2)
-    c = lam * lam / (1.0 + lam * lam)
-    eps = lam / np.sqrt(1.0 + lam * lam)
-    rng = rng_from_seed(seed)
-    pts = []
-    for n in levels:
-        m = 0.4 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        nrm = np.linalg.norm(m, 2)
-        if nrm > 0.45:
-            m *= 0.95 * 0.45 / nrm
-        pts.append(GradedPoint([m]))
-    psis = [
-        [p.mats[0] for p in pts],
-        [lam * (np.eye(p.n) - p.mats[0]) for p in pts],
-    ]
-    scale = np.sqrt(1.0 + lam * lam)
-    us = []
-    for p in pts:
-        m = p.mats[0]
-        blocks = [
-            scale
-            * np.linalg.matrix_power(m, i)
-            @ (c * np.eye(p.n) - m)
-            for i in range(mult)
-        ]
-        us.append(stack_column(blocks))
-    return pts, psis, eps, us, mult
 
 
 def test_corona_two_function_solution():
