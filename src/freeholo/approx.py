@@ -76,6 +76,8 @@ def select_covering_delta(points, candidates) -> CoverSelection:
 
 # Most homogeneous orders choose_truncation accepts before TermBlowup.
 ORDER_CAP = 100_000
+# Most words expand_polynomial keeps after an order before TermBlowup.
+TERM_CAP = 10**6
 
 
 def certify_error(r: Realization, k: int, t: float) -> float:
@@ -118,7 +120,7 @@ def _purge(rows: np.ndarray, stack: np.ndarray, order: int) -> tuple:
         raise TermBlowup(f"expansion produced a non-finite coefficient at order {order}") from None
 
 
-def expand_polynomial(r: Realization, k: int, term_cap: int = 10**6) -> MatrixPoly:
+def expand_polynomial(r: Realization, k: int) -> MatrixPoly:
     """Symbolic truncation ``A + sum_{j<=k} B Delta (D Delta)^j C``.
 
     Returns a free polynomial with k2-by-k1 matrix coefficients whose
@@ -152,7 +154,7 @@ def expand_polynomial(r: Realization, k: int, term_cap: int = 10**6) -> MatrixPo
     with no larger entry counts as zero. A NaN or infinite coefficient at
     any of these points raises :class:`TermBlowup` naming the order. The
     expansion stops early once a leg is empty. When ``acc`` holds more than
-    ``term_cap`` words after order j, :class:`TermBlowup` names j and that
+    ``TERM_CAP`` words after order j, :class:`TermBlowup` names j and that
     word count.
     """
     if k < 0:
@@ -172,9 +174,9 @@ def expand_polynomial(r: Realization, k: int, term_cap: int = 10**6) -> MatrixPo
         b_rows, b_leg = _purge(leg_rows, b @ leg, j)
         rows, merged = graded_sum(stack_rows((acc_rows, b_rows)), np.concatenate((acc, b_leg)))
         acc_rows, acc = _purge(rows, merged, j)
-        if len(acc) > term_cap:
+        if len(acc) > TERM_CAP:
             raise TermBlowup(
-                f"expansion reached {len(acc)} terms at order {j}, cap {term_cap}"
+                f"expansion reached {len(acc)} terms at order {j}, cap {TERM_CAP}"
             )
         if j == k or not len(leg):
             break

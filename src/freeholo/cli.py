@@ -131,27 +131,43 @@ def _realized_evaluator(path: str):
 
 
 def _load_function(args):
-    """Return (kind, evaluator, dims).
+    """Return (kind, evaluator, dims, d, source): ``d`` variables, as
+    ``source`` names them.
 
     A realization's evaluator raises :class:`OutsideDomain` at points
     outside its domain, after the one membership test it makes anyway.
     """
     if getattr(args, "realization", None) is not None:
         r, f = _realized_evaluator(args.realization)
-        return "realization", f, (r.dim_k1, r.dim_k2)
+        return "realization", f, (r.dim_k1, r.dim_k2), r.delta.d, "the d of --realization"
     src = _read_expr(args)
     if getattr(args, "vars", None) is None:
         raise SchemaError("--vars is required with --expr/--expr-file")
     _, f = _expr_evaluator(src, args.vars)
-    return "expr", f, (1, 1)
+    return "expr", f, (1, 1), args.vars, "--vars"
+
+
+def _check_d(values, d: int, name: str, source: str) -> None:
+    """:class:`SchemaError` naming the input ``name`` unless every point or
+    grid in ``values`` has the ``d`` variables of ``source``."""
+    for x in values:
+        if x.d != d:
+            raise SchemaError(f"{name} has d={x.d} but {source} is {d}")
+
+
+def _load_points(args, flag: str, d: int, source: str, many: bool = False):
+    """The graded point in the file under ``--flag``, or the list in it if
+    ``many``, each checked to have ``d`` variables."""
+    path = getattr(args, flag)
+    points = jsonio.load_list("gradedpoint", path) if many else [jsonio.load("gradedpoint", path)]
+    _check_d(points, d, flag, source)
+    return points if many else points[0]
 
 
 def _cmd_eval(args) -> dict:
     src = _read_expr(args)
     ast, f = _expr_evaluator(src, args.vars)
-    x = jsonio.load("gradedpoint", args.point)
-    if x.d != args.vars:
-        raise SchemaError(f"point has d={x.d} but --vars is {args.vars}")
+    x = _load_points(args, "point", args.vars, "--vars")
     value = f(x)
     return {
         "command": "eval",
@@ -164,7 +180,7 @@ def _cmd_eval(args) -> dict:
 
 def _cmd_member(args) -> dict:
     delta = jsonio.load("polymatrix", args.delta)
-    x = jsonio.load("gradedpoint", args.point)
+    x = _load_points(args, "point", delta.d, "the d of --delta")
     m = ncpoint.in_gdelta(delta, x, margin=args.margin)
     return {
         "command": "member",
@@ -177,8 +193,8 @@ def _cmd_member(args) -> dict:
 
 
 def _cmd_check_nc(args) -> dict:
-    kind, f, dims = _load_function(args)
-    samples = jsonio.load_list("gradedpoint", args.samples)
+    kind, f, dims, d, source = _load_function(args)
+    samples = _load_points(args, "samples", d, source, many=True)
     if not samples:
         raise SchemaError("empty sample list")
     rng = sampling.rng_from_seed(args.seed)
@@ -257,6 +273,7 @@ def _cmd_corona(args) -> dict:
             raise ValueError("u and every column function need one value per point")
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed corona input: {exc}") from exc
+    _check_d(points, delta.d, "input", "the d of its delta")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise SchemaError(f"corona epsilon must be positive and finite, got {epsilon}")
     sol = realize.corona_solve(
@@ -276,7 +293,8 @@ def _cmd_corona(args) -> dict:
 def _cmd_approx(args) -> dict:
     r = jsonio.load("realization", args.realization)
     candidates = jsonio.load_list("polymatrix", args.cover)
-    samples = jsonio.load_list("gradedpoint", args.samples)
+    _check_d(candidates, r.delta.d, "cover", "the d of --realization")
+    samples = _load_points(args, "samples", r.delta.d, "the d of --realization", many=True)
     sel = approx_mod.select_covering_delta(samples, candidates)
     k = approx_mod.choose_truncation(args.tol, sel.t)
     bound = approx_mod.certify_error(r, k, sel.t)
@@ -294,9 +312,9 @@ def _cmd_approx(args) -> dict:
 
 
 def _cmd_derive(args) -> dict:
-    kind, f, dims = _load_function(args)
-    m = jsonio.load("gradedpoint", args.point)
-    e = jsonio.load("gradedpoint", args.direction)
+    kind, f, dims, d, source = _load_function(args)
+    m = _load_points(args, "point", d, source)
+    e = _load_points(args, "direction", d, source)
     val = ncpoint.nc_derivative(f, m, e, dims=dims)
     return {
         "command": "derive",
@@ -329,9 +347,8 @@ def _cmd_mero_certify(args) -> dict:
     src = _read_expr(args)
     ast, f = _expr_evaluator(src, args.vars)
     delta = jsonio.load("polymatrix", args.delta)
-    if delta.d != args.vars:
-        raise SchemaError(f"delta has d={delta.d} but --vars is {args.vars}")
-    m = jsonio.load("gradedpoint", args.point)
+    _check_d([delta], args.vars, "delta", "--vars")
+    m = _load_points(args, "point", args.vars, "--vars")
     if args.bound is not None:
         bound_sup = args.bound
         bound_source = "asserted"
@@ -357,7 +374,7 @@ def _cmd_mero_certify(args) -> dict:
 def _cmd_mero_scan(args) -> dict:
     src = _read_expr(args)
     ast = parse(src, args.vars)
-    samples = jsonio.load_list("gradedpoint", args.samples)
+    samples = _load_points(args, "samples", args.vars, "--vars", many=True)
     rep = mero.singular_scan(ast, samples)
     return {
         "command": "mero-scan",

@@ -8,8 +8,8 @@ lexicographic order and one stack with a coefficient matrix per row.
 the series expansion in :mod:`freeholo.approx` uses it and
 :func:`word_products` too. A ``FreePoly`` (a combination of words in
 ``d`` variables, evaluated at tuples of n-by-n matrices for every level
-n >= 1) is the 1x1 ring case, and a ``PolyMatrix`` is a grid of them held
-as ``delta = sum_w C_w w`` with a rows-by-cols ``C_w`` per word.
+n >= 1) is the 1x1 case of a ``PolyMatrix``, a grid of them held as
+``delta = sum_w C_w w`` with a rows-by-cols ``C_w`` per word.
 
 Evaluation layout conventions, fixed once and for all:
 
@@ -193,14 +193,89 @@ def _word_value(table: dict, mats, w) -> np.ndarray:
     return table[w]
 
 
-class _Held:
-    """An immutable polynomial held as one :class:`MatrixPoly`, :attr:`coeffs`.
+def _json_arrays(obj) -> tuple:
+    """``(d, word rows, numbers)`` of a :meth:`FreePoly.to_json` object."""
+    d = json_int(obj["d"], "d")
+    if d < 1:
+        raise ValueError("need at least one variable")
+    pairs = []
+    for t in obj["terms"]:
+        re, im = t["coeff"]
+        pairs.append((tuple(json_int(i, "word letter") for i in t["word"]), complex(re, im)))
+    return (d, *_term_arrays(d, (), pairs))
 
-    ``==`` with one of the same type compares word rows and stacks exactly;
-    the hash maps ``-0.0`` to ``0.0`` as ``==`` does.
+
+def _ring_form(d: int, rows, coeffs) -> "MatrixPoly":
+    """The 1x1 normal form of word rows and their numbers, summed from ``0j``.
+
+    Products are Python's: numpy's complex product may fuse a multiply and
+    an add, which moves the last bit.
+    """
+    stack = np.asarray(coeffs, dtype=np.complex128).reshape(-1, 1, 1) + 0.0
+    return MatrixPoly._of(d, *_purged(*graded_sum(rows, stack)))
+
+
+def _entries_json(c: "MatrixPoly") -> list:
+    """The grid of :meth:`FreePoly.to_json` objects, written from the stack:
+    entry (i, j) lists the words whose coefficient there is at least ``EPS_COEFF``."""
+    words = c.words()
+
+    def entry(coeffs):
+        terms = [{"coeff": [v.real + 0.0, v.imag + 0.0], "word": list(w)}
+                 for w, v in zip(words, coeffs) if abs(v) >= EPS_COEFF]
+        return {"d": c.d, "terms": terms}
+
+    return [[entry(vs) for vs in row] for row in c.stack.transpose(1, 2, 0).tolist()]
+
+
+def _grid_form(grid, d) -> "MatrixPoly":
+    """Coefficient form of a grid of ``(d, word rows, numbers)`` entries.
+
+    The numbers sit at their entries of one stack, summed from ``0j`` and
+    normalised once; an entry under ``EPS_COEFF`` is then zero, as in a
+    ``FreePoly``. A grid without entries takes the variable count ``d``.
+    """
+    rows, cols = len(grid), len(grid[0]) if grid else 0
+    if any(len(row) != cols for row in grid):
+        raise ShapeMismatch("ragged polynomial grid")
+    if rows and cols:
+        d = grid[0][0][0]
+    elif d is None:
+        raise ValueError("empty grid needs an explicit variable count")
+    cells = [cell for row in grid for cell in row]
+    if any(cell[0] != d for cell in cells):
+        raise ShapeMismatch("entries disagree on variable count")
+    words = stack_rows([cell[1] for cell in cells])
+    at = np.repeat(np.arange(len(cells)), [len(cell[1]) for cell in cells])
+    stack = np.zeros((len(words), rows * cols), dtype=np.complex128)
+    stack[np.arange(len(words)), at] = np.concatenate([cell[2] for cell in cells] + [[]])
+    words, stack = _purged(*graded_sum(words, stack.reshape(len(words), rows, cols) + 0.0))
+    stack[np.abs(stack) < EPS_COEFF] = 0.0
+    return MatrixPoly._of(d, words, stack)
+
+
+class PolyMatrix:
+    """Rectangular grid of free polynomials sharing one variable count.
+
+    In :attr:`coeffs`, word w carries the rows-by-cols matrix ``C_w`` whose
+    entry (i, j) is the coefficient of w in grid entry (i, j), so the grid
+    is ``delta = sum_w C_w w``. The constructor and :meth:`from_json` place
+    each entry's coefficients at (i, j) of one stack; :meth:`to_json` writes
+    the entries straight from it, and :attr:`entries` reads them back as a
+    grid of ``FreePoly``, the 1x1 case.
+
+    Immutable; ``==`` with one of the same type compares word rows and
+    stacks exactly, and the hash maps ``-0.0`` to ``0.0`` as ``==`` does.
     """
 
     __slots__ = ("_coeffs",)
+
+    def __init__(self, entries, d: int | None = None):
+        grid = [list(row) for row in entries]
+        if not all(isinstance(p, FreePoly) for row in grid for p in row):
+            raise TypeError("entries must be FreePoly")
+        cells = [[(p.d, p.coeffs.rows, p.coeffs.stack[:, 0, 0]) for p in row] for row in grid]
+        object.__setattr__(self, "_coeffs", _grid_form(cells, d))
 
     @classmethod
     def _of(cls, coeffs: "MatrixPoly"):
@@ -209,16 +284,12 @@ class _Held:
         object.__setattr__(self, "_coeffs", coeffs)
         return self
 
+    @classmethod
+    def from_poly(cls, p: FreePoly) -> "PolyMatrix":
+        return cls._of(p.coeffs)
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @property
-    def coeffs(self) -> "MatrixPoly":
-        return self._coeffs
-
-    @property
-    def d(self) -> int:
-        return self._coeffs.d
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -230,12 +301,48 @@ class _Held:
         c = self._coeffs
         return hash((c.d, c.stack.shape, c.rows.tobytes(), (c.stack + 0).tobytes()))
 
+    @property
+    def coeffs(self) -> "MatrixPoly":
+        return self._coeffs
 
-class FreePoly(_Held):
+    @property
+    def d(self) -> int:
+        return self._coeffs.d
+
+    @property
+    def rows(self):
+        return self._coeffs.out_dim
+
+    @property
+    def cols(self):
+        return self._coeffs.in_dim
+
+    @property
+    def entries(self):
+        return tuple(tuple(map(FreePoly.from_json, row)) for row in _entries_json(self._coeffs))
+
+    def __repr__(self):
+        return f"PolyMatrix({self.rows}x{self.cols}, d={self.d})"
+
+    def to_json(self) -> dict:
+        c = self._coeffs
+        return {"rows": c.out_dim, "cols": c.in_dim, "d": c.d, "entries": _entries_json(c)}
+
+    @classmethod
+    def from_json(cls, obj) -> "PolyMatrix":
+        grid = [[_json_arrays(p) for p in row] for row in obj["entries"]]
+        header = (json_int(obj.get("d", 1), "d"), *(json_int(obj[k], k) for k in ("rows", "cols")))
+        pm = cls._of(_grid_form(grid, header[0]))
+        if (pm.d, pm.rows, pm.cols) != header:
+            raise ShapeMismatch("polynomial grid header disagrees with entries")
+        return pm
+
+
+class FreePoly(PolyMatrix):
     """Finite complex combination of words in d noncommuting variables.
 
-    The 1x1 ring case of the normal form: :attr:`coeffs` holds one 1x1
-    coefficient per word. ``+`` stacks the word rows and ``*`` forms the
+    The 1x1 :class:`PolyMatrix`, so it is accepted wherever a grid is, with
+    ring operations: :attr:`coeffs` holds one 1x1 coefficient per word. ``+`` stacks the word rows and ``*`` forms the
     pairwise :func:`word_products`, each merged by :func:`graded_sum` and
     purged by :func:`_purged`; negation and :meth:`scale` act on the
     stack. So a coefficient under ``EPS_COEFF`` in modulus is dropped, a
@@ -247,7 +354,9 @@ class FreePoly(_Held):
     __slots__ = ()
 
     def __init__(self, d: int, terms=None):
-        coeffs = _ring_form(d, *_scalar_arrays(d, (terms or {}).items()))
+        if d < 1:
+            raise ValueError("need at least one variable")
+        coeffs = _ring_form(d, *_term_arrays(d, (), (terms or {}).items()))
         object.__setattr__(self, "_coeffs", coeffs)
 
     # -- constructors ------------------------------------------------------
@@ -321,129 +430,10 @@ class FreePoly(_Held):
         return cls._of(_ring_form(*_json_arrays(obj)))
 
 
-def _scalar_arrays(d: int, pairs) -> tuple:
-    """Word rows and numbers of ``(word, number)`` pairs, validated, in order."""
-    if d < 1:
-        raise ValueError("need at least one variable")
-    return _term_arrays(d, (), pairs)
-
-
-def _json_arrays(obj) -> tuple:
-    """``(d, word rows, numbers)`` of a :meth:`FreePoly.to_json` object."""
-    d = json_int(obj["d"], "d")
-    pairs = []
-    for t in obj["terms"]:
-        re, im = t["coeff"]
-        pairs.append((tuple(json_int(i, "word letter") for i in t["word"]), complex(re, im)))
-    return (d, *_scalar_arrays(d, pairs))
-
-
-def _ring_form(d: int, rows, coeffs) -> "MatrixPoly":
-    """The 1x1 normal form of word rows and their numbers, summed from ``0j``.
-
-    Products are Python's: numpy's complex product may fuse a multiply and
-    an add, which moves the last bit.
-    """
-    stack = np.asarray(coeffs, dtype=np.complex128).reshape(-1, 1, 1) + 0.0
-    return MatrixPoly._of(d, *_purged(*graded_sum(rows, stack)))
-
-
-def _entries_json(c: "MatrixPoly") -> list:
-    """The grid of :meth:`FreePoly.to_json` objects, written from the stack:
-    entry (i, j) lists the words whose coefficient there is at least ``EPS_COEFF``."""
-    words = c.words()
-
-    def entry(coeffs):
-        terms = [{"coeff": [v.real + 0.0, v.imag + 0.0], "word": list(w)}
-                 for w, v in zip(words, coeffs) if abs(v) >= EPS_COEFF]
-        return {"d": c.d, "terms": terms}
-
-    return [[entry(vs) for vs in row] for row in c.stack.transpose(1, 2, 0).tolist()]
-
-
 def eval_poly(p: FreePoly, x: GradedPoint) -> np.ndarray:
     """Evaluate ``p`` at the point, an n-by-n matrix: the 1x1 grid case of
     :func:`eval_poly_matrix`, summed in graded word order."""
-    return eval_poly_matrix(PolyMatrix.from_poly(p), x)
-
-
-def _grid_form(grid, d) -> "MatrixPoly":
-    """Coefficient form of a grid of ``(d, word rows, numbers)`` entries.
-
-    The numbers sit at their entries of one stack, summed from ``0j`` and
-    normalised once; an entry under ``EPS_COEFF`` is then zero, as in a
-    ``FreePoly``. A grid without entries takes the variable count ``d``.
-    """
-    rows, cols = len(grid), len(grid[0]) if grid else 0
-    if any(len(row) != cols for row in grid):
-        raise ShapeMismatch("ragged polynomial grid")
-    if rows and cols:
-        d = grid[0][0][0]
-    elif d is None:
-        raise ValueError("empty grid needs an explicit variable count")
-    cells = [cell for row in grid for cell in row]
-    if any(cell[0] != d for cell in cells):
-        raise ShapeMismatch("entries disagree on variable count")
-    words = stack_rows([cell[1] for cell in cells])
-    at = np.repeat(np.arange(len(cells)), [len(cell[1]) for cell in cells])
-    stack = np.zeros((len(words), rows * cols), dtype=np.complex128)
-    stack[np.arange(len(words)), at] = np.concatenate([cell[2] for cell in cells] + [[]])
-    words, stack = _purged(*graded_sum(words, stack.reshape(len(words), rows, cols) + 0.0))
-    stack[np.abs(stack) < EPS_COEFF] = 0.0
-    return MatrixPoly._of(d, words, stack)
-
-
-class PolyMatrix(_Held):
-    """Rectangular grid of free polynomials sharing one variable count.
-
-    In :attr:`coeffs`, word w carries the rows-by-cols matrix ``C_w`` whose
-    entry (i, j) is the coefficient of w in grid entry (i, j), so the grid
-    is ``delta = sum_w C_w w``. The constructor and :meth:`from_json` place
-    each entry's coefficients at (i, j) of one stack; :meth:`to_json` writes
-    the entries straight from it, and :attr:`entries` reads them back as a
-    grid of ``FreePoly``.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, entries, d: int | None = None):
-        grid = [list(row) for row in entries]
-        if not all(isinstance(p, FreePoly) for row in grid for p in row):
-            raise TypeError("entries must be FreePoly")
-        cells = [[(p.d, p.coeffs.rows, p.coeffs.stack[:, 0, 0]) for p in row] for row in grid]
-        object.__setattr__(self, "_coeffs", _grid_form(cells, d))
-
-    @classmethod
-    def from_poly(cls, p: FreePoly) -> "PolyMatrix":
-        return cls._of(p.coeffs)
-
-    @property
-    def rows(self):
-        return self._coeffs.out_dim
-
-    @property
-    def cols(self):
-        return self._coeffs.in_dim
-
-    @property
-    def entries(self):
-        return tuple(tuple(map(FreePoly.from_json, row)) for row in _entries_json(self._coeffs))
-
-    def __repr__(self):
-        return f"PolyMatrix({self.rows}x{self.cols}, d={self.d})"
-
-    def to_json(self) -> dict:
-        c = self._coeffs
-        return {"rows": c.out_dim, "cols": c.in_dim, "d": c.d, "entries": _entries_json(c)}
-
-    @classmethod
-    def from_json(cls, obj) -> "PolyMatrix":
-        grid = [[_json_arrays(p) for p in row] for row in obj["entries"]]
-        header = (json_int(obj.get("d", 1), "d"), *(json_int(obj[k], k) for k in ("rows", "cols")))
-        pm = cls._of(_grid_form(grid, header[0]))
-        if (pm.d, pm.rows, pm.cols) != header:
-            raise ShapeMismatch("polynomial grid header disagrees with entries")
-        return pm
+    return eval_poly_matrix(p, x)
 
 
 def eval_poly_matrix(pm: PolyMatrix, x: GradedPoint) -> np.ndarray:

@@ -217,6 +217,8 @@ def model_from_realization(r, points, psi=None) -> ModelSampleSet:
         psi = [mat.as_array(v) for v in psi]
         if not psi:
             raise ShapeMismatch("psi values required when supplied explicitly")
+        if len(psi) != len(points):
+            raise ShapeMismatch("points, psi, phi, u must have equal lengths")
         h_dim = psi[0].shape[1] // points[0].n
     phi = []
     u = []

@@ -6,6 +6,8 @@ reports and tests are reproducible bit for bit from a seed.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from . import mat
@@ -84,23 +86,20 @@ def points_inside_gdelta(
     margin: float = DEFAULT_MARGIN,
     target: float = 0.9,
 ) -> list:
-    """One point strictly inside per entry of ``levels``, drawn in order.
+    """One point strictly inside per entry of ``levels``, drawn in rounds.
 
     Each point is a random draw shrunk by 0.7, at most 60 times, until
-    ``||delta(x)||`` is under ``target`` and inside by ``margin``; after
-    200 draws :class:`OutsideDomain` is raised. That needs the constant part
-    of the grid inside already (norm of the value at the zero tuple under
-    ``target``); otherwise rejection would be the only option and this
-    helper refuses instead of looping forever. The constant term is tested
-    once for all levels.
+    ``||delta(x)||`` is under ``target`` and inside by ``margin``; a point
+    still missing after 200 draws raises :class:`OutsideDomain`. That needs
+    the constant part of the grid inside already (norm of the value at the
+    zero tuple under ``target``); otherwise rejection would be the only
+    option and this helper refuses instead of looping forever. The constant
+    term is tested once for all levels.
 
-    Points, final RNG state and exceptions are those of one draw at a time.
-    One batch draws a candidate per point with one ``standard_normal`` call
-    and shrinks each level's stack with one grid evaluation and one
-    ``op_norms`` call per step. The points before the first candidate not
-    accepted are kept; from there (from the start if the batch raises) the
-    generator is replayed and points are drawn one at a time, so that
-    candidate and the later ones are drawn and evaluated again.
+    Each round draws one candidate for every point still missing, in point
+    order with one ``standard_normal`` call, and shrinks each level's
+    candidates as one stack. Where every first candidate is accepted, the
+    points and the final RNG state are those of one draw at a time.
     """
     zero = GradedPoint([np.zeros((1, 1))] * delta.d)
     base = mat.op_norm(eval_poly_matrix(delta, zero))
@@ -108,23 +107,28 @@ def points_inside_gdelta(
         raise OutsideDomain(
             f"grid constant term has norm {base:.6f}, cannot shrink into the domain"
         )
-    levels, state = list(levels), rng.bit_generator.state
-    try:
-        out = _draw_batch(rng, delta, levels, scale, margin, target)
-    except (ArithmeticError, TypeError, ValueError):
-        out = []
-    if len(out) < len(levels):
-        rng.bit_generator.state = state
-        rng.standard_normal(sum(2 * delta.d * x.n**2 for x in out))
-    for n in levels[len(out) :]:
-        for _ in range(200):
-            mats = np.stack(random_graded_point(rng, delta.d, n, scale).mats)[:, None]
-            if (x := _shrunk(delta, mats, margin, target)[0]) is not None:
-                break
-        else:
-            raise OutsideDomain("failed to sample a point inside the domain")
-        out.append(x)
-    return out
+    levels = [operator.index(n) for n in levels]
+    if any(n < 1 for n in levels):
+        raise ValueError("graded point level must be at least 1")
+    d, out = delta.d, [None] * len(levels)
+    missing = list(range(len(levels)))
+    for _ in range(200):
+        sizes = [2 * d * levels[i] ** 2 for i in missing]
+        flat = rng.standard_normal(sum(sizes))
+        starts = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+        for n in dict.fromkeys(levels[i] for i in missing):
+            pos = np.array([k for k, i in enumerate(missing) if levels[i] == n])
+            g = flat[starts[pos, None] + np.arange(2 * d * n * n)].reshape(len(pos), d, 2, n, n)
+            x = scale * (g[:, :, 0] + 1j * g[:, :, 1]) / np.sqrt(2 * n)
+            if not np.isfinite(x).all():
+                raise ValueError("graded point entries must be finite")
+            x = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
+            for k, point in zip(pos.tolist(), _shrunk(delta, x, margin, target)):
+                out[missing[k]] = point
+        missing = [i for i in missing if out[i] is None]
+        if not missing:
+            return out
+    raise OutsideDomain("failed to sample a point inside the domain")
 
 
 def _shrunk(delta, x, margin, target) -> list:
@@ -140,25 +144,6 @@ def _shrunk(delta, x, margin, target) -> list:
             break
         pos, x = pos[~ok], 0.7 * x[:, ~ok]
     return points
-
-
-def _draw_batch(rng, delta, levels, scale, margin, target) -> list:
-    """The accepted points before the first candidate that is not, from one
-    candidate per level shrunk level-stacked; a candidate that is not
-    finite is not shrunk, as its single draw raises."""
-    d, sizes = delta.d, [2 * delta.d * n * n for n in levels]
-    flat = rng.standard_normal(sum(sizes))
-    starts = np.cumsum([0] + sizes[:-1], dtype=np.int64)
-    points = [None] * len(levels)
-    for n in dict.fromkeys(levels):
-        pos = np.array([i for i, m in enumerate(levels) if m == n])
-        g = flat[starts[pos, None] + np.arange(2 * d * n * n)].reshape(len(pos), d, 2, n, n)
-        x = scale * (g[:, :, 0] + 1j * g[:, :, 1]) / np.sqrt(2 * n)
-        finite = np.isfinite(x).all(axis=(1, 2, 3))
-        x = np.ascontiguousarray(x[finite].transpose(1, 0, 2, 3))
-        for i, point in zip(pos[finite], _shrunk(delta, x, margin, target)):
-            points[i] = point
-    return points[: next((i for i, p in enumerate(points) if p is None), len(points))]
 
 
 def point_in_shrunk_domain(

@@ -95,15 +95,16 @@ def _purged(terms: dict) -> dict:
     return {w: c for w, c in terms.items() if np.max(np.abs(c)) >= EPS_COEFF}
 
 
-def expand_by_word_dicts(r, k, term_cap=10**6):
+def expand_by_word_dicts(r, k):
     """Reference for ``approx.expand_polynomial``: the word-by-word recursion.
 
     ``leg_0[u] = Delta_u C``, ``acc[w] += B leg_j[w]`` and
     ``leg_{j+1}[u + w] += Delta_u (D leg_j[w])`` over word-to-coefficient
     dicts, purging at the same points and raising the same
-    :class:`TermBlowup` for the term cap. It checks no coefficient for
+    :class:`TermBlowup` for ``approx.TERM_CAP``. It checks no coefficient for
     finiteness.
     """
+    from freeholo.approx import TERM_CAP
     from freeholo.errors import TermBlowup
     from freeholo.freepoly import EPS_COEFF, MatrixPoly, _promoted_grid
 
@@ -119,9 +120,9 @@ def expand_by_word_dicts(r, k, term_cap=10**6):
         for w, bw in _purged({w: b @ lw for w, lw in leg.items()}).items():
             acc[w] = acc.get(w, 0) + bw
         acc = _purged(acc)
-        if len(acc) > term_cap:
+        if len(acc) > TERM_CAP:
             raise TermBlowup(
-                f"expansion reached {len(acc)} terms at order {j}, cap {term_cap}"
+                f"expansion reached {len(acc)} terms at order {j}, cap {TERM_CAP}"
             )
         if j == k or not leg:
             break

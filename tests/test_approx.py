@@ -9,6 +9,7 @@ from conftest import (
     random_grid,
     random_rect_realization,
 )
+from freeholo import approx
 from freeholo.approx import (
     certify_error,
     choose_truncation,
@@ -237,15 +238,18 @@ def test_expansion_matches_dense_partial_sum(seed, grid, k1, offset, mult, k, n)
     np.testing.assert_allclose(poly.eval(x), dense_partial_sum(r, x, k), rtol=0, atol=1e-12)
 
 
-def test_term_cap_raises_term_blowup():
+def test_term_cap_raises_term_blowup(monkeypatch):
     # word counts 4, 13, 40, 121, 364 at orders 0-4; the cap bounds acc
     # after each order and equality is allowed
     r = random_rect_realization(np.random.default_rng(5), 2, 1, 1, 1, 2)
-    assert expand_polynomial(r, 4, term_cap=364).term_count() == 364
+    monkeypatch.setattr(approx, "TERM_CAP", 364)
+    assert expand_polynomial(r, 4).term_count() == 364
+    monkeypatch.setattr(approx, "TERM_CAP", 3)
     with pytest.raises(TermBlowup, match=r"^expansion reached 4 terms at order 0, cap 3$"):
-        expand_polynomial(r, 4, term_cap=3)
+        expand_polynomial(r, 4)
+    monkeypatch.setattr(approx, "TERM_CAP", 40)
     with pytest.raises(TermBlowup, match=r"^expansion reached 121 terms at order 3, cap 40$"):
-        expand_polynomial(r, 4, term_cap=40)
+        expand_polynomial(r, 4)
 
 
 def test_expansion_constructs_one_matrix_poly(monkeypatch):

@@ -521,6 +521,50 @@ def test_point_dimension_mismatch_exits_2(tmp_path, capsys):
     assert rep["error"]["type"] == "SchemaError"
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["mero", "certify", "--expr", "x1*x1 + 1", "--vars", "1", "--delta", "{half}",
+          "--point", "{p2}"], "--point"),
+        (["mero", "scan", "--expr", "inv(x1)", "--vars", "1", "--samples", "{s2}"], "--samples"),
+        (["derive", "--expr", "x1*x1", "--vars", "1", "--point", "{p2}",
+          "--direction", "{p2}"], "--point"),
+        (["check-nc", "--expr", "x1*x2", "--vars", "2", "--samples", "{s1}"], "--samples"),
+        (["member", "--delta", "{half}", "--point", "{p2}"], "--point"),
+        (["check-nc", "--realization", "{r}", "--samples", "{s2}"], "--samples"),
+        (["derive", "--realization", "{r}", "--point", "{p2}", "--direction", "{p2}"], "--point"),
+        (["approx", "--realization", "{r}", "--cover", "{cover}", "--samples", "{s2}"], "--samples"),
+        (["approx", "--realization", "{r}", "--cover", "{grid2}", "--samples", "{s1}"], "--cover"),
+        (["corona", "--input", "{corona}"], "--input"),
+    ],
+    ids=["mero-certify", "mero-scan", "derive-expr", "check-nc-expr", "member",
+         "check-nc-realization", "derive-realization", "approx-samples", "approx-cover", "corona"],
+)
+def test_variable_count_mismatch_exits_2(tmp_path, capsys, argv, flag):
+    # extra coordinates used to be ignored (exit 0), missing ones or a grid
+    # of another d ended in ShapeMismatch (exit 1)
+    p1, p2 = GradedPoint.scalars([0.3]), GradedPoint.scalars([0.3, 0.2])
+    corona = corona_payload()
+    corona["points"][2] = GradedPoint([np.eye(1), np.eye(1)]).to_json()
+    half = PolyMatrix.from_poly(FreePoly.letter(1, 1).scale(0.5))
+    paths = {
+        "half": write(tmp_path, "half.json", half.to_json()),
+        "cover": write(tmp_path, "cover.json", [half.to_json()]),
+        "p1": write(tmp_path, "p1.json", p1.to_json()),
+        "p2": write(tmp_path, "p2.json", p2.to_json()),
+        "s1": write(tmp_path, "s1.json", [p1.to_json()]),
+        "s2": write(tmp_path, "s2.json", [p1.to_json(), p2.to_json()]),
+        "r": write(tmp_path, "r.json", mobius(0.3).to_json()),
+        "grid2": write(tmp_path, "grid2.json", [PolyMatrix.from_poly(FreePoly.letter(2, 1)).to_json()]),
+        "corona": write(tmp_path, "corona.json", corona),
+    }
+    code, _, raw = run([a.format(**paths) for a in argv], capsys)
+    assert code == 2
+    error = strict_loads(raw)["error"]
+    assert error["type"] == "SchemaError"
+    assert error["message"].startswith(flag[2:] + " has d=")
+
+
 def test_mismatched_input_headers_exit_2(tmp_path, capsys):
     # a header or data size that disagrees with the entries is bad input
     grid = PolyMatrix([[FreePoly.letter(2, 1), FreePoly.letter(2, 2)]]).to_json()

@@ -361,6 +361,7 @@ PUBLIC_API = {
     "sampling.point_in_shrunk_domain": "c06, perfbench",
     "sampling.point_inside_gdelta": "c01, c03, c04, c05, perfbench",
     "sampling.random_free_poly": "c01, c02",
+    "sampling.random_graded_point": "perfbench",
     "sampling.random_realization": "c01, c02, c03, c04, perfbench",
 }
 

@@ -82,6 +82,15 @@ def test_membership_enforced_on_construction():
         model_from_realization(r, [outside])
 
 
+def test_explicit_psi_count_must_match_points():
+    # with no points, psi=[eye] used to end in IndexError at points[0]
+    r = mobius(0.1)
+    pts = disk_points([40, 41], [1, 1])
+    for points, psi in (([], [np.eye(1)]), (pts, [np.eye(1)]), (pts[:1], [np.eye(1)] * 2)):
+        with pytest.raises(ShapeMismatch, match="must have equal lengths"):
+            model_from_realization(r, points, psi=psi)
+
+
 def test_shape_validation():
     r = mobius(0.1)
     pts = disk_points([40, 41], [1, 1])

@@ -123,34 +123,54 @@ def test_points_inside_gdelta_matches_single_draws(monkeypatch):
 NEAR_TARGET = PolyMatrix.from_poly(FreePoly.letter(1, 1) * FreePoly.letter(1, 1) + 0.899)
 
 
-def test_points_inside_gdelta_replays_redraws_exactly():
+def draw_in_rounds(rng, delta, levels, margin, scale=1.0, target=0.9):
+    """The sampler's rounds with one draw at a time and a separate in_gdelta
+    verdict: each round draws a candidate for every point still missing, in
+    point order, and shrinks each one by 0.7 at most 60 times.
+
+    Returns the points and the number of rounds, or None for the points if
+    some point is still missing after 200 rounds.
+    """
+    out = [None] * len(levels)
+    for rounds in range(1, 201):
+        missing = [i for i, x in enumerate(out) if x is None]
+        draws = [(i, sampling.random_graded_point(rng, delta.d, levels[i], scale)) for i in missing]
+        for i, x in draws:
+            for _ in range(60):
+                nrm = op_norm(eval_poly_matrix(delta, x))
+                if nrm < target and in_gdelta(delta, x, margin).inside:
+                    out[i] = x
+                    break
+                x = GradedPoint([0.7 * m for m in x.mats])
+        if all(x is not None for x in out):
+            return out, rounds
+    return None, 200
+
+
+def test_points_inside_gdelta_redraws_in_rounds():
     levels = [1, 2, 1, 3, 1, 2, 1, 1, 2]
     redraws = 0
     for seed in range(4):
-        rng_loop = rng_from_seed(seed)
-        loop = [
-            shrink_until_inside(rng_loop, NEAR_TARGET, n, sampling.DEFAULT_MARGIN, scale=1e8)
-            for n in levels
-        ]
-        redraws += sum(draws for _, _, draws in loop) - len(levels)
+        rng_rounds = rng_from_seed(seed)
+        want, rounds = draw_in_rounds(rng_rounds, NEAR_TARGET, levels, sampling.DEFAULT_MARGIN, scale=1e8)
+        redraws += rounds - 1
         rng = rng_from_seed(seed)
         got = points_inside_gdelta(rng, NEAR_TARGET, levels, scale=1e8)
         assert [p.n for p in got] == levels
-        for a, (b, _, _) in zip(got, loop):
+        for a, b in zip(got, want):
             for ma, mb in zip(a.mats, b.mats):
                 np.testing.assert_array_equal(ma, mb)
-        assert rng.standard_normal() == rng_loop.standard_normal()
+        assert rng.standard_normal() == rng_rounds.standard_normal()
     assert redraws > 0
 
 
 def test_points_inside_gdelta_gives_up_after_200_draws():
     # at scale 1e30 no draw gets inside in 60 shrinks
-    rng, rng_draws = rng_from_seed(9), rng_from_seed(9)
+    rng, rng_rounds = rng_from_seed(9), rng_from_seed(9)
     with pytest.raises(OutsideDomain, match="failed to sample a point inside the domain"):
         points_inside_gdelta(rng, NEAR_TARGET, [1, 1, 2], scale=1e30)
-    for _ in range(200):
-        sampling.random_graded_point(rng_draws, 1, 1, 1e30)
-    assert rng.standard_normal() == rng_draws.standard_normal()
+    assert draw_in_rounds(rng_rounds, NEAR_TARGET, [1, 1, 2], sampling.DEFAULT_MARGIN, scale=1e30)[0] is None
+    assert rng.standard_normal() == rng_rounds.standard_normal()
 
 
 @pytest.mark.parametrize(
