@@ -1,8 +1,9 @@
 """Certified polynomial approximation of realized functions.
 
 Given a realization bounded on a grid domain and a finite point set E, a
-covering grid is selected whose values stay strictly under 1 on E; shrinking
-the domain by a factor t > 1 turns the realization's series into a geometric
+covering grid is selected whose values stay strictly under 1 on E and that
+holds the realization's grid as c times a submatrix, 0 < c <= 1; shrinking
+its domain by a factor t > 1 turns the realization's series into a geometric
 one, so truncating it yields a free polynomial with an explicit sup-norm
 error bound on the shrunk closed domain. Direct sums of the points need no
 separate check: delta(x (+) y) is a permutation conjugate of
@@ -12,6 +13,8 @@ covers E covers every direct sum of its members with the same radius.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,14 +44,49 @@ class CoverSelection:
     t: float
 
 
-def select_covering_delta(points, candidates) -> CoverSelection:
+# Relative rounding, and most row and column selections, dominates() allows.
+SCALE_RTOL = 1e-12
+SUBMATRIX_CAP = 4096
+
+
+def dominates(cover, grid) -> bool:
+    """Whether ``grid``, less its zero rows and columns, is ``c * cover[R, C]``
+    up to a relative ``SCALE_RTOL``, for a real ``0 < c <= 1`` and rows R and
+    columns C of ``cover`` in order; then ``||grid(x)|| <= ||cover(x)||``
+    everywhere. Past ``SUBMATRIX_CAP`` choices of (R, C) it is no.
+    """
+    index = {w: i for i, w in enumerate(cover.coeffs.words())}
+    words = grid.coeffs.words()
+    if cover.d != grid.d or not set(words) <= set(index):
+        return False
+    want = np.zeros((len(index), grid.rows, grid.cols), dtype=np.complex128)
+    want[[index[w] for w in words]] = grid.coeffs.stack
+    used = want.any(axis=0)  # zero rows and columns, as a fit pads, leave the norm
+    want = want[:, used.any(axis=1)][:, :, used.any(axis=0)]
+    rows, cols = want.shape[1:]
+    if not 0 < math.comb(cover.rows, rows) * math.comb(cover.cols, cols) <= SUBMATRIX_CAP:
+        return False
+    top = np.unravel_index(np.argmax(np.abs(want)), want.shape) if want.any() else None
+    for rs, cs in itertools.product(
+        itertools.combinations(range(cover.rows), rows),
+        itertools.combinations(range(cover.cols), cols),
+    ):
+        sub = cover.coeffs.stack[:, list(rs)][:, :, list(cs)]
+        c = (want[top] / sub[top]).real if top and sub[top] else 0.0
+        if 0 < c <= 1 + SCALE_RTOL and np.abs(want - c * sub).max() <= SCALE_RTOL * abs(want[top]):
+            return True
+    return False
+
+
+def select_covering_delta(points, candidates, grid=None) -> CoverSelection:
     """Pick the candidate grid whose worst norm over the points is smallest.
 
     Requires that worst norm to be strictly under 1 (otherwise
     :class:`NoCover`); ties break to the first index, and a candidate not
     finite on the points raises :class:`NonFiniteValue`. The shrink factor is
     the midpoint ``t = (1 + 1/r) / 2``, which keeps every point strictly
-    inside the shrunk domain ``{ ||t delta|| <= 1 }``.
+    inside the shrunk domain ``{ ||t delta|| <= 1 }``. Given the realization's
+    ``grid``, a candidate is skipped unless it :func:`dominates` that grid.
     """
     points = list(points)
     candidates = list(candidates)
@@ -59,6 +97,8 @@ def select_covering_delta(points, candidates) -> CoverSelection:
     best_idx = None
     best_r = np.inf
     for idx, delta in enumerate(candidates):
+        if grid is not None and not dominates(delta, grid):
+            continue
         stacks = level_stacks(points, delta.d)
         worst = mat.max_op_norm(eval_poly_matrix_stack(delta, mats) for _, mats in stacks)
         if np.isnan(worst):
@@ -66,6 +106,9 @@ def select_covering_delta(points, candidates) -> CoverSelection:
         if worst < best_r:
             best_r = worst
             best_idx = idx
+    if best_idx is None:
+        raise NoCover(f"no candidate grid holds the {grid.rows}x{grid.cols} grid of the "
+                      "realization as c times a submatrix with 0 < c <= 1")
     if best_r >= 1.0:
         raise NoCover(
             f"best candidate still reaches norm {best_r:.6f} >= 1 on the samples"
@@ -83,11 +126,12 @@ TERM_CAP = 10**6
 def certify_error(r: Realization, k: int, t: float) -> float:
     """Sup-norm tail bound for truncation after homogeneous order k.
 
-    On the closed shrunk domain ``{ ||t delta|| <= 1 }`` the series term of
-    order j is bounded by ``(1/t)**(j+1)``, so the tail after k is at most
-    ``geometric_tail(1/t, k) = (1/t)**(k+2) / (1 - 1/t)``. The bound is a
-    proof under exact arithmetic; rounding in the expanded coefficients is
-    not included. With k from :func:`choose_truncation`, ``bound <= tol``
+    On the closed shrunk domain ``{ ||t delta|| <= 1 }`` of a cover grid delta
+    that :func:`dominates` ``r.delta`` (a smaller cover proves nothing) the
+    series term of order j is bounded by ``(1/t)**(j+1)``, so the tail after
+    k is at most ``geometric_tail(1/t, k) = (1/t)**(k+2) / (1 - 1/t)``. The
+    bound is a proof under exact arithmetic; rounding in the expanded
+    coefficients is not included. With k from :func:`choose_truncation`, ``bound <= tol``
     holds by construction. The realization argument fixes the series being
     truncated; the bound itself only uses contractivity of its blocks.
     """

@@ -295,7 +295,7 @@ def _cmd_approx(args) -> dict:
     candidates = jsonio.load_list("polymatrix", args.cover)
     _check_d(candidates, r.delta.d, "cover", "the d of --realization")
     samples = _load_points(args, "samples", r.delta.d, "the d of --realization", many=True)
-    sel = approx_mod.select_covering_delta(samples, candidates)
+    sel = approx_mod.select_covering_delta(samples, candidates, grid=r.delta)
     k = approx_mod.choose_truncation(args.tol, sel.t)
     bound = approx_mod.certify_error(r, k, sel.t)
     poly = approx_mod.expand_polynomial(r, k)

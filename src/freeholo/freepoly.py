@@ -511,32 +511,13 @@ def _promoted_grid(pm: PolyMatrix, mult: int) -> "MatrixPoly":
     return MatrixPoly._of(pm.d, grid.rows, np.kron(np.eye(mult)[None], grid.stack))
 
 
-def promoted_apply_buffers(dx: np.ndarray, n: int, mult: int, q: int) -> tuple:
-    """Scratch for :func:`promoted_apply` on q columns.
-
-    ``(grid-ordered input, GEMM output, result)`` for the grid-outer value
-    ``dx`` of an I-by-J grid at level n.
-    """
-    rows, cols = dx.shape[0] // n, dx.shape[1] // n
-    return (
-        np.empty((cols, n, mult, q), dtype=np.complex128),
-        np.empty((rows * n, mult * q), dtype=np.complex128),
-        np.empty((n * mult * rows, q), dtype=np.complex128),
-    )
-
-
-def promoted_apply(
-    dx: np.ndarray, n: int, mult: int, y: np.ndarray, bufs: tuple | None = None
-) -> np.ndarray:
+def promoted_apply(dx: np.ndarray, n: int, mult: int, y: np.ndarray) -> np.ndarray:
     """``eval_poly_matrix_promoted(pm, x, mult) @ y`` from ``dx = eval_poly_matrix(pm, x)``.
 
     The rows of y, in (level, mult, grid) order, are permuted to (grid,
     level) rows with (mult, column) columns, multiplied by the grid-outer dx
     in one GEMM, and permuted back; the promoted matrix is never formed and
-    the point need not lie in any domain. The result is written into the
-    last of ``bufs`` (from :func:`promoted_apply_buffers`) when given: a
-    loop that reuses them allocates nothing per product, whereas freeing and
-    refaulting arrays of this size costs as much as the GEMM.
+    the point need not lie in any domain.
     """
     rows, cols = dx.shape[0] // n, dx.shape[1] // n
     q = y.shape[1]
@@ -545,9 +526,9 @@ def promoted_apply(
             f"cannot apply a level-{n} {rows}x{cols} grid at multiplicity {mult} "
             f"to {y.shape[0]} rows"
         )
-    if bufs is None:
-        bufs = promoted_apply_buffers(dx, n, mult, q)
-    grid_in, grid_out, out = bufs
+    grid_in = np.empty((cols, n, mult, q), dtype=np.complex128)
+    grid_out = np.empty((rows * n, mult * q), dtype=np.complex128)
+    out = np.empty((n * mult * rows, q), dtype=np.complex128)
     np.copyto(grid_in, y.reshape(n, mult, cols, q).transpose(2, 0, 1, 3))
     np.matmul(dx, grid_in.reshape(cols * n, mult * q), out=grid_out)
     np.copyto(

@@ -18,8 +18,9 @@ The Kronecker factors and the promoted Delta(x) are the meaning of the
 formula, not what is computed. The private kernels ``_solve`` (the resolvent
 solve) and ``_series`` (the Neumann terms) take the realization, the level n
 and the unpromoted grid-outer value delta(x). They apply the blocks through
-``mat.kron_left_identity_apply`` and Delta(x) through
-``freepoly.promoted_apply``, one GEMM with delta(x). ``eval_direct``,
+``mat.kron_left_identity_apply`` and Delta(x) through ``freepoly.promoted_apply``,
+one GEMM with delta(x); ``_series`` runs that arithmetic per term as a fixed
+plan of in-place numpy calls on views made once. ``eval_direct``,
 ``resolvent_leg``, ``eval_neumann`` and ``model_from_realization`` take
 delta(x) from the membership test ``_require_inside``; the fit's holdout and
 the corona residual take it from the sample set, which decided membership.
@@ -55,7 +56,6 @@ from .freepoly import (
     delta_pad_columns,
     eval_poly_matrix,
     promoted_apply,
-    promoted_apply_buffers,
 )
 from .model import ModelSampleSet
 from .ncpoint import DEFAULT_MARGIN, Membership
@@ -189,18 +189,28 @@ def _series(r: Realization, n: int, dx: np.ndarray, k: int) -> np.ndarray:
     """Sum the terms ``Delta (D~ Delta)^j C~`` for j = 0, ..., k at ``dx = delta(x)``.
 
     Adding stops at an all-zero term, since every later term is then
-    exactly zero as well. Each term costs one blockwise product with D
-    and one GEMM with dx, both into buffers reused across terms.
+    exactly zero as well. A later term is bitwise ``promoted_apply`` of
+    ``kron_left_identity_apply`` with D, as four in-place numpy calls on
+    buffers and permuting views made once before the loop.
     """
-    c_tilde = mat.kron_left_identity_apply(n, r.block_c, np.eye(n * r.dim_k1))
-    bufs = promoted_apply_buffers(dx, n, r.mult, n * r.dim_k1)
-    term = promoted_apply(dx, n, r.mult, c_tilde, bufs)
+    mult, rows, cols, q, d = r.mult, r.delta.rows, r.delta.cols, n * r.dim_k1, r.block_d
+    c_tilde = mat.kron_left_identity_apply(n, r.block_c, np.eye(q))
+    term = promoted_apply(dx, n, mult, c_tilde)
     total = term.copy()
-    fed = np.empty((r.block_d.shape[0] * n, term.shape[1]), dtype=np.complex128)
+    fed = np.empty((n, mult * cols, q), dtype=np.complex128)
+    grid_in = np.empty((cols, n, mult, q), dtype=np.complex128)
+    grid_out = np.empty((rows * n, mult * q), dtype=np.complex128)
+    term3 = term.reshape(n, mult * rows, q)
+    fed_t = fed.reshape(n, mult, cols, q).transpose(2, 0, 1, 3)
+    gin2 = grid_in.reshape(cols * n, mult * q)
+    gout_t = grid_out.reshape(rows, n, mult, q).transpose(1, 2, 0, 3)
+    term4 = term.reshape(n, mult, rows, q)
     for _ in range(k):
-        mat.kron_left_identity_apply(n, r.block_d, term, out=fed)
-        promoted_apply(dx, n, r.mult, fed, bufs)  # into term, the last of bufs
-        if not np.any(term):
+        np.matmul(d, term3, out=fed)
+        np.copyto(grid_in, fed_t)
+        np.matmul(dx, gin2, out=grid_out)
+        np.copyto(term4, gout_t)
+        if not term.any():  # the method skips np.any's Python wrapper
             break
         total += term
     return total
@@ -298,10 +308,10 @@ def eval_neumann(r: Realization, x: GradedPoint, tol: float = 1e-8) -> NeumannRe
     than ``NEUMANN_TERM_CAP`` terms raise :class:`TermBlowup`.
 
     The terms ``Delta (D~ Delta)^k C~`` are summed first and ``B~`` is
-    applied once. Each term costs one blockwise product with D and one GEMM
-    with the unpromoted delta(x); neither ``kron(I_n, D)`` nor the promoted
-    Delta(x) is formed, and delta(x) and its norm come from the membership
-    test.
+    applied once. Each term costs one batched product with D and one GEMM
+    with the unpromoted delta(x), in place on views made before the loop;
+    neither ``kron(I_n, D)`` nor the promoted Delta(x) is formed, and
+    delta(x) and its norm come from the membership test.
     """
     dx, r0 = _require_inside(r, x)
     q = r0 if np.any(r.block_d) else 0.0

@@ -28,7 +28,7 @@ from freeholo.freepoly import (
 from freeholo.mat import op_norm
 from freeholo.ncpoint import point_direct_sum
 from freeholo.realize import Realization, eval_direct
-from freeholo.sampling import point_in_shrunk_domain, rng_from_seed
+from freeholo.sampling import point_in_shrunk_domain, point_inside_gdelta, rng_from_seed
 
 UNIT_DISK = PolyMatrix.from_poly(FreePoly.letter(1, 1))
 SHIFT = Realization(UNIT_DISK, 1, 1, 1, np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -85,6 +85,60 @@ def test_split_samples_have_no_cover():
     assert select_covering_delta([PB], [DA, DB]).index == 1
     with pytest.raises(NoCover):
         select_covering_delta([PA, PB], [DA, DB])
+
+
+GRID = PolyMatrix([
+    [FreePoly.letter(2, 1).scale(0.5), FreePoly.letter(2, 2).scale(0.5)],
+    [FreePoly.letter(2, 2).scale(0.3), (FreePoly.letter(2, 1) * FreePoly.letter(2, 2)).scale(0.3)],
+])
+
+
+def scaled(grid, c):
+    return PolyMatrix([[e.scale(c) for e in row] for row in grid.entries], d=grid.d)
+
+
+def grid_of(*rows):
+    """A two-variable grid from rows of ``{word: coefficient}`` entries."""
+    return PolyMatrix([[FreePoly(2, e) for e in row] for row in rows], d=2)
+
+
+@pytest.mark.parametrize(
+    "cover, grid, holds",
+    [
+        (GRID, GRID, True),
+        (scaled(GRID, 1.25), GRID, True),  # c = 0.8, as the approx workload's decoy
+        (scaled(GRID, 0.3), GRID, False),  # c would be 1/0.3
+        (scaled(GRID, -1.0), GRID, False),  # c would be -1
+        (GRID, grid_of([{(2,): 0.25}]), True),  # half of entry (0, 1)
+        (GRID, grid_of([{(1,): 1.0}]), False),  # twice entry (0, 0)
+        (GRID, grid_of([{(1,): 0.5}, {(2,): 0.5}]), True),  # row 0
+        (GRID, grid_of([{(1,): 0.5}], [{(2,): 0.3}]), True),  # column 0
+        (GRID, grid_of([{(2,): 0.5}], [{(2,): 0.3}]), False),  # entries (0, 1) and (1, 0)
+        (GRID, grid_of([{(1, 1): 0.5}]), False),  # a word GRID lacks
+        (GRID, grid_of([{(1,): 0.5}, {}, {(2,): 0.5}]), True),  # row 0, a zero column between
+        (GRID, grid_of([{(1,): 0.5}, {}], [{}, {}]), True),  # a fit's padding
+        (DA, GRID, False),  # larger than the cover
+        (UNIT_DISK, PolyMatrix.from_poly(FreePoly.letter(2, 1)), False),  # other d
+    ],
+)
+def test_dominates_needs_a_scaled_submatrix(cover, grid, holds):
+    assert approx.dominates(cover, grid) is holds
+
+
+def test_dominates_skips_covers_past_the_selection_cap(monkeypatch):
+    one = grid_of([{(1,): 0.5}])
+    monkeypatch.setattr(approx, "SUBMATRIX_CAP", 3)  # GRID has 4 1x1 selections
+    assert not approx.dominates(GRID, one)
+
+
+def test_cover_skips_grids_that_do_not_dominate():
+    rng = rng_from_seed(0)
+    pts = [point_inside_gdelta(rng, GRID, n) for n in (1, 2)]
+    small = scaled(GRID, 0.3)
+    assert select_covering_delta(pts, [small, GRID]).index == 0
+    assert select_covering_delta(pts, [small, GRID], grid=GRID).index == 1
+    with pytest.raises(NoCover, match="2x2 grid of the realization as c times a submatrix"):
+        select_covering_delta(pts, [small], grid=GRID)
 
 
 @st.composite

@@ -341,6 +341,25 @@ GRID = PolyMatrix([
 ])
 
 
+def test_approx_cover_under_the_realization_grid_exits_1(tmp_path, capsys):
+    # 0.3 GRID reaches only 0.3 of GRID's norm, so its shrink factor says
+    # nothing about the realization's series in GRID: the bound it gave was
+    # broken by the polynomial at the samples themselves
+    rng = rng_from_seed(0)
+    r = write(tmp_path, "r.json", random_realization(rng, GRID, 1, 1, 1).to_json())
+    small = PolyMatrix([[e.scale(0.3) for e in row] for row in GRID.entries])
+    pts = [sampling.point_inside_gdelta(rng, GRID, n).to_json() for n in (1, 2, 2, 3)]
+    samples = write(tmp_path, "pts.json", pts)
+    cover = write(tmp_path, "small.json", [small.to_json()])
+    code, rep, _ = run(
+        ["approx", "--realization", r, "--cover", cover, "--samples", samples, "--tol", "1e-3"],
+        capsys,
+    )
+    assert code == 1
+    assert rep["error"]["type"] == "NoCover"
+    assert "as c times a submatrix" in rep["error"]["message"]
+
+
 def test_approx_non_finite_cover_fails_in_either_order(tmp_path, capsys):
     # GRID overflows at (1e200, 1e200); a NaN radius must not be folded
     # away in one order (a certificate that misses a sample point) and

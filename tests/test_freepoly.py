@@ -17,7 +17,6 @@ from freeholo.freepoly import (
     eval_poly_matrix_promoted,
     eval_poly_matrix_stack,
     promoted_apply,
-    promoted_apply_buffers,
 )
 from freeholo.errors import ShapeMismatch
 from freeholo.mat import direct_sum, matrix_to_json, op_norm, op_norms
@@ -427,10 +426,6 @@ def test_promoted_apply_matches_dense(seed, grid, mult, n, q):
     want = eval_poly_matrix_promoted(delta, x, mult) @ y
     dx = eval_poly_matrix(delta, x)
     np.testing.assert_allclose(promoted_apply(dx, n, mult, y), want, rtol=0, atol=1e-12)
-    bufs = promoted_apply_buffers(dx, n, mult, q)
-    out = promoted_apply(dx, n, mult, y, bufs)
-    assert out is bufs[-1]
-    np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
     with pytest.raises(ShapeMismatch):
         promoted_apply(dx, n, mult, y[1:])
 

@@ -14,6 +14,8 @@ module in ``src/freeholo``:
 * in ``model`` and ``realize``, delta is evaluated at a point only where
   membership is decided, and Delta u is formed only by the sample set's
   constructor and the resolvent kernels;
+* each term of the Neumann loop in ``realize._series`` is only numpy calls
+  and array methods, so no per-term validation in a helper creeps back;
 * every module-level function and class, and every public method, is
   reached from the command line or from an entry of ``PUBLIC_API``, whose
   reasons are checked against the acceptance criteria, perfbench and the
@@ -25,6 +27,7 @@ import ast
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -210,6 +213,54 @@ def test_sample_points_evaluate_delta_once(name, users):
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def loop_calls(source: str, function: str) -> tuple:
+    """``(plain, other)``: the calls in the ``for`` loop bodies of the
+    module-level ``function``, as source text.
+
+    A plain call is an ``np.*`` function or a method of ``np.ndarray`` on a
+    bare local name; any other call, a bare helper or builtin name or an
+    attribute of a freeholo module or of a nested attribute, is ``other``.
+    """
+    tree = ast.parse(source)
+    modules = bindings(source)[0]
+    fn = next(n for n in tree.body if isinstance(n, FUNCTIONS) and n.name == function)
+    plain, other = [], []
+    for loop in (n for n in ast.walk(fn) if isinstance(n, ast.For)):
+        for node in (n for stmt in loop.body for n in ast.walk(stmt)):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            owner = None
+            if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+                owner = f.value.id
+            if owner == "np" or (
+                owner not in (None, *modules) and hasattr(np.ndarray, f.attr)
+            ):
+                plain.append(ast.unparse(f))
+            else:
+                other.append(ast.unparse(f))
+    return plain, other
+
+
+def test_loop_calls_tells_numpy_from_helpers():
+    source = (
+        "from . import mat\nfrom .freepoly import promoted_apply\n"
+        "def f(r, a, b, k):\n    b.copy()\n"
+        "    for _ in range(k):\n        np.matmul(a, b, out=b)\n        a.fill(0)\n"
+        "        mat.kron_left_identity_apply(1, a, b)\n        promoted_apply(a, 1, 1, b)\n"
+        "        r.delta.to_json()\n        b.helper()\n"
+    )
+    assert loop_calls(source, "f") == (
+        ["np.matmul", "a.fill"],
+        ["mat.kron_left_identity_apply", "promoted_apply", "r.delta.to_json", "b.helper"],
+    )
+
+
+def test_neumann_loop_calls_only_numpy():
+    plain, other = loop_calls((SRC / "realize.py").read_text(encoding="utf-8"), "_series")
+    assert plain and other == []
 
 
 def bindings(source: str) -> tuple:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import corona_inputs, random_column_data, random_rect_realization
+from conftest import corona_inputs, random_column_data, random_grid, random_rect_realization
+from freeholo import realize
 from freeholo.approx import ORDER_CAP, choose_truncation
 from freeholo.errors import (
     GramMismatch,
@@ -20,8 +21,9 @@ from freeholo.freepoly import (
     PolyMatrix,
     eval_poly_matrix,
     eval_poly_matrix_promoted,
+    promoted_apply,
 )
-from freeholo.mat import isometry_defect, op_norm
+from freeholo.mat import isometry_defect, kron_left_identity_apply, op_norm
 from freeholo.model import ModelSampleSet, model_from_realization, model_residual
 from freeholo.realize import (
     NEUMANN_TERM_CAP,
@@ -41,6 +43,7 @@ from freeholo.sampling import (
     point_inside_gdelta,
     random_free_poly,
     random_realization,
+    random_unitary,
     rng_from_seed,
 )
 
@@ -453,6 +456,78 @@ def test_kernel_matches_dense_kron_reference(seed, grid, k1, offset, mult, n):
     res = eval_neumann(r, x, tol=tol)
     assert op_norm(res.value - omega) <= res.bound + 1e-12
     assert res.k == a_priori_order(op_norm(eval_poly_matrix(delta, x)), tol)
+
+
+def series_by_helpers(r, n, dx, k):
+    """``(sum of the Neumann terms, terms summed)``, each term composed from
+    the library helpers: a product with D through ``kron_left_identity_apply``,
+    then ``promoted_apply``, an all-zero check and an in-place add."""
+    c_tilde = kron_left_identity_apply(n, r.block_c, np.eye(n * r.dim_k1))
+    term = promoted_apply(dx, n, r.mult, c_tilde)
+    total = term.copy()
+    summed = 1
+    for _ in range(k):
+        term = promoted_apply(dx, n, r.mult, kron_left_identity_apply(n, r.block_d, term))
+        if not np.any(term):
+            break
+        total += term
+        summed += 1
+    return total, summed
+
+
+def d_rows_on(rng, grid, k1, mult, keep):
+    """A Haar-built realization whose D rows vanish exactly outside the grid
+    columns ``keep``: ``J1 = [[X, W], [Y, 0]]`` up to a row permutation, with
+    ``[X, W]`` a unitary's columns on the kept rows and ``Y`` an isometry."""
+    i_rows, j_cols = grid
+    k2 = k1 + mult * i_rows
+    kept = list(range(k2)) + [
+        k2 + m * j_cols + j for m in range(mult) for j in range(j_cols) if j in keep
+    ]
+    zeroed = [i for i in range(k2 + mult * j_cols) if i not in kept]
+    u = random_unitary(rng, len(kept))
+    j1 = np.zeros((k2 + mult * j_cols, k1 + mult * i_rows), dtype=np.complex128)
+    j1[np.ix_(kept, range(k1))] = u[:, mult * i_rows : mult * i_rows + k1] / np.sqrt(2)
+    j1[np.ix_(kept, range(k1, j1.shape[1]))] = u[:, : mult * i_rows]
+    j1[np.ix_(zeroed, range(k1))] = haar_isometry(rng, len(zeroed), k1) / np.sqrt(2)
+    return Realization(random_grid(rng, i_rows, j_cols), k1, k2, mult, j1)
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([(1, 2), (2, 1), (2, 3)]),
+    st.integers(1, 3),
+    st.integers(1, 5),
+    st.integers(0, 40),
+)
+@settings(max_examples=30, deadline=None)
+def test_series_equals_helper_composition_bitwise(seed, grid, mult, n, k):
+    # the plan's views split rows from cols, so only rectangular grids show
+    # a swapped reshape
+    rng = rng_from_seed(seed)
+    r = random_rect_realization(rng, *grid, 1 + seed % 2, 1, mult)
+    dx = eval_poly_matrix(r.delta, point_inside_gdelta(rng, r.delta, n))
+    want, _ = series_by_helpers(r, n, dx, k)
+    assert np.array_equal(realize._series(r, n, dx, k), want)
+
+
+@pytest.mark.parametrize("grid", [(1, 2), (2, 3)])
+@pytest.mark.parametrize("mult", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 3])
+def test_series_early_stop_equals_helper_composition_bitwise(grid, mult, n):
+    rng = rng_from_seed(100 * grid[0] + 10 * mult + n)
+    shape = (n * grid[0], n * grid[1])
+    dx = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    dx *= 0.9 / op_norm(dx)
+    # D = 0 stops at the second term; D rows only on grid column 0, where
+    # delta(x) vanishes, make D~ Delta nilpotent and stop there too
+    for keep in ((), (0,)):
+        r = d_rows_on(rng, grid, 1, mult, keep)
+        if keep:
+            dx[:, :n] = 0.0
+        want, summed = series_by_helpers(r, n, dx, 40)
+        assert summed == 1
+        assert np.array_equal(realize._series(r, n, dx, 40), want)
 
 
 def pad_psi_rows(psi, n, k1, extra):
