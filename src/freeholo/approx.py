@@ -44,16 +44,19 @@ class CoverSelection:
     t: float
 
 
-# Relative rounding, and most row and column selections, dominates() allows.
+# Relative rounding of coefficients, and most row and column selections, dominates() allows.
 SCALE_RTOL = 1e-12
 SUBMATRIX_CAP = 4096
 
 
 def dominates(cover, grid) -> bool:
     """Whether ``grid``, less its zero rows and columns, is ``c * cover[R, C]``
-    up to a relative ``SCALE_RTOL``, for a real ``0 < c <= 1`` and rows R and
-    columns C of ``cover`` in order; then ``||grid(x)|| <= ||cover(x)||``
-    everywhere. Past ``SUBMATRIX_CAP`` choices of (R, C) it is no.
+    for a real ``0 < c <= 1`` and rows R and columns C of ``cover`` in order;
+    then ``||grid(x)|| <= ||cover(x)||`` everywhere. c is the ratio of the
+    largest coefficient and may not exceed 1; the other coefficients must
+    match ``c * cover[R, C]`` up to ``SCALE_RTOL`` times that largest one,
+    so the norm inequality, like the bound built on it, holds up to that
+    relative rounding. Past ``SUBMATRIX_CAP`` choices of (R, C) it is no.
     """
     index = {w: i for i, w in enumerate(cover.coeffs.words())}
     words = grid.coeffs.words()
@@ -73,20 +76,20 @@ def dominates(cover, grid) -> bool:
     ):
         sub = cover.coeffs.stack[:, list(rs)][:, :, list(cs)]
         c = (want[top] / sub[top]).real if top and sub[top] else 0.0
-        if 0 < c <= 1 + SCALE_RTOL and np.abs(want - c * sub).max() <= SCALE_RTOL * abs(want[top]):
+        if 0 < c <= 1 and np.abs(want - c * sub).max() <= SCALE_RTOL * abs(want[top]):
             return True
     return False
 
 
-def select_covering_delta(points, candidates, grid=None) -> CoverSelection:
+def select_covering_delta(points, candidates) -> CoverSelection:
     """Pick the candidate grid whose worst norm over the points is smallest.
 
     Requires that worst norm to be strictly under 1 (otherwise
     :class:`NoCover`); ties break to the first index, and a candidate not
     finite on the points raises :class:`NonFiniteValue`. The shrink factor is
     the midpoint ``t = (1 + 1/r) / 2``, which keeps every point strictly
-    inside the shrunk domain ``{ ||t delta|| <= 1 }``. Given the realization's
-    ``grid``, a candidate is skipped unless it :func:`dominates` that grid.
+    inside the shrunk domain ``{ ||t delta|| <= 1 }``. The caller keeps only
+    candidates that :func:`dominates` the realization's grid.
     """
     points = list(points)
     candidates = list(candidates)
@@ -97,8 +100,6 @@ def select_covering_delta(points, candidates, grid=None) -> CoverSelection:
     best_idx = None
     best_r = np.inf
     for idx, delta in enumerate(candidates):
-        if grid is not None and not dominates(delta, grid):
-            continue
         stacks = level_stacks(points, delta.d)
         worst = mat.max_op_norm(eval_poly_matrix_stack(delta, mats) for _, mats in stacks)
         if np.isnan(worst):
@@ -106,9 +107,6 @@ def select_covering_delta(points, candidates, grid=None) -> CoverSelection:
         if worst < best_r:
             best_r = worst
             best_idx = idx
-    if best_idx is None:
-        raise NoCover(f"no candidate grid holds the {grid.rows}x{grid.cols} grid of the "
-                      "realization as c times a submatrix with 0 < c <= 1")
     if best_r >= 1.0:
         raise NoCover(
             f"best candidate still reaches norm {best_r:.6f} >= 1 on the samples"
@@ -130,9 +128,10 @@ def certify_error(r: Realization, k: int, t: float) -> float:
     that :func:`dominates` ``r.delta`` (a smaller cover proves nothing) the
     series term of order j is bounded by ``(1/t)**(j+1)``, so the tail after
     k is at most ``geometric_tail(1/t, k) = (1/t)**(k+2) / (1 - 1/t)``. The
-    bound is a proof under exact arithmetic; rounding in the expanded
-    coefficients is not included. With k from :func:`choose_truncation`, ``bound <= tol``
-    holds by construction. The realization argument fixes the series being
+    bound is a proof under exact arithmetic once the domination holds;
+    :func:`dominates` accepts coefficients off by a relative ``SCALE_RTOL``,
+    and rounding in the expanded coefficients is not included. With k from
+    :func:`choose_truncation`, ``bound <= tol`` holds by construction. The realization argument fixes the series being
     truncated; the bound itself only uses contractivity of its blocks.
     """
     if not t > 1.0:

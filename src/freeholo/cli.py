@@ -29,6 +29,7 @@ from . import jsonio, mat, mero, model, ncpoint, realize, sampling
 from .errors import (
     ExprSyntaxError,
     FreeholoError,
+    NoCover,
     NonFiniteValue,
     SchemaError,
     UnknownVariable,
@@ -295,13 +296,23 @@ def _cmd_approx(args) -> dict:
     candidates = jsonio.load_list("polymatrix", args.cover)
     _check_d(candidates, r.delta.d, "cover", "the d of --realization")
     samples = _load_points(args, "samples", r.delta.d, "the d of --realization", many=True)
-    sel = approx_mod.select_covering_delta(samples, candidates, grid=r.delta)
+    # a tail in the shrink factor of a cover bounds the series only when the
+    # cover dominates the realization's grid; cover_index counts in --cover
+    keep = [i for i, c in enumerate(candidates) if approx_mod.dominates(c, r.delta)]
+    if candidates and not keep:
+        raise NoCover(f"no candidate grid holds the {r.delta.rows}x{r.delta.cols} grid of "
+                      "the realization as c times a submatrix with 0 < c <= 1")
+    try:
+        sel = approx_mod.select_covering_delta(samples, [candidates[i] for i in keep])
+    except NonFiniteValue as e:
+        j = int(str(e).split()[2])  # "candidate grid <j> is not finite ..."
+        raise NonFiniteValue(f"candidate grid {keep[j]} is not finite on the samples") from None
     k = approx_mod.choose_truncation(args.tol, sel.t)
     bound = approx_mod.certify_error(r, k, sel.t)
     poly = approx_mod.expand_polynomial(r, k)
     return {
         "command": "approx",
-        "cover_index": sel.index,
+        "cover_index": keep[sel.index],
         "radius": sel.radius,
         "t": sel.t,
         "k": k,

@@ -216,14 +216,13 @@ def kron_left_identity(n: int, m) -> np.ndarray:
     return np.kron(np.eye(n), as_array(m))
 
 
-def kron_left_identity_apply(n: int, m, x, out=None) -> np.ndarray:
+def kron_left_identity_apply(n: int, m, x) -> np.ndarray:
     """``kron(I_n, m) @ x`` without forming the Kronecker product.
 
     Each of the n row blocks of ``x`` is multiplied by ``m`` through one
     reshape (Van Loan, "The ubiquitous Kronecker product", 2000), costing
     ``n`` times fewer operations than the dense product. Returns an array
-    of shape ``(n * m.shape[0], x.shape[1])``, written into ``out`` when a
-    C-contiguous complex array of that shape is given.
+    of shape ``(n * m.shape[0], x.shape[1])``.
     """
     a = as_array(m)
     x = as_array(x)
@@ -234,13 +233,7 @@ def kron_left_identity_apply(n: int, m, x, out=None) -> np.ndarray:
             f"cannot apply I_{n} (x) {a.shape[0]}x{a.shape[1]} to {x.shape[0]} rows"
         )
     q = x.shape[1]
-    shape = (n * a.shape[0], q)
-    if out is None:
-        out = np.empty(shape, dtype=np.complex128)
-    elif out.shape != shape or not out.flags.c_contiguous:
-        raise ShapeMismatch(f"out must be a C-contiguous {shape[0]}x{shape[1]} array")
-    np.matmul(a, x.reshape(n, a.shape[1], q), out=out.reshape(n, a.shape[0], q))
-    return out
+    return np.matmul(a, x.reshape(n, a.shape[1], q)).reshape(n * a.shape[0], q)
 
 
 def isometry_defect(m) -> float:

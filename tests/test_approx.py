@@ -28,7 +28,7 @@ from freeholo.freepoly import (
 from freeholo.mat import op_norm
 from freeholo.ncpoint import point_direct_sum
 from freeholo.realize import Realization, eval_direct
-from freeholo.sampling import point_in_shrunk_domain, point_inside_gdelta, rng_from_seed
+from freeholo.sampling import point_in_shrunk_domain, rng_from_seed
 
 UNIT_DISK = PolyMatrix.from_poly(FreePoly.letter(1, 1))
 SHIFT = Realization(UNIT_DISK, 1, 1, 1, np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -129,16 +129,6 @@ def test_dominates_skips_covers_past_the_selection_cap(monkeypatch):
     one = grid_of([{(1,): 0.5}])
     monkeypatch.setattr(approx, "SUBMATRIX_CAP", 3)  # GRID has 4 1x1 selections
     assert not approx.dominates(GRID, one)
-
-
-def test_cover_skips_grids_that_do_not_dominate():
-    rng = rng_from_seed(0)
-    pts = [point_inside_gdelta(rng, GRID, n) for n in (1, 2)]
-    small = scaled(GRID, 0.3)
-    assert select_covering_delta(pts, [small, GRID]).index == 0
-    assert select_covering_delta(pts, [small, GRID], grid=GRID).index == 1
-    with pytest.raises(NoCover, match="2x2 grid of the realization as c times a submatrix"):
-        select_covering_delta(pts, [small], grid=GRID)
 
 
 @st.composite

@@ -360,6 +360,24 @@ def test_approx_cover_under_the_realization_grid_exits_1(tmp_path, capsys):
     assert "as c times a submatrix" in rep["error"]["message"]
 
 
+def test_approx_counts_skipped_covers_in_cover_index(tmp_path, capsys):
+    # 0.3 GRID is skipped, so GRID is chosen, and named, at its place in --cover
+    r = write(tmp_path, "r.json", random_realization(rng_from_seed(0), GRID, 1, 1, 1).to_json())
+    small = PolyMatrix([[e.scale(0.3) for e in row] for row in GRID.entries])
+    cover = write(tmp_path, "covers.json", [small.to_json(), GRID.to_json()])
+    inside, huge = ([GradedPoint.scalars([v, v]).to_json()] for v in (0.1, 1e200))
+    args = ["approx", "--realization", r, "--cover", cover, "--tol", "1e-3", "--samples"]
+    code, rep, _ = run(args + [write(tmp_path, "in.json", inside)], capsys)
+    assert code == 0
+    assert rep["cover_index"] == 1
+    code, rep, _ = run(args + [write(tmp_path, "huge.json", inside + huge)], capsys)
+    assert code == 1
+    assert rep["error"] == {
+        "type": "NonFiniteValue",
+        "message": "candidate grid 1 is not finite on the samples",
+    }
+
+
 def test_approx_non_finite_cover_fails_in_either_order(tmp_path, capsys):
     # GRID overflows at (1e200, 1e200); a NaN radius must not be folded
     # away in one order (a certificate that misses a sample point) and

@@ -109,18 +109,12 @@ def test_kron_left_identity_apply_matches_dense(n, rows, cols, q):
     x = rand_matrix(q + cols, n * cols, q)
     want = kron_left_identity(n, m) @ x
     np.testing.assert_allclose(kron_left_identity_apply(n, m, x), want, rtol=0, atol=1e-12)
-    out = np.empty((n * rows, q), dtype=complex)
-    got = kron_left_identity_apply(n, m, x, out=out)
-    assert got is out
-    np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
 
 
 def test_kron_left_identity_apply_rejects_bad_shapes():
     m = rand_matrix(0, 2, 3)
     with pytest.raises(ShapeMismatch):
         kron_left_identity_apply(2, m, rand_matrix(1, 5, 1))
-    with pytest.raises(ShapeMismatch):
-        kron_left_identity_apply(2, m, rand_matrix(1, 6, 1), out=np.empty((6, 1), dtype=complex))
 
 
 def test_isometry_defect_zero_for_unitary():
