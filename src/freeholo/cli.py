@@ -21,6 +21,7 @@ import functools
 import json
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .errors import (
     UnknownVariable,
 )
 from .exprlang import Schedule, eval_expr, parse, print_expr
-from .freepoly import GradedPoint, MatrixPoly
+from .freepoly import MatrixPoly
 from .jsonio import SCHEMA_VERSION
 from .mat import json_int, matrix_to_json
 from .realize import TENSOR_CONVENTION
@@ -99,53 +100,49 @@ def _pairs(values) -> list:
     return [[float(np.real(v)), float(np.imag(v))] for v in values]
 
 
-def _read_expr(args):
-    if getattr(args, "expr", None) is not None:
-        return args.expr
-    path = getattr(args, "expr_file", None)
-    if path is None:
-        raise SchemaError("one of --expr or --expr-file is required")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().strip()
-    except OSError as exc:
-        raise SchemaError(f"cannot read expression file {path}: {exc}") from exc
+class _Function(NamedTuple):
+    """A function read from the command line: ``d`` variables, as
+    ``source`` names them, and the parsed ``tree`` of an expression (None
+    for a realization)."""
+
+    kind: str
+    f: object
+    dims: tuple
+    d: int
+    source: str
+    tree: object
 
 
-def _expr_evaluator(src: str, d: int):
-    ast = parse(src, d)
-    steps = Schedule(ast)
-
-    def f(x: GradedPoint):
-        return eval_expr(steps, x)
-
-    return ast, f
-
-
-def _realized_evaluator(path: str):
-    r = jsonio.load("realization", path)
-
-    def f(x: GradedPoint):
-        return realize.eval_direct(r, x)
-
-    return r, f
-
-
-def _load_function(args):
-    """Return (kind, evaluator, dims, d, source): ``d`` variables, as
-    ``source`` names them.
+def _load_function(args) -> _Function:
+    """The function given by ``--realization`` or by ``--expr``/``--expr-file``
+    with ``--vars``; :class:`SchemaError` when more than one of those
+    sources is given, before any file is read.
 
     A realization's evaluator raises :class:`OutsideDomain` at points
     outside its domain, after the one membership test it makes anyway.
     """
-    if getattr(args, "realization", None) is not None:
-        r, f = _realized_evaluator(args.realization)
-        return "realization", f, (r.dim_k1, r.dim_k2), r.delta.d, "the d of --realization"
-    src = _read_expr(args)
-    if getattr(args, "vars", None) is None:
+    given = [flag for flag in ("--realization", "--expr", "--expr-file")
+             if getattr(args, flag[2:].replace("-", "_"), None) is not None]
+    if len(given) > 1:
+        raise SchemaError(f"{', '.join(given[:-1])} and {given[-1]} are alternatives; give one")
+    if given == ["--realization"]:
+        r = jsonio.load("realization", args.realization)
+        return _Function("realization", lambda x: realize.eval_direct(r, x),
+                         (r.dim_k1, r.dim_k2), r.delta.d, "the d of --realization", None)
+    src = args.expr
+    if src is None:
+        if args.expr_file is None:
+            raise SchemaError("one of --expr or --expr-file is required")
+        try:
+            with open(args.expr_file, "r", encoding="utf-8") as fh:
+                src = fh.read().strip()
+        except OSError as exc:
+            raise SchemaError(f"cannot read expression file {args.expr_file}: {exc}") from exc
+    if args.vars is None:
         raise SchemaError("--vars is required with --expr/--expr-file")
-    _, f = _expr_evaluator(src, args.vars)
-    return "expr", f, (1, 1), args.vars, "--vars"
+    tree = parse(src, args.vars)
+    steps = Schedule(tree)
+    return _Function("expr", lambda x: eval_expr(steps, x), (1, 1), args.vars, "--vars", tree)
 
 
 def _check_d(values, d: int, name: str, source: str) -> None:
@@ -166,14 +163,13 @@ def _load_points(args, flag: str, d: int, source: str, many: bool = False):
 
 
 def _cmd_eval(args) -> dict:
-    src = _read_expr(args)
-    ast, f = _expr_evaluator(src, args.vars)
-    x = _load_points(args, "point", args.vars, "--vars")
-    value = f(x)
+    fn = _load_function(args)
+    x = _load_points(args, "point", fn.d, fn.source)
+    value = fn.f(x)
     return {
         "command": "eval",
-        "expr": print_expr(ast),
-        "vars": args.vars,
+        "expr": print_expr(fn.tree),
+        "vars": fn.d,
         "level": x.n,
         "value": matrix_to_json(value),
     }
@@ -194,8 +190,8 @@ def _cmd_member(args) -> dict:
 
 
 def _cmd_check_nc(args) -> dict:
-    kind, f, dims, d, source = _load_function(args)
-    samples = _load_points(args, "samples", d, source, many=True)
+    fn = _load_function(args)
+    samples = _load_points(args, "samples", fn.d, fn.source, many=True)
     if not samples:
         raise SchemaError("empty sample list")
     rng = sampling.rng_from_seed(args.seed)
@@ -207,11 +203,11 @@ def _cmd_check_nc(args) -> dict:
             sims.append(sampling.random_invertible(rng, n))
             couplings.append(sampling.random_matrix(rng, n))
     rep = ncpoint.check_nc_axioms(
-        f, samples, sims=sims, couplings=couplings, dims=dims, tol=args.tol
+        fn.f, samples, sims=sims, couplings=couplings, dims=fn.dims, tol=args.tol
     )
     return {
         "command": "check-nc",
-        "evaluator": kind,
+        "evaluator": fn.kind,
         "passed": rep.passed,
         "checks": rep.checks,
         "skipped": rep.skipped,
@@ -323,13 +319,13 @@ def _cmd_approx(args) -> dict:
 
 
 def _cmd_derive(args) -> dict:
-    kind, f, dims, d, source = _load_function(args)
-    m = _load_points(args, "point", d, source)
-    e = _load_points(args, "direction", d, source)
-    val = ncpoint.nc_derivative(f, m, e, dims=dims)
+    fn = _load_function(args)
+    m = _load_points(args, "point", fn.d, fn.source)
+    e = _load_points(args, "direction", fn.d, fn.source)
+    val = ncpoint.nc_derivative(fn.f, m, e, dims=fn.dims)
     return {
         "command": "derive",
-        "evaluator": kind,
+        "evaluator": fn.kind,
         "level": m.n,
         "derivative": matrix_to_json(val),
     }
@@ -355,23 +351,22 @@ def _sampled_bound(f, delta, seed: int) -> float:
 
 
 def _cmd_mero_certify(args) -> dict:
-    src = _read_expr(args)
-    ast, f = _expr_evaluator(src, args.vars)
+    fn = _load_function(args)
     delta = jsonio.load("polymatrix", args.delta)
-    _check_d([delta], args.vars, "delta", "--vars")
-    m = _load_points(args, "point", args.vars, "--vars")
+    _check_d([delta], fn.d, "delta", fn.source)
+    m = _load_points(args, "point", fn.d, fn.source)
     if args.bound is not None:
         bound_sup = args.bound
         bound_source = "asserted"
     else:
-        bound_sup = _sampled_bound(f, delta, args.seed)
+        bound_sup = _sampled_bound(fn.f, delta, args.seed)
         bound_source = "sampled"
     cert = mero.inversion_certificate(
-        f, delta, m, bound_sup, bound_source=bound_source
+        fn.f, delta, m, bound_sup, bound_source=bound_source
     )
     return {
         "command": "mero-certify",
-        "expr": print_expr(ast),
+        "expr": print_expr(fn.tree),
         "bound_inv": cert.bound_inv,
         "bound_sup": cert.bound_sup,
         "bound_source": cert.bound_source,
@@ -383,13 +378,12 @@ def _cmd_mero_certify(args) -> dict:
 
 
 def _cmd_mero_scan(args) -> dict:
-    src = _read_expr(args)
-    ast = parse(src, args.vars)
-    samples = _load_points(args, "samples", args.vars, "--vars", many=True)
-    rep = mero.singular_scan(ast, samples)
+    fn = _load_function(args)
+    samples = _load_points(args, "samples", fn.d, fn.source, many=True)
+    rep = mero.singular_scan(fn.tree, samples)
     return {
         "command": "mero-scan",
-        "expr": print_expr(ast),
+        "expr": print_expr(fn.tree),
         "checked": rep.total,
         "singular_count": rep.n_singular,
         "singular_paths": [list(p) for p in rep.paths()],
@@ -412,10 +406,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
 
-def _add_expr_flags(p: argparse.ArgumentParser, require_vars: bool = True) -> None:
+def _add_function_flags(p: argparse.ArgumentParser, realization: bool = False) -> None:
+    """The flags :func:`_load_function` reads; ``--vars`` is required
+    unless ``--realization`` is offered."""
     p.add_argument("--expr", default=None, help="inline expression source")
     p.add_argument("--expr-file", default=None, dest="expr_file", help="file holding the expression")
-    p.add_argument("--vars", type=int, required=require_vars, help="number of free variables d")
+    p.add_argument("--vars", type=int, required=not realization, help="number of free variables d")
+    if realization:
+        p.add_argument("--realization", default=None, help="Realization JSON file (alternative to --expr)")
 
 
 @functools.cache
@@ -432,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate an expression at a matrix point")
-    _add_expr_flags(p)
+    _add_function_flags(p)
     p.add_argument("--point", required=True, help="GradedPoint JSON file")
     _add_common(p)
     p.set_defaults(handler=_cmd_eval)
@@ -445,8 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_member)
 
     p = sub.add_parser("check-nc", help="check direct-sum and similarity behaviour on samples")
-    _add_expr_flags(p, require_vars=False)
-    p.add_argument("--realization", default=None, help="Realization JSON file (alternative to --expr)")
+    _add_function_flags(p, realization=True)
     p.add_argument("--samples", required=True, help="JSON array of GradedPoint")
     p.add_argument("--sims", type=int, default=3, help="random similarities per level")
     _add_common(p)
@@ -479,8 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_approx)
 
     p = sub.add_parser("derive", help="directional derivative via the triangular embedding")
-    _add_expr_flags(p, require_vars=False)
-    p.add_argument("--realization", default=None, help="Realization JSON file (alternative to --expr)")
+    _add_function_flags(p, realization=True)
     p.add_argument("--point", required=True, help="GradedPoint JSON file (base point)")
     p.add_argument("--direction", required=True, help="GradedPoint JSON file (direction)")
     _add_common(p)
@@ -490,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     msub = p.add_subparsers(dest="mero_command", required=True)
 
     pc = msub.add_parser("certify", help="inversion certificate for f at an invertible value")
-    _add_expr_flags(pc)
+    _add_function_flags(pc)
     pc.add_argument("--delta", required=True, help="PolyMatrix JSON file for the domain")
     pc.add_argument("--point", required=True, help="GradedPoint JSON file (the point M)")
     pc.add_argument("--bound", type=float, default=None, help="asserted sup bound B; sampled when omitted")
@@ -498,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(handler=_cmd_mero_certify)
 
     ps = msub.add_parser("scan", help="scan samples for singular inversions")
-    _add_expr_flags(ps)
+    _add_function_flags(ps)
     ps.add_argument("--samples", required=True, help="JSON array of GradedPoint")
     _add_common(ps)
     ps.set_defaults(handler=_cmd_mero_scan)

@@ -10,6 +10,7 @@ import copy
 import io
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -182,7 +183,7 @@ def test_fit_cmd_and_determinism(tmp_path, capsys):
 
 def test_fit_gram_mismatch_exits_1(tmp_path, capsys):
     samples = fit_samples(tmp_path)
-    payload = json.loads(open(samples).read())
+    payload = json.loads(pathlib.Path(samples).read_text())
     # corrupt one psi value so the positivity bookkeeping cannot hold
     payload["psi"][0]["data"][0][0] += 0.37
     bad = write(tmp_path, "bad.json", payload)
@@ -278,7 +279,7 @@ def test_integer_fields_must_be_json_integers(tmp_path, capsys, name, path, bad)
         "delta": UNIT_DISK.to_json(),
         "point": GradedPoint.scalars([0.5]).to_json(),
         "realization": mobius(0.5).to_json(),
-        "samples": json.loads(open(fit_samples(tmp_path)).read()),
+        "samples": json.loads(pathlib.Path(fit_samples(tmp_path)).read_text()),
         "corona": corona_payload(),
     }
     node = payloads[name]
@@ -755,7 +756,7 @@ def run_subprocess(argv):
 
 def huge_psi_samples(tmp_path):
     # finite input whose Gram products overflow to inf and NaN
-    payload = json.loads(open(fit_samples(tmp_path, n_points=6)).read())
+    payload = json.loads(pathlib.Path(fit_samples(tmp_path, n_points=6)).read_text())
     payload["psi"][0]["data"][0][0] = 1e200
     return write(tmp_path, "huge.json", payload)
 
@@ -943,6 +944,118 @@ def test_deep_inv_scan_reports_path(tmp_path):
     rep = strict_loads(proc.stdout)
     assert rep["singular_paths"] == [[0] * (DEEP - 1)]
     assert [e["singular"] for e in rep["entries"]] == [False, True]
+
+
+# The five subcommands that read a function, each with valid other inputs
+# for a function of d = 2 variables.
+FUNCTION_COMMANDS = {
+    "eval": ["eval", "--point", "{p}"],
+    "check-nc": ["check-nc", "--samples", "{s}"],
+    "derive": ["derive", "--point", "{p}", "--direction", "{p}"],
+    "mero certify": ["mero", "certify", "--delta", "{delta}", "--point", "{p}"],
+    "mero scan": ["mero", "scan", "--samples", "{s}"],
+}
+
+
+def function_inputs(tmp_path):
+    p = GradedPoint.scalars([0.3, 0.2])
+    half = PolyMatrix([[FreePoly.letter(2, 1).scale(0.5), FreePoly.letter(2, 2).scale(0.5)]])
+    return {
+        "p": write(tmp_path, "p.json", p.to_json()),
+        "s": write(tmp_path, "s.json", [p.to_json()]),
+        "delta": write(tmp_path, "delta.json", half.to_json()),
+        "missing": str(tmp_path / "missing.json"),
+    }
+
+
+SECOND_SOURCES = [
+    (c, ["--expr", "x1", "--expr-file", "{missing}"], "--expr and --expr-file")
+    for c in FUNCTION_COMMANDS
+] + [
+    (c, ["--realization", "{missing}", "--expr", "x1"] + more, named)
+    for c in ("check-nc", "derive")
+    for more, named in [([], "--realization and --expr"),
+                        (["--expr-file", "{missing}"], "--realization, --expr and --expr-file")]
+]
+
+
+@pytest.mark.parametrize(
+    "command, sources, named", SECOND_SOURCES,
+    ids=[c + "".join(f for f in s if f.startswith("--")) for c, s, _ in SECOND_SOURCES],
+)
+def test_second_function_source_exits_2(tmp_path, capsys, command, sources, named):
+    # the extra source used to be ignored; the files named here do not
+    # exist, so an error that reads one would name it
+    paths = function_inputs(tmp_path)
+    argv = FUNCTION_COMMANDS[command] + sources + ["--vars", "1"]
+    code, _, raw = run([a.format(**paths) for a in argv], capsys)
+    assert code == 2
+    assert strict_loads(raw)["error"] == {
+        "type": "SchemaError", "message": f"{named} are alternatives; give one"
+    }
+
+
+BROKEN_TEXTS = [
+    # (flag, text; None for a missing file), error type, offset
+    ("--expr", "", "ExprSyntaxError", 0),
+    ("--expr-file", " \n\t\n", "ExprSyntaxError", 0),
+    ("--expr-file", None, "SchemaError", None),
+    ("--expr", "x1 +", "ExprSyntaxError", 4),
+    ("--expr", "((x1", "ExprSyntaxError", 4),
+    ("--expr", "x1)", "ExprSyntaxError", 2),
+    ("--expr", "inv x1", "ExprSyntaxError", 4),
+    ("--expr", "x0", "UnknownVariable", 0),
+    ("--expr", "x3", "UnknownVariable", 0),
+    ("--expr", "1e999", "ExprSyntaxError", 0),
+    ("--expr", "x²", "ExprSyntaxError", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, text, kind, offset", BROKEN_TEXTS,
+    ids=["empty", "blank-file", "missing-file", "dangling-plus", "unclosed", "unopened",
+         "bare-inv", "x0", "x3", "overflow", "superscript"],
+)
+def test_broken_expression_text_gives_one_error_everywhere(
+    tmp_path, capsys, flag, text, kind, offset
+):
+    paths = function_inputs(tmp_path)
+    source = text
+    if flag == "--expr-file":
+        source = tmp_path / "e.txt"
+        if text is not None:
+            source.write_text(text)
+    errors = {}
+    for command, argv in FUNCTION_COMMANDS.items():
+        code = cli.main([a.format(**paths) for a in argv] + [flag, str(source), "--vars", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        errors[command] = strict_loads(captured.out)["error"]
+    first = errors["eval"]
+    assert all(e == first for e in errors.values())
+    assert first["type"] == kind and first.get("offset") == offset
+    assert ("index" in first) == ("d" in first) == (kind == "UnknownVariable")
+
+
+@pytest.mark.parametrize("command", FUNCTION_COMMANDS)
+def test_function_inputs_are_valid(tmp_path, capsys, command):
+    # so an error above comes from the expression, not from another input
+    paths = function_inputs(tmp_path)
+    argv = FUNCTION_COMMANDS[command] + ["--expr", "x1*x2 + 1", "--vars", "2"]
+    code, rep, _ = run([a.format(**paths) for a in argv], capsys)
+    assert code == 0 and "error" not in rep
+
+
+@pytest.mark.parametrize("command", ["eval", "mero scan"])
+def test_deep_inv_nest_keeps_the_contract(tmp_path, capsys, command):
+    paths = function_inputs(tmp_path)
+    deep = "inv(" * DEEP + "x1" + ")" * DEEP
+    argv = FUNCTION_COMMANDS[command] + ["--expr", deep, "--vars", "2"]
+    code = cli.main([a.format(**paths) for a in argv])
+    captured = capsys.readouterr()
+    assert code in (0, 1) and captured.err == ""
+    report = strict_loads(captured.out)
+    assert (code == 0) == ("error" not in report)
 
 
 ENTRIES = st.one_of(

@@ -16,6 +16,8 @@ module in ``src/freeholo``:
   constructor and the resolvent kernels;
 * each term of the Neumann loop in ``realize._series`` is only numpy calls
   and array methods, so no per-term validation in a helper creeps back;
+* in ``cli``, only ``_load_function`` parses an expression or builds an
+  evaluator, so every subcommand that takes a function reads it one way;
 * every module-level function and class, and every public method, is
   reached from the command line or from an entry of ``PUBLIC_API``, whose
   reasons are checked against the acceptance criteria, perfbench and the
@@ -107,6 +109,12 @@ def test_largest_norms_go_through_the_screened_kernel():
         "cli._sampled_bound",
         "mero.norm_at",
     }
+
+
+@pytest.mark.parametrize("name", ["parse", "Schedule", "eval_expr", "realize.eval_direct"])
+def test_functions_are_read_by_one_loader(name):
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert callers(source, "cli", {name}) == {"cli._load_function"}
 
 
 NORM_CALLS = {"op_norm", "op_norms", "mat.op_norm", "mat.op_norms"}
