@@ -12,6 +12,9 @@ evaluation, a point outside the domain), and 2 on I/O or schema problems,
 including numeric flags outside their domain. Reports are strict JSON:
 non-finite numbers, such as the infinite shrink factor of ``approx`` at a
 sample set on the grid's zero set, are written as ``null``.
+
+At module level this imports only what ``eval --expr`` runs; every other
+handler imports its library modules when it is called.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import approx as approx_mod
-from . import jsonio, mat, mero, model, ncpoint, realize, sampling
+from . import jsonio, mat
 from .errors import (
     ExprSyntaxError,
     FreeholoError,
@@ -36,10 +38,9 @@ from .errors import (
     UnknownVariable,
 )
 from .exprlang import Schedule, eval_expr, parse, print_expr
-from .freepoly import MatrixPoly
-from .jsonio import SCHEMA_VERSION
+from .freepoly import DEFAULT_MARGIN, MatrixPoly
+from .jsonio import SCHEMA_VERSION, TENSOR_CONVENTION
 from .mat import json_int, matrix_to_json
-from .realize import TENSOR_CONVENTION
 
 _INPUT_ERRORS = (SchemaError, ExprSyntaxError, UnknownVariable)
 
@@ -116,7 +117,8 @@ class _Function(NamedTuple):
 def _load_function(args) -> _Function:
     """The function given by ``--realization`` or by ``--expr``/``--expr-file``
     with ``--vars``; :class:`SchemaError` when more than one of those
-    sources is given, before any file is read.
+    sources is given, before any file is read, or when ``--vars`` is given
+    with a realization of another d.
 
     A realization's evaluator raises :class:`OutsideDomain` at points
     outside its domain, after the one membership test it makes anyway.
@@ -126,7 +128,11 @@ def _load_function(args) -> _Function:
     if len(given) > 1:
         raise SchemaError(f"{', '.join(given[:-1])} and {given[-1]} are alternatives; give one")
     if given == ["--realization"]:
+        from . import realize
+
         r = jsonio.load("realization", args.realization)
+        if args.vars is not None:
+            _check_d([r.delta], args.vars, "--realization", "--vars")
         return _Function("realization", lambda x: realize.eval_direct(r, x),
                          (r.dim_k1, r.dim_k2), r.delta.d, "the d of --realization", None)
     src = args.expr
@@ -176,6 +182,8 @@ def _cmd_eval(args) -> dict:
 
 
 def _cmd_member(args) -> dict:
+    from . import ncpoint
+
     delta = jsonio.load("polymatrix", args.delta)
     x = _load_points(args, "point", delta.d, "the d of --delta")
     m = ncpoint.in_gdelta(delta, x, margin=args.margin)
@@ -190,6 +198,8 @@ def _cmd_member(args) -> dict:
 
 
 def _cmd_check_nc(args) -> dict:
+    from . import ncpoint, sampling
+
     fn = _load_function(args)
     samples = _load_points(args, "samples", fn.d, fn.source, many=True)
     if not samples:
@@ -218,6 +228,8 @@ def _cmd_check_nc(args) -> dict:
 
 
 def _cmd_model_residual(args) -> dict:
+    from . import model
+
     s = jsonio.load("modelsamples", args.samples)
     return {
         "command": "model-residual",
@@ -228,7 +240,7 @@ def _cmd_model_residual(args) -> dict:
     }
 
 
-def _fit_summary(fit: realize.FitResult) -> dict:
+def _fit_summary(fit) -> dict:
     return {
         "gram_deviation": fit.gram_deviation,
         "rank": fit.rank,
@@ -240,6 +252,8 @@ def _fit_summary(fit: realize.FitResult) -> dict:
 
 
 def _cmd_fit(args) -> dict:
+    from . import realize
+
     s = jsonio.load("modelsamples", args.samples)
     fit = realize.fit_lurking_isometry(
         s,
@@ -255,6 +269,8 @@ def _cmd_fit(args) -> dict:
 
 
 def _cmd_corona(args) -> dict:
+    from . import realize
+
     payload = jsonio.load_json(args.input)
     try:
         delta = jsonio.decode("polymatrix", payload["delta"])
@@ -288,24 +304,26 @@ def _cmd_corona(args) -> dict:
 
 
 def _cmd_approx(args) -> dict:
+    from . import approx
+
     r = jsonio.load("realization", args.realization)
     candidates = jsonio.load_list("polymatrix", args.cover)
     _check_d(candidates, r.delta.d, "cover", "the d of --realization")
     samples = _load_points(args, "samples", r.delta.d, "the d of --realization", many=True)
     # a tail in the shrink factor of a cover bounds the series only when the
     # cover dominates the realization's grid; cover_index counts in --cover
-    keep = [i for i, c in enumerate(candidates) if approx_mod.dominates(c, r.delta)]
+    keep = [i for i, c in enumerate(candidates) if approx.dominates(c, r.delta)]
     if candidates and not keep:
         raise NoCover(f"no candidate grid holds the {r.delta.rows}x{r.delta.cols} grid of "
                       "the realization as c times a submatrix with 0 < c <= 1")
     try:
-        sel = approx_mod.select_covering_delta(samples, [candidates[i] for i in keep])
+        sel = approx.select_covering_delta(samples, [candidates[i] for i in keep])
     except NonFiniteValue as e:
         j = int(str(e).split()[2])  # "candidate grid <j> is not finite ..."
         raise NonFiniteValue(f"candidate grid {keep[j]} is not finite on the samples") from None
-    k = approx_mod.choose_truncation(args.tol, sel.t)
-    bound = approx_mod.certify_error(r, k, sel.t)
-    poly = approx_mod.expand_polynomial(r, k)
+    k = approx.choose_truncation(args.tol, sel.t)
+    bound = approx.certify_error(r, k, sel.t)
+    poly = approx.expand_polynomial(r, k)
     return {
         "command": "approx",
         "cover_index": keep[sel.index],
@@ -319,6 +337,8 @@ def _cmd_approx(args) -> dict:
 
 
 def _cmd_derive(args) -> dict:
+    from . import ncpoint
+
     fn = _load_function(args)
     m = _load_points(args, "point", fn.d, fn.source)
     e = _load_points(args, "direction", fn.d, fn.source)
@@ -334,6 +354,8 @@ def _cmd_derive(args) -> dict:
 def _sampled_bound(f, delta, seed: int) -> float:
     """The largest ``||f(x)||`` over 200 points sampled inside the domain;
     :class:`NonFiniteValue` where a value or its norm is not finite."""
+    from . import sampling
+
     rng = sampling.rng_from_seed(seed)
     points = sampling.points_inside_gdelta(rng, delta, [1 + (i % 3) for i in range(200)])
     by_level = {}
@@ -351,6 +373,8 @@ def _sampled_bound(f, delta, seed: int) -> float:
 
 
 def _cmd_mero_certify(args) -> dict:
+    from . import mero
+
     fn = _load_function(args)
     delta = jsonio.load("polymatrix", args.delta)
     _check_d([delta], fn.d, "delta", fn.source)
@@ -378,6 +402,8 @@ def _cmd_mero_certify(args) -> dict:
 
 
 def _cmd_mero_scan(args) -> dict:
+    from . import mero
+
     fn = _load_function(args)
     samples = _load_points(args, "samples", fn.d, fn.source, many=True)
     rep = mero.singular_scan(fn.tree, samples)
@@ -438,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("member", help="test membership of a point in a basic free open set")
     p.add_argument("--delta", required=True, help="PolyMatrix JSON file")
     p.add_argument("--point", required=True, help="GradedPoint JSON file")
-    p.add_argument("--margin", type=float, default=ncpoint.DEFAULT_MARGIN)
+    p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
     _add_common(p)
     p.set_defaults(handler=_cmd_member)
 

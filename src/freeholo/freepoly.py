@@ -33,6 +33,10 @@ from .mat import json_int, matrix_from_json, matrix_to_json
 # coefficients with modulus under this are purged during normalization
 EPS_COEFF = 1e-15
 
+# Width of the band around ||delta(x)|| = 1 that membership tests of a grid
+# delta call boundary; points under 1 - DEFAULT_MARGIN are inside.
+DEFAULT_MARGIN = 1e-9
+
 
 def graded_sum(rows: np.ndarray, stack: np.ndarray) -> tuple:
     """Distinct words among word rows ``[length, letters..., 0...]``, summed.

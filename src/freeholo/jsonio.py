@@ -8,24 +8,28 @@ input (exit 2) from mathematical failure (exit 1).
 
 from __future__ import annotations
 
+import importlib
 import json
 
 from .errors import FreeholoError, SchemaError, ShapeMismatch
-from .freepoly import FreePoly, GradedPoint, MatrixPoly, PolyMatrix
-from .mat import matrix_from_json
-from .model import ModelSampleSet
-from .realize import Realization
 
 SCHEMA_VERSION = "freeholo/1"
 
+# Layout contract for every tensor product in the package: the level index
+# is the outermost factor, then the multiplicity, then the grid index, and
+# promoted blocks act as kron(I_n, block).
+TENSOR_CONVENTION = "level-outer/mult-mid/grid-inner v1"
+
+# "module:attribute" of each decoder, imported on the first decode of its
+# kind, so reading a point loads no realization or sample-set code
 _DECODERS = {
-    "cmatrix": matrix_from_json,
-    "freepoly": FreePoly.from_json,
-    "polymatrix": PolyMatrix.from_json,
-    "gradedpoint": GradedPoint.from_json,
-    "matrixpoly": MatrixPoly.from_json,
-    "realization": Realization.from_json,
-    "modelsamples": ModelSampleSet.from_json,
+    "cmatrix": "mat:matrix_from_json",
+    "freepoly": "freepoly:FreePoly.from_json",
+    "polymatrix": "freepoly:PolyMatrix.from_json",
+    "gradedpoint": "freepoly:GradedPoint.from_json",
+    "matrixpoly": "freepoly:MatrixPoly.from_json",
+    "realization": "realize:Realization.from_json",
+    "modelsamples": "model:ModelSampleSet.from_json",
 }
 
 
@@ -41,6 +45,12 @@ def decode(kind: str, obj):
     decoder = _DECODERS.get(kind)
     if decoder is None:
         raise SchemaError(f"unknown payload kind {kind!r}")
+    if isinstance(decoder, str):
+        module, attr = decoder.split(":")
+        decoder = importlib.import_module(f".{module}", __package__)
+        for part in attr.split("."):
+            decoder = getattr(decoder, part)
+        _DECODERS[kind] = decoder
     try:
         return decoder(obj)
     except ShapeMismatch as exc:

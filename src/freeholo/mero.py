@@ -25,8 +25,8 @@ from .errors import (
     SingularityHit,
 )
 from .exprlang import Schedule, eval_expr
-from .freepoly import GradedPoint, PolyMatrix, eval_poly_matrix
-from .ncpoint import DEFAULT_MARGIN, Membership
+from .freepoly import DEFAULT_MARGIN, GradedPoint, PolyMatrix, eval_poly_matrix
+from .ncpoint import Membership
 
 INVERTIBILITY_RTOL = 1e-10
 

@@ -20,9 +20,7 @@ import numpy as np
 
 from . import mat
 from .errors import OutsideDomain, ShapeMismatch
-from .freepoly import GradedPoint, PolyMatrix, eval_poly_matrix
-
-DEFAULT_MARGIN = 1e-9
+from .freepoly import DEFAULT_MARGIN, GradedPoint, PolyMatrix, eval_poly_matrix
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ together with an I-by-J grid delta. Its value at a level-n point x inside
     Omega(x) = (I_n (x) A) + (I_n (x) B) Delta(x) (I - (I_n (x) D) Delta(x))^{-1} (I_n (x) C)
 
 where Delta(x) is the multiplicity-promoted evaluation of delta in the fixed
-layout level (x) multiplicity (x) grid-index (see ``TENSOR_CONVENTION``).
+layout level (x) multiplicity (x) grid-index (see ``jsonio.TENSOR_CONVENTION``).
 Isometry of J1 forces ``||Omega(x)|| <= 1`` strictly inside the domain.
 
 The Kronecker factors and the promoted Delta(x) are the meaning of the
@@ -51,6 +51,7 @@ from .errors import (
     TermBlowup,
 )
 from .freepoly import (
+    DEFAULT_MARGIN,
     GradedPoint,
     PolyMatrix,
     delta_pad_columns,
@@ -58,12 +59,7 @@ from .freepoly import (
     promoted_apply,
 )
 from .model import ModelSampleSet
-from .ncpoint import DEFAULT_MARGIN, Membership
-
-# Layout contract for every tensor product in this module: the level index
-# is the outermost factor, then the multiplicity, then the grid index, and
-# promoted blocks act as kron(I_n, block).
-TENSOR_CONVENTION = "level-outer/mult-mid/grid-inner v1"
+from .ncpoint import Membership
 
 ISOMETRY_TOL = 1e-8
 

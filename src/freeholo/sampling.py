@@ -12,8 +12,15 @@ import numpy as np
 
 from . import mat
 from .errors import OutsideDomain, ShapeMismatch
-from .freepoly import FreePoly, GradedPoint, PolyMatrix, eval_poly_matrix, eval_poly_matrix_stack
-from .ncpoint import DEFAULT_MARGIN, Membership, point_direct_sum
+from .freepoly import (
+    DEFAULT_MARGIN,
+    FreePoly,
+    GradedPoint,
+    PolyMatrix,
+    eval_poly_matrix,
+    eval_poly_matrix_stack,
+)
+from .ncpoint import Membership, point_direct_sum
 from .realize import Realization
 
 

@@ -31,10 +31,10 @@ from freeholo.freepoly import (
     PolyMatrix,
     commutator_delta,
 )
-from freeholo.jsonio import SCHEMA_VERSION
+from freeholo.jsonio import SCHEMA_VERSION, TENSOR_CONVENTION
 from freeholo.mat import matrix_to_json
 from freeholo.model import model_from_realization
-from freeholo.realize import Realization, TENSOR_CONVENTION, stack_column
+from freeholo.realize import Realization, stack_column
 from freeholo.sampling import random_realization, rng_from_seed
 
 UNIT_DISK = PolyMatrix.from_poly(FreePoly.letter(1, 1))
@@ -841,7 +841,7 @@ def test_mero_certify_failed_sampled_norm_exits_1(tmp_path, capsys, monkeypatch)
         PolyMatrix.from_poly(FreePoly.letter(1, 1).scale(0.5)).to_json(),
     )
     point = write(tmp_path, "p.json", GradedPoint.scalars([0.5]).to_json())
-    op_norms, sample = cli.mat.op_norms, cli.sampling.points_inside_gdelta
+    op_norms, sample = cli.mat.op_norms, sampling.points_inside_gdelta
 
     def sample_then_fail(*args):
         # SVDs fail only once the points are drawn, where f's norms are taken
@@ -851,7 +851,7 @@ def test_mero_certify_failed_sampled_norm_exits_1(tmp_path, capsys, monkeypatch)
         )
         return points
 
-    monkeypatch.setattr(cli.sampling, "points_inside_gdelta", sample_then_fail)
+    monkeypatch.setattr(sampling, "points_inside_gdelta", sample_then_fail)
     code, _, raw = run(
         ["mero", "certify", "--expr", "x1 + 1", "--vars", "1", "--delta", half,
          "--point", point],
@@ -1359,3 +1359,107 @@ def test_cli_contract_holds_on_broken_inputs(tmp_path_factory, fuzz_bundles, com
     assert code in (0, 1, 2)
     report = strict_loads(out.getvalue())
     assert (code == 0) == ("error" not in report)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-nc", "--realization", "{r}", "--vars", "2", "--samples", "{s}"],
+        ["derive", "--realization", "{r}", "--vars", "2", "--point", "{p}", "--direction", "{p}"],
+    ],
+    ids=["check-nc", "derive"],
+)
+def test_vars_disagreeing_with_the_realization_exits_2(tmp_path, capsys, argv):
+    # --vars used to be ignored when --realization was given (exit 0)
+    p = GradedPoint.scalars([0.3])
+    paths = {
+        "r": write(tmp_path, "r.json", mobius(0.3).to_json()),
+        "p": write(tmp_path, "p.json", p.to_json()),
+        "s": write(tmp_path, "s.json", [p.to_json()]),
+    }
+    code, _, raw = run([a.format(**paths) for a in argv], capsys)
+    assert code == 2
+    assert strict_loads(raw)["error"] == {
+        "type": "SchemaError", "message": "--realization has d=1 but --vars is 2"
+    }
+
+
+# One run of the installed ``freeholo`` command (``freeholo.cli:main``) in a
+# fresh interpreter; the freeholo modules it loaded go to stderr.
+LAUNCH = (
+    "import sys\n"
+    "from freeholo.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(*(m for m in sys.modules if m.split('.')[0] == 'freeholo'), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def launched_modules(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freeholo.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCH] + argv,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return set(proc.stderr.split())
+
+
+def test_eval_expr_loads_only_what_it_calls(tmp_path):
+    point = write(tmp_path, "p.json", GradedPoint.scalars([1.0, 1.0]).to_json())
+    assert launched_modules(["eval", "--expr", FLAGSHIP, "--vars", "2", "--point", point]) == {
+        "freeholo", "freeholo.cli", "freeholo.errors", "freeholo.exprlang",
+        "freeholo.freepoly", "freeholo.jsonio", "freeholo.mat",
+    }
+
+
+def test_member_loads_no_realization_code(tmp_path):
+    delta = write(tmp_path, "delta.json", UNIT_DISK.to_json())
+    point = write(tmp_path, "p.json", GradedPoint.scalars([0.5]).to_json())
+    loaded = launched_modules(["member", "--delta", delta, "--point", point])
+    assert "freeholo.ncpoint" in loaded
+    assert not loaded & {f"freeholo.{m}" for m in ("realize", "model", "mero", "approx", "sampling")}
+
+
+def test_every_subcommand_runs_in_a_fresh_interpreter(tmp_path):
+    # each handler imports what it calls; a missing import would end in a
+    # NameError traceback on stderr
+    p1 = GradedPoint.scalars([0.25])
+    half = PolyMatrix.from_poly(FreePoly.letter(1, 1).scale(0.5))
+    files = {
+        "r": write(tmp_path, "r.json", mobius(0.5).to_json()),
+        "p": write(tmp_path, "p.json", GradedPoint.scalars([0.3, 0.2]).to_json()),
+        "p1": write(tmp_path, "p1.json", p1.to_json()),
+        "s1": write(tmp_path, "s1.json", [p1.to_json(), GradedPoint.scalars([0.5]).to_json()]),
+        "far": write(tmp_path, "far.json", [GradedPoint.scalars([1.5]).to_json()]),
+        "half": write(tmp_path, "half.json", half.to_json()),
+        "s25": write(tmp_path, "s25.json", [p1.to_json()]),
+        "cover": write(tmp_path, "cover.json", [
+            PolyMatrix.from_poly(FreePoly.letter(1, 1).scale(2.0)).to_json()
+        ]),
+        "disk": write(tmp_path, "disk.json", [UNIT_DISK.to_json()]),
+        "model": fit_samples(tmp_path, n_points=4),
+        "corona": write(tmp_path, "corona.json", corona_payload()),
+    }
+    runs = [
+        (["eval", "--expr", FLAGSHIP, "--vars", "2", "--point", "{p}"], 0),
+        (["member", "--delta", "{half}", "--point", "{p1}"], 0),
+        (["check-nc", "--realization", "{r}", "--samples", "{s1}", "--sims", "1"], 0),
+        (["model-residual", "--samples", "{model}"], 0),
+        (["fit", "--samples", "{model}"], 0),
+        (["corona", "--input", "{corona}"], 0),
+        (["approx", "--realization", "{r}", "--cover", "{cover}", "--samples", "{s25}",
+          "--tol", "1e-3"], 0),
+        (["approx", "--realization", "{r}", "--cover", "{disk}", "--samples", "{far}"], 1),
+        (["derive", "--expr", "x1*x1", "--vars", "1", "--point", "{p1}", "--direction", "{p1}"], 0),
+        (["mero", "certify", "--expr", "x1 + 1", "--vars", "1", "--delta", "{half}",
+          "--point", "{p1}"], 0),
+        (["mero", "scan", "--expr", "inv(x1)", "--vars", "1", "--samples", "{s1}"], 0),
+        (["derive", "--realization", "{r}", "--vars", "2", "--point", "{p1}",
+          "--direction", "{p1}"], 2),
+    ]
+    for argv, want in runs:
+        proc = run_subprocess([a.format(**files) for a in argv])
+        assert (proc.returncode, proc.stderr) == (want, ""), argv
+        report = strict_loads(proc.stdout)
+        assert ("error" in report) == (want != 0), argv

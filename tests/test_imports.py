@@ -4,7 +4,10 @@ No linter ships with the project, so these walk the syntax tree of each
 module in ``src/freeholo``:
 
 * every module-level import is referenced by its module (``__init__.py``
-  re-exports and is skipped);
+  re-exports and is skipped), and every import inside a function by that
+  function;
+* every lazy export of ``freeholo/__init__.py`` resolves to its module's
+  object and is listed by ``dir(freeholo)``;
 * ``freepoly.graded_sum`` is the only function that orders or merges
   words, the only caller of ``np.lexsort`` and ``np.add.at``;
 * operator norms come from ``mat.op_norms``, the only caller of
@@ -26,11 +29,14 @@ module in ``src/freeholo``:
 """
 
 import ast
+import importlib
 import pathlib
 import re
 
 import numpy as np
 import pytest
+
+import freeholo
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "freeholo"
@@ -61,6 +67,54 @@ def test_unused_imports_finds_what_is_never_read():
 )
 def test_library_modules_use_their_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_local_imports(source: str) -> list:
+    """``function.name`` for each name bound by an import inside a function
+    that the function, its nested scopes included, never reads."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound, pending = set(), list(fn.body)
+        while pending:  # the function's own statements, not a nested def's
+            node = pending.pop()
+            if isinstance(node, ast.Import):
+                bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                bound |= {a.asname or a.name for a in node.names}
+            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                pending.extend(ast.iter_child_nodes(node))
+        used = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+        found += [f"{fn.name}.{name}" for name in sorted(bound - used)]
+    return found
+
+
+def test_unused_local_imports_finds_what_its_function_never_reads():
+    source = (
+        "from . import mat\n"
+        "def f():\n    from . import realize, model\n    import os.path\n"
+        "    return lambda x: realize.g(x)\n"
+        "def g():\n    from .mat import op_norm as norm\n"
+        "    def inner():\n        from . import mero\n        return norm\n    return mat\n"
+    )
+    assert unused_local_imports(source) == ["f.model", "f.os", "inner.mero"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_library_functions_use_their_imports(path):
+    assert unused_local_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_lazy_exports_resolve_to_their_modules():
+    listed = dir(freeholo)
+    for name, module in freeholo._MODULE_OF.items():
+        assert getattr(freeholo, name) is getattr(
+            importlib.import_module(f"freeholo.{module}"), name
+        ), name
+        assert name in listed
+    with pytest.raises(AttributeError):
+        freeholo.no_such_name
 
 
 def callers(source: str, module: str, names: set) -> set:
