@@ -58,12 +58,12 @@ def dominates(cover, grid) -> bool:
     so the norm inequality, like the bound built on it, holds up to that
     relative rounding. Past ``SUBMATRIX_CAP`` choices of (R, C) it is no.
     """
-    index = {w: i for i, w in enumerate(cover.coeffs.words())}
-    words = grid.coeffs.words()
+    index = {w: i for i, w in enumerate(cover.words())}
+    words = grid.words()
     if cover.d != grid.d or not set(words) <= set(index):
         return False
     want = np.zeros((len(index), grid.rows, grid.cols), dtype=np.complex128)
-    want[[index[w] for w in words]] = grid.coeffs.stack
+    want[[index[w] for w in words]] = grid.stack
     used = want.any(axis=0)  # zero rows and columns, as a fit pads, leave the norm
     want = want[:, used.any(axis=1)][:, :, used.any(axis=0)]
     rows, cols = want.shape[1:]
@@ -74,7 +74,7 @@ def dominates(cover, grid) -> bool:
         itertools.combinations(range(cover.rows), rows),
         itertools.combinations(range(cover.cols), cols),
     ):
-        sub = cover.coeffs.stack[:, list(rs)][:, :, list(cs)]
+        sub = cover.stack[:, list(rs)][:, :, list(cs)]
         c = (want[top] / sub[top]).real if top and sub[top] else 0.0
         if 0 < c <= 1 and np.abs(want - c * sub).max() <= SCALE_RTOL * abs(want[top]):
             return True
@@ -103,7 +103,7 @@ def select_covering_delta(points, candidates) -> CoverSelection:
         stacks = level_stacks(points, delta.d)
         worst = mat.max_op_norm(eval_poly_matrix_stack(delta, mats) for _, mats in stacks)
         if np.isnan(worst):
-            raise NonFiniteValue(f"candidate grid {idx} is not finite on the samples")
+            raise NonFiniteValue(f"candidate grid {idx} is not finite on the samples", idx)
         if worst < best_r:
             best_r = worst
             best_idx = idx
@@ -202,14 +202,14 @@ def expand_polynomial(r: Realization, k: int) -> MatrixPoly:
     """
     if k < 0:
         raise ValueError("truncation order must be nonnegative")
-    grid = _promoted_grid(r.delta, r.mult)
+    promoted = _promoted_grid(r.delta, r.mult)
     # a block with no entry of modulus EPS_COEFF is zero, as a constant MatrixPoly
     a, b, c, dd = (
         np.array(m, dtype=np.complex128) if np.max(np.abs(m)) >= EPS_COEFF
         else np.zeros(m.shape, dtype=np.complex128)
         for m in (r.block_a, r.block_b, r.block_c, r.block_d)
     )
-    u_rows, delta = grid.rows, grid.stack
+    u_rows, delta = promoted.word_rows, promoted.stack
 
     acc_rows, acc = _purge(np.zeros((1, 1), dtype=np.int64), a[None], 0)
     leg_rows, leg = _purge(u_rows, delta @ c, 0)

@@ -319,8 +319,8 @@ def _cmd_approx(args) -> dict:
     try:
         sel = approx.select_covering_delta(samples, [candidates[i] for i in keep])
     except NonFiniteValue as e:
-        j = int(str(e).split()[2])  # "candidate grid <j> is not finite ..."
-        raise NonFiniteValue(f"candidate grid {keep[j]} is not finite on the samples") from None
+        j = keep[e.candidate]
+        raise NonFiniteValue(f"candidate grid {j} is not finite on the samples", j) from None
     k = approx.choose_truncation(args.tol, sel.t)
     bound = approx.certify_error(r, k, sel.t)
     poly = approx.expand_polynomial(r, k)

@@ -87,7 +87,15 @@ class NotInvertible(FreeholoError, ArithmeticError):
 
 
 class NonFiniteValue(FreeholoError, ArithmeticError):
-    """A function value is not finite where a bound is taken from it."""
+    """A function value is not finite where a bound is taken from it.
+
+    ``candidate`` is the position of the candidate grid whose values were
+    not finite, when a choice among grids failed.
+    """
+
+    def __init__(self, message, candidate=None):
+        super().__init__(message)
+        self.candidate = candidate
 
 
 class RootFindingFailure(FreeholoError, ArithmeticError):

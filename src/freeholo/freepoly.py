@@ -1,15 +1,17 @@
 """Free polynomials in noncommuting variables and their matrix evaluation.
 
 A word is a tuple of 1-based letters, e.g. ``(1, 2, 1)`` stands for
-``x1 x2 x1``. Every polynomial here has one normal form, a ``MatrixPoly``:
-read-only word rows ``[length, letters..., 0...]`` in graded
-lexicographic order and one stack with a coefficient matrix per row.
+``x1 x2 x1``. Every polynomial here is a ``PolyMatrix``, a grid held in
+one normal form ``delta = sum_w C_w w``: read-only word rows
+``[length, letters..., 0...]`` in graded lexicographic order and one stack
+with a rows-by-cols coefficient matrix ``C_w`` per row.
 :func:`graded_sum` is the only routine that orders and merges word rows;
 the series expansion in :mod:`freeholo.approx` uses it and
-:func:`word_products` too. A ``FreePoly`` (a combination of words in
-``d`` variables, evaluated at tuples of n-by-n matrices for every level
-n >= 1) is the 1x1 case of a ``PolyMatrix``, a grid of them held as
-``delta = sum_w C_w w`` with a rows-by-cols ``C_w`` per word.
+:func:`word_products` too. Two subclasses add methods, not storage: a
+``FreePoly`` (a combination of words in ``d`` variables, evaluated at
+tuples of n-by-n matrices for every level n >= 1) is the 1x1 case with
+ring operations, and a ``MatrixPoly`` is read as one polynomial with
+matrix coefficients.
 
 Evaluation layout conventions, fixed once and for all:
 
@@ -209,31 +211,33 @@ def _json_arrays(obj) -> tuple:
     return (d, *_term_arrays(d, (), pairs))
 
 
-def _ring_form(d: int, rows, coeffs) -> "MatrixPoly":
-    """The 1x1 normal form of word rows and their numbers, summed from ``0j``.
+def _ring_form(d: int, word_rows, coeffs) -> tuple:
+    """``(d, word rows, stack)``, the 1x1 normal form of word rows and their
+    numbers, summed from ``0j``.
 
     Products are Python's: numpy's complex product may fuse a multiply and
     an add, which moves the last bit.
     """
     stack = np.asarray(coeffs, dtype=np.complex128).reshape(-1, 1, 1) + 0.0
-    return MatrixPoly._of(d, *_purged(*graded_sum(rows, stack)))
+    return (d, *_purged(*graded_sum(word_rows, stack)))
 
 
-def _entries_json(c: "MatrixPoly") -> list:
+def _entries_json(pm: "PolyMatrix") -> list:
     """The grid of :meth:`FreePoly.to_json` objects, written from the stack:
     entry (i, j) lists the words whose coefficient there is at least ``EPS_COEFF``."""
-    words = c.words()
+    words = pm.words()
 
     def entry(coeffs):
         terms = [{"coeff": [v.real + 0.0, v.imag + 0.0], "word": list(w)}
                  for w, v in zip(words, coeffs) if abs(v) >= EPS_COEFF]
-        return {"d": c.d, "terms": terms}
+        return {"d": pm.d, "terms": terms}
 
-    return [[entry(vs) for vs in row] for row in c.stack.transpose(1, 2, 0).tolist()]
+    return [[entry(vs) for vs in row] for row in pm.stack.transpose(1, 2, 0).tolist()]
 
 
-def _grid_form(grid, d) -> "MatrixPoly":
-    """Coefficient form of a grid of ``(d, word rows, numbers)`` entries.
+def _grid_form(grid, d) -> tuple:
+    """``(d, word rows, stack)``, the normal form of a grid of ``(d, word
+    rows, numbers)`` entries.
 
     The numbers sit at their entries of one stack, summed from ``0j`` and
     normalised once; an entry under ``EPS_COEFF`` is then zero, as in a
@@ -255,42 +259,55 @@ def _grid_form(grid, d) -> "MatrixPoly":
     stack[np.arange(len(words)), at] = np.concatenate([cell[2] for cell in cells] + [[]])
     words, stack = _purged(*graded_sum(words, stack.reshape(len(words), rows, cols) + 0.0))
     stack[np.abs(stack) < EPS_COEFF] = 0.0
-    return MatrixPoly._of(d, words, stack)
+    return d, words, stack
 
 
 class PolyMatrix:
     """Rectangular grid of free polynomials sharing one variable count.
 
-    In :attr:`coeffs`, word w carries the rows-by-cols matrix ``C_w`` whose
-    entry (i, j) is the coefficient of w in grid entry (i, j), so the grid
-    is ``delta = sum_w C_w w``. The constructor and :meth:`from_json` place
-    each entry's coefficients at (i, j) of one stack; :meth:`to_json` writes
-    the entries straight from it, and :attr:`entries` reads them back as a
-    grid of ``FreePoly``, the 1x1 case.
+    Held in the normal form ``delta = sum_w C_w w``: read-only
+    :attr:`word_rows` in graded lexicographic order, and their read-only
+    ``(m, rows, cols)`` coefficient :attr:`stack`, whose slice for word w
+    has the coefficient of w in grid entry (i, j) at (i, j). The
+    constructor and :meth:`from_json` place each entry's coefficients there;
+    :meth:`to_json` writes the entries straight from the stack, and
+    :attr:`entries` reads them back as a grid of ``FreePoly``, the 1x1
+    case. Every polynomial goes through :func:`graded_sum` and
+    :func:`_purged`, and its word rows are cut to the width of the longest
+    word, so equal polynomials have equal word rows and stacks.
 
     Immutable; ``==`` with one of the same type compares word rows and
     stacks exactly, and the hash maps ``-0.0`` to ``0.0`` as ``==`` does.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_d", "_word_rows", "_stack")
 
     def __init__(self, entries, d: int | None = None):
         grid = [list(row) for row in entries]
         if not all(isinstance(p, FreePoly) for row in grid for p in row):
             raise TypeError("entries must be FreePoly")
-        cells = [[(p.d, p.coeffs.rows, p.coeffs.stack[:, 0, 0]) for p in row] for row in grid]
-        object.__setattr__(self, "_coeffs", _grid_form(cells, d))
+        cells = [[(p.d, p._word_rows, p._stack[:, 0, 0]) for p in row] for row in grid]
+        self._hold(*_grid_form(cells, d))
 
     @classmethod
-    def _of(cls, coeffs: "MatrixPoly"):
-        """The polynomial whose coefficient form is ``coeffs``."""
+    def _of(cls, d: int, word_rows: np.ndarray, stack: np.ndarray):
+        """The polynomial of word rows and a stack already in normal form."""
         self = object.__new__(cls)
-        object.__setattr__(self, "_coeffs", coeffs)
+        self._hold(d, word_rows, stack)
         return self
+
+    def _hold(self, d, word_rows, stack):
+        # the longest word is last, so its length is the width of the rows
+        word_rows = word_rows[:, : 1 + word_rows[-1, 0]] if len(word_rows) else word_rows[:, :1]
+        word_rows.setflags(write=False)
+        stack.setflags(write=False)
+        object.__setattr__(self, "_d", int(d))
+        object.__setattr__(self, "_word_rows", word_rows)
+        object.__setattr__(self, "_stack", stack)
 
     @classmethod
     def from_poly(cls, p: FreePoly) -> "PolyMatrix":
-        return cls._of(p.coeffs)
+        return cls._of(p.d, p.word_rows, p.stack)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -298,45 +315,57 @@ class PolyMatrix:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        return a.d == b.d and np.array_equal(a.rows, b.rows) and np.array_equal(a.stack, b.stack)
+        return (self._d == other._d and np.array_equal(self._word_rows, other._word_rows)
+                and np.array_equal(self._stack, other._stack))
 
     def __hash__(self):
-        c = self._coeffs
-        return hash((c.d, c.stack.shape, c.rows.tobytes(), (c.stack + 0).tobytes()))
-
-    @property
-    def coeffs(self) -> "MatrixPoly":
-        return self._coeffs
+        return hash((self._d, self._stack.shape, self._word_rows.tobytes(),
+                     (self._stack + 0).tobytes()))
 
     @property
     def d(self) -> int:
-        return self._coeffs.d
+        return self._d
 
     @property
-    def rows(self):
-        return self._coeffs.out_dim
+    def rows(self) -> int:
+        return self._stack.shape[1]
 
     @property
-    def cols(self):
-        return self._coeffs.in_dim
+    def cols(self) -> int:
+        return self._stack.shape[2]
+
+    @property
+    def word_rows(self) -> np.ndarray:
+        """The read-only word rows ``[length, letters..., 0...]``, graded."""
+        return self._word_rows
+
+    @property
+    def stack(self) -> np.ndarray:
+        """The read-only coefficient stack, one slice per word row."""
+        return self._stack
+
+    def term_count(self) -> int:
+        return len(self._word_rows)
+
+    def words(self):
+        """The words in graded lexicographic order."""
+        return [tuple(r[1 : 1 + r[0]]) for r in self._word_rows.tolist()]
 
     @property
     def entries(self):
-        return tuple(tuple(map(FreePoly.from_json, row)) for row in _entries_json(self._coeffs))
+        return tuple(tuple(map(FreePoly.from_json, row)) for row in _entries_json(self))
 
     def __repr__(self):
-        return f"PolyMatrix({self.rows}x{self.cols}, d={self.d})"
+        return f"{type(self).__name__}({self.rows}x{self.cols}, d={self.d})"
 
     def to_json(self) -> dict:
-        c = self._coeffs
-        return {"rows": c.out_dim, "cols": c.in_dim, "d": c.d, "entries": _entries_json(c)}
+        return {"rows": self.rows, "cols": self.cols, "d": self._d, "entries": _entries_json(self)}
 
     @classmethod
     def from_json(cls, obj) -> "PolyMatrix":
         grid = [[_json_arrays(p) for p in row] for row in obj["entries"]]
         header = (json_int(obj.get("d", 1), "d"), *(json_int(obj[k], k) for k in ("rows", "cols")))
-        pm = cls._of(_grid_form(grid, header[0]))
+        pm = cls._of(*_grid_form(grid, header[0]))
         if (pm.d, pm.rows, pm.cols) != header:
             raise ShapeMismatch("polynomial grid header disagrees with entries")
         return pm
@@ -346,13 +375,14 @@ class FreePoly(PolyMatrix):
     """Finite complex combination of words in d noncommuting variables.
 
     The 1x1 :class:`PolyMatrix`, so it is accepted wherever a grid is, with
-    ring operations: :attr:`coeffs` holds one 1x1 coefficient per word. ``+`` stacks the word rows and ``*`` forms the
-    pairwise :func:`word_products`, each merged by :func:`graded_sum` and
-    purged by :func:`_purged`; negation and :meth:`scale` act on the
-    stack. So a coefficient under ``EPS_COEFF`` in modulus is dropped, a
-    NaN or infinite one (given, or reached by overflow) raises
-    ``ValueError``, and words are in graded order. Every coefficient is
-    summed from ``0j``, so no real or imaginary part is ``-0.0``.
+    ring operations on its one 1x1 coefficient per word. ``+`` stacks the
+    word rows and ``*`` forms the pairwise :func:`word_products`, each
+    merged by :func:`graded_sum` and purged by :func:`_purged`; negation
+    and :meth:`scale` act on the stack. So a coefficient under ``EPS_COEFF``
+    in modulus is dropped, a NaN or infinite one (given, or reached by
+    overflow) raises ``ValueError``, and words are in graded order. Every
+    coefficient is summed from ``0j``, so no real or imaginary part is
+    ``-0.0``.
     """
 
     __slots__ = ()
@@ -360,8 +390,7 @@ class FreePoly(PolyMatrix):
     def __init__(self, d: int, terms=None):
         if d < 1:
             raise ValueError("need at least one variable")
-        coeffs = _ring_form(d, *_term_arrays(d, (), (terms or {}).items()))
-        object.__setattr__(self, "_coeffs", coeffs)
+        self._hold(*_ring_form(d, *_term_arrays(d, (), (terms or {}).items())))
 
     # -- constructors ------------------------------------------------------
 
@@ -378,7 +407,7 @@ class FreePoly(PolyMatrix):
 
     @property
     def terms(self) -> dict:
-        return dict(zip(self._coeffs.words(), self._coeffs.stack[:, 0, 0].tolist()))
+        return dict(zip(self.words(), self._stack[:, 0, 0].tolist()))
 
     def __repr__(self):
         bits = [f"({c:g})*" + ("*".join(f"x{i}" for i in w) or "1") for w, c in self.terms.items()]
@@ -394,15 +423,15 @@ class FreePoly(PolyMatrix):
         return FreePoly.const(self.d, other)
 
     def __add__(self, other):
-        a, b = self._coeffs, self._like(other)._coeffs
-        rows = stack_rows((a.rows, b.rows))
-        return FreePoly._of(_ring_form(self.d, rows, np.concatenate((a.stack, b.stack))))
+        b = self._like(other)
+        word_rows = stack_rows((self._word_rows, b._word_rows))
+        stack = np.concatenate((self._stack, b._stack))
+        return FreePoly._of(*_ring_form(self._d, word_rows, stack))
 
     __radd__ = __add__
 
     def __neg__(self):
-        c = self._coeffs
-        return FreePoly._of(MatrixPoly._of(self.d, c.rows, -c.stack + 0.0))
+        return FreePoly._of(self._d, self._word_rows, -self._stack + 0.0)
 
     def __sub__(self, other):
         return self + (-self._like(other))
@@ -411,27 +440,28 @@ class FreePoly(PolyMatrix):
         return self._like(other) - self
 
     def __mul__(self, other):
-        a, b = self._coeffs, self._like(other)._coeffs
-        u, w = a.stack.ravel().tolist(), b.stack.ravel().tolist()
-        rows = word_products(a.rows, b.rows)
-        return FreePoly._of(_ring_form(self.d, rows, [x * y for x in u for y in w]))
+        b = self._like(other)
+        u, w = self._stack.ravel().tolist(), b._stack.ravel().tolist()
+        word_rows = word_products(self._word_rows, b._word_rows)
+        return FreePoly._of(*_ring_form(self._d, word_rows, [x * y for x in u for y in w]))
 
     def __rmul__(self, other):
         return self._like(other) * self
 
     def scale(self, c) -> "FreePoly":
-        c, a = complex(c), self._coeffs
-        return FreePoly._of(_ring_form(self.d, a.rows, [c * v for v in a.stack.ravel().tolist()]))
+        c = complex(c)
+        coeffs = [c * v for v in self._stack.ravel().tolist()]
+        return FreePoly._of(*_ring_form(self._d, self._word_rows, coeffs))
 
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        return _entries_json(self._coeffs)[0][0]
+        return _entries_json(self)[0][0]
 
     @classmethod
     def from_json(cls, obj) -> "FreePoly":
         """Decode :meth:`to_json` output; a word listed twice gets the sum."""
-        return cls._of(_ring_form(*_json_arrays(obj)))
+        return cls._of(*_ring_form(*_json_arrays(obj)))
 
 
 def eval_poly(p: FreePoly, x: GradedPoint) -> np.ndarray:
@@ -460,9 +490,9 @@ def eval_poly_matrix_stack(pm: PolyMatrix, mats) -> np.ndarray:
     adds nothing (not even ``0 * inf``), so a direct sum of grids evaluates
     to the exact block diagonal, and each point's value is bitwise its own.
     """
-    (p, n, _), word, words = mats[0].shape, _word_values(mats), pm.coeffs.words()
+    (p, n, _), word, words = mats[0].shape, _word_values(mats), pm.words()
     out = np.zeros((p, pm.rows, n, pm.cols, n), dtype=np.complex128)
-    for i, row in enumerate(pm.coeffs.stack.transpose(1, 2, 0).tolist()):
+    for i, row in enumerate(pm.stack.transpose(1, 2, 0).tolist()):
         for j, coeffs in enumerate(row):
             block = out[:, i, :, j]
             for w, c in zip(words, coeffs):
@@ -502,17 +532,16 @@ def eval_poly_matrix_promoted(pm: PolyMatrix, x: GradedPoint, mult: int) -> np.n
     return _promoted_grid(pm, mult).eval(x)
 
 
-def _promoted_grid(pm: PolyMatrix, mult: int) -> "MatrixPoly":
+def _promoted_grid(pm: PolyMatrix, mult: int) -> MatrixPoly:
     """The multiplicity-promoted grid ``{w: kron(I_mult, C_w)}``.
 
-    ``C_w`` is the rows-by-cols coefficient of word w in ``pm.coeffs``.
-    This is the one definition of the promoted Delta: its value at x is
+    ``C_w`` is the rows-by-cols slice of ``pm.stack`` for word w. This is
+    the one definition of the promoted Delta: its value at x is
     :func:`eval_poly_matrix_promoted`, and
     :func:`freeholo.approx.expand_polynomial` expands the series over its
     terms.
     """
-    grid = pm.coeffs
-    return MatrixPoly._of(pm.d, grid.rows, np.kron(np.eye(mult)[None], grid.stack))
+    return MatrixPoly._of(pm.d, pm.word_rows, np.kron(np.eye(mult)[None], pm.stack))
 
 
 def promoted_apply(dx: np.ndarray, n: int, mult: int, y: np.ndarray) -> np.ndarray:
@@ -553,10 +582,8 @@ def delta_pad_columns(pm: PolyMatrix, extra: int) -> PolyMatrix:
         raise ShapeMismatch("cannot pad a negative number of columns")
     if extra == 0 or pm.rows == 0:
         return pm
-    grid = pm.coeffs
-    zeros = np.zeros(grid.stack.shape[:2] + (extra,), dtype=np.complex128)
-    stack = np.concatenate((grid.stack, zeros), axis=2)
-    return PolyMatrix._of(MatrixPoly._of(pm.d, grid.rows, stack))
+    zeros = np.zeros(pm.stack.shape[:2] + (extra,), dtype=np.complex128)
+    return PolyMatrix._of(pm.d, pm.word_rows, np.concatenate((pm.stack, zeros), axis=2))
 
 
 def commutator_delta() -> PolyMatrix:
@@ -569,85 +596,36 @@ def commutator_delta() -> PolyMatrix:
     return PolyMatrix.from_poly(FreePoly.const(2, 1.0) - comm * comm)
 
 
-class MatrixPoly:
+class MatrixPoly(PolyMatrix):
     """Free polynomial whose coefficients are complex matrices.
 
-    The value at a graded point is ``sum_w kron(w(x), C_w)`` with the level
-    index outer, matching operator-valued evaluation elsewhere. A value
-    type without arithmetic, held as read-only word rows :attr:`rows` in
-    graded lexicographic order and their read-only ``(m, out_dim, in_dim)``
-    coefficient :attr:`stack`; :meth:`words` and :attr:`terms` (views of
-    the stack) are built from them when read.
-
-    Words from outside (the dict constructor and :meth:`from_json`) are
-    validated: a letter outside 1..d raises ``ValueError``. Every
-    polynomial, these and the ones library code builds, then goes through
-    :func:`graded_sum` and :func:`_purged`, and its rows are cut to the
-    width of the longest word, so equal polynomials have equal rows and
-    stacks.
+    The :class:`PolyMatrix` normal form read as one operator-valued
+    polynomial rather than a grid of scalar ones: the value at a graded
+    point is ``sum_w kron(w(x), C_w)`` with the level index outer, matching
+    operator-valued evaluation elsewhere, and the JSON lists each word with
+    its ``out_dim``-by-``in_dim`` matrix. A value type without arithmetic;
+    :attr:`terms` (views of the stack) is built when read. Words from
+    outside (the dict constructor and :meth:`from_json`) are validated: a
+    letter outside 1..d raises ``ValueError``.
     """
 
-    __slots__ = ("_d", "_rows", "_stack")
+    __slots__ = ()
+
+    out_dim = PolyMatrix.rows
+    in_dim = PolyMatrix.cols
 
     def __init__(self, d: int, out_dim: int, in_dim: int, terms=None):
-        rows, stack = _term_arrays(d, (out_dim, in_dim), (terms or {}).items())
-        self._hold(d, *_purged(*graded_sum(rows, stack)))
-
-    @classmethod
-    def _of(cls, d: int, rows: np.ndarray, stack: np.ndarray) -> "MatrixPoly":
-        """The polynomial of rows and a stack already in normal form."""
-        self = object.__new__(cls)
-        self._hold(d, rows, stack)
-        return self
-
-    def _hold(self, d, rows, stack):
-        rows = rows[:, : 1 + rows[-1, 0]] if len(rows) else rows[:, :1]  # longest word last
-        rows.setflags(write=False)
-        stack.setflags(write=False)
-        object.__setattr__(self, "_d", int(d))
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_stack", stack)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixPoly is immutable")
-
-    @property
-    def d(self):
-        return self._d
-
-    @property
-    def out_dim(self):
-        return self._stack.shape[1]
-
-    @property
-    def in_dim(self):
-        return self._stack.shape[2]
+        word_rows, stack = _term_arrays(d, (out_dim, in_dim), (terms or {}).items())
+        self._hold(d, *_purged(*graded_sum(word_rows, stack)))
 
     @property
     def terms(self):
         return dict(zip(self.words(), self._stack))
 
-    @property
-    def rows(self) -> np.ndarray:
-        """The read-only word rows ``[length, letters..., 0...]``, graded."""
-        return self._rows
-
-    @property
-    def stack(self) -> np.ndarray:
-        """The read-only coefficient stack, one slice per row of :attr:`rows`."""
-        return self._stack
-
-    def term_count(self) -> int:
-        return len(self._rows)
-
-    def words(self):
-        """The words in graded lexicographic order."""
-        return [tuple(r[1 : 1 + r[0]]) for r in self._rows.tolist()]
-
     def eval(self, x: GradedPoint) -> np.ndarray:
         """:func:`eval_poly_matrix` of these coefficients, level index moved outside."""
-        n, rows, cols = x.n, self.out_dim, self.in_dim
-        value = eval_poly_matrix(PolyMatrix._of(self), x).reshape(rows, n, cols, n)
+        n, rows, cols = x.n, self.rows, self.cols
+        value = eval_poly_matrix(self, x).reshape(rows, n, cols, n)
         return value.transpose(1, 0, 3, 2).reshape(n * rows, n * cols)
 
     def to_json(self) -> dict:

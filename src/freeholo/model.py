@@ -40,7 +40,7 @@ from .freepoly import GradedPoint, PolyMatrix, eval_poly_matrix_stack, level_sta
 from .ncpoint import Membership
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSampleSet:
     """Immutable bundle of sample data for fitting and residual checks.
 

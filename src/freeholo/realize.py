@@ -70,7 +70,7 @@ NEUMANN_TERM_CAP = 200_000
 PAD_CAP = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Realization:
     """Isometric colligation (A, B, C, D) over a grid delta.
 
@@ -274,7 +274,7 @@ def tail_order(q: float, tol: float, cap: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeumannResult:
     """Certified truncation: ``||value - exact|| <= bound <= tol``.
 

@@ -21,7 +21,6 @@ from .freepoly import (
     eval_poly_matrix_stack,
 )
 from .ncpoint import Membership, point_direct_sum
-from .realize import Realization
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -170,6 +169,8 @@ def random_realization(rng, delta: PolyMatrix, dim_k1: int, dim_k2: int, mult: i
     (``dim_k rows/cols`` bookkeeping), which holds for any square grid with
     ``dim_k1 <= dim_k2``.
     """
+    from .realize import Realization  # here, so sampling alone loads no realize or model
+
     dom = dim_k1 + mult * delta.rows
     cod = dim_k2 + mult * delta.cols
     if cod < dom:

@@ -16,7 +16,7 @@ from freeholo.approx import (
     expand_polynomial,
     select_covering_delta,
 )
-from freeholo.errors import NoCover, TermBlowup
+from freeholo.errors import NoCover, NonFiniteValue, TermBlowup
 from freeholo.freepoly import (
     FreePoly,
     GradedPoint,
@@ -91,6 +91,16 @@ GRID = PolyMatrix([
     [FreePoly.letter(2, 1).scale(0.5), FreePoly.letter(2, 2).scale(0.5)],
     [FreePoly.letter(2, 2).scale(0.3), (FreePoly.letter(2, 1) * FreePoly.letter(2, 2)).scale(0.3)],
 ])
+
+
+def test_non_finite_candidate_carries_its_position():
+    # x1 x2 overflows at (1e200, 1e200); the letter grid DA stays finite
+    pts = [GradedPoint.scalars([0.1, 0.1]), GradedPoint.scalars([1e200, 1e200])]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NonFiniteValue, match="^candidate grid 1 is not finite"
+    ) as caught:
+        select_covering_delta(pts, [DA, GRID])
+    assert caught.value.candidate == 1
 
 
 def scaled(grid, c):

@@ -1421,6 +1421,23 @@ def test_member_loads_no_realization_code(tmp_path):
     assert not loaded & {f"freeholo.{m}" for m in ("realize", "model", "mero", "approx", "sampling")}
 
 
+def test_sampling_subcommands_load_no_realization_code(tmp_path):
+    # check-nc --expr and a sampled mero certify draw points with sampling,
+    # which imports realize only for random_realization
+    disk = PolyMatrix.from_poly(FreePoly.letter(1, 1).scale(0.5))
+    half = write(tmp_path, "half.json", disk.to_json())
+    p1 = GradedPoint.scalars([0.25]).to_json()
+    point = write(tmp_path, "p1.json", p1)
+    samples = write(tmp_path, "s1.json", [p1, GradedPoint.scalars([0.5]).to_json()])
+    for argv in (
+        ["check-nc", "--expr", "x1*x1", "--vars", "1", "--samples", samples, "--sims", "1"],
+        ["mero", "certify", "--expr", "x1 + 1", "--vars", "1", "--delta", half, "--point", point],
+    ):
+        loaded = launched_modules(argv)
+        assert "freeholo.sampling" in loaded, argv
+        assert not loaded & {"freeholo.realize", "freeholo.model", "freeholo.approx"}, argv
+
+
 def test_every_subcommand_runs_in_a_fresh_interpreter(tmp_path):
     # each handler imports what it calls; a missing import would end in a
     # NameError traceback on stderr

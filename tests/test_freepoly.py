@@ -105,13 +105,13 @@ def test_product_expansion():
 
 def test_cancellation_drops_terms():
     p = x(1) * x(2) - x(1) * x(2)
-    assert p.coeffs.term_count() == 0
+    assert p.term_count() == 0
     assert p.terms == {}
 
 
 def test_graded_lex_order():
     p = FreePoly(2, {w: 1.0 for w in [(2,), (1, 1), (), (1,), (2, 1)]})
-    assert p.coeffs.words() == [(), (1,), (2,), (1, 1), (2, 1)]
+    assert p.words() == [(), (1,), (2,), (1, 1), (2, 1)]
 
 
 @given(st.integers(0, 10_000))
@@ -159,7 +159,7 @@ def test_eval_is_ring_morphism(seed):
         for w, v in want.items():
             k = sum(u == w for u, _ in contributions)
             assert abs(terms[w] - v) <= k * bound[w]
-        parts = got.coeffs.stack.view(np.float64)
+        parts = got.stack.view(np.float64)
         assert not np.signbit(parts[parts == 0]).any()
 
 
@@ -250,9 +250,9 @@ def test_poly_matrix_json_header_must_match_entries():
 
 def test_poly_matrix_hash_ignores_zero_sign():
     pm = PolyMatrix([[x(1), x(2)]])
-    signed = np.where(pm.coeffs.stack == 0, -0.0, pm.coeffs.stack)
-    flipped = PolyMatrix._of(MatrixPoly._of(2, pm.coeffs.rows, signed))
-    assert np.signbit(flipped.coeffs.stack.real).any()
+    signed = np.where(pm.stack == 0, -0.0, pm.stack)
+    flipped = PolyMatrix._of(2, pm.word_rows, signed)
+    assert np.signbit(flipped.stack.real).any()
     assert flipped == pm and hash(flipped) == hash(pm)
 
 
@@ -288,11 +288,35 @@ def test_grid_coefficient_form_properties(pair, n, seed, extra):
     assert PolyMatrix(pm.entries, d=pm.d) == pm
     again = PolyMatrix.from_json(pm.to_json())
     assert again == pm and hash(again) == hash(pm)
-    assert again.coeffs.stack.tobytes() == pm.coeffs.stack.tobytes()
+    assert again.stack.tobytes() == pm.stack.tobytes()
     both = eval_poly_matrix(block_diagonal(pm, other), pt)
     np.testing.assert_array_equal(both, direct_sum(val, eval_poly_matrix(other, pt)))
     padded = eval_poly_matrix(delta_pad_columns(pm, extra), pt)
     np.testing.assert_array_equal(padded, np.pad(val, ((0, 0), (0, n * extra))))
+
+
+@st.composite
+def matrix_polys(draw):
+    """Matrix polynomials up to 3x3 in up to 3 variables, words up to length 3."""
+    d, out_dim, in_dim = (draw(st.integers(1, 3)) for _ in range(3))
+    words = draw(st.lists(WORDS.map(lambda w: tuple(min(i, d) for i in w)), max_size=4))
+    size = out_dim * in_dim
+    coeffs = st.lists(COEFFS, min_size=size, max_size=size)
+    terms = {w: np.reshape(draw(coeffs), (out_dim, in_dim)) for w in words}
+    return MatrixPoly(d, out_dim, in_dim, terms)
+
+
+@given(matrix_polys(), st.integers(1, 3), st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_matrix_poly_eval_is_grid_eval_level_outside(mp, n, seed):
+    # one normal form, two layouts: MatrixPoly.eval permutes the grid value
+    pt = random_point(seed, mp.d, n)
+    grid = PolyMatrix._of(mp.d, mp.word_rows, mp.stack)
+    value = eval_poly_matrix(mp, pt)
+    assert value.tobytes() == eval_poly_matrix(grid, pt).tobytes()
+    level_outer = value.reshape(mp.rows, n, mp.cols, n).transpose(1, 0, 3, 2)
+    assert mp.eval(pt).tobytes() == level_outer.reshape(n * mp.rows, n * mp.cols).tobytes()
+    assert grid != mp and MatrixPoly.from_json(mp.to_json()) == mp
 
 
 def test_matrix_poly_eval_matches_kron_sum():
@@ -306,7 +330,7 @@ def test_matrix_poly_eval_matches_kron_sum():
 
 def test_matrix_poly_poly_matrix_roundtrip():
     pm = PolyMatrix([[x(1), FreePoly.const(2, 1.5)], [x(2), x(1) * x(2)]])
-    mp = pm.coeffs
+    mp = MatrixPoly._of(pm.d, pm.word_rows, pm.stack)
     assert mp.words() == [(), (1,), (2,), (1, 2)]
     np.testing.assert_array_equal(mp.terms[(1,)], [[1, 0], [0, 0]])
     assert PolyMatrix(pm.entries, d=pm.d) == pm
@@ -358,7 +382,7 @@ def test_matrix_poly_graded_stack():
            "terms": [{"word": list(w), "coeff": matrix_to_json([[c]])} for w, c in terms]}
     merged = MatrixPoly.from_json(obj)
     assert merged.words() == [(1,), (2, 1)] and merged.stack[1, 0, 0] == 1.0
-    assert not merged.rows.flags.writeable
+    assert not merged.word_rows.flags.writeable
 
 
 def test_matrix_poly_json_roundtrip():

@@ -10,6 +10,9 @@ module in ``src/freeholo``:
   object and is listed by ``dir(freeholo)``;
 * ``freepoly.graded_sum`` is the only function that orders or merges
   words, the only caller of ``np.lexsort`` and ``np.add.at``;
+* ``freepoly.PolyMatrix`` is the one class that holds a polynomial's word
+  rows and stack: only its ``_hold`` stores them, and every other
+  polynomial class subclasses it without slots of its own;
 * operator norms come from ``mat.op_norms``, the only caller of
   ``np.linalg.svd`` that does not also use the singular vectors or the
   smallest singular value, and the largest of several norms comes from
@@ -142,6 +145,55 @@ def test_merge_calls_finds_nested_calls():
 
 def test_graded_sum_is_the_only_word_merge():
     assert library_callers({"np.lexsort", "np.add.at"}) == {"freepoly.graded_sum"}
+
+
+SETTERS = ("object.__setattr__", "setattr")
+
+
+def slot_stores(source: str, module: str, names: set) -> set:
+    """Qualified names of the scopes that store an attribute in ``names``:
+    by ``object.__setattr__`` or ``setattr`` with the name as a literal, or
+    by assignment to an attribute."""
+    found = set()
+    pending = [(node, module) for node in ast.parse(source).body]
+    while pending:
+        node, scope = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in SETTERS:
+            if len(node.args) > 1 and getattr(node.args[1], "value", None) in names:
+                found.add(scope)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if node.attr in names:
+                found.add(scope)
+        pending.extend((child, scope) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def test_slot_stores_finds_setattr_and_assignments():
+    source = (
+        "class A:\n    def _hold(self, r):\n        object.__setattr__(self, '_stack', r)\n"
+        "    def read(self):\n        return self._stack\n"
+        "def f(a):\n    a._word_rows = 1\n"
+        "def g(a):\n    setattr(a, '_stack', 2)\n"
+        "def h(a):\n    object.__setattr__(a, '_d', 3)\n"
+    )
+    assert slot_stores(source, "m", {"_word_rows", "_stack"}) == {"m.A._hold", "m.f", "m.g"}
+
+
+def test_one_class_holds_the_polynomial_normal_form():
+    from freeholo import freepoly
+
+    classes = [c for c in vars(freepoly).values()
+               if isinstance(c, type) and c.__module__ == freepoly.__name__]
+    polys = [c for c in classes if issubclass(c, freepoly.PolyMatrix)]
+    assert [c.__name__ for c in classes if c not in polys] == ["GradedPoint"]
+    for c in polys:
+        assert c is freepoly.PolyMatrix or c.__dict__.get("__slots__") == (), c.__name__
+    found = set()
+    for path in SRC.glob("*.py"):
+        found |= slot_stores(path.read_text(encoding="utf-8"), path.stem, {"_word_rows", "_stack"})
+    assert found == {"freepoly.PolyMatrix._hold"}
 
 
 def test_operator_norms_go_through_the_stacked_kernel():

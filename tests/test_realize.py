@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -381,6 +382,25 @@ def test_realization_json_roundtrip():
     np.testing.assert_allclose(
         eval_direct(again, x), eval_direct(r, x), atol=1e-14
     )
+
+
+def test_array_holding_results_compare_and_hash():
+    # fields that hold arrays give no truth value, so these compare by identity
+    r = mobius(0.3 - 0.4j)
+    pts = disk_points(6, [1, 1, 1, 2, 2, 1, 2, 3])
+    samples = model_from_realization(r, pts)
+    for value, twin in [
+        (r, Realization.from_json(r.to_json())),
+        (eval_neumann(r, pts[0]), eval_neumann(r, pts[0])),
+        (samples, model_from_realization(r, pts)),
+    ]:
+        assert value == value and value != twin and len({value, twin}) == 2
+    # the results that hold those compare and hash by their fields
+    sol = corona_solve(UNIT_DISK, *corona_inputs(12, [1, 1, 1, 2, 2, 1, 2, 3]))
+    for value in (fit_lurking_isometry(samples), sol.fit, sol):
+        twin = dataclasses.replace(value)
+        assert value == twin and hash(value) == hash(twin)
+    assert sol.fit != fit_lurking_isometry(samples)
 
 
 @given(st.integers(0, 2_000))
