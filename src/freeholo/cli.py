@@ -227,10 +227,18 @@ def _cmd_check_nc(args) -> dict:
     }
 
 
+def _load_samples(args):
+    """The model sample set under ``--samples``, with at least one point."""
+    s = jsonio.load("modelsamples", args.samples)
+    if not len(s):
+        raise SchemaError("empty model sample set")
+    return s
+
+
 def _cmd_model_residual(args) -> dict:
     from . import model
 
-    s = jsonio.load("modelsamples", args.samples)
+    s = _load_samples(args)
     return {
         "command": "model-residual",
         "residual": model.model_residual(s),
@@ -254,7 +262,7 @@ def _fit_summary(fit) -> dict:
 def _cmd_fit(args) -> dict:
     from . import realize
 
-    s = jsonio.load("modelsamples", args.samples)
+    s = _load_samples(args)
     fit = realize.fit_lurking_isometry(
         s,
         gram_rtol=args.gram_rtol,
@@ -274,6 +282,8 @@ def _cmd_corona(args) -> dict:
     payload = jsonio.load_json(args.input)
     try:
         delta = jsonio.decode("polymatrix", payload["delta"])
+        if type(payload["epsilon"]) not in (int, float):  # so no bool or string
+            raise ValueError(f"epsilon must be a number, got {payload['epsilon']!r}")
         epsilon = float(payload["epsilon"])
         mult = json_int(payload["mult"], "mult")
         points = [jsonio.decode("gradedpoint", p) for p in payload["points"]]
@@ -284,11 +294,17 @@ def _cmd_corona(args) -> dict:
         us = [jsonio.decode("cmatrix", m) for m in payload["u"]]
         if any(len(values) != len(points) for values in (us, *psis)):
             raise ValueError("u and every column function need one value per point")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed corona input: {exc}") from exc
     _check_d(points, delta.d, "input", "the d of its delta")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise SchemaError(f"corona epsilon must be positive and finite, got {epsilon}")
+    if mult < 1 or not (points and psis):
+        raise SchemaError(f"corona input needs mult >= 1 (got {mult}), a point and a psi")
+    for s, x in enumerate(points):
+        n, rows = x.n, x.n * mult * delta.cols
+        if any(row[s].shape != (n, n) for row in psis) or us[s].shape != (rows, n):
+            raise SchemaError(f"at point {s} every psi must be {n}x{n} and u {rows}x{n}")
     sol = realize.corona_solve(
         delta, points, psis, epsilon, us, mult, floor_slack=args.floor_slack
     )
@@ -556,9 +572,10 @@ def _check_flags(args) -> None:
         if not (math.isfinite(value) and value >= 0):
             name = "--" + flag.replace("_", "-")
             raise SchemaError(f"{name} must be nonnegative and finite, got {value}")
-    sims = getattr(args, "sims", 0)
-    if sims < 0:
-        raise SchemaError(f"--sims must be nonnegative, got {sims}")
+    for flag in ("sims", "seed"):
+        value = getattr(args, flag, 0)
+        if value < 0:
+            raise SchemaError(f"--{flag} must be nonnegative, got {value}")
 
 
 def main(argv=None) -> int:

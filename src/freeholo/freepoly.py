@@ -181,16 +181,17 @@ def _word_values(mats):
 
     Returns ``value(w)`` for a checked word tuple ``w``, the product of the
     matrices along ``w`` taken left to right (batched on stacks): ``I_n``
-    for the empty word and the given matrix for a letter. The memo holds
-    no reference cycle, so its matrices are freed with the call that made
-    it.
+    for the empty word, made on its first use, and the given matrix for a
+    letter. The memo holds no reference cycle, so its matrices are freed
+    with the call that made it.
     """
     table = {(i,): m for i, m in enumerate(mats, 1)}
-    table[()] = np.eye(mats[0].shape[-1], dtype=np.complex128)
     return functools.partial(_word_value, table, mats)
 
 
 def _word_value(table: dict, mats, w) -> np.ndarray:
+    if not w and w not in table:
+        table[w] = np.eye(mats[0].shape[-1], dtype=np.complex128)
     k = len(w)
     while w[:k] not in table:  # longest memoized prefix, without recursion
         k -= 1
@@ -476,9 +477,7 @@ def eval_poly_matrix(pm: PolyMatrix, x: GradedPoint) -> np.ndarray:
     Block (i, j) equals entry (i, j) evaluated at the point, summed as in
     :func:`eval_poly_matrix_stack`, of which this is the one-point case.
     """
-    if x.d != pm.d:
-        raise ShapeMismatch(f"point has {x.d} coordinates, grid wants {pm.d}")
-    return eval_poly_matrix_stack(pm, [m[None] for m in x.mats])[0]
+    return eval_poly_matrix_stack(pm, level_stacks([x], pm.d)[0][1])[0]
 
 
 def eval_poly_matrix_stack(pm: PolyMatrix, mats) -> np.ndarray:
@@ -504,14 +503,16 @@ def eval_poly_matrix_stack(pm: PolyMatrix, mats) -> np.ndarray:
 def level_stacks(points, d: int) -> list:
     """Per level, in order of first appearance: the positions of its points
     and their coordinates as the d stacks that :func:`eval_poly_matrix_stack`
-    takes. A point without d coordinates raises ``ShapeMismatch``."""
+    takes, views of the point's matrices for a level with one point. A point
+    without d coordinates raises ``ShapeMismatch``."""
     groups = {}
     for i, x in enumerate(points):
         if x.d != d:
             raise ShapeMismatch(f"point has {x.d} coordinates, grid wants {d}")
         groups.setdefault(x.n, []).append(i)
     return [
-        (idx, [np.stack(ms) for ms in zip(*(points[i].mats for i in idx))])
+        (idx, [m[None] for m in points[idx[0]].mats] if len(idx) == 1
+         else [np.stack(ms) for ms in zip(*(points[i].mats for i in idx))])
         for idx in groups.values()
     ]
 

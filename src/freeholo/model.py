@@ -15,13 +15,12 @@ with Delta the multiplicity-promoted evaluation of delta. Points at unequal
 levels are never compared; the identity only constrains same-level pairs.
 
 The promoted Delta is the meaning of the identity, not what is computed.
-The constructor is the one place where delta is evaluated at a sample
-point: it evaluates delta(x) once, with one stacked evaluation and one
-``mat.op_norms`` call per level, decides membership from that value, holds
-it as ``delta_x``, and forms Delta(x) u(x) from it through
-``freepoly.promoted_apply``. ``model_residual`` and
-``realize.fit_lurking_isometry`` read the held ``delta_u``, the fit's
-holdout and ``realize.corona_solve``'s residual solve from ``delta_x``, and
+delta(x) and the membership of x come from ``ncpoint.require_inside``, once
+per point: the constructor calls it, or takes delta(x) from
+``model_from_realization``, which called it for its resolvent solves. The
+sample set holds delta(x) as ``delta_x`` and Delta(x) u(x), formed through
+``freepoly.promoted_apply``, as ``delta_u``. ``model_residual``, the fit,
+its holdout and ``realize.corona_solve``'s residual read those two, and
 none of them evaluates delta.
 ``freepoly.eval_poly_matrix_promoted`` remains the dense reference that
 tests compare against.
@@ -35,19 +34,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mat
-from .errors import OutsideDomain, ShapeMismatch
-from .freepoly import GradedPoint, PolyMatrix, eval_poly_matrix_stack, level_stacks, promoted_apply
-from .ncpoint import Membership
+from .errors import ShapeMismatch
+from .freepoly import GradedPoint, PolyMatrix, promoted_apply
+from .ncpoint import require_inside
 
 
 @dataclass(frozen=True, eq=False)
 class ModelSampleSet:
     """Immutable bundle of sample data for fitting and residual checks.
 
-    Every point lies inside ``{ ||delta|| < 1 - DEFAULT_MARGIN }``; one that
-    does not raises :class:`OutsideDomain` before its Delta u is formed.
-    ``delta_x[s]``, of shape (n*I, n*J) with I, J = delta.rows, delta.cols,
-    is the read-only grid-outer value delta(x) that decided membership, and
+    Every point lies inside ``{ ||delta|| < 1 - DEFAULT_MARGIN }``; after
+    the shape checks, ``ncpoint.require_inside`` raises :class:`OutsideDomain`
+    at one that does not, before any Delta u is formed. ``delta_x[s]``, of
+    shape (n*I, n*J) with I, J = delta.rows, delta.cols, is the read-only
+    grid-outer value delta(x) that decided membership: the kernel's, or the
+    caller's when it passes ``delta_x`` from its own ``require_inside`` call.
     ``delta_u[s]``, of shape (n*mult*I, n*h), is the read-only Delta(x) u(x).
     Both follow from the other fields, so ``to_json`` leaves them out and
     ``from_json`` forms them again. A fit that pads the grid with zero
@@ -67,7 +68,7 @@ class ModelSampleSet:
     k2_dim: int
     mult: int
 
-    def __init__(self, delta, points, psi, phi, u, h_dim, k1_dim, k2_dim, mult):
+    def __init__(self, delta, points, psi, phi, u, h_dim, k1_dim, k2_dim, mult, delta_x=None):
         points = tuple(points)
         psi = tuple(np.array(mat.as_array(v), dtype=np.complex128) for v in psi)
         phi = tuple(np.array(mat.as_array(v), dtype=np.complex128) for v in phi)
@@ -76,17 +77,7 @@ class ModelSampleSet:
             raise ShapeMismatch("points, psi, phi, u must have equal lengths")
         if min(h_dim, k1_dim, k2_dim, mult) < 1:
             raise ShapeMismatch("dimensions must be positive")
-        # delta at every point before the first with another variable count
-        good = next((i for i, x in enumerate(points) if x.d != delta.d), len(points))
-        dxs, norms = [None] * good, [None] * good
-        for idx, mats in level_stacks(points[:good], delta.d):
-            values = eval_poly_matrix_stack(delta, mats)
-            for i, dx, nrm in zip(idx, values, mat.op_norms(values).tolist()):
-                dxs[i], norms[i] = dx, nrm
-        delta_u = []
-        for i, (x, a, b, c) in enumerate(zip(points, psi, phi, u)):
-            if x.d != delta.d:
-                raise ShapeMismatch("point and delta disagree on variable count")
+        for x, a, b, c in zip(points, psi, phi, u):
             n = x.n
             if a.shape != (n * k1_dim, n * h_dim):
                 raise ShapeMismatch(f"psi shape {a.shape} wrong at level {n}")
@@ -94,14 +85,11 @@ class ModelSampleSet:
                 raise ShapeMismatch(f"phi shape {b.shape} wrong at level {n}")
             if c.shape != (n * mult * delta.cols, n * h_dim):
                 raise ShapeMismatch(f"u shape {c.shape} wrong at level {n}")
-            verdict = Membership.from_norm(norms[i])
-            if not verdict.inside:
-                raise OutsideDomain(
-                    f"sample point at level {n} is {verdict.status} "
-                    f"(||delta|| = {verdict.norm:.6f})"
-                )
-            delta_u.append(promoted_apply(dxs[i], n, mult, c))
-        for arrays in (psi, phi, u, delta_u, dxs):
+        if delta_x is None:
+            delta_x = [dx for dx, _ in require_inside(delta, points)]
+        delta_x = tuple(delta_x)
+        delta_u = tuple(promoted_apply(dx, x.n, mult, c) for x, dx, c in zip(points, delta_x, u))
+        for arrays in (psi, phi, u, delta_u, delta_x):
             for v in arrays:
                 v.setflags(write=False)
         object.__setattr__(self, "delta", delta)
@@ -109,8 +97,8 @@ class ModelSampleSet:
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "delta_u", tuple(delta_u))
-        object.__setattr__(self, "delta_x", tuple(dxs))
+        object.__setattr__(self, "delta_u", delta_u)
+        object.__setattr__(self, "delta_x", delta_x)
         object.__setattr__(self, "h_dim", int(h_dim))
         object.__setattr__(self, "k1_dim", int(k1_dim))
         object.__setattr__(self, "k2_dim", int(k2_dim))
@@ -203,11 +191,11 @@ def model_from_realization(r, points, psi=None) -> ModelSampleSet:
     For each point the model column is ``u(x) = v(x) psi(x)`` where ``v`` is
     the realization's resolvent leg, and ``phi(x)`` is the realization value
     times ``psi(x)``; one resolvent solve per point yields both. With
-    ``psi=None`` the identity column data is used (h_dim = k1_dim). The
-    solve and the sample set each evaluate delta and test membership with
-    ``DEFAULT_MARGIN``, so delta is evaluated twice per point here.
+    ``psi=None`` the identity column data is used (h_dim = k1_dim).
+    ``ncpoint.require_inside`` evaluates delta and decides membership once
+    for all points; the solves and the sample set take delta(x) from it.
     """
-    from .realize import _require_inside, _solve
+    from .realize import _solve
 
     points = list(points)
     if psi is None:
@@ -220,20 +208,11 @@ def model_from_realization(r, points, psi=None) -> ModelSampleSet:
         if len(psi) != len(points):
             raise ShapeMismatch("points, psi, phi, u must have equal lengths")
         h_dim = psi[0].shape[1] // points[0].n
-    phi = []
-    u = []
-    for x, p in zip(points, psi):
-        omega, v = _solve(r, x.n, _require_inside(r, x)[0])
-        phi.append(omega @ p)
-        u.append(v @ p)
+    delta_x = [dx for dx, _ in require_inside(r.delta, points)]
+    solved = [_solve(r, x.n, dx) for x, dx in zip(points, delta_x)]
     return ModelSampleSet(
-        delta=r.delta,
-        points=points,
-        psi=psi,
-        phi=phi,
-        u=u,
-        h_dim=h_dim,
-        k1_dim=r.dim_k1,
-        k2_dim=r.dim_k2,
-        mult=r.mult,
+        r.delta, points, psi,
+        phi=[omega @ p for (omega, _), p in zip(solved, psi)],
+        u=[v @ p for (_, v), p in zip(solved, psi)],
+        h_dim=h_dim, k1_dim=r.dim_k1, k2_dim=r.dim_k2, mult=r.mult, delta_x=delta_x,
     )

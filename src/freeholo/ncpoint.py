@@ -20,7 +20,7 @@ import numpy as np
 
 from . import mat
 from .errors import OutsideDomain, ShapeMismatch
-from .freepoly import DEFAULT_MARGIN, GradedPoint, PolyMatrix, eval_poly_matrix
+from .freepoly import DEFAULT_MARGIN, GradedPoint, PolyMatrix, eval_poly_matrix_stack, level_stacks
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,33 @@ class Membership:
         return cls(status=status, distance=1.0 - nrm, norm=nrm, margin=margin)
 
 
-def in_gdelta(delta: PolyMatrix, x: GradedPoint, margin: float = DEFAULT_MARGIN) -> Membership:
-    """Classify ``x`` against ``{ ||delta|| < 1 }`` with a safety margin.
+def delta_memberships(delta: PolyMatrix, points, margin: float = DEFAULT_MARGIN) -> list:
+    """``(delta(x), Membership)`` per point, the one membership kernel: one
+    ``eval_poly_matrix_stack`` and one ``mat.op_norms`` call per level, so each
+    value and norm is bitwise the point's own. delta(x) is grid-outer, of shape
+    (n*rows, n*cols); a point without delta's d raises ``ShapeMismatch``."""
+    found = [None] * len(points)
+    for idx, mats in level_stacks(points, delta.d):
+        values = eval_poly_matrix_stack(delta, mats)
+        for i, dx, nrm in zip(idx, values, mat.op_norms(values).tolist()):
+            found[i] = (dx, Membership.from_norm(nrm, margin))
+    return found
 
-    Points with ``||delta(x)|| < 1 - margin`` are inside, points within
-    ``margin`` of the unit shell are boundary, the rest are outside.
-    """
-    return Membership.from_norm(mat.op_norm(eval_poly_matrix(delta, x)), margin)
+
+def require_inside(delta: PolyMatrix, points) -> list:
+    """:func:`delta_memberships` at ``DEFAULT_MARGIN``, or :class:`OutsideDomain`
+    at the first point that is not inside."""
+    found = delta_memberships(delta, points)
+    for x, (_, m) in zip(points, found):
+        if not m.inside:
+            raise OutsideDomain(f"point at level {x.n} is {m.status}: ||delta(x)|| = {m.norm:.9f}")
+    return found
+
+
+def in_gdelta(delta: PolyMatrix, x: GradedPoint, margin: float = DEFAULT_MARGIN) -> Membership:
+    """Classify ``x`` against ``{ ||delta|| < 1 }``: inside below ``1 - margin``,
+    boundary within ``margin`` of the unit shell, else outside."""
+    return delta_memberships(delta, [x], margin)[0][1]
 
 
 def point_direct_sum(x: GradedPoint, y: GradedPoint) -> GradedPoint:

@@ -22,8 +22,8 @@ and the unpromoted grid-outer value delta(x). They apply the blocks through
 one GEMM with delta(x); ``_series`` runs that arithmetic per term as a fixed
 plan of in-place numpy calls on views made once. ``eval_direct``,
 ``resolvent_leg``, ``eval_neumann`` and ``model_from_realization`` take
-delta(x) from the membership test ``_require_inside``; the fit's holdout and
-the corona residual take it from the sample set, which decided membership.
+delta(x) and its norm from the membership kernel ``ncpoint.require_inside``;
+the fit's holdout and the corona residual read the sample set's delta(x).
 
 The fitting routine recovers such a J1 from finite model sample data by
 matching two families of structured vectors with equal Gram matrices and
@@ -45,21 +45,13 @@ from . import mat
 from .errors import (
     BelowFloor,
     GramMismatch,
-    OutsideDomain,
     RankOverflow,
     ShapeMismatch,
     TermBlowup,
 )
-from .freepoly import (
-    DEFAULT_MARGIN,
-    GradedPoint,
-    PolyMatrix,
-    delta_pad_columns,
-    eval_poly_matrix,
-    promoted_apply,
-)
+from .freepoly import GradedPoint, PolyMatrix, delta_pad_columns, promoted_apply
 from .model import ModelSampleSet
-from .ncpoint import Membership
+from .ncpoint import require_inside
 
 ISOMETRY_TOL = 1e-8
 
@@ -143,20 +135,6 @@ class Realization:
         )
 
 
-def _require_inside(r: Realization, x: GradedPoint):
-    """Return ``(delta(x), ||delta(x)||)`` or raise :class:`OutsideDomain`.
-
-    Inside means ``||delta(x)|| < 1 - DEFAULT_MARGIN``.
-    """
-    dx = eval_poly_matrix(r.delta, x)
-    verdict = Membership.from_norm(mat.op_norm(dx), DEFAULT_MARGIN)
-    if not verdict.inside:
-        raise OutsideDomain(
-            f"point is {verdict.status}: ||delta(x)|| = {verdict.norm:.9f}"
-        )
-    return dx, verdict.norm
-
-
 def _value(r: Realization, n: int, w: np.ndarray) -> np.ndarray:
     """``kron(I_n, A) + kron(I_n, B) @ w``, the value once ``w = Delta v``."""
     a_tilde = mat.kron_left_identity_apply(n, r.block_a, np.eye(n * r.dim_k1))
@@ -218,7 +196,8 @@ def resolvent_leg(r: Realization, x: GradedPoint) -> np.ndarray:
     This is the model column generated by the realization: applying it to
     any input data produces model data with a machine-scale residual.
     """
-    return _solve(r, x.n, _require_inside(r, x)[0])[1]
+    [(dx, _)] = require_inside(r.delta, [x])
+    return _solve(r, x.n, dx)[1]
 
 
 def eval_direct(r: Realization, x: GradedPoint) -> np.ndarray:
@@ -228,7 +207,8 @@ def eval_direct(r: Realization, x: GradedPoint) -> np.ndarray:
     there the resolvent is uniformly invertible and the value is a strict
     contraction up to rounding.
     """
-    return _solve(r, x.n, _require_inside(r, x)[0])[0]
+    [(dx, _)] = require_inside(r.delta, [x])
+    return _solve(r, x.n, dx)[0]
 
 
 # -- certified truncation -----------------------------------------------------
@@ -309,8 +289,8 @@ def eval_neumann(r: Realization, x: GradedPoint, tol: float = 1e-8) -> NeumannRe
     neither ``kron(I_n, D)`` nor the promoted Delta(x) is formed, and
     delta(x) and its norm come from the membership test.
     """
-    dx, r0 = _require_inside(r, x)
-    q = r0 if np.any(r.block_d) else 0.0
+    [(dx, m)] = require_inside(r.delta, [x])
+    q = m.norm if np.any(r.block_d) else 0.0
     k = tail_order(q, tol, NEUMANN_TERM_CAP)
     value = _value(r, x.n, _series(r, x.n, dx, k))
     return NeumannResult(value=value, k=k, bound=geometric_tail(q, k))

@@ -139,7 +139,11 @@ def expand_by_word_dicts(r, k):
 
 def count_grid_evaluations(monkeypatch, modules) -> list:
     """Record the points at which ``modules`` evaluate a grid, one by one
-    (``eval_poly_matrix``) or level-stacked (``eval_poly_matrix_stack``)."""
+    (``eval_poly_matrix``) or level-stacked (``eval_poly_matrix_stack``).
+
+    Membership is decided by ``ncpoint``'s kernel, so pass ``ncpoint`` to
+    count the points of ``realize`` and ``model``. A module that imports
+    neither name is an error, not a count of zero."""
     from freeholo.freepoly import GradedPoint, eval_poly_matrix, eval_poly_matrix_stack
 
     points = []
@@ -152,10 +156,12 @@ def count_grid_evaluations(monkeypatch, modules) -> list:
         points.extend(GradedPoint(list(ms)) for ms in zip(*mats))
         return eval_poly_matrix_stack(pm, mats)
 
+    wrappers = {"eval_poly_matrix": counting, "eval_poly_matrix_stack": counting_stack}
     for module in modules:
-        monkeypatch.setattr(module, "eval_poly_matrix", counting)
-        if hasattr(module, "eval_poly_matrix_stack"):
-            monkeypatch.setattr(module, "eval_poly_matrix_stack", counting_stack)
+        names = [name for name in wrappers if hasattr(module, name)]
+        assert names, f"{module.__name__} evaluates no grid"
+        for name in names:
+            monkeypatch.setattr(module, name, wrappers[name])
     return points
 
 

@@ -239,13 +239,20 @@ def test_corona_cmd(tmp_path, capsys):
     assert rep["functions"] == 2
 
 
-@pytest.mark.parametrize("cut", ["u", "psi"])
+@pytest.mark.parametrize("cut", ["u", "psi", "mult0", "mult-1", "mult15", "no-psis", "no-points"])
 def test_corona_length_mismatch_exits_2(tmp_path, capsys, cut):
+    # input problems, not ShapeMismatch (exit 1) from the sample set or the solve
     payload = corona_payload()
     if cut == "u":
         payload["u"] = payload["u"][:-1]
-    else:
+    elif cut == "psi":
         payload["psis"][1] = payload["psis"][1][:-1]
+    elif cut.startswith("mult"):
+        payload["mult"] = int(cut[4:])  # u is made for mult 16
+    elif cut == "no-psis":
+        payload["psis"] = []
+    else:
+        payload.update(points=[], psis=[[], []], u=[])
     inp = write(tmp_path, "corona.json", payload)
     code, _, raw = run(["corona", "--input", inp], capsys)
     assert code == 2
@@ -705,8 +712,11 @@ def test_negative_margin_subprocess_has_no_traceback(tmp_path):
     assert strict_loads(proc.stdout)["error"]["type"] == "SchemaError"
 
 
-@pytest.mark.parametrize("eps", [0.0, -0.5])
+@pytest.mark.parametrize(
+    "eps", [0.0, -0.5, "0.707", True, 10**400], ids=["0.0", "-0.5", "str", "bool", "1e400-int"]
+)
 def test_corona_nonpositive_epsilon_exits_2(tmp_path, capsys, eps):
+    # also an epsilon that is no JSON number, or none a float can hold
     payload = {
         "delta": UNIT_DISK.to_json(),
         "epsilon": eps,
@@ -1119,6 +1129,7 @@ def small_corona_input(tmp_path):
         ["fit", "--gram-rtol", "-1"],
         ["corona", "--floor-slack", "nan"],
         ["check-nc", "--sims", "-3"],
+        ["check-nc", "--seed", "-1"],
     ],
 )
 def test_flags_outside_their_domain_exit_2(tmp_path, flags):
@@ -1138,6 +1149,17 @@ def test_flags_outside_their_domain_exit_2(tmp_path, flags):
     error = strict_loads(proc.stdout)["error"]
     assert error["type"] == "SchemaError"
     assert flag in error["message"]
+
+
+@pytest.mark.parametrize("command", ["fit", "model-residual"])
+def test_empty_model_sample_set_exits_2(tmp_path, capsys, command):
+    # before: fit exited 1 with ShapeMismatch, model-residual 0 with residual 0.0
+    payload = json.loads(pathlib.Path(fit_samples(tmp_path)).read_text())
+    payload.update(points=[], psi=[], phi=[], u=[])
+    samples = write(tmp_path, "empty.json", payload)
+    code, rep, _ = run([command, "--samples", samples], capsys)
+    assert code == 2
+    assert rep["error"] == {"type": "SchemaError", "message": "empty model sample set"}
 
 
 def test_cached_parser_leaks_no_state(tmp_path, capsys):
@@ -1185,7 +1207,7 @@ def test_check_nc_realization_tests_membership_once_per_point(tmp_path, capsys, 
     # 9 direct sums, 9 conjugations and 15 triangular points, all inside;
     # each of the 36 points costs one grid evaluation (and one SVD), in the
     # evaluator, where a separate domain predicate made it 69
-    from freeholo import ncpoint, realize
+    from freeholo import ncpoint
 
     r = write(tmp_path, "r.json", mobius(0.5).to_json())
     rng = np.random.default_rng(8)
@@ -1194,7 +1216,7 @@ def test_check_nc_realization_tests_membership_once_per_point(tmp_path, capsys, 
         for _ in range(2)
     ]
     samples = write(tmp_path, "samples.json", [p.to_json() for p in pts])
-    points = count_grid_evaluations(monkeypatch, (realize, ncpoint))
+    points = count_grid_evaluations(monkeypatch, (ncpoint,))
     code, rep, _ = run(["check-nc", "--realization", r, "--samples", samples], capsys)
     assert code == 0 and rep["passed"] is True
     assert (rep["checks"], rep["skipped"]) == (33, 0)

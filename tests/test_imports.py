@@ -17,9 +17,11 @@ module in ``src/freeholo``:
   ``np.linalg.svd`` that does not also use the singular vectors or the
   smallest singular value, and the largest of several norms comes from
   ``mat.max_op_norm``, never from a bare ``max`` that drops a NaN;
-* in ``model`` and ``realize``, delta is evaluated at a point only where
-  membership is decided, and Delta u is formed only by the sample set's
-  constructor and the resolvent kernels;
+* in ``model`` and ``realize``, delta(x) and membership come only from
+  ``ncpoint.require_inside``, and Delta u is formed only by the sample
+  set's constructor and the resolvent kernels;
+* a norm is classified inside or outside only by ``ncpoint``'s membership
+  kernel, the sampler's shrink loop and the augmented domain;
 * each term of the Neumann loop in ``realize._series`` is only numpy calls
   and array methods, so no per-term validation in a helper creeps back;
 * in ``cli``, only ``_load_function`` parses an expression or builds an
@@ -314,9 +316,14 @@ def test_name_users_finds_methods_and_attributes():
 @pytest.mark.parametrize(
     "name, users",
     [
-        ("eval_poly_matrix", {"realize._require_inside"}),
+        ("eval_poly_matrix", set()),
         ("promoted_apply", {"model.ModelSampleSet.__init__", "realize._solve", "realize._series"}),
-        ("eval_poly_matrix_stack", {"model.ModelSampleSet.__init__"}),
+        ("eval_poly_matrix_stack", set()),
+        ("require_inside", {
+            "model.ModelSampleSet.__init__", "model.model_from_realization",
+            "realize.resolvent_leg", "realize.eval_direct", "realize.eval_neumann",
+        }),
+        ("eval_poly_matrix_promoted", set()),
     ],
 )
 def test_sample_points_evaluate_delta_once(name, users):
@@ -324,6 +331,15 @@ def test_sample_points_evaluate_delta_once(name, users):
     for stem in ("model", "realize"):
         found |= name_users((SRC / f"{stem}.py").read_text(encoding="utf-8"), stem, name)
     assert found == users
+
+
+def test_membership_is_classified_in_three_places():
+    found = set()
+    for path in SRC.glob("*.py"):
+        found |= name_users(path.read_text(encoding="utf-8"), path.stem, "from_norm")
+    assert found == {
+        "ncpoint.delta_memberships", "sampling._shrunk", "mero.AugmentedDomain.contains",
+    }
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

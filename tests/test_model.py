@@ -11,7 +11,7 @@ from conftest import (
     random_grid,
     random_rect_realization,
 )
-from freeholo import model
+from freeholo import freepoly, model, ncpoint
 from freeholo.errors import OutsideDomain, ShapeMismatch
 from freeholo.freepoly import FreePoly, GradedPoint, PolyMatrix, eval_poly_matrix_promoted
 from freeholo.jsonio import decode
@@ -267,20 +267,37 @@ def test_residual_and_fit_evaluate_no_delta(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("delta evaluated after the sample set was built")
 
-    for module in (model, realize):
-        for name in ("eval_poly_matrix", "eval_poly_matrix_stack"):
-            monkeypatch.setattr(module, name, refuse, raising=False)
-    assert model_residual(s) < 1e-12
-    fit = realize.fit_lurking_isometry(s, holdout=True)
+    # the membership kernel and every other grid evaluation go through these
+    with pytest.MonkeyPatch.context() as m:
+        for module in (ncpoint, freepoly):
+            m.setattr(module, "eval_poly_matrix_stack", refuse)
+        assert model_residual(s) < 1e-12
+        fit = realize.fit_lurking_isometry(s, holdout=True)
     assert fit.holdout_indices == (4,)
     assert fit.train_residual < 1e-9 and fit.holdout_deviation < 1e-9
     # corona builds its own sample set, whose constructor evaluates delta
     # once per point; its padded fit and its identity residual evaluate none
-    points = count_grid_evaluations(monkeypatch, (model,))
+    points = count_grid_evaluations(monkeypatch, (ncpoint,))
     sol = realize.corona_solve(UNIT_DISK, pts, psis, eps, us, mult)
     assert sol.fit.padded_cols == 1
     assert sol.identity_residual < 1e-6
     assert len(points) == len(pts)
+
+
+def test_model_from_realization_evaluates_delta_once_per_point(monkeypatch):
+    from freeholo import mat
+
+    r = random_rect_realization(rng_from_seed(5), 3, 2, 1, 1, 2)
+    rng = rng_from_seed(6)
+    pts = [point_inside_gdelta(rng, r.delta, n) for n in (1, 2, 3, 1, 2)]
+    points = count_grid_evaluations(monkeypatch, (ncpoint,))
+    normed, op_norms = [], mat.op_norms
+    monkeypatch.setattr(mat, "op_norms", lambda a: normed.append(len(a)) or op_norms(a))
+    s = model_from_realization(r, pts)
+    # one SVD call per level, one matrix per point, wherever delta is evaluated
+    assert normed == [2, 2, 1]
+    assert len(points) == len(pts)
+    assert model_residual(s) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -294,5 +311,5 @@ def test_overflowing_point_is_outside_before_delta_u(monkeypatch, n):
     point = GradedPoint([np.diag([1e200] + [0.5] * (n - 1)).astype(complex)])
     one = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(OutsideDomain, match=rf"level {n} is outside \(\|\|delta\|\| = nan\)"):
+        with pytest.raises(OutsideDomain, match=rf"level {n} is outside: \|\|delta\(x\)\|\| = nan"):
             ModelSampleSet(PolyMatrix.from_poly(x1 * x1), [point], [one], [one], [one], 1, 1, 1, 1)

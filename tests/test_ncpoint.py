@@ -4,9 +4,9 @@ from conftest import random_rect_realization
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeholo import realize, sampling
+from freeholo import ncpoint, realize, sampling
 from freeholo.errors import OutsideDomain, ShapeMismatch, SingularMatrix
-from freeholo.freepoly import FreePoly, GradedPoint, PolyMatrix, eval_poly, eval_poly_matrix
+from freeholo.freepoly import DEFAULT_MARGIN, FreePoly, GradedPoint, PolyMatrix, eval_poly
 from freeholo.mat import cond, direct_sum, inv, op_norm
 from freeholo.ncpoint import (
     check_nc_axioms,
@@ -325,12 +325,14 @@ def test_check_nc_axioms_skips_where_the_evaluator_finds_the_point_outside(
         evaluated.append(p)
         return realize.eval_direct(r, p)
 
-    def counting(pm, x):
-        grid_points.append(x)
-        return eval_poly_matrix(pm, x)
+    memberships = ncpoint.delta_memberships
+
+    def counting(delta, points, margin=DEFAULT_MARGIN):
+        grid_points.extend(points)
+        return memberships(delta, points, margin)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(realize, "eval_poly_matrix", counting)
+        m.setattr(ncpoint, "delta_memberships", counting)
         got = check_nc_axioms(f, samples, sims, couplings, dims=dims)
     assert got == want
     assert got.skipped > 0 and got.checks > 0
