@@ -780,6 +780,18 @@ def test_fit_non_finite_gram_exits_1(tmp_path):
     assert "realization" not in rep
 
 
+@pytest.mark.parametrize("n_points", [6, 40])
+def test_fit_overflowing_gram_deviation_is_null(tmp_path, capsys, n_points):
+    # 6 points keep the fit's [P; Q] below its QR width rule, 40 reach it
+    payload = json.loads(pathlib.Path(fit_samples(tmp_path, n_points=n_points)).read_text())
+    payload["phi"][0]["data"][0][0] = 1e200
+    code, rep, raw = run(["fit", "--samples", write(tmp_path, "huge.json", payload)], capsys)
+    assert code == 1
+    assert rep["error"]["type"] == "GramMismatch"
+    assert rep["error"]["deviation"] is None
+    strict_loads(raw)
+
+
 def test_model_residual_non_finite_is_null(tmp_path):
     proc = run_subprocess(["model-residual", "--samples", huge_psi_samples(tmp_path)])
     assert proc.returncode == 0

@@ -24,7 +24,12 @@ from freeholo.freepoly import (
     eval_poly_matrix_promoted,
     promoted_apply,
 )
-from freeholo.mat import isometry_defect, kron_left_identity_apply, op_norm
+from freeholo.mat import (
+    complete_to_isometry,
+    isometry_defect,
+    kron_left_identity_apply,
+    op_norm,
+)
 from freeholo.model import ModelSampleSet, model_from_realization, model_residual
 from freeholo.realize import (
     NEUMANN_TERM_CAP,
@@ -598,3 +603,165 @@ def test_fit_recovers_structured_realization(seed, grid, k1, offset, mult, expli
         psi = column(n)
         got = eval_direct(fit.realization, x) @ pad_psi_rows(psi, n, k1, extra)
         np.testing.assert_allclose(got, eval_direct(truth, x) @ psi, rtol=0, atol=1e-6)
+
+
+# -- the fit's Gram gate against a dense reference ------------------------------
+
+
+def dense_panels(s, indices):
+    """The fit's P and Q over the sample points ``indices``, one level-block
+    row at a time. Zero rows for padded grid columns would change no Gram
+    matrix, so none are added."""
+    p, q = [], []
+    for i in indices:
+        blocks = [np.split(v, s.points[i].n) for v in (s.psi[i], s.delta_u[i], s.phi[i], s.u[i])]
+        for psi_k, du_k, phi_k, u_k in zip(*blocks):
+            p.append(np.vstack([psi_k, du_k]))
+            q.append(np.vstack([phi_k, u_k]))
+    return np.hstack(p), np.hstack(q)
+
+
+def takes_qr_path(p, q):
+    return p.shape[1] >= realize._QR_WIDTH * (p.shape[0] + q.shape[0])
+
+
+def with_phi(s, phi):
+    return ModelSampleSet(
+        s.delta, s.points, s.psi, phi, s.u, s.h_dim, s.k1_dim, s.k2_dim, s.mult
+    )
+
+
+def dense_fit_j1(p, q, rank_rtol=1e-8):
+    """J1 from the SVD of the dense P, completed as the fit completes it."""
+    u, sing, v_h = np.linalg.svd(p, full_matrices=False)
+    rank = int(np.sum(sing >= rank_rtol * sing[0]))
+    wy, _, vyh = np.linalg.svd(q @ v_h[:rank].conj().T / sing[:rank], full_matrices=False)
+    dom = p.shape[0]
+    return complete_to_isometry(wy @ vyh, dom) @ complete_to_isometry(u[:, :rank], dom).conj().T
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+    st.integers(1, 2),
+    st.sampled_from([-1, 1, 2]),
+    st.integers(1, 2),
+    st.booleans(),
+    st.sampled_from([0.0, 1e-9, 1e-4, 0.1, 10.0]),
+)
+@settings(max_examples=25, deadline=None)
+def test_gram_deviation_is_the_dense_frobenius_norm(seed, grid, k1, offset, mult, wide, moved):
+    rng = rng_from_seed(seed)
+    truth = random_rect_realization(rng, *grid, k1, offset, mult)
+    # with psi = I a level-n point gives n * n * k1 columns; narrow sets stay
+    # below the width rule, wide ones reach it
+    target = realize._QR_WIDTH * (k1 + truth.dim_k2 + mult * sum(grid))
+    levels, cols = [], 0
+    while len(levels) < 100:
+        n = 1 + len(levels) % 3
+        if cols >= target if wide else levels and cols + n * n * k1 >= target:
+            break
+        levels.append(n)
+        cols += n * n * k1
+    s = model_from_realization(truth, [point_inside_gdelta(rng, truth.delta, n) for n in levels])
+    phi = list(s.phi)
+    j = int(rng.integers(len(phi)))
+    phi[j] = phi[j] + moved * rng.standard_normal(phi[j].shape)
+    s = with_phi(s, phi)
+
+    try:
+        deviation = fit_lurking_isometry(s, holdout=False).gram_deviation
+    except GramMismatch as e:
+        deviation = e.deviation
+    p, q = dense_panels(s, range(len(s)))
+    assert takes_qr_path(p, q) == wide
+    diff = p.conj().T @ p - q.conj().T @ q
+    # Householder QR and each Gram product err by at most about
+    # D eps ||M||_F^2, M = [P; Q] with D rows (Higham, Accuracy and Stability
+    # of Numerical Algorithms, 2nd ed., SIAM 2002, sec. 3.5 and thm. 19.4)
+    rows = p.shape[0] + q.shape[0]
+    slack = 4 * rows * np.finfo(float).eps * (np.linalg.norm(p) ** 2 + np.linalg.norm(q) ** 2)
+    assert abs(deviation - np.linalg.norm(diff)) <= slack
+    # never below the entrywise deviation, so GramMismatch fires at least as often
+    assert deviation >= np.max(np.abs(diff)) - slack
+
+
+FIT_GRID = PolyMatrix(
+    [
+        [0.5 * FreePoly.letter(2, 1), 0.5 * FreePoly.letter(2, 2)],
+        [0.3 * FreePoly.letter(2, 2), 0.3 * FreePoly.letter(2, 1) * FreePoly.letter(2, 2)],
+    ]
+)
+
+
+@pytest.fixture(scope="module")
+def wide_fit_set():
+    """120 points at levels 1-4, mult 2: [P; Q] is 12 x 1,440 after the holdout."""
+    rng = rng_from_seed(7)
+    truth = random_realization(rng, FIT_GRID, 2, 2, 2)
+    pts = [point_inside_gdelta(rng, FIT_GRID, 1 + i % 4) for i in range(120)]
+    return truth, model_from_realization(truth, pts)
+
+
+def test_qr_path_matches_the_dense_fit(wide_fit_set):
+    truth, s = wide_fit_set
+    fit = fit_lurking_isometry(s)
+    p, q = dense_panels(s, [i for i in range(len(s)) if i not in fit.holdout_indices])
+    assert takes_qr_path(p, q)
+    sing = np.linalg.svd(p, compute_uv=False)
+    assert fit.rank == int(np.sum(sing >= 1e-8 * sing[0]))
+    assert np.max(np.abs(fit.realization.j1 - dense_fit_j1(p, q))) <= 1e-12
+    rng = rng_from_seed(8)
+    for n in (1, 2, 3):
+        x = point_inside_gdelta(rng, FIT_GRID, n)
+        np.testing.assert_allclose(
+            eval_direct(fit.realization, x), eval_direct(truth, x), rtol=0, atol=1e-9
+        )
+
+
+def test_qr_path_rejects_a_moved_q_entry(wide_fit_set):
+    _, s = wide_fit_set
+    phi = [v.copy() for v in s.phi]
+    phi[2][0, 0] += 0.1
+    bad = with_phi(s, phi)
+    with pytest.raises(GramMismatch) as ei:
+        fit_lurking_isometry(bad)
+    p, q = dense_panels(bad, [i for i in range(len(bad)) if i % 5 != 4])
+    assert takes_qr_path(p, q)
+    assert ei.value.deviation >= np.max(np.abs(p.conj().T @ p - q.conj().T @ q))
+
+
+# three points stay below the width rule, twelve (56 columns, 4 rows) reach it
+NARROW_AND_WIDE = [[1, 1, 2], [1, 2, 3] * 4]
+
+
+@pytest.mark.parametrize("levels", NARROW_AND_WIDE)
+@pytest.mark.parametrize("value", [1e200, math.nan])
+def test_non_finite_gram_deviation_on_both_paths(levels, value):
+    # a finite 1e200 overflows the Gram: inf; NaN data: NaN
+    s = model_from_realization(mobius(0.3), disk_points(12, levels))
+    phi = [v.copy() for v in s.phi]
+    phi[0][0, 0] = value
+    with np.errstate(all="ignore"), pytest.raises(GramMismatch) as ei:
+        fit_lurking_isometry(with_phi(s, phi), holdout=False)
+    assert takes_qr_path(*dense_panels(s, range(len(s)))) == (len(levels) > 3)
+    deviation = ei.value.deviation
+    assert math.isnan(deviation) if math.isnan(value) else deviation == math.inf
+
+
+@pytest.mark.parametrize("levels", NARROW_AND_WIDE)
+def test_huge_data_keep_a_finite_gram_deviation(levels):
+    # the Frobenius norm squares the Gram difference's entries, about
+    # eps c^2 here, which overflows unless they are scaled down first
+    s = model_from_realization(mobius(0.3), disk_points(13, levels))
+    c = 2.0**330
+    big = ModelSampleSet(
+        s.delta, s.points, [c * v for v in s.psi], [c * v for v in s.phi],
+        [c * v for v in s.u], s.h_dim, s.k1_dim, s.k2_dim, s.mult,
+    )
+    fit = fit_lurking_isometry(big, holdout=False)
+    assert fit.gram_deviation <= 1e-12 * c * c
+    np.testing.assert_allclose(
+        fit.realization.j1, fit_lurking_isometry(s, holdout=False).realization.j1,
+        rtol=0, atol=1e-12,
+    )
