@@ -551,23 +551,30 @@ def promoted_apply(dx: np.ndarray, n: int, mult: int, y: np.ndarray) -> np.ndarr
     The rows of y, in (level, mult, grid) order, are permuted to (grid,
     level) rows with (mult, column) columns, multiplied by the grid-outer dx
     in one GEMM, and permuted back; the promoted matrix is never formed and
-    the point need not lie in any domain.
+    the point need not lie in any domain. A ``(p, ...)`` stack of dx
+    values with a ``(p, ...)`` stack of y gives the stack of the members'
+    products, one GEMM each, every member bitwise its own product.
     """
-    rows, cols = dx.shape[0] // n, dx.shape[1] // n
-    q = y.shape[1]
-    if y.shape[0] != n * mult * cols:
+    rows, cols = dx.shape[-2] // n, dx.shape[-1] // n
+    lead, q = y.shape[:-2], y.shape[-1]
+    if y.shape[-2] != n * mult * cols:
         raise ShapeMismatch(
             f"cannot apply a level-{n} {rows}x{cols} grid at multiplicity {mult} "
-            f"to {y.shape[0]} rows"
+            f"to {y.shape[-2]} rows"
         )
-    grid_in = np.empty((cols, n, mult, q), dtype=np.complex128)
-    grid_out = np.empty((rows * n, mult * q), dtype=np.complex128)
-    out = np.empty((n * mult * rows, q), dtype=np.complex128)
-    np.copyto(grid_in, y.reshape(n, mult, cols, q).transpose(2, 0, 1, 3))
-    np.matmul(dx, grid_in.reshape(cols * n, mult * q), out=grid_out)
+    k = len(lead)
+    stack_axes = tuple(range(k))
+    grid_in = np.empty(lead + (cols, n, mult, q), dtype=np.complex128)
+    grid_out = np.empty(lead + (rows * n, mult * q), dtype=np.complex128)
+    out = np.empty(lead + (n * mult * rows, q), dtype=np.complex128)
     np.copyto(
-        out.reshape(n, mult, rows, q),
-        grid_out.reshape(rows, n, mult, q).transpose(1, 2, 0, 3),
+        grid_in,
+        y.reshape(lead + (n, mult, cols, q)).transpose(stack_axes + (k + 2, k, k + 1, k + 3)),
+    )
+    np.matmul(dx, grid_in.reshape(lead + (cols * n, mult * q)), out=grid_out)
+    np.copyto(
+        out.reshape(lead + (n, mult, rows, q)),
+        grid_out.reshape(lead + (rows, n, mult, q)).transpose(stack_axes + (k + 1, k + 2, k, k + 3)),
     )
     return out
 

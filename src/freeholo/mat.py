@@ -222,18 +222,22 @@ def kron_left_identity_apply(n: int, m, x) -> np.ndarray:
     Each of the n row blocks of ``x`` is multiplied by ``m`` through one
     reshape (Van Loan, "The ubiquitous Kronecker product", 2000), costing
     ``n`` times fewer operations than the dense product. Returns an array
-    of shape ``(n * m.shape[0], x.shape[1])``.
+    of shape ``(n * m.shape[0], x.shape[1])``. A ``(p, rows, q)`` stack
+    ``x`` gives the ``(p, n * m.shape[0], q)`` stack of its members'
+    products, each bitwise the product of that member alone.
     """
     a = as_array(m)
-    x = as_array(x)
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim not in (2, 3):
+        raise ShapeMismatch(f"expected a 2-d array or a stack of them, got ndim={x.ndim}")
     if n < 0:
         raise ShapeMismatch("identity size must be nonnegative")
-    if x.shape[0] != n * a.shape[1]:
+    if x.shape[-2] != n * a.shape[1]:
         raise ShapeMismatch(
-            f"cannot apply I_{n} (x) {a.shape[0]}x{a.shape[1]} to {x.shape[0]} rows"
+            f"cannot apply I_{n} (x) {a.shape[0]}x{a.shape[1]} to {x.shape[-2]} rows"
         )
-    q = x.shape[1]
-    return np.matmul(a, x.reshape(n, a.shape[1], q)).reshape(n * a.shape[0], q)
+    lead, q = x.shape[:-2], x.shape[-1]
+    return np.matmul(a, x.reshape(lead + (n, a.shape[1], q))).reshape(lead + (n * a.shape[0], q))
 
 
 def isometry_defect(m) -> float:
@@ -247,16 +251,21 @@ def complete_to_isometry(partial, target_dim: int) -> np.ndarray:
     """Extend an orthonormal column family to an isometry with ``target_dim`` columns.
 
     The completion is deterministic: standard basis vectors of the codomain
-    are orthonormalized against the accumulated columns in index order and
-    appended while room remains. The given columns are kept verbatim as the
-    leading columns of the result.
+    are tried in index order, each orthogonalized against the columns held
+    so far by two sweeps of block classical Gram-Schmidt (CGS2,
+    ``v -= Q (Q* v)`` twice; Giraud, Langou and Rozloznik, "The loss of
+    orthogonality in the Gram-Schmidt orthogonalization process", 2005),
+    and appended, normalized, when its norm stays above 1e-8, until
+    ``target_dim`` columns are held. The given columns are kept verbatim as
+    the leading columns of the result.
 
     Parameters
     ----------
     partial : array_like
-        Shape ``(rows, k)`` with orthonormal columns (within 1e-8). ``k`` may
-        be zero; then the result is the leading ``target_dim`` columns of the
-        orthonormalized standard basis (the identity when square).
+        Shape ``(rows, k)`` with finite, orthonormal columns (within 1e-8);
+        else ``ValueError``. ``k`` may be zero; then the result is the
+        leading ``target_dim`` columns of the orthonormalized standard basis
+        (the identity when square).
     target_dim : int
         Number of columns of the result.
 
@@ -276,23 +285,26 @@ def complete_to_isometry(partial, target_dim: int) -> np.ndarray:
         raise DimensionTooSmall(
             f"codomain of dimension {rows} cannot host an isometry with {target_dim} columns"
         )
-    if k and isometry_defect(p) > ORTHONORMAL_TOL:
+    # a NaN defect fails the comparison too; a family that is not finite is
+    # refused before its Gram is formed
+    if k and not (np.isfinite(p).all() and isometry_defect(p) <= ORTHONORMAL_TOL):
         raise ValueError("partial columns are not orthonormal within 1e-8")
-    cols = [p[:, j].copy() for j in range(k)]
+    out = np.empty((rows, target_dim), dtype=np.complex128)
+    out[:, :k] = p
+    held = k
     for i in range(rows):
-        if len(cols) == target_dim:
+        if held == target_dim:
             break
-        v = np.zeros(rows, dtype=np.complex128)
-        v[i] = 1.0
-        # two Gram-Schmidt sweeps keep the defect at machine precision
-        for _ in range(2):
-            for c in cols:
-                v = v - c * np.vdot(c, v)
+        q = out[:, :held]
+        v = -(q @ q[i].conj())  # the first sweep on e_i: Q* e_i is row i of Q, conjugated
+        v[i] += 1.0
+        v -= q @ (q.conj().T @ v)
         nrm = float(np.linalg.norm(v))
         if nrm > 1e-8:
-            cols.append(v / nrm)
-    if len(cols) < target_dim:
+            out[:, held] = v / nrm
+            held += 1
+    if held < target_dim:
         raise DimensionTooSmall(
             "standard basis did not yield enough independent directions"
         )
-    return np.column_stack(cols) if cols else np.zeros((rows, 0), dtype=np.complex128)
+    return out

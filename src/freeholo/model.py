@@ -190,12 +190,14 @@ def model_from_realization(r, points, psi=None) -> ModelSampleSet:
 
     For each point the model column is ``u(x) = v(x) psi(x)`` where ``v`` is
     the realization's resolvent leg, and ``phi(x)`` is the realization value
-    times ``psi(x)``; one resolvent solve per point yields both. With
-    ``psi=None`` the identity column data is used (h_dim = k1_dim).
-    ``ncpoint.require_inside`` evaluates delta and decides membership once
-    for all points; the solves and the sample set take delta(x) from it.
+    times ``psi(x)``; the resolvent solve at x yields both. The points are
+    solved by ``realize._level_solves``, one stacked solve per level chunk,
+    each member bitwise the one-point solve. With ``psi=None`` the identity
+    column data is used (h_dim = k1_dim). ``ncpoint.require_inside``
+    evaluates delta and decides membership once for all points; the solves
+    and the sample set take delta(x) from it.
     """
-    from .realize import _solve
+    from .realize import _level_solves
 
     points = list(points)
     if psi is None:
@@ -209,7 +211,10 @@ def model_from_realization(r, points, psi=None) -> ModelSampleSet:
             raise ShapeMismatch("points, psi, phi, u must have equal lengths")
         h_dim = psi[0].shape[1] // points[0].n
     delta_x = [dx for dx, _ in require_inside(r.delta, points)]
-    solved = [_solve(r, x.n, dx) for x, dx in zip(points, delta_x)]
+    solved = [None] * len(points)
+    for chunk, omega, v in _level_solves(r, [x.n for x in points], delta_x):
+        for j, i in enumerate(chunk):
+            solved[i] = omega[j], v[j]
     return ModelSampleSet(
         r.delta, points, psi,
         phi=[omega @ p for (omega, _), p in zip(solved, psi)],

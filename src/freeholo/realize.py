@@ -17,13 +17,18 @@ Isometry of J1 forces ``||Omega(x)|| <= 1`` strictly inside the domain.
 The Kronecker factors and the promoted Delta(x) are the meaning of the
 formula, not what is computed. The private kernels ``_solve`` (the resolvent
 solve) and ``_series`` (the Neumann terms) take the realization, the level n
-and the unpromoted grid-outer value delta(x). They apply the blocks through
+and the unpromoted grid-outer value delta(x); ``_solve`` takes a stack of
+them at points of one level. They apply the blocks through
 ``mat.kron_left_identity_apply`` and Delta(x) through ``freepoly.promoted_apply``,
-one GEMM with delta(x); ``_series`` runs that arithmetic per term as a fixed
-plan of in-place numpy calls on views made once. ``eval_direct``,
-``resolvent_leg``, ``eval_neumann`` and ``model_from_realization`` take
-delta(x) and its norm from the membership kernel ``ncpoint.require_inside``;
-the fit's holdout and the corona residual read the sample set's delta(x).
+one GEMM with delta(x) per point; ``_series`` runs that arithmetic per term
+as a fixed plan of in-place numpy calls on views made once. ``eval_direct``
+and ``resolvent_leg`` solve a one-point stack; ``_level_solves`` solves many
+points with one ``_solve`` per level chunk for ``model_from_realization``,
+the fit's holdout and the corona residual, each member bitwise the one-point
+solve. ``eval_direct``, ``resolvent_leg``, ``eval_neumann`` and
+``model_from_realization`` take delta(x) and its norm from the membership
+kernel ``ncpoint.require_inside``; the fit's holdout and the corona residual
+read the sample set's delta(x).
 
 The fitting routine recovers such a J1 from finite model sample data by
 matching two families of structured vectors with equal Gram matrices and
@@ -141,22 +146,31 @@ def _value(r: Realization, n: int, w: np.ndarray) -> np.ndarray:
     return a_tilde + mat.kron_left_identity_apply(n, r.block_b, w)
 
 
-def _solve(r: Realization, n: int, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(Omega(x), v(x))`` at a level-n point from ``dx``, its grid-outer delta(x).
+def _solve(r: Realization, n: int, dxs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked ``(Omega(x), v(x))`` from ``dxs``, a ``(p, n*I, n*J)`` stack of
+    the grid-outer delta(x) at p points of level n.
 
-    One LU solve of the resolvent equation. The matrix ``kron(I_n, D) Delta(x)``
-    is assembled entrywise as ``sum_i D[p, (m, i)] delta_ij(x)[a, b]`` at row
-    (a, p) and column (b, m, j), never through the promoted factors, and
-    Delta(x) v is one GEMM with dx through :func:`freepoly.promoted_apply`.
+    One batched LU solve of the resolvent equations. Each member's
+    ``kron(I_n, D) Delta(x)`` is assembled entrywise as
+    ``sum_i D[p, (m, i)] delta_ij(x)[a, b]`` at row (a, p) and column
+    (b, m, j), by one product of D's blocks with that member's delta(x), never
+    through the promoted factors; Delta(x) v is one GEMM per member through
+    :func:`freepoly.promoted_apply`. The points are batched along the
+    leading axis only, so every member is bitwise the solve of its point
+    alone.
     """
     mult, rows, cols = r.mult, r.delta.rows, r.delta.cols
-    d3 = r.block_d.reshape(mult * cols, mult, rows)
-    t = np.tensordot(d3, dx.reshape(rows, n, cols, n), axes=([2], [0]))
     size = n * mult * cols
-    d_delta = t.transpose(2, 0, 4, 1, 3).reshape(size, size)
+    d2 = r.block_d.reshape(mult * cols * mult, rows)
+    t = np.empty((len(dxs), mult * cols, mult, n, cols, n), dtype=np.complex128)
+    for dx, out in zip(dxs, t):
+        # np.dot, as the one-point tensordot calls it: for a one-row grid it
+        # takes a rank-1 update whose bits differ from np.matmul's GEMM
+        np.dot(d2, dx.reshape(rows, n * cols * n), out=out.reshape(d2.shape[0], -1))
+    d_delta = t.transpose(0, 3, 1, 5, 2, 4)
     c_tilde = mat.kron_left_identity_apply(n, r.block_c, np.eye(n * r.dim_k1))
-    v = np.linalg.solve(np.eye(size) - d_delta, c_tilde)
-    return _value(r, n, promoted_apply(dx, n, mult, v)), v
+    v = np.linalg.solve(np.eye(size) - d_delta.reshape(-1, size, size), c_tilde)
+    return _value(r, n, promoted_apply(dxs, n, mult, v)), v
 
 
 def _series(r: Realization, n: int, dx: np.ndarray, k: int) -> np.ndarray:
@@ -190,6 +204,40 @@ def _series(r: Realization, n: int, dx: np.ndarray, k: int) -> np.ndarray:
     return total
 
 
+# Most bytes of the (p, size, size) resolvent matrices in one _level_solves
+# chunk; _solve holds about four arrays of that size at once. With one BLAS
+# thread the time per point stopped falling at 0.1-0.5 MB: at size 16 (level
+# 4, mult 2) 38 us alone, 9-11 us from 32 points on; at size 64 117 us
+# alone, 88 us at 8 points (0.5 MB), 99-114 us beyond; at sizes 128 and 256
+# the stack saved at most 2%.
+_SOLVE_BYTES = 1 << 20
+
+
+def _level_solves(r: Realization, levels, dxs):
+    """:func:`_solve` at many points, one call per level chunk.
+
+    ``levels[i]`` and ``dxs[i]`` are the level and the grid-outer delta(x)
+    of point i; a delta(x) narrower than the grid of ``r`` (a sample set's,
+    where a fit padded the grid) is widened by zero columns. Levels are
+    taken in order of first appearance and cut into chunks of at most
+    ``_SOLVE_BYTES`` of resolvent matrices. Yields ``(positions, omega, v)``
+    per chunk, ``omega[j]`` and ``v[j]`` belonging to point ``positions[j]``.
+    """
+    by_level = {}
+    for i, n in enumerate(levels):
+        by_level.setdefault(n, []).append(i)
+    rows, cols = r.delta.rows, r.delta.cols
+    for n, idx in by_level.items():
+        size = n * r.mult * cols
+        step = max(1, _SOLVE_BYTES // (16 * size * size))
+        for start in range(0, len(idx), step):
+            chunk = idx[start : start + step]
+            stack = np.zeros((len(chunk), n * rows, n * cols), dtype=np.complex128)
+            for j, i in enumerate(chunk):
+                stack[j, :, : dxs[i].shape[1]] = dxs[i]
+            yield chunk, *_solve(r, n, stack)
+
+
 def resolvent_leg(r: Realization, x: GradedPoint) -> np.ndarray:
     """``v(x) = (I - (I_n (x) D) Delta(x))^{-1} (I_n (x) C)``.
 
@@ -197,7 +245,7 @@ def resolvent_leg(r: Realization, x: GradedPoint) -> np.ndarray:
     any input data produces model data with a machine-scale residual.
     """
     [(dx, _)] = require_inside(r.delta, [x])
-    return _solve(r, x.n, dx)[1]
+    return _solve(r, x.n, dx[None])[1][0]
 
 
 def eval_direct(r: Realization, x: GradedPoint) -> np.ndarray:
@@ -208,7 +256,7 @@ def eval_direct(r: Realization, x: GradedPoint) -> np.ndarray:
     contraction up to rounding.
     """
     [(dx, _)] = require_inside(r.delta, [x])
-    return _solve(r, x.n, dx)[0]
+    return _solve(r, x.n, dx[None])[0][0]
 
 
 # -- certified truncation -----------------------------------------------------
@@ -485,18 +533,19 @@ def fit_lurking_isometry(
 def _max_gap(r: Realization, s: ModelSampleSet, indices) -> float:
     """``max || Omega(x) psi(x) - phi(x) ||`` over the sample points ``indices``, or inf.
 
-    Omega(x) is solved from the sample set's delta(x), widened by zero
-    columns to the grid of ``r`` where a fit padded it. No delta is
-    evaluated and no membership decided here: the sample set decided it.
-    A gap that is not finite, or whose SVD fails, gives ``inf``.
+    Omega(x) is solved from the sample set's delta(x) by
+    :func:`_level_solves`, one stacked :func:`_solve` per level chunk, so
+    every gap is bitwise the one-point solve's. No delta is evaluated and
+    no membership decided here: the sample set decided it. A gap that is
+    not finite, or whose SVD fails, gives ``inf``.
     """
 
     def gaps():
-        for i in indices:
-            n, dx = s.points[i].n, s.delta_x[i]
-            pad = np.zeros((dx.shape[0], r.delta.cols * n - dx.shape[1]), dtype=np.complex128)
-            omega = _solve(r, n, np.concatenate([dx, pad], axis=1))[0]
-            yield (omega @ s.psi[i] - s.phi[i])[None]
+        levels = [s.points[i].n for i in indices]
+        for chunk, omega, _ in _level_solves(r, levels, [s.delta_x[i] for i in indices]):
+            for j, member in zip(chunk, omega):
+                i = indices[j]
+                yield (member @ s.psi[i] - s.phi[i])[None]
 
     worst = mat.max_op_norm(gaps())
     return math.inf if math.isnan(worst) else worst
@@ -572,7 +621,10 @@ def corona_solve(
     epsilon : float
         Coercivity floor; the stacked column must satisfy
         ``psi(x)* psi(x) >= epsilon^2`` at every point (within ``floor_slack``),
-        otherwise, or where that difference overflows, :class:`BelowFloor`.
+        otherwise, or where that difference overflows, :class:`BelowFloor`
+        naming the first such point. Every column is stacked (and its shape
+        checked) first; the smallest eigenvalues then come from one batched
+        ``eigvalsh`` per level, each bitwise the point's own.
     u : sequence
         Model data for ``psi(y)* psi(x) - epsilon^2`` with multiplicity
         ``mult``, e.g. sampled from a realization via
@@ -593,14 +645,19 @@ def corona_solve(
         raise ShapeMismatch("need at least one column function")
     if any(len(row) != len(points) for row in psis):
         raise ShapeMismatch("each column function needs one value per point")
-    columns = []
-    for s_idx in range(len(points)):
-        col = stack_column([psis[i][s_idx] for i in range(n_funcs)])
-        columns.append(col)
-        g = col.conj().T @ col - epsilon * epsilon * np.eye(col.shape[1])
-        low = math.nan  # an overflowed Gram confirms no floor
-        if np.isfinite(g).all():
-            low = float(np.linalg.eigvalsh((g + g.conj().T) / 2.0)[0])
+    columns = [stack_column(values) for values in zip(*psis)]
+    by_level = {}
+    for s_idx, col in enumerate(columns):
+        by_level.setdefault(col.shape, []).append(s_idx)
+    lows = np.full(len(points), math.nan)  # an overflowed Gram confirms no floor
+    for idx in by_level.values():
+        cols = np.stack([columns[s_idx] for s_idx in idx])
+        g = cols.conj().transpose(0, 2, 1) @ cols - epsilon * epsilon * np.eye(cols.shape[2])
+        finite = np.isfinite(g).all(axis=(1, 2))
+        g = np.where(finite[:, None, None], g, 0.0)  # zeros stand in for the overflowed
+        eig = np.linalg.eigvalsh((g + g.conj().transpose(0, 2, 1)) / 2.0)[:, 0]
+        lows[idx] = np.where(finite, eig, math.nan)
+    for s_idx, low in enumerate(lows):
         if not low >= -floor_slack:
             raise BelowFloor(
                 f"psi*psi drops {-low:.3e} under epsilon^2 at point {s_idx}"

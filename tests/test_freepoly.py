@@ -454,6 +454,21 @@ def test_promoted_apply_matches_dense(seed, grid, mult, n, q):
         promoted_apply(dx, n, mult, y[1:])
 
 
+@pytest.mark.parametrize("grid, mult, n, q", [((1, 2), 1, 1, 1), ((2, 3), 2, 3, 2), ((3, 1), 3, 2, 4)])
+def test_promoted_apply_stack_is_its_members(grid, mult, n, q):
+    rng = rng_from_seed(sum(grid) + 10 * mult + 100 * n)
+    delta = random_grid(rng, *grid)
+    dxs = np.stack([eval_poly_matrix(delta, random_graded_point(rng, 2, n)) for _ in range(3)])
+    shape = (3, n * mult * grid[1], q)
+    ys = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = promoted_apply(dxs, n, mult, ys)
+    assert got.shape == (3, n * mult * grid[0], q)
+    for member, dx, y in zip(got, dxs, ys):
+        assert np.array_equal(member, promoted_apply(dx, n, mult, y))
+    with pytest.raises(ShapeMismatch):
+        promoted_apply(dxs, n, mult, ys[:, 1:])
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     d=st.integers(1, 2),

@@ -1,6 +1,7 @@
 import ctypes
 import os
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -117,6 +118,20 @@ def test_kron_left_identity_apply_rejects_bad_shapes():
         kron_left_identity_apply(2, m, rand_matrix(1, 5, 1))
 
 
+@pytest.mark.parametrize("n, rows, cols, q", [(1, 2, 3, 4), (3, 2, 5, 1), (2, 1, 1, 3)])
+def test_kron_left_identity_apply_stack_is_its_members(n, rows, cols, q):
+    m = rand_matrix(n + rows, rows, cols)
+    xs = np.stack([rand_matrix(q + cols + j, n * cols, q) for j in range(3)])
+    got = kron_left_identity_apply(n, m, xs)
+    assert got.shape == (3, n * rows, q)
+    for member, x in zip(got, xs):
+        assert np.array_equal(member, kron_left_identity_apply(n, m, x))
+    with pytest.raises(ShapeMismatch):
+        kron_left_identity_apply(n, m, xs[:, 1:])
+    with pytest.raises(ShapeMismatch):
+        kron_left_identity_apply(n, m, xs[None])
+
+
 def test_isometry_defect_zero_for_unitary():
     q, _ = np.linalg.qr(rand_matrix(5, 4))
     assert isometry_defect(q) < 1e-13
@@ -155,6 +170,93 @@ def test_complete_to_isometry_dimension_errors():
         complete_to_isometry(partial, 3)
     with pytest.raises(DimensionTooSmall):
         complete_to_isometry(partial, 1)
+
+
+def mgs2_completion(partial, target_dim):
+    """Reference completion: standard basis vectors in index order, each
+    orthogonalized by two sweeps of modified Gram-Schmidt, one column at a
+    time, kept when its norm stays above 1e-8. Returns the columns, the
+    indices of the basis vectors kept and their norms before normalizing."""
+    rows, k = partial.shape
+    cols, kept, norms = [partial[:, j].copy() for j in range(k)], [], []
+    for i in range(rows):
+        if len(cols) == target_dim:
+            break
+        v = np.zeros(rows, dtype=np.complex128)
+        v[i] = 1.0
+        for _ in range(2):
+            for c in cols:
+                v = v - c * np.vdot(c, v)
+        nrm = float(np.linalg.norm(v))
+        if nrm > 1e-8:
+            cols.append(v / nrm)
+            kept.append(i)
+            norms.append(nrm)
+    full = np.column_stack(cols) if cols else np.zeros((rows, 0), dtype=np.complex128)
+    return full, kept, norms
+
+
+def kept_indices(full, k):
+    """The basis indices a completion ``full`` of ``k`` given columns kept,
+    replayed from its own columns: index i is kept when e_i leaves a
+    residual above 1e-8 against the columns before it."""
+    rows, target_dim = full.shape
+    held, kept = k, []
+    for i in range(rows):
+        if held == target_dim:
+            break
+        q = full[:, :held]
+        v = np.eye(rows, dtype=np.complex128)[:, i]
+        for _ in range(2):
+            v = v - q @ (q.conj().T @ v)
+        if np.linalg.norm(v) > 1e-8:
+            kept.append(i)
+            held += 1
+    return kept
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 12),
+    st.data(),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_complete_to_isometry_matches_the_mgs2_reference(seed, rows, data, on_basis):
+    # a family on standard basis vectors makes the completion skip indices
+    rng = np.random.default_rng(seed)
+    k = data.draw(st.integers(0, rows))
+    target_dim = data.draw(st.integers(k, rows))
+    if on_basis:
+        cols = np.eye(rows, dtype=np.complex128)[:, rng.permutation(rows)[:k]]
+        partial = cols * np.exp(2j * np.pi * rng.random(k))
+    else:
+        partial = np.linalg.qr(rand_matrix(seed, rows, k))[0]
+    full = complete_to_isometry(partial, target_dim)
+    want, want_kept, norms = mgs2_completion(partial, target_dim)
+    assert full.shape == (rows, target_dim)
+    assert np.array_equal(full[:, :k], partial)
+    assert kept_indices(full, k) == want_kept
+    if target_dim:
+        assert isometry_defect(full) <= 1e-13
+    # both orthonormalize the same vector against the same span; dividing by
+    # its residual norm r scales their rounding apart by 1 / r, so column j
+    # agrees within 16 eps / r_j (seen: 1.5 eps / r_j over 5,000 families)
+    eps = np.finfo(float).eps
+    for j, nrm in enumerate(norms):
+        assert np.max(np.abs(full[:, k + j] - want[:, k + j])) <= 16 * eps / nrm
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_complete_to_isometry_refuses_non_finite_columns(bad):
+    partial = np.eye(4, 2, dtype=np.complex128)
+    partial[1, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not orthonormal"):
+            complete_to_isometry(partial, 3)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        complete_to_isometry(np.full((4, 1), np.nan), 2)
 
 
 def test_cmatrix_immutable_and_json():

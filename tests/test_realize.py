@@ -10,6 +10,7 @@ from conftest import corona_inputs, random_column_data, random_grid, random_rect
 from freeholo import realize
 from freeholo.approx import ORDER_CAP, choose_truncation
 from freeholo.errors import (
+    BelowFloor,
     GramMismatch,
     OutsideDomain,
     RankOverflow,
@@ -20,6 +21,7 @@ from freeholo.freepoly import (
     FreePoly,
     GradedPoint,
     PolyMatrix,
+    delta_pad_columns,
     eval_poly_matrix,
     eval_poly_matrix_promoted,
     promoted_apply,
@@ -31,6 +33,7 @@ from freeholo.mat import (
     op_norm,
 )
 from freeholo.model import ModelSampleSet, model_from_realization, model_residual
+from freeholo.ncpoint import require_inside
 from freeholo.realize import (
     NEUMANN_TERM_CAP,
     PAD_CAP,
@@ -765,3 +768,177 @@ def test_huge_data_keep_a_finite_gram_deviation(levels):
         fit.realization.j1, fit_lurking_isometry(s, holdout=False).realization.j1,
         rtol=0, atol=1e-12,
     )
+
+
+# -- level-stacked resolvent solves ----------------------------------------------
+
+
+def one_point_solve(r, n, dx):
+    """Reference ``(Omega(x), v(x))`` at one point: the one-point kernel as a
+    ``tensordot`` with D's blocks, one LU solve and the helper products."""
+    mult, rows, cols = r.mult, r.delta.rows, r.delta.cols
+    d3 = r.block_d.reshape(mult * cols, mult, rows)
+    t = np.tensordot(d3, dx.reshape(rows, n, cols, n), axes=([2], [0]))
+    size = n * mult * cols
+    d_delta = t.transpose(2, 0, 4, 1, 3).reshape(size, size)
+    c_tilde = kron_left_identity_apply(n, r.block_c, np.eye(n * r.dim_k1))
+    v = np.linalg.solve(np.eye(size) - d_delta, c_tilde)
+    w = promoted_apply(dx, n, mult, v)
+    a_tilde = kron_left_identity_apply(n, r.block_a, np.eye(n * r.dim_k1))
+    return a_tilde + kron_left_identity_apply(n, r.block_b, w), v
+
+
+def widened(dx, n, cols):
+    """``dx`` with zero columns up to a level-n grid of ``cols`` columns."""
+    out = np.zeros((dx.shape[0], n * cols), dtype=np.complex128)
+    out[:, : dx.shape[1]] = dx
+    return out
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]),
+    st.integers(1, 2),
+    st.sampled_from([-1, 1, 2]),
+    st.integers(1, 3),
+    st.integers(0, 2),
+    st.lists(st.integers(1, 4), min_size=1, max_size=9),
+)
+@settings(max_examples=40, deadline=None)
+def test_stacked_solve_members_equal_one_point_solves(seed, grid, k1, offset, mult, pad, levels):
+    # a grid padded with zero columns takes the narrower delta(x) of the
+    # unpadded one, as a fit's holdout does
+    rng = rng_from_seed(seed)
+    base = random_rect_realization(rng, *grid, k1, offset, mult)
+    delta = delta_pad_columns(base.delta, pad)
+    j1 = haar_isometry(rng, base.dim_k2 + mult * delta.cols, k1 + mult * delta.rows)
+    r = Realization(delta, k1, base.dim_k2, mult, j1)
+    pts = [point_inside_gdelta(rng, base.delta, n) for n in levels]
+    dxs = [dx for dx, _ in require_inside(base.delta, pts)]
+    want = [one_point_solve(r, x.n, widened(dx, x.n, delta.cols)) for x, dx in zip(pts, dxs)]
+    seen = []
+    for chunk, omega, v in realize._level_solves(r, levels, dxs):
+        assert len({levels[i] for i in chunk}) == 1
+        for j, i in enumerate(chunk):
+            assert np.array_equal(omega[j], want[i][0]) and np.array_equal(v[j], want[i][1])
+        seen += chunk
+    assert sorted(seen) == list(range(len(pts)))
+    if pad == 0:
+        for x, (omega, v) in zip(pts, want):
+            assert np.array_equal(eval_direct(r, x), omega)
+            assert np.array_equal(resolvent_leg(r, x), v)
+
+
+def reference_max_gap(r, s, indices):
+    """``max ||Omega(x) psi(x) - phi(x)||`` solved and normed point by point."""
+    gaps = []
+    for i in indices:
+        n = s.points[i].n
+        omega = one_point_solve(r, n, widened(s.delta_x[i], n, r.delta.cols))[0]
+        gaps.append(op_norm(omega @ s.psi[i] - s.phi[i]))
+    return max(gaps)
+
+
+def test_max_gap_equals_a_per_point_loop(wide_fit_set):
+    _, s = wide_fit_set
+    fit = fit_lurking_isometry(s)
+    r = fit.realization
+    assert realize._max_gap(r, s, fit.holdout_indices) == reference_max_gap(r, s, fit.holdout_indices)
+    everywhere = range(len(s))
+    assert realize._max_gap(r, s, everywhere) == reference_max_gap(r, s, everywhere)
+    # the corona's gap runs on a padded grid over points of mixed levels
+    pts, psis, eps, us, mult = corona_inputs(15, [2, 1, 3, 1, 2, 1])
+    sol = corona_solve(UNIT_DISK, pts, psis, eps, us, mult)
+    assert sol.fit.padded_cols > 0
+    sample = ModelSampleSet(
+        UNIT_DISK, pts, [stack_column(col) for col in zip(*psis)],
+        [eps * np.eye(x.n) for x in pts], us, 1, len(psis), 1, mult,
+    )
+    assert sol.identity_residual == reference_max_gap(sol.omega, sample, range(len(pts))) / eps
+
+
+def level_chunks(levels, r):
+    """How many stacked solves ``_level_solves`` makes for these levels."""
+    count = 0
+    for n in set(levels):
+        size = n * r.mult * r.delta.cols
+        step = max(1, realize._SOLVE_BYTES // (16 * size * size))
+        count += -(-levels.count(n) // step)
+    return count
+
+
+@pytest.mark.parametrize("budget", [None, 3 * 16 * 16 * 16])
+def test_one_solve_per_level_chunk(wide_fit_set, monkeypatch, budget):
+    # with a budget of three level-4 resolvent matrices, level 4 takes chunks
+    truth, s = wide_fit_set
+    if budget is not None:
+        monkeypatch.setattr(realize, "_SOLVE_BYTES", budget)
+    fit = fit_lurking_isometry(s)
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        calls.append(a.shape[0])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    held = [s.points[i].n for i in fit.holdout_indices]
+    realize._max_gap(fit.realization, s, fit.holdout_indices)
+    assert len(calls) == level_chunks(held, fit.realization) < len(held)
+    calls.clear()
+    levels = [x.n for x in s.points]
+    again = model_from_realization(truth, s.points)
+    assert len(calls) == level_chunks(levels, truth) < len(levels)
+    assert sum(calls) == len(levels)
+    for a, b in zip(again.u + again.phi, s.u + s.phi):
+        assert np.array_equal(a, b)
+
+
+# -- the corona's coercivity floor ------------------------------------------------
+
+
+def floor_eigenvalues(psis, epsilon):
+    """Smallest eigenvalue of ``psi*psi - epsilon^2`` at each point, one
+    ``eigvalsh`` call per point."""
+    lows = []
+    for col in (stack_column(vals) for vals in zip(*psis)):
+        g = col.conj().T @ col - epsilon * epsilon * np.eye(col.shape[1])
+        lows.append(float(np.linalg.eigvalsh((g + g.conj().T) / 2.0)[0]))
+    return lows
+
+
+def test_corona_floor_names_the_first_failing_point():
+    # points 2 (level 2) and 3 (level 1) fall under the floor; level 2 is
+    # stacked first, level 1 holds the earliest points
+    pts, psis, eps, us, mult = corona_inputs(16, [2, 1, 2, 1, 3])
+    psis = [[0.05 * v if s in (2, 3) else v for s, v in enumerate(row)] for row in psis]
+    lows = floor_eigenvalues(psis, eps)
+    assert [low < 0 for low in lows] == [False, False, True, True, False]
+    with pytest.raises(BelowFloor) as ei:
+        corona_solve(UNIT_DISK, pts, psis, eps, us, mult)
+    assert str(ei.value) == f"psi*psi drops {-lows[2]:.3e} under epsilon^2 at point 2"
+
+
+def test_corona_floor_reads_each_eigenvalue_bitwise():
+    # at a slack of exactly -min(low) the floor holds (and the fit then
+    # refuses the data, which model another epsilon); one ulp less fails
+    pts, psis, eps, us, mult = corona_inputs(17, [1, 2, 1, 3, 2])
+    big = 1.2 * eps
+    lows = floor_eigenvalues(psis, big)
+    worst = int(np.argmin(lows))
+    slack = -lows[worst]
+    assert slack > 0
+    with pytest.raises(GramMismatch):
+        corona_solve(UNIT_DISK, pts, psis, big, us, mult, floor_slack=slack)
+    with pytest.raises(BelowFloor) as ei:
+        corona_solve(UNIT_DISK, pts, psis, big, us, mult, floor_slack=np.nextafter(slack, 0.0))
+    first = next(s for s, low in enumerate(lows) if not low >= -np.nextafter(slack, 0.0))
+    assert first == worst and str(ei.value).endswith(f"at point {worst}")
+
+
+def test_corona_floor_overflow_names_its_point():
+    pts, psis, eps, us, mult = corona_inputs(18, [1, 2, 1])
+    psis = [[1e200 * v if s == 2 else v for s, v in enumerate(row)] for row in psis]
+    with np.errstate(all="ignore"), pytest.raises(BelowFloor) as ei:
+        corona_solve(UNIT_DISK, pts, psis, eps, us, mult)
+    assert str(ei.value) == "psi*psi drops nan under epsilon^2 at point 2"
