@@ -37,7 +37,7 @@ from .errors import (
     SchemaError,
     UnknownVariable,
 )
-from .exprlang import Schedule, eval_expr, parse, print_expr
+from .exprlang import Schedule, eval_expr, eval_expr_points, parse, print_expr
 from .freepoly import DEFAULT_MARGIN, MatrixPoly
 from .jsonio import SCHEMA_VERSION, TENSOR_CONVENTION
 from .mat import json_int, matrix_to_json
@@ -102,12 +102,15 @@ def _pairs(values) -> list:
 
 
 class _Function(NamedTuple):
-    """A function read from the command line: ``d`` variables, as
+    """A function read from the command line: its one-point evaluator ``f``
+    and its point-list form ``f_points`` (per point, the value or the
+    :class:`FreeholoError` that ``f`` raises there), ``d`` variables, as
     ``source`` names them, and the parsed ``tree`` of an expression (None
     for a realization)."""
 
     kind: str
     f: object
+    f_points: object
     dims: tuple
     d: int
     source: str
@@ -121,7 +124,9 @@ def _load_function(args) -> _Function:
     with a realization of another d.
 
     A realization's evaluator raises :class:`OutsideDomain` at points
-    outside its domain, after the one membership test it makes anyway.
+    outside its domain, after the one membership test it makes anyway. The
+    point-list forms evaluate one level stack at a time
+    (``realize.eval_direct_points``, ``exprlang.eval_expr_points``).
     """
     given = [flag for flag in ("--realization", "--expr", "--expr-file")
              if getattr(args, flag[2:].replace("-", "_"), None) is not None]
@@ -134,6 +139,7 @@ def _load_function(args) -> _Function:
         if args.vars is not None:
             _check_d([r.delta], args.vars, "--realization", "--vars")
         return _Function("realization", lambda x: realize.eval_direct(r, x),
+                         lambda points: realize.eval_direct_points(r, points),
                          (r.dim_k1, r.dim_k2), r.delta.d, "the d of --realization", None)
     src = args.expr
     if src is None:
@@ -148,7 +154,9 @@ def _load_function(args) -> _Function:
         raise SchemaError("--vars is required with --expr/--expr-file")
     tree = parse(src, args.vars)
     steps = Schedule(tree)
-    return _Function("expr", lambda x: eval_expr(steps, x), (1, 1), args.vars, "--vars", tree)
+    return _Function("expr", lambda x: eval_expr(steps, x),
+                     lambda points: eval_expr_points(steps, points),
+                     (1, 1), args.vars, "--vars", tree)
 
 
 def _check_d(values, d: int, name: str, source: str) -> None:
@@ -213,7 +221,8 @@ def _cmd_check_nc(args) -> dict:
             sims.append(sampling.random_invertible(rng, n))
             couplings.append(sampling.random_matrix(rng, n))
     rep = ncpoint.check_nc_axioms(
-        fn.f, samples, sims=sims, couplings=couplings, dims=fn.dims, tol=args.tol
+        fn.f, samples, sims=sims, couplings=couplings, dims=fn.dims, tol=args.tol,
+        f_points=fn.f_points,
     )
     return {
         "command": "check-nc",
@@ -367,23 +376,27 @@ def _cmd_derive(args) -> dict:
     }
 
 
-def _sampled_bound(f, delta, seed: int) -> float:
-    """The largest ``||f(x)||`` over 200 points sampled inside the domain;
-    :class:`NonFiniteValue` where a value or its norm is not finite."""
+def _sampled_bound(f_points, delta, seed: int) -> float:
+    """The largest ``||f(x)||`` over 200 points sampled inside the domain,
+    with ``f_points`` the point-list form of f; the error f raises at the
+    first point where it raises, or :class:`NonFiniteValue` at the first
+    point where a value is not finite, whichever comes first, and else
+    where a norm's SVD failed."""
     from . import sampling
 
     rng = sampling.rng_from_seed(seed)
     points = sampling.points_inside_gdelta(rng, delta, [1 + (i % 3) for i in range(200)])
-    by_level = {}
-    for i, x in enumerate(points):
-        value = f(x)
-        if not np.isfinite(value).all():
-            raise NonFiniteValue(f"f is not finite at sampled point {i} (level {x.n})")
-        by_level.setdefault(x.n, {})[i] = value
-    worst = mat.max_op_norm(np.array(list(v.values())) for v in by_level.values())
-    if math.isnan(worst):  # the values are finite, so an SVD failed: name where
-        norms = (zip(v, mat.op_norms(list(v.values()))) for v in by_level.values())
-        i = min(i for level in norms for i, nrm in level if math.isnan(nrm))
+    values = f_points(points)
+    failed = any(isinstance(v, FreeholoError) for v in values)
+    # NaN when a value is not finite or an SVD failed; only then is each point looked at
+    worst = math.nan if failed else mat.max_op_norm(s for _, s in mat.shape_stacks(values))
+    if math.isnan(worst):
+        for i, (x, value) in enumerate(zip(points, values)):
+            if isinstance(value, FreeholoError):
+                raise value
+            if not np.isfinite(value).all():
+                raise NonFiniteValue(f"f is not finite at sampled point {i} (level {x.n})")
+        i = next(i for i, nrm in enumerate(mat.op_norms_of(values)) if math.isnan(nrm))
         raise NonFiniteValue(f"the norm of f failed at sampled point {i} (level {points[i].n})")
     return worst
 
@@ -399,7 +412,7 @@ def _cmd_mero_certify(args) -> dict:
         bound_sup = args.bound
         bound_source = "asserted"
     else:
-        bound_sup = _sampled_bound(fn.f, delta, args.seed)
+        bound_sup = _sampled_bound(fn.f_points, delta, args.seed)
         bound_source = "sampled"
     cert = mero.inversion_certificate(
         fn.f, delta, m, bound_sup, bound_source=bound_source

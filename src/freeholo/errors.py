@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one way a point-list
+evaluator records an error in place of a value."""
 
 
 class FreeholoError(Exception):
@@ -104,3 +105,12 @@ class RootFindingFailure(FreeholoError, ArithmeticError):
 
 class SchemaError(FreeholoError, ValueError):
     """JSON payload does not match the documented schema."""
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the :class:`FreeholoError` it raises: one entry of a
+    point-list form, which holds per point the value or the error there."""
+    try:
+        return fn(*args)
+    except FreeholoError as exc:
+        return exc

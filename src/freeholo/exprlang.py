@@ -35,13 +35,15 @@ import numpy as np
 
 from .errors import (
     ExprSyntaxError,
+    FreeholoError,
     NotPolynomial,
     ShapeMismatch,
     SingularMatrix,
     SingularityHit,
     UnknownVariable,
+    outcome,
 )
-from .freepoly import FreePoly, GradedPoint
+from .freepoly import FreePoly, GradedPoint, level_stacks
 from . import mat
 
 
@@ -284,7 +286,7 @@ _MATRIX_OPS = {**_POLY_OPS, Mul: operator.matmul, Inv: mat.inv}
 
 class Schedule:
     """A tree's ``nodes`` in postorder (children first, left before right)
-    with their ``arity``, built once; :func:`eval_expr` and
+    with their ``arity``, built once; the evaluators and
     :func:`to_free_poly` take it in place of the tree, so an expression
     evaluated many times is scheduled once."""
 
@@ -336,24 +338,66 @@ class Schedule:
         return values[0]
 
 
+def eval_expr_stack(node, mats) -> np.ndarray:
+    """Evaluate a tree, or its :class:`Schedule`, at p points of one level at
+    once; ``mats`` holds the points' coordinates as d ``(p, n, n)`` stacks
+    (see :func:`freepoly.level_stacks`), and the result is the ``(p, n, n)``
+    stack of their values.
+
+    The one :meth:`Schedule.fold` of the evaluators: the arithmetic
+    broadcasts over the leading axis and inversion nodes use
+    :func:`mat.inv` of the stack, so each member is bitwise the one-point
+    value. A singular member makes the fold raise :class:`SingularityHit`
+    at the first inversion node, in postorder, where some member is
+    singular; a member that is not finite inverts to all NaN.
+    """
+    p, n = mats[0].shape[:2]
+
+    def leaf(node):
+        if type(node) is Const:
+            return node.value * np.eye(n, dtype=np.complex128)
+        if not 1 <= node.index <= len(mats):
+            raise ShapeMismatch(f"x{node.index} undefined for a {len(mats)}-variable point")
+        return mats[node.index - 1].copy()
+
+    steps = node if isinstance(node, Schedule) else Schedule(node)
+    value = steps.fold(leaf, _MATRIX_OPS)
+    # a tree of constants folds to one (n, n) matrix shared by every member
+    return value if value.ndim == 3 else np.repeat(value[None], p, axis=0)
+
+
 def eval_expr(node, x: GradedPoint) -> np.ndarray:
     """Evaluate a tree, or its :class:`Schedule`, at a graded point;
-    n-by-n complex matrix.
+    n-by-n complex matrix: the one-member case of :func:`eval_expr_stack`.
 
     Inversion nodes use the SVD-floored inverse, and a singular operand
     raises :class:`SingularityHit` carrying the path of child indices from
     the root to the failing node.
     """
+    return eval_expr_stack(node, [m[None] for m in x.mats])[0]
 
-    def leaf(node):
-        if type(node) is Const:
-            return node.value * np.eye(x.n, dtype=np.complex128)
-        if not 1 <= node.index <= x.d:
-            raise ShapeMismatch(f"x{node.index} undefined for a {x.d}-variable point")
-        return x.mats[node.index - 1].copy()
 
+def eval_expr_points(node, points) -> list:
+    """:func:`eval_expr` at each point: its value, or the
+    :class:`FreeholoError` that :func:`eval_expr` raises there.
+
+    Points are evaluated one level stack at a time (:func:`eval_expr_stack`
+    on :func:`freepoly.level_stacks`). A level whose stacked fold raises is
+    evaluated again member by member, so each singular point gets the path
+    of its own first singular inversion.
+    """
     steps = node if isinstance(node, Schedule) else Schedule(node)
-    return steps.fold(leaf, _MATRIX_OPS)
+    out = [None] * len(points)
+    for d in dict.fromkeys(x.d for x in points):
+        at = [i for i, x in enumerate(points) if x.d == d]
+        for idx, mats in level_stacks([points[i] for i in at], d):
+            try:
+                values = eval_expr_stack(steps, mats)
+            except FreeholoError:
+                values = [outcome(eval_expr, steps, points[at[j]]) for j in idx]
+            for j, value in zip(idx, values):
+                out[at[j]] = value
+    return out
 
 
 def to_free_poly(node, d: int) -> FreePoly:

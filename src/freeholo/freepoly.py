@@ -512,7 +512,7 @@ def level_stacks(points, d: int) -> list:
         groups.setdefault(x.n, []).append(i)
     return [
         (idx, [m[None] for m in points[idx[0]].mats] if len(idx) == 1
-         else [np.stack(ms) for ms in zip(*(points[i].mats for i in idx))])
+         else [np.array(ms) for ms in zip(*(points[i].mats for i in idx))])
         for idx in groups.values()
     ]
 

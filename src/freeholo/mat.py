@@ -150,6 +150,26 @@ def _screened_max(held, worst: float) -> float:
     return float(worst)
 
 
+def shape_stacks(ms) -> list:
+    """``(positions, stack)`` per shape of a sequence of 2-d matrices, in order
+    of first appearance: the matrices of that shape, stacked in order."""
+    by_shape = {}
+    for k, m in enumerate(ms):
+        by_shape.setdefault(m.shape, []).append(k)
+    return [(idx, np.array([ms[k] for k in idx])) for idx in by_shape.values()]
+
+
+def op_norms_of(ms) -> list:
+    """:func:`op_norms` of a sequence of 2-d matrices of any shapes, as floats
+    in order: one call per :func:`shape_stacks` stack, so each norm is
+    bitwise the matrix's own."""
+    out = [0.0] * len(ms)
+    for idx, stack in shape_stacks(ms):
+        for k, nrm in zip(idx, op_norms(stack).tolist()):
+            out[k] = nrm
+    return out
+
+
 def op_norm(m) -> float:
     """Largest singular value, via full SVD: :func:`op_norms` of one matrix.
 
@@ -172,29 +192,42 @@ def cond(m) -> float:
 
 
 def inv(m) -> np.ndarray:
-    """Inverse of a square matrix, by SVD.
+    """Inverse of a square matrix, or of each member of a ``(p, n, n)`` stack, by SVD.
 
     Raises
     ------
     SingularMatrix
-        If ``sigma_min <= SINGULAR_RTOL * sigma_max`` (carries the condition
-        estimate), or if the matrix is not square.
+        If ``sigma_min <= SINGULAR_RTOL * sigma_max`` for the matrix, or for
+        any member of a stack (carries the condition estimate of the first
+        such member).
+    ShapeMismatch
+        If the matrices are not square.
 
-    A matrix that is not finite gets an all-NaN inverse, without a call to
-    LAPACK, which may fail or print on such input.
+    A matrix or member that is not finite gets an all-NaN inverse, without a
+    call to LAPACK, which may fail or print on such input. The SVD of a stack
+    runs the routine of one matrix on each member, and the inverse formula
+    is the same per member, so a member's inverse is bitwise its own.
     """
-    a = as_array(m)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"cannot invert a {a.shape[0]}x{a.shape[1]} matrix")
-    if a.shape[0] == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim not in (2, 3):
+        raise ShapeMismatch(f"expected a 2-d array or a stack of them, got ndim={a.ndim}")
+    if a.shape[-2] != a.shape[-1]:
+        raise ShapeMismatch(f"cannot invert a {a.shape[-2]}x{a.shape[-1]} matrix")
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape, dtype=np.complex128)
     if not np.isfinite(a).all():
-        return np.full(a.shape, np.nan, dtype=np.complex128)
+        out = np.full(a.shape, np.nan, dtype=np.complex128)
+        finite = np.isfinite(a).all(axis=(-2, -1))
+        if finite.any():  # only a stack has finite members here
+            out[finite] = inv(a[finite])
+        return out
     u, s, vh = np.linalg.svd(a)
-    if s[-1] <= SINGULAR_RTOL * s[0]:
-        kappa = float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
+    low = s[..., -1] <= SINGULAR_RTOL * s[..., 0]
+    if low.any():
+        first = s.reshape(-1, s.shape[-1])[np.flatnonzero(low)[0]]
+        kappa = float("inf") if first[-1] == 0.0 else float(first[0] / first[-1])
         raise SingularMatrix(condition=kappa)
-    return (vh.conj().T * (1.0 / s)) @ u.conj().T
+    return (vh.conj().swapaxes(-1, -2) * (1.0 / s)[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 # -- structural operations --------------------------------------------------

@@ -18,13 +18,14 @@ import numpy as np
 
 from . import mat
 from .errors import (
+    FreeholoError,
     NonFiniteValue,
     NotInvertible,
     RootFindingFailure,
     ShapeMismatch,
     SingularityHit,
 )
-from .exprlang import Schedule, eval_expr
+from .exprlang import Schedule, eval_expr_points
 from .freepoly import DEFAULT_MARGIN, GradedPoint, PolyMatrix, eval_poly_matrix
 from .ncpoint import Membership
 
@@ -240,19 +241,27 @@ def singular_scan(ast, samples) -> ScanReport:
     so they are tied to this presentation of the function; an algebraically
     equal expression written differently may scan clean at the same points.
     A value or value norm that is not finite decides nothing (an overflowed
-    operand gets a NaN inverse) and raises :class:`NonFiniteValue`.
+    operand gets a NaN inverse) and raises :class:`NonFiniteValue` at the
+    first such sample in sample order, unless the evaluation raised an
+    error other than :class:`SingularityHit` at an earlier sample.
+
+    The samples are evaluated one level stack at a time
+    (:func:`exprlang.eval_expr_points`), and the value norms taken with one
+    ``mat.op_norms`` call per level; each entry is the one-point scan's.
     """
-    steps = Schedule(ast)
+    samples = list(samples)
+    outcomes = eval_expr_points(Schedule(ast), samples)
+    norms = iter(mat.op_norms_of([v for v in outcomes if not isinstance(v, FreeholoError)]))
     entries = []
     n_singular = 0
-    for idx, x in enumerate(samples):
-        try:
-            value = eval_expr(steps, x)
-        except SingularityHit as hit:
+    for idx, (x, value) in enumerate(zip(samples, outcomes)):
+        if isinstance(value, SingularityHit):
             n_singular += 1
-            entries.append(ScanEntry(idx, x.n, singular=True, path=hit.path, value_norm=None))
+            entries.append(ScanEntry(idx, x.n, singular=True, path=value.path, value_norm=None))
             continue
-        value_norm = mat.op_norm(value)
+        if isinstance(value, FreeholoError):
+            raise value
+        value_norm = next(norms)
         if not math.isfinite(value_norm):
             raise NonFiniteValue(f"the value is not finite at sample {idx} (level {x.n})")
         entries.append(ScanEntry(idx, x.n, singular=False, path=None, value_norm=value_norm))

@@ -14,12 +14,13 @@ sampling-based checker for the direct-sum and similarity axioms.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mat
-from .errors import OutsideDomain, ShapeMismatch
+from .errors import FreeholoError, OutsideDomain, ShapeMismatch, outcome
 from .freepoly import DEFAULT_MARGIN, GradedPoint, PolyMatrix, eval_poly_matrix_stack, level_stacks
 
 
@@ -73,8 +74,14 @@ def require_inside(delta: PolyMatrix, points) -> list:
     found = delta_memberships(delta, points)
     for x, (_, m) in zip(points, found):
         if not m.inside:
-            raise OutsideDomain(f"point at level {x.n} is {m.status}: ||delta(x)|| = {m.norm:.9f}")
+            raise outside_domain(x, m)
     return found
+
+
+def outside_domain(x: GradedPoint, m: Membership) -> OutsideDomain:
+    """The one :class:`OutsideDomain` for a point ``x`` whose membership ``m``
+    is not inside."""
+    return OutsideDomain(f"point at level {x.n} is {m.status}: ||delta(x)|| = {m.norm:.9f}")
 
 
 def in_gdelta(delta: PolyMatrix, x: GradedPoint, margin: float = DEFAULT_MARGIN) -> Membership:
@@ -106,7 +113,25 @@ def _widened(left: np.ndarray, right: np.ndarray, dims) -> tuple:
     """``(left (x) I_out, right (x) I_in)``, level matrices widened to act
     on values of ``dims = (input_dim, output_dim)``."""
     h_dim, k_dim = dims
-    return np.kron(left, np.eye(k_dim)), np.kron(right, np.eye(h_dim))
+    return _kron_identity(left, k_dim), _kron_identity(right, h_dim)
+
+
+def _kron_identity(a: np.ndarray, k: int) -> np.ndarray:
+    """``a (x) I_k``: the broadcast product ``np.kron`` forms, so bitwise
+    ``np.kron(a, np.eye(k))``, and ``a`` itself at k = 1."""
+    if k == 1:
+        return a
+    return (a[:, None, :, None] * np.eye(k)[:, None, :]).reshape(a.shape[0] * k, a.shape[1] * k)
+
+
+def _upper_block(a: np.ndarray, corner: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The block matrix ``[[a, corner], [0, b]]``, written into one array."""
+    rows, cols = a.shape
+    out = np.zeros((rows + b.shape[0], cols + b.shape[1]), dtype=np.complex128)
+    out[:rows, :cols] = a
+    out[:rows, cols:] = corner
+    out[rows:, cols:] = b
+    return out
 
 
 def upper_triangular_pair(n_point: GradedPoint, m_point: GradedPoint, c) -> GradedPoint:
@@ -120,11 +145,8 @@ def upper_triangular_pair(n_point: GradedPoint, m_point: GradedPoint, c) -> Grad
     c = mat.as_array(c)
     if c.shape != (n_point.n, m_point.n):
         raise ShapeMismatch("coupling block has the wrong shape")
-    mats = []
-    for a, b in zip(n_point.mats, m_point.mats):
-        corner = a @ c - c @ b
-        mats.append(np.block([[a, corner], [np.zeros((b.shape[0], a.shape[1])), b]]))
-    return GradedPoint(mats)
+    pairs = zip(n_point.mats, m_point.mats)
+    return GradedPoint([_upper_block(a, a @ c - c @ b, b) for a, b in pairs])
 
 
 def triangular_identity_deviation(f, n_point, m_point, c, dims=(1, 1)) -> float:
@@ -133,31 +155,26 @@ def triangular_identity_deviation(f, n_point, m_point, c, dims=(1, 1)) -> float:
     c = mat.as_array(c)
     val = mat.as_array(f(upper_triangular_pair(n_point, m_point, c)))
     fn, fm = mat.as_array(f(n_point)), mat.as_array(f(m_point))
-    return _deviation(val, _triangular_form(fn, fm, *_widened(c, c, dims)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = val - _triangular_form(fn, fm, *_widened(c, c, dims))
+    return _deviation(mat.op_norm(gap))
 
 
 def _triangular_form(fn, fm, c_out, c_in) -> np.ndarray:
     """``[[fn, fn C - C fm], [0, fm]]`` with C widened to ``c_out``, ``c_in``."""
-    corner = fn @ c_in - c_out @ fm
-    zeros = np.zeros((fm.shape[0], fn.shape[1]), dtype=np.complex128)
-    return np.block([[fn, corner], [zeros, fm]])
+    return _upper_block(fn, fn @ c_in - c_out @ fm, fm)
 
 
-def _deviation(val, predicted, ref=None, weight: float = 1.0) -> float:
-    """``||val - predicted|| / (max(1, ||ref||) * weight)``, or inf.
+def _deviation(gap_norm: float, ref_norm=None, weight: float = 1.0) -> float:
+    """``||gap|| / (max(1, ||ref||) * weight)`` from the two norms, or inf.
 
-    ``ref`` defaults to no value scale. The deviation is inf when the gap
-    is not finite, which covers a non-finite value on either side (the SVD
-    behind the norm would not converge on it), and when the quotient is a
-    NaN from an overflowing ``inf / inf``, which ``max`` would drop.
+    ``ref_norm`` None means no value scale. The deviation is inf where the
+    quotient is NaN: the norm of a gap that is not finite (a non-finite
+    value on either side) or whose SVD fails is NaN, and so is an
+    overflowing ``inf / inf``, which ``max`` would drop.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = val - predicted
-    if not np.isfinite(gap).all():
-        return float("inf")
-    scale = weight if ref is None else max(1.0, mat.op_norm(ref)) * weight
-    dev = mat.op_norm(gap) / scale
-    return float("inf") if np.isnan(dev) else dev
+    dev = gap_norm / (weight if ref_norm is None else max(1.0, ref_norm) * weight)
+    return math.inf if math.isnan(dev) else dev
 
 
 def nc_derivative(f, m_point: GradedPoint, direction: GradedPoint, dims=(1, 1)) -> np.ndarray:
@@ -172,10 +189,8 @@ def nc_derivative(f, m_point: GradedPoint, direction: GradedPoint, dims=(1, 1)) 
         raise ShapeMismatch("direction must match the base point in d and level")
     h_dim, k_dim = dims
     n = m_point.n
-    mats = []
-    for a, e in zip(m_point.mats, direction.mats):
-        mats.append(np.block([[a, e], [np.zeros((n, n), dtype=np.complex128), a]]))
-    val = mat.as_array(f(GradedPoint(mats)))
+    pairs = zip(m_point.mats, direction.mats)
+    val = mat.as_array(f(GradedPoint([_upper_block(a, e, a) for a, e in pairs])))
     expected = (2 * n * k_dim, 2 * n * h_dim)
     if val.shape != expected:
         raise ShapeMismatch(
@@ -214,6 +229,7 @@ def check_nc_axioms(
     domain=None,
     dims=(1, 1),
     tol: float = 1e-8,
+    f_points=None,
 ) -> NcAxiomReport:
     """Check the direct-sum and similarity axioms on sample data.
 
@@ -247,6 +263,27 @@ def check_nc_axioms(
         scalar-valued functions.
     tol : float
         Normalized deviation threshold for ``passed``.
+    f_points : callable, optional
+        The point-list form of ``f``: maps a list of points to a list
+        holding, per point, ``f``'s value there or the
+        :class:`FreeholoError` that ``f`` raises there. Defaults to calling
+        ``f`` point by point; a stacked form evaluates many points at once.
+
+    The checks run in four rounds. First, every combined point is built in
+    check order: direct sums, conjugations, triangular points, each over
+    the samples in order. Second, ``f_points`` evaluates, in one call, the
+    combined points that pass ``domain``. Third, it evaluates, in one more
+    call, only the samples that a check not skipped needs. Fourth, the
+    checks are walked in order: an :class:`OutsideDomain` at a combined
+    point skips its check, and any other error is raised at the first check
+    that meets it, at the combined point first, then at its samples in
+    order. A :class:`FreeholoError` or ``ValueError`` in building a
+    combined point, or in the ``domain`` predicate, is raised where the walk
+    reaches that point. So the error raised is the one that evaluating check
+    by check would meet first; an exception of another type propagates at
+    once.
+    The norms of all gaps and reference values are then taken with one
+    ``mat.op_norms`` call per shape.
     """
     samples = list(samples)
     sims = [mat.as_array(s) for s in sims]
@@ -255,11 +292,7 @@ def check_nc_axioms(
         np.eye(n, dtype=np.complex128) for n in sorted({x.n for x in samples})
     ]
     inside = (lambda p: True) if domain is None else domain
-    checks = skipped = 0
-    ds_dev = sim_dev = tri_dev = 0.0
-
-    # f at samples[i], evaluated once and only when a check needs it
-    value = functools.cache(lambda i: mat.as_array(f(samples[i])))
+    at_points = f_points or (lambda points: [outcome(f, p) for p in points])
 
     @functools.cache
     def similarity(k):
@@ -278,63 +311,97 @@ def check_nc_axioms(
         c = pool[k]
         return _widened(c, c, dims) + (max(1.0, (1.0 + mat.op_norm(c)) ** 2),)
 
-    def combined_value(p):
-        # f at a combined point, or None when p is outside the domain
-        if not inside(p):
-            return None
-        try:
-            return mat.as_array(f(p))
-        except OutsideDomain:
-            return None
+    def kept(p):
+        return p if inside(p) else None
 
-    for i, x in enumerate(samples):
-        for j, y in enumerate(samples):
-            fz = combined_value(point_direct_sum(x, y))
-            if fz is None:
+    # round 1: (kind, point or None when skipped before f, i, j, k) per check
+    combos, stop = [], None
+    try:
+        for i, x in enumerate(samples):
+            for j, y in enumerate(samples):
+                combos.append(("ds", kept(point_direct_sum(x, y)), i, j, None))
+        for i, x in enumerate(samples):
+            for k, s in enumerate(sims):
+                if s.shape == (x.n, x.n):
+                    form = similarity(k)
+                    p = None if form is None else kept(_conjugate(x, s, form[1]))
+                    combos.append(("sim", p, i, None, k))
+        for i, x in enumerate(samples):
+            for j, y in enumerate(samples):
+                for k, c in enumerate(pool):
+                    if x.n == y.n and c.shape == (x.n, y.n):
+                        combos.append(("tri", kept(upper_triangular_pair(x, y, c)), i, j, k))
+    except (FreeholoError, ValueError) as exc:
+        # a point that cannot be built (samples of different d, a singular
+        # or overflowing similarity) ends the loop there: raised in round 4
+        stop = exc
+
+    # round 2: f at the combined points
+    asked = [t for t, combo in enumerate(combos) if combo[1] is not None]
+    found = [None] * len(combos)
+    for t, result in zip(asked, at_points([combos[t][1] for t in asked])):
+        found[t] = result
+
+    # round 3: f at the samples the checks before the first error need
+    needed = {}  # sample indices in order of first need
+    for (_, _, i, j, _), result in zip(combos, found):
+        if result is None or isinstance(result, OutsideDomain):
+            continue
+        if isinstance(result, FreeholoError):
+            break
+        needed[i] = None
+        if j is not None:
+            needed[j] = None
+    value = dict(zip(needed, at_points([samples[i] for i in needed])))
+
+    # round 4: the checks in order, each a gap, a reference value or None,
+    # and a weight; the norms come after
+    checks = skipped = 0
+    kinds, gaps, refs, weights = [], [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (kind, _, i, j, k), result in zip(combos, found):
+            if result is None or isinstance(result, OutsideDomain):
                 skipped += 1
                 continue
-            predicted = mat.direct_sum(value(i), value(j))
-            ds_dev = max(ds_dev, _deviation(fz, predicted, predicted))
-            checks += 1
-
-    for i, x in enumerate(samples):
-        for k, s in enumerate(sims):
-            if s.shape != (x.n, x.n):
-                continue
-            form = similarity(k)
-            if form is None:
-                skipped += 1
-                continue
-            kappa, s_inv, s_out_inv, s_in = form
-            fy = combined_value(_conjugate(x, s, s_inv))
-            if fy is None:
-                skipped += 1
-                continue
-            fx = value(i)
-            sim_dev = max(sim_dev, _deviation(fy, s_out_inv @ fx @ s_in, fx, kappa))
-            checks += 1
-
-    for i, x in enumerate(samples):
-        for j, y in enumerate(samples):
-            if x.n != y.n:
-                continue
-            for k, c in enumerate(pool):
-                if c.shape != (x.n, y.n):
-                    continue
-                fz = combined_value(upper_triangular_pair(x, y, c))
-                if fz is None:
-                    skipped += 1
-                    continue
+            fz = _value(result)
+            if kind == "ds":
+                predicted = mat.direct_sum(_value(value[i]), _value(value[j]))
+                ref, weight = predicted, 1.0
+            elif kind == "sim":
+                kappa, _, s_out_inv, s_in = similarity(k)
+                ref, weight = _value(value[i]), kappa
+                predicted = s_out_inv @ ref @ s_in
+            else:
                 c_out, c_in, weight = coupling(k)
-                predicted = _triangular_form(value(i), value(j), c_out, c_in)
-                tri_dev = max(tri_dev, _deviation(fz, predicted, weight=weight))
-                checks += 1
+                predicted = _triangular_form(_value(value[i]), _value(value[j]), c_out, c_in)
+                ref = None
+            kinds.append(kind)
+            gaps.append(fz - predicted)
+            refs.append(ref)
+            weights.append(weight)
+            checks += 1
+    if stop is not None:
+        raise stop
+
+    norms = mat.op_norms_of(gaps + [r for r in refs if r is not None])
+    ref_norms = iter(norms[len(gaps):])
+    worst = dict.fromkeys(("ds", "sim", "tri"), 0.0)
+    for kind, nrm, ref, weight in zip(kinds, norms, refs, weights):
+        dev = _deviation(nrm, None if ref is None else next(ref_norms), weight)
+        worst[kind] = max(worst[kind], dev)
 
     return NcAxiomReport(
-        direct_sum_dev=ds_dev,
-        similarity_dev=sim_dev,
-        triangular_dev=tri_dev,
+        direct_sum_dev=worst["ds"],
+        similarity_dev=worst["sim"],
+        triangular_dev=worst["tri"],
         checks=checks,
         skipped=skipped,
         tol=tol,
     )
+
+
+def _value(result) -> np.ndarray:
+    """A point-list entry as a complex 2-d array; an error is raised."""
+    if isinstance(result, FreeholoError):
+        raise result
+    return mat.as_array(result)

@@ -24,10 +24,12 @@ one GEMM with delta(x) per point; ``_series`` runs that arithmetic per term
 as a fixed plan of in-place numpy calls on views made once. ``eval_direct``
 and ``resolvent_leg`` solve a one-point stack; ``_level_solves`` solves many
 points with one ``_solve`` per level chunk for ``model_from_realization``,
-the fit's holdout and the corona residual, each member bitwise the one-point
-solve. ``eval_direct``, ``resolvent_leg``, ``eval_neumann`` and
-``model_from_realization`` take delta(x) and its norm from the membership
-kernel ``ncpoint.require_inside``; the fit's holdout and the corona residual
+``eval_direct_points``, the fit's holdout and the corona residual, each
+member bitwise the one-point solve. ``eval_direct``, ``resolvent_leg``,
+``eval_neumann`` and ``model_from_realization`` take delta(x) and its norm
+from the membership kernel ``ncpoint.require_inside``; ``eval_direct_points``
+from ``ncpoint.delta_memberships`` itself, so that a point outside gets its
+error while the others are solved; the fit's holdout and the corona residual
 read the sample set's delta(x).
 
 The fitting routine recovers such a J1 from finite model sample data by
@@ -56,7 +58,7 @@ from .errors import (
 )
 from .freepoly import GradedPoint, PolyMatrix, delta_pad_columns, promoted_apply
 from .model import ModelSampleSet
-from .ncpoint import require_inside
+from .ncpoint import delta_memberships, outside_domain, require_inside
 
 ISOMETRY_TOL = 1e-8
 
@@ -218,7 +220,8 @@ def _level_solves(r: Realization, levels, dxs):
 
     ``levels[i]`` and ``dxs[i]`` are the level and the grid-outer delta(x)
     of point i; a delta(x) narrower than the grid of ``r`` (a sample set's,
-    where a fit padded the grid) is widened by zero columns. Levels are
+    where a fit padded the grid) is widened by zero columns, and the others
+    are stacked as they are. Levels are
     taken in order of first appearance and cut into chunks of at most
     ``_SOLVE_BYTES`` of resolvent matrices. Yields ``(positions, omega, v)``
     per chunk, ``omega[j]`` and ``v[j]`` belonging to point ``positions[j]``.
@@ -232,9 +235,14 @@ def _level_solves(r: Realization, levels, dxs):
         step = max(1, _SOLVE_BYTES // (16 * size * size))
         for start in range(0, len(idx), step):
             chunk = idx[start : start + step]
-            stack = np.zeros((len(chunk), n * rows, n * cols), dtype=np.complex128)
-            for j, i in enumerate(chunk):
-                stack[j, :, : dxs[i].shape[1]] = dxs[i]
+            if len(chunk) == 1 and dxs[chunk[0]].shape[1] == n * cols:
+                stack = dxs[chunk[0]][None]  # what eval_direct solves
+            elif all(dxs[i].shape[1] == n * cols for i in chunk):
+                stack = np.array([dxs[i] for i in chunk])
+            else:
+                stack = np.zeros((len(chunk), n * rows, n * cols), dtype=np.complex128)
+                for j, i in enumerate(chunk):
+                    stack[j, :, : dxs[i].shape[1]] = dxs[i]
             yield chunk, *_solve(r, n, stack)
 
 
@@ -257,6 +265,25 @@ def eval_direct(r: Realization, x: GradedPoint) -> np.ndarray:
     """
     [(dx, _)] = require_inside(r.delta, [x])
     return _solve(r, x.n, dx[None])[0][0]
+
+
+def eval_direct_points(r: Realization, points) -> list:
+    """:func:`eval_direct` at each point: its value, or the
+    :class:`OutsideDomain` that :func:`eval_direct` raises there.
+
+    One :func:`ncpoint.delta_memberships` call decides every point, and
+    the points inside are solved by :func:`_level_solves`, one stacked
+    :func:`_solve` per level chunk, so each value is bitwise the one-point
+    solve's. A point without the grid's d raises ``ShapeMismatch``.
+    """
+    found = delta_memberships(r.delta, points)
+    out = [None if m.inside else outside_domain(x, m) for x, (_, m) in zip(points, found)]
+    inside = [i for i, o in enumerate(out) if o is None]
+    levels = [points[i].n for i in inside]
+    for chunk, omega, _ in _level_solves(r, levels, [found[i][0] for i in inside]):
+        for j, value in zip(chunk, omega):
+            out[inside[j]] = value
+    return out
 
 
 # -- certified truncation -----------------------------------------------------

@@ -1514,3 +1514,92 @@ def test_every_subcommand_runs_in_a_fresh_interpreter(tmp_path):
         assert (proc.returncode, proc.stderr) == (want, ""), argv
         report = strict_loads(proc.stdout)
         assert ("error" in report) == (want != 0), argv
+
+
+# -- level-stacked evaluation ---------------------------------------------------
+
+
+def test_check_nc_realization_solves_one_stack_per_level_chunk(tmp_path, capsys, monkeypatch):
+    # the 33 combined points are decided by one membership call and solved
+    # by one stacked solve per level, then the three samples likewise
+    from freeholo import ncpoint, realize
+
+    r = write(tmp_path, "r.json", mobius(0.5).to_json())
+    rng = np.random.default_rng(8)
+    pts = [GradedPoint.scalars([0.004])] + [
+        GradedPoint([0.002 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))])
+        for _ in range(2)
+    ]
+    samples = write(tmp_path, "samples.json", [p.to_json() for p in pts])
+    calls, solves = [], []
+    memberships, solve = ncpoint.delta_memberships, np.linalg.solve
+
+    def counting(delta, points, *args):
+        calls.append(len(points))
+        return memberships(delta, points, *args)
+
+    def counting_solve(a, b):
+        solves.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(ncpoint, "delta_memberships", counting)
+    monkeypatch.setattr(realize, "delta_memberships", counting, raising=False)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    code, rep, _ = run(["check-nc", "--realization", r, "--samples", samples], capsys)
+    assert code == 0 and (rep["checks"], rep["skipped"]) == (33, 0)
+    assert calls == [33, 3]
+    # levels in order of first appearance: the direct sums at 2, 3 and 4,
+    # then the level-1 conjugations; the samples at 1 and 2
+    assert solves == [(10, 2, 2), (4, 3, 3), (16, 4, 4), (3, 1, 1), (1, 1, 1), (2, 2, 2)]
+
+
+def reference_sampled_bound(f, delta, seed):
+    """A tests-only copy of the sampled bound as it evaluated f point by point."""
+    from freeholo.errors import NonFiniteValue
+
+    rng = rng_from_seed(seed)
+    points = sampling.points_inside_gdelta(rng, delta, [1 + (i % 3) for i in range(200)])
+    by_level = {}
+    for i, x in enumerate(points):
+        value = f(x)
+        if not np.isfinite(value).all():
+            raise NonFiniteValue(f"f is not finite at sampled point {i} (level {x.n})")
+        by_level.setdefault(x.n, {})[i] = value
+    worst = cli.mat.max_op_norm(np.array(list(v.values())) for v in by_level.values())
+    if np.isnan(worst):
+        norms = (zip(v, cli.mat.op_norms(list(v.values()))) for v in by_level.values())
+        i = min(i for level in norms for i, nrm in level if np.isnan(nrm))
+        raise NonFiniteValue(f"the norm of f failed at sampled point {i} (level {points[i].n})")
+    return worst
+
+
+@given(
+    st.sampled_from(["x1*x1 + 1", "inv(x1 - 0.25) - x2", "inv(x1 - x1)", "1e308*x1*x1*x1 + 1",
+                     "inv(1e-200*x1*x2)", "x2*inv(2 + x1*x2)"]),
+    st.integers(0, 1000),
+)
+@settings(max_examples=30, deadline=None)
+def test_sampled_bound_is_the_point_by_point_bound(src, seed):
+    from freeholo.exprlang import Schedule, eval_expr, eval_expr_points, parse
+
+    delta = PolyMatrix([[FreePoly.letter(2, 1).scale(0.5), FreePoly.letter(2, 2).scale(0.5)]])
+    steps = Schedule(parse(src, 2))
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except freeholo.errors.FreeholoError as exc:
+            return (type(exc), str(exc))
+
+    with np.errstate(all="ignore"):
+        want = outcome(reference_sampled_bound, lambda x: eval_expr(steps, x), delta, seed)
+        got = outcome(cli._sampled_bound, lambda ps: eval_expr_points(steps, ps), delta, seed)
+    assert got == want
+
+
+def test_sampled_bound_of_a_realization_is_the_point_by_point_bound():
+    from freeholo import realize
+
+    r = random_realization(rng_from_seed(5), UNIT_DISK, 1, 1, 1)
+    want = reference_sampled_bound(lambda x: realize.eval_direct(r, x), UNIT_DISK, 4)
+    assert cli._sampled_bound(lambda ps: realize.eval_direct_points(r, ps), UNIT_DISK, 4) == want

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +8,10 @@ from hypothesis import strategies as st
 from conftest import random_graded, random_parser_ast
 from freeholo.errors import (
     ExprSyntaxError,
+    FreeholoError,
     NotPolynomial,
+    ShapeMismatch,
+    SingularMatrix,
     SingularityHit,
     UnknownVariable,
 )
@@ -20,11 +25,14 @@ from freeholo.exprlang import (
     Sub,
     Var,
     eval_expr,
+    eval_expr_points,
+    eval_expr_stack,
     parse,
     print_expr,
     to_free_poly,
 )
-from freeholo.freepoly import GradedPoint, eval_poly
+from freeholo.freepoly import GradedPoint, eval_poly, level_stacks
+from freeholo.mat import SINGULAR_RTOL
 
 FLAGSHIP = "2 + x1 - x1*x2*x1 + 3*x1*x1*x2"
 
@@ -276,3 +284,110 @@ def test_deep_singularity_path():
     with pytest.raises(SingularityHit) as ei:
         eval_expr(t, GradedPoint.scalars([0.0]))
     assert ei.value.path == (0,) * (depth - 1)
+
+
+# -- level stacks ----------------------------------------------------------------
+
+
+def reference_inv(a):
+    """The one-matrix SVD inverse, in the 2-d form of ``mat.inv``."""
+    if not np.isfinite(a).all():
+        return np.full(a.shape, np.nan, dtype=np.complex128)
+    u, s, vh = np.linalg.svd(a)
+    if s[-1] <= SINGULAR_RTOL * s[0]:
+        raise SingularMatrix()
+    return (vh.conj().T * (1.0 / s)) @ u.conj().T
+
+
+def reference_eval(node, x):
+    """A tests-only one-point evaluator on 2-d matrices: the fold over n-by-n
+    values that ``eval_expr`` ran before it took stacks."""
+
+    def leaf(node):
+        if type(node) is Const:
+            return node.value * np.eye(x.n, dtype=np.complex128)
+        if node.index > x.d:
+            raise ShapeMismatch(f"x{node.index} undefined for a {x.d}-variable point")
+        return x.mats[node.index - 1].copy()
+
+    ops = {Add: operator.add, Sub: operator.sub, Mul: operator.matmul,
+           Neg: operator.neg, Inv: reference_inv}
+    return Schedule(node).fold(leaf, ops)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except FreeholoError as exc:
+        return exc
+
+
+def same_outcome(got, want):
+    """Bitwise the same value, or an error of the same type, text and path."""
+    if isinstance(want, FreeholoError):
+        return (type(got), str(got), getattr(got, "path", None)) == (
+            type(want), str(want), getattr(want, "path", None))
+    return (isinstance(got, np.ndarray) and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+def mixed_points(rng, count):
+    """Points at levels 1-4 in d = 1 or 2: regular, singular (all zero or a
+    repeated scalar) and overflowing (x1*x1 is no longer finite) members."""
+    points = []
+    for _ in range(count):
+        n, d = int(rng.integers(1, 5)), int(rng.choice([2, 2, 2, 1]))
+        kind = rng.choice(["regular", "regular", "zero", "scalar", "huge"])
+        if kind == "zero":
+            mats = [np.zeros((n, n)) for _ in range(d)]
+        elif kind == "scalar":
+            mats = [float(np.round(rng.uniform(0, 4), 3)) * np.eye(n) for _ in range(d)]
+        else:
+            scale = 1e200 if kind == "huge" else 0.7
+            mats = [scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                    for _ in range(d)]
+        points.append(GradedPoint(mats))
+    return points
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+@settings(max_examples=120, deadline=None)
+def test_stacked_evaluation_is_the_one_point_evaluation(seed, count):
+    rng = np.random.default_rng(seed)
+    tree = random_parser_ast(rng, 2, depth=int(rng.integers(1, 6)))
+    steps = Schedule(tree)
+    points = mixed_points(rng, count)
+    with np.errstate(all="ignore"):
+        want = [outcome(reference_eval, tree, x) for x in points]
+        got = eval_expr_points(steps, points)
+        assert len(got) == len(points)
+        for x, g, w in zip(points, got, want):
+            assert same_outcome(g, w)
+            assert same_outcome(outcome(eval_expr, steps, x), w)
+        # a level stack without a failing member is its members' values
+        for idx, mats in level_stacks([x for x in points if x.d == 2], 2):
+            members = [w for x, w in zip(points, want) if x.d == 2]
+            members = [members[i] for i in idx]
+            if not any(isinstance(w, FreeholoError) for w in members):
+                stack = eval_expr_stack(steps, mats)
+                assert stack.shape == (len(idx),) + members[0].shape
+                assert all(same_outcome(v, w) for v, w in zip(stack, members))
+
+
+def test_a_singular_member_keeps_its_own_path():
+    # inv(x1) is singular at the zero point, inv(x1 - 1) at the identity
+    tree = parse("inv(x1) + inv(x1 - 1)", 1)
+    zero, one, fine = (GradedPoint([c * np.eye(2)]) for c in (0.0, 1.0, 0.5))
+    with pytest.raises(SingularityHit):
+        eval_expr_stack(tree, [np.stack([m for x in (fine, one) for m in x.mats])])
+    got = eval_expr_points(tree, [fine, one, zero, fine])
+    assert [getattr(g, "path", None) for g in got] == [None, (1,), (0,), None]
+    np.testing.assert_array_equal(got[0], eval_expr(tree, fine))
+
+
+def test_a_tree_of_constants_gives_every_member_a_value():
+    stack = eval_expr_stack(parse("2 + inv(4)", 1), [np.zeros((3, 2, 2))])
+    assert stack.shape == (3, 2, 2)
+    np.testing.assert_array_equal(stack, np.broadcast_to(2.25 * np.eye(2), (3, 2, 2)))
+    stack[0, 0, 0] = 0.0  # each member its own array
+    assert stack[1, 0, 0] == 2.25

@@ -439,3 +439,29 @@ def test_max_op_norm_reads_stacks_lazily(monkeypatch):
 
     assert max_op_norm(stacks()) == want
     assert events == ["read", "svd"] * 3
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 17))
+@settings(max_examples=60, deadline=None)
+def test_inv_of_a_stack_is_its_members_inverses(seed, n, p):
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((p, n, n)) + 1j * rng.standard_normal((p, n, n))
+    if p > 1 and rng.random() < 0.5:
+        stack[int(rng.integers(p))] = np.inf  # inverts to all NaN
+    out = inv(stack)
+    assert out.shape == stack.shape
+    for member, got in zip(stack, out):
+        if np.isfinite(member).all():
+            assert got.tobytes() == inv(member).tobytes()
+        else:
+            assert np.isnan(got).all()
+
+
+def test_inv_of_a_stack_refuses_a_singular_member():
+    stack = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.diag([4.0, 1e-13])]) + 0j
+    with pytest.raises(SingularMatrix) as info:
+        inv(stack)
+    assert info.value.condition == np.inf  # the first singular member's
+    with pytest.raises(ShapeMismatch):
+        inv(np.ones((2, 2, 3)))
+    assert inv(np.zeros((3, 0, 0))).shape == (3, 0, 0)

@@ -1,12 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_graded
-from freeholo.errors import NotInvertible
-from freeholo.exprlang import eval_expr, parse
+from conftest import random_graded, random_parser_ast
+from freeholo.errors import FreeholoError, NonFiniteValue, NotInvertible, SingularityHit
+from freeholo.exprlang import Add, Const, Inv, Schedule, Sub, Var, eval_expr, parse
 from freeholo.freepoly import FreePoly, GradedPoint, PolyMatrix, eval_poly
+from freeholo.mat import op_norm
 from freeholo.mero import (
     AugmentedDomain,
+    ScanEntry,
+    ScanReport,
     inversion_certificate,
     poly_at_matrix,
     singular_scan,
@@ -157,3 +164,52 @@ def test_singular_scan_matrix_level():
     rep = singular_scan(ast, [ok, bad])
     assert [e.singular for e in rep.entries] == [False, True]
     assert rep.entries[1].level == 2
+
+
+def reference_scan(ast, samples):
+    """A tests-only copy of the scan as it evaluated and normed point by point."""
+    steps = Schedule(ast)
+    entries, n_singular = [], 0
+    for idx, x in enumerate(samples):
+        try:
+            value = eval_expr(steps, x)
+        except SingularityHit as hit:
+            n_singular += 1
+            entries.append(ScanEntry(idx, x.n, singular=True, path=hit.path, value_norm=None))
+            continue
+        value_norm = op_norm(value)
+        if not math.isfinite(value_norm):
+            raise NonFiniteValue(f"the value is not finite at sample {idx} (level {x.n})")
+        entries.append(ScanEntry(idx, x.n, singular=False, path=None, value_norm=value_norm))
+    return ScanReport(entries=tuple(entries), total=len(entries), n_singular=n_singular)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10))
+@settings(max_examples=100, deadline=None)
+def test_singular_scan_is_the_point_by_point_scan(seed, count):
+    # random trees with inv( at levels 1-3, over regular, singular (a
+    # repeated scalar) and overflowing samples, some of d = 1
+    rng = np.random.default_rng(seed)
+    ast = random_parser_ast(rng, 2, depth=int(rng.integers(1, 5)))
+    if rng.random() < 0.6:  # singular at the scalar samples x1 = 0.5
+        ast = Add(ast, Inv(Sub(Var(1), Const(0.5))))
+    samples = []
+    for _ in range(count):
+        n, d = int(rng.integers(1, 4)), int(rng.choice([2, 2, 2, 2, 1]))
+        kind = rng.choice(["regular", "regular", "scalar", "huge"])
+        if kind == "scalar":
+            mats = [float(rng.choice([0.5, 2.0])) * np.eye(n) for _ in range(d)]
+        else:
+            scale = 1e200 if kind == "huge" else 0.7
+            mats = [scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                    for _ in range(d)]
+        samples.append(GradedPoint(mats))
+
+    def outcome(fn):
+        try:
+            return fn(ast, samples)
+        except FreeholoError as exc:
+            return (type(exc), str(exc))
+
+    with np.errstate(all="ignore"):
+        assert outcome(singular_scan) == outcome(reference_scan)

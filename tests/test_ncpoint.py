@@ -1,6 +1,9 @@
+import functools
+import zlib
+
 import numpy as np
 import pytest
-from conftest import random_rect_realization
+from conftest import random_parser_ast, random_rect_realization
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -392,3 +395,235 @@ def test_check_nc_axioms_prepares_each_similarity_and_coupling_once(monkeypatch)
     near_singular = np.diag([1.0, 1e-14]) + 0j
     with pytest.raises(SingularMatrix):
         check_nc_axioms(f, samples, sims=[near_singular])
+
+
+# -- the point-list form ----------------------------------------------------------
+
+
+def reference_check(f, samples, sims=(), couplings=(), domain=None, dims=(1, 1), tol=1e-8):
+    """A tests-only copy of the checker as it ran before it worked in rounds:
+    one loop over the checks, f at each combined point as the loop reaches
+    it, Kronecker widening and ``np.block`` forms."""
+    samples = list(samples)
+    sims = [np.asarray(s, dtype=np.complex128) for s in sims]
+    pool = [np.asarray(c, dtype=np.complex128) for c in couplings] or [
+        np.eye(n, dtype=np.complex128) for n in sorted({x.n for x in samples})
+    ]
+    inside = (lambda p: True) if domain is None else domain
+    h_dim, k_dim = dims
+    checks = skipped = 0
+    ds_dev = sim_dev = tri_dev = 0.0
+    values = {}
+
+    def value(i):
+        if i not in values:
+            values[i] = np.asarray(f(samples[i]), dtype=np.complex128)
+        return values[i]
+
+    def combined_value(p):
+        if not inside(p):
+            return None
+        try:
+            return np.asarray(f(p), dtype=np.complex128)
+        except OutsideDomain:
+            return None
+
+    def deviation(val, predicted, ref=None, weight=1.0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = val - predicted
+        if not np.isfinite(gap).all():
+            return float("inf")
+        scale = weight if ref is None else max(1.0, op_norm(ref)) * weight
+        dev = op_norm(gap) / scale
+        return float("inf") if np.isnan(dev) else dev
+
+    def triangular_form(fn, fm, c_out, c_in):
+        corner = fn @ c_in - c_out @ fm
+        zeros = np.zeros((fm.shape[0], fn.shape[1]), dtype=np.complex128)
+        return np.block([[fn, corner], [zeros, fm]])
+
+    prepared = {}
+    for i, x in enumerate(samples):
+        for j, y in enumerate(samples):
+            fz = combined_value(point_direct_sum(x, y))
+            if fz is None:
+                skipped += 1
+                continue
+            predicted = direct_sum(value(i), value(j))
+            ds_dev = max(ds_dev, deviation(fz, predicted, predicted))
+            checks += 1
+    for i, x in enumerate(samples):
+        for k, s in enumerate(sims):
+            if s.shape != (x.n, x.n):
+                continue
+            if k not in prepared:
+                kappa = cond(s)
+                prepared[k] = None if not np.isfinite(kappa) else (kappa, inv(s))
+            if prepared[k] is None:
+                skipped += 1
+                continue
+            kappa, s_inv = prepared[k]
+            fy = combined_value(GradedPoint([s_inv @ m @ s for m in x.mats]))
+            if fy is None:
+                skipped += 1
+                continue
+            fx = value(i)
+            predicted = np.kron(s_inv, np.eye(k_dim)) @ fx @ np.kron(s, np.eye(h_dim))
+            sim_dev = max(sim_dev, deviation(fy, predicted, fx, kappa))
+            checks += 1
+    for i, x in enumerate(samples):
+        for j, y in enumerate(samples):
+            if x.n != y.n:
+                continue
+            for c in pool:
+                if c.shape != (x.n, y.n):
+                    continue
+                fz = combined_value(upper_triangular_pair(x, y, c))
+                if fz is None:
+                    skipped += 1
+                    continue
+                c_out, c_in = np.kron(c, np.eye(k_dim)), np.kron(c, np.eye(h_dim))
+                weight = max(1.0, (1.0 + op_norm(c)) ** 2)
+                predicted = triangular_form(value(i), value(j), c_out, c_in)
+                tri_dev = max(tri_dev, deviation(fz, predicted, weight=weight))
+                checks += 1
+    return ncpoint.NcAxiomReport(ds_dev, sim_dev, tri_dev, checks, skipped, tol)
+
+
+def report_or_error(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # compared by type and text
+        return (type(exc), str(exc))
+
+
+def guarded(f, radius):
+    """``f``, but :class:`OutsideDomain` where a coordinate's norm reaches
+    ``radius`` or, so that a sample can be outside while its combined points
+    are not, where a checksum of the point's bytes is 0 mod 7; with its
+    point-list form over ``f_points``."""
+
+    def outside(p):
+        return (max(op_norm(m) for m in p.mats) >= radius
+                or zlib.crc32(p.mats[0].tobytes()) % 7 == 0)
+
+    def one(p):
+        if outside(p):
+            raise OutsideDomain(f"point at level {p.n} is outside")
+        return f(p)
+
+    def many(points, f_points):
+        kept = [i for i, p in enumerate(points) if not outside(p)]
+        out = [OutsideDomain(f"point at level {p.n} is outside") for p in points]
+        for i, value in zip(kept, f_points([points[i] for i in kept])):
+            out[i] = value
+        return out
+
+    return one, many
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_rounds_give_the_loop_report_or_error_for_expressions(seed, guard, with_domain):
+    # random trees with inv( over samples that include scalar points, so
+    # that combined points and samples are singular at random; the guard
+    # raises OutsideDomain at random points, the domain skips others
+    from freeholo.exprlang import Add, Inv, Schedule, Sub, Var, eval_expr, eval_expr_points
+
+    rng = np.random.default_rng(seed)
+    tree = random_parser_ast(rng, 2, depth=int(rng.integers(1, 4)))
+    if rng.random() < 0.6:  # singular wherever x1 == x2
+        tree = Add(tree, Inv(Sub(Var(1), Var(2))))
+    steps = Schedule(tree)
+    samples = []
+    for _ in range(int(rng.integers(1, 5))):
+        n, kind = int(rng.integers(1, 3)), rng.choice(["random", "equal", "scalars"])
+        if kind == "random":
+            samples.append(random_point(int(rng.integers(1 << 30)), 2, n, scale=0.8))
+        else:
+            c = [float(np.round(rng.uniform(0, 3), 2)) for _ in range(2)]
+            samples.append(GradedPoint([c[0] * np.eye(n), c[kind == "scalars"] * np.eye(n)]))
+    sims = [sampling.random_invertible(rng, n) for n in (1, 2, 2)] + [np.zeros((1, 1))]
+    couplings = [sampling.random_matrix(rng, n, 3.0) for n in (1, 2)]
+
+    def f(p):
+        return eval_expr(steps, p)
+
+    def f_points(points):
+        return eval_expr_points(steps, points)
+
+    if guard:
+        radius = float(rng.uniform(0.5, 3.0))
+        f, many = guarded(f, radius)
+        f_points = functools.partial(many, f_points=f_points)
+    limit = float(rng.uniform(0.5, 4.0))
+    domain = (lambda p: op_norm(p.mats[1]) < limit) if with_domain else None
+    kw = dict(sims=sims, couplings=couplings, domain=domain)
+    with np.errstate(all="ignore"):
+        want = report_or_error(reference_check, f, samples, **kw)
+        got = report_or_error(check_nc_axioms, f, samples, f_points=f_points, **kw)
+        plain = report_or_error(check_nc_axioms, f, samples, **kw)
+    assert got == want
+    assert plain == want
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+    st.integers(1, 2),
+    st.integers(1, 2),
+)
+@settings(max_examples=25, deadline=None)
+def test_rounds_give_the_loop_report_for_realizations_near_the_shell(seed, grid, k1, mult):
+    # the realization's point-list form raises OutsideDomain at the
+    # conjugations and large-coupling triangular points that leave the domain
+    rng = sampling.rng_from_seed(seed)
+    r = random_rect_realization(rng, *grid, k1, 1, mult)
+    samples = [sampling.point_inside_gdelta(rng, r.delta, n, scale=2.0) for n in (1, 1, 2)]
+    sims = [sampling.random_invertible(rng, n) for n in (1, 2, 1, 2)]
+    couplings = [scale * sampling.random_matrix(rng, n) for scale in (1.0, 1e3) for n in (1, 2)]
+    dims = (r.dim_k1, r.dim_k2)
+
+    def f(p):
+        return realize.eval_direct(r, p)
+
+    want = reference_check(f, samples, sims, couplings, dims=dims)
+    got = check_nc_axioms(f, samples, sims, couplings, dims=dims,
+                          f_points=lambda points: realize.eval_direct_points(r, points))
+    assert got == want
+    assert got.skipped > 0 and got.checks > 0
+
+
+def test_rounds_raise_the_first_error_of_the_loop():
+    # the direct sum of the two samples raises first in the loop, although
+    # its samples' own errors are met before it in point order
+    a, b = GradedPoint([0.1 * np.eye(1)]), GradedPoint([0.2 * np.eye(1)])
+
+    def f(p):
+        if p is a or p is b:
+            raise OutsideDomain("sample")
+        if p.n == 2 and p.mats[0][0, 0] == 0.2:
+            raise SingularMatrix("combined")
+        return p.mats[0]
+
+    assert report_or_error(reference_check, f, [a, b]) == (OutsideDomain, "sample")
+    assert report_or_error(check_nc_axioms, f, [a, b]) == (OutsideDomain, "sample")
+    assert report_or_error(reference_check, f, [b, a]) == (SingularMatrix, "combined")
+    assert report_or_error(check_nc_axioms, f, [b, a]) == (SingularMatrix, "combined")
+    # a point that cannot be built (samples of different d) is raised where
+    # the loop reaches it, after the errors of the checks before it
+    c = GradedPoint([0.1 * np.eye(1), 0.1 * np.eye(1)])
+    for samples in ([b, c], [a, c]):
+        assert report_or_error(check_nc_axioms, f, samples) == report_or_error(
+            reference_check, f, samples)
+
+
+def test_widening_is_the_kronecker_product():
+    rng = np.random.default_rng(90)
+    a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    a[0, 0] = complex(-0.0, np.inf)
+    with np.errstate(invalid="ignore"):  # inf * 0
+        for k in (2, 3):
+            want = np.kron(a, np.eye(k))
+            assert ncpoint._kron_identity(a, k).tobytes() == want.tobytes()
+    assert ncpoint._kron_identity(a, 1) is a

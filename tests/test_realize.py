@@ -942,3 +942,28 @@ def test_corona_floor_overflow_names_its_point():
     with np.errstate(all="ignore"), pytest.raises(BelowFloor) as ei:
         corona_solve(UNIT_DISK, pts, psis, eps, us, mult)
     assert str(ei.value) == "psi*psi drops nan under epsilon^2 at point 2"
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+    st.integers(1, 2),
+    st.lists(st.integers(1, 3), min_size=1, max_size=8),
+)
+@settings(max_examples=30, deadline=None)
+def test_eval_direct_points_is_eval_direct_at_each_point(seed, grid, mult, levels):
+    # points near the unit shell, some outside: each value bitwise the
+    # one-point solve's, each OutsideDomain with its text
+    rng = np.random.default_rng(seed)
+    r = random_rect_realization(rng, *grid, 1, 1, mult)
+    points = [point_inside_gdelta(rng, r.delta, n, scale=2.0) for n in levels]
+    points = [GradedPoint([m * (1.0 + rng.uniform(0, 0.5) * (i % 2)) for m in x.mats])
+              for i, x in enumerate(points)]
+    got = realize.eval_direct_points(r, points)
+    for x, value in zip(points, got):
+        try:
+            want = eval_direct(r, x)
+        except OutsideDomain as exc:
+            assert type(value) is OutsideDomain and str(value) == str(exc)
+            continue
+        assert value.tobytes() == want.tobytes()
