@@ -125,29 +125,51 @@ def max_op_norm(stacks) -> float:
 
 
 def _screened_max(held, worst: float) -> float:
-    shapes = dict.fromkeys(a.shape[1:] for a in held if a.size)
-    groups = [np.concatenate([a for a in held if a.shape[1:] == s]) for s in shapes]
+    by_shape = {}
+    for a in held:
+        if a.size:
+            by_shape.setdefault(a.shape[1:], []).append(a)
+    groups = [same[0] if len(same) == 1 else np.concatenate(same) for same in by_shape.values()]
     if sum(map(len, groups)) <= _SCREEN_CHUNK:  # one chunk would SVD them all
         return float(np.maximum.reduce([worst, *(op_norms(a).max() for a in groups)]))
-    mags = [np.abs(a) for a in groups]
-    tops = [m.max(axis=(1, 2)) for m in mags]
-    if not all(np.isfinite(t).all() for t in tops):
+    caps = [_caps(a) for a in groups]
+    if any(c is None for c in caps):
         return np.nan
-    caps = []  # taken of |A| / max|A|, so no square or product under- or overflows
-    for m, t in zip(mags, tops):
-        m /= np.where(t > 0.0, t, 1.0)[:, None, None]
-        one_inf = np.sqrt(m.sum(axis=1).max(axis=1) * m.sum(axis=2).max(axis=1))
-        caps.append(t * np.minimum(np.linalg.norm(m, axis=(1, 2)), one_inf))
-    bound = np.concatenate([np.zeros(0), *caps]) * (1.0 + 1e-10) + np.finfo(float).tiny
-    flat = [m for a in groups for m in a]
-    order = np.argsort(-bound, kind="stable")
+    bound = np.concatenate(caps)
+    group = np.concatenate([np.full(len(a), g) for g, a in enumerate(groups)])
+    member = np.concatenate([np.arange(len(a)) for a in groups])
+    order = np.argsort(-bound)
     for start in range(0, len(order), _SCREEN_CHUNK):
         if bound[order[start]] < worst:
             break
-        chunk = [flat[j] for j in order[start : start + _SCREEN_CHUNK]]
-        for shape in dict.fromkeys(m.shape for m in chunk):
-            worst = np.maximum(worst, op_norms([m for m in chunk if m.shape == shape]).max())
+        chunk = order[start : start + _SCREEN_CHUNK]
+        for g in dict.fromkeys(group[chunk].tolist()):
+            picked = member[chunk[group[chunk] == g]]
+            worst = np.maximum(worst, op_norms(groups[g][picked]).max())
     return float(worst)
+
+
+def _caps(a):
+    """The screen's cap of each matrix A of a nonempty ``(p, rows, cols)``
+    stack, at least ``||A||_2``; None if an entry is not finite.
+
+    The cap is ``t * min(||m||_F, sqrt(||m||_1 ||m||_inf))`` with ``t = max|A|``
+    and ``m = |A| / t``, so no square or product under- or overflows, times
+    ``1 + 1e-10`` (a computed sigma_1 may pass it by ulps) plus the smallest
+    normal number. ``|A|`` is laid out entry-major, ``(rows * cols, p)``, so
+    every sum and maximum runs over leading axes of one contiguous array,
+    for all p matrices at once.
+    """
+    p, rows, cols = a.shape
+    m = np.abs(a.reshape(p, rows * cols).T, order="C")
+    t = m.max(axis=0)
+    if not np.isfinite(t).all():
+        return None
+    m /= np.where(t > 0.0, t, 1.0)
+    by_entry = m.reshape(rows, cols, p)
+    one_inf = np.sqrt(by_entry.sum(axis=0).max(axis=0) * by_entry.sum(axis=1).max(axis=0))
+    cap = t * np.minimum(np.sqrt(np.einsum("kp,kp->p", m, m)), one_inf)
+    return cap * (1.0 + 1e-10) + np.finfo(float).tiny
 
 
 def shape_stacks(ms) -> list:
@@ -199,7 +221,7 @@ def inv(m) -> np.ndarray:
     SingularMatrix
         If ``sigma_min <= SINGULAR_RTOL * sigma_max`` for the matrix, or for
         any member of a stack (carries the condition estimate of the first
-        such member).
+        such member, and the positions of all of them as ``members``).
     ShapeMismatch
         If the matrices are not square.
 
@@ -219,14 +241,19 @@ def inv(m) -> np.ndarray:
         out = np.full(a.shape, np.nan, dtype=np.complex128)
         finite = np.isfinite(a).all(axis=(-2, -1))
         if finite.any():  # only a stack has finite members here
-            out[finite] = inv(a[finite])
+            try:
+                out[finite] = inv(a[finite])
+            except SingularMatrix as exc:
+                where = np.flatnonzero(finite)[list(exc.members)].tolist()
+                raise SingularMatrix(condition=exc.condition, members=tuple(where)) from None
         return out
     u, s, vh = np.linalg.svd(a)
     low = s[..., -1] <= SINGULAR_RTOL * s[..., 0]
     if low.any():
-        first = s.reshape(-1, s.shape[-1])[np.flatnonzero(low)[0]]
+        members = np.flatnonzero(low).tolist()
+        first = s.reshape(-1, s.shape[-1])[members[0]]
         kappa = float("inf") if first[-1] == 0.0 else float(first[0] / first[-1])
-        raise SingularMatrix(condition=kappa)
+        raise SingularMatrix(condition=kappa, members=tuple(members) if a.ndim == 3 else None)
     return (vh.conj().swapaxes(-1, -2) * (1.0 / s)[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 

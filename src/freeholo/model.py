@@ -135,6 +135,12 @@ class ModelSampleSet:
         )
 
 
+# bytes of one band of a level's signed Gram (a band holds at least one row
+# block); a narrower band computes less of the discarded lower triangle, and
+# this size measured fastest on the fit workload's 120 samples
+_BAND_BYTES = 1 << 19
+
+
 def model_residual(s: ModelSampleSet) -> float:
     """Worst violation of the model identity over same-level sample pairs.
 
@@ -144,30 +150,51 @@ def model_residual(s: ModelSampleSet) -> float:
     any SVD fails.
 
     Delta u is the sample set's ``delta_u``; no delta is evaluated here.
-    Per level, with the columns ``L_s = [psi_s; (Delta u)_s]`` and
-    ``R_s = [phi_s; u_s]`` of width w, the pair block is
-    ``E_st = L_s* L_t - R_s* R_t``. Since ``||E_ts|| = ||E_st||`` only the
-    blocks with t >= s are formed, one row block s at a time, and handed lazily
-    to ``mat.max_op_norm``, which SVDs only blocks that may attain the maximum
-    in bounded memory; the level's (m w)^2 Gram is never held.
+    Per level of m samples, the columns ``M_s = [psi_s; (Delta u)_s; phi_s; u_s]``
+    of width w are formed once, and with J = diag(I, I, -I, -I) the pair
+    block is ``E_st = (J M_s)* M_t``. Since ``||E_ts|| = ||E_st||`` only the
+    blocks with t >= s are kept. The rows of the level's (m w)^2 matrix E are
+    formed in bands of whole row blocks, rows a..b against columns a.. by
+    one product, each of at most ``_BAND_BYTES`` unless one row block is
+    larger, so the memory is bounded for any sample count. Each band's kept
+    blocks go to ``mat.max_op_norm`` as one ``(count, w, w)`` stack, read
+    before the next band is formed; it SVDs only blocks that may attain the
+    maximum.
     """
     by_level = {}
     for i, x in enumerate(s.points):
-        left, right = by_level.setdefault(x.n, ([], []))
-        left.append(np.concatenate([s.psi[i], s.delta_u[i]]))
-        right.append(np.concatenate([s.phi[i], s.u[i]]))
+        by_level.setdefault(x.n, []).append(i)
 
-    def row_blocks():
-        for left, right in by_level.values():
-            m, w = len(left), left[0].shape[1]
-            lmat, rmat = (np.concatenate(side, axis=1) for side in (left, right))
-            for i in range(m):
-                row, rest = slice(i * w, (i + 1) * w), slice(i * w, None)
-                e = lmat[:, row].conj().T @ lmat[:, rest] - rmat[:, row].conj().T @ rmat[:, rest]
-                yield e.reshape(w, m - i, w).transpose(1, 0, 2)
+    def bands():
+        for idx in by_level.values():
+            m, w = len(idx), s.psi[idx[0]].shape[1]
+            fields = (s.psi, s.delta_u, s.phi, s.u)
+            cols = np.concatenate([np.concatenate([f[i] for i in idx], axis=1) for f in fields])
+            signed = cols.conj().T
+            signed[:, len(s.psi[idx[0]]) + len(s.delta_u[idx[0]]) :] *= -1.0
+            a = 0
+            while a < m:
+                b = min(m, a + max(1, _BAND_BYTES // (16 * w * w * (m - a))))
+                yield _band(signed, cols, w, a, b)
+                a = b
 
-    worst = mat.max_op_norm(row_blocks())
+    worst = mat.max_op_norm(bands())
     return math.inf if math.isnan(worst) else worst
+
+
+def _band(signed, cols, w: int, a: int, b: int) -> np.ndarray:
+    """The pair blocks ``E_st``, a <= s < b, t >= s, of the level with
+    ``signed = (J M)*`` and ``cols = M``: one product of rows a..b against
+    columns a.., then the kept blocks copied in row order into one
+    ``(count, w, w)`` stack."""
+    rows, m = b - a, cols.shape[1] // w - a
+    e = (signed[a * w : b * w] @ cols[:, a * w :]).reshape(rows, w, m, w).transpose(0, 2, 1, 3)
+    out = np.empty((rows * (2 * m - rows + 1) // 2, w, w), dtype=np.complex128)
+    k = 0
+    for r in range(rows):
+        out[k : k + m - r] = e[r, r:]
+        k += m - r
+    return out
 
 
 def diagonal_floor(s: ModelSampleSet) -> float:

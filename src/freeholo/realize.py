@@ -561,18 +561,19 @@ def _max_gap(r: Realization, s: ModelSampleSet, indices) -> float:
     """``max || Omega(x) psi(x) - phi(x) ||`` over the sample points ``indices``, or inf.
 
     Omega(x) is solved from the sample set's delta(x) by
-    :func:`_level_solves`, one stacked :func:`_solve` per level chunk, so
-    every gap is bitwise the one-point solve's. No delta is evaluated and
-    no membership decided here: the sample set decided it. A gap that is
-    not finite, or whose SVD fails, gives ``inf``.
+    :func:`_level_solves`, one stacked :func:`_solve` per level chunk, and
+    the chunk's gaps are formed by one stacked product and handed to
+    :func:`mat.max_op_norm` as one stack, so every gap is bitwise the
+    one-point solve's. No delta is evaluated and no membership decided
+    here: the sample set decided it. A gap that is not finite, or whose SVD
+    fails, gives ``inf``.
     """
 
     def gaps():
         levels = [s.points[i].n for i in indices]
         for chunk, omega, _ in _level_solves(r, levels, [s.delta_x[i] for i in indices]):
-            for j, member in zip(chunk, omega):
-                i = indices[j]
-                yield (member @ s.psi[i] - s.phi[i])[None]
+            at = [indices[j] for j in chunk]
+            yield omega @ np.array([s.psi[i] for i in at]) - np.array([s.phi[i] for i in at])
 
     worst = mat.max_op_norm(gaps())
     return math.inf if math.isnan(worst) else worst

@@ -465,3 +465,43 @@ def test_inv_of_a_stack_refuses_a_singular_member():
     with pytest.raises(ShapeMismatch):
         inv(np.ones((2, 2, 3)))
     assert inv(np.zeros((3, 0, 0))).shape == (3, 0, 0)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["random", "rank1", "tied", "flat"]),
+    shape=st.tuples(st.integers(1, 12), st.integers(1, 6), st.integers(1, 6)),
+    scale=st.sampled_from([1.0, 1e-160, 1e150, 1e-310]),
+)
+@settings(max_examples=300, deadline=None)
+def test_screen_cap_bounds_every_norm(seed, kind, shape, scale):
+    # the screen may stop at a cap only if no matrix under it has a larger norm
+    rng = np.random.default_rng(seed)
+    [a] = mixed_stacks(rng, [(kind, *shape, scale)])
+    for stack in (a, np.ascontiguousarray(a.transpose(0, 2, 1))):
+        with np.errstate(over="raise", invalid="raise"):
+            caps = mat._caps(stack)
+        assert caps.shape == (len(stack),)
+        assert (caps >= op_norms(stack)).all()
+
+
+def test_screen_cap_of_a_stack_that_is_not_finite_is_none():
+    a = np.ones((3, 2, 2), dtype=complex)
+    assert mat._caps(a) is not None
+    for bad in (np.nan, np.inf, -np.inf):
+        a[1, 0, 1] = bad
+        with np.errstate(over="raise", invalid="raise"):
+            assert mat._caps(a) is None
+
+
+def test_inv_of_a_stack_names_its_singular_members():
+    # positions are those of the whole stack, also past a member that is not finite
+    stack = np.stack([np.eye(2), np.full((2, 2), np.nan), np.diag([1.0, 0.0]),
+                      2 * np.eye(2), np.zeros((2, 2))]) + 0j
+    with pytest.raises(SingularMatrix) as info:
+        inv(stack)
+    assert info.value.members == (2, 4)
+    assert info.value.condition == np.inf
+    with pytest.raises(SingularMatrix) as info:
+        inv(np.diag([1.0, 0.0]))
+    assert info.value.members is None

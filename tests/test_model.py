@@ -181,6 +181,46 @@ def test_model_residual_matches_dense_pair_loop(seed, grid, k1, offset, mult, ex
         assert got < 1e-12
 
 
+def band_events(monkeypatch):
+    """Record each band formed and each stack ``max_op_norm`` reads, in order."""
+    events = []
+    band, fold = model._band, model.mat.max_op_norm
+    monkeypatch.setattr(model, "_band", lambda *a: events.append("form") or band(*a))
+
+    def reading(stacks):
+        def each():
+            for stack in stacks:
+                events.append("read")
+                yield stack
+
+        return fold(each())
+
+    monkeypatch.setattr(model.mat, "max_op_norm", reading)
+    return events
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_model_residual_in_bands_of_one_row_block(monkeypatch, seed):
+    rng = rng_from_seed(seed)
+    r = random_rect_realization(rng, 2, 3, 2, 1, 2)
+    levels = [1, 2, 3, 2, 1, 3, 3, 2]
+    s = model_from_realization(r, [point_inside_gdelta(rng, r.delta, n) for n in levels])
+    u = list(s.u)
+    u[5] = u[5] + rng.standard_normal(u[5].shape)
+    s = ModelSampleSet(s.delta, s.points, s.psi, s.phi, u, s.h_dim, s.k1_dim, s.k2_dim, s.mult)
+    events = band_events(monkeypatch)
+    want = model_residual(s)
+    assert want > 1e-3
+    assert events == ["form", "read"] * 3  # one band per level
+    events.clear()
+    monkeypatch.setattr(model, "_BAND_BYTES", 1)
+    got = model_residual(s)
+    assert abs(got - want) <= 1e-12 * want
+    assert abs(got - dense_model_residual(s)) <= 1e-12 * want
+    # one band per row block, each read before the next is formed
+    assert events == ["form", "read"] * len(levels)
+
+
 def test_model_residual_non_finite_is_inf():
     r = mobius(0.4)
     s = model_from_realization(r, disk_points(range(90, 94), [1, 2, 1, 2]))
