@@ -548,12 +548,14 @@ def _promoted_grid(pm: PolyMatrix, mult: int) -> MatrixPoly:
 def promoted_apply(dx: np.ndarray, n: int, mult: int, y: np.ndarray) -> np.ndarray:
     """``eval_poly_matrix_promoted(pm, x, mult) @ y`` from ``dx = eval_poly_matrix(pm, x)``.
 
-    The rows of y, in (level, mult, grid) order, are permuted to (grid,
-    level) rows with (mult, column) columns, multiplied by the grid-outer dx
-    in one GEMM, and permuted back; the promoted matrix is never formed and
-    the point need not lie in any domain. A ``(p, ...)`` stack of dx
-    values with a ``(p, ...)`` stack of y gives the stack of the members'
-    products, one GEMM each, every member bitwise its own product.
+    The rows of y, in (level, mult, grid) order, are copied once into
+    multiplicity-major (mult, grid, level) order; each multiplicity slot is
+    then a (grid, level)-rowed block that the grid-outer dx multiplies in
+    one GEMM, and the level axis is moved in front again. The promoted
+    matrix is never formed and the point need not lie in any domain. A
+    ``(p, ...)`` stack of dx values with a ``(p, ...)`` stack of y gives the
+    stack of the members' products, one GEMM per slot, every member bitwise
+    its own product.
     """
     rows, cols = dx.shape[-2] // n, dx.shape[-1] // n
     lead, q = y.shape[:-2], y.shape[-1]
@@ -562,21 +564,10 @@ def promoted_apply(dx: np.ndarray, n: int, mult: int, y: np.ndarray) -> np.ndarr
             f"cannot apply a level-{n} {rows}x{cols} grid at multiplicity {mult} "
             f"to {y.shape[-2]} rows"
         )
-    k = len(lead)
-    stack_axes = tuple(range(k))
-    grid_in = np.empty(lead + (cols, n, mult, q), dtype=np.complex128)
-    grid_out = np.empty(lead + (rows * n, mult * q), dtype=np.complex128)
-    out = np.empty(lead + (n * mult * rows, q), dtype=np.complex128)
-    np.copyto(
-        grid_in,
-        y.reshape(lead + (n, mult, cols, q)).transpose(stack_axes + (k + 2, k, k + 1, k + 3)),
-    )
-    np.matmul(dx, grid_in.reshape(lead + (cols * n, mult * q)), out=grid_out)
-    np.copyto(
-        out.reshape(lead + (n, mult, rows, q)),
-        grid_out.reshape(lead + (rows, n, mult, q)).transpose(stack_axes + (k + 1, k + 2, k, k + 3)),
-    )
-    return out
+    slots = np.ascontiguousarray(y.reshape(lead + (n, mult * cols, q)).swapaxes(-3, -2))
+    prod = np.matmul(dx[..., None, :, :], slots.reshape(lead + (mult, cols * n, q)))
+    out = prod.reshape(lead + (mult * rows, n, q)).swapaxes(-3, -2)
+    return out.reshape(lead + (n * mult * rows, q))
 
 
 def delta_pad_columns(pm: PolyMatrix, extra: int) -> PolyMatrix:

@@ -279,9 +279,12 @@ def kron_left_identity(n: int, m) -> np.ndarray:
 def kron_left_identity_apply(n: int, m, x) -> np.ndarray:
     """``kron(I_n, m) @ x`` without forming the Kronecker product.
 
-    Each of the n row blocks of ``x`` is multiplied by ``m`` through one
-    reshape (Van Loan, "The ubiquitous Kronecker product", 2000), costing
-    ``n`` times fewer operations than the dense product. Returns an array
+    The n row blocks of ``x`` are laid side by side, block row by block
+    column, and multiplied by ``m`` in one GEMM (Van Loan, "The ubiquitous
+    Kronecker product", 2000), costing ``n`` times fewer operations than the
+    dense product; the level axis is moved in front again afterwards. A
+    level-minor operand, rows (block row, level), is thus one plain GEMM,
+    the product ``realize._series`` runs per Neumann term. Returns an array
     of shape ``(n * m.shape[0], x.shape[1])``. A ``(p, rows, q)`` stack
     ``x`` gives the ``(p, n * m.shape[0], q)`` stack of its members'
     products, each bitwise the product of that member alone.
@@ -297,7 +300,10 @@ def kron_left_identity_apply(n: int, m, x) -> np.ndarray:
             f"cannot apply I_{n} (x) {a.shape[0]}x{a.shape[1]} to {x.shape[-2]} rows"
         )
     lead, q = x.shape[:-2], x.shape[-1]
-    return np.matmul(a, x.reshape(lead + (n, a.shape[1], q))).reshape(lead + (n * a.shape[0], q))
+    wide = np.ascontiguousarray(x.reshape(lead + (n, a.shape[1], q)).swapaxes(-3, -2))
+    prod = np.matmul(a, wide.reshape(lead + (a.shape[1], n * q)))
+    out = prod.reshape(lead + (a.shape[0], n, q)).swapaxes(-3, -2)
+    return out.reshape(lead + (n * a.shape[0], q))
 
 
 def isometry_defect(m) -> float:

@@ -31,6 +31,13 @@ from .ncpoint import Membership
 
 INVERTIBILITY_RTOL = 1e-10
 
+# Largest ||p(f(M))|| a certificate accepts. Horner on the monomial
+# coefficients of p = q / q(0) loses digits fast with the level: on
+# T = G / sqrt(2n) + 0.5 I (G complex Gaussian, default_rng(0)) it gives
+# 2.6e-13, 1.1e-8, 1.5e-5 and 1.98 at n = 8, 16, 24 and 32, so levels up to
+# 16 certify on that family and 24 and 32 raise.
+P_RESIDUAL_TOL = 1e-6
+
 
 def poly_at_matrix(coeffs_desc, t) -> np.ndarray:
     """Evaluate a scalar polynomial (highest coefficient first) at a matrix."""
@@ -86,7 +93,10 @@ class InversionCertificate:
         "asserted" when the caller supplied ``bound_sup``, "sampled" when it
         was estimated from random points (then it is evidence, not proof).
     p_residual : float
-        ``|| p(f(M)) ||``; rounding-scale by construction.
+        ``|| p(f(M)) ||`` by Horner on ``p_coeffs``: zero in exact
+        arithmetic, but its rounding grows with the level and the spread of
+        the eigenvalues; a certificate is only issued when it is at most
+        ``P_RESIDUAL_TOL``.
     domain : AugmentedDomain
         The grid augmented with the leg ``N -> 2 p(f(N))``.
     """
@@ -135,6 +145,11 @@ def inversion_certificate(
 
     The augmented domain also keeps ``||delta(N)|| < 1`` so the sup bound
     stays applicable.
+
+    p is used as computed, so the certificate holds only as far as p(T)
+    really vanishes: when ``||p(T)||``, by Horner on p's coefficients, is
+    above ``P_RESIDUAL_TOL`` (or not finite), :class:`RootFindingFailure`
+    is raised instead.
     """
     if bound_sup <= 0:
         raise ValueError("bound_sup must be positive")
@@ -170,6 +185,11 @@ def inversion_certificate(
         roots = np.array([], dtype=np.complex128)
     bound_inv = 2.0 * abs(c) * float(np.prod([bound_sup + abs(b) for b in roots] or [1.0]))
     p_residual = mat.op_norm(poly_at_matrix(p_coeffs, t_val))
+    if not p_residual <= P_RESIDUAL_TOL:  # a NaN residual fails too
+        raise RootFindingFailure(
+            f"p(f(M)) has residual {p_residual:.3e} above {P_RESIDUAL_TOL:.0e}: "
+            "the characteristic polynomial lost too many digits"
+        )
 
     def reciprocal_leg(x, _f=f, _p=tuple(p_coeffs)):
         return 2.0 * poly_at_matrix(_p, mat.as_array(_f(x)))

@@ -19,9 +19,11 @@ formula, not what is computed. The private kernels ``_solve`` (the resolvent
 solve) and ``_series`` (the Neumann terms) take the realization, the level n
 and the unpromoted grid-outer value delta(x); ``_solve`` takes a stack of
 them at points of one level. They apply the blocks through
-``mat.kron_left_identity_apply`` and Delta(x) through ``freepoly.promoted_apply``,
-one GEMM with delta(x) per point; ``_series`` runs that arithmetic per term
-as a fixed plan of in-place numpy calls on views made once. ``eval_direct``
+``mat.kron_left_identity_apply``, one GEMM over the n level blocks, and
+Delta(x) through ``freepoly.promoted_apply``, one GEMM with delta(x) per
+multiplicity slot; ``_series`` runs that arithmetic per term on terms held
+in the multiplicity-major layout both helpers multiply in, two in-place
+GEMMs and no copy per term. ``eval_direct``
 and ``resolvent_leg`` solve a one-point stack; ``_level_solves`` solves many
 points with one ``_solve`` per level chunk for ``model_from_realization``,
 ``eval_direct_points``, the fit's holdout and the corona residual, each
@@ -179,31 +181,28 @@ def _series(r: Realization, n: int, dx: np.ndarray, k: int) -> np.ndarray:
     """Sum the terms ``Delta (D~ Delta)^j C~`` for j = 0, ..., k at ``dx = delta(x)``.
 
     Adding stops at an all-zero term, since every later term is then
-    exactly zero as well. A later term is bitwise ``promoted_apply`` of
-    ``kron_left_identity_apply`` with D, as four in-place numpy calls on
-    buffers and permuting views made once before the loop.
+    exactly zero as well. The terms are held multiplicity-major, rows in
+    (mult, grid, level) order, the partition both helpers multiply in: D~
+    is one wide GEMM of D with the (mult, grid) by (level, column) term, and
+    Delta one GEMM of dx per multiplicity slot, each in place on a buffer
+    made before the loop. No term is copied; the sum is moved back to
+    (level, mult, grid) rows once, so it is bitwise ``promoted_apply`` of
+    ``kron_left_identity_apply`` with D, term by term.
     """
     mult, rows, cols, q, d = r.mult, r.delta.rows, r.delta.cols, n * r.dim_k1, r.block_d
     c_tilde = mat.kron_left_identity_apply(n, r.block_c, np.eye(q))
-    term = promoted_apply(dx, n, mult, c_tilde)
+    first = promoted_apply(dx, n, mult, c_tilde).reshape(n, mult * rows, q)
+    term = np.ascontiguousarray(first.swapaxes(0, 1)).reshape(mult, rows * n, q)
     total = term.copy()
-    fed = np.empty((n, mult * cols, q), dtype=np.complex128)
-    grid_in = np.empty((cols, n, mult, q), dtype=np.complex128)
-    grid_out = np.empty((rows * n, mult * q), dtype=np.complex128)
-    term3 = term.reshape(n, mult * rows, q)
-    fed_t = fed.reshape(n, mult, cols, q).transpose(2, 0, 1, 3)
-    gin2 = grid_in.reshape(cols * n, mult * q)
-    gout_t = grid_out.reshape(rows, n, mult, q).transpose(1, 2, 0, 3)
-    term4 = term.reshape(n, mult, rows, q)
+    fed = np.empty((mult, cols * n, q), dtype=np.complex128)
+    wide_term, wide_fed = term.reshape(mult * rows, n * q), fed.reshape(mult * cols, n * q)
     for _ in range(k):
-        np.matmul(d, term3, out=fed)
-        np.copyto(grid_in, fed_t)
-        np.matmul(dx, gin2, out=grid_out)
-        np.copyto(term4, gout_t)
+        np.matmul(d, wide_term, out=wide_fed)
+        np.matmul(dx, fed, out=term)
         if not term.any():  # the method skips np.any's Python wrapper
             break
         total += term
-    return total
+    return total.reshape(mult * rows, n, q).swapaxes(0, 1).reshape(n * mult * rows, q)
 
 
 # Most bytes of the (p, size, size) resolvent matrices in one _level_solves
@@ -359,8 +358,9 @@ def eval_neumann(r: Realization, x: GradedPoint, tol: float = 1e-8) -> NeumannRe
     than ``NEUMANN_TERM_CAP`` terms raise :class:`TermBlowup`.
 
     The terms ``Delta (D~ Delta)^k C~`` are summed first and ``B~`` is
-    applied once. Each term costs one batched product with D and one GEMM
-    with the unpromoted delta(x), in place on views made before the loop;
+    applied once. Each term costs one wide GEMM with D over all level
+    blocks and one GEMM with the unpromoted delta(x) per multiplicity slot,
+    in place on buffers made before the loop and with no layout copy;
     neither ``kron(I_n, D)`` nor the promoted Delta(x) is formed, and
     delta(x) and its norm come from the membership test.
     """

@@ -886,6 +886,26 @@ def test_mero_certify_failed_sampled_norm_exits_1(tmp_path, capsys, monkeypatch)
     assert error["message"] == "the norm of f failed at sampled point 197 (level 3)"
 
 
+def test_mero_certify_lost_characteristic_polynomial_exits_1(tmp_path, capsys):
+    # a level-32 base point whose characteristic polynomial, rescaled to
+    # p(0) = 1, leaves ||p(M)|| near 2 after Horner: no certificate
+    rng = np.random.default_rng(0)
+    g = (rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))) / np.sqrt(2)
+    t = g / 8.0 + 0.5 * np.eye(32)
+    half = PolyMatrix.from_poly(FreePoly.letter(1, 1).scale(0.5))
+    delta = write(tmp_path, "half.json", half.to_json())
+    point = write(tmp_path, "p.json", GradedPoint([t]).to_json())
+    code, _, raw = run(
+        ["mero", "certify", "--expr", "x1", "--vars", "1", "--delta", delta,
+         "--point", point, "--bound", "2"],
+        capsys,
+    )
+    assert code == 1
+    error = strict_loads(raw)["error"]
+    assert error["type"] == "RootFindingFailure"
+    assert error["message"].startswith("p(f(M)) has residual 1.98")
+
+
 def test_mero_certify_overflowing_value_exits_1(tmp_path, capsys):
     # f(M) = x1*x1 + 1 overflows at x1 = 1e200: a mathematical rejection,
     # not an eigenvalue traceback; membership there is outside with no norm

@@ -18,12 +18,15 @@ module in ``src/freeholo``:
   smallest singular value, and the largest of several norms comes from
   ``mat.max_op_norm``, never from a bare ``max`` that drops a NaN;
 * in ``model`` and ``realize``, delta(x) and membership come only from
-  ``ncpoint.require_inside``, and Delta u is formed only by the sample
-  set's constructor and the resolvent kernels;
+  ``ncpoint``'s membership kernel: ``require_inside``, or
+  ``delta_memberships`` itself in ``realize.eval_direct_points``; Delta u
+  is formed only by the sample set's constructor and the resolvent
+  kernels;
 * a norm is classified inside or outside only by ``ncpoint``'s membership
   kernel, the sampler's shrink loop and the augmented domain;
 * each term of the Neumann loop in ``realize._series`` is only numpy calls
-  and array methods, so no per-term validation in a helper creeps back;
+  and array methods, so no per-term validation in a helper creeps back,
+  and none of them copies, so no layout change between the products does;
 * in ``cli``, only ``_load_function`` parses an expression or builds an
   evaluator, so every subcommand that takes a function reads it one way;
 * every module-level function and class, and every public method, is
@@ -391,6 +394,14 @@ def test_loop_calls_tells_numpy_from_helpers():
 def test_neumann_loop_calls_only_numpy():
     plain, other = loop_calls((SRC / "realize.py").read_text(encoding="utf-8"), "_series")
     assert plain and other == []
+
+
+def test_neumann_loop_copies_nothing():
+    # the term is held in the layout both of its products read
+    plain, _ = loop_calls((SRC / "realize.py").read_text(encoding="utf-8"), "_series")
+    copying = ("copyto", "copy", "ascontiguousarray")
+    copies = [c for c in plain if c.rsplit(".", 1)[-1] in copying]
+    assert "np.matmul" in plain and copies == []
 
 
 def bindings(source: str) -> tuple:

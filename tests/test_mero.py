@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graded, random_parser_ast
-from freeholo.errors import FreeholoError, NonFiniteValue, NotInvertible, SingularityHit
+from freeholo.errors import (
+    FreeholoError,
+    NonFiniteValue,
+    NotInvertible,
+    RootFindingFailure,
+    SingularityHit,
+)
 from freeholo.exprlang import Add, Const, Inv, Schedule, Sub, Var, eval_expr, parse
 from freeholo.freepoly import FreePoly, GradedPoint, PolyMatrix, eval_poly
 from freeholo.mat import op_norm
@@ -14,6 +20,7 @@ from freeholo.mero import (
     AugmentedDomain,
     ScanEntry,
     ScanReport,
+    P_RESIDUAL_TOL,
     inversion_certificate,
     poly_at_matrix,
     singular_scan,
@@ -92,6 +99,28 @@ def test_bound_inv_formula():
     cert = inversion_certificate(f, HALF_DISK, m, 7.0)
     expected = 2.0 * abs(cert.c) * np.prod([7.0 + abs(b) for b in cert.roots])
     assert cert.bound_inv == pytest.approx(expected, rel=1e-12)
+
+
+def shifted_gaussian(n):
+    """T = G / sqrt(2n) + 0.5 I, G = (X + iY) / sqrt(2) from default_rng(0)."""
+    rng = np.random.default_rng(0)
+    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    return g / np.sqrt(2 * n) + 0.5 * np.eye(n)
+
+
+@pytest.mark.parametrize("n, certifies", [(8, True), (16, True), (24, False), (32, False)])
+def test_certificate_refuses_a_lost_characteristic_polynomial(n, certifies):
+    # Horner on p's monomial coefficients gives ||p(T)|| of 2.6e-13, 1.1e-8,
+    # 1.5e-5 and 1.98 at these levels: p no longer annihilates T from n = 24
+    t = shifted_gaussian(n)
+    m = GradedPoint([t])
+    if certifies:
+        cert = inversion_certificate(f_identity, HALF_DISK, m, 2.0)
+        assert cert.p_residual <= P_RESIDUAL_TOL
+        assert cert.p_residual == op_norm(poly_at_matrix(cert.p_coeffs, t))
+    else:
+        with pytest.raises(RootFindingFailure, match="above 1e-06"):
+            inversion_certificate(f_identity, HALF_DISK, m, 2.0)
 
 
 def test_certificate_requires_invertible_value():

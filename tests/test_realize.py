@@ -558,6 +558,28 @@ def test_series_early_stop_equals_helper_composition_bitwise(grid, mult, n):
         assert np.array_equal(realize._series(r, n, dx, 40), want)
 
 
+X1, X2 = FreePoly.letter(2, 1), FreePoly.letter(2, 2)
+# the benchmark's grid
+GRID = PolyMatrix([[0.5 * X1, 0.5 * X2], [0.3 * X2, 0.3 * (X1 * X2)]])
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("mult", [1, 4])
+@given(st.integers(0, 10_000), st.integers(0, 60))
+@settings(max_examples=3, deadline=None)
+def test_series_at_bench_shapes(n, mult, seed, k):
+    # the sizes the eval workload runs, where GEMMs take blocked kernels and
+    # edge tiles that the small shapes above never reach
+    rng = rng_from_seed(seed)
+    r = random_realization(rng, GRID, 2, 2, mult)
+    x = point_inside_gdelta(rng, GRID, n)
+    dx = eval_poly_matrix(GRID, x)
+    want, _ = series_by_helpers(r, n, dx, k)
+    assert np.array_equal(realize._series(r, n, dx, k), want)
+    res = eval_neumann(r, x)
+    assert op_norm(res.value - eval_direct(r, x)) <= res.bound + 1e-12
+
+
 def pad_psi_rows(psi, n, k1, extra):
     """Append ``extra`` zero rows to every level block of a psi value."""
     w = psi.shape[1]
