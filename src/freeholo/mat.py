@@ -15,6 +15,8 @@ returns a read-only array; the value types (``GradedPoint``,
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .errors import DimensionTooSmall, ShapeMismatch, SingularMatrix
@@ -74,6 +76,34 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     a.setflags(write=False)
     return a
+
+
+# -- scratch memory ------------------------------------------------------------
+
+_held = threading.local()
+
+
+def scratch(count: int) -> np.ndarray:
+    """A flat complex128 array of ``count`` entries, contents undefined: a
+    view of a buffer held per thread and reused by every call on it.
+
+    glibc maps an array above its mmap threshold when it is made and unmaps
+    it when it is freed, so a fresh array of 1 MiB faults in its pages on
+    every call; a kernel that assembles its temporaries here touches no
+    fresh pages once the buffer has grown. The buffer grows to the largest request and keeps it, up to
+    twice ``realize._SOLVE_BYTES``; a larger request gets a fresh array
+    that is not kept. The view is overwritten by the next call on the same
+    thread, so a caller takes all its blocks from one call and returns
+    nothing that shares memory with them.
+    """
+    buf = getattr(_held, "buf", None)
+    if buf is None or len(buf) < count:
+        from .realize import _SOLVE_BYTES
+
+        if 16 * count > 2 * _SOLVE_BYTES:
+            return np.empty(count, dtype=np.complex128)
+        buf = _held.buf = np.empty(count, dtype=np.complex128)
+    return buf[:count]
 
 
 # -- norms and factorizations ---------------------------------------------

@@ -156,8 +156,9 @@ def model_residual(s: ModelSampleSet) -> float:
     blocks with t >= s are kept. The rows of the level's (m w)^2 matrix E are
     formed in bands of whole row blocks, rows a..b against columns a.. by
     one product, each of at most ``_BAND_BYTES`` unless one row block is
-    larger, so the memory is bounded for any sample count. Each band's kept
-    blocks go to ``mat.max_op_norm`` as one ``(count, w, w)`` stack, read
+    larger, so the memory is bounded for any sample count; the product is
+    written into ``mat.scratch``. Each band's kept blocks are copied into
+    one ``(count, w, w)`` stack for ``mat.max_op_norm``, read
     before the next band is formed; it SVDs only blocks that may attain the
     maximum.
     """
@@ -185,10 +186,12 @@ def model_residual(s: ModelSampleSet) -> float:
 def _band(signed, cols, w: int, a: int, b: int) -> np.ndarray:
     """The pair blocks ``E_st``, a <= s < b, t >= s, of the level with
     ``signed = (J M)*`` and ``cols = M``: one product of rows a..b against
-    columns a.., then the kept blocks copied in row order into one
-    ``(count, w, w)`` stack."""
+    columns a.. into a :func:`mat.scratch` buffer, then the kept blocks
+    copied in row order into one fresh ``(count, w, w)`` stack."""
     rows, m = b - a, cols.shape[1] // w - a
-    e = (signed[a * w : b * w] @ cols[:, a * w :]).reshape(rows, w, m, w).transpose(0, 2, 1, 3)
+    prod = mat.scratch(rows * w * m * w).reshape(rows * w, m * w)
+    np.matmul(signed[a * w : b * w], cols[:, a * w :], out=prod)
+    e = prod.reshape(rows, w, m, w).transpose(0, 2, 1, 3)
     out = np.empty((rows * (2 * m - rows + 1) // 2, w, w), dtype=np.complex128)
     k = 0
     for r in range(rows):

@@ -23,7 +23,8 @@ them at points of one level. They apply the blocks through
 Delta(x) through ``freepoly.promoted_apply``, one GEMM with delta(x) per
 multiplicity slot; ``_series`` runs that arithmetic per term on terms held
 in the multiplicity-major layout both helpers multiply in, two in-place
-GEMMs and no copy per term. ``eval_direct``
+GEMMs and no copy per term; ``_solve`` assembles its resolvent matrices in
+place in ``mat.scratch``, a buffer reused across calls. ``eval_direct``
 and ``resolvent_leg`` solve a one-point stack; ``_level_solves`` solves many
 points with one ``_solve`` per level chunk for ``model_from_realization``,
 ``eval_direct_points``, the fit's holdout and the corona residual, each
@@ -162,18 +163,29 @@ def _solve(r: Realization, n: int, dxs: np.ndarray) -> tuple[np.ndarray, np.ndar
     :func:`freepoly.promoted_apply`. The points are batched along the
     leading axis only, so every member is bitwise the solve of its point
     alone.
+
+    The products and the resolvent matrices are two blocks of one
+    :func:`mat.scratch` buffer: the products are negated into the
+    resolvent's (row, column) order and 1 is added on its diagonal, in
+    place, so no identity, difference or copy of the size of the resolvent
+    is made. The result equals ``solve(I - D~Delta, C~)`` up to the sign of
+    a zero: ``-x`` is ``-0.0`` where ``0 - x`` is ``+0.0``. Omega and v are
+    fresh arrays from the solve, never views of the scratch.
     """
     mult, rows, cols = r.mult, r.delta.rows, r.delta.cols
-    size = n * mult * cols
+    p, size = len(dxs), n * mult * cols
     d2 = r.block_d.reshape(mult * cols * mult, rows)
-    t = np.empty((len(dxs), mult * cols, mult, n, cols, n), dtype=np.complex128)
+    buf = mat.scratch(2 * p * size * size)
+    t = buf[: p * size * size].reshape(p, mult * cols, mult, n, cols, n)
+    a = buf[p * size * size :].reshape(p, n, mult * cols, n, mult, cols)
     for dx, out in zip(dxs, t):
         # np.dot, as the one-point tensordot calls it: for a one-row grid it
         # takes a rank-1 update whose bits differ from np.matmul's GEMM
         np.dot(d2, dx.reshape(rows, n * cols * n), out=out.reshape(d2.shape[0], -1))
-    d_delta = t.transpose(0, 3, 1, 5, 2, 4)
+    np.negative(t.transpose(0, 3, 1, 5, 2, 4), out=a)
+    a.reshape(p, size * size)[:, :: size + 1] += 1.0
     c_tilde = mat.kron_left_identity_apply(n, r.block_c, np.eye(n * r.dim_k1))
-    v = np.linalg.solve(np.eye(size) - d_delta.reshape(-1, size, size), c_tilde)
+    v = np.linalg.solve(a.reshape(p, size, size), c_tilde)
     return _value(r, n, promoted_apply(dxs, n, mult, v)), v
 
 
@@ -206,7 +218,8 @@ def _series(r: Realization, n: int, dx: np.ndarray, k: int) -> np.ndarray:
 
 
 # Most bytes of the (p, size, size) resolvent matrices in one _level_solves
-# chunk; _solve holds about four arrays of that size at once. With one BLAS
+# chunk; _solve holds two arrays of that size in mat.scratch, which keeps up
+# to twice this, and the solve one more, LAPACK's copy. With one BLAS
 # thread the time per point stopped falling at 0.1-0.5 MB: at size 16 (level
 # 4, mult 2) 38 us alone, 9-11 us from 32 points on; at size 64 117 us
 # alone, 88 us at 8 points (0.5 MB), 99-114 us beyond; at sizes 128 and 256

@@ -27,6 +27,8 @@ module in ``src/freeholo``:
 * each term of the Neumann loop in ``realize._series`` is only numpy calls
   and array methods, so no per-term validation in a helper creeps back,
   and none of them copies, so no layout change between the products does;
+* ``realize._solve`` takes its resolvent memory only from ``mat.scratch``:
+  it makes no identity of the resolvent's size and no fresh array;
 * in ``cli``, only ``_load_function`` parses an expression or builds an
   evaluator, so every subcommand that takes a function reads it one way;
 * every module-level function and class, and every public method, is
@@ -402,6 +404,36 @@ def test_neumann_loop_copies_nothing():
     copying = ("copyto", "copy", "ascontiguousarray")
     copies = [c for c in plain if c.rsplit(".", 1)[-1] in copying]
     assert "np.matmul" in plain and copies == []
+
+
+def function_calls(source: str, function: str) -> list:
+    """``(callee, arguments)`` of every call in the module-level ``function``,
+    as source text."""
+    tree = ast.parse(source)
+    fn = next(n for n in tree.body if isinstance(n, FUNCTIONS) and n.name == function)
+    return [
+        (ast.unparse(n.func), [ast.unparse(a) for a in n.args])
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Call)
+    ]
+
+
+def test_function_calls_lists_callees_and_arguments():
+    source = "def f(n, size):\n    a = np.eye(n * 2)\n    return mat.scratch(size).reshape(size)\n"
+    assert sorted(function_calls(source, "f")) == [
+        ("mat.scratch", ["size"]), ("mat.scratch(size).reshape", ["size"]), ("np.eye", ["n * 2"]),
+    ]
+
+
+def test_resolvent_is_assembled_in_scratch():
+    # the products and the resolvent matrices are blocks of one mat.scratch
+    # buffer; no identity of the resolvent's size and no fresh array
+    calls = function_calls((SRC / "realize.py").read_text(encoding="utf-8"), "_solve")
+    callees = [f for f, _ in calls]
+    fresh = ("np.empty", "np.zeros", "np.ones", "np.full", "np.identity")
+    eyes = [args for f, args in calls if f == "np.eye"]
+    assert callees.count("mat.scratch") == 1 and not set(fresh) & set(callees)
+    assert all("size" not in " ".join(args) for args in eyes)
 
 
 def bindings(source: str) -> tuple:

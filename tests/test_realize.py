@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import corona_inputs, random_column_data, random_grid, random_rect_realization
-from freeholo import realize
+from freeholo import mat, realize
 from freeholo.approx import ORDER_CAP, choose_truncation
 from freeholo.errors import (
     BelowFloor,
@@ -914,6 +916,114 @@ def test_one_solve_per_level_chunk(wide_fit_set, monkeypatch, budget):
     assert sum(calls) == len(levels)
     for a, b in zip(again.u + again.phi, s.u + s.phi):
         assert np.array_equal(a, b)
+
+
+# -- the resolvent assembled in scratch ------------------------------------------
+
+
+def subtracted_solve(r, n, dxs):
+    """``_solve`` with the resolvent formed as ``np.eye(size) - D~Delta``:
+    the identity, the difference and the reshaped copy made anew per call."""
+    mult, rows, cols = r.mult, r.delta.rows, r.delta.cols
+    size = n * mult * cols
+    d2 = r.block_d.reshape(mult * cols * mult, rows)
+    t = np.empty((len(dxs), mult * cols, mult, n, cols, n), dtype=np.complex128)
+    for dx, out in zip(dxs, t):
+        np.dot(d2, dx.reshape(rows, n * cols * n), out=out.reshape(d2.shape[0], -1))
+    d_delta = t.transpose(0, 3, 1, 5, 2, 4)
+    c_tilde = kron_left_identity_apply(n, r.block_c, np.eye(n * r.dim_k1))
+    v = np.linalg.solve(np.eye(size) - d_delta.reshape(-1, size, size), c_tilde)
+    return realize._value(r, n, promoted_apply(dxs, n, mult, v)), v
+
+
+def solve_case(seed, grid, n, mult, p):
+    """A realization and a ``(p, n*I, n*J)`` stack of delta(x) for ``_solve``.
+
+    ``"rect"`` is a 2-by-3 grid, ``"one-row"`` a 1-by-2 grid (``np.dot``
+    takes its rank-1 path), ``"padded"`` a 2-by-2 grid padded with a zero
+    column, fed the narrower delta(x) widened by zeros as a fit's holdout is.
+    """
+    rng = rng_from_seed(seed)
+    shape = {"rect": (2, 3), "one-row": (1, 2), "padded": (2, 2)}[grid]
+    base = random_rect_realization(rng, *shape, 1, 1, mult)
+    r = base
+    if grid == "padded":
+        delta = delta_pad_columns(base.delta, 1)
+        j1 = haar_isometry(rng, base.dim_k2 + mult * delta.cols, 1 + mult * delta.rows)
+        r = Realization(delta, 1, base.dim_k2, mult, j1)
+    pts = [point_inside_gdelta(rng, base.delta, n) for _ in range(p)]
+    dxs = [widened(dx, n, r.delta.cols) for dx, _ in require_inside(base.delta, pts)]
+    return r, np.array(dxs)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("mult", [1, 4])
+@pytest.mark.parametrize("n", [1, 2, 8, 32])
+@pytest.mark.parametrize("grid", ["rect", "one-row", "padded"])
+def test_solve_equals_the_subtracted_resolvent(grid, n, mult, p):
+    # -x and 0 - x differ only in the sign of a zero, which + 0 folds
+    r, dxs = solve_case(n + 10 * mult + 100 * p, grid, n, mult, p)
+    got, want = realize._solve(r, n, dxs), subtracted_solve(r, n, dxs)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and (a + 0).tobytes() == (b + 0).tobytes()
+
+
+def test_solve_returns_no_view_of_the_scratch():
+    r, dxs = solve_case(1, "rect", 8, 4, 3)
+    omega, v = realize._solve(r, 8, dxs)
+    kept = mat._held.buf
+    assert not np.shares_memory(omega, kept) and not np.shares_memory(v, kept)
+    held = omega.copy(), v.copy()
+    # another shape reuses the same scratch
+    other, odxs = solve_case(2, "one-row", 2, 1, 3)
+    realize._solve(other, 2, odxs)
+    assert mat._held.buf is kept
+    assert omega.tobytes() == held[0].tobytes() and v.tobytes() == held[1].tobytes()
+
+
+def test_concurrent_eval_direct_gives_the_one_thread_bits():
+    # more threads than cores, at points of one shape, so that a shared
+    # buffer would be written by one thread while another assembles or
+    # solves in it
+    rng = rng_from_seed(3)
+    r = random_rect_realization(rng, 2, 2, 1, 1, 4)
+    points = [point_inside_gdelta(rng, r.delta, 16) for _ in range(4)]
+    want = [eval_direct(r, x).tobytes() for x in points]
+    start = threading.Barrier(len(points), timeout=60)
+    seen = [[] for _ in points]
+
+    def run(k):
+        start.wait()
+        for _ in range(25):
+            seen[k].append(eval_direct(r, points[k]).tobytes())
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(points))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert seen == [[value] * 25 for value in want]
+
+
+def test_scratch_keeps_no_request_above_its_cap():
+    cap = 2 * realize._SOLVE_BYTES // 16
+    kept = mat.scratch(cap)
+    big = mat.scratch(cap + 1)
+    assert len(big) == cap + 1 and not np.shares_memory(big, kept)
+    assert mat._held.buf is kept.base and len(kept.base) == cap
+    # a solve whose two resolvent blocks pass the cap keeps the buffer too
+    r, dxs = solve_case(4, "rect", 32, 4, 1)
+    assert 2 * dxs.shape[0] * (32 * 4 * 3) ** 2 > cap
+    realize._solve(r, 32, dxs)
+    assert mat._held.buf is kept.base
+    smaller = mat.scratch(cap // 2)
+    assert smaller.base is kept.base and len(smaller) == cap // 2
 
 
 # -- the corona's coercivity floor ------------------------------------------------
