@@ -11,18 +11,11 @@ class ShapeMismatch(FreeholoError, ValueError):
 
 
 class SingularMatrix(FreeholoError, ArithmeticError):
-    """Inversion refused: smallest singular value is under the relative floor.
+    """Inversion refused: smallest singular value is under the relative floor."""
 
-    ``members``: the positions of the singular members when a stack was
-    inverted, None for a single matrix.
-    """
-
-    def __init__(
-        self, message="matrix is singular to working precision", condition=None, members=None
-    ):
+    def __init__(self, message="matrix is singular to working precision", condition=None):
         super().__init__(message)
         self.condition = condition
-        self.members = members
 
 
 class DimensionTooSmall(FreeholoError, ValueError):

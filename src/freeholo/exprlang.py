@@ -382,34 +382,21 @@ def eval_expr_points(node, points) -> list:
     :class:`FreeholoError` that :func:`eval_expr` raises there.
 
     Points are evaluated one level stack at a time (:func:`eval_expr_stack`
-    on :func:`freepoly.level_stacks`). When a stacked fold meets singular
-    members, which :class:`SingularMatrix` names, those points are evaluated
-    alone, so each gets the path of its own first singular inversion, and
-    the rest of the level is folded again as a stack. A fold that fails for
-    any other reason is evaluated again member by member.
+    on :func:`freepoly.level_stacks`). A level whose stacked fold raises is
+    evaluated again member by member, so each singular point gets the path
+    of its own first singular inversion.
     """
     steps = node if isinstance(node, Schedule) else Schedule(node)
     out = [None] * len(points)
     for d in dict.fromkeys(x.d for x in points):
         at = [i for i, x in enumerate(points) if x.d == d]
         for idx, mats in level_stacks([points[i] for i in at], d):
-            left = list(range(len(idx)))  # members of the level stack still to fold
-            while left:
-                try:
-                    values = eval_expr_stack(
-                        steps, mats if len(left) == len(idx) else [m[left] for m in mats]
-                    )
-                except FreeholoError as exc:
-                    named = getattr(exc.__cause__, "members", None)
-                    alone = set(range(len(left)) if named is None else named)
-                    for k in sorted(alone):
-                        i = at[idx[left[k]]]
-                        out[i] = outcome(eval_expr, steps, points[i])
-                    left = [j for k, j in enumerate(left) if k not in alone]
-                    continue
-                for j, value in zip(left, values):
-                    out[at[idx[j]]] = value
-                break
+            try:
+                values = eval_expr_stack(steps, mats)
+            except FreeholoError:
+                values = [outcome(eval_expr, steps, points[at[j]]) for j in idx]
+            for j, value in zip(idx, values):
+                out[at[j]] = value
     return out
 
 

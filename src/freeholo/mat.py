@@ -80,6 +80,9 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 # -- scratch memory ------------------------------------------------------------
 
+# Most bytes the scratch buffer keeps between calls.
+SCRATCH_BYTES = 2 << 20
+
 _held = threading.local()
 
 
@@ -90,17 +93,15 @@ def scratch(count: int) -> np.ndarray:
     glibc maps an array above its mmap threshold when it is made and unmaps
     it when it is freed, so a fresh array of 1 MiB faults in its pages on
     every call; a kernel that assembles its temporaries here touches no
-    fresh pages once the buffer has grown. The buffer grows to the largest request and keeps it, up to
-    twice ``realize._SOLVE_BYTES``; a larger request gets a fresh array
-    that is not kept. The view is overwritten by the next call on the same
-    thread, so a caller takes all its blocks from one call and returns
-    nothing that shares memory with them.
+    fresh pages once the buffer has grown. The buffer grows to the largest
+    request and keeps it, up to ``SCRATCH_BYTES``; a larger request gets a
+    fresh array that is not kept. The view is overwritten by the next call
+    on the same thread, so a caller takes all its blocks from one call and
+    returns nothing that shares memory with them.
     """
     buf = getattr(_held, "buf", None)
     if buf is None or len(buf) < count:
-        from .realize import _SOLVE_BYTES
-
-        if 16 * count > 2 * _SOLVE_BYTES:
+        if 16 * count > SCRATCH_BYTES:
             return np.empty(count, dtype=np.complex128)
         buf = _held.buf = np.empty(count, dtype=np.complex128)
     return buf[:count]
@@ -251,7 +252,7 @@ def inv(m) -> np.ndarray:
     SingularMatrix
         If ``sigma_min <= SINGULAR_RTOL * sigma_max`` for the matrix, or for
         any member of a stack (carries the condition estimate of the first
-        such member, and the positions of all of them as ``members``).
+        such member).
     ShapeMismatch
         If the matrices are not square.
 
@@ -271,19 +272,14 @@ def inv(m) -> np.ndarray:
         out = np.full(a.shape, np.nan, dtype=np.complex128)
         finite = np.isfinite(a).all(axis=(-2, -1))
         if finite.any():  # only a stack has finite members here
-            try:
-                out[finite] = inv(a[finite])
-            except SingularMatrix as exc:
-                where = np.flatnonzero(finite)[list(exc.members)].tolist()
-                raise SingularMatrix(condition=exc.condition, members=tuple(where)) from None
+            out[finite] = inv(a[finite])
         return out
     u, s, vh = np.linalg.svd(a)
     low = s[..., -1] <= SINGULAR_RTOL * s[..., 0]
     if low.any():
-        members = np.flatnonzero(low).tolist()
-        first = s.reshape(-1, s.shape[-1])[members[0]]
+        first = s.reshape(-1, s.shape[-1])[np.flatnonzero(low)[0]]
         kappa = float("inf") if first[-1] == 0.0 else float(first[0] / first[-1])
-        raise SingularMatrix(condition=kappa, members=tuple(members) if a.ndim == 3 else None)
+        raise SingularMatrix(condition=kappa)
     return (vh.conj().swapaxes(-1, -2) * (1.0 / s)[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 

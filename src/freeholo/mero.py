@@ -266,7 +266,8 @@ def singular_scan(ast, samples) -> ScanReport:
     error other than :class:`SingularityHit` at an earlier sample.
 
     The samples are evaluated one level stack at a time
-    (:func:`exprlang.eval_expr_points`), and the value norms taken with one
+    (:func:`exprlang.eval_expr_points`; a level holding a singular sample
+    is evaluated again point by point), and the value norms taken with one
     ``mat.op_norms`` call per level; each entry is the one-point scan's.
     """
     samples = list(samples)

@@ -25,12 +25,14 @@ multiplicity slot; ``_series`` runs that arithmetic per term on terms held
 in the multiplicity-major layout both helpers multiply in, two in-place
 GEMMs and no copy per term; ``_solve`` assembles its resolvent matrices in
 place in ``mat.scratch``, a buffer reused across calls. ``eval_direct``
-and ``resolvent_leg`` solve a one-point stack; ``_level_solves`` solves many
-points with one ``_solve`` per level chunk for ``model_from_realization``,
+solves a one-point stack; ``_level_solves`` solves many points with one
+``_solve`` per level chunk for ``model_from_realization``,
 ``eval_direct_points``, the fit's holdout and the corona residual, each
-member bitwise the one-point solve. ``eval_direct``, ``resolvent_leg``,
-``eval_neumann`` and ``model_from_realization`` take delta(x) and its norm
-from the membership kernel ``ncpoint.require_inside``; ``eval_direct_points``
+member bitwise the one-point solve. ``_solve`` also returns the resolvent
+leg v(x) = (I - D~Delta)^{-1} C~, the model column the realization
+generates. ``eval_direct``, ``eval_neumann`` and ``model_from_realization``
+take delta(x) and its norm from the membership kernel
+``ncpoint.require_inside``; ``eval_direct_points``
 from ``ncpoint.delta_memberships`` itself, so that a point outside gets its
 error while the others are solved; the fit's holdout and the corona residual
 read the sample set's delta(x).
@@ -218,13 +220,13 @@ def _series(r: Realization, n: int, dx: np.ndarray, k: int) -> np.ndarray:
 
 
 # Most bytes of the (p, size, size) resolvent matrices in one _level_solves
-# chunk; _solve holds two arrays of that size in mat.scratch, which keeps up
-# to twice this, and the solve one more, LAPACK's copy. With one BLAS
+# chunk; _solve holds two arrays of that size in mat.scratch, so this is half
+# of what the scratch keeps, and the solve one more, LAPACK's copy. With one BLAS
 # thread the time per point stopped falling at 0.1-0.5 MB: at size 16 (level
 # 4, mult 2) 38 us alone, 9-11 us from 32 points on; at size 64 117 us
 # alone, 88 us at 8 points (0.5 MB), 99-114 us beyond; at sizes 128 and 256
 # the stack saved at most 2%.
-_SOLVE_BYTES = 1 << 20
+_SOLVE_BYTES = mat.SCRATCH_BYTES // 2
 
 
 def _level_solves(r: Realization, levels, dxs):
@@ -256,16 +258,6 @@ def _level_solves(r: Realization, levels, dxs):
                 for j, i in enumerate(chunk):
                     stack[j, :, : dxs[i].shape[1]] = dxs[i]
             yield chunk, *_solve(r, n, stack)
-
-
-def resolvent_leg(r: Realization, x: GradedPoint) -> np.ndarray:
-    """``v(x) = (I - (I_n (x) D) Delta(x))^{-1} (I_n (x) C)``.
-
-    This is the model column generated by the realization: applying it to
-    any input data produces model data with a machine-scale residual.
-    """
-    [(dx, _)] = require_inside(r.delta, [x])
-    return _solve(r, x.n, dx[None])[1][0]
 
 
 def eval_direct(r: Realization, x: GradedPoint) -> np.ndarray:

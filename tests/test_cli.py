@@ -1475,6 +1475,12 @@ def test_member_loads_no_realization_code(tmp_path):
     assert not loaded & {f"freeholo.{m}" for m in ("realize", "model", "mero", "approx", "sampling")}
 
 
+def test_model_residual_loads_no_realization_code(tmp_path):
+    loaded = launched_modules(["model-residual", "--samples", fit_samples(tmp_path, n_points=4)])
+    assert "freeholo.model" in loaded
+    assert not loaded & {f"freeholo.{m}" for m in ("realize", "mero", "approx", "sampling")}
+
+
 def test_sampling_subcommands_load_no_realization_code(tmp_path):
     # check-nc --expr and a sampled mero certify draw points with sampling,
     # which imports realize only for random_realization

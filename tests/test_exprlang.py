@@ -385,14 +385,16 @@ def test_a_singular_member_keeps_its_own_path():
     np.testing.assert_array_equal(got[0], eval_expr(tree, fine))
 
 
-def test_only_the_named_singular_members_are_evaluated_alone(monkeypatch):
-    # zero is singular at inv(x1), one at inv(x1 - 1): the level is folded
-    # three times, and only the three singular points are evaluated alone
+def test_a_level_whose_fold_raises_is_evaluated_point_by_point(monkeypatch):
+    # zero is singular at inv(x1), one at inv(x1 - 1): every member of levels
+    # 2 and 3 is evaluated alone, and level 1, all regular, folds once
     from freeholo import exprlang
 
     tree = parse("inv(x1) + inv(x1 - 1)", 1)
     zero, one, fine, other = (GradedPoint([c * np.eye(2)]) for c in (0.0, 1.0, 0.5, 2.0))
-    points = [fine, one, zero, other, one, GradedPoint([np.eye(3)])]
+    three = GradedPoint([np.eye(3)])
+    small, big = GradedPoint.scalars([0.5]), GradedPoint.scalars([2.0])
+    points = [fine, one, zero, other, small, one, three, big]
     want = [outcome(eval_expr, tree, x) for x in points]
     alone, folds = [], []
     one_point, stacked = exprlang.eval_expr, exprlang.eval_expr_stack
@@ -402,10 +404,11 @@ def test_only_the_named_singular_members_are_evaluated_alone(monkeypatch):
     )
     got = eval_expr_points(tree, points)
     assert all(same_outcome(g, w) for g, w in zip(got, want))
-    assert [getattr(g, "path", None) for g in got] == [None, (1,), (0,), None, (1,), (1,)]
-    assert alone == [zero, one, one, points[5]]
-    # level 2 folds 5, 4, then 2 members; each point alone is a fold of one
-    assert folds == [5, 1, 4, 1, 1, 2, 1, 1]
+    paths = [getattr(g, "path", None) for g in got]
+    assert paths == [None, (1,), (0,), None, None, (1,), (1,), None]
+    assert alone == [fine, one, zero, other, one, three]
+    # each point alone is a fold of one
+    assert folds == [5, 1, 1, 1, 1, 1, 2, 1, 1]
 
 
 def test_a_tree_of_constants_gives_every_member_a_value():

@@ -8,6 +8,9 @@ module in ``src/freeholo``:
   function;
 * every lazy export of ``freeholo/__init__.py`` resolves to its module's
   object and is listed by ``dir(freeholo)``;
+* the bottom layers import nothing above them, at module level or inside a
+  function: ``errors`` imports no freeholo module, ``mat`` only ``errors``,
+  and ``freepoly`` only ``errors`` and ``mat``;
 * ``freepoly.graded_sum`` is the only function that orders or merges
   words, the only caller of ``np.lexsort`` and ``np.add.at``;
 * ``freepoly.PolyMatrix`` is the one class that holds a polynomial's word
@@ -125,6 +128,42 @@ def test_lazy_exports_resolve_to_their_modules():
         assert name in listed
     with pytest.raises(AttributeError):
         freeholo.no_such_name
+
+
+def package_imports(source: str) -> set:
+    """The freeholo modules that a module imports, at module level or in any
+    function body."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "freeholo":
+            found |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("freeholo."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("freeholo.")}
+    return found
+
+
+def test_package_imports_finds_imports_in_function_bodies():
+    source = (
+        "import numpy as np\nfrom .errors import ShapeMismatch\n"
+        "def f():\n    from . import mat, model\n    import freeholo.realize\n"
+        "    def inner():\n        from freeholo.mero import scan\n"
+        "        from freeholo import sampling\n"
+    )
+    assert package_imports(source) == {"errors", "mat", "model", "realize", "mero", "sampling"}
+
+
+# Each bottom layer and the freeholo modules it may import.
+LAYERS = {"errors": set(), "mat": {"errors"}, "freepoly": {"errors", "mat"}}
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_bottom_layers_import_nothing_above_them(module):
+    found = package_imports((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert sorted(found - LAYERS[module]) == []
 
 
 def callers(source: str, module: str, names: set) -> set:
@@ -326,7 +365,7 @@ def test_name_users_finds_methods_and_attributes():
         ("eval_poly_matrix_stack", set()),
         ("require_inside", {
             "model.ModelSampleSet.__init__", "model.model_from_realization",
-            "realize.resolvent_leg", "realize.eval_direct", "realize.eval_neumann",
+            "realize.eval_direct", "realize.eval_neumann",
         }),
         ("eval_poly_matrix_promoted", set()),
     ],
@@ -580,7 +619,6 @@ PUBLIC_API = {
     "realize.CoronaSolution.phi_values": "c07, perfbench",
     "realize.CoronaSolution.row_norm_at": "c07, perfbench",
     "realize.eval_neumann": "c04, perfbench",
-    "realize.resolvent_leg": "perfbench",
     "sampling.perturbations_near": "c09",
     "sampling.point_in_shrunk_domain": "c06, perfbench",
     "sampling.point_inside_gdelta": "c01, c03, c04, c05, perfbench",

@@ -45,7 +45,6 @@ from freeholo.realize import (
     eval_neumann,
     fit_lurking_isometry,
     geometric_tail,
-    resolvent_leg,
     stack_column,
     tail_order,
 )
@@ -69,6 +68,13 @@ def mobius(a):
 
 
 SHIFT = Realization(UNIT_DISK, 1, 1, 1, np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def solved(r, x):
+    """``(Omega(x), v(x))`` from the resolvent kernel at one point inside."""
+    [(dx, _)] = require_inside(r.delta, [x])
+    omega, v = realize._solve(r, x.n, dx[None])
+    return omega[0], v[0]
 
 
 def test_realization_validates_shape_and_isometry():
@@ -334,11 +340,12 @@ def test_fit_multi_variable():
         )
 
 
-def test_resolvent_leg_generates_exact_model():
+def test_solve_generates_exact_model():
+    # v(x) is the model column: I - Omega*Omega = v*(I - Delta*Delta)v
     r = mobius(0.25)
     x = disk_points(11, [2])[0]
-    v = resolvent_leg(r, x)
-    omega = eval_direct(r, x)
+    omega, v = solved(r, x)
+    assert np.array_equal(omega, eval_direct(r, x))
     big_delta = np.kron(eval_poly_matrix(r.delta, x), np.eye(r.mult))
     lhs = np.eye(2) - omega.conj().T @ omega
     rhs = v.conj().T @ (np.eye(2) - big_delta.conj().T @ big_delta) @ v
@@ -477,7 +484,7 @@ def test_kernel_matches_dense_kron_reference(seed, grid, k1, offset, mult, n):
 
     omega_ref, v_ref = dense_reference(r, x)
     omega = eval_direct(r, x)
-    v = resolvent_leg(r, x)
+    v = solved(r, x)[1]
     assert omega.shape == (n * k2, n * k1) and v.shape == (n * mult * j_cols, n * k1)
     np.testing.assert_allclose(omega, omega_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-12)
@@ -850,7 +857,7 @@ def test_stacked_solve_members_equal_one_point_solves(seed, grid, k1, offset, mu
     if pad == 0:
         for x, (omega, v) in zip(pts, want):
             assert np.array_equal(eval_direct(r, x), omega)
-            assert np.array_equal(resolvent_leg(r, x), v)
+            assert np.array_equal(solved(r, x)[1], v)
 
 
 def reference_max_gap(r, s, indices):
