@@ -127,12 +127,18 @@ def certify_error(r: Realization, k: int, t: float) -> float:
     On the closed shrunk domain ``{ ||t delta|| <= 1 }`` of a cover grid delta
     that :func:`dominates` ``r.delta`` (a smaller cover proves nothing) the
     series term of order j is bounded by ``(1/t)**(j+1)``, so the tail after
-    k is at most ``geometric_tail(1/t, k) = (1/t)**(k+2) / (1 - 1/t)``. The
-    bound is a proof under exact arithmetic once the domination holds;
-    :func:`dominates` accepts coefficients off by a relative ``SCALE_RTOL``,
-    and rounding in the expanded coefficients is not included. With k from
-    :func:`choose_truncation`, ``bound <= tol`` holds by construction. The realization argument fixes the series being
+    k is at most ``geometric_tail(1/t, k) = (1/t)**(k+2) / (1 - 1/t)``.
+    With k from :func:`choose_truncation`, ``bound <= tol`` holds by
+    construction. The realization argument fixes the series being
     truncated; the bound itself only uses contractivity of its blocks.
+
+    The bound (the ``bound`` of an ``approx`` report) is a proof under
+    exact arithmetic for an exactly isometric J1, once the domination
+    holds. It is not one for the stored J1, which ``Realization`` accepts
+    as an isometry within ``ISOMETRY_TOL``, so its blocks may exceed norm 1
+    by that much. :func:`dominates` accepts coefficients off by a relative
+    ``SCALE_RTOL``, and rounding in the expanded coefficients is not
+    included.
     """
     if not t > 1.0:
         raise ValueError("shrink factor t must exceed 1")

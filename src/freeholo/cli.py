@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from typing import NamedTuple
@@ -38,7 +37,7 @@ from .errors import (
     UnknownVariable,
 )
 from .exprlang import Schedule, eval_expr, eval_expr_points, parse, print_expr
-from .freepoly import DEFAULT_MARGIN, MatrixPoly
+from .freepoly import DEFAULT_MARGIN
 from .jsonio import SCHEMA_VERSION, TENSOR_CONVENTION
 from .mat import json_int, matrix_to_json
 
@@ -67,24 +66,17 @@ def _nulled(obj):
 
 
 def _render(report: dict) -> str:
-    """The report as indented strict JSON with sorted keys.
-
-    A ``MatrixPoly`` under ``"polynomial"`` is written by
-    :meth:`MatrixPoly.json_text` and spliced in: the same bytes as
-    ``json.dumps`` of its ``to_json()``, whose indented encoding runs in
-    pure Python.
+    """The report as indented strict JSON with sorted keys, by
+    :func:`jsonio.dumps`: the bytes of ``json.dumps(report, sort_keys=True,
+    indent=2, allow_nan=False)``, with a ``MatrixPoly`` (the ``approx``
+    polynomial) written by its ``json_text``. A NaN or infinity anywhere
+    renders the report again with each such float as ``null``.
     """
-    poly = report.get("polynomial")
-    if isinstance(poly, MatrixPoly):
-        report = {**report, "polynomial": None}
     try:
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+        text = jsonio.dumps(report)
     except ValueError:
         # a NaN or infinity somewhere; the walk is skipped on the common path
-        text = json.dumps(_nulled(report), sort_keys=True, indent=2, allow_nan=False)
-    if isinstance(poly, MatrixPoly):
-        key = '\n  "polynomial": '
-        text = text.replace(key + "null", key + poly.json_text(1), 1)
+        text = jsonio.dumps(_nulled(report))
     return text + "\n"
 
 

@@ -30,7 +30,7 @@ import functools
 import numpy as np
 
 from .errors import ShapeMismatch
-from .mat import json_int, matrix_from_json, matrix_to_json
+from .mat import json_int, json_pair_template, matrix_from_json, matrix_to_json
 
 # coefficients with modulus under this are purged during normalization
 EPS_COEFF = 1e-15
@@ -109,7 +109,16 @@ def _check_word(word, d):
 
 
 class GradedPoint:
-    """A d-tuple of n-by-n complex matrices, the argument of free evaluation."""
+    """A d-tuple of n-by-n complex matrices, the argument of free evaluation.
+
+    The constructor validates its matrices (square, one size n >= 1, at
+    least one, finite) and holds read-only C-contiguous complex128 copies.
+    :meth:`_of` is the trusted constructor of the sampler and of
+    ``ncpoint.point_direct_sum``: it holds the slices of a ``(d, n, n)``
+    stack without copying or checking, so its caller must already know the
+    stack to be C-contiguous complex128 with d, n >= 1, finite, and
+    written by nothing else.
+    """
 
     __slots__ = ("_d", "_n", "_mats")
 
@@ -135,6 +144,16 @@ class GradedPoint:
         object.__setattr__(self, "_d", len(arrays))
         object.__setattr__(self, "_n", int(n))
         object.__setattr__(self, "_mats", tuple(arrays))
+
+    @classmethod
+    def _of(cls, stack: np.ndarray) -> "GradedPoint":
+        """The point whose matrices are the slices of ``stack``, made read-only."""
+        stack.setflags(write=False)
+        self = object.__new__(cls)
+        object.__setattr__(self, "_d", stack.shape[0])
+        object.__setattr__(self, "_n", stack.shape[1])
+        object.__setattr__(self, "_mats", tuple(stack))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedPoint is immutable")
@@ -645,7 +664,10 @@ class MatrixPoly(PolyMatrix):
         such a document, whose first line carries no indent: sorted keys,
         integers, and ``float.__repr__`` for the coefficient entries, which
         the constructor keeps finite. Each term is one ``%`` format of a
-        template per word length, so no per-term dicts are built.
+        template per word length, built on the entry template
+        :func:`mat.json_pair_template` that ``jsonio.dumps`` also writes
+        matrix data with, so no per-term dicts are built. ``jsonio.dumps``
+        calls this method for a ``MatrixPoly`` inside a report.
         """
 
         def nl(level):
@@ -656,7 +678,7 @@ class MatrixPoly(PolyMatrix):
                 return "[]"
             return "[" + nl(level + 1) + ("," + nl(level + 1)).join(items) + nl(level) + "]"
 
-        entry = "[" + nl(6) + "%r," + nl(6) + "%r" + nl(5) + "]"
+        entry = json_pair_template(depth + 5)
         coeff = (
             "{" + nl(4) + f'"cols": {self.in_dim},'
             + nl(4) + '"data": ' + listing([entry] * (self.out_dim * self.in_dim), 4) + ","

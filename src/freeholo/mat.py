@@ -57,6 +57,15 @@ def matrix_to_json(a) -> dict:
     }
 
 
+def json_pair_template(level: int) -> str:
+    """The ``%`` template of one ``[re, im]`` entry of :func:`matrix_to_json`
+    as indented JSON (two spaces a level) whose brackets sit at ``level``:
+    ``template % (re, im)`` is ``json.dumps``'s text of the pair for finite
+    floats, since both write ``float.__repr__``."""
+    inner = "\n" + "  " * (level + 1)
+    return "[" + inner + "%r," + inner + "%r\n" + "  " * level + "]"
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Decode :func:`matrix_to_json` output into a read-only complex array.
 

@@ -91,10 +91,17 @@ def in_gdelta(delta: PolyMatrix, x: GradedPoint, margin: float = DEFAULT_MARGIN)
 
 
 def point_direct_sum(x: GradedPoint, y: GradedPoint) -> GradedPoint:
-    """Coordinatewise block diagonal sum, a point at level ``x.n + y.n``."""
+    """Coordinatewise block diagonal sum, a point at level ``x.n + y.n``.
+
+    Both points are validated already, so the sum is one stack built here
+    and held by ``GradedPoint._of``.
+    """
     if x.d != y.d:
         raise ShapeMismatch("points disagree on variable count")
-    return GradedPoint([mat.direct_sum(a, b) for a, b in zip(x.mats, y.mats)])
+    stack = np.zeros((x.d, x.n + y.n, x.n + y.n), dtype=np.complex128)
+    stack[:, : x.n, : x.n] = x.mats
+    stack[:, x.n :, x.n :] = y.mats
+    return GradedPoint._of(stack)
 
 
 def conjugate(x: GradedPoint, s) -> GradedPoint:

@@ -592,8 +592,13 @@ class CoronaSolution:
     """Row function Omega with ``Omega psi = epsilon`` on the input data.
 
     The solution functions are ``phi_i = Omega_i / epsilon``; they satisfy
-    ``sum_i phi_i psi_i = I`` on the data and their row norm is certified by
-    ``norm_bound = 1 / epsilon`` (plus rounding) everywhere in the domain.
+    ``sum_i phi_i psi_i = I`` on the data, and ``norm_bound = 1 / epsilon``
+    bounds their row norm everywhere in the domain, since Omega is given by
+    the realization formula of a colligation J1 (the ``norm_bound`` of a
+    ``corona`` report). That is a proof under exact arithmetic for an
+    exactly isometric J1. The fitted J1 is an isometry only within
+    ``ISOMETRY_TOL``, so for it the bound holds up to that defect and up
+    to rounding.
     ``identity_residual``: ``max ||Omega(x) psi(x) - epsilon I|| / epsilon`` on the data, or inf.
     """
 

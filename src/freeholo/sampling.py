@@ -20,7 +20,7 @@ from .freepoly import (
     eval_poly_matrix,
     eval_poly_matrix_stack,
 )
-from .ncpoint import Membership, point_direct_sum
+from .ncpoint import point_direct_sum
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -116,6 +116,8 @@ def points_inside_gdelta(
     levels = [operator.index(n) for n in levels]
     if any(n < 1 for n in levels):
         raise ValueError("graded point level must be at least 1")
+    if margin < 0:
+        raise ValueError("margin must be nonnegative")
     d, out = delta.d, [None] * len(levels)
     missing = list(range(len(levels)))
     for _ in range(200):
@@ -139,13 +141,20 @@ def points_inside_gdelta(
 
 def _shrunk(delta, x, margin, target) -> list:
     """Per candidate of the d ``(p, n, n)`` stacks ``x``, its point after
-    shrinking by 0.7 until accepted, or None after 60 evaluations."""
+    shrinking by 0.7 until accepted, or None after 60 evaluations.
+
+    A candidate is accepted when ``||delta(x)||`` is under ``target`` and
+    inside by ``margin`` (``Membership.from_norm``'s rule, for one array of
+    norms). ``x`` is checked finite by the caller, so the accepted
+    candidates become points through ``GradedPoint._of``.
+    """
     points, pos = [None] * x.shape[1], np.arange(x.shape[1])
     for _ in range(60):
-        nrms = mat.op_norms(eval_poly_matrix_stack(delta, x)).tolist()
-        ok = np.array([n < target and Membership.from_norm(n, margin).inside for n in nrms], bool)
-        for k in np.flatnonzero(ok).tolist():
-            points[pos[k]] = GradedPoint(x[:, k])
+        nrms = mat.op_norms(eval_poly_matrix_stack(delta, x))
+        ok = (nrms < target) & (nrms < 1.0 - margin)
+        accepted = np.ascontiguousarray(x.transpose(1, 0, 2, 3)[ok])
+        for k, stack in zip(pos[ok].tolist(), accepted):
+            points[k] = GradedPoint._of(stack)
         if ok.all():
             break
         pos, x = pos[~ok], 0.7 * x[:, ~ok]

@@ -27,6 +27,11 @@ module in ``src/freeholo``:
   kernels;
 * a norm is classified inside or outside only by ``ncpoint``'s membership
   kernel, the sampler's shrink loop and the augmented domain;
+* ``GradedPoint._of``, which skips validation, is called only by the
+  sampler's shrink loop and ``ncpoint.point_direct_sum``, whose stacks are
+  known finite, so outside input always goes through the constructor;
+* no report is written by ``json``'s indented encoder, which runs in pure
+  Python: ``jsonio.dumps`` writes the same bytes;
 * each term of the Neumann loop in ``realize._series`` is only numpy calls
   and array methods, so no per-term validation in a helper creeps back,
   and none of them copies, so no layout change between the products does;
@@ -327,24 +332,30 @@ def test_no_bare_max_folds_norms():
     assert found == set()
 
 
-def name_users(source: str, module: str, name: str) -> set:
-    """Qualified names of the scopes that read ``name`` (bare or as an attribute).
-
-    The scope of a read is its innermost enclosing function or class, or the
-    module; imports bind the name but do not read it.
-    """
-    found = set()
+def scoped_nodes(source: str, module: str):
+    """``(node, scope)`` for each node of ``source``: the qualified name of
+    its innermost enclosing function or class, or the module; a function or
+    class node is in its own scope."""
     pending = [(node, module) for node in ast.parse(source).body]
     while pending:
         node, scope = pending.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}"
-        elif isinstance(node, ast.Name) and node.id == name:
-            found.add(scope)
-        elif isinstance(node, ast.Attribute) and node.attr == name:
-            found.add(scope)
+        yield node, scope
         pending.extend((child, scope) for child in ast.iter_child_nodes(node))
-    return found
+
+
+def name_users(source: str, module: str, name: str) -> set:
+    """Qualified names of the scopes that read ``name`` (bare or as an attribute).
+
+    Imports bind the name but do not read it.
+    """
+    return {
+        scope
+        for node, scope in scoped_nodes(source, module)
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+    }
 
 
 def test_name_users_finds_methods_and_attributes():
@@ -377,13 +388,96 @@ def test_sample_points_evaluate_delta_once(name, users):
     assert found == users
 
 
+def inside_rules(source: str, module: str) -> set:
+    """Scopes that classify a norm: they read ``from_norm`` or compare with
+    ``1.0 - margin``, its inside rule."""
+    return name_users(source, module, "from_norm") | {
+        scope
+        for node, scope in scoped_nodes(source, module)
+        if isinstance(node, ast.Compare) and "1.0 - margin" in map(ast.unparse, node.comparators)
+    }
+
+
+def test_inside_rules_finds_calls_and_comparisons():
+    source = (
+        "def f(n, m):\n    return Membership.from_norm(n, m).inside\n"
+        "def g(nrms, margin):\n    return (nrms < 2) & (nrms < 1.0 - margin)\n"
+        "def h(nrms, margin):\n    return nrms < 1.0 + margin\n"
+    )
+    assert inside_rules(source, "m") == {"m.f", "m.g"}
+
+
 def test_membership_is_classified_in_three_places():
+    # the rule itself, and the three places that apply it: the membership
+    # kernel, the sampler's shrink loop on its array of norms, the
+    # augmented domain
     found = set()
     for path in SRC.glob("*.py"):
-        found |= name_users(path.read_text(encoding="utf-8"), path.stem, "from_norm")
+        found |= inside_rules(path.read_text(encoding="utf-8"), path.stem)
     assert found == {
+        "ncpoint.Membership.from_norm",
         "ncpoint.delta_memberships", "sampling._shrunk", "mero.AugmentedDomain.contains",
     }
+
+
+def trusted_point_callers(source: str, module: str) -> set:
+    """Scopes that call ``GradedPoint._of``, however the class is reached."""
+    return {
+        scope
+        for node, scope in scoped_nodes(source, module)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "_of"
+        and ast.unparse(node.func.value).rsplit(".", 1)[-1] == "GradedPoint"
+    }
+
+
+def test_trusted_point_callers_tells_point_from_polynomial():
+    source = (
+        "def f(s):\n    return GradedPoint._of(s)\n"
+        "def g(s):\n    return freepoly.GradedPoint._of(s)\n"
+        "def h(d, rows, stack):\n    return PolyMatrix._of(d, rows, stack), GradedPoint(s)\n"
+    )
+    assert trusted_point_callers(source, "m") == {"m.f", "m.g"}
+
+
+def test_only_checked_stacks_become_points_unvalidated():
+    # the sampler's shrink loop holds a batch it checked finite, the direct
+    # sum two points that were validated; every other point is validated
+    found = set()
+    for path in SRC.glob("*.py"):
+        found |= trusted_point_callers(path.read_text(encoding="utf-8"), path.stem)
+    assert found == {"sampling._shrunk", "ncpoint.point_direct_sum"}
+
+
+def indented_json_calls(source: str) -> list:
+    """Source text of the calls to ``json`` with an ``indent`` keyword."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).startswith("json.")
+        and any(k.arg == "indent" for k in node.keywords)
+    ]
+
+
+def test_indented_json_calls_finds_dumps_and_encoders():
+    source = (
+        "a = json.dumps(r, sort_keys=True, indent=2)\n"
+        "b = json.JSONEncoder(indent=4).encode(r)\n"
+        "c = json.dumps(r)\nd = jsonio.dumps(r)\n"
+    )
+    assert indented_json_calls(source) == [
+        "json.dumps(r, sort_keys=True, indent=2)", "json.JSONEncoder(indent=4)",
+    ]
+
+
+def test_reports_are_not_written_by_the_indented_stdlib_encoder():
+    # json's indented encoding runs in pure Python; jsonio.dumps gives its bytes
+    found = []
+    for path in SRC.glob("*.py"):
+        found += indented_json_calls(path.read_text(encoding="utf-8"))
+    assert found == []
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

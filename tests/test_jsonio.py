@@ -1,12 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import freeholo
+from freeholo import cli
 from freeholo.errors import SchemaError
 from freeholo.freepoly import FreePoly, GradedPoint, PolyMatrix
-from freeholo.jsonio import SCHEMA_VERSION, decode, load, load_json, load_list
+from freeholo.jsonio import SCHEMA_VERSION, decode, dumps, load, load_json, load_list
 from freeholo.mat import matrix_to_json
 
 
@@ -87,3 +91,71 @@ def test_all_registered_kinds_roundtrip():
     assert decode("freepoly", fp.to_json()) == fp
     pm = PolyMatrix.from_poly(fp)
     assert decode("polymatrix", pm.to_json()) == pm
+
+
+def stdlib_text(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e308, -1.7e308, 0.1, 1e16]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+KEYS = st.one_of(st.sampled_from(["", "a", 'q"uote', "back\\slash", "tab\tnew\nline", "\x00", "é", "€😀"]), st.text())
+
+
+def documents(floats):
+    """Nested JSON values whose floats come from ``floats``: dicts with str
+    keys, lists, tuples, big integers, and lists of [re, im] pairs."""
+    pairs = st.lists(st.lists(floats, min_size=2, max_size=2), max_size=5)
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64, max_value=10**40),
+        floats, st.text(),
+    )
+    return st.recursive(
+        scalars | pairs,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(KEYS, children, max_size=4),
+        ),
+        max_leaves=24,
+    )
+
+
+@given(documents(FINITE))
+@example({"a": {"data": [[1.0, -0.0], [5e-324, 1e308]], "rows": 1}, "b": [[[0.5, 0.25]]], "c": {}})
+@example([[[1.0, 2.0]], [[1.0, 2]], [(1.0, 2.0)], [[True, 1.0]], [], ()])
+@settings(max_examples=300, deadline=None)
+def test_dumps_is_the_indented_stdlib_text(value):
+    assert dumps(value) == stdlib_text(value)
+
+
+@given(documents(FINITE | NON_FINITE), NON_FINITE)
+@example({"pairs": [[1.0, math.nan]]}, math.inf)
+@settings(max_examples=150, deadline=None)
+def test_non_finite_floats_take_the_nulled_path(value, bad):
+    report = {"value": value, "pairs": [[0.5, bad], [1.0, 2.0]]}
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        dumps(report)
+    assert cli._render(report) == stdlib_text(cli._nulled(report)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{"a": object()}, [1, {2, 3}], {"n": np.int64(3)}, {(1,): 2}, {"c": 1j}],
+    ids=["object", "set", "numpy-int", "tuple-key", "complex"],
+)
+def test_unsupported_types_raise_type_error(value):
+    with pytest.raises(TypeError):
+        stdlib_text(value)
+    with pytest.raises(TypeError):
+        dumps(value)
+
+
+@pytest.mark.parametrize("key", [1, 0.5, None, True])
+def test_keys_that_are_not_strings_raise_type_error(key):
+    # json.dumps would write them as strings; no report has such a key
+    with pytest.raises(TypeError):
+        dumps({"a": {key: 1}})

@@ -67,6 +67,19 @@ def test_point_direct_sum_levels_add():
         point_direct_sum(a, random_point(3, 3, 2))
 
 
+def test_point_direct_sum_holds_what_the_constructor_would():
+    # the trusted stack gives the bytes and flags of a validated point
+    a, b = random_point(4, 2, 1), random_point(5, 2, 3)
+    s = point_direct_sum(a, b)
+    want = GradedPoint([direct_sum(x, y) for x, y in zip(a.mats, b.mats)])
+    for got, ref in zip(s.mats, want.mats):
+        assert got.tobytes() == ref.tobytes() and got.shape == ref.shape == (4, 4)
+        assert got.dtype == np.complex128 and got.flags.c_contiguous
+        assert not got.flags.writeable
+    with pytest.raises(AttributeError):
+        s._n = 3
+
+
 def test_conjugate_roundtrip():
     x = random_point(4, 2, 3)
     s = np.eye(3) + 0.3 * np.triu(np.ones((3, 3)), 1)

@@ -118,6 +118,11 @@ def test_points_inside_gdelta_matches_single_draws(monkeypatch):
     assert rng.standard_normal() == rng_singles.standard_normal()
 
 
+TWO_VARIABLE_GRID = PolyMatrix(
+    [[FreePoly.letter(2, 1), FreePoly.letter(2, 2)],
+     [FreePoly.letter(2, 2), FreePoly.letter(2, 1) * FreePoly.letter(2, 2)]]
+)
+
 # constant term 0.899 just under the 0.9 target: at scale 1e8 about half
 # the draws shrink 60 times without getting inside and are drawn again
 NEAR_TARGET = PolyMatrix.from_poly(FreePoly.letter(1, 1) * FreePoly.letter(1, 1) + 0.899)
@@ -162,6 +167,26 @@ def test_points_inside_gdelta_redraws_in_rounds():
                 np.testing.assert_array_equal(ma, mb)
         assert rng.standard_normal() == rng_rounds.standard_normal()
     assert redraws > 0
+
+
+@pytest.mark.parametrize("grid", [UNIT_DISK, TWO_VARIABLE_GRID], ids=["d1", "d2"])
+@pytest.mark.parametrize("margin", [sampling.DEFAULT_MARGIN, 0.2])
+def test_points_inside_gdelta_equals_validated_rounds(grid, margin):
+    # the sampler's points are held without a second validation: the bytes
+    # and the generator's end state of rounds built on GradedPoint(...), and
+    # arrays as read-only, contiguous and complex as the constructor's
+    levels = [1, 2, 3, 3, 1, 2, 2, 1, 3]
+    for seed in (7, 11, 31):
+        rng_rounds, rng = rng_from_seed(seed), rng_from_seed(seed)
+        want, _ = draw_in_rounds(rng_rounds, grid, levels, margin)
+        got = points_inside_gdelta(rng, grid, levels, margin=margin)
+        assert [(p.d, p.n) for p in got] == [(grid.d, n) for n in levels]
+        for a, b in zip(got, want):
+            for ma, mb in zip(a.mats, b.mats):
+                assert ma.tobytes() == mb.tobytes() and ma.shape == mb.shape
+                assert ma.dtype == np.complex128 and ma.flags.c_contiguous
+                assert not ma.flags.writeable
+        assert rng.bit_generator.state == rng_rounds.bit_generator.state
 
 
 def test_points_inside_gdelta_gives_up_after_200_draws():
