@@ -95,7 +95,7 @@ SCRATCH_BYTES = 2 << 20
 _held = threading.local()
 
 
-def scratch(count: int) -> np.ndarray:
+def scratch(count: int, slot: str = "buf") -> np.ndarray:
     """A flat complex128 array of ``count`` entries, contents undefined: a
     view of a buffer held per thread and reused by every call on it.
 
@@ -106,13 +106,16 @@ def scratch(count: int) -> np.ndarray:
     request and keeps it, up to ``SCRATCH_BYTES``; a larger request gets a
     fresh array that is not kept. The view is overwritten by the next call
     on the same thread, so a caller takes all its blocks from one call and
-    returns nothing that shares memory with them.
+    returns nothing that shares memory with them. ``slot`` names one of
+    independent buffers: the screen's caps take ``"caps"``, since
+    ``model_residual`` holds the blocks it screens in the default one.
     """
-    buf = getattr(_held, "buf", None)
+    buf = getattr(_held, slot, None)
     if buf is None or len(buf) < count:
         if 16 * count > SCRATCH_BYTES:
             return np.empty(count, dtype=np.complex128)
-        buf = _held.buf = np.empty(count, dtype=np.complex128)
+        buf = np.empty(count, dtype=np.complex128)
+        setattr(_held, slot, buf)
     return buf[:count]
 
 
@@ -198,10 +201,11 @@ def _caps(a):
     ``1 + 1e-10`` (a computed sigma_1 may pass it by ulps) plus the smallest
     normal number. ``|A|`` is laid out entry-major, ``(rows * cols, p)``, so
     every sum and maximum runs over leading axes of one contiguous array,
-    for all p matrices at once.
+    for all p matrices at once, in the ``"caps"`` slot of :func:`scratch`.
     """
     p, rows, cols = a.shape
-    m = np.abs(a.reshape(p, rows * cols).T, order="C")
+    m = scratch(-(-p * rows * cols // 2), "caps").view(np.float64)[: p * rows * cols]
+    m = np.abs(a.reshape(p, rows * cols).T, out=m.reshape(rows * cols, p))
     t = m.max(axis=0)
     if not np.isfinite(t).all():
         return None

@@ -13,6 +13,10 @@ The defining identity, checked pairwise at equal levels, is
 
 with Delta the multiplicity-promoted evaluation of delta. Points at unequal
 levels are never compared; the identity only constrains same-level pairs.
+So the set holds every field as one stack per level (``levels``, one
+:class:`SampleLevel` each, in order of first appearance), and the per-point
+tuples are views of their members: ``model_residual``, ``diagonal_floor``
+and the fit read whole level blocks, with no loop over the points.
 
 The promoted Delta is the meaning of the identity, not what is computed.
 delta(x) and the membership of x come from ``ncpoint.require_inside``, once
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,65 +45,117 @@ from .ncpoint import require_inside
 
 
 @dataclass(frozen=True, eq=False)
+class SampleLevel:
+    """The samples of one level n of a :class:`ModelSampleSet`, point axis first.
+
+    ``at`` holds the positions of its points in the set, ascending; ``psi``,
+    ``phi``, ``u``, ``delta_u`` and ``delta_x`` are read-only stacks whose
+    member j belongs to point ``at[j]``.
+    """
+
+    n: int
+    at: np.ndarray
+    psi: np.ndarray
+    phi: np.ndarray
+    u: np.ndarray
+    delta_u: np.ndarray
+    delta_x: np.ndarray
+
+
+def _per_point(name: str) -> cached_property:
+    """The sample set's field ``name`` per point, in point order: read-only
+    views of the level stacks' members, made on first use."""
+
+    def views(self) -> tuple:
+        members = [v for level in self.levels for v in getattr(level, name)]
+        at = [i for level in self.levels for i in level.at.tolist()]
+        return tuple(map(members.__getitem__, sorted(range(len(at)), key=at.__getitem__)))
+
+    return cached_property(views)
+
+
+@dataclass(frozen=True, eq=False)
 class ModelSampleSet:
     """Immutable bundle of sample data for fitting and residual checks.
+
+    The data are held once, as one :class:`SampleLevel` of stacks per level
+    in ``levels``, in order of first appearance; the per-point tuples
+    ``psi``, ``phi``, ``u``, ``delta_u`` and ``delta_x`` are read-only views
+    of their members, made on first use. ``psi``, ``phi`` and ``u`` are given one matrix per
+    point, which the constructor copies into its stacks once, or one
+    ``(m, rows, cols)`` stack per level, in that order, which it holds as
+    given and sets read-only (``model_from_realization`` hands over its own).
+    The shape checks name the level of the first point whose data are wrong.
 
     Every point lies inside ``{ ||delta|| < 1 - DEFAULT_MARGIN }``; after
     the shape checks, ``ncpoint.require_inside`` raises :class:`OutsideDomain`
     at one that does not, before any Delta u is formed. ``delta_x[s]``, of
-    shape (n*I, n*J) with I, J = delta.rows, delta.cols, is the read-only
-    grid-outer value delta(x) that decided membership: the kernel's, or the
-    caller's when it passes ``delta_x`` from its own ``require_inside`` call.
-    ``delta_u[s]``, of shape (n*mult*I, n*h), is the read-only Delta(x) u(x).
-    Both follow from the other fields, so ``to_json`` leaves them out and
-    ``from_json`` forms them again. A fit that pads the grid with zero
-    columns reads ``delta_u`` unpadded: those columns of Delta(x) are zero
-    and meet only the zero rows padded into u.
+    shape (n*I, n*J) with I, J = delta.rows, delta.cols, is the grid-outer
+    value delta(x) that decided membership: the kernel's, or the caller's
+    when it passes ``delta_x`` (per point, or per level as the data are)
+    from its own ``require_inside`` call. ``delta_u[s]``, of shape
+    (n*mult*I, n*h), is Delta(x) u(x), formed by one
+    ``freepoly.promoted_apply`` per level stack, each member bitwise the
+    point's own product. Both follow from the other fields, so ``to_json``
+    leaves them out and ``from_json`` forms them again. A fit that pads the
+    grid with zero columns reads ``delta_u`` unpadded: those columns of
+    Delta(x) are zero and meet only the zero rows padded into u.
     """
 
     delta: PolyMatrix
     points: tuple
-    psi: tuple
-    phi: tuple
-    u: tuple
-    delta_u: tuple
-    delta_x: tuple
+    levels: tuple
     h_dim: int
     k1_dim: int
     k2_dim: int
     mult: int
+    psi = _per_point("psi")
+    phi = _per_point("phi")
+    u = _per_point("u")
+    delta_u = _per_point("delta_u")
+    delta_x = _per_point("delta_x")
 
     def __init__(self, delta, points, psi, phi, u, h_dim, k1_dim, k2_dim, mult, delta_x=None):
-        points = tuple(points)
-        psi = tuple(np.array(mat.as_array(v), dtype=np.complex128) for v in psi)
-        phi = tuple(np.array(mat.as_array(v), dtype=np.complex128) for v in phi)
-        u = tuple(np.array(mat.as_array(v), dtype=np.complex128) for v in u)
-        if not (len(points) == len(psi) == len(phi) == len(u)):
+        points, psi = tuple(points), list(psi)
+        groups = {}
+        for i, x in enumerate(points):
+            groups.setdefault(x.n, []).append(i)
+        stacked = bool(psi) and np.ndim(psi[0]) == 3
+        if stacked:
+            data = [[np.asarray(a, dtype=np.complex128) for a in f] for f in (psi, phi, u)]
+            counts = [len(idx) for idx in groups.values()]
+            equal = all([len(a) for a in f] == counts for f in data)
+            # a stack's members share one shape: its level's first point is the first bad one
+            checks = [(n, a.shape[1:], b.shape[1:], c.shape[1:]) for n, a, b, c in zip(groups, *data)]
+        else:
+            data = [[mat.as_array(v) for v in f] for f in (psi, phi, u)]
+            equal = len(points) == len(data[0]) == len(data[1]) == len(data[2])
+            checks = [(x.n, a.shape, b.shape, c.shape) for x, a, b, c in zip(points, *data)]
+        if not equal:
             raise ShapeMismatch("points, psi, phi, u must have equal lengths")
         if min(h_dim, k1_dim, k2_dim, mult) < 1:
             raise ShapeMismatch("dimensions must be positive")
-        for x, a, b, c in zip(points, psi, phi, u):
-            n = x.n
-            if a.shape != (n * k1_dim, n * h_dim):
-                raise ShapeMismatch(f"psi shape {a.shape} wrong at level {n}")
-            if b.shape != (n * k2_dim, n * h_dim):
-                raise ShapeMismatch(f"phi shape {b.shape} wrong at level {n}")
-            if c.shape != (n * mult * delta.cols, n * h_dim):
-                raise ShapeMismatch(f"u shape {c.shape} wrong at level {n}")
+        rows = {"psi": k1_dim, "phi": k2_dim, "u": mult * delta.cols}
+        for n, *shapes in checks:
+            for (name, k), shape in zip(rows.items(), shapes):
+                if shape != (n * k, n * h_dim):
+                    raise ShapeMismatch(f"{name} shape {shape} wrong at level {n}")
         if delta_x is None:
-            delta_x = [dx for dx, _ in require_inside(delta, points)]
-        delta_x = tuple(delta_x)
-        delta_u = tuple(promoted_apply(dx, x.n, mult, c) for x, dx, c in zip(points, delta_x, u))
-        for arrays in (psi, phi, u, delta_u, delta_x):
-            for v in arrays:
+            found = require_inside(delta, points)
+            delta_x = [np.array([found[i][0] for i in idx]) for idx in groups.values()]
+        elif not stacked:
+            delta_x = [np.array([delta_x[i] for i in idx]) for idx in groups.values()]
+        if not stacked:
+            data = [[np.array([f[i] for i in idx]) for idx in groups.values()] for f in data]
+        levels = []
+        for (n, idx), a, b, c, dx in zip(groups.items(), *data, delta_x):
+            level = SampleLevel(n, np.array(idx), a, b, c, promoted_apply(dx, n, mult, c), dx)
+            for v in (level.at, a, b, c, level.delta_u, dx):
                 v.setflags(write=False)
+            levels.append(level)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "delta_u", delta_u)
-        object.__setattr__(self, "delta_x", delta_x)
+        object.__setattr__(self, "levels", tuple(levels))
         object.__setattr__(self, "h_dim", int(h_dim))
         object.__setattr__(self, "k1_dim", int(k1_dim))
         object.__setattr__(self, "k2_dim", int(k2_dim))
@@ -139,6 +196,9 @@ class ModelSampleSet:
 # block); a narrower band computes less of the discarded lower triangle, and
 # this size measured fastest on the fit workload's 120 samples
 _BAND_BYTES = 1 << 19
+# bytes of kept pair blocks held for one screen (at least one band's); the
+# fit workload's 120 samples keep 0.9 MB, so they are screened at once
+_HELD_BYTES = 1 << 20
 
 
 def model_residual(s: ModelSampleSet) -> float:
@@ -151,67 +211,88 @@ def model_residual(s: ModelSampleSet) -> float:
 
     Delta u is the sample set's ``delta_u``; no delta is evaluated here.
     Per level of m samples, the columns ``M_s = [psi_s; (Delta u)_s; phi_s; u_s]``
-    of width w are formed once, and with J = diag(I, I, -I, -I) the pair
-    block is ``E_st = (J M_s)* M_t``. Since ``||E_ts|| = ||E_st||`` only the
-    blocks with t >= s are kept. The rows of the level's (m w)^2 matrix E are
-    formed in bands of whole row blocks, rows a..b against columns a.. by
-    one product, each of at most ``_BAND_BYTES`` unless one row block is
-    larger, so the memory is bounded for any sample count; the product is
-    written into ``mat.scratch``. Each band's kept blocks are copied into
-    one ``(count, w, w)`` stack for ``mat.max_op_norm``, read
-    before the next band is formed; it SVDs only blocks that may attain the
-    maximum.
+    of width w are copied from the level's stacks once, and with
+    J = diag(I, I, -I, -I) the pair block is ``E_st = (J M_s)* M_t``. Since
+    ``||E_ts|| = ||E_st||`` only the blocks with t >= s are kept. The rows of
+    the level's (m w)^2 matrix E are formed in bands of whole row blocks,
+    rows a..b against columns a.. by one product, each of at most
+    ``_BAND_BYTES`` unless one row block is larger, so the memory is bounded
+    for any sample count. Each band's kept blocks are copied next to the
+    level's earlier ones, so a level reaches :func:`mat.max_op_norm` as one
+    ``(count, w, w)`` stack; the held blocks are screened at the end, or
+    whenever ``_HELD_BYTES`` of them are held. The screen SVDs only blocks
+    that may attain the maximum. The columns, their signed conjugate, the
+    band product and the held blocks are all views of one
+    :func:`mat.scratch` request.
     """
-    by_level = {}
-    for i, x in enumerate(s.points):
-        by_level.setdefault(x.n, []).append(i)
+    plans = []
+    for level in s.levels:
+        m, w = len(level.at), level.psi.shape[2]
+        cuts, a = [], 0
+        while a < m:
+            b = min(m, a + max(1, _BAND_BYTES // (16 * w * w * (m - a))))
+            cuts.append((a, b, (b - a) * (2 * (m - a) - (b - a) + 1) // 2 * w * w))
+            a = b
+        rows = sum(f.shape[1] for f in (level.psi, level.delta_u, level.phi, level.u))
+        work = 2 * rows * m * w + max((b - a) * w * (m - a) * w for a, b, _ in cuts)
+        plans.append((level, m, w, rows, cuts, work))
+    kept = [size for *_, cuts, _ in plans for *_, size in cuts]
+    cap = min(sum(kept), max([_HELD_BYTES // 16, *kept]))
+    buf = mat.scratch(cap + max([0, *(work for *_, work in plans)]))
+    region, rest = buf[:cap], buf[cap:]
+    worst, held, used = 0.0, [], 0
+    for level, m, w, rows, cuts, _ in plans:
+        cols = rest[: rows * m * w].reshape(rows, m, w)
+        top = 0
+        for f in (level.psi, level.delta_u, level.phi, level.u):
+            cols[top : top + f.shape[1]] = f.transpose(1, 0, 2)
+            top += f.shape[1]
+        cols = cols.reshape(rows, m * w)
+        signed = np.conjugate(cols, out=rest[rows * m * w : 2 * rows * m * w].reshape(rows, m * w)).T
+        signed[:, level.psi.shape[1] + level.delta_u.shape[1] :] *= -1.0
+        start = used
+        for a, b, size in cuts:
+            if used + size > cap:  # screen what is held, then reuse the region
+                got = mat.max_op_norm([*held, region[start:used].reshape(-1, w, w)])
+                if math.isnan(got):
+                    return math.inf
+                worst, held, used, start = max(worst, got), [], 0, 0
+            _band(signed, cols, w, a, b, rest[2 * rows * m * w :], region[used : used + size])
+            used += size
+        held.append(region[start:used].reshape(-1, w, w))
+    got = mat.max_op_norm(held)
+    return math.inf if math.isnan(got) else max(worst, got)
 
-    def bands():
-        for idx in by_level.values():
-            m, w = len(idx), s.psi[idx[0]].shape[1]
-            fields = (s.psi, s.delta_u, s.phi, s.u)
-            cols = np.concatenate([np.concatenate([f[i] for i in idx], axis=1) for f in fields])
-            signed = cols.conj().T
-            signed[:, len(s.psi[idx[0]]) + len(s.delta_u[idx[0]]) :] *= -1.0
-            a = 0
-            while a < m:
-                b = min(m, a + max(1, _BAND_BYTES // (16 * w * w * (m - a))))
-                yield _band(signed, cols, w, a, b)
-                a = b
 
-    worst = mat.max_op_norm(bands())
-    return math.inf if math.isnan(worst) else worst
-
-
-def _band(signed, cols, w: int, a: int, b: int) -> np.ndarray:
+def _band(signed, cols, w: int, a: int, b: int, work, out) -> None:
     """The pair blocks ``E_st``, a <= s < b, t >= s, of the level with
-    ``signed = (J M)*`` and ``cols = M``: one product of rows a..b against
-    columns a.. into a :func:`mat.scratch` buffer, then the kept blocks
-    copied in row order into one fresh ``(count, w, w)`` stack."""
+    ``signed = (J M)*`` and ``cols = M``, into ``out``: one product of rows
+    a..b against columns a.. into the flat array ``work``, then one take of
+    the kept blocks, in row order, as ``(count, w, w)``."""
     rows, m = b - a, cols.shape[1] // w - a
-    prod = mat.scratch(rows * w * m * w).reshape(rows * w, m * w)
+    prod = work[: rows * w * m * w].reshape(rows * w, m * w)
     np.matmul(signed[a * w : b * w], cols[:, a * w :], out=prod)
-    e = prod.reshape(rows, w, m, w).transpose(0, 2, 1, 3)
-    out = np.empty((rows * (2 * m - rows + 1) // 2, w, w), dtype=np.complex128)
-    k = 0
-    for r in range(rows):
-        out[k : k + m - r] = e[r, r:]
-        k += m - r
-    return out
+    r, t = np.triu_indices(rows, 0, m)
+    # row (r w + i) m + t of the (rows w m, w) view is row i of block (r, t)
+    first = (r * w * m + t)[:, None] + np.arange(0, w * m, m)
+    np.take(prod.reshape(-1, w), first, axis=0, out=out.reshape(len(r), w, w), mode="clip")
 
 
 def diagonal_floor(s: ModelSampleSet) -> float:
     """Smallest eigenvalue of ``psi*psi - phi*phi`` over the sample points.
 
     Nonnegative (to rounding) whenever the data admits any model at all;
-    NaN when any point's ``psi*psi - phi*phi`` is not finite.
+    NaN when any point's ``psi*psi - phi*phi`` is not finite. One batched
+    ``eigvalsh`` per level stack, each eigenvalue bitwise the point's own.
     """
     floor = np.inf
-    for i in range(len(s)):
-        g = s.psi[i].conj().T @ s.psi[i] - s.phi[i].conj().T @ s.phi[i]
+    for level in s.levels:
+        psi, phi = level.psi, level.phi
+        g = psi.conj().transpose(0, 2, 1) @ psi - phi.conj().transpose(0, 2, 1) @ phi
         if not np.isfinite(g).all():
             return math.nan
-        floor = min(floor, float(np.linalg.eigvalsh((g + g.conj().T) / 2.0)[0]))
+        low = np.linalg.eigvalsh((g + g.conj().transpose(0, 2, 1)) / 2.0)[:, 0]
+        floor = min(floor, float(low.min()))
     return float(floor)
 
 
@@ -220,18 +301,19 @@ def model_from_realization(r, points, psi=None) -> ModelSampleSet:
 
     For each point the model column is ``u(x) = v(x) psi(x)`` where ``v`` is
     the realization's resolvent leg, and ``phi(x)`` is the realization value
-    times ``psi(x)``; the resolvent solve at x yields both. The points are
-    solved by ``realize._level_solves``, one stacked solve per level chunk,
-    each member bitwise the one-point solve. With ``psi=None`` the identity
-    column data is used (h_dim = k1_dim). ``ncpoint.require_inside``
-    evaluates delta and decides membership once for all points; the solves
-    and the sample set take delta(x) from it.
+    times ``psi(x)``; the resolvent solve at x yields both. Each level's
+    points are solved by ``realize._stack_solves``, one stacked solve per
+    chunk, each member bitwise the one-point solve, and each chunk's phi and
+    u are one stacked product each; the level stacks go to the sample set
+    as they are. With ``psi=None`` the identity column data is used
+    (h_dim = k1_dim). ``ncpoint.require_inside`` evaluates delta and decides
+    membership once for all points; the solves and the sample set take
+    delta(x) from it.
     """
-    from .realize import _level_solves
+    from .realize import _stack_solves
 
     points = list(points)
     if psi is None:
-        psi = [np.eye(x.n * r.dim_k1, dtype=np.complex128) for x in points]
         h_dim = r.dim_k1
     else:
         psi = [mat.as_array(v) for v in psi]
@@ -240,14 +322,30 @@ def model_from_realization(r, points, psi=None) -> ModelSampleSet:
         if len(psi) != len(points):
             raise ShapeMismatch("points, psi, phi, u must have equal lengths")
         h_dim = psi[0].shape[1] // points[0].n
-    delta_x = [dx for dx, _ in require_inside(r.delta, points)]
-    solved = [None] * len(points)
-    for chunk, omega, v in _level_solves(r, [x.n for x in points], delta_x):
-        for j, i in enumerate(chunk):
-            solved[i] = omega[j], v[j]
+        for x, p in zip(points, psi):
+            if p.shape != (x.n * r.dim_k1, x.n * h_dim):
+                raise ShapeMismatch(f"psi shape {p.shape} wrong at level {x.n}")
+    found = require_inside(r.delta, points)
+    groups = {}
+    for i, x in enumerate(points):
+        groups.setdefault(x.n, []).append(i)
+    psis, phis, us, dxs = [], [], [], []
+    for n, idx in groups.items():
+        if psi is None:
+            p = np.repeat(np.eye(n * r.dim_k1, dtype=np.complex128)[None], len(idx), axis=0)
+        else:
+            p = np.array([psi[i] for i in idx])
+        dx = np.array([found[i][0] for i in idx])
+        phi = np.empty((len(idx), n * r.dim_k2, n * h_dim), dtype=np.complex128)
+        u = np.empty((len(idx), n * r.mult * r.delta.cols, n * h_dim), dtype=np.complex128)
+        for part, omega, v in _stack_solves(r, n, dx):
+            np.matmul(omega, p[part], out=phi[part])
+            np.matmul(v, p[part], out=u[part])
+        psis.append(p)
+        phis.append(phi)
+        us.append(u)
+        dxs.append(dx)
     return ModelSampleSet(
-        r.delta, points, psi,
-        phi=[omega @ p for (omega, _), p in zip(solved, psi)],
-        u=[v @ p for (_, v), p in zip(solved, psi)],
-        h_dim=h_dim, k1_dim=r.dim_k1, k2_dim=r.dim_k2, mult=r.mult, delta_x=delta_x,
+        r.delta, points, psis, phis, us,
+        h_dim=h_dim, k1_dim=r.dim_k1, k2_dim=r.dim_k2, mult=r.mult, delta_x=dxs,
     )

@@ -25,10 +25,11 @@ multiplicity slot; ``_series`` runs that arithmetic per term on terms held
 in the multiplicity-major layout both helpers multiply in, two in-place
 GEMMs and no copy per term; ``_solve`` assembles its resolvent matrices in
 place in ``mat.scratch``, a buffer reused across calls. ``eval_direct``
-solves a one-point stack; ``_level_solves`` solves many points with one
-``_solve`` per level chunk for ``model_from_realization``,
-``eval_direct_points``, the fit's holdout and the corona residual, each
-member bitwise the one-point solve. ``_solve`` also returns the resolvent
+solves a one-point stack; ``_stack_solves`` solves a level stack with one
+``_solve`` per chunk for ``model_from_realization``, the fit's holdout and
+the corona residual, and ``_level_solves`` groups the points of
+``eval_direct_points`` into such stacks, each member bitwise the one-point
+solve. ``_solve`` also returns the resolvent
 leg v(x) = (I - D~Delta)^{-1} C~, the model column the realization
 generates. ``eval_direct``, ``eval_neumann`` and ``model_from_realization``
 take delta(x) and its norm from the membership kernel
@@ -219,7 +220,7 @@ def _series(r: Realization, n: int, dx: np.ndarray, k: int) -> np.ndarray:
     return total.reshape(mult * rows, n, q).swapaxes(0, 1).reshape(n * mult * rows, q)
 
 
-# Most bytes of the (p, size, size) resolvent matrices in one _level_solves
+# Most bytes of the (p, size, size) resolvent matrices in one _stack_solves
 # chunk; _solve holds two arrays of that size in mat.scratch, so this is half
 # of what the scratch keeps, and the solve one more, LAPACK's copy. With one BLAS
 # thread the time per point stopped falling at 0.1-0.5 MB: at size 16 (level
@@ -229,35 +230,42 @@ def _series(r: Realization, n: int, dx: np.ndarray, k: int) -> np.ndarray:
 _SOLVE_BYTES = mat.SCRATCH_BYTES // 2
 
 
-def _level_solves(r: Realization, levels, dxs):
-    """:func:`_solve` at many points, one call per level chunk.
+def _stack_solves(r: Realization, n: int, dxs: np.ndarray):
+    """:func:`_solve` over ``dxs``, a ``(m, n*I, n*J')`` stack of the
+    grid-outer delta(x) at points of level n, cut into chunks of at most
+    ``_SOLVE_BYTES`` of resolvent matrices. A stack narrower than the grid
+    of ``r`` (a sample set's, where a fit padded the grid) is widened by
+    zero columns, one chunk at a time. Yields ``(part, omega, v)`` per chunk,
+    ``part`` the slice of the stack it solved.
+    """
+    rows, cols = r.delta.rows, r.delta.cols
+    size = n * r.mult * cols
+    step = max(1, _SOLVE_BYTES // (16 * size * size))
+    for start in range(0, len(dxs), step):
+        part = slice(start, start + step)
+        stack = dxs[part]
+        if stack.shape[2] != n * cols:
+            stack = np.zeros((len(stack), n * rows, n * cols), dtype=np.complex128)
+            stack[:, :, : dxs.shape[2]] = dxs[part]
+        yield part, *_solve(r, n, stack)
 
-    ``levels[i]`` and ``dxs[i]`` are the level and the grid-outer delta(x)
-    of point i; a delta(x) narrower than the grid of ``r`` (a sample set's,
-    where a fit padded the grid) is widened by zero columns, and the others
-    are stacked as they are. Levels are
-    taken in order of first appearance and cut into chunks of at most
-    ``_SOLVE_BYTES`` of resolvent matrices. Yields ``(positions, omega, v)``
-    per chunk, ``omega[j]`` and ``v[j]`` belonging to point ``positions[j]``.
+
+def _level_solves(r: Realization, levels, dxs):
+    """:func:`_stack_solves` at many points given one by one: ``levels[i]``
+    and ``dxs[i]`` are the level and the grid-outer delta(x) of point i.
+    Levels are taken in order of first appearance, and a level with one
+    point is solved from a view of its delta(x). Yields
+    ``(positions, omega, v)`` per chunk, ``omega[j]`` and ``v[j]`` belonging
+    to point ``positions[j]``.
     """
     by_level = {}
     for i, n in enumerate(levels):
         by_level.setdefault(n, []).append(i)
-    rows, cols = r.delta.rows, r.delta.cols
     for n, idx in by_level.items():
-        size = n * r.mult * cols
-        step = max(1, _SOLVE_BYTES // (16 * size * size))
-        for start in range(0, len(idx), step):
-            chunk = idx[start : start + step]
-            if len(chunk) == 1 and dxs[chunk[0]].shape[1] == n * cols:
-                stack = dxs[chunk[0]][None]  # what eval_direct solves
-            elif all(dxs[i].shape[1] == n * cols for i in chunk):
-                stack = np.array([dxs[i] for i in chunk])
-            else:
-                stack = np.zeros((len(chunk), n * rows, n * cols), dtype=np.complex128)
-                for j, i in enumerate(chunk):
-                    stack[j, :, : dxs[i].shape[1]] = dxs[i]
-            yield chunk, *_solve(r, n, stack)
+        # one point: what eval_direct solves
+        stack = dxs[idx[0]][None] if len(idx) == 1 else np.array([dxs[i] for i in idx])
+        for part, omega, v in _stack_solves(r, n, stack):
+            yield idx[part], omega, v
 
 
 def eval_direct(r: Realization, x: GradedPoint) -> np.ndarray:
@@ -401,13 +409,14 @@ class FitResult:
 
 
 def _pad_u_rows(u_val: np.ndarray, n: int, mult: int, j_old: int, pad: int) -> np.ndarray:
-    """Insert zero rows for the padded grid columns in every (level, mult) slot."""
+    """Insert zero rows for the padded grid columns in every (level, mult)
+    slot of each member of a ``(m, n*mult*j_old, q)`` level stack."""
     if pad == 0:
         return u_val
-    q = u_val.shape[1]
-    out = np.zeros((n * mult, j_old + pad, q), dtype=np.complex128)
-    out[:, :j_old, :] = u_val.reshape(n * mult, j_old, q)
-    return out.reshape(n * mult * (j_old + pad), q)
+    m, q = u_val.shape[0], u_val.shape[2]
+    out = np.zeros((m, n * mult, j_old + pad, q), dtype=np.complex128)
+    out[:, :, :j_old, :] = u_val.reshape(m, n * mult, j_old, q)
+    return out.reshape(m, n * mult * (j_old + pad), q)
 
 
 # The fit factors [P; Q] by a thin QR only when it has at least this many
@@ -442,9 +451,14 @@ def fit_lurking_isometry(
     function untouched); more than ``PAD_CAP`` padded columns raises
     :class:`RankOverflow`.
 
-    The p and q vectors of one point are the columns of two panels, built by
-    one reshape of ``[psi; Delta u]`` and ``[phi; u]``, Delta u read from the
-    sample set. The Gram deviation ``||P*P - Q*Q||_F`` (Frobenius norm) above
+    The p and q vectors of one point are the columns of its panel of
+    ``[P; Q]``, from ``[psi; Delta u]`` and ``[phi; u]``, Delta u read from
+    the sample set. The panels sit in point order: each level's training
+    panels are written side by side from the level stacks, one assignment
+    per field, and one take moves every panel to its point's place. Both
+    arrays are views of :func:`mat.scratch`.
+
+    The Gram deviation ``||P*P - Q*Q||_F`` (Frobenius norm) above
     ``gram_rtol`` times ``max(1, max_j ||p_j||^2)`` (the largest entry of the
     positive semidefinite P*P sits on its diagonal) raises
     :class:`GramMismatch`: the data cannot come from any isometric
@@ -481,32 +495,41 @@ def fit_lurking_isometry(
     delta = delta_pad_columns(s.delta, pad)
     j_new = j_cols + pad
 
-    reserved = (
-        [i for i in range(len(s)) if i % 5 == 4] if holdout and len(s) >= 5 else []
-    )
-    train = [i for i in range(len(s)) if i not in reserved]
-    if not train:
-        raise ShapeMismatch("holdout stride reserved every sample point")
-
+    held_out = holdout and len(s) >= 5
+    reserved = tuple(range(4, len(s), 5)) if held_out else ()
     dom_dim = k1 + mult * i_rows
     cod_dim = k2 + mult * j_new
-    panels = []
-    for idx in train:
-        n, w = s.points[idx].n, s.psi[idx].shape[1]
+    rows = dom_dim + cod_dim
+    # each level's training panels, n*w columns each, go side by side, and
+    # one take moves every panel to where its point sits in point order (a
+    # reserved point takes no columns)
+    width = np.zeros(len(s), dtype=np.intp)
+    first = np.zeros(len(s), dtype=np.intp)
+    levels, total = [], 0
+    for level in s.levels:
+        n, w = level.n, level.psi.shape[2]
+        at, fields = level.at, (level.psi, level.delta_u, level.phi, level.u)
+        if held_out:
+            keep = at % 5 != 4
+            at, fields = at[keep], [f[keep] for f in fields]
+        width[at] = n * w
+        first[at] = np.arange(total, total + len(at) * n * w, n * w)
+        levels.append((n, w, total, fields))
+        total += len(at) * n * w
+    buf = mat.scratch(2 * rows * total)
+    by_level, pq = buf[: rows * total].reshape(rows, total), buf[rows * total :].reshape(rows, total)
+    for n, w, done, (psi, delta_u, phi, u) in levels:
         # the padded grid columns are zero, so the held Delta u needs no padding
-        u_val = _pad_u_rows(s.u[idx], n, mult, j_cols, pad)
-        rows = np.concatenate(
-            [
-                s.psi[idx].reshape(n, k1, w),
-                s.delta_u[idx].reshape(n, mult * i_rows, w),
-                s.phi[idx].reshape(n, k2, w),
-                u_val.reshape(n, mult * j_new, w),
-            ],
-            axis=1,
-        )
+        u = _pad_u_rows(u, n, mult, j_cols, pad)
         # one column per (level-block row, basis column), level block outer
-        panels.append(rows.transpose(1, 0, 2).reshape(dom_dim + cod_dim, n * w))
-    pq = np.concatenate(panels, axis=1)
+        panels = by_level[:, done : done + len(psi) * n * w].reshape(rows, len(psi), n, w)
+        top = 0
+        for f in (psi, delta_u, phi, u):
+            k = f.shape[1] // n
+            panels[top : top + k] = f.reshape(len(f), n, k, w).transpose(2, 0, 1, 3)
+            top += k
+    moved = np.repeat(first - (np.cumsum(width) - width), width) + np.arange(total)
+    np.take(by_level, moved, axis=1, out=pq, mode="clip")
     p_mat, q_mat = pq[:dom_dim], pq[dom_dim:]
 
     # a wide M = [P; Q] becomes Z = R^T from M^T = U R: M = Z U^T and
@@ -565,20 +588,23 @@ def fit_lurking_isometry(
 def _max_gap(r: Realization, s: ModelSampleSet, indices) -> float:
     """``max || Omega(x) psi(x) - phi(x) ||`` over the sample points ``indices``, or inf.
 
-    Omega(x) is solved from the sample set's delta(x) by
-    :func:`_level_solves`, one stacked :func:`_solve` per level chunk, and
-    the chunk's gaps are formed by one stacked product and handed to
-    :func:`mat.max_op_norm` as one stack, so every gap is bitwise the
-    one-point solve's. No delta is evaluated and no membership decided
-    here: the sample set decided it. A gap that is not finite, or whose SVD
-    fails, gives ``inf``.
+    Omega(x) is solved from the chosen members of each level's delta(x)
+    stack by :func:`_stack_solves`, one stacked :func:`_solve` per chunk,
+    and the chunk's gaps are formed from the level's psi and phi stacks by
+    one stacked product and handed to :func:`mat.max_op_norm` as one stack,
+    so every gap is bitwise the one-point solve's. No delta is evaluated and
+    no membership decided here: the sample set decided it. A gap that is not
+    finite, or whose SVD fails, gives ``inf``.
     """
+    chosen = np.zeros(len(s), dtype=bool)
+    chosen[list(indices)] = True
 
     def gaps():
-        levels = [s.points[i].n for i in indices]
-        for chunk, omega, _ in _level_solves(r, levels, [s.delta_x[i] for i in indices]):
-            at = [indices[j] for j in chunk]
-            yield omega @ np.array([s.psi[i] for i in at]) - np.array([s.phi[i] for i in at])
+        for level in s.levels:
+            pick = chosen[level.at]
+            dxs, psi, phi = (f if pick.all() else f[pick] for f in (level.delta_x, level.psi, level.phi))
+            for part, omega, _ in _stack_solves(r, level.n, dxs):
+                yield omega @ psi[part] - phi[part]
 
     worst = mat.max_op_norm(gaps())
     return math.inf if math.isnan(worst) else worst

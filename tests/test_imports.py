@@ -37,6 +37,8 @@ module in ``src/freeholo``:
   and none of them copies, so no layout change between the products does;
 * ``realize._solve`` takes its resolvent memory only from ``mat.scratch``:
   it makes no identity of the resolvent's size and no fresh array;
+* ``model_residual``, ``fit_lurking_isometry`` and ``_max_gap`` loop over
+  the sample set's levels, never over its points: they read level stacks;
 * in ``cli``, only ``_load_function`` parses an expression or builds an
   evaluator, so every subcommand that takes a function reads it one way;
 * every module-level function and class, and every public method, is
@@ -537,6 +539,66 @@ def test_neumann_loop_copies_nothing():
     copying = ("copyto", "copy", "ascontiguousarray")
     copies = [c for c in plain if c.rsplit(".", 1)[-1] in copying]
     assert "np.matmul" in plain and copies == []
+
+
+# names that hold sample points or their positions, and the sample set's
+# per-point fields
+POINT_NAMES = {"points", "indices", "reserved", "train", "idx", "at", "chunk", "range", "len"}
+POINT_FIELDS = {"points", "psi", "phi", "u", "delta_u", "delta_x", "at"}
+
+
+def point_loops(source: str, function: str) -> list:
+    """The iterables, as source text, of the ``for`` loops and comprehensions
+    of the module-level ``function`` (nested functions included) that run
+    over sample points: the iterable reads a name of ``POINT_NAMES``, or it
+    is a per-point field (``s.psi``, ``level.at``, ...) or zips or
+    enumerates one. A tuple of fields, ``s.levels`` or a generator of the
+    chunks of a level stack is no such loop.
+    """
+    tree = ast.parse(source)
+    fn = next(n for n in tree.body if isinstance(n, FUNCTIONS) and n.name == function)
+    found = []
+    for node in ast.walk(fn):
+        if not isinstance(node, (ast.For, ast.comprehension)):
+            continue
+        it = node.iter
+        named = {n.id for n in ast.walk(it) if isinstance(n, ast.Name)} & POINT_NAMES
+        wraps = isinstance(it, ast.Call) and ast.unparse(it.func) in ("zip", "enumerate", "reversed")
+        direct = [it, *it.args] if wraps else [it]
+        field = any(isinstance(a, ast.Attribute) and a.attr in POINT_FIELDS for a in direct)
+        if named or field:
+            found.append(ast.unparse(it))
+    return found
+
+
+def test_point_loops_tells_points_from_levels():
+    source = (
+        "def f(s, indices, r):\n"
+        "    for level in s.levels:\n"
+        "        for g in (level.psi, level.phi):\n            g.sum()\n"
+        "        for part, omega in chunks(r, level.delta_x):\n            pass\n"
+        "    a = [i for i in range(len(s)) if i % 5]\n"
+        "    b = [s.psi[i] for i in indices]\n"
+        "    for x, p in zip(s.points, s.psi):\n        pass\n"
+        "    def inner():\n        return [v for v in s.levels[0].psi]\n"
+    )
+    assert sorted(point_loops(source, "f")) == [
+        "indices", "range(len(s))", "s.levels[0].psi", "zip(s.points, s.psi)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "module, function",
+    [("model", "model_residual"), ("realize", "fit_lurking_isometry"), ("realize", "_max_gap")],
+)
+def test_sample_set_readers_loop_over_levels_not_points(module, function):
+    # the identity pairs samples of one level only, so the residual, the fit
+    # and its holdout gap read whole level stacks
+    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+    assert point_loops(source, function) == []
+    tree = ast.parse(source)
+    fn = next(n for n in tree.body if isinstance(n, FUNCTIONS) and n.name == function)
+    assert any(isinstance(n, ast.Attribute) and n.attr == "levels" for n in ast.walk(fn))
 
 
 def function_calls(source: str, function: str) -> list:

@@ -1,3 +1,7 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +15,7 @@ from conftest import (
     random_grid,
     random_rect_realization,
 )
-from freeholo import freepoly, model, ncpoint
+from freeholo import freepoly, model, ncpoint, realize
 from freeholo.errors import OutsideDomain, ShapeMismatch
 from freeholo.freepoly import FreePoly, GradedPoint, PolyMatrix, eval_poly_matrix_promoted
 from freeholo.jsonio import decode
@@ -182,18 +186,16 @@ def test_model_residual_matches_dense_pair_loop(seed, grid, k1, offset, mult, ex
 
 
 def band_events(monkeypatch):
-    """Record each band formed and each stack ``max_op_norm`` reads, in order."""
+    """Record each band formed, and the block counts of the stacks each
+    ``max_op_norm`` call reads, in order."""
     events = []
     band, fold = model._band, model.mat.max_op_norm
     monkeypatch.setattr(model, "_band", lambda *a: events.append("form") or band(*a))
 
     def reading(stacks):
-        def each():
-            for stack in stacks:
-                events.append("read")
-                yield stack
-
-        return fold(each())
+        stacks = list(stacks)
+        events.append([len(stack) for stack in stacks])
+        return fold(stacks)
 
     monkeypatch.setattr(model.mat, "max_op_norm", reading)
     return events
@@ -211,14 +213,23 @@ def test_model_residual_in_bands_of_one_row_block(monkeypatch, seed):
     events = band_events(monkeypatch)
     want = model_residual(s)
     assert want > 1e-3
-    assert events == ["form", "read"] * 3  # one band per level
+    # one band per level; the kept blocks t >= s reach one screen as one
+    # stack per level, levels in order of first appearance
+    assert events == ["form"] * 3 + [[3, 6, 6]]
     events.clear()
     monkeypatch.setattr(model, "_BAND_BYTES", 1)
     got = model_residual(s)
     assert abs(got - want) <= 1e-12 * want
     assert abs(got - dense_model_residual(s)) <= 1e-12 * want
-    # one band per row block, each read before the next is formed
-    assert events == ["form", "read"] * len(levels)
+    # one band per row block, each level's bands still one stack
+    assert events == ["form"] * len(levels) + [[3, 6, 6]]
+    events.clear()
+    # a hold of one band's blocks screens them before the region is reused
+    monkeypatch.setattr(model, "_HELD_BYTES", 1)
+    assert model_residual(s) == got
+    reads = [e for e in events if e != "form"]
+    assert events.count("form") == len(levels) and len(reads) > 1
+    assert sum(map(sum, reads)) == 15
 
 
 def test_model_residual_non_finite_is_inf():
@@ -353,3 +364,165 @@ def test_overflowing_point_is_outside_before_delta_u(monkeypatch, n):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(OutsideDomain, match=rf"level {n} is outside: \|\|delta\(x\)\|\| = nan"):
             ModelSampleSet(PolyMatrix.from_poly(x1 * x1), [point], [one], [one], [one], 1, 1, 1, 1)
+
+
+# -- level stacks ------------------------------------------------------------------
+
+
+def per_point_floor(s):
+    """The smallest eigenvalue of ``psi*psi - phi*phi``, one ``eigvalsh`` per point."""
+    floor = np.inf
+    for i in range(len(s)):
+        g = s.psi[i].conj().T @ s.psi[i] - s.phi[i].conj().T @ s.phi[i]
+        if not np.isfinite(g).all():
+            return np.nan
+        floor = min(floor, float(np.linalg.eigvalsh((g + g.conj().T) / 2.0)[0]))
+    return float(floor)
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([(1, 2), (2, 1), (2, 3)]),
+    st.integers(1, 3),
+    st.lists(st.integers(1, 4), min_size=1, max_size=9),
+)
+@settings(max_examples=25, deadline=None)
+def test_diagonal_floor_is_the_per_point_loop_bitwise(seed, grid, k2, levels):
+    rng = rng_from_seed(seed)
+    s = random_samples(rng, grid, levels, 2, k2, 2, 1)
+    assert diagonal_floor(s) == per_point_floor(s)
+    r = random_rect_realization(rng, *grid, 2, 1, 2)
+    s = model_from_realization(r, [point_inside_gdelta(rng, r.delta, n) for n in levels])
+    assert diagonal_floor(s) == per_point_floor(s)
+    # a point whose psi*psi overflows makes the floor NaN, wherever it sits
+    psi = list(s.psi)
+    psi[-1] = psi[-1] * 1e200
+    huge = ModelSampleSet(s.delta, s.points, psi, s.phi, s.u, s.h_dim, s.k1_dim, s.k2_dim, s.mult)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(diagonal_floor(huge)) and np.isnan(per_point_floor(huge))
+
+
+def fit_sized_samples():
+    """120 samples of a k1 = k2 = 2, mult-2 realization on a 2-by-2 grid,
+    levels 1-4 in turn: the size of the benchmark's fit set."""
+    rng = rng_from_seed(7)
+    r = random_rect_realization(rng, 2, 2, 2, 0, 2)
+    levels = [1 + i % 4 for i in range(120)]
+    return model_from_realization(r, [point_inside_gdelta(rng, r.delta, n) for n in levels])
+
+
+def test_model_residual_makes_no_large_temporary():
+    # past one warm-up call the columns, band products and kept blocks live
+    # in the reused scratch; the parent's fresh band stacks peaked at 1.7 MiB
+    s = fit_sized_samples()
+    assert [len(level.at) for level in s.levels] == [30] * 4
+    want = model_residual(s)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        got = model_residual(s)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert got == want and want < 1e-12
+    assert peak <= 512 * 1024
+
+
+def test_level_stacks_hold_the_per_point_arrays():
+    rng = rng_from_seed(21)
+    r = random_rect_realization(rng, 2, 3, 2, 1, 2)
+    levels = [2, 1, 3, 2, 2, 1, 4]
+    pts = [point_inside_gdelta(rng, r.delta, n) for n in levels]
+    psi = [random_column_data(rng, x.n, 2, 3) for x in pts]
+    s = model_from_realization(r, pts, psi=psi)
+    dxs = [dx for dx, _ in ncpoint.require_inside(r.delta, pts)]
+    assert [level.n for level in s.levels] == [2, 1, 3, 4]
+    assert [level.at.tolist() for level in s.levels] == [[0, 3, 4], [1, 5], [2], [6]]
+    for level in s.levels:
+        for name in ("psi", "phi", "u", "delta_u", "delta_x"):
+            stack = getattr(level, name)
+            assert not stack.flags.writeable
+            for j, i in enumerate(level.at):
+                v = getattr(s, name)[i]
+                # a read-only view of the stack's member, no copy
+                assert np.shares_memory(v, stack) and v.tobytes() == stack[j].tobytes()
+                assert not v.flags.writeable
+    for i, x in enumerate(pts):
+        # bitwise the one-point arrays: the solve, its products, the kernel's
+        # delta(x) and the one-point Delta u
+        omega, v = realize._solve(r, x.n, dxs[i][None])
+        assert s.psi[i].tobytes() == psi[i].tobytes()
+        assert s.phi[i].tobytes() == (omega[0] @ psi[i]).tobytes()
+        assert s.u[i].tobytes() == (v[0] @ psi[i]).tobytes()
+        assert s.delta_x[i].tobytes() == dxs[i].tobytes()
+        assert s.delta_u[i].tobytes() == freepoly.promoted_apply(dxs[i], x.n, s.mult, s.u[i]).tobytes()
+    # per point again, through the copying constructor and through JSON
+    again = ModelSampleSet(r.delta, pts, s.psi, s.phi, s.u, s.h_dim, s.k1_dim, s.k2_dim, s.mult)
+    decoded = decode("modelsamples", s.to_json())
+    for other in (again, decoded):
+        assert [level.at.tolist() for level in other.levels] == [[0, 3, 4], [1, 5], [2], [6]]
+        for name in ("psi", "phi", "u", "delta_u", "delta_x"):
+            assert [a.tobytes() for a in getattr(other, name)] == [
+                a.tobytes() for a in getattr(s, name)
+            ]
+    assert not np.shares_memory(again.psi[0], s.psi[0])
+
+
+def test_constructor_errors_name_the_first_bad_point():
+    rng = rng_from_seed(22)
+    r = random_rect_realization(rng, 2, 2, 1, 1, 1)
+    pts = [point_inside_gdelta(rng, r.delta, n) for n in (1, 2, 1, 3)]
+    s = model_from_realization(r, pts)
+    phi, psi = list(s.phi), list(s.psi)
+    phi[1] = phi[1][:, :1]  # level 2
+    psi[3] = psi[3][:1]  # level 3, after it
+    with pytest.raises(ShapeMismatch, match=r"phi shape \(4, 1\) wrong at level 2"):
+        ModelSampleSet(r.delta, pts, psi, phi, s.u, s.h_dim, s.k1_dim, s.k2_dim, s.mult)
+    with pytest.raises(ShapeMismatch, match=r"psi shape \(1, 3\) wrong at level 3"):
+        ModelSampleSet(r.delta, pts, psi, s.phi, s.u, s.h_dim, s.k1_dim, s.k2_dim, s.mult)
+    # level stacks: the bad stack's level, levels in order of first appearance
+    stacks = [[getattr(level, f) for level in s.levels] for f in ("psi", "phi", "u")]
+    u = list(stacks[2])
+    u[1] = u[1][:, :, :1]
+    with pytest.raises(ShapeMismatch, match=r"u shape \(4, 1\) wrong at level 2"):
+        ModelSampleSet(r.delta, pts, stacks[0], stacks[1], u, s.h_dim, s.k1_dim, s.k2_dim, s.mult)
+    with pytest.raises(ShapeMismatch, match="must have equal lengths"):
+        ModelSampleSet(r.delta, pts, stacks[0][:2], stacks[1][:2], stacks[2][:2], 1, 1, 2, 1)
+    with pytest.raises(ShapeMismatch, match="must have equal lengths"):
+        ModelSampleSet(r.delta, pts, s.psi[:3], s.phi, s.u, s.h_dim, s.k1_dim, s.k2_dim, s.mult)
+    # the first point outside is named, after the shape checks passed
+    outside = GradedPoint([np.eye(2) * 5.0, np.eye(2)])
+    with pytest.raises(OutsideDomain, match="level 2 is outside"):
+        ModelSampleSet(
+            r.delta, [pts[0], outside, pts[2], pts[3]], s.psi, s.phi, s.u,
+            s.h_dim, s.k1_dim, s.k2_dim, s.mult,
+        )
+
+
+def test_concurrent_model_residual_gives_the_one_thread_value():
+    # the columns, band products and kept blocks are views of one thread's
+    # scratch and the screen's caps of another slot of it; more threads than
+    # cores, switching often, would mix any buffer they shared
+    s = fit_sized_samples()
+    want = model_residual(s)
+    start = threading.Barrier(4, timeout=60)
+    seen = [[] for _ in range(4)]
+
+    def run(k):
+        start.wait()
+        for _ in range(10):
+            seen[k].append(model_residual(s))
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert seen == [[want] * 10] * 4
