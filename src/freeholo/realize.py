@@ -23,8 +23,13 @@ them at points of one level. They apply the blocks through
 Delta(x) through ``freepoly.promoted_apply``, one GEMM with delta(x) per
 multiplicity slot; ``_series`` runs that arithmetic per term on terms held
 in the multiplicity-major layout both helpers multiply in, two in-place
-GEMMs and no copy per term; ``_solve`` assembles its resolvent matrices in
-place in ``mat.scratch``, a buffer reused across calls. ``eval_direct``
+GEMMs and no copy per term. ``_series_squared`` applies the same two
+products once to the identity, to form the step operator M = Delta D~, and
+sums the k + 1 terms by binary powering of M in floor(log2(k + 1))
+squarings; ``_neumann_kernel`` picks whichever of the two costs less, from
+the shapes and k alone, and the sums differ by rounding only. ``_solve``
+assembles its resolvent matrices in place in ``mat.scratch``, a buffer
+reused across calls. ``eval_direct``
 solves a one-point stack; ``_stack_solves`` solves a level stack with one
 ``_solve`` per chunk for ``model_from_realization``, the fit's holdout and
 the corona residual, and ``_level_solves`` groups the points of
@@ -220,6 +225,70 @@ def _series(r: Realization, n: int, dx: np.ndarray, k: int) -> np.ndarray:
     return total.reshape(mult * rows, n, q).swapaxes(0, 1).reshape(n * mult * rows, q)
 
 
+def _series_squared(r: Realization, n: int, dx: np.ndarray, k: int) -> np.ndarray:
+    """The sum of :func:`_series`, ``sum_{j<N} M^j x0`` with N = k + 1, by
+    binary powering of the step operator M = Delta D~.
+
+    M is formed densely on the multiplicity-major term space of size
+    s = n*mult*I by :func:`_series`'s two per-term products applied to the
+    identity, and x0 = Delta C~ by the second of them applied to C~. With
+    ``P = M^(2^b)`` and ``S = sum_{j<2^b} M^j x0``, each set bit b of N, from
+    the lowest up, takes the sum R over the lower bits to ``S + P R``;
+    ``S + P S`` and ``P P`` step to bit b + 1 (Higham, *Functions of
+    Matrices*, SIAM 2008, section 4.2). That is floor(log2 N) squarings of an
+    s-by-s matrix and up to 2 floor(log2 N) products with the s-by-nK1
+    sums, instead of k term pairs. The sum is moved back to
+    (level, mult, grid) rows once.
+    """
+    mult, rows, cols, q, d = r.mult, r.delta.rows, r.delta.cols, n * r.dim_k1, r.block_d
+    s = n * mult * rows
+    eye = np.eye(s, dtype=np.complex128).reshape(mult * rows, n * s)
+    p = np.matmul(dx, np.matmul(d, eye).reshape(mult, cols * n, s)).reshape(s, s)
+    # C~ = kron(I_n, C) in the (mult, grid, level) rows of the products' layout
+    c_fed = np.kron(np.eye(n).reshape(1, n * n), r.block_c).reshape(mult, cols * n, q)
+    part = np.matmul(dx, c_fed).reshape(s, q)
+    total = None
+    bits = k + 1
+    while True:
+        if bits & 1:
+            total = part if total is None else part + p @ total
+        bits >>= 1
+        if not bits:
+            break
+        part = part + p @ part
+        p = p @ p
+    return total.reshape(mult * rows, n, q).swapaxes(0, 1).reshape(n * mult * rows, q)
+
+
+# One numpy call, in complex multiply-adds, for the Neumann kernels' cost.
+# With one BLAS thread a small call (a 1-by-1 to 4-by-4 product, sum or all-zero
+# check) took 0.7-2.1 us, and GEMMs of size 64-256 ran 5-10 G complex
+# multiply-adds/s. Fitted to both kernels' best times at 54 shapes (2-by-2 grid,
+# K1 = 2, n = 1-32, mult 1, 2, 4, k = 14, 54, 200), the constant came out at
+# 10,000-12,000, and with it the cost picked the faster kernel at all but two
+# shapes, each within 12% of a tie.
+_CALL_MADDS = 12_000
+
+
+def _neumann_kernel(n: int, mult: int, rows: int, cols: int, k1: int, k: int):
+    """:func:`_series` or :func:`_series_squared`, whichever costs less for
+    k + 1 terms at level n on an I-by-J grid (``rows``, ``cols``).
+
+    A cost is complex multiply-adds plus ``_CALL_MADDS`` per numpy call. A
+    term of the loop is the two products, ``mult n^2 I J`` and
+    ``mult^2 I J n`` per column of its n K1 columns, and four calls. Squaring
+    pays floor(log2(k + 1)) times an s-by-s square and two s-by-s by
+    s-by-nK1 products with five calls, s = n mult I, plus the two products
+    on s columns that build M. k = 0 always runs the loop.
+    """
+    q, s = n * k1, n * mult * rows
+    step = mult * n * rows * cols * (n + mult)
+    loop = k * (step * q + 4 * _CALL_MADDS)
+    bits = (k + 1).bit_length() - 1
+    squaring = bits * (s**3 + 2 * s * s * q + 5 * _CALL_MADDS) + step * s + 8 * _CALL_MADDS
+    return _series_squared if squaring < loop else _series
+
+
 # Most bytes of the (p, size, size) resolvent matrices in one _stack_solves
 # chunk; _solve holds two arrays of that size in mat.scratch, so this is half
 # of what the scratch keeps, and the solve one more, LAPACK's copy. With one BLAS
@@ -371,16 +440,28 @@ def eval_neumann(r: Realization, x: GradedPoint, tol: float = 1e-8) -> NeumannRe
     than ``NEUMANN_TERM_CAP`` terms raise :class:`TermBlowup`.
 
     The terms ``Delta (D~ Delta)^k C~`` are summed first and ``B~`` is
-    applied once. Each term costs one wide GEMM with D over all level
-    blocks and one GEMM with the unpromoted delta(x) per multiplicity slot,
-    in place on buffers made before the loop and with no layout copy;
-    neither ``kron(I_n, D)`` nor the promoted Delta(x) is formed, and
-    delta(x) and its norm come from the membership test.
+    applied once, by one of two kernels that :func:`_neumann_kernel` picks
+    from the shapes and K alone, never from the values. The term loop
+    :func:`_series` costs one wide GEMM with D over all level blocks and one
+    GEMM with the unpromoted delta(x) per multiplicity slot per term, in
+    place on buffers made before the loop and with no layout copy; neither
+    ``kron(I_n, D)`` nor the promoted Delta(x) is formed. Binary powering,
+    :func:`_series_squared`, forms the step operator M = Delta D~ of size
+    s = n*mult*I once, holds a few s-by-s matrices at a time, and sums the
+    K + 1 terms in floor(log2(K + 1)) squarings. It runs wherever that
+    costs less: on a 2-by-2 grid with K1 = 2 and 54 terms, at levels 1-8
+    and at level 32 with mult 1; at level 32 with mult 4 only from about
+    150 terms on. The two values agree to rounding. The loop's error is
+    that of K products with M, the powered sum's that of floor(log2(K + 1))
+    squarings, each of order ``u ||x0|| / (1 - ||M||)^2`` at unit roundoff
+    u, and neither is part of ``bound``. delta(x) and its norm come from
+    the membership test.
     """
     [(dx, m)] = require_inside(r.delta, [x])
     q = m.norm if np.any(r.block_d) else 0.0
     k = tail_order(q, tol, NEUMANN_TERM_CAP)
-    value = _value(r, x.n, _series(r, x.n, dx, k))
+    kernel = _neumann_kernel(x.n, r.mult, r.delta.rows, r.delta.cols, r.dim_k1, k)
+    value = _value(r, x.n, kernel(r, x.n, dx, k))
     return NeumannResult(value=value, k=k, bound=geometric_tail(q, k))
 
 

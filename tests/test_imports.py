@@ -541,6 +541,29 @@ def test_neumann_loop_copies_nothing():
     assert "np.matmul" in plain and copies == []
 
 
+def module_function(source: str, name: str):
+    return next(n for n in ast.parse(source).body if isinstance(n, FUNCTIONS) and n.name == name)
+
+
+def test_neumann_kernel_is_chosen_from_shapes_alone():
+    # no environment variable, option or value picks the Neumann kernel
+    source = (SRC / "realize.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    stdlib = {
+        a.name for n in tree.body if isinstance(n, ast.Import) for a in n.names
+    } | {n.module for n in tree.body if isinstance(n, ast.ImportFrom) and n.level == 0}
+    assert stdlib <= {"__future__", "math", "dataclasses", "numpy"}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert read.isdisjoint({"os", "sys", "environ", "getenv"})
+    evaluator = module_function(source, "eval_neumann").args
+    assert [a.arg for a in evaluator.args + evaluator.kwonlyargs] == ["r", "x", "tol"]
+    assert evaluator.vararg is None and evaluator.kwarg is None
+    chooser = module_function(source, "_neumann_kernel").args
+    assert [a.arg for a in chooser.args] == ["n", "mult", "rows", "cols", "k1", "k"]
+    assert function_calls(source, "_neumann_kernel") == [("(k + 1).bit_length", [])]
+
+
 # names that hold sample points or their positions, and the sample set's
 # per-point fields
 POINT_NAMES = {"points", "indices", "reserved", "train", "idx", "at", "chunk", "range", "len"}

@@ -589,6 +589,148 @@ def test_series_at_bench_shapes(n, mult, seed, k):
     assert op_norm(res.value - eval_direct(r, x)) <= res.bound + 1e-12
 
 
+def series_rounding(k, x0, rho):
+    """The gap allowed between two computed sums of the N = k + 1 terms
+    ``M^j x0``, given ``||M||_2 <= rho < 1``:
+
+        32 u (floor(log2 N) + 2) ||x0||_F / (1 - rho)^2,   u = 2^-53.
+
+    To first order a computed power M^j is off by a small multiple of
+    j u rho^j ||x0||: the loop applies M j times, and squaring builds it from
+    at most floor(log2 N) + 1 factors whose errors double at each squaring
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., SIAM
+    2002, section 3.5). Summed over j that is at most u ||x0|| / (1 - rho)^2.
+    An addition errs by at most u times a partial sum, which is below
+    ||x0|| / (1 - rho). Squaring adds floor(log2 N) + 2 times at most. The
+    loop's terms stop moving its sum once they fall under u times it, after
+    at most about 37 / (1 - rho) terms.
+
+    Over 1,000 random cases, the gap stayed under 0.6 of the formula with 1
+    in place of 32. Those cases include ||M|| = 0.999 at Jordan-block
+    points, where the formula with (1 - rho) in place of its square was
+    exceeded by a factor of 2.2.
+    """
+    bits = (k + 1).bit_length() - 1
+    return 32 * 2.0**-53 * (bits + 2) * np.linalg.norm(x0) / (1.0 - rho) ** 2
+
+
+def first_term(r, n, dx):
+    c_tilde = kron_left_identity_apply(n, r.block_c, np.eye(n * r.dim_k1))
+    return promoted_apply(dx, n, r.mult, c_tilde)
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([(1, 2), (2, 1), (2, 3)]),
+    st.integers(1, 3),
+    st.integers(1, 5),
+    st.integers(0, 300),
+    st.sampled_from(["haar", "zero D", "nilpotent"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_series_squared_equals_series_within_rounding(seed, grid, mult, n, k, case):
+    assume(case != "nilpotent" or grid[1] > 1)  # one grid column leaves no room
+    rng = rng_from_seed(seed)
+    if case == "haar":
+        r = random_rect_realization(rng, *grid, 1 + seed % 2, 1, mult)
+        dx = eval_poly_matrix(r.delta, point_inside_gdelta(rng, r.delta, n))
+    else:
+        # D = 0, or D rows only on grid column 0 where delta(x) vanishes:
+        # D~ Delta is nilpotent and both sums are the first term
+        shape = (n * grid[0], n * grid[1])
+        dx = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        dx *= 0.9 / op_norm(dx)
+        r = d_rows_on(rng, grid, 1, mult, () if case == "zero D" else (0,))
+        if case == "nilpotent":
+            dx[:, :n] = 0.0
+    loop, squared = realize._series(r, n, dx, k), realize._series_squared(r, n, dx, k)
+    assert squared.shape == loop.shape
+    if case != "haar":
+        assert np.array_equal(squared, loop)
+    rho = op_norm(r.block_d) * op_norm(dx)
+    assert np.linalg.norm(squared - loop) <= series_rounding(k, first_term(r, n, dx), rho)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("mult", [1, 4])
+@given(st.integers(0, 10_000), st.integers(0, 300))
+@settings(max_examples=3, deadline=None)
+def test_series_squared_at_bench_shapes(n, mult, seed, k):
+    rng = rng_from_seed(seed)
+    r = random_realization(rng, GRID, 2, 2, mult)
+    dx = eval_poly_matrix(GRID, point_inside_gdelta(rng, GRID, n))
+    loop, squared = realize._series(r, n, dx, k), realize._series_squared(r, n, dx, k)
+    rho = op_norm(r.block_d) * op_norm(dx)
+    assert np.linalg.norm(squared - loop) <= series_rounding(k, first_term(r, n, dx), rho)
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_series_squared_sums_exactly_k_plus_one_terms(k):
+    # x = shift / 2 at level 6 and a = 1/2: term j, a power of two times
+    # s x^(j+1), fills superdiagonal j + 1 alone, so both sums are exact and
+    # a term too many or too few changes them
+    r = mobius(0.5)
+    dx = 0.5 * np.eye(6, k=1, dtype=np.complex128)
+    loop, squared = realize._series(r, 6, dx, k), realize._series_squared(r, 6, dx, k)
+    assert np.array_equal(squared, loop)
+    s = math.sqrt(0.75)
+    want = sum((-0.5) ** j * s * np.linalg.matrix_power(dx, j + 1) for j in range(k + 1))
+    assert np.array_equal(loop, want)
+
+
+BENCH_KERNELS = [
+    # (n, mult, k): the eval workload's classes on its 2-by-2 grid, K1 = 2
+    ((1, 1, 33), realize._series_squared),
+    ((1, 4, 109), realize._series_squared),
+    ((2, 1, 109), realize._series_squared),
+    ((2, 4, 33), realize._series_squared),
+    ((8, 1, 33), realize._series_squared),
+    ((8, 4, 54), realize._series_squared),
+    ((32, 1, 54), realize._series_squared),
+    ((32, 4, 54), realize._series),
+]
+
+
+@pytest.mark.parametrize("shape, kernel", BENCH_KERNELS)
+def test_neumann_kernel_at_the_eval_classes(shape, kernel):
+    n, mult, k = shape
+    assert realize._neumann_kernel(n, mult, 2, 2, 2, k) is kernel
+
+
+def test_neumann_kernel_switches_with_the_term_count():
+    # the Mobius classes (1-by-1 grid, K1 = 1), and no squaring for one term
+    assert realize._neumann_kernel(1, 1, 1, 1, 1, 14) is realize._series_squared
+    assert realize._neumann_kernel(2, 1, 1, 1, 1, 33) is realize._series_squared
+    assert realize._neumann_kernel(1, 1, 1, 1, 1, 0) is realize._series
+    # level 32, mult 4 keeps the loop to about 150 terms
+    picks = [realize._neumann_kernel(32, 4, 2, 2, 2, k) for k in range(1, 1000)]
+    first = picks.index(realize._series_squared)
+    assert 100 <= first + 1 < 300
+    assert set(picks[first:]) == {realize._series_squared}
+    assert set(picks[:first]) == {realize._series}
+
+
+@pytest.mark.parametrize("a, x", [
+    (0.999, GradedPoint.scalars([0.9998])),
+    (0.999j, GradedPoint([0.9998 * random_unitary(rng_from_seed(12), 2)])),
+])
+def test_neumann_near_the_term_cap(a, x):
+    # 157,698 terms: the loop would take over a second at level 1,
+    # binary powering 17 squarings
+    r = mobius(a)
+    res = eval_neumann(r, x, tol=1e-10)
+    assert 150_000 <= res.k <= NEUMANN_TERM_CAP
+    assert res.bound <= 1e-10
+    # M = -conj(a) x, x0 = (1 - |a|^2)^(1/2) x
+    rho = abs(a) * op_norm(x.mats[0])
+    x0 = math.sqrt(1.0 - abs(a) ** 2) * x.mats[0]
+    direct = eval_direct(r, x)
+    assert op_norm(res.value - direct) <= res.bound + series_rounding(res.k, x0, rho)
+    m = x.mats[0]
+    exact = (a * np.eye(x.n) + m) @ np.linalg.inv(np.eye(x.n) + np.conj(a) * m)
+    assert op_norm(res.value - exact) <= res.bound + series_rounding(res.k, x0, rho)
+
+
 def pad_psi_rows(psi, n, k1, extra):
     """Append ``extra`` zero rows to every level block of a psi value."""
     w = psi.shape[1]
