@@ -20,12 +20,13 @@ and the fit read whole level blocks, with no loop over the points.
 
 The promoted Delta is the meaning of the identity, not what is computed.
 delta(x) and the membership of x come from ``ncpoint.require_inside``, once
-per point: the constructor calls it, or takes delta(x) from
-``model_from_realization``, which called it for its resolvent solves. The
+per point, as its level stacks: the constructor calls it, or takes the
+stacks from ``model_from_realization``, which solved them as they came. The
 sample set holds delta(x) as ``delta_x`` and Delta(x) u(x), formed through
 ``freepoly.promoted_apply``, as ``delta_u``. ``model_residual``, the fit,
 its holdout and ``realize.corona_solve``'s residual read those two, and
-none of them evaluates delta.
+none of them evaluates delta. :func:`gram_floors` is the one eigenvalue
+floor, of ``diagonal_floor`` and the corona.
 ``freepoly.eval_poly_matrix_promoted`` remains the dense reference that
 tests compare against.
 """
@@ -92,8 +93,8 @@ class ModelSampleSet:
     at one that does not, before any Delta u is formed. ``delta_x[s]``, of
     shape (n*I, n*J) with I, J = delta.rows, delta.cols, is the grid-outer
     value delta(x) that decided membership: the kernel's, or the caller's
-    when it passes ``delta_x`` (per point, or per level as the data are)
-    from its own ``require_inside`` call. ``delta_u[s]``, of shape
+    when it passes ``delta_x``, the level stacks of its own
+    ``require_inside`` call, with data given per level. ``delta_u[s]``, of shape
     (n*mult*I, n*h), is Delta(x) u(x), formed by one
     ``freepoly.promoted_apply`` per level stack, each member bitwise the
     point's own product. Both follow from the other fields, so ``to_json``
@@ -141,10 +142,7 @@ class ModelSampleSet:
                 if shape != (n * k, n * h_dim):
                     raise ShapeMismatch(f"{name} shape {shape} wrong at level {n}")
         if delta_x is None:
-            found = require_inside(delta, points)
-            delta_x = [np.array([found[i][0] for i in idx]) for idx in groups.values()]
-        elif not stacked:
-            delta_x = [np.array([delta_x[i] for i in idx]) for idx in groups.values()]
+            delta_x = [dxs for _, dxs, _ in require_inside(delta, points)]
         if not stacked:
             data = [[np.array([f[i] for i in idx]) for idx in groups.values()] for f in data]
         levels = []
@@ -278,21 +276,31 @@ def _band(signed, cols, w: int, a: int, b: int, work, out) -> None:
     np.take(prod.reshape(-1, w), first, axis=0, out=out.reshape(len(r), w, w), mode="clip")
 
 
+def gram_floors(g: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part of each member of the stack
+    ``g``, NaN where a member is not finite: one batched ``eigvalsh``, each
+    bitwise the member's own, with no copy of ``g`` when all are finite."""
+    if np.isfinite(g).all():
+        return np.linalg.eigvalsh((g + g.conj().transpose(0, 2, 1)) / 2.0)[:, 0]
+    finite = np.isfinite(g).all(axis=(1, 2))  # zeros stand in for the others
+    return np.where(finite, gram_floors(np.where(finite[:, None, None], g, 0.0)), math.nan)
+
+
 def diagonal_floor(s: ModelSampleSet) -> float:
     """Smallest eigenvalue of ``psi*psi - phi*phi`` over the sample points.
 
     Nonnegative (to rounding) whenever the data admits any model at all;
-    NaN when any point's ``psi*psi - phi*phi`` is not finite. One batched
-    ``eigvalsh`` per level stack, each eigenvalue bitwise the point's own.
+    NaN when any point's ``psi*psi - phi*phi`` is not finite. One
+    :func:`gram_floors` call per level stack.
     """
     floor = np.inf
     for level in s.levels:
         psi, phi = level.psi, level.phi
         g = psi.conj().transpose(0, 2, 1) @ psi - phi.conj().transpose(0, 2, 1) @ phi
-        if not np.isfinite(g).all():
+        low = float(gram_floors(g).min())
+        if math.isnan(low):
             return math.nan
-        low = np.linalg.eigvalsh((g + g.conj().transpose(0, 2, 1)) / 2.0)[:, 0]
-        floor = min(floor, float(low.min()))
+        floor = min(floor, low)
     return float(floor)
 
 
@@ -301,14 +309,13 @@ def model_from_realization(r, points, psi=None) -> ModelSampleSet:
 
     For each point the model column is ``u(x) = v(x) psi(x)`` where ``v`` is
     the realization's resolvent leg, and ``phi(x)`` is the realization value
-    times ``psi(x)``; the resolvent solve at x yields both. Each level's
-    points are solved by ``realize._stack_solves``, one stacked solve per
-    chunk, each member bitwise the one-point solve, and each chunk's phi and
-    u are one stacked product each; the level stacks go to the sample set
-    as they are. With ``psi=None`` the identity column data is used
-    (h_dim = k1_dim). ``ncpoint.require_inside`` evaluates delta and decides
-    membership once for all points; the solves and the sample set take
-    delta(x) from it.
+    times ``psi(x)``; the resolvent solve at x yields both. The level stacks
+    of delta(x) from ``ncpoint.require_inside``, which decides membership
+    once for all points, are solved as they come by ``realize._stack_solves``,
+    one stacked solve per chunk, each member bitwise the one-point solve;
+    each chunk's phi and u are one stacked product each, and the stacks go
+    to the sample set as they are. With ``psi=None`` the identity column
+    data is used (h_dim = k1_dim).
     """
     from .realize import _stack_solves
 
@@ -325,17 +332,13 @@ def model_from_realization(r, points, psi=None) -> ModelSampleSet:
         for x, p in zip(points, psi):
             if p.shape != (x.n * r.dim_k1, x.n * h_dim):
                 raise ShapeMismatch(f"psi shape {p.shape} wrong at level {x.n}")
-    found = require_inside(r.delta, points)
-    groups = {}
-    for i, x in enumerate(points):
-        groups.setdefault(x.n, []).append(i)
     psis, phis, us, dxs = [], [], [], []
-    for n, idx in groups.items():
+    for idx, dx, _ in require_inside(r.delta, points):
+        n = points[idx[0]].n
         if psi is None:
             p = np.repeat(np.eye(n * r.dim_k1, dtype=np.complex128)[None], len(idx), axis=0)
         else:
             p = np.array([psi[i] for i in idx])
-        dx = np.array([found[i][0] for i in idx])
         phi = np.empty((len(idx), n * r.dim_k2, n * h_dim), dtype=np.complex128)
         u = np.empty((len(idx), n * r.mult * r.delta.cols, n * h_dim), dtype=np.complex128)
         for part, omega, v in _stack_solves(r, n, dx):

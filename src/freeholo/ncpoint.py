@@ -56,25 +56,28 @@ class Membership:
 
 
 def delta_memberships(delta: PolyMatrix, points, margin: float = DEFAULT_MARGIN) -> list:
-    """``(delta(x), Membership)`` per point, the one membership kernel: one
-    ``eval_poly_matrix_stack`` and one ``mat.op_norms`` call per level, so each
-    value and norm is bitwise the point's own. delta(x) is grid-outer, of shape
-    (n*rows, n*cols); a point without delta's d raises ``ShapeMismatch``."""
-    found = [None] * len(points)
+    """The one membership kernel: per level of :func:`freepoly.level_stacks`,
+    ``(idx, dxs, memberships)``: the points' positions, their grid-outer
+    delta(x) as one ``(p, n*rows, n*cols)`` stack, and their memberships, by
+    one ``eval_poly_matrix_stack`` and one ``mat.op_norms`` call, each value
+    and norm bitwise the point's own. A point without delta's d raises
+    ``ShapeMismatch``."""
+    found = []
     for idx, mats in level_stacks(points, delta.d):
-        values = eval_poly_matrix_stack(delta, mats)
-        for i, dx, nrm in zip(idx, values, mat.op_norms(values).tolist()):
-            found[i] = (dx, Membership.from_norm(nrm, margin))
+        dxs = eval_poly_matrix_stack(delta, mats)
+        nrms = mat.op_norms(dxs).tolist()
+        found.append((idx, dxs, [Membership.from_norm(nrm, margin) for nrm in nrms]))
     return found
 
 
 def require_inside(delta: PolyMatrix, points) -> list:
     """:func:`delta_memberships` at ``DEFAULT_MARGIN``, or :class:`OutsideDomain`
-    at the first point that is not inside."""
+    at the first point that is not inside, in point order."""
     found = delta_memberships(delta, points)
-    for x, (_, m) in zip(points, found):
-        if not m.inside:
-            raise outside_domain(x, m)
+    outside = {i: m for idx, _, ms in found for i, m in zip(idx, ms) if not m.inside}
+    if outside:
+        first = min(outside)
+        raise outside_domain(points[first], outside[first])
     return found
 
 
@@ -87,7 +90,7 @@ def outside_domain(x: GradedPoint, m: Membership) -> OutsideDomain:
 def in_gdelta(delta: PolyMatrix, x: GradedPoint, margin: float = DEFAULT_MARGIN) -> Membership:
     """Classify ``x`` against ``{ ||delta|| < 1 }``: inside below ``1 - margin``,
     boundary within ``margin`` of the unit shell, else outside."""
-    return delta_memberships(delta, [x], margin)[0][1]
+    return delta_memberships(delta, [x], margin)[0][2][0]
 
 
 def point_direct_sum(x: GradedPoint, y: GradedPoint) -> GradedPoint:
@@ -189,21 +192,40 @@ def nc_derivative(f, m_point: GradedPoint, direction: GradedPoint, dims=(1, 1)) 
 
     Evaluates ``f`` at the level-2n point ``[[M, E], [0, M]]`` and returns
     the (1, 2) corner, which for free functions is exactly the derivative of
-    ``f`` at ``M`` in direction ``E``. Any evaluator error (domain, shape,
-    singularity) propagates unchanged.
+    ``f`` at ``M`` in direction ``E``. Where ``f`` raises
+    :class:`OutsideDomain` there, ``f(M)`` is evaluated, its error
+    propagating, and E is halved until the doubled point is accepted, at
+    ``2^-j E``; the corner is scaled back by 2^j, both scalings exact
+    barring underflow, so j = 0 gives the corner as it is. An E halved to
+    zero raises the first error. Any other evaluator error propagates.
     """
     if m_point.d != direction.d or m_point.n != direction.n:
         raise ShapeMismatch("direction must match the base point in d and level")
     h_dim, k_dim = dims
     n = m_point.n
-    pairs = zip(m_point.mats, direction.mats)
-    val = mat.as_array(f(GradedPoint([_upper_block(a, e, a) for a, e in pairs])))
+    e, j = direction.mats, 0
+    while True:
+        try:
+            doubled = GradedPoint([_upper_block(a, b, a) for a, b in zip(m_point.mats, e)])
+            val = mat.as_array(f(doubled))
+            break
+        except OutsideDomain as exc:
+            if j == 0:
+                first = exc
+                f(m_point)
+            e, j = [b * 0.5 for b in e], j + 1
+            if not any(b.any() for b in e):
+                raise first from None
     expected = (2 * n * k_dim, 2 * n * h_dim)
     if val.shape != expected:
         raise ShapeMismatch(
             f"evaluator returned shape {val.shape}, expected {expected} at the doubled level"
         )
-    return val[: n * k_dim, n * h_dim :]
+    corner = val[: n * k_dim, n * h_dim :]
+    if j == 0:
+        return corner
+    with np.errstate(over="ignore"):  # exact unless it overflows
+        return np.ldexp(np.ascontiguousarray(corner).view(np.float64), j).view(np.complex128)
 
 
 @dataclass(frozen=True)

@@ -29,19 +29,14 @@ sums the k + 1 terms by binary powering of M in floor(log2(k + 1))
 squarings; ``_neumann_kernel`` picks whichever of the two costs less, from
 the shapes and k alone, and the sums differ by rounding only. ``_solve``
 assembles its resolvent matrices in place in ``mat.scratch``, a buffer
-reused across calls. ``eval_direct``
-solves a one-point stack; ``_stack_solves`` solves a level stack with one
-``_solve`` per chunk for ``model_from_realization``, the fit's holdout and
-the corona residual, and ``_level_solves`` groups the points of
-``eval_direct_points`` into such stacks, each member bitwise the one-point
-solve. ``_solve`` also returns the resolvent
-leg v(x) = (I - D~Delta)^{-1} C~, the model column the realization
-generates. ``eval_direct``, ``eval_neumann`` and ``model_from_realization``
-take delta(x) and its norm from the membership kernel
-``ncpoint.require_inside``; ``eval_direct_points``
-from ``ncpoint.delta_memberships`` itself, so that a point outside gets its
-error while the others are solved; the fit's holdout and the corona residual
-read the sample set's delta(x).
+reused across calls, and also returns the resolvent leg
+v(x) = (I - D~Delta)^{-1} C~, the model column the realization generates.
+Points arrive as level stacks of delta(x), which nothing here regroups:
+the membership kernel's, from ``ncpoint.require_inside``, or from
+``ncpoint.delta_memberships`` in ``eval_direct_points``, which gives a point
+outside its error while the others are solved; the sample set's in the
+fit's holdout and the corona residual. ``_stack_solves`` solves a level
+stack, one ``_solve`` per chunk, each member bitwise the one-point solve.
 
 The fitting routine recovers such a J1 from finite model sample data by
 matching two families of structured vectors with equal Gram matrices and
@@ -68,7 +63,7 @@ from .errors import (
     TermBlowup,
 )
 from .freepoly import GradedPoint, PolyMatrix, delta_pad_columns, promoted_apply
-from .model import ModelSampleSet
+from .model import ModelSampleSet, gram_floors
 from .ncpoint import delta_memberships, outside_domain, require_inside
 
 ISOMETRY_TOL = 1e-8
@@ -319,24 +314,6 @@ def _stack_solves(r: Realization, n: int, dxs: np.ndarray):
         yield part, *_solve(r, n, stack)
 
 
-def _level_solves(r: Realization, levels, dxs):
-    """:func:`_stack_solves` at many points given one by one: ``levels[i]``
-    and ``dxs[i]`` are the level and the grid-outer delta(x) of point i.
-    Levels are taken in order of first appearance, and a level with one
-    point is solved from a view of its delta(x). Yields
-    ``(positions, omega, v)`` per chunk, ``omega[j]`` and ``v[j]`` belonging
-    to point ``positions[j]``.
-    """
-    by_level = {}
-    for i, n in enumerate(levels):
-        by_level.setdefault(n, []).append(i)
-    for n, idx in by_level.items():
-        # one point: what eval_direct solves
-        stack = dxs[idx[0]][None] if len(idx) == 1 else np.array([dxs[i] for i in idx])
-        for part, omega, v in _stack_solves(r, n, stack):
-            yield idx[part], omega, v
-
-
 def eval_direct(r: Realization, x: GradedPoint) -> np.ndarray:
     """Evaluate the realization by solving the resolvent equation directly.
 
@@ -344,8 +321,8 @@ def eval_direct(r: Realization, x: GradedPoint) -> np.ndarray:
     there the resolvent is uniformly invertible and the value is a strict
     contraction up to rounding.
     """
-    [(dx, _)] = require_inside(r.delta, [x])
-    return _solve(r, x.n, dx[None])[0][0]
+    [(_, dxs, _)] = require_inside(r.delta, [x])
+    return _solve(r, x.n, dxs)[0][0]
 
 
 def eval_direct_points(r: Realization, points) -> list:
@@ -353,17 +330,20 @@ def eval_direct_points(r: Realization, points) -> list:
     :class:`OutsideDomain` that :func:`eval_direct` raises there.
 
     One :func:`ncpoint.delta_memberships` call decides every point, and
-    the points inside are solved by :func:`_level_solves`, one stacked
-    :func:`_solve` per level chunk, so each value is bitwise the one-point
-    solve's. A point without the grid's d raises ``ShapeMismatch``.
+    each level's points inside are solved from the kernel's level stack by
+    :func:`_stack_solves`, one stacked :func:`_solve` per chunk, so each
+    value is bitwise the one-point solve's. A point without the grid's d
+    raises ``ShapeMismatch``.
     """
-    found = delta_memberships(r.delta, points)
-    out = [None if m.inside else outside_domain(x, m) for x, (_, m) in zip(points, found)]
-    inside = [i for i, o in enumerate(out) if o is None]
-    levels = [points[i].n for i in inside]
-    for chunk, omega, _ in _level_solves(r, levels, [found[i][0] for i in inside]):
-        for j, value in zip(chunk, omega):
-            out[inside[j]] = value
+    out = [None] * len(points)
+    for idx, dxs, found in delta_memberships(r.delta, points):
+        inside = [j for j, m in enumerate(found) if m.inside]
+        for i, m in zip(idx, found):
+            out[i] = None if m.inside else outside_domain(points[i], m)
+        at = [idx[j] for j in inside]
+        for part, omega, _ in _stack_solves(r, points[idx[0]].n, dxs[inside]):
+            for i, value in zip(at[part], omega):
+                out[i] = value
     return out
 
 
@@ -457,11 +437,11 @@ def eval_neumann(r: Realization, x: GradedPoint, tol: float = 1e-8) -> NeumannRe
     u, and neither is part of ``bound``. delta(x) and its norm come from
     the membership test.
     """
-    [(dx, m)] = require_inside(r.delta, [x])
+    [(_, dxs, [m])] = require_inside(r.delta, [x])
     q = m.norm if np.any(r.block_d) else 0.0
     k = tail_order(q, tol, NEUMANN_TERM_CAP)
     kernel = _neumann_kernel(x.n, r.mult, r.delta.rows, r.delta.cols, r.dim_k1, k)
-    value = _value(r, x.n, kernel(r, x.n, dx, k))
+    value = _value(r, x.n, kernel(r, x.n, dxs[0], k))
     return NeumannResult(value=value, k=k, bound=geometric_tail(q, k))
 
 
@@ -768,8 +748,8 @@ def corona_solve(
         ``psi(x)* psi(x) >= epsilon^2`` at every point (within ``floor_slack``),
         otherwise, or where that difference overflows, :class:`BelowFloor`
         naming the first such point. Every column is stacked (and its shape
-        checked) first; the smallest eigenvalues then come from one batched
-        ``eigvalsh`` per level, each bitwise the point's own.
+        checked) first; the smallest eigenvalues then come from one
+        :func:`model.gram_floors` call per :func:`mat.shape_stacks` stack.
     u : sequence
         Model data for ``psi(y)* psi(x) - epsilon^2`` with multiplicity
         ``mult``, e.g. sampled from a realization via
@@ -791,17 +771,10 @@ def corona_solve(
     if any(len(row) != len(points) for row in psis):
         raise ShapeMismatch("each column function needs one value per point")
     columns = [stack_column(values) for values in zip(*psis)]
-    by_level = {}
-    for s_idx, col in enumerate(columns):
-        by_level.setdefault(col.shape, []).append(s_idx)
-    lows = np.full(len(points), math.nan)  # an overflowed Gram confirms no floor
-    for idx in by_level.values():
-        cols = np.stack([columns[s_idx] for s_idx in idx])
-        g = cols.conj().transpose(0, 2, 1) @ cols - epsilon * epsilon * np.eye(cols.shape[2])
-        finite = np.isfinite(g).all(axis=(1, 2))
-        g = np.where(finite[:, None, None], g, 0.0)  # zeros stand in for the overflowed
-        eig = np.linalg.eigvalsh((g + g.conj().transpose(0, 2, 1)) / 2.0)[:, 0]
-        lows[idx] = np.where(finite, eig, math.nan)
+    lows = np.empty(len(points))
+    for idx, cols in mat.shape_stacks(columns):
+        gram = cols.conj().transpose(0, 2, 1) @ cols - epsilon * epsilon * np.eye(cols.shape[2])
+        lows[idx] = gram_floors(gram)
     for s_idx, low in enumerate(lows):
         if not low >= -floor_slack:
             raise BelowFloor(

@@ -82,6 +82,16 @@ def random_rect_realization(rng, i_rows, j_cols, k1, offset, mult):
     return Realization(delta, k1, k2, mult, j1)
 
 
+def per_point(found) -> list:
+    """delta(x) per point, in point order, from the membership kernel's
+    ``(idx, dxs, memberships)`` level stacks."""
+    out = [None] * sum(len(idx) for idx, _, _ in found)
+    for idx, dxs, _ in found:
+        for i, dx in zip(idx, dxs):
+            out[i] = dx
+    return out
+
+
 def random_column_data(rng, n, k1, h):
     """An explicit psi value of shape (n*k1, n*h) with entries of size ~1."""
     shape = (n * k1, n * h)

@@ -326,8 +326,9 @@ def assert_same_expansion(new, old):
     """Same words, coefficients within 1e-14 relative; True when bitwise equal."""
     assert new.words() == old.words()
     bitwise = True
+    got_terms = new.terms  # the property rebuilds its dict on every read
     for w, want in old.terms.items():
-        got = new.terms[w]
+        got = got_terms[w]
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         bitwise = bitwise and np.array_equal(got.view(np.int64), want.view(np.int64))
     return bitwise

@@ -23,13 +23,15 @@ from hypothesis import strategies as st
 
 import freeholo
 from conftest import count_grid_evaluations
-from freeholo import cli, sampling
+from freeholo import cli, mat, realize, sampling
 from freeholo.freepoly import (
+    DEFAULT_MARGIN,
     FreePoly,
     GradedPoint,
     MatrixPoly,
     PolyMatrix,
     commutator_delta,
+    eval_poly_matrix,
 )
 from freeholo.jsonio import SCHEMA_VERSION, TENSOR_CONVENTION
 from freeholo.mat import matrix_to_json
@@ -432,6 +434,57 @@ def test_derive_cmd(tmp_path, capsys):
     assert code == 0
     # D(x^2)[M, E] = ME + EM = [[0, 3], [0, 0]] for M = diag(1, 2), E = E12
     assert rep["derivative"]["data"] == [[0.0, 0.0], [3.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+
+
+X1, X2 = FreePoly.letter(2, 1), FreePoly.letter(2, 2)
+GRID = PolyMatrix([[X1.scale(0.5), X2.scale(0.5)], [X2.scale(0.3), (X1 * X2).scale(0.3)]], d=2)
+
+
+def reach(m, e):
+    """A radius rho with ``M + z E`` inside GRID's domain for every complex
+    ``|z| < rho``: each entry of delta moves by at most ``a |z| + b |z|^2``,
+    so delta by at most their sum, and rho is where that sum meets the room
+    ``1 - DEFAULT_MARGIN - ||delta(M)||``."""
+    (m1, m2), (e1, e2) = ([np.linalg.norm(c, 2) for c in p.mats] for p in (m, e))
+    a = 0.5 * e1 + 0.8 * e2 + 0.3 * (e1 * m2 + m1 * e2)
+    b = 0.3 * e1 * e2
+    room = 1.0 - DEFAULT_MARGIN - np.linalg.norm(eval_poly_matrix(GRID, m), 2)
+    return 2.0 * room / (a + np.sqrt(a * a + 4.0 * b * room))
+
+
+@example(seed=0, k1=1, mult=1, n=1, size=10.0)
+@given(
+    seed=st.integers(0, 10_000),
+    k1=st.integers(1, 2),
+    mult=st.integers(1, 2),
+    n=st.integers(1, 3),
+    size=st.floats(0.01, 10.0),
+)
+@settings(max_examples=30, deadline=None)
+def test_derive_at_interior_points_takes_any_direction(tmp_path_factory, seed, k1, mult, n, size):
+    # f(z) = Omega(M + z E) is holomorphic with ||f|| <= 1 on |z| < rho, so
+    # by Cauchy's estimates the central difference at h = t rho is within
+    # t^2 / (1 - t^2) / rho of Df(M)[E]. At t = 1e-4 that is 1e-8 / rho, and
+    # rounding in the two values (each about 1e-14 for a contraction) adds
+    # about 1e-10 / rho: the stated tolerance is 1e-6 / rho
+    rng = rng_from_seed(seed)
+    r = random_realization(rng, GRID, k1, k1, mult)
+    m = sampling.point_inside_gdelta(rng, GRID, n)  # ||delta(M)|| < 0.9
+    e = sampling.random_graded_point(rng, 2, n)
+    e = GradedPoint([size / max(np.linalg.norm(c, 2) for c in e.mats) * c for c in e.mats])
+    folder = tmp_path_factory.mktemp("derive")
+    files = [write(folder, f"{k}.json", v.to_json()) for k, v in (("r", r), ("m", m), ("e", e))]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["derive", "--realization", files[0], "--point", files[1],
+                         "--direction", files[2]])
+    assert code == 0
+    got = mat.matrix_from_json(strict_loads(out.getvalue())["derivative"])
+    rho = reach(m, e)
+    h = 1e-4 * rho
+    plus, minus = (GradedPoint([a + s * h * c for a, c in zip(m.mats, e.mats)]) for s in (1, -1))
+    fd = (realize.eval_direct(r, plus) - realize.eval_direct(r, minus)) / (2 * h)
+    assert np.linalg.norm(got - fd, 2) <= 1e-6 / rho
 
 
 def test_mero_certify_asserted(tmp_path, capsys):

@@ -21,10 +21,15 @@ module in ``src/freeholo``:
   smallest singular value, and the largest of several norms comes from
   ``mat.max_op_norm``, never from a bare ``max`` that drops a NaN;
 * in ``model`` and ``realize``, delta(x) and membership come only from
-  ``ncpoint``'s membership kernel: ``require_inside``, or
-  ``delta_memberships`` itself in ``realize.eval_direct_points``; Delta u
+  ``ncpoint``'s membership kernel, as its level stacks: ``require_inside``,
+  or ``delta_memberships`` itself in ``realize.eval_direct_points``; Delta u
   is formed only by the sample set's constructor and the resolvent
   kernels;
+* ``realize`` makes no ``setdefault`` call: its batches come grouped, as
+  the membership kernel's level stacks, the sample set's levels or
+  ``mat.shape_stacks``, so it regroups no points itself;
+* smallest eigenvalues come from ``model.gram_floors``, the only caller of
+  ``np.linalg.eigvalsh``;
 * a norm is classified inside or outside only by ``ncpoint``'s membership
   kernel, the sampler's shrink loop and the augmented domain;
 * ``GradedPoint._of``, which skips validation, is called only by the
@@ -268,6 +273,32 @@ def test_largest_norms_go_through_the_screened_kernel():
         "cli._sampled_bound",
         "mero.norm_at",
     }
+
+
+def test_smallest_eigenvalues_go_through_one_kernel():
+    # diagonal_floor and corona_solve's coercivity floor share it
+    assert library_callers({"np.linalg.eigvalsh"}) == {"model.gram_floors"}
+
+
+def method_calls(source: str, name: str) -> list:
+    """Source text of the calls to a method or attribute function ``name``."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == name
+    ]
+
+
+def test_method_calls_finds_attribute_calls_only():
+    source = "by_n.setdefault(n, []).append(i)\nsetdefault(a, b)\nx = d.setdefault\n"
+    assert method_calls(source, "setdefault") == ["by_n.setdefault(n, [])"]
+
+
+def test_realize_regroups_no_points():
+    source = (SRC / "realize.py").read_text(encoding="utf-8")
+    assert method_calls(source, "setdefault") == []
 
 
 @pytest.mark.parametrize("name", ["parse", "Schedule", "eval_expr", "realize.eval_direct"])

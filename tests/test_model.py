@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     corona_inputs,
     count_grid_evaluations,
+    per_point,
     random_column_data,
     random_graded,
     random_grid,
@@ -84,6 +85,21 @@ def test_membership_enforced_on_construction():
     outside = GradedPoint.scalars([1.5])
     with pytest.raises(OutsideDomain):
         model_from_realization(r, [outside])
+
+
+def test_first_outside_point_is_named_in_point_order():
+    # levels 2, 1, 2, 1 with points 1 and 2 outside: the membership kernel
+    # takes level 2 first, yet point 1 (level 1, norm 2) is the one named
+    r = mobius(0.2)
+    pts = [
+        GradedPoint([0.3 * np.eye(2)]),
+        GradedPoint.scalars([2.0]),
+        GradedPoint([3.0 * np.eye(2)]),
+        GradedPoint.scalars([0.4]),
+    ]
+    named = r"^point at level 1 is outside: \|\|delta\(x\)\|\| = 2\.000000000$"
+    with pytest.raises(OutsideDomain, match=named):
+        model_from_realization(r, pts)
 
 
 def test_explicit_psi_count_must_match_points():
@@ -436,7 +452,7 @@ def test_level_stacks_hold_the_per_point_arrays():
     pts = [point_inside_gdelta(rng, r.delta, n) for n in levels]
     psi = [random_column_data(rng, x.n, 2, 3) for x in pts]
     s = model_from_realization(r, pts, psi=psi)
-    dxs = [dx for dx, _ in ncpoint.require_inside(r.delta, pts)]
+    dxs = per_point(ncpoint.require_inside(r.delta, pts))
     assert [level.n for level in s.levels] == [2, 1, 3, 4]
     assert [level.at.tolist() for level in s.levels] == [[0, 3, 4], [1, 5], [2], [6]]
     for level in s.levels:

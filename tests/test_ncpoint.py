@@ -181,6 +181,71 @@ def test_nc_derivative_product_rule():
     np.testing.assert_allclose(lhs, rhs, atol=1e-11)
 
 
+def in_ball(f, radius=1.0):
+    """``f`` on the points whose coordinates all have norm below ``radius``;
+    elsewhere :class:`OutsideDomain`, naming the largest norm."""
+
+    def g(pt):
+        worst = max(np.linalg.norm(m, 2) for m in pt.mats)
+        if not worst < radius:
+            raise OutsideDomain(f"largest coordinate norm {float(worst)!r}")
+        return f(pt)
+
+    return g
+
+
+def doubled(m_pt, e_pt, t=1.0):
+    """The point ``[[M, t E], [0, M]]``."""
+    return GradedPoint([np.block([[m, t * e], [0 * m, m]]) for m, e in zip(m_pt.mats, e_pt.mats)])
+
+
+def test_nc_derivative_halves_a_direction_the_doubled_point_cannot_take():
+    # ||E|| = 6: [[M, E / 4], [0, M]] is still outside the unit ball, and
+    # E / 8 is inside. Every product in the corner holds E once, so scaling
+    # E by 2^-j scales the corner by 2^-j exactly, and 2^j times it is the
+    # unguarded corner
+    p = 2 * X1 * X2 - X2 * X2 * X1 + X1
+
+    def f(pt):
+        return eval_poly(p, pt)
+
+    m_pt = random_point(30, 2, 2, scale=0.1)
+    e_pt = GradedPoint([6.0 * m / np.linalg.norm(m, 2) for m in random_point(31, 2, 2).mats])
+    guarded = in_ball(f)
+    with pytest.raises(OutsideDomain):
+        guarded(doubled(m_pt, e_pt, 0.25))
+    guarded(doubled(m_pt, e_pt, 0.125))
+    got = nc_derivative(guarded, m_pt, e_pt)
+    assert got.tobytes() == nc_derivative(f, m_pt, e_pt).tobytes()
+    corner = eval_poly(p, doubled(m_pt, e_pt, 0.125))[:2, 2:]
+    assert got.tobytes() == (8 * corner).tobytes()
+
+
+def test_nc_derivative_raises_the_base_point_error_when_it_is_outside():
+    m_pt = GradedPoint([1.5 * np.eye(2)])
+    with pytest.raises(OutsideDomain, match=r"^largest coordinate norm 1\.5$"):
+        nc_derivative(in_ball(lambda pt: pt.mats[0]), m_pt, GradedPoint([np.eye(2)]))
+
+
+def test_nc_derivative_raises_the_first_error_when_the_direction_halves_to_zero():
+    # f takes no doubled point with a nonzero corner: E halves to zero, and
+    # the error of the unscaled doubled point is raised
+    calls = []
+
+    def f(pt):
+        calls.append(pt)
+        corner = pt.mats[0][:1, 1:]
+        if corner.any():
+            raise OutsideDomain(f"corner {float(corner[0, 0].real)!r}")
+        return pt.mats[0]
+
+    with pytest.raises(OutsideDomain, match=r"^corner 3\.0$"):
+        nc_derivative(f, GradedPoint.scalars([0.5]), GradedPoint.scalars([3.0]))
+    # the base point once, and the doubled point down to the least subnormal
+    assert [pt.n for pt in calls].count(1) == 1
+    assert calls[-1].mats[0][0, 1] == np.nextafter(0.0, 1.0)
+
+
 def test_check_nc_axioms_passes_polynomials():
     p = X1 * X2 - X2 * X1 + 2
 

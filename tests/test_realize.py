@@ -8,7 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import corona_inputs, random_column_data, random_grid, random_rect_realization
+from conftest import (
+    corona_inputs,
+    per_point,
+    random_column_data,
+    random_grid,
+    random_rect_realization,
+)
 from freeholo import mat, realize
 from freeholo.approx import ORDER_CAP, choose_truncation
 from freeholo.errors import (
@@ -72,8 +78,8 @@ SHIFT = Realization(UNIT_DISK, 1, 1, 1, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 def solved(r, x):
     """``(Omega(x), v(x))`` from the resolvent kernel at one point inside."""
-    [(dx, _)] = require_inside(r.delta, [x])
-    omega, v = realize._solve(r, x.n, dx[None])
+    [(_, dxs, _)] = require_inside(r.delta, [x])
+    omega, v = realize._solve(r, x.n, dxs)
     return omega[0], v[0]
 
 
@@ -987,14 +993,18 @@ def test_stacked_solve_members_equal_one_point_solves(seed, grid, k1, offset, mu
     j1 = haar_isometry(rng, base.dim_k2 + mult * delta.cols, k1 + mult * delta.rows)
     r = Realization(delta, k1, base.dim_k2, mult, j1)
     pts = [point_inside_gdelta(rng, base.delta, n) for n in levels]
-    dxs = [dx for dx, _ in require_inside(base.delta, pts)]
+    found = require_inside(base.delta, pts)
+    dxs = per_point(found)
     want = [one_point_solve(r, x.n, widened(dx, x.n, delta.cols)) for x, dx in zip(pts, dxs)]
     seen = []
-    for chunk, omega, v in realize._level_solves(r, levels, dxs):
-        assert len({levels[i] for i in chunk}) == 1
-        for j, i in enumerate(chunk):
-            assert np.array_equal(omega[j], want[i][0]) and np.array_equal(v[j], want[i][1])
-        seen += chunk
+    for idx, stack, _ in found:
+        n = pts[idx[0]].n
+        for part, omega, v in realize._stack_solves(r, n, stack):
+            chunk = idx[part]
+            assert {levels[i] for i in chunk} == {n}
+            for j, i in enumerate(chunk):
+                assert np.array_equal(omega[j], want[i][0]) and np.array_equal(v[j], want[i][1])
+            seen += chunk
     assert sorted(seen) == list(range(len(pts)))
     if pad == 0:
         for x, (omega, v) in zip(pts, want):
@@ -1031,7 +1041,7 @@ def test_max_gap_equals_a_per_point_loop(wide_fit_set):
 
 
 def level_chunks(levels, r):
-    """How many stacked solves ``_level_solves`` makes for these levels."""
+    """How many stacked solves ``_stack_solves`` makes over these levels' stacks."""
     count = 0
     for n in set(levels):
         size = n * r.mult * r.delta.cols
@@ -1101,7 +1111,8 @@ def solve_case(seed, grid, n, mult, p):
         j1 = haar_isometry(rng, base.dim_k2 + mult * delta.cols, 1 + mult * delta.rows)
         r = Realization(delta, 1, base.dim_k2, mult, j1)
     pts = [point_inside_gdelta(rng, base.delta, n) for _ in range(p)]
-    dxs = [widened(dx, n, r.delta.cols) for dx, _ in require_inside(base.delta, pts)]
+    [(_, stack, _)] = require_inside(base.delta, pts)
+    dxs = [widened(dx, n, r.delta.cols) for dx in stack]
     return r, np.array(dxs)
 
 
