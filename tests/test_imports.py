@@ -40,6 +40,13 @@ module in ``src/freeholo``:
 * each term of the Neumann loop in ``realize._series`` is only numpy calls
   and array methods, so no per-term validation in a helper creeps back,
   and none of them copies, so no layout change between the products does;
+* the calls in that loop are ``np.matmul``, ``np.vdot`` and ``term.any``
+  alone: its stop reads the norms by ``np.vdot``, never by
+  ``np.linalg.norm``, which makes a temporary of |t|^2 on every term;
+* only the term loop takes the ratio of the a posteriori stop:
+  ``realize._series_squared`` takes ``(r, n, dx, k)`` and
+  ``realize._neumann_kernel`` the shapes and k, so neither the squaring
+  kernel nor the choice between the kernels reads it;
 * ``realize._solve`` takes its resolvent memory only from ``mat.scratch``:
   it makes no identity of the resolvent's size and no fresh array;
 * ``model_residual``, ``fit_lurking_isometry`` and ``_max_gap`` loop over
@@ -570,6 +577,26 @@ def test_neumann_loop_copies_nothing():
     copying = ("copyto", "copy", "ascontiguousarray")
     copies = [c for c in plain if c.rsplit(".", 1)[-1] in copying]
     assert "np.matmul" in plain and copies == []
+
+
+def test_neumann_loop_norms_by_dot_products():
+    # np.linalg.norm would allocate |t|^2 on every term
+    plain, other = loop_calls((SRC / "realize.py").read_text(encoding="utf-8"), "_series")
+    assert set(plain) <= {"np.matmul", "np.vdot", "term.any"} and other == []
+    assert "np.vdot" in plain
+
+
+def test_only_the_term_loop_takes_the_ratio():
+    source = (SRC / "realize.py").read_text(encoding="utf-8")
+    for name, args in [
+        ("_series_squared", ["r", "n", "dx", "k"]),
+        ("_neumann_kernel", ["n", "mult", "rows", "cols", "k1", "k"]),
+    ]:
+        sig = module_function(source, name).args
+        assert [a.arg for a in sig.posonlyargs + sig.args + sig.kwonlyargs] == args
+        assert sig.vararg is None and sig.kwarg is None
+    loop = module_function(source, "_series").args
+    assert [a.arg for a in loop.args] == ["r", "n", "dx", "k", "ratio"]
 
 
 def module_function(source: str, name: str):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -735,6 +736,187 @@ def test_neumann_near_the_term_cap(a, x):
     m = x.mats[0]
     exact = (a * np.eye(x.n) + m) @ np.linalg.inv(np.eye(x.n) + np.conj(a) * m)
     assert op_norm(res.value - exact) <= res.bound + series_rounding(res.k, x0, rho)
+
+
+UNIT = 2.0**-53
+
+
+def point_at_radius(rng, delta, n, r0):
+    """A point of level n inside the domain, scaled by bisection so that
+    ``||delta(x)|| = r0`` to rounding."""
+    x = point_inside_gdelta(rng, delta, n)
+
+    def radius(s):
+        return op_norm(eval_poly_matrix(delta, GradedPoint([s * m for m in x.mats])))
+
+    lo, hi = 0.0, 1.0
+    while radius(hi) < r0:
+        hi *= 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if radius(mid) < r0 else (lo, mid)
+    return GradedPoint([lo * m for m in x.mats])
+
+
+def helper_terms(r, n, dx):
+    """The Neumann terms x0, M x0, M^2 x0, ..., composed from the library
+    helpers as :func:`series_by_helpers` composes them."""
+    c_tilde = kron_left_identity_apply(n, r.block_c, np.eye(n * r.dim_k1))
+    term = promoted_apply(dx, n, r.mult, c_tilde)
+    while True:
+        yield term
+        term = promoted_apply(dx, n, r.mult, kron_left_identity_apply(n, r.block_d, term))
+
+
+def summed_prefix(r, n, dx, k, stopped):
+    """The smallest J <= k whose sum of terms 0..J, added in order as the
+    loop adds them, is bitwise ``stopped``. Fails when ``stopped`` is no
+    such prefix."""
+    terms = helper_terms(r, n, dx)
+    total = next(terms).copy()
+    for j, term in zip(range(k + 1), terms):
+        if np.array_equal(total, stopped):
+            return j
+        if np.any(term):
+            total += term
+    raise AssertionError("the stopped sum is no prefix sum of the terms")
+
+
+def check_stopped_series(r, x, tol):
+    """The loop's a posteriori stop at ``x``: a prefix of the terms, within
+    u ||S|| plus rounding of the full sum, and ``eval_neumann`` with the a
+    priori k and bound, within its bound of ``eval_direct``."""
+    n = x.n
+    [(_, dxs, [m])] = require_inside(r.delta, [x])
+    q, dx = m.norm, dxs[0]
+    k = tail_order(q, tol, NEUMANN_TERM_CAP)
+    stopped = realize._series(r, n, dx, k, q)
+    j = summed_prefix(r, n, dx, k, stopped)
+    assert np.array_equal(realize._series(r, n, dx, j), stopped)
+    full = realize._series(r, n, dx, k)
+    rho = op_norm(r.block_d) * op_norm(dx)
+    x0 = first_term(r, n, dx)
+    gap = np.linalg.norm(stopped - full)
+    assert gap <= UNIT * np.linalg.norm(stopped) + series_rounding(k, x0, rho)
+    res = eval_neumann(r, x, tol=tol)
+    assert (res.k, res.bound) == (k, geometric_tail(q, k))
+    assert op_norm(res.value - eval_direct(r, x)) <= res.bound + 1e-12
+    if realize._neumann_kernel(n, r.mult, r.delta.rows, r.delta.cols, r.dim_k1, k) is realize._series:
+        assert np.array_equal(res.value, realize._value(r, n, stopped))
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@given(st.integers(0, 10_000), st.floats(0.3, 0.95), st.sampled_from([1e-6, 1e-10, 1e-14]))
+@settings(max_examples=3, deadline=None)
+def test_stopped_series_at_bench_shapes(n, seed, r0, tol):
+    rng = rng_from_seed(seed)
+    r = random_realization(rng, GRID, 2, 2, 4)
+    check_stopped_series(r, point_at_radius(rng, GRID, n, r0), tol)
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([(1, 2), (2, 3)]),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.floats(0.3, 0.95),
+    st.sampled_from([1e-6, 1e-10, 1e-14]),
+)
+@settings(max_examples=40, deadline=None)
+def test_stopped_series_is_a_prefix_within_bound(seed, grid, mult, n, r0, tol):
+    # eval_neumann runs squaring at these shapes, so the loop's stop is
+    # reached by calling _series with the ratio directly
+    rng = rng_from_seed(seed)
+    r = random_rect_realization(rng, *grid, 1 + seed % 2, 1, mult)
+    check_stopped_series(r, point_at_radius(rng, r.delta, n, r0), tol)
+
+
+@pytest.mark.parametrize("grid", [(1, 2), (2, 3)])
+@pytest.mark.parametrize("mult", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 3])
+def test_stopped_series_keeps_the_early_stop_bytes(grid, mult, n):
+    # the D = 0 and nilpotent cases of the early-stop test, with the ratio
+    rng = rng_from_seed(100 * grid[0] + 10 * mult + n)
+    shape = (n * grid[0], n * grid[1])
+    dx = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    dx *= 0.9 / op_norm(dx)
+    for keep in ((), (0,)):
+        r = d_rows_on(rng, grid, 1, mult, keep)
+        if keep:
+            dx[:, :n] = 0.0
+        want, summed = series_by_helpers(r, n, dx, 40)
+        assert summed == 1
+        stopped = realize._series(r, n, dx, 40, op_norm(dx))
+        assert stopped.tobytes() == realize._series(r, n, dx, 40).tobytes() == want.tobytes()
+
+
+def bench_class_point(seed):
+    """A Haar-random level-32, mult-4 realization on GRID and a point at
+    r0 = 0.65, the eval workload's slowest class."""
+    rng = rng_from_seed(seed)
+    r = random_realization(rng, GRID, 2, 2, 4)
+    return r, point_at_radius(rng, GRID, 32, 0.65)
+
+
+class CountingNumpy:
+    """numpy with its ``matmul`` calls counted."""
+
+    def __init__(self):
+        self.matmuls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        self.matmuls += 1
+        return np.matmul(*args, **kwargs)
+
+
+def loop_steps(monkeypatch, call):
+    """``(call(), steps)``: the steps of the term loop that ``call`` ran,
+    counted by realize's ``np.matmul`` calls, two per step. A loop that
+    stops at step s leaves term s out and has summed s terms."""
+    counting = CountingNumpy()
+    monkeypatch.setattr(realize, "np", counting)
+    try:
+        out = call()
+    finally:
+        monkeypatch.undo()
+    return out, counting.matmuls // 2
+
+
+def test_stopped_series_stops_on_the_bound_side(monkeypatch):
+    # at tol 1e-20 the bound lies under u ||S||, so the bound decides the stop:
+    # the loop drops the first term t under (1 - q) bound and adds the one before
+    r, x = bench_class_point(3)
+    [(_, dxs, [m])] = require_inside(r.delta, [x])
+    q, dx = m.norm, dxs[0]
+    k = tail_order(q, 1e-20, NEUMANN_TERM_CAP)
+    bound = geometric_tail(q, k)
+    assert realize._neumann_kernel(32, 4, 2, 2, 2, k) is realize._series
+    stopped, steps = loop_steps(monkeypatch, lambda: realize._series(r, 32, dx, k, q))
+    assert steps < k and bound < UNIT * np.linalg.norm(stopped)
+    assert np.array_equal(stopped, realize._series(r, 32, dx, steps - 1))
+    terms = list(itertools.islice(helper_terms(r, 32, dx), steps + 1))
+    dropped, last = np.linalg.norm(terms[steps]), np.linalg.norm(terms[steps - 1])
+    assert dropped <= (1.0 - q) * bound * (1.0 + 1e-9) and last > (1.0 - q) * bound * (1.0 - 1e-9)
+    res = eval_neumann(r, x, tol=1e-20)
+    assert (res.k, res.bound) == (k, bound)
+    assert np.array_equal(res.value, realize._value(r, 32, stopped))
+    assert op_norm(res.value - eval_direct(r, x)) <= res.bound + 1e-12
+
+
+def test_stopped_series_sums_fewer_terms_than_the_a_priori_order(monkeypatch):
+    r, x = bench_class_point(7)
+    check_stopped_series(r, x, 1e-10)
+    res, steps = loop_steps(monkeypatch, lambda: eval_neumann(r, x, tol=1e-10))
+    # the full loop sums k + 1 = 55 terms
+    assert res.k == 54 and steps < res.k
+    [(_, dxs, _)] = require_inside(r.delta, [x])
+    summed = realize._series(r, 32, dxs[0], steps - 1)
+    assert np.array_equal(res.value, realize._value(r, 32, summed))
+    # the term left out would still have moved some bits of the sum
+    assert not np.array_equal(realize._series(r, 32, dxs[0], steps), summed)
 
 
 def pad_psi_rows(psi, n, k1, extra):
